@@ -20,8 +20,9 @@ from .errors import (CurveUnsupported, GenerationFailed, GenusTooSmall, Unsuppor
                      InvalidInput, IrrationalSingularLocus,
                      NonOrdinarySingularity, ParseError, PointNotOnCurve,
                      ReducibleSuspected)
-from .modular import (PRIMES, fp_eval, fp_gcd, fp_resultant_keepvar,
-                      fp_roots, fp_squarefree, fp_trim, rational_reconstruct)
+from .modular import (PRIMES, fp_bivariate_table, fp_eval, fp_gcd, fp_reduce,
+                      fp_resultant, fp_resultant_keepvar, fp_roots,
+                      fp_squarefree, fp_trim, rational_reconstruct)
 from .poly import (MPoly, UPoly, binary_form_squarefree, local_expansion,
                    parse_poly, poly_str, rational_roots)
 from .scalars import QQ, PrimeField, RationalField, rat
@@ -143,32 +144,14 @@ def _gcd_many(polys):
 # --- modular affine scan --------------------------------------------------------
 
 
-def _bivariate_fp_table(F, y_deg, p):
-    """Coefficient lists over y-power (exact layout), entries mod p in x.
-
-    Returns None when a denominator dies mod p.
-    """
-    x_deg = F.degree_in(0)
-    table = [[0] * (x_deg + 1) for _ in range(y_deg + 1)]
-    for (i, j), c in F.terms.items():
-        c = rat(c)
-        num, den = int(c.numerator), int(c.denominator)
-        if den % p == 0:
-            return None
-        table[j][i] = num * pow(den, p - 2, p) % p
-    return [fp_trim(row) for row in table]
-
-
 def _fp_res_y(A, B, p):
     """Res_y(A, B) mod p as an int list in x, with the Sylvester layout fixed
-    by the exact y-degrees.  None when reduction mod p degenerates."""
-    m, n = A.degree_in(1), B.degree_in(1)
-    ta = _bivariate_fp_table(A, m, p)
-    tb = _bivariate_fp_table(B, n, p)
+    by the exact y-degrees.  None when a denominator vanishes mod p."""
+    ta = fp_bivariate_table(A, A.degree_in(1), p)
+    tb = fp_bivariate_table(B, B.degree_in(1), p)
     if ta is None or tb is None:
         return None
-    bound = (m * max(B.degree_in(0), 0) + n * max(A.degree_in(0), 0)) + 1
-    return fp_resultant_keepvar(ta, tb, p, bound)
+    return fp_resultant_keepvar(ta, tb, p)
 
 
 def _affine_scan(f):
@@ -237,7 +220,7 @@ def _affine_scan(f):
             continue
         # unverified root: count it unless it is a phantom even mod p
         if tabs is None:
-            tabs = [_bivariate_fp_table(P, P.degree_in(1), p) for P in (F, Fx, Fy)]
+            tabs = [fp_bivariate_table(P, P.degree_in(1), p) for P in (F, Fx, Fy)]
         if any(t is None for t in tabs):
             residual += 1
             continue
@@ -344,9 +327,9 @@ def _check_ordinary(f, point, mult):
 
 def _resultant_probe_nonzero(f, g, var, samples=12):
     """True when Res_var(f, g) is certainly not identically zero; checked by
-    evaluating the exact-layout Sylvester determinant at random points mod
-    two large primes.  All-zero probes => treat as identically zero."""
-    from .modular import fp_det
+    evaluating the resultant at random points mod two large primes, skipping
+    points where a leading coefficient vanishes.  All-zero probes => treat
+    as identically zero."""
     m, n = f.degree_in(var), g.degree_in(var)
     if m == 0 and n == 0:
         raise InvalidInput("probe needs positive degree in the variable")
@@ -359,32 +342,12 @@ def _resultant_probe_nonzero(f, g, var, samples=12):
             vals = [0, 0, 0]
             for i in others:
                 vals[i] = rng.randrange(p)
-            try:
-                av = [c.evaluate([rat(vals[0]), rat(vals[1]), rat(vals[2])]) for c in fc]
-                bv = [c.evaluate([rat(vals[0]), rat(vals[1]), rat(vals[2])]) for c in gc]
-            except ZeroDivisionError:
+            point = [rat(v) for v in vals]
+            av = [fp_reduce(c.evaluate(point), p) for c in fc]
+            bv = [fp_reduce(c.evaluate(point), p) for c in gc]
+            if None in av or None in bv or not av[-1] or not bv[-1]:
                 continue
-            size = m + n
-            rows = [[0] * size for _ in range(size)]
-            ok = True
-            for vlist in (av, bv):
-                for v in vlist:
-                    if int(rat(v).denominator) % p == 0:
-                        ok = False
-            if not ok:
-                continue
-
-            def red(v):
-                v = rat(v)
-                return int(v.numerator) * pow(int(v.denominator), p - 2, p) % p
-
-            for i in range(n):
-                for k in range(m + 1):
-                    rows[i][i + k] = red(av[m - k])
-            for i in range(m):
-                for k in range(n + 1):
-                    rows[n + i][i + k] = red(bv[n - k])
-            if fp_det(rows, p):
+            if fp_resultant(av, bv, p):
                 return True
     return False
 

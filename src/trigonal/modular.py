@@ -1,28 +1,35 @@
-"""Modular helpers for the singular-locus scan.
+"""Modular helpers for the singular-locus scan and the fiber-degree check.
 
-Polynomials mod p are plain int lists, lowest degree first.  The primes are
-fixed large primes chosen deterministically at import, so runs are
-reproducible.  Discovery happens mod p; every reported point is verified
-exactly over the ground field by the caller.
+Polynomials mod p are plain int lists, lowest degree first.  Both callers
+reduce exact bivariate polynomials with ``fp_bivariate_table`` and eliminate
+a variable with ``fp_resultant_keepvar``.  The primes come from a fixed
+deterministic walk down from 2^61, so runs are reproducible.  The scan only
+discovers candidates mod p; every point it reports is verified exactly over
+the ground field by the caller.  The fiber check is Monte Carlo in its prime
+and records the prime of each draw.
 """
 
-from .errors import InvalidInput
+from itertools import islice
+
+from .errors import CurveUnsupported, InvalidInput
 from .intutil import is_prime
-from .scalars import is_rational, rat
+from .scalars import FpElt, QuadExt, is_rational, rat
 
 
-def _primes_below(start, count):
-    out = []
-    n = start - 1 if start % 2 == 0 else start
-    while len(out) < count:
-        n -= 2
+def primes_below(bound):
+    """Odd primes below ``bound``, largest first."""
+    n = bound - 1 if bound % 2 == 0 else bound - 2
+    while n > 2:
         if is_prime(n):
-            out.append(n)
-    return out
+            yield n
+        n -= 2
 
 
-# ~2^61; the first is used for rational reconstruction (bound ~2^30).
-PRIMES = _primes_below(1 << 61, 4)
+# Start of the prime walk: just below 2^61 (the Mersenne prime 2^61 - 1
+# itself is left out).  The scan uses the first two primes; the first is also
+# used for rational reconstruction (bound ~2^30).
+PRIME_WALK_START = (1 << 61) - 2
+PRIMES = list(islice(primes_below(PRIME_WALK_START), 4))
 RECON_BOUND = 1 << 30
 
 
@@ -34,27 +41,11 @@ def fp_trim(a):
     return a
 
 
-def fp_add(a, b, p):
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] = (out[i] + c) % p
-    return fp_trim(out)
-
-
 def fp_sub(a, b, p):
     out = list(a) + [0] * max(0, len(b) - len(a))
     for i, c in enumerate(b):
         out[i] = (out[i] - c) % p
     return fp_trim(out)
-
-
-def fp_scale(a, c, p):
-    c %= p
-    if c == 0:
-        return []
-    return [x * c % p for x in a]
 
 
 def fp_mul(a, b, p):
@@ -74,7 +65,7 @@ def fp_divmod(a, b, p):
         raise ZeroDivisionError("mod-p division by zero polynomial")
     r = list(a)
     d = len(b) - 1
-    inv = pow(b[-1], p - 2, p)
+    inv = pow(b[-1], -1, p)
     q = [0] * max(0, len(r) - d)
     while len(r) - 1 >= d and r:
         if r[-1] == 0:
@@ -92,7 +83,7 @@ def fp_divmod(a, b, p):
 def fp_monic(a, p):
     if not a:
         return a
-    inv = pow(a[-1], p - 2, p)
+    inv = pow(a[-1], -1, p)
     return [x * inv % p for x in a]
 
 
@@ -156,7 +147,7 @@ def fp_roots(a, p, max_tries=64):
         if len(g) <= 1:
             continue
         if len(g) == 2:
-            roots.append((-g[0]) * pow(g[1], p - 2, p) % p)
+            roots.append((-g[0]) * pow(g[1], -1, p) % p)
             continue
         done = False
         while not done:
@@ -196,55 +187,86 @@ def rational_reconstruct(r, p, bound=RECON_BOUND):
 
 # --- reductions of exact polynomials ----------------------------------------
 
-def mpoly_mod_p(f, p):
-    """Coefficient dict of f reduced mod p; None when a denominator or the
-    whole reduction degenerates (caller switches primes)."""
-    out = {}
-    for e, c in f.terms.items():
-        if not is_rational(c):
-            raise InvalidInput("mod-p reduction requires rational coefficients")
-        c = rat(c)
-        num, den = int(c.numerator), int(c.denominator)
-        if den % p == 0:
+def fp_reduce(c, p, root=None):
+    """A scalar of Q, Q(sqrt delta) or F_p reduced mod p; sqrt(delta) maps
+    to ``root``.  None when a denominator vanishes mod p."""
+    if isinstance(c, FpElt):
+        if c.p != p:
+            raise InvalidInput(f"an F{c.p} coefficient does not reduce mod {p}")
+        return c.v
+    if isinstance(c, QuadExt):
+        a = fp_reduce(c.a, p)
+        if not c.b or a is None:
+            return a
+        if root is None:
+            raise InvalidInput("reducing sqrt(delta) mod p needs a root of delta")
+        b = fp_reduce(c.b, p)
+        return None if b is None else (a + b * root) % p
+    if not is_rational(c):
+        raise InvalidInput(f"cannot reduce {c!r} mod p")
+    c = rat(c)
+    num, den = int(c.numerator), int(c.denominator)
+    if den % p == 0:
+        return None
+    return num * pow(den, -1, p) % p
+
+
+def fp_bivariate_table(F, y_deg, p, root=None):
+    """Coefficient lists of a bivariate F over the y-power, laid out for
+    y-degree ``y_deg``; each entry is an int list in x mod p.  Q(sqrt delta)
+    coefficients need ``root``, a square root of delta mod p.  None when a
+    denominator vanishes mod p."""
+    x_deg = F.degree_in(0)
+    table = [[0] * (x_deg + 1) for _ in range(y_deg + 1)]
+    for (i, j), c in F.terms.items():
+        v = fp_reduce(c, p, root)
+        if v is None:
             return None
-        v = num * pow(den, p - 2, p) % p
-        if v:
-            out[e] = v
-    return out
+        table[j][i] = v
+    return [fp_trim(row) for row in table]
 
 
-def fp_det(rows, p):
-    n = len(rows)
-    m = [list(r) for r in rows]
-    det = 1
-    for c in range(n):
-        piv = None
-        for i in range(c, n):
-            if m[i][c] % p:
-                piv = i
-                break
-        if piv is None:
+# --- resultants and interpolation -------------------------------------------
+
+def fp_resultant(a, b, p):
+    """Res(a, b) mod p for int lists with nonzero leading coefficients, by
+    the Euclidean remainder sequence in O(deg a * deg b):
+    Res(a, b) = (-1)^(mn) lc(b)^(m - deg r) Res(b, r) with r = a mod b."""
+    m, n = len(a) - 1, len(b) - 1
+    if m < 0 or n < 0:
+        raise InvalidInput("resultant of a zero polynomial")
+    a, b = list(a), list(b)
+    res = 1
+    while n > 0:
+        inv = pow(b[-1], -1, p)
+        for top in range(m, n - 1, -1):
+            f = a[top] * inv % p
+            if f:
+                s = top - n
+                for i in range(n):
+                    a[s + i] = (a[s + i] - f * b[i]) % p
+        del a[n:]
+        fp_trim(a)
+        if not a:
             return 0
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det = det * m[c][c] % p
-        inv = pow(m[c][c], p - 2, p)
-        for i in range(c + 1, n):
-            if m[i][c]:
-                f = m[i][c] * inv % p
-                for j in range(c, n):
-                    if m[c][j]:
-                        m[i][j] = (m[i][j] - f * m[c][j]) % p
-    return det % p
+        k = len(a) - 1
+        if m & n & 1:
+            res = -res
+        res = res * pow(b[-1], m - k, p) % p
+        a, b, m, n = b, a, n, k
+    return res * pow(b[0], m, p) % p
 
 
 def _newton_coeffs(xs, ys, p):
     n = len(xs)
     c = list(ys)
+    invs = {}
     for i in range(1, n):
         for j in range(n - 1, i - 1, -1):
-            inv = pow((xs[j] - xs[j - i]) % p, p - 2, p)
+            d = (xs[j] - xs[j - i]) % p
+            inv = invs.get(d)
+            if inv is None:
+                inv = invs[d] = pow(d, -1, p)
             c[j] = (c[j] - c[j - 1]) * inv % p
     return c
 
@@ -254,50 +276,78 @@ def fp_interpolate(xs, ys, p):
     c = _newton_coeffs(xs, ys, p)
     poly = [c[-1]]
     for i in range(len(xs) - 2, -1, -1):
-        poly = fp_mul(poly, [(-xs[i]) % p, 1], p)
-        poly = fp_add(poly, [c[i]], p)
+        # poly <- poly * (x - xs[i]) + c[i], in place
+        xi = xs[i]
+        prev = 0
+        for k, v in enumerate(poly):
+            poly[k] = (prev - xi * v) % p
+            prev = v
+        poly.append(prev)
+        poly[0] = (poly[0] + c[i]) % p
     return fp_trim(poly)
 
 
-def fp_resultant_keepvar(a_coeffs, b_coeffs, p, deg_bound):
+def _x_degree(table):
+    return max(max(len(row) for row in table) - 1, 0)
+
+
+def fp_resultant_keepvar(a_coeffs, b_coeffs, p):
     """Resultant in the eliminated variable of two bivariate polynomials.
 
     a_coeffs/b_coeffs: lists over the eliminated-variable power, each entry
-    an int list in the kept variable (mod p).  Returns an int list (the
-    resultant as a polynomial in the kept variable), computed by evaluation
-    at 0..deg_bound and interpolation.  The Sylvester layout is fixed by the
-    generic degrees, so evaluation commutes with the determinant.
+    an int list in the kept variable (mod p); their lengths fix the formal
+    degrees m, n of the Sylvester layout.  Returns the resultant as an int
+    list in the kept variable.
+
+    A leading row that vanishes identically is peeled off first, by
+    Res_{m,n} = (-1)^n b_n Res_{m-1,n} when a_m = 0 and
+    Res_{m,n} = a_m Res_{m,n-1} when b_n = 0.  The rest has degree at most
+    bound = n * deg(a) + m * deg(b) in the kept variable; it is evaluated at
+    bound + 1 points where neither leading coefficient vanishes, so the
+    formal degrees hold there and each value is a Euclidean resultant mod p,
+    and interpolation gives the result.  Raises CurveUnsupported when p is
+    too small to supply the points.
     """
+    a_coeffs, b_coeffs = list(a_coeffs), list(b_coeffs)
     m = len(a_coeffs) - 1
     n = len(b_coeffs) - 1
     if m <= 0 and n <= 0:
         raise InvalidInput("both inputs constant in the eliminated variable")
-    if m <= 0:
-        a0 = a_coeffs[0] if a_coeffs else []
-        out = [1]
-        for _ in range(n):
-            out = fp_mul(out, a0, p)
+    scale = [1]
+    while m > 0 and n > 0 and not (a_coeffs[m] and b_coeffs[n]):
+        if a_coeffs[m]:
+            scale = fp_mul(scale, a_coeffs[m], p)
+            b_coeffs.pop()
+            n -= 1
+        elif b_coeffs[n]:
+            lead = b_coeffs[n] if n % 2 == 0 else [(-c) % p for c in b_coeffs[n]]
+            scale = fp_mul(scale, lead, p)
+            a_coeffs.pop()
+            m -= 1
+        else:
+            return []
+    if m <= 0 or n <= 0:
+        base, e = (a_coeffs, n) if m <= 0 else (b_coeffs, m)
+        base = base[0] if base else []
+        out = scale
+        for _ in range(e):
+            out = fp_mul(out, base, p)
         return out
-    if n <= 0:
-        b0 = b_coeffs[0] if b_coeffs else []
-        out = [1]
-        for _ in range(m):
-            out = fp_mul(out, b0, p)
-        return out
-    size = m + n
+    deg_bound = n * _x_degree(a_coeffs) + m * _x_degree(b_coeffs)
+    if p <= deg_bound:
+        raise CurveUnsupported(
+            f"modulus {p} is too small for {deg_bound + 1} evaluation points")
     xs, ys = [], []
-    x = 0
-    while len(xs) < deg_bound + 1:
+    for x in range(p):
+        if len(xs) > deg_bound:
+            break
         av = [fp_eval(c, x, p) for c in a_coeffs]
         bv = [fp_eval(c, x, p) for c in b_coeffs]
-        rows = [[0] * size for _ in range(size)]
-        for i in range(n):
-            for k in range(m + 1):
-                rows[i][i + k] = av[m - k]
-        for i in range(m):
-            for k in range(n + 1):
-                rows[n + i][i + k] = bv[n - k]
-        xs.append(x)
-        ys.append(fp_det(rows, p))
-        x += 1
-    return fp_interpolate(xs, ys, p)
+        if av[-1] and bv[-1]:
+            xs.append(x)
+            ys.append(fp_resultant(av, bv, p))
+    if len(xs) <= deg_bound:
+        raise CurveUnsupported(
+            f"modulus {p} leaves fewer than {deg_bound + 1} evaluation points "
+            f"where the leading coefficients survive")
+    return fp_mul(scale, fp_interpolate(xs, ys, p), p)

@@ -10,6 +10,7 @@ report.
 
 import time
 from dataclasses import dataclass, field as dc_field
+from itertools import repeat
 
 from .canonical import (PetriResult, adjoint_basis, forms_through_image,
                         hyperelliptic_test, petri_test)
@@ -19,7 +20,9 @@ from .errors import (CurveUnsupported, DegenerateFiber, HyperellipticInput,
 from .liealg import (Case, classify, levi, radical, split_sl2,
                      split_two_ideals, stabilizer_algebra)
 from .linalg import kernel_basis
-from .poly import MPoly, poly_str, resultant_bivariate
+from .modular import (PRIME_WALK_START, fp_bivariate_table, fp_divmod, fp_gcd,
+                      fp_resultant_keepvar, fp_roots, fp_squarefree, primes_below)
+from .poly import MPoly, poly_str
 from .scalars import PrimeField, QuadraticField
 from .scroll import PencilMap, p1xp1_rulings, ruling_map, scroll_matrix, weight_chains
 
@@ -123,13 +126,41 @@ def _dehom_xy(poly):
     return out
 
 
+def _fiber_primes(fld):
+    """Moduli of successive fiber draws, each with the image of sqrt(delta)
+    (None outside Q(sqrt delta)).  Over F_q the modulus is q itself; over Q
+    and Q(sqrt delta) the primes walk down from 2^61, keeping only primes
+    where delta is a nonzero square."""
+    if isinstance(fld, PrimeField):
+        return repeat((fld.p, None))
+    walk = primes_below(PRIME_WALK_START)
+    if isinstance(fld, QuadraticField):
+        return ((p, fp_roots([(-fld.delta) % p, 0, 1], p)[0]) for p in walk
+                if pow(fld.delta % p, (p - 1) // 2, p) == 1)
+    return ((p, None) for p in walk)
+
+
+def _reduce_draw(primes, F, hs):
+    """The next admissible modulus from ``primes`` with the tables of F and
+    of each h over it: no denominator vanishes and F stays monic in y."""
+    for p, root in primes:
+        ft = fp_bivariate_table(F, F.degree_in(1), p, root)
+        hts = [fp_bivariate_table(h, h.degree_in(1), p, root) for h in hs]
+        if ft is not None and ft[-1] and None not in hts:
+            return p, ft, hts
+    raise DegenerateFiber("no admissible prime for the fiber check")
+
+
 def map_degree(curve, pencil, seed=0, max_rounds=2):
     """Fiber degree of the pencil (p : q) on the curve.
 
     For random parameters t1, t2: R_t(x) = Res_y(F, p - t*q) in a sheared
     chart where the curve is monic in y; gcd(R_t1, R_t2) captures the base
     locus, and the degree of the square-free part of R_t1 / gcd counts the
-    fiber.  Three draws with distinct shears must agree by majority.
+    fiber.  Each draw works modulo its own prime (recorded as "prime"), so a
+    draw is Monte Carlo in its shear, its t-values and its prime; over F_q
+    it works mod q, exactly.  Three draws with distinct shears must agree
+    by majority.
     """
     f = curve.f
     p0, q0 = pencil.p, pencil.q
@@ -142,6 +173,7 @@ def map_degree(curve, pencil, seed=0, max_rounds=2):
     if isinstance(pencil.field, QuadraticField):
         fld = pencil.field
     rng = derived_rng(seed, f"map_degree:{poly_str(p0)}:{poly_str(q0)}")
+    primes = _fiber_primes(fld)
     draws = []
     values = []
     lam_iter = iter([0, 1, -1, 2, -2, 3, -3, 4, -4, 5, -5, 6, -6, 7, -7, 8, -8, 9, -9, 10])
@@ -166,6 +198,7 @@ def map_degree(curve, pencil, seed=0, max_rounds=2):
             P = _dehom_xy(_shear(p0, lam))
             Qm = _dehom_xy(_shear(q0, lam))
             ts = []
+            hs = []
             guard = 0
             while len(ts) < 2 and guard < 40:
                 guard += 1
@@ -176,23 +209,18 @@ def map_degree(curve, pencil, seed=0, max_rounds=2):
                 if h.degree_in(1) < 1:
                     continue
                 ts.append(t)
+                hs.append(h)
             if len(ts) < 2:
                 continue
-            rs = []
-            ok = True
-            for t in ts:
-                h = P - Qm.map_coeffs(lambda c: t * c)
-                r = resultant_bivariate(F, h, 1, 0)
-                if not r:
-                    ok = False
-                    break
-                rs.append(r)
-            if not ok:
+            p, ft, hts = _reduce_draw(primes, F, hs)
+            rs = [fp_resultant_keepvar(ft, ht, p) for ht in hts]
+            if not all(rs):
                 continue
-            base = rs[0].gcd(rs[1])
-            moving = (rs[0] // base).squarefree_part()
-            deg = moving.degree()
-            draws.append({"shear": lam, "t": [str(t) for t in ts], "degree": deg})
+            base = fp_gcd(rs[0], rs[1], p)
+            moving = fp_squarefree(fp_divmod(rs[0], base, p)[0], p)
+            deg = len(moving) - 1
+            draws.append({"shear": lam, "t": [str(t) for t in ts], "degree": deg,
+                          "prime": p})
             values.append(deg)
         counts = {}
         for v in values:

@@ -617,76 +617,6 @@ def resultant(f, g, var):
     return det_mpoly(sylvester_matrix(f, g, var))
 
 
-def resultant_bivariate(a, b, elim_var, keep_var):
-    """Resultant of two bivariate polynomials, eliminating ``elim_var``;
-    returns a UPoly in ``keep_var``.
-
-    Computed by evaluating the Sylvester determinant (layout fixed by the
-    exact degrees, so evaluation commutes with it) at integer points and
-    interpolating in Newton form.  Exact over any of the scalar fields.
-    """
-    from .linalg import Mat, mat_det
-    from .scalars import common_field
-    if not a or not b:
-        raise InvalidInput("resultant of a zero polynomial")
-    m = a.degree_in(elim_var)
-    n = b.degree_in(elim_var)
-    if m == 0 and n == 0:
-        raise InvalidInput("both polynomials are constant in the eliminated variable")
-    fld = common_field([c for c in a.terms.values()] + [c for c in b.terms.values()])
-    if m == 0:
-        base = UPoly.from_mpoly(a, keep_var)
-        out = UPoly([fld.one()])
-        for _ in range(n):
-            out = out * base
-        return out
-    if n == 0:
-        base = UPoly.from_mpoly(b, keep_var)
-        out = UPoly([fld.one()])
-        for _ in range(m):
-            out = out * base
-        return out
-
-    def coeff_upolys(p, deg):
-        cols = [[0] * (p.degree_in(keep_var) + 1) for _ in range(deg + 1)]
-        for e, c in p.terms.items():
-            cols[e[elim_var]][e[keep_var]] = c
-        return [UPoly(cs) for cs in cols]
-
-    ac = coeff_upolys(a, m)
-    bc = coeff_upolys(b, n)
-    bound = m * max(b.degree_in(keep_var), 0) + n * max(a.degree_in(keep_var), 0)
-    size = m + n
-    xs = []
-    ys = []
-    x = 0
-    while len(xs) < bound + 1:
-        xv = fld.coerce(x if x % 2 == 0 else -x)
-        x += 1
-        av = [c.eval(xv) for c in ac]
-        bv = [c.eval(xv) for c in bc]
-        rows = [[fld.zero()] * size for _ in range(size)]
-        for i in range(n):
-            for k in range(m + 1):
-                rows[i][i + k] = fld.coerce(av[m - k]) if isinstance(av[m - k], int) else av[m - k]
-        for i in range(m):
-            for k in range(n + 1):
-                rows[n + i][i + k] = fld.coerce(bv[n - k]) if isinstance(bv[n - k], int) else bv[n - k]
-        xs.append(xv)
-        ys.append(mat_det(Mat.from_rows(rows, fld)))
-    # Newton interpolation
-    coef = list(ys)
-    npts = len(xs)
-    for i in range(1, npts):
-        for j in range(npts - 1, i - 1, -1):
-            coef[j] = sdiv(coef[j] - coef[j - 1], xs[j] - xs[j - i])
-    poly = UPoly([coef[-1]])
-    for i in range(npts - 2, -1, -1):
-        poly = poly * UPoly([-xs[i], fld.one()])
-        poly = poly + UPoly([coef[i]])
-    return poly
-
-
 # --- local expansions -----------------------------------------------------------
 
 

@@ -4,8 +4,8 @@ from trigonal.curve import gen_trigonal_projection, validate_curve
 from trigonal.errors import (CurveUnsupported, HyperellipticInput,
                              InvalidInput, PointNotOnCurve)
 from trigonal.pipeline import decide, g3_map, map_degree
-from trigonal.poly import parse_poly, poly_str
-from trigonal.scalars import QQ, PrimeField, rat
+from trigonal.poly import MPoly, parse_poly, poly_str
+from trigonal.scalars import QQ, PrimeField, QuadExt, QuadraticField, rat
 from trigonal.scroll import PencilMap
 
 
@@ -35,6 +35,45 @@ def test_projection_from_point_off_curve_is_degree_four(fermat_quartic):
     # (0:1:0) is not on x^4+y^4+z^4, so the pencil (x : z) has degree 4
     deg, _ = map_degree(fermat_quartic, _pencil("x", "z"))
     assert deg == 4
+
+
+def test_map_degree_over_quadratic_field(m1_cubic):
+    fld = QuadraticField(2)
+    sqrt2 = QuadExt(0, 1, 2)
+    x, y, z = (MPoly(3, {e: fld.one()}) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    sqrt2_z = MPoly(3, {(0, 0, 1): sqrt2})
+    # (x + sqrt(2) z : z) is (x : z) followed by a translation of P^1
+    deg, draws = map_degree(m1_cubic, PencilMap(p=x + sqrt2_z, q=z, field=fld))
+    assert deg == 3
+    # lines through (sqrt(2) : 0 : 1), a point of this smooth quartic: the
+    # degree drops from 4 to 3 only if sqrt(2) is sent to a root of 2 mod p
+    quartic = validate_curve(parse_poly("x^2 - 2*z^2") * parse_poly("x^2 + z^2")
+                             + parse_poly("y") * parse_poly("y^3 + x*z^2 + z^3"))
+    deg2, draws2 = map_degree(quartic, PencilMap(p=y, q=x - sqrt2_z, field=fld))
+    assert deg2 == 3
+    for d in draws + draws2:
+        assert d["degree"] == 3
+        assert pow(2, (d["prime"] - 1) // 2, d["prime"]) == 1
+
+
+def test_map_degree_over_small_prime_field():
+    fld = PrimeField(101)
+    klein = validate_curve(parse_poly("x^3*y + y^3*z + z^3*x"),
+                           base_point=(0, 0, 1), fld=fld)
+    deg, draws = map_degree(klein, g3_map(klein, (0, 0, 1)))
+    assert deg == 3
+    assert all(d["prime"] == 101 for d in draws)
+
+
+def test_map_degree_modulus_too_small_is_typed():
+    # the resultants of the pencil (x^12 : y^12) have degree up to 84, so
+    # they need more evaluation points than F_67 has
+    fld = PrimeField(67)
+    klein = validate_curve(parse_poly("x^3*y + y^3*z + z^3*x"), fld=fld)
+    pm = PencilMap(p=parse_poly("x^12").map_coeffs(fld.coerce),
+                   q=parse_poly("y^12").map_coeffs(fld.coerce), field=fld)
+    with pytest.raises(CurveUnsupported):
+        map_degree(klein, pm)
 
 
 def test_map_degree_rejects_degenerate_pencils(klein):

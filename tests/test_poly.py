@@ -2,10 +2,12 @@ import random
 
 import pytest
 
-from trigonal.errors import InvalidInput
+from trigonal.errors import CurveUnsupported, InvalidInput
+from trigonal.modular import (PRIMES, fp_bivariate_table, fp_reduce,
+                              fp_resultant, fp_resultant_keepvar)
 from trigonal.poly import (MPoly, UPoly, binary_form_squarefree,
                            local_expansion, parse_poly, poly_str,
-                           rational_roots, resultant, resultant_bivariate)
+                           rational_roots, resultant)
 from trigonal.scalars import rat
 
 
@@ -109,20 +111,61 @@ def test_resultant_specialization_property():
         gs = UPoly([g.substitute([MPoly.const(1, a), MPoly.variable(1, 0),
                                   MPoly.const(1, b)]).terms.get((k,), 0)
                     for k in range(3)])
-        # univariate resultant via the bivariate routine
-        fm = fs.to_mpoly(2, 1)
-        gm = gs.to_mpoly(2, 1)
-        rs = resultant_bivariate(fm, gm, 1, 0)
-        assert rs.coeffs and rs.degree() == 0
-        assert rs.coeffs[0] == r.evaluate([a, rat(0), b])
+        # univariate resultant via the Euclidean routine mod p
+        p = PRIMES[0]
+        rs = fp_resultant([fp_reduce(c, p) for c in fs.coeffs],
+                          [fp_reduce(c, p) for c in gs.coeffs], p)
+        assert rs == fp_reduce(r.evaluate([a, rat(0), b]), p)
 
 
-def test_resultant_bivariate_matches_bareiss():
-    f = parse_poly("y^3 + x*y + 1", ("x", "y"))
-    g = parse_poly("y^2 - x^2*y + x", ("x", "y"))
-    via_interp = resultant_bivariate(f, g, 1, 0)
-    via_bareiss = resultant(f, g, 1)
-    assert via_interp.to_mpoly(2, 0) == via_bareiss
+def _random_bivariate(rng, y_deg, x_deg, scale=1):
+    """Random f(x, y) of y-degree y_deg whose leading y-coefficient is
+    scale*(x - r) for an integer r, so it vanishes at an evaluation point."""
+    terms = {(i, j): rat(rng.randint(-4, 4))
+             for i in range(x_deg + 1) for j in range(y_deg)}
+    r = rng.randint(0, 3)
+    terms[(1, y_deg)] = rat(scale)
+    terms[(0, y_deg)] = rat(-scale * r)
+    return MPoly(2, terms)
+
+
+def _mod_p_coeffs(u, p):
+    """Coefficients in x of a polynomial in (x, y) free of y, mod p."""
+    out = [0] * (max((e[0] for e in u.terms), default=0) + 1)
+    for (i, _j), c in u.terms.items():
+        out[i] = fp_reduce(c, p)
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def test_fp_resultant_keepvar_matches_bareiss():
+    # differential: the mod-p kernel against the exact Bareiss resultant
+    # reduced mod p, on pairs whose leading y-coefficients vanish at an
+    # integer x; at p = 101 some leading rows (scale 101) vanish outright
+    rng = random.Random(11)
+    for trial in range(40):
+        p = PRIMES[0] if trial % 2 else 101
+        scale_f = 101 if trial % 8 == 2 else 1
+        scale_g = 101 if trial % 8 == 4 else 1
+        f = _random_bivariate(rng, rng.randint(1, 3), rng.randint(0, 2), scale_f)
+        g = _random_bivariate(rng, rng.randint(1, 3), rng.randint(0, 2), scale_g)
+        tf = fp_bivariate_table(f, f.degree_in(1), p)
+        tg = fp_bivariate_table(g, g.degree_in(1), p)
+        assert fp_resultant_keepvar(tf, tg, p) == _mod_p_coeffs(resultant(f, g, 1), p)
+
+
+def test_fp_resultant_keepvar_small_modulus_is_typed():
+    # a = x(x-1) y + 1, b = y + x^2: Res_y = x^4 - x^3 - 1 has degree bound
+    # 4, so five points with x(x-1) != 0 are needed
+    def tables(p):
+        return [[1], [0, p - 1, 1]], [[0, 0, 1], [1]]
+
+    assert fp_resultant_keepvar(*tables(7), 7) == [6, 0, 0, 6, 1]
+    with pytest.raises(CurveUnsupported):
+        fp_resultant_keepvar(*tables(5), 5)   # only x = 2, 3, 4 qualify
+    with pytest.raises(CurveUnsupported):
+        fp_resultant_keepvar(*tables(3), 3)   # fewer residues than points
 
 
 def test_resultant_rejects_bad_input():
