@@ -2,13 +2,17 @@
 its canonical image.
 
 The adjoint space (degree d-3 forms vanishing to order m-1 at each
-multiplicity-m point) realizes the canonical map into P^{g-1}.  Quadrics and
-cubics through the image are computed as kernel relations among products of
-the adjoint forms modulo multiples of the curve -- pure linear algebra, no
-point sampling and no elimination.
+multiplicity-m point) realizes the canonical map into P^{g-1}.  Quadrics
+(and, for tests, cubics) through the image are computed as kernel relations
+among products of the adjoint forms modulo multiples of the curve -- pure
+linear algebra, no point sampling and no elimination.  The decision path
+never builds the cubic space: for a non-hyperelliptic canonical curve Max
+Noether's theorem fixes its dimension, and the quadric-generation test
+compares against that count.
 """
 
 import enum
+import math
 from dataclasses import dataclass
 
 from .errors import (AdjointDimensionMismatch, InvalidInput,
@@ -34,15 +38,6 @@ def monomials(nvars, degree):
     return out
 
 
-def _binom(n, k):
-    if k < 0 or k > n:
-        return 0
-    r = 1
-    for i in range(k):
-        r = r * (n - i) // (i + 1)
-    return r
-
-
 @dataclass
 class CanonicalMap:
     """Adjoint forms realizing the canonical map of a plane curve."""
@@ -53,6 +48,16 @@ class CanonicalMap:
     @property
     def genus(self):
         return len(self.forms)
+
+
+def adjoint_combination(coeffs, cm):
+    """The plane form sum c_i * w_i over the adjoint forms w_i: the pull-back
+    of a hyperplane of P^{g-1}."""
+    total = MPoly(3)
+    for c, form in zip(coeffs, cm.forms):
+        if c:
+            total = total + form.map_coeffs(lambda q: c * q)
+    return total
 
 
 @dataclass
@@ -66,11 +71,6 @@ class FormSpace:
     @property
     def dim(self):
         return len(self.basis)
-
-    def to_polys(self):
-        return [MPoly(self.ambient_dim,
-                      {m: c for m, c in zip(self.monomials, vec) if c})
-                for vec in self.basis]
 
     def row_space(self):
         rs = RowSpace(len(self.monomials))
@@ -194,7 +194,7 @@ def forms_through_image(curve, cm, k):
             raise UnexpectedDimension(
                 f"quadric space has dimension {dim}; expected one of {sorted(expected)}")
     else:
-        expected3 = _binom(g + 2, 3) - (5 * g - 5)
+        expected3 = cubic_count(g)
         if dim != expected3:
             raise UnexpectedDimension(
                 f"cubic space has dimension {dim}; expected {expected3}")
@@ -219,17 +219,25 @@ class PetriResult(enum.Enum):
     QuadricsInsufficient = "QuadricsInsufficient"
 
 
-def petri_test(qspace, cspace, g):
-    """Compare dim span{x_i * q} against the cubic space through the image.
+def cubic_count(g):
+    """Dimension of the cubics through a non-hyperelliptic canonical curve of
+    genus g (Max Noether): C(g+2, 3) - (5g - 5)."""
+    return math.comb(g + 2, 3) - (5 * g - 5)
+
+
+def petri_test(qspace, g):
+    """Compare dim span{x_i * q} against the cubics through the image.
 
     Equality means the ideal is generated in degree 2 there; a strict gap is
     the independent signal that the curve is trigonal or a plane quintic.
+    The cubic dimension is the count fixed by ``cubic_count``, which
+    ``forms_through_image(..., 3)`` enforces on the computed space.
     """
     if g < 4:
         raise InvalidInput("the quadric-generation test is vacuous for genus 3")
-    if qspace.ambient_dim != g or cspace.ambient_dim != g:
-        raise InvalidInput("form spaces do not match the genus")
-    sym3 = cspace.monomials
+    if qspace.ambient_dim != g:
+        raise InvalidInput("the quadric space does not match the genus")
+    sym3 = monomials(g, 3)
     index3 = {m: i for i, m in enumerate(sym3)}
     span = RowSpace(len(sym3))
     for q in qspace.basis:
@@ -241,9 +249,10 @@ def petri_test(qspace, cspace, g):
                     mono3[i] += 1
                     vec[index3[tuple(mono3)]] = c
             span.add(vec)
-    if span.dim > cspace.dim:
+    expected = cubic_count(g)
+    if span.dim > expected:
         raise UnexpectedDimension(
             "products of quadrics escape the cubic space; upstream bug")
-    if span.dim == cspace.dim:
+    if span.dim == expected:
         return PetriResult.GeneratedByQuadrics
     return PetriResult.QuadricsInsufficient

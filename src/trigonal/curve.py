@@ -617,6 +617,11 @@ def gen_method2(d, coeff_height=2, seed=0, budget=50):
 def gen_singular_model(d, assigned, coeff_height=3, seed=0, budget=200):
     """Random degree-d curve with exactly the assigned ordinary singular
     points: ``assigned`` is a list of ((a, b, c), multiplicity) pairs."""
+    # an accepted curve has exactly the assigned points, so this is its
+    # genus, and validation rejects every curve of genus < 3
+    g = (d - 1) * (d - 2) // 2 - sum(m * (m - 1) // 2 for _, m in assigned)
+    if g < 3:
+        raise GenerationFailed(f"the assigned singularities give genus {g} < 3")
     from .linalg import kernel_basis
     monos = [(i, j, d - i - j) for i in range(d + 1) for j in range(d + 1 - i)]
     rows = []

@@ -54,10 +54,6 @@ class GenerationFailed(UnsupportedInput):
     pass
 
 
-class DegenerateResultant(UnsupportedInput):
-    pass
-
-
 class CurveUnsupported(UnsupportedInput):
     pass
 

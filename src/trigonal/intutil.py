@@ -118,9 +118,3 @@ def squarefree_split(n):
             d *= p
     return s, d
 
-
-def is_perfect_square(n):
-    if n < 0:
-        return False
-    r = math.isqrt(n)
-    return r * r == n

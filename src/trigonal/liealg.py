@@ -442,21 +442,24 @@ def split_two_ideals(s):
 
 
 def classify(alg, semisimple, g):
-    """Map (stabilizer algebra, Levi part) to the surface trichotomy."""
+    """Map (stabilizer algebra, Levi part) to the surface trichotomy.
+
+    Returns (case, ideals): for P1xP1, ideals is the pair of 3-dimensional
+    ideals from ``split_two_ideals`` that tells the case apart, for the
+    rulings to reuse; otherwise it is None."""
     if alg.dim == 0:
-        return Case.CurveCutByQuadrics
+        return Case.CurveCutByQuadrics, None
     sdim = semisimple.dim
     if sdim == 3:
-        return Case.Scroll
+        return Case.Scroll, None
     if sdim == 6:
         try:
-            split_two_ideals(semisimple)
+            return Case.P1xP1, split_two_ideals(semisimple)
         except UnexpectedDimension:
-            return Case.Unexpected
-        return Case.P1xP1
+            return Case.Unexpected, None
     if sdim == 8:
-        return Case.Veronese if g == 6 else Case.Unexpected
-    return Case.Unexpected
+        return (Case.Veronese if g == 6 else Case.Unexpected), None
+    return Case.Unexpected, None
 
 
 _SPLIT_SAMPLES = [

@@ -1,24 +1,25 @@
 """Top-level decision procedure and its certificates.
 
-decide() walks the staged pipeline: adjoints, quadrics, hyperellipticity
-gate, the genus-3 shortcut, the stabilizer algebra with its Levi
-classification, the ruling pencil, and a mandatory fiber-degree check of any
-emitted map.  The quadric-generation test runs alongside as an independent
-oracle and the agreement is recorded.  Every stage's wall time lands in the
-report.
+decide() runs one ordered table of stages: adjoints, quadrics (with the
+hyperellipticity gate), the stabilizer algebra with its Levi classification,
+the map (the genus-3 pencil or the ruling pencil, with a mandatory
+fiber-degree check of any emitted map), and the quadric-generation test,
+an independent oracle whose agreement is recorded.  It compares the span of
+the products x_i * q against the cubic count that Max Noether's theorem
+fixes, so no cubic space is built.  Each stage's wall time lands in the
+report under the stage name, and its errors carry that name as a label.
 """
 
 import time
 from dataclasses import dataclass, field as dc_field
 from itertools import repeat
 
-from .canonical import (PetriResult, adjoint_basis, forms_through_image,
-                        hyperelliptic_test, petri_test)
+from .canonical import (PetriResult, adjoint_basis, adjoint_combination,
+                        forms_through_image, hyperelliptic_test, petri_test)
 from .curve import derived_rng, normalize_point
 from .errors import (CurveUnsupported, DegenerateFiber, HyperellipticInput,
                      InvalidInput, PointNotOnCurve, TrigonalError, stage)
-from .liealg import (Case, classify, levi, radical, split_sl2,
-                     split_two_ideals, stabilizer_algebra)
+from .liealg import Case, classify, levi, split_sl2, stabilizer_algebra
 from .linalg import kernel_basis
 from .modular import (PRIME_WALK_START, fp_bivariate_table, fp_divmod, fp_gcd,
                       fp_resultant_keepvar, fp_roots, fp_squarefree, primes_below)
@@ -40,7 +41,6 @@ class Report:
     genus: int
     adjoint_dim: int
     quadric_dim: int
-    cubic_dim: int = None
     lie_dim: int = None
     levi_type: str = None
     case: str = None
@@ -69,7 +69,6 @@ class Report:
             "genus": self.genus,
             "adjoint_dim": self.adjoint_dim,
             "quadric_dim": self.quadric_dim,
-            "cubic_dim": self.cubic_dim,
             "lie_dim": self.lie_dim,
             "levi_type": self.levi_type,
             "case": self.case,
@@ -252,15 +251,8 @@ def g3_map(curve, base_point, cm=None):
     combos = kernel_basis([vals])
     if len(combos) != 2:
         raise CurveUnsupported("hyperplanes through the point do not form a pencil")
-
-    def build(combo):
-        total = MPoly(3)
-        for c, w in zip(combo, cm.forms):
-            if c:
-                total = total + w.map_coeffs(lambda q: c * q)
-        return total
-
-    return PencilMap(p=build(combos[0]), q=build(combos[1]),
+    return PencilMap(p=adjoint_combination(combos[0], cm),
+                     q=adjoint_combination(combos[1], cm),
                      field=curve.field, column=-1)
 
 
@@ -278,6 +270,138 @@ def _field_name(fld):
     return "Q"
 
 
+def _emit_map(rep, pm, deg, draws, field):
+    """Record the pencil ``pm``, verified at degree ``deg``, as the map."""
+    rep.trigonal = True
+    rep.map_available = True
+    rep.map_p = poly_str(pm.p)
+    rep.map_q = poly_str(pm.q)
+    rep.map_field = _field_name(field)
+    rep.verified_degree = deg
+    rep.fiber_draws = draws
+    rep.extras["pencil"] = pm
+
+
+# Each stage is fn(curve, rep, base_point).  It reads what earlier stages
+# left in rep.extras ("cm", "qspace", "lie", "levi", "ideals") and fills in
+# its report fields.
+
+
+def _adjoints(curve, rep, bp):
+    cm = rep.extras["cm"] = adjoint_basis(curve)
+    rep.adjoint_dim = cm.genus
+
+
+def _quadrics(curve, rep, bp):
+    qspace = rep.extras["qspace"] = forms_through_image(curve, rep.extras["cm"], 2)
+    rep.quadric_dim = qspace.dim
+    if hyperelliptic_test(rep.genus, qspace.dim):
+        raise HyperellipticInput(
+            f"quadric dimension {qspace.dim} shows a 2:1 canonical image "
+            f"(genus {rep.genus}); trigonality is undefined here")
+
+
+def _liealg(curve, rep, bp):
+    """Stabilizer algebra, its Levi part and the case.  Over a prime field
+    only a trivial stabilizer is classified: the Levi machinery needs
+    characteristic zero."""
+    x = rep.extras
+    alg = x["lie"] = stabilizer_algebra(x["qspace"], rep.genus, fld=curve.field)
+    rep.lie_dim = alg.dim
+    if alg.dim == 0:
+        rep.levi_type = "zero"
+        case = Case.CurveCutByQuadrics
+    elif isinstance(curve.field, PrimeField):
+        raise CurveUnsupported(
+            f"prime-field mode stops at the stabilizer (dim {alg.dim} > 0); "
+            f"classification needs characteristic zero")
+    else:
+        sem = x["levi"] = levi(alg)
+        rep.levi_type = _LEVI_NAMES.get(sem.dim, f"dim{sem.dim}")
+        case, x["ideals"] = classify(alg, sem, rep.genus)
+    rep.case = case.value
+
+
+def _map(curve, rep, bp):
+    """The trigonal pencil of the case, verified by its fiber degree."""
+    x = rep.extras
+    case = Case(rep.case)
+    if case == Case.Genus3:
+        if bp is None:
+            rep.notes.append("no base point provided; the pencil of lines "
+                             "through a point needs one (trigonal verdict "
+                             "stands, map omitted)")
+            return
+        pm = g3_map(curve, bp, x["cm"])
+        deg, draws = map_degree(curve, pm, seed=rep.seed)
+        if deg != 3:
+            raise CurveUnsupported(f"marked-point pencil verified at degree {deg}, not 3")
+        _emit_map(rep, pm, deg, draws, curve.field)
+    elif case in (Case.CurveCutByQuadrics, Case.Veronese):
+        rep.trigonal = False
+    elif case == Case.Scroll:
+        triple = split_sl2(x["levi"])
+        chains = weight_chains(triple, rep.genus)
+        smat = scroll_matrix(chains)
+        pm = ruling_map(smat, x["cm"], curve)
+        deg, draws = map_degree(curve, pm, seed=rep.seed)
+        if deg != 3:
+            raise CurveUnsupported(f"scroll ruling verified at degree {deg}, not 3")
+        _emit_map(rep, pm, deg, draws, triple.field)
+        x.update({"triple": triple, "chains": chains, "smat": smat})
+    elif case == Case.P1xP1:
+        cands, x["p1xp1_failures"] = p1xp1_rulings(x["ideals"], x["cm"], curve)
+        verified = []
+        all_draws = []
+        for idx, triple, pm in cands:
+            try:
+                deg, draws = map_degree(curve, pm, seed=rep.seed)
+            except DegenerateFiber:
+                continue
+            all_draws.extend(draws)
+            if deg == 3:
+                verified.append((idx, triple, pm, deg))
+        if not verified:
+            raise CurveUnsupported("no ruling of the quadric verified at degree 3")
+        _, triple, pm, deg = verified[0]
+        _emit_map(rep, pm, deg, all_draws, triple.field)
+        x["p1xp1_verified"] = verified
+        rep.notes.append(f"{len(verified)} of {len(cands)} candidate rulings "
+                         f"verified at degree 3")
+    else:
+        raise CurveUnsupported(f"unexpected Levi structure: {rep.levi_type}")
+
+
+def _petri(curve, rep, bp):
+    petri = petri_test(rep.extras["qspace"], rep.genus)
+    rep.petri = petri.value
+    rep.agreement = ((petri == PetriResult.QuadricsInsufficient)
+                     == (Case(rep.case) in (Case.Scroll, Case.P1xP1, Case.Veronese)))
+
+
+# (timing key and error label, stage, lowest genus it runs at).  Genus 3 is
+# trigonal outright: the Lie algebra and the quadric-generation test need
+# genus >= 4.
+_STAGES = (
+    ("adjoints", _adjoints, 3),
+    ("quadrics", _quadrics, 3),
+    ("liealg", _liealg, 4),
+    ("map", _map, 3),
+    ("petri", _petri, 4),
+)
+
+
+def _run_stage(name, fn, curve, rep, bp):
+    """Run one stage, timing it into rep.timings[name] and labelling any
+    TrigonalError it raises with the stage name."""
+    t0 = time.perf_counter()
+    try:
+        fn(curve, rep, bp)
+    except TrigonalError as e:
+        raise stage(name, e)
+    rep.timings[name] = time.perf_counter() - t0
+
+
 def decide(curve, base_point=None, seed=0):
     """Full trigonality decision with certificates; see the module doc."""
     if not curve.validated:
@@ -292,176 +416,10 @@ def decide(curve, base_point=None, seed=0):
         input_point=":".join(str(c) for c in bp) if bp is not None else None,
         seed=seed, genus=g, adjoint_dim=None, quadric_dim=None,
     )
-    timings = rep.timings
-
-    t0 = time.perf_counter()
-    try:
-        cm = adjoint_basis(curve)
-    except TrigonalError as e:
-        raise stage("adjoints", e)
-    rep.adjoint_dim = cm.genus
-    timings["adjoints"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    try:
-        qspace = forms_through_image(curve, cm, 2)
-    except TrigonalError as e:
-        raise stage("quadrics", e)
-    rep.quadric_dim = qspace.dim
-    timings["quadrics"] = time.perf_counter() - t0
-
-    if hyperelliptic_test(g, qspace.dim):
-        raise HyperellipticInput(
-            f"quadric dimension {qspace.dim} shows a 2:1 canonical image "
-            f"(genus {g}); trigonality is undefined here")
-
-    t0 = time.perf_counter()
-    try:
-        cspace = forms_through_image(curve, cm, 3)
-    except TrigonalError as e:
-        raise stage("cubics", e)
-    rep.cubic_dim = cspace.dim
-    timings["cubics"] = time.perf_counter() - t0
-    rep.extras["cm"] = cm
-    rep.extras["qspace"] = qspace
-    rep.extras["cspace"] = cspace
-
     if g == 3:
         rep.case = Case.Genus3.value
         rep.trigonal = True
-        if bp is None:
-            rep.notes.append("no base point provided; the pencil of lines "
-                             "through a point needs one (trigonal verdict "
-                             "stands, map omitted)")
-        else:
-            t0 = time.perf_counter()
-            try:
-                pm = g3_map(curve, bp, cm)
-                deg, draws = map_degree(curve, pm, seed=seed)
-            except TrigonalError as e:
-                raise stage("genus3-map", e)
-            rep.fiber_draws = draws
-            if deg != 3:
-                raise CurveUnsupported(
-                    f"marked-point pencil verified at degree {deg}, not 3")
-            rep.map_available = True
-            rep.map_p = poly_str(pm.p)
-            rep.map_q = poly_str(pm.q)
-            rep.map_field = _field_name(curve.field)
-            rep.verified_degree = deg
-            rep.extras["pencil"] = pm
-            timings["map"] = time.perf_counter() - t0
-        return rep
-
-    if isinstance(curve.field, PrimeField):
-        return _decide_prime_field(curve, rep, qspace, cspace, g)
-
-    t0 = time.perf_counter()
-    try:
-        alg = stabilizer_algebra(qspace, g)
-        rep.lie_dim = alg.dim
-        if alg.dim == 0:
-            sem = None
-            rep.levi_type = "zero"
-            case = Case.CurveCutByQuadrics
-        else:
-            radical(alg)
-            sem = levi(alg)
-            rep.levi_type = _LEVI_NAMES.get(sem.dim, f"dim{sem.dim}")
-            case = classify(alg, sem, g)
-    except TrigonalError as e:
-        raise stage("liealg", e)
-    timings["liealg"] = time.perf_counter() - t0
-    rep.case = case.value
-    rep.extras["lie"] = alg
-
-    t0 = time.perf_counter()
-    if case == Case.CurveCutByQuadrics:
-        rep.trigonal = False
-    elif case == Case.Veronese:
-        rep.trigonal = False
-    elif case == Case.Scroll:
-        try:
-            triple = split_sl2(sem)
-            chains = weight_chains(triple, g)
-            smat = scroll_matrix(chains)
-            pm = ruling_map(smat, cm, curve)
-            deg, draws = map_degree(curve, pm, seed=seed)
-        except TrigonalError as e:
-            raise stage("scroll", e)
-        rep.fiber_draws = draws
-        if deg != 3:
-            raise CurveUnsupported(f"scroll ruling verified at degree {deg}, not 3")
-        rep.trigonal = True
-        rep.map_available = True
-        rep.map_p = poly_str(pm.p)
-        rep.map_q = poly_str(pm.q)
-        rep.map_field = _field_name(triple.field)
-        rep.verified_degree = deg
-        rep.extras.update({"triple": triple, "chains": chains, "smat": smat,
-                           "pencil": pm})
-    elif case == Case.P1xP1:
-        try:
-            s1, s2 = split_two_ideals(sem)
-            cands, fails = p1xp1_rulings((s1, s2), cm, curve)
-        except TrigonalError as e:
-            raise stage("p1xp1", e)
-        rep.extras["p1xp1_failures"] = fails
-        verified = []
-        all_draws = []
-        for idx, triple, pm in cands:
-            try:
-                deg, draws = map_degree(curve, pm, seed=seed)
-            except DegenerateFiber:
-                continue
-            all_draws.extend(draws)
-            if deg == 3:
-                verified.append((idx, triple, pm, deg))
-        rep.fiber_draws = all_draws
-        if not verified:
-            raise CurveUnsupported("no ruling of the quadric verified at degree 3")
-        idx, triple, pm, deg = verified[0]
-        rep.trigonal = True
-        rep.map_available = True
-        rep.map_p = poly_str(pm.p)
-        rep.map_q = poly_str(pm.q)
-        rep.map_field = _field_name(triple.field)
-        rep.verified_degree = deg
-        rep.extras["pencil"] = pm
-        rep.extras["p1xp1_verified"] = verified
-        rep.notes.append(f"{len(verified)} of {len(cands)} candidate rulings "
-                         f"verified at degree 3")
-    else:
-        raise CurveUnsupported(f"unexpected Levi structure: {rep.levi_type}")
-    timings["map"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    try:
-        petri = petri_test(qspace, cspace, g)
-    except TrigonalError as e:
-        raise stage("petri", e)
-    rep.petri = petri.value
-    rep.agreement = ((petri == PetriResult.QuadricsInsufficient)
-                     == (case in (Case.Scroll, Case.P1xP1, Case.Veronese)))
-    timings["petri"] = time.perf_counter() - t0
+    for name, fn, min_genus in _STAGES:
+        if g >= min_genus:
+            _run_stage(name, fn, curve, rep, bp)
     return rep
-
-
-def _decide_prime_field(curve, rep, qspace, cspace, g):
-    """Prime-field mode: dimensions and the stabilizer dimension only; the
-    Levi machinery needs characteristic zero."""
-    alg = stabilizer_algebra(qspace, g, fld=curve.field)
-    rep.lie_dim = alg.dim
-    petri = petri_test(qspace, cspace, g) if g >= 4 else None
-    if petri is not None:
-        rep.petri = petri.value
-    if alg.dim == 0:
-        rep.case = Case.CurveCutByQuadrics.value
-        rep.levi_type = "zero"
-        rep.trigonal = False
-        if petri is not None:
-            rep.agreement = petri == PetriResult.GeneratedByQuadrics
-        return rep
-    raise CurveUnsupported(
-        f"prime-field mode stops at the stabilizer (dim {alg.dim} > 0); "
-        f"classification needs characteristic zero")

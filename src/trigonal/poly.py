@@ -455,24 +455,6 @@ class UPoly:
     def __repr__(self):
         return f"UPoly({self.coeffs})"
 
-    @classmethod
-    def from_mpoly(cls, p, var):
-        """Extract a univariate polynomial; all other variables must be absent."""
-        coeffs = [0] * (p.degree_in(var) + 1)
-        for e, c in p.terms.items():
-            if any(k for i, k in enumerate(e) if i != var):
-                raise InvalidInput("polynomial is not univariate in the chosen variable")
-            coeffs[e[var]] = c
-        return cls(coeffs)
-
-    def to_mpoly(self, nvars, var):
-        terms = {}
-        for k, c in enumerate(self.coeffs):
-            if c:
-                e = [0] * nvars
-                e[var] = k
-                terms[tuple(e)] = c
-        return MPoly(nvars, terms)
 
 
 def squarefree_part(u):

@@ -12,6 +12,7 @@ back to the plane curve.
 from dataclasses import dataclass
 from math import factorial
 
+from .canonical import adjoint_combination
 from .errors import (AllColumnsDegenerate, ChainCountUnexpected,
                      DecompositionFailed, TrigonalError)
 from .linalg import Mat, RowSpace, inverse, kernel_basis
@@ -179,20 +180,12 @@ def minor_vectors(a, monos2):
     return out
 
 
-def _pull_back(coeffs, cm):
-    total = MPoly(3)
-    for c, form in zip(coeffs, cm.forms):
-        if c:
-            total = total + form.map_coeffs(lambda q: c * q)
-    return total
-
-
 def ruling_map(a, cm, curve):
     """First column of the scroll matrix whose two entries pull back to
     independent forms on the curve; their ratio is the candidate pencil."""
     for col in range(a.ncols):
-        p = _pull_back(a.row1[col], cm)
-        q = _pull_back(a.row2[col], cm)
+        p = adjoint_combination(a.row1[col], cm)
+        q = adjoint_combination(a.row2[col], cm)
         if not p or not q:
             continue
         # degree d-3 < deg f, so dependence mod f is plain dependence

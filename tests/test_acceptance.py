@@ -316,8 +316,8 @@ def test_criterion_9_invariance():
         ("sextic", gen_singular_model(6, FIVE_NODES_A, seed=5)),
         ("fermat5", validate_curve(_p("x^5 + y^5 + z^5"))),
     ]
-    keys = ("genus", "adjoint_dim", "quadric_dim", "cubic_dim", "lie_dim",
-            "levi_type", "case", "trigonal")
+    keys = ("genus", "adjoint_dim", "quadric_dim", "lie_dim", "levi_type",
+            "case", "trigonal", "petri")
     checks = 0
     for tag, curve in picks:
         base = decide(curve, seed=23)

@@ -1,10 +1,15 @@
+from math import comb
+
 import pytest
 
-from trigonal.canonical import (PetriResult, adjoint_basis,
+from trigonal.canonical import (PetriResult, adjoint_basis, cubic_count,
                                 expand_in_adjoints, forms_through_image,
                                 hyperelliptic_test, monomials, petri_test)
+from trigonal.curve import validate_curve
 from trigonal.errors import UnexpectedDimension
+from trigonal.linalg import RowSpace
 from trigonal.poly import poly_str
+from trigonal.scalars import PrimeField
 
 
 def test_monomial_order_is_deterministic():
@@ -90,15 +95,45 @@ def test_hyperelliptic_curve_hits_the_other_count(hyper5):
     assert hyperelliptic_test(g, q.dim) is True
 
 
-def test_petri_results(five_nodal_sextic, proj5, fermat_quintic):
+def _quadric_multiples(q, g):
+    """The vectors of x_i * q over monomials(g, 3), for each basis quadric."""
+    index3 = {m: i for i, m in enumerate(monomials(g, 3))}
+    for vec in q.basis:
+        for i in range(g):
+            out = [0] * len(index3)
+            for mono, c in zip(q.monomials, vec):
+                if c:
+                    shifted = list(mono)
+                    shifted[i] += 1
+                    out[index3[tuple(shifted)]] = c
+            yield out
+
+
+def test_petri_results(five_nodal_sextic, proj5, two_node_quintic, fermat_quintic):
+    # petri_test compares against the Noether count; the cubic space it
+    # stands for is built here and checked against it, one curve per case
+    F = PrimeField(149)
+    mod_p = validate_curve(five_nodal_sextic.f.map_coeffs(F.coerce), fld=F)
     for curve, expect in [
             (five_nodal_sextic, PetriResult.GeneratedByQuadrics),
             (proj5, PetriResult.QuadricsInsufficient),
-            (fermat_quintic, PetriResult.QuadricsInsufficient)]:
+            (two_node_quintic, PetriResult.QuadricsInsufficient),
+            (fermat_quintic, PetriResult.QuadricsInsufficient),
+            (mod_p, PetriResult.GeneratedByQuadrics)]:
+        g = curve.genus
         cm = adjoint_basis(curve)
         q = forms_through_image(curve, cm, 2)
         c3 = forms_through_image(curve, cm, 3)
-        assert petri_test(q, c3, curve.genus) == expect
+        assert c3.monomials == monomials(g, 3)
+        assert c3.dim == cubic_count(g) == comb(g + 2, 3) - (5 * g - 5)
+        cubics = c3.row_space()
+        span = RowSpace(len(c3.monomials))
+        for vec in _quadric_multiples(q, g):
+            assert cubics.contains(vec)
+            span.add(vec)
+        result = petri_test(q, g)
+        assert result == expect
+        assert (result == PetriResult.GeneratedByQuadrics) == (span.dim == c3.dim)
 
 
 def test_form_space_bases_are_echelon(proj5):

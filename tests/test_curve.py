@@ -1,6 +1,7 @@
 import pytest
 
-from trigonal.curve import (gen_method1, gen_method2,
+from trigonal import curve as curve_mod
+from trigonal.curve import (gen_method1, gen_method2, gen_singular_model,
                             gen_trigonal_projection, genus, normalize_point,
                             parse_curve_file, singular_locus, validate_curve,
                             write_curve_file)
@@ -163,6 +164,17 @@ def test_method2_rejects_or_returns_valid():
         assert c.validated and c.genus >= 3
     except GenerationFailed as e:
         assert "rejected by validation" in str(e)
+
+
+def test_singular_model_low_genus_fails_before_any_attempt(monkeypatch):
+    # a quintic with a triple point and three nodes has genus 6 - 3 - 3 = 0
+    calls = []
+    monkeypatch.setattr(curve_mod, "validate_curve",
+                        lambda *a, **k: calls.append(a))
+    assigned = [((0, 0, 1), 3), ((1, 0, 0), 2), ((0, 1, 0), 2), ((1, 1, 0), 2)]
+    with pytest.raises(GenerationFailed, match="genus 0 < 3"):
+        gen_singular_model(5, assigned, seed=1)
+    assert calls == []
 
 
 def test_singular_model_hits_assignment(two_node_quintic, five_nodal_sextic):

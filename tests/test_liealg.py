@@ -152,18 +152,19 @@ def test_classify_cases(five_nodal_sextic, fermat_quintic, two_node_quintic, pro
         q = forms_through_image(curve, cm, 2)
         alg = stabilizer_algebra(q, curve.genus)
         if alg.dim == 0:
-            return Case.CurveCutByQuadrics, alg, None
+            return classify(alg, None, curve.genus), alg, None
         sem = levi(alg)
         return classify(alg, sem, curve.genus), alg, sem
 
-    case, alg, _ = run(five_nodal_sextic)
-    assert case == Case.CurveCutByQuadrics and alg.dim == 0
-    case, alg, sem = run(fermat_quintic)
-    assert case == Case.Veronese and alg.dim == 8 and sem.dim == 8
-    case, alg, sem = run(two_node_quintic)
+    (case, ideals), alg, _ = run(five_nodal_sextic)
+    assert case == Case.CurveCutByQuadrics and alg.dim == 0 and ideals is None
+    (case, ideals), alg, sem = run(fermat_quintic)
+    assert case == Case.Veronese and alg.dim == 8 and sem.dim == 8 and ideals is None
+    (case, ideals), alg, sem = run(two_node_quintic)
     assert case == Case.P1xP1 and sem.dim == 6
-    case, alg, sem = run(proj5)
-    assert case == Case.Scroll and sem.dim == 3
+    assert [s.dim for s in ideals] == [3, 3]
+    (case, ideals), alg, sem = run(proj5)
+    assert case == Case.Scroll and sem.dim == 3 and ideals is None
 
 
 def test_two_ideal_split_bracket_orthogonal(two_node_quintic):

@@ -1,0 +1,40 @@
+"""Every module-level function, class and method of the package is named
+somewhere besides its own definition, in the sources, the tests or the
+benchmark."""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "trigonal"
+SEARCHED = [ROOT / "src", ROOT / "tests", ROOT / "perfbench"]
+
+
+def _definitions():
+    """(name, file, def line) of module-level functions and classes and of
+    the methods of module-level classes, dunders excluded."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            nodes = [node]
+            if isinstance(node, ast.ClassDef):
+                nodes += [n for n in node.body if isinstance(n, ast.FunctionDef)]
+            for n in nodes:
+                if not (n.name.startswith("__") and n.name.endswith("__")):
+                    yield n.name, path, n.lineno
+
+
+def test_every_definition_is_used():
+    lines = {path: path.read_text().splitlines()
+             for root in SEARCHED for path in root.rglob("*.py")}
+    unused = []
+    for name, path, lineno in _definitions():
+        word = re.compile(rf"\b{re.escape(name)}\b")
+        if not any(word.search(line)
+                   for p, text in lines.items()
+                   for i, line in enumerate(text, 1)
+                   if not (p == path and i == lineno)):
+            unused.append(f"{path.name}:{lineno} {name}")
+    assert not unused, "defined but never used: " + ", ".join(unused)

@@ -1,8 +1,9 @@
 import pytest
 
+from trigonal import liealg, pipeline
 from trigonal.curve import gen_trigonal_projection, validate_curve
-from trigonal.errors import (CurveUnsupported, HyperellipticInput,
-                             InvalidInput, PointNotOnCurve)
+from trigonal.errors import (CurveUnsupported, DegenerateFiber,
+                             HyperellipticInput, InvalidInput, PointNotOnCurve)
 from trigonal.pipeline import decide, g3_map, map_degree
 from trigonal.poly import MPoly, parse_poly, poly_str
 from trigonal.scalars import QQ, PrimeField, QuadExt, QuadraticField, rat
@@ -165,6 +166,44 @@ def test_decide_reembedded_balanced_scroll(m1_quartic):
     assert "1 of 1" in rep.notes[0]
 
 
+def _record_calls(monkeypatch, name):
+    """First argument of every call to liealg.<name>, whether decide looks
+    it up in pipeline or liealg looks it up in its own module."""
+    calls = []
+    real = getattr(liealg, name)
+
+    def recorded(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    for mod in (pipeline, liealg):
+        monkeypatch.setattr(mod, name, recorded, raising=False)
+    return calls
+
+
+def test_p1xp1_lie_work_runs_once(m1_quartic, monkeypatch):
+    splits = _record_calls(monkeypatch, "split_two_ideals")
+    radicals = _record_calls(monkeypatch, "radical")
+    rep = decide(m1_quartic, seed=3)
+    assert rep.case == "P1xP1"
+    assert len(splits) == 1
+    # levi() takes the radical of the stabilizer once (and once more of the
+    # lifted complement, as its own semisimplicity check)
+    assert sum(a is rep.extras["lie"] for a in radicals) == 1
+
+
+def test_map_stage_errors_carry_the_stage_label(proj5, monkeypatch):
+    def degenerate(curve, pencil, seed=0):
+        raise DegenerateFiber("no agreement")
+
+    monkeypatch.setattr(pipeline, "map_degree", degenerate)
+    with pytest.raises(DegenerateFiber, match=r"^\[map\] no agreement"):
+        decide(proj5, seed=3)
+    monkeypatch.setattr(pipeline, "map_degree", lambda curve, pencil, seed=0: (4, []))
+    with pytest.raises(CurveUnsupported, match=r"^\[map\] scroll ruling verified at degree 4"):
+        decide(proj5, seed=3)
+
+
 def test_report_determinism(proj5):
     a = decide(proj5, seed=5).to_json(with_timings=False)
     b = decide(proj5, seed=5).to_json(with_timings=False)
@@ -176,20 +215,20 @@ def test_report_serialization_shape(proj5):
     rep = decide(proj5, seed=5)
     data = json.loads(rep.to_json())
     assert list(data) == ["input", "seed", "genus", "adjoint_dim",
-                          "quadric_dim", "cubic_dim", "lie_dim", "levi_type",
+                          "quadric_dim", "lie_dim", "levi_type",
                           "case", "trigonal", "map", "verified_degree",
                           "fiber_draws", "petri", "agreement", "notes",
                           "timings"]
     assert data["map"]["field"] == "Q"
-    assert set(data["timings"]) >= {"adjoints", "quadrics", "cubics",
-                                    "liealg", "map", "petri"}
+    assert list(data["timings"]) == ["adjoints", "quadrics", "liealg", "map",
+                                     "petri"]
 
 
 def test_scaling_invariance(proj5):
     scaled = validate_curve(proj5.f.map_coeffs(lambda c: rat(7, 3) * c))
     a = decide(proj5, seed=5)
     b = decide(scaled, seed=5)
-    for attr in ("genus", "quadric_dim", "cubic_dim", "lie_dim", "levi_type",
+    for attr in ("genus", "quadric_dim", "lie_dim", "levi_type",
                  "case", "trigonal", "verified_degree", "petri", "agreement"):
         assert getattr(a, attr) == getattr(b, attr)
 
@@ -204,6 +243,7 @@ def test_prime_field_generic_negative(five_nodal_sextic):
     rep = decide(curve, seed=1)
     assert rep.case == "CurveCutByQuadrics" and rep.trigonal is False
     assert rep.lie_dim == 0 and rep.agreement is True
+    assert {"liealg", "petri"} <= set(rep.timings)
 
 
 def test_prime_field_positive_dimension_unsupported(proj5):

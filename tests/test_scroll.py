@@ -1,6 +1,7 @@
 import pytest
 
-from trigonal.canonical import adjoint_basis, forms_through_image
+from trigonal.canonical import (adjoint_basis, adjoint_combination,
+                                forms_through_image)
 from trigonal.errors import ChainCountUnexpected
 from trigonal.liealg import (Sl2Triple, levi, split_sl2,
                              split_two_ideals, stabilizer_algebra)
@@ -131,11 +132,10 @@ def test_ruling_map_columns_agree_on_curve(proj5):
     a = scroll_matrix(w)
     pm = ruling_map(a, cm, proj5)
     # all admissible columns define the same map mod f
-    from trigonal.scroll import _pull_back
     maps = []
     for col in range(a.ncols):
-        p = _pull_back(a.row1[col], cm)
-        qq = _pull_back(a.row2[col], cm)
+        p = adjoint_combination(a.row1[col], cm)
+        qq = adjoint_combination(a.row2[col], cm)
         if p and qq:
             maps.append((p, qq))
     assert len(maps) >= 2
