@@ -3,8 +3,10 @@
 The stabilizer of the span of quadrics inside the traceless matrices is the
 algebraic invariant that separates the cases: zero for curves cut out by
 quadrics, and a positive-dimensional algebra whose Levi type (sl2, sl2+sl2,
-sl3) identifies a ruled surface or the Veronese.  Everything is exact linear
-algebra on structure constants.
+sl3) identifies a ruled surface or the Veronese.  The stabilizer equations
+are solved mod p by ``modular.certified_kernel`` and lifted to a basis that
+is verified exactly; the structure theory is exact linear algebra on
+structure constants.
 """
 
 import enum
@@ -13,6 +15,7 @@ from dataclasses import dataclass
 from .errors import (InternalInvariantError, InvalidInput, LiftingFailed,
                      NotSl2, SplitFailedOverExtension, UnexpectedDimension)
 from .linalg import Mat, RowSpace, kernel_basis, solve
+from .modular import FpEchelon, certified_kernel, fp_reduce
 from .scalars import (QQ, QuadExt, QuadraticField, rat, rational_square_split,
                       sqrt_rational)
 
@@ -153,48 +156,99 @@ class Sl2Triple:
         return True
 
 
-def stabilizer_algebra(qspace, g, fld=QQ):
+def _derivation_terms(q, monos, index, targets):
+    """Terms of D_E(q) for the matrix units E = E_ij with j in targets[i],
+    where D_M(q) = sum_ij M[i][j] x_j dq/dx_i: triples (i*g + j, index of
+    the monomial, coefficient)."""
+    g = len(targets)
+    for pos, c in enumerate(q):
+        if not c:
+            continue
+        alpha = monos[pos]
+        for i, ai in enumerate(alpha):
+            if not ai or not targets[i]:
+                continue
+            coef = ai * c
+            beta = list(alpha)
+            beta[i] -= 1
+            for j in targets[i]:
+                beta[j] += 1
+                yield i * g + j, index[tuple(beta)], coef
+                beta[j] -= 1
+
+
+def _derivation_system(qspace, g, p):
+    """The stabilizer equations mod p, or None when the quadric basis does
+    not reduce to a basis mod p.
+
+    Over the reduced-echelon basis R of the quadric span mod p, with pivot
+    columns P: one equation per quadric r of R and column mu outside P,
+    the coefficient of x^mu in D_M(r) minus what the span accounts for.
+    The unknowns are the entries of M, row by row.  The rows are built one
+    quadric at a time, as the elimination asks for them.
+    """
+    monos = qspace.monomials
+    ech = FpEchelon(len(monos), p)
+    for q in qspace.basis:
+        row = [fp_reduce(c, p) for c in q]
+        if None in row or not ech.add(row):
+            return None
+    basis = ech.reduced()
+    nonpivot = [t for t in range(len(monos)) if t not in ech.rows]
+    slot = {t: k for k, t in enumerate(nonpivot)}
+    # modulo the span, x^t with t a pivot column is minus the rest of its row
+    tail = {c: [(-row[t]) % p for t in nonpivot] for c, row in zip(ech.pivots, basis)}
+    index = {m: i for i, m in enumerate(monos)}
+    targets = [range(g)] * g
+
+    def rows():
+        for r in basis:
+            block = [[0] * (g * g) for _ in nonpivot]
+            for col, t, coef in _derivation_terms(r, monos, index, targets):
+                if t in slot:
+                    block[slot[t]][col] += coef
+                else:
+                    for k, x in enumerate(tail[t]):
+                        if x:
+                            block[k][col] += coef * x
+            for row in block:
+                row = [x % p for x in row]
+                if any(row):
+                    yield row
+
+    return rows()
+
+
+def stabilizer_algebra(qspace, g, fld=QQ, counters=None):
     """Traceless matrices M whose derivation action maps every quadric of
     the space back into the space.  The identity always stabilizes and is
-    split off, so dim = (solution dimension) - 1."""
+    split off, so dim = (solution dimension) - 1.
+
+    The solutions come from ``modular.certified_kernel`` (over F_q, exactly
+    mod q); over Q every lifted solution is checked to map each quadric of
+    ``qspace`` into its span.  ``counters`` receives the kernel's counters.
+    """
     if qspace.dim < 1:
         raise InvalidInput("stabilizer needs at least one quadric")
-    monos = qspace.monomials
-    index = {m: i for i, m in enumerate(monos)}
-    qrs = qspace.row_space()
-    pivots = set(qrs.pivots())
-    nonpivot = [i for i in range(len(monos)) if i not in pivots]
-    eqrows = []
-    for q in qspace.basis:
-        residuals = []
-        for i in range(g):
-            for j in range(g):
-                vec = [0] * len(monos)
-                for pos, alpha in enumerate(monos):
-                    c = q[pos]
-                    if not c:
-                        continue
-                    ai = alpha[i]
-                    if not ai:
-                        continue
-                    beta = list(alpha)
-                    beta[i] -= 1
-                    beta[j] += 1
-                    t = index[tuple(beta)]
-                    vec[t] = vec[t] + ai * c
-                _, res = qrs.reduce(vec)
-                residuals.append(res)
-        for mu in nonpivot:
-            row = [res[mu] for res in residuals]
-            if any(row):
-                eqrows.append(row)
     nn = g * g
-    if eqrows:
-        kern = kernel_basis(eqrows, reduced=False)
-    else:
-        kern = [[fld.one() if i == j else fld.zero() for i in range(nn)]
-                for j in range(nn)]
     ident = [fld.one() if i % (g + 1) == 0 else fld.zero() for i in range(nn)]
+
+    def stabilizes(mats):
+        monos = qspace.monomials
+        index = {m: i for i, m in enumerate(monos)}
+        qrs = qspace.row_space()
+        for m in mats:
+            targets = [[j for j in range(g) if m[i * g + j]] for i in range(g)]
+            for q in qspace.basis:
+                image = [0] * len(monos)
+                for col, t, coef in _derivation_terms(q, monos, index, targets):
+                    image[t] = image[t] + coef * m[col]
+                if not qrs.contains(image):
+                    return False
+        return True
+
+    kern = certified_kernel(nn, lambda p: _derivation_system(qspace, g, p),
+                            stabilizes, fld, known=[ident], counters=counters)
     sol = RowSpace(nn)
     for v in kern:
         sol.add(list(v))

@@ -1,19 +1,27 @@
-"""Modular helpers for the singular-locus scan and the fiber-degree check.
+"""Modular helpers: the singular-locus scan, the fiber-degree check and the
+certified kernels of the stabilizer algebra.
 
-Polynomials mod p are plain int lists, lowest degree first.  Both callers
-reduce exact bivariate polynomials with ``fp_bivariate_table`` and eliminate
-a variable with ``fp_resultant_keepvar``.  The primes come from a fixed
-deterministic walk down from 2^61, so runs are reproducible.  The scan only
-discovers candidates mod p; every point it reports is verified exactly over
-the ground field by the caller.  The fiber check is Monte Carlo in its prime
-and records the prime of each draw.
+Polynomials mod p are plain int lists, lowest degree first.  The scan and
+the fiber check reduce exact bivariate polynomials with
+``fp_bivariate_table`` and eliminate a variable with
+``fp_resultant_keepvar``.  ``certified_kernel`` solves a linear system mod p
+with ``FpEchelon`` and lifts the kernel with ``rational_reconstruct`` and
+CRT.  The primes come from a fixed deterministic walk down from 2^61, so
+runs are reproducible.  The scan only discovers candidates mod p; every
+point it reports is verified exactly over the ground field by the caller.
+The fiber check is Monte Carlo in its prime and records the prime of each
+draw.  A certified kernel is exact: every lifted vector is verified over the
+ground field, and the nullity mod p bounds the true nullity from above.
 """
 
+from bisect import insort
 from itertools import islice
+from math import gcd, isqrt
+from operator import mul
 
-from .errors import CurveUnsupported, InvalidInput
+from .errors import CurveUnsupported, InvalidInput, LiftingFailed
 from .intutil import is_prime
-from .scalars import FpElt, QuadExt, is_rational, rat
+from .scalars import QQ, FpElt, PrimeField, QuadExt, is_rational, rat
 
 
 def primes_below(bound):
@@ -30,7 +38,6 @@ def primes_below(bound):
 # used for rational reconstruction (bound ~2^30).
 PRIME_WALK_START = (1 << 61) - 2
 PRIMES = list(islice(primes_below(PRIME_WALK_START), 4))
-RECON_BOUND = 1 << 30
 
 
 # --- F_p[x] as int lists -----------------------------------------------------
@@ -164,11 +171,16 @@ def fp_roots(a, p, max_tries=64):
     return sorted(roots)
 
 
-def rational_reconstruct(r, p, bound=RECON_BOUND):
-    """num/den == r (mod p) with |num| <= bound and 0 < den <= bound,
-    or None."""
-    r %= p
-    r0, r1 = p, r
+def recon_bound(m):
+    """Largest B with 2*B^2 < m: numerators and denominators up to B are
+    recovered uniquely from their residue mod m (Wang)."""
+    return isqrt((m - 1) // 2)
+
+
+def rational_reconstruct(r, m):
+    """num/den == r (mod m) with |num|, den <= recon_bound(m), or None."""
+    bound = recon_bound(m)
+    r0, r1 = m, r % m
     t0, t1 = 0, 1
     while r1 > bound:
         q = r0 // r1
@@ -176,11 +188,8 @@ def rational_reconstruct(r, p, bound=RECON_BOUND):
         t0, t1 = t1, t0 - q * t1
     if t1 == 0 or abs(t1) > bound:
         return None
-    num, den = r1, t1
-    if den < 0:
-        num, den = -num, -den
-    from math import gcd
-    if gcd(num, den) != 1 or den % p == 0:
+    num, den = (r1, t1) if t1 > 0 else (-r1, -t1)
+    if gcd(num, den) != 1:
         return None
     return rat(num, den)
 
@@ -351,3 +360,158 @@ def fp_resultant_keepvar(a_coeffs, b_coeffs, p):
             f"modulus {p} leaves fewer than {deg_bound + 1} evaluation points "
             f"where the leading coefficients survive")
     return fp_mul(scale, fp_interpolate(xs, ys, p), p)
+
+
+# --- linear algebra mod p ----------------------------------------------------
+
+class FpEchelon:
+    """Row echelon form mod p, grown one row at a time.
+
+    Each stored row is normalized: 0 before its pivot column, 1 at it.  The
+    pivot columns of an echelon basis depend only on the row space, so they
+    are the same whatever order the rows come in.
+    """
+
+    def __init__(self, ncols, p):
+        self.ncols = ncols
+        self.p = p
+        self.pivots = []     # increasing
+        self.rows = {}       # pivot column -> row
+
+    @property
+    def rank(self):
+        return len(self.pivots)
+
+    def add(self, row):
+        """Reduce ``row`` against the stored rows and keep what is left when
+        it is nonzero; returns True when the rank grew."""
+        p = self.p
+        for c in self.pivots:
+            f = row[c] % p
+            if f:
+                # entries are reduced mod p once, after the loop
+                row = [x - f * y for x, y in zip(row, self.rows[c])]
+        row = [x % p for x in row]
+        lead = next((j for j, x in enumerate(row) if x), None)
+        if lead is None:
+            return False
+        inv = pow(row[lead], -1, p)
+        self.rows[lead] = [x * inv % p for x in row]
+        insort(self.pivots, lead)
+        return True
+
+    def reduced(self):
+        """The stored rows in reduced echelon form, in pivot order."""
+        p = self.p
+        done = {}
+        for c in reversed(self.pivots):
+            row = self.rows[c]
+            for c2 in done:
+                f = row[c2] % p
+                if f:
+                    row = [x - f * y for x, y in zip(row, done[c2])]
+            done[c] = [x % p for x in row]
+        return [done[c] for c in self.pivots]
+
+    def kernel(self):
+        """Kernel basis by back substitution: one vector per free column,
+        1 there and 0 at the other free columns."""
+        p = self.p
+        basis = []
+        for f in range(self.ncols):
+            if f in self.rows:
+                continue
+            v = [0] * self.ncols
+            v[f] = 1
+            for c in reversed(self.pivots):
+                # row c is 0 before c and v[c] is still 0, so the dot product
+                # sums over the columns after c
+                v[c] = -sum(map(mul, self.rows[c], v)) % p
+            basis.append(v)
+        return basis
+
+
+# A certified kernel that needs more primes than this has entries far larger
+# than any system here produces; it is reported as a failed lift.
+KERNEL_PRIMES = 16
+
+
+def certified_kernel(ncols, system, certify, fld=QQ, known=(), counters=None):
+    """Basis over ``fld`` (Q or F_q) of the kernel of a linear system that is
+    given through its reductions.
+
+    ``system(p)`` returns the rows of the system mod p as int lists (any
+    iterable, consumed lazily), or None when p is inadmissible.  Its kernel
+    mod p must contain the reduction of every solution over ``fld`` whose
+    denominators are prime to p.  ``known`` holds independent solutions.
+    ``certify(vectors)`` checks exactly over Q that every vector solves the
+    system.
+
+    The kernel mod p then has at least the true nullity.  Once the rank mod
+    p leaves no room beyond ``known``, those vectors are the kernel and the
+    rest of the rows is skipped.  Over F_q the kernel mod q is the answer.
+    Over Q the kernel mod p, taken on the prime walk, is lifted entry by
+    entry with ``rational_reconstruct``, combining by CRT the primes that
+    share its pivot columns; a prime with a smaller nullity (or, at equal
+    nullity, earlier pivots) starts the lift afresh, one with a larger one
+    is skipped.  The lift is returned once ``certify`` accepts it: it is as
+    many independent solutions (1 at its own free column, 0 at the others)
+    as the nullity mod p, so it spans the kernel.
+
+    ``counters``, when given, receives "eq_rows" (rows reduced mod the last
+    prime), "nullity" (of the kernel returned) and "primes" ({"tried": ...,
+    "used": ...}: every prime taken from the walk, and those whose residues
+    make the result).
+    """
+    known = list(known)
+    if isinstance(fld, PrimeField):
+        primes = [fld.p]
+    elif fld == QQ:
+        primes = islice(primes_below(PRIME_WALK_START), KERNEL_PRIMES)
+    else:
+        raise InvalidInput(f"certified kernels work over Q or F_q, not {fld}")
+    full_rank = ncols - len(known)
+    tried, used = [], []
+    best = modulus = residues = None     # the lift under way
+    for p in primes:
+        tried.append(p)
+        rows = system(p)
+        if rows is None:
+            continue
+        ech, eq_rows = FpEchelon(ncols, p), 0
+        for row in rows:
+            eq_rows += 1
+            ech.add(row)
+            if ech.rank == full_rank:
+                break
+        if ech.rank == full_rank:
+            result, used = known, [p]
+        elif fld != QQ:
+            result, used = [[fld.coerce(x) for x in v] for v in ech.kernel()], [p]
+        else:
+            key = (ncols - ech.rank, ech.pivots)
+            if best is None or key < best:
+                best, modulus, residues, used = key, p, ech.kernel(), [p]
+            elif key == best:
+                modulus, residues = _crt_vectors(modulus, residues, p, ech.kernel())
+                used = used + [p]
+            else:
+                continue
+            result = [[rational_reconstruct(x, modulus) for x in v] for v in residues]
+            if any(None in v for v in result) or not certify(result):
+                continue
+        if counters is not None:
+            counters.update(eq_rows=eq_rows, nullity=len(result),
+                            primes={"tried": tried, "used": used})
+        return result
+    if fld != QQ:
+        raise InvalidInput(f"the system does not reduce mod {fld.p}")
+    raise LiftingFailed(f"no certified kernel after {len(tried)} primes")
+
+
+def _crt_vectors(m, vecs, p, more):
+    """(m*p, vectors): the residues ``vecs`` mod m and ``more`` mod p
+    combined into residues mod m*p."""
+    inv = pow(m, -1, p)
+    return m * p, [[x + m * ((y - x) * inv % p) for x, y in zip(v, w)]
+                for v, w in zip(vecs, more)]

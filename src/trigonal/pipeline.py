@@ -8,6 +8,9 @@ an independent oracle whose agreement is recorded.  It compares the span of
 the products x_i * q against the cubic count that Max Noether's theorem
 fixes, so no cubic space is built.  Each stage's wall time lands in the
 report under the stage name, and its errors carry that name as a label.
+The liealg stage also records the size counters of its certified kernel
+(equation rows, nullity, primes) under its name; like the timings, they
+are left out of ``to_json(with_timings=False)``.
 """
 
 import time
@@ -55,9 +58,13 @@ class Report:
     agreement: bool = None
     notes: list = dc_field(default_factory=list)
     timings: dict = dc_field(default_factory=dict)
+    counters: dict = dc_field(default_factory=dict)
     extras: dict = dc_field(default_factory=dict, repr=False)
 
     def to_dict(self, with_timings=True):
+        """The report as a dict; timings and counters, which vary between
+        runs or describe the work rather than its result, come only with
+        ``with_timings``."""
         out = {
             "input": {
                 "f": self.input_f,
@@ -83,6 +90,7 @@ class Report:
         }
         if with_timings:
             out["timings"] = {k: round(v, 6) for k, v in self.timings.items()}
+            out["counters"] = self.counters
         return out
 
     def to_json(self, with_timings=True):
@@ -306,7 +314,8 @@ def _liealg(curve, rep, bp):
     only a trivial stabilizer is classified: the Levi machinery needs
     characteristic zero."""
     x = rep.extras
-    alg = x["lie"] = stabilizer_algebra(x["qspace"], rep.genus, fld=curve.field)
+    alg = x["lie"] = stabilizer_algebra(x["qspace"], rep.genus, fld=curve.field,
+                                        counters=rep.counters.setdefault("liealg", {}))
     rep.lie_dim = alg.dim
     if alg.dim == 0:
         rep.levi_type = "zero"

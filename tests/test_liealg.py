@@ -2,12 +2,13 @@ import random
 
 import pytest
 
+from trigonal import liealg, modular
 from trigonal.canonical import FormSpace, adjoint_basis, forms_through_image, monomials
 from trigonal.errors import NotSl2
 from trigonal.liealg import (Case, LieAlg, classify, killing_form, levi,
                              radical, split_sl2, split_two_ideals,
                              stabilizer_algebra)
-from trigonal.linalg import Mat, RowSpace, mat_det
+from trigonal.linalg import Mat, RowSpace, kernel_basis, mat_det
 from trigonal.scalars import QQ, QuadraticField, rat
 
 
@@ -211,3 +212,44 @@ def test_split_sl2_rejects_wrong_dimension():
     alg = LieAlg(2, [a])
     with pytest.raises(NotSl2):
         split_sl2(alg)
+
+
+def test_stabilizer_makes_no_fraction_kernel_call(five_nodal_sextic, monkeypatch):
+    """The stabilizer equations are solved mod p only; on a curve cut out by
+    quadrics the rank mod p alone certifies the identity as the kernel."""
+    calls = []
+
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        return kernel_basis(*args, **kwargs)
+
+    monkeypatch.setattr(liealg, "kernel_basis", recorded)
+    cm = adjoint_basis(five_nodal_sextic)
+    q = forms_through_image(five_nodal_sextic, cm, 2)
+    counters = {}
+    alg = stabilizer_algebra(q, five_nodal_sextic.genus, counters=counters)
+    assert alg.dim == 0 and calls == []
+    assert counters["nullity"] == 1
+    assert counters["primes"]["used"] == [modular.PRIMES[0]]
+
+
+def test_corrupted_lift_moves_on_to_the_next_prime(proj5, monkeypatch):
+    """A lift mod the first prime that does not stabilize the quadrics is
+    refused; the next prime's lift is certified and gives the same algebra."""
+    cm = adjoint_basis(proj5)
+    q = forms_through_image(proj5, cm, 2)
+    expected = stabilizer_algebra(q, 5)
+    real = modular.rational_reconstruct
+    first = modular.PRIMES[0]
+
+    def corrupted(r, m):
+        value = real(r, m)
+        return value + 1 if m == first and value else value
+
+    monkeypatch.setattr(modular, "rational_reconstruct", corrupted)
+    counters = {}
+    alg = stabilizer_algebra(q, 5, counters=counters)
+    assert [b.entries for b in alg.basis] == [b.entries for b in expected.basis]
+    assert counters["primes"]["tried"] == modular.PRIMES[:2]
+    assert counters["primes"]["used"] == modular.PRIMES[:2]
+    assert counters["nullity"] == alg.dim + 1

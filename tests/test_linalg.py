@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trigonal.errors import InvalidInput
 from trigonal.linalg import (Mat, RowSpace, inverse, kernel_basis, mat_det,
@@ -120,3 +121,14 @@ def test_rowspace_membership_and_equality():
     assert rs.contains([rat(2), rat(3), rat(1)])
     other = RowSpace(3, rows=[[rat(1), rat(2), rat(1)], [rat(1), rat(1), rat(0)]])
     assert rs.equals(other)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.lists(st.builds(rat, st.integers(-40, 40), st.integers(1, 6)),
+                         min_size=4, max_size=4), min_size=1, max_size=6),
+       st.randoms(use_true_random=False))
+def test_rowspace_basis_does_not_depend_on_insertion_order(vecs, rnd):
+    shuffled = list(vecs)
+    rnd.shuffle(shuffled)
+    a, b = RowSpace(4, rows=vecs), RowSpace(4, rows=shuffled)
+    assert a.basis() == b.basis() and a.pivots() == b.pivots()

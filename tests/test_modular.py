@@ -1,0 +1,103 @@
+"""The certified mod-p kernel against the exact Fraction kernel, and the
+reconstruction bound it lifts with."""
+
+from hypothesis import given, settings, strategies as st
+
+from trigonal.linalg import RowSpace, kernel_basis, rank
+from trigonal.modular import (PRIMES, certified_kernel, fp_reduce,
+                              rational_reconstruct, recon_bound)
+from trigonal.scalars import QQ, FpElt, PrimeField, rat
+
+P0 = PRIMES[0]
+FQ = PrimeField(101)
+SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
+                    database=None)
+
+
+def test_recon_bound_meets_wang_condition_on_the_walk():
+    for p in PRIMES:
+        b = recon_bound(p)
+        assert 2 * b * b < p < 2 * (b + 1) ** 2
+        for num, den in ((b, b - 1), (-b, 1), (1, b), (-(b - 1), b), (b, 1)):
+            r = num * pow(den, -1, p) % p
+            assert rational_reconstruct(r, p) == rat(num, den)
+
+
+def test_recon_rejects_values_beyond_the_bound():
+    p = PRIMES[0]
+    b = recon_bound(p)
+    # b + 1 over 1 has no representative with both parts within the bound
+    assert rational_reconstruct(b + 1, p) is None
+
+
+def modular_kernel(rows, ncols, fld, counters=None):
+    """certified_kernel of a plain matrix: rows reduced entry by entry,
+    certified by M.v == 0 exactly."""
+    def system(p):
+        out = [[fp_reduce(c, p) for c in r] for r in rows]
+        return None if any(None in r for r in out) else out
+
+    def certify(vecs):
+        return all(sum(c * x for c, x in zip(r, v)) == 0 for r in rows for v in vecs)
+
+    return certified_kernel(ncols, system, certify, fld, counters=counters)
+
+
+def assert_same_kernel(rows, ncols, fld):
+    ours = modular_kernel(rows, ncols, fld)
+    for v in ours:
+        assert all(sum(c * x for c, x in zip(r, v)) == 0 for r in rows)
+    assert len(ours) + rank(rows) == ncols
+    assert RowSpace(ncols, rows=ours).equals(RowSpace(ncols, rows=kernel_basis(rows)))
+
+
+def _matrices(entry):
+    return st.integers(1, 6).flatmap(lambda ncols: st.lists(
+        st.lists(entry, min_size=ncols, max_size=ncols), min_size=1, max_size=6))
+
+
+RATIONALS = st.builds(rat, st.integers(-40, 40), st.integers(1, 6))
+
+
+@SETTINGS
+@given(_matrices(RATIONALS))
+def test_certified_kernel_matches_fraction_kernel_over_q(rows):
+    assert_same_kernel(rows, len(rows[0]), QQ)
+
+
+@SETTINGS
+@given(_matrices(st.builds(lambda v: FpElt(v, FQ.p), st.integers(0, 100))))
+def test_certified_kernel_matches_fraction_kernel_over_fq(rows):
+    assert_same_kernel(rows, len(rows[0]), FQ)
+
+
+@SETTINGS
+@given(_matrices(st.integers(-9, 9)), st.data())
+def test_certified_kernel_survives_a_rank_drop_mod_the_first_prime(rows, data):
+    """Add a copy of one row with P0 added to one entry: over Q it may be
+    independent of the rest, mod P0 it never is."""
+    ncols = len(rows[0])
+    i = data.draw(st.integers(0, len(rows) - 1))
+    k = data.draw(st.integers(0, ncols - 1))
+    copy = list(rows[i])
+    copy[k] += P0
+    assert_same_kernel(rows + [copy], ncols, QQ)
+
+
+def test_rank_drop_skips_the_first_prime():
+    rows = [[1, 2, 3], [1, 2 + P0, 3]]
+    counters = {}
+    kern = modular_kernel(rows, 3, QQ, counters)
+    assert RowSpace(3, rows=kern).equals(RowSpace(3, rows=kernel_basis(rows)))
+    assert counters["nullity"] == 1
+    assert counters["primes"]["tried"][0] == P0
+    assert P0 not in counters["primes"]["used"]
+
+
+def test_large_kernel_entries_lift_by_crt():
+    big = 3 ** 35       # beyond the bound of one prime, within that of two
+    rows = [[big, -1]]
+    counters = {}
+    assert modular_kernel(rows, 2, QQ, counters) == [[rat(1, big), 1]]
+    assert counters["primes"]["used"] == PRIMES[:2]
+

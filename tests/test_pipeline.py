@@ -218,10 +218,16 @@ def test_report_serialization_shape(proj5):
                           "quadric_dim", "lie_dim", "levi_type",
                           "case", "trigonal", "map", "verified_degree",
                           "fiber_draws", "petri", "agreement", "notes",
-                          "timings"]
+                          "timings", "counters"]
     assert data["map"]["field"] == "Q"
     assert list(data["timings"]) == ["adjoints", "quadrics", "liealg", "map",
                                      "petri"]
+    lie = data["counters"]["liealg"]
+    assert sorted(lie) == ["eq_rows", "nullity", "primes"]
+    assert lie["nullity"] == rep.lie_dim + 1 and lie["eq_rows"] > 0
+    assert lie["primes"]["used"] == lie["primes"]["tried"][-1:]
+    bare = json.loads(rep.to_json(with_timings=False))
+    assert "timings" not in bare and "counters" not in bare
 
 
 def test_scaling_invariance(proj5):
