@@ -159,7 +159,7 @@ def cmd_bench(args):
                     trig = rep.trigonal
                     if rep.agreement is not None:
                         agree = rep.agreement
-            except TrigonalError:
+            except UnsupportedInput:
                 pass
             seconds = time.perf_counter() - t0
             rows.append([job["method"], params, height, genus, deg,

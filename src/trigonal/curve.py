@@ -5,24 +5,27 @@ validation, the genus formula, and the trigonal-curve generators: the two
 resultant/projection constructions plus a generator that guarantees an
 ordinary multiplicity-(d-3) point, so every degree has usable test curves.
 
-Singular points on the line z=0 and at (1:0:0) are found by exact univariate
-gcds.  The affine chart is scanned with resultant nets reduced mod two large
-primes; every candidate is then verified exactly over the ground field, so a
-reported point is never wrong.  A candidate that cannot be certified rational
+Curves are taken over Q or a small prime field F_p.  Over Q, singular points
+on the line z=0 and at (1:0:0) are found by exact univariate gcds.  The
+affine chart is scanned with resultant nets reduced mod one admissible prime
+of the walk in ``modular`` (the first whose reduction keeps every
+denominator); every candidate is then verified exactly over Q, so a reported
+point is never wrong.  A candidate that cannot be certified rational
 counts into the residual budget and leads to a typed rejection.
 """
 
 import hashlib
 import random
+from itertools import islice
 from dataclasses import dataclass, field as dc_field
 
 from .errors import (CurveUnsupported, GenerationFailed, GenusTooSmall, UnsupportedInput,
                      InvalidInput, IrrationalSingularLocus,
                      NonOrdinarySingularity, ParseError, PointNotOnCurve,
                      ReducibleSuspected)
-from .modular import (PRIMES, fp_bivariate_table, fp_eval, fp_gcd, fp_reduce,
-                      fp_resultant, fp_resultant_keepvar, fp_roots,
-                      fp_squarefree, fp_trim, rational_reconstruct)
+from .modular import (PRIME_WALK_START, fp_bivariate_table, fp_eval, fp_gcd,
+                      fp_reduce, fp_resultant, fp_resultant_keepvar, fp_roots,
+                      fp_squarefree, fp_trim, primes_below, rational_reconstruct)
 from .poly import (MPoly, UPoly, binary_form_squarefree, local_expansion,
                    parse_poly, poly_str, rational_roots)
 from .scalars import QQ, PrimeField, RationalField, rat
@@ -67,9 +70,6 @@ class PlaneCurve:
     base_point: tuple = None
     validated: bool = False
     provenance: dict = None
-
-    def partials(self):
-        return [self.f.derivative(i) for i in range(3)]
 
     def __repr__(self):
         return (f"PlaneCurve(deg={self.degree}, genus={self.genus}, "
@@ -143,64 +143,48 @@ def _gcd_many(polys):
 
 # --- modular affine scan --------------------------------------------------------
 
-
-def _fp_res_y(A, B, p):
-    """Res_y(A, B) mod p as an int list in x, with the Sylvester layout fixed
-    by the exact y-degrees.  None when a denominator vanishes mod p."""
-    ta = fp_bivariate_table(A, A.degree_in(1), p)
-    tb = fp_bivariate_table(B, B.degree_in(1), p)
-    if ta is None or tb is None:
-        return None
-    return fp_resultant_keepvar(ta, tb, p)
+# The scan and the square-free probe take the first prime of the walk at
+# which no denominator vanishes, trying at most this many.
+SCAN_PRIMES = 2
+# Random points at which the square-free probe evaluates a resultant.
+PROBE_SAMPLES = 12
 
 
 def _affine_scan(f):
     """Rational singular points in the chart z=1, plus a residual budget for
-    candidates that could not be certified rational."""
+    candidates that could not be certified rational.  The resultant nets are
+    reduced at the first prime of the walk where no denominator vanishes."""
     F = _dehomogenize_z(f)
     Fx = F.derivative(0)
     Fy = F.derivative(1)
     if not Fx and not Fy:
         raise ReducibleSuspected("both affine partials vanish identically")
-    pairs = [(Fx, Fy), (F, Fx), (F, Fy)]
-    pairs = [(A, B) for A, B in pairs if A and B]
-    gcds = {}
-    for p in PRIMES[:2]:
-        nets = []
-        for A, B in pairs:
-            if A.degree_in(1) == 0 and B.degree_in(1) == 0:
-                continue
-            r = _fp_res_y(A, B, p)
-            if r is None:
-                nets = None
-                break
-            if r:
-                nets.append(r)
-        if nets is None:
-            continue
-        if not nets:
-            raise ReducibleSuspected("all affine resultant nets vanish identically")
-        g = nets[0]
-        for r in nets[1:]:
-            g = fp_gcd(g, r, p)
-            if len(g) == 1:
-                break
-        gcds[p] = g
-    if not gcds:
+    polys = (F, Fx, Fy)
+    pairs = [(i, j) for i, j in ((1, 2), (0, 1), (0, 2)) if polys[i] and polys[j]
+             and (polys[i].degree_in(1) or polys[j].degree_in(1))]
+    for p in islice(primes_below(PRIME_WALK_START), SCAN_PRIMES):
+        tabs = [fp_bivariate_table(P, P.degree_in(1), p) for P in polys]
+        if None not in tabs:
+            break
+    else:
         raise CurveUnsupported("modular reduction degenerated at every prime")
-    if any(len(g) == 1 for g in gcds.values()):
-        return [], 0
+    g = None
+    for i, j in pairs:
+        r = fp_resultant_keepvar(tabs[i], tabs[j], p)
+        if r:
+            g = r if g is None else fp_gcd(g, r, p)
+            if len(g) == 1:
+                return [], 0
+    if g is None:
+        raise ReducibleSuspected("all affine resultant nets vanish identically")
 
-    p = min(gcds)
-    g = fp_squarefree(gcds[p], p)
+    g = fp_squarefree(g, p)
     roots = fp_roots(g, p)
     points = []
     # distinct candidate x-values over the closure that do not even reduce
     # into F_p cannot be rational: straight into the residual budget
     residual = (len(g) - 1) - len(roots)
-    tabs = None
     for r in roots:
-        verified_here = False
         cand = rational_reconstruct(r, p)
         if cand is not None:
             sy = [_specialize_x(P, cand) for P in (F, Fx, Fy)]
@@ -215,18 +199,11 @@ def _affine_scan(f):
                 for y0 in yroots:
                     points.append((cand, y0))
                 residual += sf.degree() - len(yroots)
-                verified_here = True
-        if verified_here:
-            continue
+                continue
         # unverified root: count it unless it is a phantom even mod p
-        if tabs is None:
-            tabs = [fp_bivariate_table(P, P.degree_in(1), p) for P in (F, Fx, Fy)]
-        if any(t is None for t in tabs):
-            residual += 1
-            continue
-        sy_p = [fp_trim([fp_eval(row, r, p) for row in t]) for t in tabs]
         gp = []
-        for s in sy_p:
+        for t in tabs:
+            s = fp_trim([fp_eval(row, r, p) for row in t])
             if s:
                 gp = fp_gcd(gp, s, p) if gp else s
         if len(gp) != 1:
@@ -237,8 +214,8 @@ def _affine_scan(f):
 # --- singular locus -------------------------------------------------------------
 
 
-def _infinity_scan(f, fld):
-    """Singular points on the line z=0, exactly."""
+def _infinity_scan(f):
+    """Rational singular points on the line z=0, exactly."""
     parts = [f.derivative(i) for i in range(3)]
     restr = [_restrict_line_z0(g) for g in parts]
     if all(not r for r in restr):
@@ -250,26 +227,15 @@ def _infinity_scan(f, fld):
     residual = 0
     if g.degree() >= 1:
         sf = g.squarefree_part()
-        if isinstance(fld, RationalField):
-            roots = sorted(set(rational_roots(sf)), key=str)
-        else:
-            roots = _fp_poly_roots_small(sf, fld)
+        roots = sorted(set(rational_roots(sf)), key=str)
         for t0 in roots:
-            points.append((t0, fld.one(), fld.zero()))
+            points.append((t0, rat(1), rat(0)))
         residual += sf.degree() - len(roots)
     # the remaining point of the line
-    pt = (fld.one(), fld.zero(), fld.zero())
+    pt = (rat(1), rat(0), rat(0))
     if all(not g.evaluate(pt) for g in parts):
         points.append(pt)
     return points, residual
-
-
-def _fp_poly_roots_small(u, fld):
-    roots = []
-    for v in range(fld.p):
-        if not u.eval(fld.coerce(v)):
-            roots.append(fld.coerce(v))
-    return roots
 
 
 def _brute_scan_fp(f, fld):
@@ -289,9 +255,9 @@ def _brute_scan_fp(f, fld):
 
 
 def singular_locus(f, fld=QQ):
-    """All singular points with coordinates in the ground field, plus the
-    residual budget (degree of candidate loci that could not be certified
-    rational).  Multiplicities come from exact local expansions."""
+    """All singular points with coordinates in the ground field (Q or F_p),
+    plus the residual budget (degree of candidate loci that could not be
+    certified rational).  Multiplicities come from exact local expansions."""
     if not f or not f.is_homogeneous():
         raise InvalidInput("expected a nonzero homogeneous form")
     d = f.total_degree()
@@ -300,7 +266,7 @@ def singular_locus(f, fld=QQ):
     if isinstance(fld, PrimeField):
         coords, residual = _brute_scan_fp(f, fld)
     else:
-        inf_pts, res_inf = _infinity_scan(f, fld)
+        inf_pts, res_inf = _infinity_scan(f)
         aff_pts, res_aff = _affine_scan(f)
         coords = inf_pts + [(x0, y0, fld.one()) for x0, y0 in aff_pts]
         residual = res_inf + res_aff
@@ -325,30 +291,34 @@ def _check_ordinary(f, point, mult):
             f"tangent cone at ({':'.join(str(c) for c in point)}) has a repeated factor")
 
 
-def _resultant_probe_nonzero(f, g, var, samples=12):
+def _resultant_probe_nonzero(f, g, var):
     """True when Res_var(f, g) is certainly not identically zero; checked by
-    evaluating the resultant at random points mod two large primes, skipping
+    evaluating the resultant at random points mod the first prime of the
+    walk where no coefficient of f or g has a vanishing denominator, skipping
     points where a leading coefficient vanishes.  All-zero probes => treat
     as identically zero."""
     m, n = f.degree_in(var), g.degree_in(var)
     if m == 0 and n == 0:
         raise InvalidInput("probe needs positive degree in the variable")
+    coeffs = (*f.terms.values(), *g.terms.values())
+    for p in islice(primes_below(PRIME_WALK_START), SCAN_PRIMES):
+        if None not in (fp_reduce(c, p) for c in coeffs):
+            break
+    else:
+        return False
     others = [i for i in range(3) if i != var]
     rng = random.Random(0xC0FFEE + var)
     fc = f.coeffs_by_power(var)
     gc = g.coeffs_by_power(var)
-    for p in PRIMES[:2]:
-        for _ in range(samples):
-            vals = [0, 0, 0]
-            for i in others:
-                vals[i] = rng.randrange(p)
-            point = [rat(v) for v in vals]
-            av = [fp_reduce(c.evaluate(point), p) for c in fc]
-            bv = [fp_reduce(c.evaluate(point), p) for c in gc]
-            if None in av or None in bv or not av[-1] or not bv[-1]:
-                continue
-            if fp_resultant(av, bv, p):
-                return True
+    for _ in range(PROBE_SAMPLES):
+        vals = [0, 0, 0]
+        for i in others:
+            vals[i] = rng.randrange(p)
+        point = [rat(v) for v in vals]
+        av = [fp_reduce(c.evaluate(point), p) for c in fc]
+        bv = [fp_reduce(c.evaluate(point), p) for c in gc]
+        if av[-1] and bv[-1] and fp_resultant(av, bv, p):
+            return True
     return False
 
 
@@ -370,7 +340,10 @@ def validate_curve(f, declared_sings=None, base_point=None, fld=QQ):
     ordinary; no singular candidate escapes the rational certification; the
     declared singular list (when given) matches the discovered one; genus
     >= 3.  The base point, when given, must be a smooth point on the curve.
+    The ground field must be Q or F_p.
     """
+    if not isinstance(fld, (RationalField, PrimeField)):
+        raise InvalidInput(f"curves are supported over Q or F_p, not {fld}")
     if not isinstance(f, MPoly) or f.nvars != 3:
         raise InvalidInput("curve must be a polynomial in x, y, z")
     f = f.map_coeffs(fld.coerce)
@@ -389,16 +362,6 @@ def validate_curve(f, declared_sings=None, base_point=None, fld=QQ):
         raise CurveUnsupported("prime field too small for this degree")
 
     if isinstance(fld, RationalField):
-        # early rejection: non-ordinary points at infinity are cheap to find
-        inf_pts, res_inf = _infinity_scan(f, fld)
-        for c in inf_pts:
-            pt = normalize_point(c, fld)
-            m = local_expansion(f, list(pt), d).multiplicity()
-            if m and m >= 2:
-                _check_ordinary(f, pt, m)
-        if res_inf > 0:
-            raise IrrationalSingularLocus(
-                "singular locus on z=0 has a non-rational residual factor")
         _squarefree_suspicion(f)
 
     sings, residual = singular_locus(f, fld)

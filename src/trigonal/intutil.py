@@ -95,14 +95,18 @@ def factorize(n):
     return out
 
 
-def divisors(n, limit=200000):
+# Divisor count beyond which ``divisors`` refuses to enumerate.
+DIVISOR_LIMIT = 200000
+
+
+def divisors(n):
     """All positive divisors of |n| (n != 0), ascending."""
     fac = factorize(n)
     divs = [1]
     for p, e in fac.items():
         powers = [p ** i for i in range(e + 1)]
         divs = [d * q for d in divs for q in powers]
-        if len(divs) > limit:
+        if len(divs) > DIVISOR_LIMIT:
             raise InvalidInput("divisor enumeration limit exceeded")
     return sorted(divs)
 

@@ -60,9 +60,6 @@ class Mat:
     def row(self, i):
         return list(self.entries[i * self.cols:(i + 1) * self.cols])
 
-    def col(self, j):
-        return [self.entries[i * self.cols + j] for i in range(self.rows)]
-
     def to_rows(self):
         return [self.row(i) for i in range(self.rows)]
 

@@ -34,10 +34,10 @@ def primes_below(bound):
 
 
 # Start of the prime walk: just below 2^61 (the Mersenne prime 2^61 - 1
-# itself is left out).  The scan uses the first two primes; the first is also
-# used for rational reconstruction (bound ~2^30).
+# itself is left out).  The singular scan, the fiber check and the certified
+# kernels each take primes from its head; rational reconstruction mod a walk
+# prime p lifts numerators and denominators up to recon_bound(p) ~ 2^30.
 PRIME_WALK_START = (1 << 61) - 2
-PRIMES = list(islice(primes_below(PRIME_WALK_START), 4))
 
 
 # --- F_p[x] as int lists -----------------------------------------------------
@@ -137,7 +137,11 @@ def fp_powmod(base, e, mod, p):
     return result
 
 
-def fp_roots(a, p, max_tries=64):
+# Shifts tried by the root splitting before it gives up.
+ROOT_SPLIT_TRIES = 64
+
+
+def fp_roots(a, p):
     """Distinct roots of a in F_p, via x^p - x and deterministic splitting."""
     a = fp_monic(list(a), p)
     if not a:
@@ -159,7 +163,7 @@ def fp_roots(a, p, max_tries=64):
         done = False
         while not done:
             shift += 1
-            if shift > max_tries:
+            if shift > ROOT_SPLIT_TRIES:
                 raise InvalidInput("root splitting did not converge")
             h = fp_powmod([shift, 1], (p - 1) // 2, g, p)
             h = fp_sub(h, [1], p)

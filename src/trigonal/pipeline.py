@@ -100,6 +100,10 @@ class Report:
 
 # --- fiber counting -----------------------------------------------------------
 
+# Rounds of three draws the fiber check makes before it gives up on a
+# majority.
+FIBER_ROUNDS = 2
+
 
 def _shear(poly, lam):
     """Substitute x -> x + lam*y (z untouched)."""
@@ -158,7 +162,7 @@ def _reduce_draw(primes, F, hs):
     raise DegenerateFiber("no admissible prime for the fiber check")
 
 
-def map_degree(curve, pencil, seed=0, max_rounds=2):
+def map_degree(curve, pencil, seed=0):
     """Fiber degree of the pencil (p : q) on the curve.
 
     For random parameters t1, t2: R_t(x) = Res_y(F, p - t*q) in a sheared
@@ -196,9 +200,7 @@ def map_degree(curve, pencil, seed=0, max_rounds=2):
                 return lam
         raise DegenerateFiber("no shear makes the curve monic in y")
 
-    rounds = 0
-    while rounds < max_rounds:
-        rounds += 1
+    for _ in range(FIBER_ROUNDS):
         for _ in range(3):
             lam = next_lambda()
             F = _dehom_xy(_shear(f, lam))

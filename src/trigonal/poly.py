@@ -42,10 +42,6 @@ class MPoly:
     # --- constructors ---
 
     @classmethod
-    def zero(cls, nvars):
-        return cls(nvars)
-
-    @classmethod
     def const(cls, nvars, c):
         p = cls(nvars)
         if c:
@@ -66,9 +62,6 @@ class MPoly:
 
     def __bool__(self):
         return bool(self.terms)
-
-    def is_zero(self):
-        return not self.terms
 
     def __eq__(self, other):
         if isinstance(other, MPoly):
@@ -347,9 +340,6 @@ class UPoly:
     def __bool__(self):
         return bool(self.coeffs)
 
-    def is_zero(self):
-        return not self.coeffs
-
     def __eq__(self, other):
         if isinstance(other, UPoly):
             return (len(self.coeffs) == len(other.coeffs)
@@ -396,12 +386,6 @@ class UPoly:
 
     __rmul__ = __mul__
 
-    def shift(self, k):
-        """Multiply by x^k."""
-        if not self.coeffs:
-            return UPoly()
-        return UPoly([0] * k + self.coeffs)
-
     def divmod(self, other):
         if not other:
             raise ZeroDivisionError("division by the zero polynomial")
@@ -437,12 +421,6 @@ class UPoly:
 
     def derivative(self):
         return UPoly([i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def eval(self, x):
-        total = 0
-        for c in reversed(self.coeffs):
-            total = total * x + c
-        return total
 
     def gcd(self, other):
         a, b = self, other

@@ -25,9 +25,6 @@ except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
 
 _RAT_TYPES = (int, type(rat(0)), Fraction)
 
-ZERO = rat(0)
-ONE = rat(1)
-
 
 def is_rational(x):
     return isinstance(x, _RAT_TYPES)
@@ -249,7 +246,7 @@ class FpElt:
     def inverse(self):
         if not self.v:
             raise ZeroDivisionError("FpElt division by zero")
-        return FpElt(pow(self.v, self.p - 2, self.p), self.p)
+        return FpElt(pow(self.v, -1, self.p), self.p)
 
     def __truediv__(self, other):
         o = self._lift(other)

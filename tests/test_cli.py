@@ -3,7 +3,9 @@ import json
 import subprocess
 import sys
 
+from trigonal import cli
 from trigonal.cli import BENCH_HEADER, main
+from trigonal.errors import LiftingFailed
 from trigonal.curve import write_curve_file
 
 
@@ -137,6 +139,19 @@ def test_bench_empty_spec_gives_header_only(tmp_path):
     status, _ = run_cli(["bench", str(spec), "--out", str(out)])
     assert status == 0
     assert out.read_text().strip() == ",".join(BENCH_HEADER)
+
+
+def test_bench_internal_failure_exits_three(tmp_path, monkeypatch):
+    # a broken invariant is not a rejected sample: the run stops with exit 3
+    def broken(*args, **kwargs):
+        raise LiftingFailed("forced lifting failure")
+
+    monkeypatch.setattr(cli, "decide", broken)
+    spec = tmp_path / "bench.spec"
+    spec.write_text("method=projection params=d=5 n=2 height=5\n")
+    status, _ = run_cli(["bench", str(spec), "--out", str(tmp_path / "b.csv"),
+                         "--seed", "9"])
+    assert status == 3
 
 
 def test_cli_subprocess_entry_point(tmp_path, proj5):

@@ -1,3 +1,5 @@
+from itertools import islice
+
 import pytest
 
 from trigonal import curve as curve_mod
@@ -5,11 +7,15 @@ from trigonal.curve import (gen_method1, gen_method2, gen_singular_model,
                             gen_trigonal_projection, genus, normalize_point,
                             parse_curve_file, singular_locus, validate_curve,
                             write_curve_file)
-from trigonal.errors import (GenerationFailed, GenusTooSmall, InvalidInput,
-                             IrrationalSingularLocus, NonOrdinarySingularity,
-                             ParseError, PointNotOnCurve, ReducibleSuspected)
+from trigonal.errors import (CurveUnsupported, GenerationFailed, GenusTooSmall,
+                             InvalidInput, IrrationalSingularLocus,
+                             NonOrdinarySingularity, ParseError, PointNotOnCurve,
+                             ReducibleSuspected)
+from trigonal.modular import PRIME_WALK_START, primes_below
 from trigonal.poly import parse_poly
-from trigonal.scalars import rat
+from trigonal.scalars import QuadraticField, rat
+
+P0, P1 = islice(primes_below(PRIME_WALK_START), 2)
 
 
 def P(text):
@@ -124,6 +130,49 @@ def test_validate_base_point():
         validate_curve(P("x^4 + y^4 + z^4"), base_point=(0, 0, 1))
     c = validate_curve(P("x^3*y + y^3*z + z^3*x"), base_point=(0, 0, 1))
     assert c.base_point == normalize_point((0, 0, 1))
+
+
+def test_validate_rejects_other_ground_fields(m1_cubic):
+    # curve files and the CLI give Q or F_p; other fields are refused up front
+    with pytest.raises(InvalidInput, match="Q or F_p"):
+        validate_curve(m1_cubic.f, fld=QuadraticField(2))
+
+
+def _spy_scan(monkeypatch):
+    """Record the modulus of every resultant net and every z=0 scan."""
+    primes, scans = [], []
+    keepvar, infinity = curve_mod.fp_resultant_keepvar, curve_mod._infinity_scan
+
+    def spy_keepvar(a, b, p):
+        primes.append(p)
+        return keepvar(a, b, p)
+
+    def spy_infinity(*args):
+        scans.append(args)
+        return infinity(*args)
+
+    monkeypatch.setattr(curve_mod, "fp_resultant_keepvar", spy_keepvar)
+    monkeypatch.setattr(curve_mod, "_infinity_scan", spy_infinity)
+    return primes, scans
+
+
+def test_validation_scans_the_affine_chart_at_one_prime(proj5, monkeypatch):
+    # the node at (0:0:1) survives every net, so no early exit: at most the
+    # three nets, all mod the first prime of the walk, and one z=0 scan
+    primes, scans = _spy_scan(monkeypatch)
+    curve = validate_curve(proj5.f)
+    assert [(s.coords, s.multiplicity) for s in curve.sings] == [((0, 0, 1), 2)]
+    assert 1 <= len(primes) <= 3 and set(primes) == {P0}
+    assert len(scans) == 1
+
+
+def test_scan_moves_on_only_when_a_denominator_vanishes(proj5, monkeypatch):
+    primes, _ = _spy_scan(monkeypatch)
+    curve = validate_curve(proj5.f.map_coeffs(lambda c: c / P0))
+    assert [(s.coords, s.multiplicity) for s in curve.sings] == [((0, 0, 1), 2)]
+    assert primes and set(primes) == {P1}
+    with pytest.raises(CurveUnsupported, match="every prime"):
+        curve_mod.singular_locus(proj5.f.map_coeffs(lambda c: c / (P0 * P1)))
 
 
 # --- generators --------------------------------------------------------------------

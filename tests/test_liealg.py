@@ -1,4 +1,5 @@
 import random
+from itertools import islice
 
 import pytest
 
@@ -10,6 +11,8 @@ from trigonal.liealg import (Case, LieAlg, classify, killing_form, levi,
                              stabilizer_algebra)
 from trigonal.linalg import Mat, RowSpace, kernel_basis, mat_det
 from trigonal.scalars import QQ, QuadraticField, rat
+
+WALK = list(islice(modular.primes_below(modular.PRIME_WALK_START), 2))
 
 
 def _std_sl2():
@@ -230,7 +233,7 @@ def test_stabilizer_makes_no_fraction_kernel_call(five_nodal_sextic, monkeypatch
     alg = stabilizer_algebra(q, five_nodal_sextic.genus, counters=counters)
     assert alg.dim == 0 and calls == []
     assert counters["nullity"] == 1
-    assert counters["primes"]["used"] == [modular.PRIMES[0]]
+    assert counters["primes"]["used"] == [WALK[0]]
 
 
 def test_corrupted_lift_moves_on_to_the_next_prime(proj5, monkeypatch):
@@ -240,7 +243,7 @@ def test_corrupted_lift_moves_on_to_the_next_prime(proj5, monkeypatch):
     q = forms_through_image(proj5, cm, 2)
     expected = stabilizer_algebra(q, 5)
     real = modular.rational_reconstruct
-    first = modular.PRIMES[0]
+    first = WALK[0]
 
     def corrupted(r, m):
         value = real(r, m)
@@ -250,6 +253,6 @@ def test_corrupted_lift_moves_on_to_the_next_prime(proj5, monkeypatch):
     counters = {}
     alg = stabilizer_algebra(q, 5, counters=counters)
     assert [b.entries for b in alg.basis] == [b.entries for b in expected.basis]
-    assert counters["primes"]["tried"] == modular.PRIMES[:2]
-    assert counters["primes"]["used"] == modular.PRIMES[:2]
+    assert counters["primes"]["tried"] == WALK
+    assert counters["primes"]["used"] == WALK
     assert counters["nullity"] == alg.dim + 1

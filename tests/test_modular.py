@@ -1,21 +1,24 @@
 """The certified mod-p kernel against the exact Fraction kernel, and the
 reconstruction bound it lifts with."""
 
+from itertools import islice
+
 from hypothesis import given, settings, strategies as st
 
 from trigonal.linalg import RowSpace, kernel_basis, rank
-from trigonal.modular import (PRIMES, certified_kernel, fp_reduce,
-                              rational_reconstruct, recon_bound)
+from trigonal.modular import (PRIME_WALK_START, certified_kernel, fp_reduce,
+                              primes_below, rational_reconstruct, recon_bound)
 from trigonal.scalars import QQ, FpElt, PrimeField, rat
 
-P0 = PRIMES[0]
+WALK = list(islice(primes_below(PRIME_WALK_START), 4))
+P0 = WALK[0]
 FQ = PrimeField(101)
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
                     database=None)
 
 
 def test_recon_bound_meets_wang_condition_on_the_walk():
-    for p in PRIMES:
+    for p in WALK:
         b = recon_bound(p)
         assert 2 * b * b < p < 2 * (b + 1) ** 2
         for num, den in ((b, b - 1), (-b, 1), (1, b), (-(b - 1), b), (b, 1)):
@@ -24,7 +27,7 @@ def test_recon_bound_meets_wang_condition_on_the_walk():
 
 
 def test_recon_rejects_values_beyond_the_bound():
-    p = PRIMES[0]
+    p = WALK[0]
     b = recon_bound(p)
     # b + 1 over 1 has no representative with both parts within the bound
     assert rational_reconstruct(b + 1, p) is None
@@ -99,5 +102,5 @@ def test_large_kernel_entries_lift_by_crt():
     rows = [[big, -1]]
     counters = {}
     assert modular_kernel(rows, 2, QQ, counters) == [[rat(1, big), 1]]
-    assert counters["primes"]["used"] == PRIMES[:2]
+    assert counters["primes"]["used"] == WALK[:2]
 

@@ -1,5 +1,5 @@
-"""Every module-level function, class and method of the package is named
-somewhere besides its own definition, in the sources, the tests or the
+"""Every module-level function, class, method and constant of the package is
+named somewhere besides its own definition, in the sources, the tests or the
 benchmark."""
 
 import ast
@@ -12,10 +12,16 @@ SEARCHED = [ROOT / "src", ROOT / "tests", ROOT / "perfbench"]
 
 
 def _definitions():
-    """(name, file, def line) of module-level functions and classes and of
-    the methods of module-level classes, dunders excluded."""
+    """(name, file, def line) of module-level functions, classes and
+    assigned names and of the methods of module-level classes, dunders
+    excluded."""
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if isinstance(target, ast.Name) and not target.id.startswith("__"):
+                        yield target.id, path, node.lineno
+                continue
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
             nodes = [node]

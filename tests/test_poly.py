@@ -1,14 +1,18 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trigonal.errors import CurveUnsupported, InvalidInput
-from trigonal.modular import (PRIMES, fp_bivariate_table, fp_reduce,
-                              fp_resultant, fp_resultant_keepvar)
+from trigonal.modular import (PRIME_WALK_START, fp_bivariate_table, fp_reduce,
+                              fp_resultant, fp_resultant_keepvar, primes_below)
 from trigonal.poly import (MPoly, UPoly, binary_form_squarefree,
                            local_expansion, parse_poly, poly_str,
                            rational_roots, resultant)
 from trigonal.scalars import rat
+
+
+WALK_PRIME = next(primes_below(PRIME_WALK_START))
 
 
 def P(text, names=("x", "y", "z")):
@@ -112,18 +116,21 @@ def test_resultant_specialization_property():
                                   MPoly.const(1, b)]).terms.get((k,), 0)
                     for k in range(3)])
         # univariate resultant via the Euclidean routine mod p
-        p = PRIMES[0]
+        p = WALK_PRIME
         rs = fp_resultant([fp_reduce(c, p) for c in fs.coeffs],
                           [fp_reduce(c, p) for c in gs.coeffs], p)
         assert rs == fp_reduce(r.evaluate([a, rat(0), b]), p)
 
 
-def _random_bivariate(rng, y_deg, x_deg, scale=1):
-    """Random f(x, y) of y-degree y_deg whose leading y-coefficient is
-    scale*(x - r) for an integer r, so it vanishes at an evaluation point."""
-    terms = {(i, j): rat(rng.randint(-4, 4))
-             for i in range(x_deg + 1) for j in range(y_deg)}
-    r = rng.randint(0, 3)
+@st.composite
+def bivariates(draw, scale):
+    """f(x, y) of y-degree 1-3 whose leading y-coefficient is scale*(x - r)
+    for an integer r, so it vanishes at an evaluation point."""
+    y_deg = draw(st.integers(1, 3))
+    x_deg = draw(st.integers(0, 2))
+    coeff = st.integers(-4, 4)
+    terms = {(i, j): rat(draw(coeff)) for i in range(x_deg + 1) for j in range(y_deg)}
+    r = draw(st.integers(0, 3))
     terms[(1, y_deg)] = rat(scale)
     terms[(0, y_deg)] = rat(-scale * r)
     return MPoly(2, terms)
@@ -139,20 +146,18 @@ def _mod_p_coeffs(u, p):
     return out
 
 
-def test_fp_resultant_keepvar_matches_bareiss():
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.data(), st.sampled_from([WALK_PRIME, 101]),
+       st.sampled_from([(1, 1), (101, 1), (1, 101), (101, 101)]))
+def test_fp_resultant_keepvar_matches_bareiss(data, p, scales):
     # differential: the mod-p kernel against the exact Bareiss resultant
     # reduced mod p, on pairs whose leading y-coefficients vanish at an
-    # integer x; at p = 101 some leading rows (scale 101) vanish outright
-    rng = random.Random(11)
-    for trial in range(40):
-        p = PRIMES[0] if trial % 2 else 101
-        scale_f = 101 if trial % 8 == 2 else 1
-        scale_g = 101 if trial % 8 == 4 else 1
-        f = _random_bivariate(rng, rng.randint(1, 3), rng.randint(0, 2), scale_f)
-        g = _random_bivariate(rng, rng.randint(1, 3), rng.randint(0, 2), scale_g)
-        tf = fp_bivariate_table(f, f.degree_in(1), p)
-        tg = fp_bivariate_table(g, g.degree_in(1), p)
-        assert fp_resultant_keepvar(tf, tg, p) == _mod_p_coeffs(resultant(f, g, 1), p)
+    # integer x; a scale of 101 makes that leading row vanish outright mod 101
+    f = data.draw(bivariates(scales[0]))
+    g = data.draw(bivariates(scales[1]))
+    tf = fp_bivariate_table(f, f.degree_in(1), p)
+    tg = fp_bivariate_table(g, g.degree_in(1), p)
+    assert fp_resultant_keepvar(tf, tg, p) == _mod_p_coeffs(resultant(f, g, 1), p)
 
 
 def test_fp_resultant_keepvar_small_modulus_is_typed():

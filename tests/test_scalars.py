@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trigonal.errors import InvalidInput
 from trigonal.scalars import (QQ, FpElt, PrimeField, QuadExt, QuadraticField,
@@ -94,3 +95,47 @@ def test_exact_equality_is_decidable():
         a = rat(rng.randint(-50, 50), rng.randint(1, 30))
         b = rat(rng.randint(-50, 50), rng.randint(1, 30))
         assert (a == b) == (a - b == 0)
+
+
+# --- field axioms -----------------------------------------------------------------
+
+LAWS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+RATIONALS = st.builds(rat, st.integers(-50, 50), st.integers(1, 30))
+
+
+@st.composite
+def quad_triples(draw):
+    delta = draw(st.sampled_from([2, -1, 5, -3]))
+    return [QuadExt(draw(RATIONALS), draw(RATIONALS), delta) for _ in range(3)]
+
+
+@st.composite
+def fp_triples(draw):
+    p = draw(st.sampled_from([3, 101, (1 << 61) - 1]))
+    return [FpElt(draw(st.integers()), p) for _ in range(3)]
+
+
+def _field_laws(a, b, c, zero, one):
+    assert (a + b) + c == a + (b + c) and a + b == b + a
+    assert (a * b) * c == a * (b * c) and a * b == b * a
+    assert a * (b + c) == a * b + a * c
+    assert a + zero == a and a * one == a and a - a == zero and a + (-a) == zero
+    if a:
+        assert a * a.inverse() == one and (b / a) * a == b
+    else:
+        with pytest.raises(ZeroDivisionError):
+            a.inverse()
+
+
+@LAWS
+@given(quad_triples())
+def test_quadext_field_laws(xs):
+    delta = xs[0].delta
+    _field_laws(*xs, QuadExt(0, 0, delta), QuadExt(1, 0, delta))
+
+
+@LAWS
+@given(fp_triples())
+def test_fpelt_field_laws(xs):
+    p = xs[0].p
+    _field_laws(*xs, FpElt(0, p), FpElt(1, p))
