@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from .errors import (AdjointDimensionMismatch, InvalidInput,
                      UnexpectedDimension)
 from .linalg import RowSpace, kernel_basis
+from .modular import FpEchelon
 from .poly import MPoly, local_expansion
 from .scalars import rat
 
@@ -225,13 +226,17 @@ def cubic_count(g):
     return math.comb(g + 2, 3) - (5 * g - 5)
 
 
-def petri_test(qspace, g):
+def petri_test(qspace, g, counters=None):
     """Compare dim span{x_i * q} against the cubics through the image.
 
     Equality means the ideal is generated in degree 2 there; a strict gap is
     the independent signal that the curve is trigonal or a plane quintic.
     The cubic dimension is the count fixed by ``cubic_count``, which
-    ``forms_through_image(..., 3)`` enforces on the computed space.
+    ``forms_through_image(..., 3)`` enforces on the computed space.  The
+    span rank is exact over the field of the quadrics: the products go into
+    a sparse ``FpEchelon`` with no modulus, so the oracle takes no mod-p
+    step and needs no certificate.  ``counters``, when given, receives
+    "rows" (products inserted), "rank" and "expected" (the cubic count).
     """
     if g < 4:
         raise InvalidInput("the quadric-generation test is vacuous for genus 3")
@@ -239,20 +244,22 @@ def petri_test(qspace, g):
         raise InvalidInput("the quadric space does not match the genus")
     sym3 = monomials(g, 3)
     index3 = {m: i for i, m in enumerate(sym3)}
-    span = RowSpace(len(sym3))
+    span = FpEchelon(len(sym3))
     for q in qspace.basis:
+        terms = [(mono2, c) for mono2, c in zip(qspace.monomials, q) if c]
         for i in range(g):
-            vec = [0] * len(sym3)
-            for mono2, c in zip(qspace.monomials, q):
-                if c:
-                    mono3 = list(mono2)
-                    mono3[i] += 1
-                    vec[index3[tuple(mono3)]] = c
+            vec = {}
+            for mono2, c in terms:
+                mono3 = list(mono2)
+                mono3[i] += 1
+                vec[index3[tuple(mono3)]] = c
             span.add(vec)
     expected = cubic_count(g)
-    if span.dim > expected:
+    if counters is not None:
+        counters.update(rows=qspace.dim * g, rank=span.rank, expected=expected)
+    if span.rank > expected:
         raise UnexpectedDimension(
             "products of quadrics escape the cubic space; upstream bug")
-    if span.dim == expected:
+    if span.rank == expected:
         return PetriResult.GeneratedByQuadrics
     return PetriResult.QuadricsInsufficient

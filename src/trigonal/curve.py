@@ -16,7 +16,7 @@ counts into the residual budget and leads to a typed rejection.
 
 import hashlib
 import random
-from itertools import islice
+from itertools import combinations, islice
 from dataclasses import dataclass, field as dc_field
 
 from .errors import (CurveUnsupported, GenerationFailed, GenusTooSmall, UnsupportedInput,
@@ -585,11 +585,23 @@ def gen_singular_model(d, assigned, coeff_height=3, seed=0, budget=200):
     g = (d - 1) * (d - 2) // 2 - sum(m * (m - 1) // 2 for _, m in assigned)
     if g < 3:
         raise GenerationFailed(f"the assigned singularities give genus {g} < 3")
+    pts = [(normalize_point(coords, QQ), m) for coords, m in assigned]
+    # Bezout: a line through points whose multiplicities sum past d is a
+    # component of every curve with them, and validation rejects those
+    for (a, _), (b, _) in combinations(pts, 2):
+        line = (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+                a[0] * b[1] - a[1] * b[0])
+        if not any(line):
+            continue        # the same point twice
+        on = sum(m for pt, m in pts if not sum(l * x for l, x in zip(line, pt)))
+        if on > d:
+            raise GenerationFailed(
+                f"assigned points on one line have multiplicities summing to "
+                f"{on} > {d}, so the line is a component")
     from .linalg import kernel_basis
     monos = [(i, j, d - i - j) for i in range(d + 1) for j in range(d + 1 - i)]
     rows = []
-    for coords, m in assigned:
-        pt = normalize_point(coords, QQ)
+    for pt, m in pts:
         # conditions: all local pieces of degree < m vanish at the point
         expansions = [local_expansion(MPoly.monomial(3, mono, rat(1)), list(pt), m - 1)
                       for mono in monos]

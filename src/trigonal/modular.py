@@ -1,15 +1,20 @@
-"""Modular helpers: the singular-locus scan, the fiber-degree check and the
-certified kernels of the stabilizer algebra.
+"""Modular helpers: the singular-locus scan, the fiber-degree check, the
+certified kernels of the stabilizer algebra and the sparse echelon form
+they run on.
 
 Polynomials mod p are plain int lists, lowest degree first.  The scan and
 the fiber check reduce exact bivariate polynomials with
 ``fp_bivariate_table`` and eliminate a variable with
 ``fp_resultant_keepvar``.  ``certified_kernel`` solves a linear system mod p
 with ``FpEchelon`` and lifts the kernel with ``rational_reconstruct`` and
-CRT.  The primes come from a fixed deterministic walk down from 2^61, so
-runs are reproducible.  The scan only discovers candidates mod p; every
-point it reports is verified exactly over the ground field by the caller.
-The fiber check is Monte Carlo in its prime and records the prime of each
+CRT.  ``FpEchelon`` stores sparse ``{column: value}`` rows, since the
+systems here have a handful of nonzeros per row; with no modulus it
+eliminates exactly over the field of its entries (inverses by ``sinv``),
+which is how the quadric-generation test takes its span rank.  The primes
+come from a fixed deterministic walk down from 2^61, so runs are
+reproducible.  The scan only discovers candidates mod p; every point it
+reports is verified exactly over the ground field by the caller.  The
+fiber check is Monte Carlo in its prime and records the prime of each
 draw.  A certified kernel is exact: every lifted vector is verified over the
 ground field, and the nullity mod p bounds the true nullity from above.
 """
@@ -17,11 +22,10 @@ ground field, and the nullity mod p bounds the true nullity from above.
 from bisect import insort
 from itertools import islice
 from math import gcd, isqrt
-from operator import mul
 
 from .errors import CurveUnsupported, InvalidInput, LiftingFailed
 from .intutil import is_prime
-from .scalars import QQ, FpElt, PrimeField, QuadExt, is_rational, rat
+from .scalars import QQ, FpElt, PrimeField, QuadExt, is_rational, rat, sinv
 
 
 def primes_below(bound):
@@ -369,14 +373,19 @@ def fp_resultant_keepvar(a_coeffs, b_coeffs, p):
 # --- linear algebra mod p ----------------------------------------------------
 
 class FpEchelon:
-    """Row echelon form mod p, grown one row at a time.
+    """Row echelon form, grown one row at a time: mod ``p``, or exactly over
+    the field of the entries when ``p`` is None.
 
-    Each stored row is normalized: 0 before its pivot column, 1 at it.  The
+    Rows are sparse ``{column: value}`` dicts that hold their nonzero entries
+    only; ``add`` and ``contains`` also take dense lists.  Each stored row
+    is normalized: its lowest column is its pivot, with value 1.  A new row
+    is reduced only until its lowest column is not a pivot, so a stored row
+    may keep entries at later pivot columns; ``reduced`` clears them.  The
     pivot columns of an echelon basis depend only on the row space, so they
     are the same whatever order the rows come in.
     """
 
-    def __init__(self, ncols, p):
+    def __init__(self, ncols, p=None):
         self.ncols = ncols
         self.p = p
         self.pivots = []     # increasing
@@ -386,52 +395,99 @@ class FpEchelon:
     def rank(self):
         return len(self.pivots)
 
+    def nnz(self):
+        """Nonzero entries held by the stored rows."""
+        return sum(map(len, self.rows.values()))
+
+    def _sub(self, row, f, other):
+        """row -= f * other, in place.  Exactly, the entries that vanish are
+        dropped; mod p the entries are left unreduced, and ``_clean`` or the
+        lead test of ``_residue`` reduces them."""
+        get = row.get
+        if self.p:
+            for j, y in other.items():
+                row[j] = get(j, 0) - f * y
+        else:
+            for j, y in other.items():
+                v = get(j, 0) - f * y
+                if v:
+                    row[j] = v
+                else:
+                    row.pop(j, None)
+
+    def _clean(self, row):
+        """``row`` with its entries reduced mod p and the zeros dropped."""
+        p = self.p
+        return {j: x % p for j, x in row.items() if x % p} if p else row
+
+    def _residue(self, row):
+        """``row`` as a sparse row, reduced against the stored rows until it
+        is empty or its lowest column is not a pivot; mod p only that lowest
+        entry is reduced."""
+        p = self.p
+        row = {j: x for j, x in (row.items() if isinstance(row, dict)
+                                 else enumerate(row)) if x}
+        while row:
+            lead = min(row)
+            f = row[lead] % p if p else row[lead]
+            if not f:
+                del row[lead]
+                continue
+            other = self.rows.get(lead)
+            if other is None:
+                break
+            self._sub(row, f, other)
+            row.pop(lead, None)
+        return row
+
+    def contains(self, row):
+        return not self._residue(row)
+
     def add(self, row):
         """Reduce ``row`` against the stored rows and keep what is left when
         it is nonzero; returns True when the rank grew."""
-        p = self.p
-        for c in self.pivots:
-            f = row[c] % p
-            if f:
-                # entries are reduced mod p once, after the loop
-                row = [x - f * y for x, y in zip(row, self.rows[c])]
-        row = [x % p for x in row]
-        lead = next((j for j, x in enumerate(row) if x), None)
-        if lead is None:
+        row = self._residue(row)
+        if not row:
             return False
-        inv = pow(row[lead], -1, p)
-        self.rows[lead] = [x * inv % p for x in row]
+        lead = min(row)
+        p = self.p
+        inv = pow(row[lead], -1, p) if p else sinv(row[lead])
+        self.rows[lead] = self._clean({j: x * inv for j, x in row.items()})
         insort(self.pivots, lead)
         return True
 
     def reduced(self):
         """The stored rows in reduced echelon form, in pivot order."""
-        p = self.p
         done = {}
         for c in reversed(self.pivots):
-            row = self.rows[c]
-            for c2 in done:
-                f = row[c2] % p
-                if f:
-                    row = [x - f * y for x, y in zip(row, done[c2])]
-            done[c] = [x % p for x in row]
+            row = dict(self.rows[c])
+            # the rows in done are 0 at every pivot but their own
+            for c2 in [j for j in row if j != c and j in done]:
+                self._sub(row, row[c2], done[c2])
+            done[c] = self._clean(row)
         return [done[c] for c in self.pivots]
 
     def kernel(self):
-        """Kernel basis by back substitution: one vector per free column,
-        1 there and 0 at the other free columns."""
+        """Kernel basis as dense lists, by back substitution: one vector per
+        free column, 1 there and 0 at the other free columns."""
         p = self.p
         basis = []
         for f in range(self.ncols):
             if f in self.rows:
                 continue
-            v = [0] * self.ncols
-            v[f] = 1
+            v = {f: 1}
             for c in reversed(self.pivots):
-                # row c is 0 before c and v[c] is still 0, so the dot product
-                # sums over the columns after c
-                v[c] = -sum(map(mul, self.rows[c], v)) % p
-            basis.append(v)
+                # row c is 0 before c and v[c] is still unset, so the dot
+                # product sums over the columns after c
+                s = -sum(x * v[j] for j, x in self.rows[c].items() if j in v)
+                if p:
+                    s %= p
+                if s:
+                    v[c] = s
+            dense = [0] * self.ncols
+            for j, x in v.items():
+                dense[j] = x
+            basis.append(dense)
         return basis
 
 
@@ -444,10 +500,11 @@ def certified_kernel(ncols, system, certify, fld=QQ, known=(), counters=None):
     """Basis over ``fld`` (Q or F_q) of the kernel of a linear system that is
     given through its reductions.
 
-    ``system(p)`` returns the rows of the system mod p as int lists (any
-    iterable, consumed lazily), or None when p is inadmissible.  Its kernel
-    mod p must contain the reduction of every solution over ``fld`` whose
-    denominators are prime to p.  ``known`` holds independent solutions.
+    ``system(p)`` returns the rows of the system mod p as sparse
+    ``{column: int}`` dicts or int lists (any iterable, consumed lazily),
+    or None when p is inadmissible.  Its kernel mod p must contain the
+    reduction of every solution over ``fld`` whose denominators are prime
+    to p.  ``known`` holds independent solutions.
     ``certify(vectors)`` checks exactly over Q that every vector solves the
     system.
 
@@ -463,9 +520,10 @@ def certified_kernel(ncols, system, certify, fld=QQ, known=(), counters=None):
     as the nullity mod p, so it spans the kernel.
 
     ``counters``, when given, receives "eq_rows" (rows reduced mod the last
-    prime), "nullity" (of the kernel returned) and "primes" ({"tried": ...,
+    prime), "nullity" (of the kernel returned), "primes" ({"tried": ...,
     "used": ...}: every prime taken from the walk, and those whose residues
-    make the result).
+    make the result) and "stored_nnz" (the nonzeros the echelon mod the
+    last prime holds when elimination stops).
     """
     known = list(known)
     if isinstance(fld, PrimeField):
@@ -506,7 +564,8 @@ def certified_kernel(ncols, system, certify, fld=QQ, known=(), counters=None):
                 continue
         if counters is not None:
             counters.update(eq_rows=eq_rows, nullity=len(result),
-                            primes={"tried": tried, "used": used})
+                            primes={"tried": tried, "used": used},
+                            stored_nnz=ech.nnz())
         return result
     if fld != QQ:
         raise InvalidInput(f"the system does not reduce mod {fld.p}")

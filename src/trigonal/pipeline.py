@@ -8,9 +8,10 @@ an independent oracle whose agreement is recorded.  It compares the span of
 the products x_i * q against the cubic count that Max Noether's theorem
 fixes, so no cubic space is built.  Each stage's wall time lands in the
 report under the stage name, and its errors carry that name as a label.
-The liealg stage also records the size counters of its certified kernel
-(equation rows, nullity, primes) under its name; like the timings, they
-are left out of ``to_json(with_timings=False)``.
+The liealg stage records the size counters of its certified kernel
+(equation rows, nullity, primes, nonzeros held by the echelon) under its
+name, and the petri stage its span (rows, rank, expected rank); like the
+timings, they are left out of ``to_json(with_timings=False)``.
 """
 
 import time
@@ -384,7 +385,8 @@ def _map(curve, rep, bp):
 
 
 def _petri(curve, rep, bp):
-    petri = petri_test(rep.extras["qspace"], rep.genus)
+    petri = petri_test(rep.extras["qspace"], rep.genus,
+                       counters=rep.counters.setdefault("petri", {}))
     rep.petri = petri.value
     rep.agreement = ((petri == PetriResult.QuadricsInsufficient)
                      == (Case(rep.case) in (Case.Scroll, Case.P1xP1, Case.Veronese)))

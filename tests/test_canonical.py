@@ -145,3 +145,28 @@ def test_form_space_bases_are_echelon(proj5):
         assert vec[nz[0]] == 1
         lead.append(nz[0])
     assert lead == sorted(lead)
+
+
+def test_petri_test_makes_no_rowspace_call(monkeypatch, proj5):
+    """The span rank is taken on the sparse echelon form, exactly."""
+    g = proj5.genus
+    qspace = forms_through_image(proj5, adjoint_basis(proj5), 2)
+    calls = []
+
+    def spy(name):
+        orig = getattr(RowSpace, name)
+
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return orig(*args, **kwargs)
+        return wrapped
+
+    for name in ("__init__", "add", "reduce", "contains", "basis"):
+        monkeypatch.setattr(RowSpace, name, spy(name))
+    assert petri_test(qspace, g) == PetriResult.QuadricsInsufficient
+    assert calls == []
+    counters = {}
+    petri_test(qspace, g, counters)
+    assert counters == {"rows": qspace.dim * g, "rank": counters["rank"],
+                        "expected": cubic_count(g)}
+    assert counters["rank"] < cubic_count(g)

@@ -226,6 +226,18 @@ def test_singular_model_low_genus_fails_before_any_attempt(monkeypatch):
     assert calls == []
 
 
+def test_singular_model_collinear_excess_fails_before_any_attempt(monkeypatch):
+    # four nodes on z = 0 meet a sextic with multiplicity 8 > 6, so by
+    # Bezout the line is a component of every candidate
+    calls = []
+    monkeypatch.setattr(curve_mod, "validate_curve",
+                        lambda *a, **k: calls.append(a))
+    assigned = [((1, 0, 0), 2), ((0, 1, 0), 2), ((1, 1, 0), 2), ((1, 2, 0), 2)]
+    with pytest.raises(GenerationFailed, match="summing to 8 > 6"):
+        gen_singular_model(6, assigned, seed=1)
+    assert calls == []
+
+
 def test_singular_model_hits_assignment(two_node_quintic, five_nodal_sextic):
     assert two_node_quintic.genus == 4
     assert sorted(s.multiplicity for s in two_node_quintic.sings) == [2, 2]

@@ -1,13 +1,14 @@
-"""The certified mod-p kernel against the exact Fraction kernel, and the
-reconstruction bound it lifts with."""
+"""The sparse echelon form and the certified mod-p kernel against the exact
+Fraction kernel, and the reconstruction bound it lifts with."""
 
 from itertools import islice
 
 from hypothesis import given, settings, strategies as st
 
 from trigonal.linalg import RowSpace, kernel_basis, rank
-from trigonal.modular import (PRIME_WALK_START, certified_kernel, fp_reduce,
-                              primes_below, rational_reconstruct, recon_bound)
+from trigonal.modular import (PRIME_WALK_START, FpEchelon, certified_kernel,
+                              fp_reduce, primes_below, rational_reconstruct,
+                              recon_bound)
 from trigonal.scalars import QQ, FpElt, PrimeField, rat
 
 WALK = list(islice(primes_below(PRIME_WALK_START), 4))
@@ -104,3 +105,75 @@ def test_large_kernel_entries_lift_by_crt():
     assert modular_kernel(rows, 2, QQ, counters) == [[rat(1, big), 1]]
     assert counters["primes"]["used"] == WALK[:2]
 
+
+def test_restart_keeps_a_kernel_that_changes_at_the_second_prime():
+    """Mod P0 the rank is the same as over Q but the kernel is (0, 0, 1).
+    Every prime has the same pivots, so P0 stays in the lift, and the CRT
+    over three primes reaches (0, -P0, 1)."""
+    rows = [[1, 0, 0], [0, 1, P0]]
+    counters = {}
+    assert modular_kernel(rows, 3, QQ, counters) == [[0, -P0, 1]]
+    assert counters["nullity"] == 1
+    assert counters["primes"]["used"] == WALK[:3]
+
+
+# --- the sparse echelon form against the dense Fraction elimination ---------
+
+def _sparse_rows(entry):
+    """(ncols, rows) with rows as {column: value} dicts of a few entries."""
+    return st.integers(1, 8).flatmap(lambda ncols: st.tuples(
+        st.just(ncols),
+        st.lists(st.dictionaries(st.integers(0, ncols - 1), entry, max_size=3),
+                 min_size=1, max_size=8)))
+
+
+def _check_echelon(ncols, rows, p, lift, order):
+    """FpEchelon mod p (exactly when p is None) against rank and
+    kernel_basis of the dense rows over the field that ``lift`` maps into;
+    a second insertion order gives the same pivots, reduced rows and
+    kernel."""
+    dense = [[lift(r.get(j, 0)) for j in range(ncols)] for r in rows]
+    ech = FpEchelon(ncols, p)
+    for r in rows:
+        ech.add(r)
+    assert ech.rank == rank(dense)
+    kern = [[lift(x) for x in v] for v in ech.kernel()]
+    assert len(kern) == ncols - ech.rank
+    for v in kern:
+        assert all(sum(a * x for a, x in zip(r, v)) == 0 for r in dense)
+    assert RowSpace(ncols, rows=kern).equals(RowSpace(ncols, rows=kernel_basis(dense)))
+    for c, r in zip(ech.pivots, ech.reduced()):
+        assert min(r) == c and r[c] == 1
+        assert not any(c2 in r for c2 in ech.pivots if c2 != c)
+    again = FpEchelon(ncols, p)
+    for r in order:
+        again.add(r)
+    assert again.pivots == ech.pivots
+    assert again.reduced() == ech.reduced()
+    assert again.kernel() == ech.kernel()
+    for r in rows:
+        assert again.contains(r)
+
+
+@SETTINGS
+@given(_sparse_rows(RATIONALS), st.data())
+def test_sparse_echelon_matches_dense_elimination_exactly(m, data):
+    ncols, rows = m
+    _check_echelon(ncols, rows, None, rat, data.draw(st.permutations(rows)))
+
+
+@SETTINGS
+@given(_sparse_rows(st.integers(-300, 300)), st.data())
+def test_sparse_echelon_matches_dense_elimination_mod_101(m, data):
+    ncols, rows = m
+    _check_echelon(ncols, rows, FQ.p, lambda x: FpElt(x, FQ.p),
+                   data.draw(st.permutations(rows)))
+
+
+@SETTINGS
+@given(_sparse_rows(st.one_of(st.integers(-9, 9), st.integers(P0 - 9, P0 + 9))),
+       st.data())
+def test_sparse_echelon_matches_dense_elimination_mod_a_walk_prime(m, data):
+    ncols, rows = m
+    _check_echelon(ncols, rows, P0, lambda x: FpElt(x, P0),
+                   data.draw(st.permutations(rows)))

@@ -1,6 +1,7 @@
 import pytest
 
 from trigonal import liealg, pipeline
+from trigonal.canonical import cubic_count
 from trigonal.curve import gen_trigonal_projection, validate_curve
 from trigonal.errors import (CurveUnsupported, DegenerateFiber,
                              HyperellipticInput, InvalidInput, PointNotOnCurve)
@@ -222,10 +223,17 @@ def test_report_serialization_shape(proj5):
     assert data["map"]["field"] == "Q"
     assert list(data["timings"]) == ["adjoints", "quadrics", "liealg", "map",
                                      "petri"]
+    assert list(data["counters"]) == ["liealg", "petri"]
     lie = data["counters"]["liealg"]
-    assert sorted(lie) == ["eq_rows", "nullity", "primes"]
+    assert sorted(lie) == ["eq_rows", "nullity", "primes", "stored_nnz"]
     assert lie["nullity"] == rep.lie_dim + 1 and lie["eq_rows"] > 0
     assert lie["primes"]["used"] == lie["primes"]["tried"][-1:]
+    # the echelon holds rank = g^2 - nullity normalized rows, each with a 1
+    assert lie["stored_nnz"] >= rep.genus ** 2 - lie["nullity"]
+    petri = data["counters"]["petri"]
+    assert petri == {"rows": rep.quadric_dim * rep.genus, "rank": petri["rank"],
+                     "expected": cubic_count(rep.genus)}
+    assert petri["rank"] < petri["expected"]      # trigonal: a strict gap
     bare = json.loads(rep.to_json(with_timings=False))
     assert "timings" not in bare and "counters" not in bare
 
