@@ -5,8 +5,10 @@ algebraic invariant that separates the cases: zero for curves cut out by
 quadrics, and a positive-dimensional algebra whose Levi type (sl2, sl2+sl2,
 sl3) identifies a ruled surface or the Veronese.  The stabilizer equations
 are solved mod p by ``modular.certified_kernel`` and lifted to a basis that
-is verified exactly; the structure theory is exact linear algebra on
-structure constants.
+is verified exactly.  ``LieAlg`` keeps its basis matrices by their nonzero
+entries: brackets are sparse products, coordinates come from one exact
+echelon over the basis, and every bracket must reduce to zero there.  The
+structure theory is exact linear algebra on the structure constants.
 """
 
 import enum
@@ -33,59 +35,85 @@ class Case(enum.Enum):
     Unexpected = "Unexpected"
 
 
+def _entries(m):
+    """The nonzero entries of a matrix as an {i*cols + j: x} map."""
+    return {idx: x for idx, x in enumerate(m.entries) if x}
+
+
+def _by_row(entries, n):
+    """An {i*n + j: x} map of an n x n matrix, grouped as {i: {j: x}}."""
+    rows = {}
+    for idx, x in entries.items():
+        rows.setdefault(idx // n, {})[idx % n] = x
+    return rows
+
+
+def _bracket(a, b, n):
+    """AB - BA for n x n matrices grouped by ``_by_row``, as an {i*n + j: x}
+    map of its nonzero entries.  Each product costs nnz of its left factor
+    times the nonzeros per row of its right one."""
+    out = {}
+    for x, y, sign in ((a, b, 1), (b, a, -1)):
+        for i, xrow in x.items():
+            for k, u in xrow.items():
+                yrow = y.get(k)
+                if yrow:
+                    u = sign * u
+                    for j, v in yrow.items():
+                        idx = i * n + j
+                        out[idx] = out.get(idx, 0) + u * v
+    return {idx: v for idx, v in out.items() if v}
+
+
 class LieAlg:
-    """Matrix Lie algebra given by a basis of n x n matrices; closure under
-    the bracket is verified at construction and the structure constants are
-    stored."""
+    """Matrix Lie algebra given by a basis of n x n matrices (``basis``, a
+    list of ``Mat``), each also kept by its nonzero entries grouped by row.
+
+    Coordinates come from one exact ``FpEchelon`` over the basis whose rows
+    carry their combination of the basis in ``dim`` extra columns, where a
+    matrix reduces to minus its coordinates.  Each bracket of two basis
+    matrices is a sparse product, reduced at construction: a residual among
+    the n*n entries raises, so closure is verified exactly.  ``sc[i][j]``
+    holds the coordinates of [b_i, b_j].
+    """
 
     def __init__(self, n, basis, fld=QQ):
         self.n = n
         self.field = fld
         self.basis = list(basis)
-        self.coords = RowSpace(n * n)
-        for b in self.basis:
+        self._rows = []
+        self._echelon = FpEchelon(n * n + len(self.basis))
+        for k, b in enumerate(self.basis):
             if b.rows != n or b.cols != n:
                 raise InvalidInput("basis matrix has the wrong shape")
-            if not self.coords.add(list(b.entries)):
+            ent = _entries(b)
+            self._rows.append(_by_row(ent, n))
+            ent[n * n + k] = fld.one()
+            self._echelon.add(ent)
+            if self._echelon.pivots[-1] >= n * n:
                 raise InvalidInput("basis matrices are dependent")
-        self._to_coords_rows = self.coords.basis()
         dim = len(self.basis)
-        # map stored-echelon coordinates back to the given basis order
-        self._echelon_to_basis = None
-        if dim:
-            mat = []
-            for b in self.basis:
-                coords, res = self.coords.reduce(list(b.entries))
-                if any(res):
-                    raise InternalInvariantError("coordinate reduction failed")
-                mat.append(coords)
-            # mat rows: given basis in echelon coordinates; invert it
-            from .linalg import inverse
-            self._echelon_to_basis = inverse(Mat.from_rows(mat, fld).transpose())
         self.sc = [[None] * dim for _ in range(dim)]
         for i in range(dim):
-            for j in range(dim):
-                if j < i:
-                    self.sc[i][j] = [-c for c in self.sc[j][i]]
-                    continue
-                if j == i:
-                    self.sc[i][j] = [fld.zero()] * dim
-                    continue
-                br = self.basis[i] * self.basis[j] - self.basis[j] * self.basis[i]
-                self.sc[i][j] = self.express(br)
+            self.sc[i][i] = [fld.zero()] * dim
+            for j in range(i + 1, dim):
+                c = self.express(_bracket(self._rows[i], self._rows[j], n))
+                self.sc[i][j] = c
+                self.sc[j][i] = [-x for x in c]
 
     @property
     def dim(self):
         return len(self.basis)
 
     def express(self, m):
-        """Coordinates of a matrix in the basis; raises when outside."""
-        ech, res = self.coords.reduce(list(m.entries))
-        if any(res):
+        """Coordinates of a matrix (a ``Mat`` or an {i*n + j: x} map) in the
+        basis; raises when it lies outside the span."""
+        nn = self.n * self.n
+        res = self._echelon.residue(_entries(m) if isinstance(m, Mat) else m)
+        if res and min(res) < nn:
             raise InternalInvariantError(
                 "matrix outside the algebra span (bracket closure violated)")
-        out = self._echelon_to_basis.apply(ech)
-        return out
+        return [self.field.coerce(-res.get(nn + j, 0)) for j in range(self.dim)]
 
     def bracket_coords(self, u, v):
         """Bracket of two coordinate vectors, in coordinates."""
@@ -119,18 +147,17 @@ class LieAlg:
 
     def element(self, coords):
         """Ambient matrix for a coordinate vector."""
-        ent = [self.field.zero()] * (self.n * self.n)
-        for c, b in zip(coords, self.basis):
+        n = self.n
+        ent = [self.field.zero()] * (n * n)
+        for c, rows in zip(coords, self._rows):
             if c:
-                ent = [e + c * be for e, be in zip(ent, b.entries)]
-        return Mat(self.n, self.n, ent, self.field)
+                for i, row in rows.items():
+                    for j, x in row.items():
+                        ent[i * n + j] = ent[i * n + j] + c * x
+        return Mat(n, n, ent, self.field)
 
-    def subalgebra(self, coord_vectors, fld=None):
-        fld = fld or self.field
-        mats = [self.element(v) for v in coord_vectors]
-        if fld != self.field:
-            mats = [Mat(self.n, self.n, m.entries, fld) for m in mats]
-        return LieAlg(self.n, mats, fld)
+    def subalgebra(self, coord_vectors):
+        return LieAlg(self.n, [self.element(v) for v in coord_vectors], self.field)
 
     def lift(self, fld):
         """The same algebra over an extension field."""
@@ -146,11 +173,12 @@ class Sl2Triple:
     field: object
 
     def check(self):
-        def br(a, b):
-            return a * b - b * a
-        ok = (br(self.h, self.e) == self.e.scale(2)
-              and br(self.h, self.f) == self.f.scale(-2)
-              and br(self.e, self.f) == self.h)
+        n = self.h.rows
+        e, h, f = (_entries(m) for m in (self.e, self.h, self.f))
+        rows_e, rows_h, rows_f = (_by_row(m, n) for m in (e, h, f))
+        ok = (_bracket(rows_h, rows_e, n) == {i: 2 * x for i, x in e.items()}
+              and _bracket(rows_h, rows_f, n) == {i: -2 * x for i, x in f.items()}
+              and _bracket(rows_e, rows_f, n) == h)
         if not ok:
             raise NotSl2("bracket relations fail for the produced triple")
         return True
@@ -261,12 +289,12 @@ def stabilizer_algebra(qspace, g, fld=QQ, counters=None):
     kern = certified_kernel(nn, lambda p: _derivation_system(qspace, g, p),
                             stabilizes, fld, known=[ident], counters=counters)
     kern = [v[::-1] for v in kern]
-    sol = RowSpace(nn)
+    sol = FpEchelon(nn)
     for v in kern:
-        sol.add(list(v))
+        sol.add(v)
     if not sol.contains(ident):
         raise InternalInvariantError("identity does not stabilize the quadrics")
-    traceless = RowSpace(nn)
+    traceless = FpEchelon(nn)
     for v in kern:
         tr = sum((v[i * (g + 1)] for i in range(g)), fld.zero())
         shift = tr / g
@@ -275,9 +303,10 @@ def stabilizer_algebra(qspace, g, fld=QQ, counters=None):
             for i in range(g):
                 w[i * (g + 1)] = w[i * (g + 1)] - shift
         traceless.add(w)
-    if traceless.dim != len(kern) - 1:
+    if traceless.rank != len(kern) - 1:
         raise InternalInvariantError("identity direction did not split off cleanly")
-    mats = [Mat(g, g, row, fld) for row in traceless.basis()]
+    mats = [Mat(g, g, [row.get(i, 0) for i in range(nn)], fld)
+            for row in traceless.reduced()]
     return LieAlg(g, mats, fld)
 
 

@@ -402,7 +402,7 @@ class FpEchelon:
     def _sub(self, row, f, other):
         """row -= f * other, in place.  Exactly, the entries that vanish are
         dropped; mod p the entries are left unreduced, and ``_clean`` or the
-        lead test of ``_residue`` reduces them."""
+        lead test of ``residue`` reduces them."""
         get = row.get
         if self.p:
             for j, y in other.items():
@@ -420,7 +420,7 @@ class FpEchelon:
         p = self.p
         return {j: x % p for j, x in row.items() if x % p} if p else row
 
-    def _residue(self, row):
+    def residue(self, row):
         """``row`` as a sparse row, reduced against the stored rows until it
         is empty or its lowest column is not a pivot; mod p only that lowest
         entry is reduced."""
@@ -441,12 +441,12 @@ class FpEchelon:
         return row
 
     def contains(self, row):
-        return not self._residue(row)
+        return not self.residue(row)
 
     def add(self, row):
         """Reduce ``row`` against the stored rows and keep what is left when
         it is nonzero; returns True when the rank grew."""
-        row = self._residue(row)
+        row = self.residue(row)
         if not row:
             return False
         lead = min(row)

@@ -2,12 +2,19 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from trigonal.curve import (gen_method1, gen_singular_model,
                             gen_trigonal_projection, validate_curve)
 from trigonal.poly import parse_poly
+
+# One profile for every Hypothesis test: a fixed example sequence, no
+# example database and no per-example deadline, so that a tier-1 run repeats
+# exactly on a loaded host.  Each test sets its own max_examples.
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
+settings.load_profile("tier1")
 
 FIVE_NODES = [((1, 0, 0), 2), ((0, 1, 0), 2), ((0, 0, 1), 2),
               ((1, 1, 1), 2), ((1, 2, 3), 2)]

@@ -2,14 +2,15 @@ import random
 from itertools import islice
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from trigonal import liealg, modular
+from trigonal import liealg, linalg, modular
 from trigonal.canonical import FormSpace, adjoint_basis, forms_through_image, monomials
-from trigonal.errors import NotSl2
+from trigonal.errors import InternalInvariantError, InvalidInput, NotSl2
 from trigonal.liealg import (Case, LieAlg, classify, killing_form, levi,
                              radical, split_sl2, split_two_ideals,
                              stabilizer_algebra)
-from trigonal.linalg import Mat, RowSpace, kernel_basis, mat_det
+from trigonal.linalg import Mat, RowSpace, inverse, kernel_basis, mat_det, solve
 from trigonal.scalars import QQ, QuadraticField, rat
 
 WALK = list(islice(modular.primes_below(modular.PRIME_WALK_START), 2))
@@ -123,7 +124,6 @@ def test_split_sl2_on_conjugated_basis():
     base = _std_sl2()
     # conjugate by a random invertible matrix and re-run the splitting
     g = Mat.from_rows([[rat(2), rat(1)], [rat(1), rat(1)]])
-    from trigonal.linalg import inverse
     gi = inverse(g)
     mats = [g * b * gi for b in base.basis]
     # scramble the basis by taking combinations
@@ -256,3 +256,120 @@ def test_corrupted_lift_moves_on_to_the_next_prime(proj5, monkeypatch):
     assert counters["primes"]["tried"] == WALK
     assert counters["primes"]["used"] == WALK
     assert counters["nullity"] == alg.dim + 1
+
+
+def test_structure_theory_forms_no_matrix_product(proj5, monkeypatch):
+    """Brackets are sparse products and coordinates an echelon lookup: the
+    stabilizer of proj5, its Levi part and its split triple are built and
+    checked without a Mat product or a matrix inverse."""
+    cm = adjoint_basis(proj5)
+    q = forms_through_image(proj5, cm, 2)
+    calls = []
+    real_mul, real_inverse = Mat.__mul__, linalg.inverse
+
+    def mul(a, b):
+        calls.append("Mat.__mul__")
+        return real_mul(a, b)
+
+    def inv(m):
+        calls.append("inverse")
+        return real_inverse(m)
+
+    monkeypatch.setattr(Mat, "__mul__", mul)
+    monkeypatch.setattr(linalg, "inverse", inv)
+    alg = stabilizer_algebra(q, proj5.genus)
+    sem = levi(alg)
+    triple = split_sl2(sem)
+    assert triple.check()
+    assert alg.dim > sem.dim == 3
+    assert calls == []
+
+
+def _unit(n, i, j):
+    ent = [rat(0)] * (n * n)
+    ent[i * n + j] = rat(1)
+    return Mat(n, n, ent)
+
+
+def test_basis_that_is_not_closed_is_refused():
+    # [E12, E21] = E11 - E22 lies outside span{E12, E21}
+    with pytest.raises(InternalInvariantError):
+        LieAlg(2, [_unit(2, 0, 1), _unit(2, 1, 0)])
+
+
+def test_dependent_basis_is_refused():
+    e, h, f = _std_sl2().basis
+    with pytest.raises(InvalidInput):
+        LieAlg(2, [e, h, f, e + f.scale(rat(3))])
+    with pytest.raises(InvalidInput):
+        LieAlg(2, [h, h])
+
+
+def _sl2_irreducible(n):
+    """sl2 acting on binary forms of degree n - 1: e = x d/dy, f = y d/dx."""
+    m = n - 1
+    e = [[rat(k) if k == i + 1 else rat(0) for k in range(n)] for i in range(n)]
+    f = [[rat(m - k) if i == k + 1 else rat(0) for k in range(n)] for i in range(n)]
+    h = [[rat(m - 2 * i) if i == k else rat(0) for k in range(n)] for i in range(n)]
+    return [Mat.from_rows(x) for x in (e, h, f)]
+
+
+def _upper_triangular(n):
+    return [_unit(n, i, j) for i in range(n) for j in range(i, n)]
+
+
+def _elementary_product(n, ops):
+    """A unimodular n x n matrix: the product of I + lam*E_ij over ops."""
+    t = Mat.identity(n)
+    for i, j, lam in ops:
+        if i % n != j % n:
+            rows = Mat.identity(n).to_rows()
+            rows[i % n][j % n] = rat(lam)
+            t = t * Mat.from_rows(rows)
+    return t
+
+
+def _dense_structure_constants(basis, fld):
+    """Reference: each bracket by two dense Mat products, its coordinates by
+    solving against the basis entries."""
+    cols = [[b.entries[k] for b in basis] for k in range(len(basis[0].entries))]
+    sc = []
+    for a in basis:
+        sc.append([])
+        for b in basis:
+            x = solve(cols, list((a * b - b * a).entries))
+            assert x is not None
+            sc[-1].append([fld.coerce(v) for v in x])
+    return sc
+
+
+OPS = st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9), st.integers(-2, 2)),
+               max_size=4)
+
+
+@settings(max_examples=30)
+@given(st.sampled_from([_sl2_irreducible, _upper_triangular]),
+       st.sampled_from([3, 4]), OPS, OPS, st.booleans(),
+       st.lists(st.builds(rat, st.integers(-5, 5), st.integers(1, 4)),
+                min_size=10, max_size=10))
+def test_structure_constants_match_the_dense_reference(family, n, conj, mix, lift,
+                                                        coeffs):
+    """Unimodular conjugates of sl2 and of the upper-triangular algebra, with
+    the basis mixed by unimodular steps, over Q or lifted to Q(sqrt 2): the
+    sparse construction gives the dense structure constants, and express
+    inverts element."""
+    t = _elementary_product(n, conj)
+    basis = [t * b * inverse(t) for b in family(n)]
+    for i, j, lam in mix:
+        i, j = i % len(basis), j % len(basis)
+        if i != j:
+            basis[i] = basis[i] + basis[j].scale(rat(lam))
+    alg = LieAlg(n, basis)
+    if lift:
+        alg = alg.lift(QuadraticField(2))
+    fld = alg.field
+    assert alg.sc == _dense_structure_constants(alg.basis, fld)
+    coords = [fld.coerce(c) for c in coeffs[:alg.dim]]
+    m = alg.element(coords)
+    assert alg.express(m) == coords
+    assert alg.element(alg.express(m)) == m

@@ -123,7 +123,7 @@ def test_rowspace_membership_and_equality():
     assert rs.equals(other)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(st.lists(st.lists(st.builds(rat, st.integers(-40, 40), st.integers(1, 6)),
                          min_size=4, max_size=4), min_size=1, max_size=6),
        st.randoms(use_true_random=False))

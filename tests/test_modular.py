@@ -14,8 +14,7 @@ from trigonal.scalars import QQ, FpElt, PrimeField, rat
 WALK = list(islice(primes_below(PRIME_WALK_START), 4))
 P0 = WALK[0]
 FQ = PrimeField(101)
-SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
-                    database=None)
+SETTINGS = settings(max_examples=60)
 
 
 def test_recon_bound_meets_wang_condition_on_the_walk():

@@ -146,7 +146,7 @@ def _mod_p_coeffs(u, p):
     return out
 
 
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@settings(max_examples=80)
 @given(st.data(), st.sampled_from([WALK_PRIME, 101]),
        st.sampled_from([(1, 1), (101, 1), (1, 101), (101, 101)]))
 def test_fp_resultant_keepvar_matches_bareiss(data, p, scales):

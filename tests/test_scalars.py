@@ -99,7 +99,7 @@ def test_exact_equality_is_decidable():
 
 # --- field axioms -----------------------------------------------------------------
 
-LAWS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+LAWS = settings(max_examples=100)
 RATIONALS = st.builds(rat, st.integers(-50, 50), st.integers(1, 30))
 
 
