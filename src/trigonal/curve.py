@@ -5,13 +5,15 @@ validation, the genus formula, and the trigonal-curve generators: the two
 resultant/projection constructions plus a generator that guarantees an
 ordinary multiplicity-(d-3) point, so every degree has usable test curves.
 
-Curves are taken over Q or a small prime field F_p.  Over Q, singular points
-on the line z=0 and at (1:0:0) are found by exact univariate gcds.  The
-affine chart is scanned with resultant nets reduced mod one admissible prime
-of the walk in ``modular`` (the first whose reduction keeps every
-denominator); every candidate is then verified exactly over Q, so a reported
-point is never wrong.  A candidate that cannot be certified rational
-counts into the residual budget and leads to a typed rejection.
+Curves are taken over Q or a prime field F_q, and one scan serves both.
+Singular points on the line z=0 and at (1:0:0) are found by exact
+univariate gcds.  The affine chart is scanned with resultant nets reduced
+mod q itself over F_q, and over Q mod one admissible prime of the walk in
+``modular`` (the first whose reduction keeps every denominator); each
+candidate is then verified exactly over the ground field, so a reported
+point is never wrong.  Whatever part of a candidate locus does not split
+into ground-field points counts into the residual budget and leads to a
+typed rejection.
 """
 
 import hashlib
@@ -141,19 +143,39 @@ def _gcd_many(polys):
     return acc
 
 
-# --- modular affine scan --------------------------------------------------------
+# --- singular locus -------------------------------------------------------------
 
-# The scan and the square-free probe take the first prime of the walk at
-# which no denominator vanishes, trying at most this many.
+# Over Q the scan and the square-free probe take the first prime of the walk
+# at which no denominator vanishes, trying at most this many.
 SCAN_PRIMES = 2
 # Random points at which the square-free probe evaluates a resultant.
 PROBE_SAMPLES = 12
 
 
-def _affine_scan(f):
-    """Rational singular points in the chart z=1, plus a residual budget for
-    candidates that could not be certified rational.  The resultant nets are
-    reduced at the first prime of the walk where no denominator vanishes."""
+def _ground(fld, coeffs):
+    """What the scan needs of its ground field: the modulus p its resultant
+    nets are reduced at, the lift of a root mod p to a ground-field
+    candidate (None when there is none), and the distinct ground-field roots
+    of a UPoly.  Over F_q, p = q and every root is a candidate.  Over Q, p is
+    the first prime of the walk at which none of ``coeffs`` has a vanishing
+    denominator (None if there is none), and roots lift by rational
+    reconstruction."""
+    if isinstance(fld, PrimeField):
+        q = fld.p
+        return q, fld.coerce, lambda u: [
+            fld.coerce(r) for r in fp_roots([fp_reduce(c, q) for c in u.coeffs], q)]
+    p = next((p for p in islice(primes_below(PRIME_WALK_START), SCAN_PRIMES)
+              if None not in (fp_reduce(c, p) for c in coeffs)), None)
+    return (p, lambda r: rational_reconstruct(r, p),
+            lambda u: sorted(set(rational_roots(u)), key=str))
+
+
+def _affine_scan(f, ground):
+    """Ground-field singular points in the chart z=1, plus a residual budget
+    for candidates that are not ground-field points."""
+    p, lift, ground_roots = ground
+    if p is None:
+        raise CurveUnsupported("modular reduction degenerated at every prime")
     F = _dehomogenize_z(f)
     Fx = F.derivative(0)
     Fy = F.derivative(1)
@@ -162,12 +184,7 @@ def _affine_scan(f):
     polys = (F, Fx, Fy)
     pairs = [(i, j) for i, j in ((1, 2), (0, 1), (0, 2)) if polys[i] and polys[j]
              and (polys[i].degree_in(1) or polys[j].degree_in(1))]
-    for p in islice(primes_below(PRIME_WALK_START), SCAN_PRIMES):
-        tabs = [fp_bivariate_table(P, P.degree_in(1), p) for P in polys]
-        if None not in tabs:
-            break
-    else:
-        raise CurveUnsupported("modular reduction degenerated at every prime")
+    tabs = [fp_bivariate_table(P, P.degree_in(1), p) for P in polys]
     g = None
     for i, j in pairs:
         r = fp_resultant_keepvar(tabs[i], tabs[j], p)
@@ -182,10 +199,10 @@ def _affine_scan(f):
     roots = fp_roots(g, p)
     points = []
     # distinct candidate x-values over the closure that do not even reduce
-    # into F_p cannot be rational: straight into the residual budget
+    # into F_p are not ground-field points: straight into the residual budget
     residual = (len(g) - 1) - len(roots)
     for r in roots:
-        cand = rational_reconstruct(r, p)
+        cand = lift(r)
         if cand is not None:
             sy = [_specialize_x(P, cand) for P in (F, Fx, Fy)]
             if all(not s for s in sy):
@@ -195,7 +212,7 @@ def _affine_scan(f):
             gy = _gcd_many([s for s in sy if s])
             if gy.degree() >= 1:
                 sf = gy.squarefree_part()
-                yroots = sorted(set(rational_roots(sf)), key=str)
+                yroots = ground_roots(sf)
                 for y0 in yroots:
                     points.append((cand, y0))
                 residual += sf.degree() - len(yroots)
@@ -211,11 +228,8 @@ def _affine_scan(f):
     return points, residual
 
 
-# --- singular locus -------------------------------------------------------------
-
-
-def _infinity_scan(f):
-    """Rational singular points on the line z=0, exactly."""
+def _infinity_scan(f, fld, ground_roots):
+    """Ground-field singular points on the line z=0, exactly."""
     parts = [f.derivative(i) for i in range(3)]
     restr = [_restrict_line_z0(g) for g in parts]
     if all(not r for r in restr):
@@ -227,51 +241,33 @@ def _infinity_scan(f):
     residual = 0
     if g.degree() >= 1:
         sf = g.squarefree_part()
-        roots = sorted(set(rational_roots(sf)), key=str)
+        roots = ground_roots(sf)
         for t0 in roots:
-            points.append((t0, rat(1), rat(0)))
+            points.append((t0, fld.one(), fld.zero()))
         residual += sf.degree() - len(roots)
     # the remaining point of the line
-    pt = (rat(1), rat(0), rat(0))
+    pt = (fld.one(), fld.zero(), fld.zero())
     if all(not g.evaluate(pt) for g in parts):
         points.append(pt)
     return points, residual
 
 
-def _brute_scan_fp(f, fld):
-    """All singular points over a small prime field, by exhaustion."""
-    p = fld.p
-    if p > 2000:
-        raise CurveUnsupported("prime-field singular scan supports only small p")
-    parts = [f.derivative(i) for i in range(3)]
-    pts = []
-    reps = ([(fld.coerce(a), fld.coerce(b), fld.one()) for a in range(p) for b in range(p)]
-            + [(fld.coerce(a), fld.one(), fld.zero()) for a in range(p)]
-            + [(fld.one(), fld.zero(), fld.zero())])
-    for pt in reps:
-        if not f.evaluate(pt) and all(not g.evaluate(pt) for g in parts):
-            pts.append(pt)
-    return pts, 0
-
-
 def singular_locus(f, fld=QQ):
-    """All singular points with coordinates in the ground field (Q or F_p),
-    plus the residual budget (degree of candidate loci that could not be
-    certified rational).  Multiplicities come from exact local expansions."""
+    """All singular points with coordinates in the ground field (Q or F_q),
+    plus the residual budget: the degree of the candidate loci that are not
+    ground-field points.  The same two scans run over both fields; only
+    ``_ground`` tells them apart.  Multiplicities come from exact local
+    expansions."""
     if not f or not f.is_homogeneous():
         raise InvalidInput("expected a nonzero homogeneous form")
     d = f.total_degree()
     if d < 3:
         raise InvalidInput("degree must be at least 3")
-    if isinstance(fld, PrimeField):
-        coords, residual = _brute_scan_fp(f, fld)
-    else:
-        inf_pts, res_inf = _infinity_scan(f)
-        aff_pts, res_aff = _affine_scan(f)
-        coords = inf_pts + [(x0, y0, fld.one()) for x0, y0 in aff_pts]
-        residual = res_inf + res_aff
+    ground = _ground(fld, f.terms.values())
+    inf_pts, res_inf = _infinity_scan(f, fld, ground[2])
+    aff_pts, res_aff = _affine_scan(f, ground)
     out = []
-    for c in coords:
+    for c in inf_pts + [(x0, y0, fld.one()) for x0, y0 in aff_pts]:
         pt = normalize_point(c, fld)
         m = local_expansion(f, list(pt), d).multiplicity()
         if m is None or m < 1:
@@ -279,7 +275,7 @@ def singular_locus(f, fld=QQ):
         if m >= 1 and not f.evaluate(list(pt)):
             out.append(SingularPoint(pt, m))
     out.sort(key=lambda s: s.key())
-    return out, residual
+    return out, res_inf + res_aff
 
 
 def _check_ordinary(f, point, mult):
@@ -300,11 +296,8 @@ def _resultant_probe_nonzero(f, g, var):
     m, n = f.degree_in(var), g.degree_in(var)
     if m == 0 and n == 0:
         raise InvalidInput("probe needs positive degree in the variable")
-    coeffs = (*f.terms.values(), *g.terms.values())
-    for p in islice(primes_below(PRIME_WALK_START), SCAN_PRIMES):
-        if None not in (fp_reduce(c, p) for c in coeffs):
-            break
-    else:
+    p = _ground(QQ, (*f.terms.values(), *g.terms.values()))[0]
+    if p is None:
         return False
     others = [i for i in range(3) if i != var]
     rng = random.Random(0xC0FFEE + var)
@@ -336,11 +329,12 @@ def _squarefree_suspicion(f):
 def validate_curve(f, declared_sings=None, base_point=None, fld=QQ):
     """Validate a homogeneous input form and return a PlaneCurve.
 
-    Checks: degree >= 3; every singular point over the ground field is
-    ordinary; no singular candidate escapes the rational certification; the
-    declared singular list (when given) matches the discovered one; genus
-    >= 3.  The base point, when given, must be a smooth point on the curve.
-    The ground field must be Q or F_p.
+    Checks: degree >= 3; every singular point lies over the ground field
+    (Q or F_q, scanned alike) and is ordinary; the declared singular list
+    (when given) matches the discovered one; genus >= 3.  The base point,
+    when given, must be a smooth point on the curve.  Over F_q the prime
+    must exceed 4 d^2, so that square-free parts taken by derivatives are
+    correct in characteristic q.
     """
     if not isinstance(fld, (RationalField, PrimeField)):
         raise InvalidInput(f"curves are supported over Q or F_p, not {fld}")

@@ -71,3 +71,17 @@ def m1_quartic():
 def hyper5():
     """Hyperelliptic: quintic with an ordinary triple point (genus 3)."""
     return gen_singular_model(5, [((0, 0, 1), 3)], seed=7)
+
+
+@pytest.fixture(scope="session")
+def sqrt2_sextic():
+    """The benchmark input "nodes over Q(sqrt 2) d=6" of seed 1, written out:
+    a member of (y, x^2 - 2 z^2)^2, so it has nodes at (+-sqrt 2 : 0 : 1)."""
+    y, q = parse_poly("y"), parse_poly("x^2 - 2*z^2")
+    a = parse_poly("-5*x^4 + 22*x^3*y + 30*x^3*z - 9*x^2*y^2 + 15*x^2*y*z"
+                   " + 18*x^2*z^2 - 12*x*y^3 + 21*x*y^2*z + 25*x*y*z^2 - 19*x*z^3"
+                   " - 30*y^4 + 20*y^3*z + 15*y^2*z^2 - 23*y*z^3 + 6*z^4")
+    b = parse_poly("-13*x^3 + 22*x^2*y - 12*x^2*z - 26*x*y^2 - 12*x*y*z + x*z^2"
+                   " - 19*y^3 - 26*y^2*z + 3*y*z^2 - 21*z^3")
+    c = parse_poly("-11*x^2 + 2*x*y + 3*x*z - 14*y^2 + y*z - 16*z^2")
+    return y * y * a + y * q * b + q * q * c

@@ -7,6 +7,7 @@ from trigonal import cli
 from trigonal.cli import BENCH_HEADER, main
 from trigonal.errors import LiftingFailed
 from trigonal.curve import write_curve_file
+from trigonal.poly import poly_str
 
 
 def run_cli(args):
@@ -57,6 +58,19 @@ def test_decide_low_genus_exit_two(tmp_path):
 def test_decide_hyperelliptic_exit_two(tmp_path, hyper5):
     path = tmp_path / "hyper.curve"
     path.write_text(write_curve_file(hyper5))
+    status, _ = run_cli(["decide", str(path)])
+    assert status == 2
+
+
+def test_decide_over_prime_fields(tmp_path, sqrt2_sextic):
+    path = tmp_path / "klein.curve"
+    path.write_text("f = x^3*y + y^3*z + z^3*x\nfield = Fp 10007\n")
+    status, out = run_cli(["decide", str(path)])
+    assert status == 0
+    assert json.loads(out)["case"] == "Genus3"
+    # its two nodes lie over F_{149^2}, so the singular locus is not rational
+    path = tmp_path / "sqrt2.curve"
+    path.write_text(f"f = {poly_str(sqrt2_sextic)}\nfield = Fp 149\n")
     status, _ = run_cli(["decide", str(path)])
     assert status == 2
 

@@ -1,6 +1,7 @@
 from itertools import islice
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from trigonal import curve as curve_mod
 from trigonal.curve import (gen_method1, gen_method2, gen_singular_model,
@@ -11,9 +12,9 @@ from trigonal.errors import (CurveUnsupported, GenerationFailed, GenusTooSmall,
                              InvalidInput, IrrationalSingularLocus,
                              NonOrdinarySingularity, ParseError, PointNotOnCurve,
                              ReducibleSuspected)
-from trigonal.modular import PRIME_WALK_START, primes_below
-from trigonal.poly import parse_poly
-from trigonal.scalars import QuadraticField, rat
+from trigonal.modular import PRIME_WALK_START, fp_reduce, primes_below
+from trigonal.poly import MPoly, parse_poly
+from trigonal.scalars import PrimeField, QuadraticField, rat
 
 P0, P1 = islice(primes_below(PRIME_WALK_START), 2)
 
@@ -173,6 +174,87 @@ def test_scan_moves_on_only_when_a_denominator_vanishes(proj5, monkeypatch):
     assert primes and set(primes) == {P1}
     with pytest.raises(CurveUnsupported, match="every prime"):
         curve_mod.singular_locus(proj5.f.map_coeffs(lambda c: c / (P0 * P1)))
+
+
+# --- the same scan over F_q ----------------------------------------------------------
+
+X, Y, Z = (MPoly.variable(3, i) for i in range(3))
+
+
+@pytest.mark.parametrize("q", [149, 163])
+def test_nodes_over_a_quadratic_extension_are_rejected_over_fq(sqrt2_sextic, q):
+    # 2 is not a square mod 149 or 163, so the nodes (+-sqrt 2 : 0 : 1) lie
+    # over F_{q^2}; exchanging x and y puts them in one fiber above x = 0,
+    # and exchanging y and z moves them onto the line z=0
+    F = PrimeField(q)
+    for f in (sqrt2_sextic, sqrt2_sextic.substitute([Y, X, Z]),
+              sqrt2_sextic.substitute([X, Z, Y])):
+        f = f.map_coeffs(F.coerce)
+        assert singular_locus(f, F) == ([], 2)
+        with pytest.raises(IrrationalSingularLocus, match="degree 2"):
+            validate_curve(f, fld=F)
+
+
+def test_large_prime_field_finds_the_points_found_over_q(klein, five_nodal_sextic):
+    F = PrimeField(10007)
+    one_fiber = gen_singular_model(5, [((0, 0, 1), 2), ((0, 1, 1), 2)], seed=1)
+    for curve in (klein, five_nodal_sextic, one_fiber):
+        mod_q = validate_curve(curve.f.map_coeffs(F.coerce), fld=F)
+        assert mod_q.genus == curve.genus
+        # points over Q are normalized by their last nonzero coordinate,
+        # which stays 1 mod q
+        assert {(s.key(), s.multiplicity) for s in mod_q.sings} == \
+            {(tuple(str(F.coerce(c)) for c in s.coords), s.multiplicity)
+             for s in curve.sings}
+
+
+def _brute_singular_points(f, q):
+    """Every F_q point of the plane where f and its three partials vanish,
+    by evaluating them at all q^2 + q + 1 normalized points."""
+    polys = [[(e, fp_reduce(c, q)) for e, c in g.terms.items()]
+             for g in (f, *(f.derivative(i) for i in range(3)))]
+    points = ([(a, b, 1) for a in range(q) for b in range(q)]
+              + [(a, 1, 0) for a in range(q)] + [(1, 0, 0)])
+    return {pt for pt in points
+            if all(sum(c * pt[0] ** i * pt[1] ** j * pt[2] ** k
+                       for (i, j, k), c in g) % q == 0 for g in polys)}
+
+
+@st.composite
+def forms_mod_q(draw):
+    """A prime q in 41..61 and a form of degree 4 or 5 over F_q, on every
+    monomial or on a drawn support; half of them are forced singular at a
+    drawn F_q point by moving a form singular at (0:0:1) there."""
+    q = draw(st.sampled_from([41, 43, 47, 53, 59, 61]))
+    d = draw(st.sampled_from([4, 5]))
+    forced = draw(st.booleans())
+    monos = [(a, b, d - a - b) for a in range(d + 1) for b in range(d + 1 - a)
+             if not forced or a + b >= 2]
+    support = draw(st.one_of(st.just(monos), st.lists(st.sampled_from(monos),
+                                                        min_size=1, unique=True)))
+    coeffs = draw(st.lists(st.integers(1, q - 1), min_size=len(support),
+                           max_size=len(support)))
+    f = MPoly(3, {m: rat(c) for m, c in zip(support, coeffs)})
+    if forced:
+        # images of x, y, z under a linear map taking (0:0:1) to the point
+        a, b = draw(st.integers(0, q - 1)), draw(st.integers(0, q - 1))
+        f = f.substitute(draw(st.sampled_from([[X - a * Z, Y - b * Z, Z],
+                                               [X - a * Y, Z, Y], [Z, Y, X]])))
+    F = PrimeField(q)
+    return F, f.map_coeffs(F.coerce)
+
+
+@settings(max_examples=40)
+@given(forms_mod_q())
+def test_singular_locus_over_fq_matches_a_brute_force_scan(case):
+    F, f = case
+    assume(f)
+    try:
+        points, _ = singular_locus(f, F)
+    except (CurveUnsupported, ReducibleSuspected):
+        return      # too few evaluation points, or a repeated component
+    assert {tuple(c.v for c in s.coords) for s in points} == \
+        _brute_singular_points(f, F.p)
 
 
 # --- generators --------------------------------------------------------------------

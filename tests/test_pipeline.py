@@ -260,6 +260,17 @@ def test_prime_field_generic_negative(five_nodal_sextic):
     assert {"liealg", "petri"} <= set(rep.timings)
 
 
+def test_prime_field_beyond_the_old_scan_cap_gives_the_q_verdict(klein):
+    F = PrimeField(10007)
+    curve = validate_curve(klein.f.map_coeffs(F.coerce), base_point=(0, 0, 1), fld=F)
+    assert curve.sings == () and curve.genus == 3
+    a, b = decide(klein, seed=1), decide(curve, seed=1)
+    for attr in ("genus", "adjoint_dim", "quadric_dim", "case", "trigonal",
+                 "verified_degree"):
+        assert getattr(a, attr) == getattr(b, attr)
+    assert b.case == "Genus3" and b.verified_degree == 3
+
+
 def test_prime_field_positive_dimension_unsupported(proj5):
     F = PrimeField(163)
     f = proj5.f.map_coeffs(F.coerce)

@@ -9,7 +9,7 @@ from trigonal.errors import TrigonalError
 from trigonal.linalg import Mat, RowSpace
 from trigonal.pipeline import Report, decide
 from trigonal.poly import MPoly
-from trigonal.scalars import rat
+from trigonal.scalars import QQ, PrimeField, rat
 
 KEYS = ("genus", "adjoint_dim", "quadric_dim", "lie_dim", "levi_type", "case",
         "trigonal", "petri")
@@ -94,10 +94,12 @@ def plane_forms(draw):
 
 
 @settings(max_examples=60)
-@given(plane_forms())
-def test_random_forms_give_a_report_or_a_typed_error(f):
+@given(plane_forms(), st.sampled_from([None, 67, 101, 103, 149, 163]))
+def test_random_forms_give_a_report_or_a_typed_error(f, q):
+    # over Q, or reduced mod a small prime (67 is below the 4 d^2 bound that
+    # validation sets for quintics)
     try:
-        rep = decide(validate_curve(f), seed=1)
+        rep = decide(validate_curve(f, fld=QQ if q is None else PrimeField(q)), seed=1)
     except TrigonalError:
         return
     assert isinstance(rep, Report)
