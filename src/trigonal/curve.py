@@ -291,8 +291,10 @@ def _resultant_probe_nonzero(f, g, var):
     """True when Res_var(f, g) is certainly not identically zero; checked by
     evaluating the resultant at random points mod the first prime of the
     walk where no coefficient of f or g has a vanishing denominator, skipping
-    points where a leading coefficient vanishes.  All-zero probes => treat
-    as identically zero."""
+    points where a leading coefficient vanishes.  The coefficients are
+    reduced mod p once and every probe evaluates mod p; reduction is a ring
+    homomorphism, so the values are those of exact evaluation reduced mod p.
+    All-zero probes => treat as identically zero."""
     m, n = f.degree_in(var), g.degree_in(var)
     if m == 0 and n == 0:
         raise InvalidInput("probe needs positive degree in the variable")
@@ -301,15 +303,15 @@ def _resultant_probe_nonzero(f, g, var):
         return False
     others = [i for i in range(3) if i != var]
     rng = random.Random(0xC0FFEE + var)
-    fc = f.coeffs_by_power(var)
-    gc = g.coeffs_by_power(var)
+    # (power of var, exponents of the other two variables, coefficient mod p)
+    reduced = [[(e[var], [e[i] for i in others], fp_reduce(c, p))
+                for e, c in h.terms.items()] for h in (f, g)]
     for _ in range(PROBE_SAMPLES):
-        vals = [0, 0, 0]
-        for i in others:
-            vals[i] = rng.randrange(p)
-        point = [rat(v) for v in vals]
-        av = [fp_reduce(c.evaluate(point), p) for c in fc]
-        bv = [fp_reduce(c.evaluate(point), p) for c in gc]
+        u, v = (rng.randrange(p) for _ in others)
+        av, bv = [0] * (m + 1), [0] * (n + 1)
+        for out, terms in zip((av, bv), reduced):
+            for k, (i, j), c in terms:
+                out[k] = (out[k] + c * pow(u, i, p) * pow(v, j, p)) % p
         if av[-1] and bv[-1] and fp_resultant(av, bv, p):
             return True
     return False
@@ -377,7 +379,13 @@ def validate_curve(f, declared_sings=None, base_point=None, fld=QQ):
                 f"declared singular points {sorted(declared_keys)} do not match "
                 f"the discovered ones {sorted(found_keys)}")
 
-    g = genus(d, [s.multiplicity for s in sings])
+    try:
+        g = genus(d, [s.multiplicity for s in sings])
+    except InvalidInput as e:
+        # d >= 3 and every multiplicity >= 2 here, so the discovered points
+        # drop the genus below 0, which no irreducible curve allows
+        raise ReducibleSuspected(
+            "the singular points found give a negative genus") from e
     if g < 3:
         raise GenusTooSmall(f"genus {g} < 3")
 

@@ -308,6 +308,11 @@ def _x_degree(table):
     return max(max(len(row) for row in table) - 1, 0)
 
 
+def _total_degree(table):
+    """Total degree of a table whose row i is the coefficient of y^i."""
+    return max(len(row) - 1 + i for i, row in enumerate(table) if row)
+
+
 def fp_resultant_keepvar(a_coeffs, b_coeffs, p):
     """Resultant in the eliminated variable of two bivariate polynomials.
 
@@ -318,12 +323,21 @@ def fp_resultant_keepvar(a_coeffs, b_coeffs, p):
 
     A leading row that vanishes identically is peeled off first, by
     Res_{m,n} = (-1)^n b_n Res_{m-1,n} when a_m = 0 and
-    Res_{m,n} = a_m Res_{m,n-1} when b_n = 0.  The rest has degree at most
-    bound = n * deg(a) + m * deg(b) in the kept variable; it is evaluated at
-    bound + 1 points where neither leading coefficient vanishes, so the
-    formal degrees hold there and each value is a Euclidean resultant mod p,
-    and interpolation gives the result.  Raises CurveUnsupported when p is
-    too small to supply the points.
+    Res_{m,n} = a_m Res_{m,n-1} when b_n = 0.  The rest has degree in the
+    kept variable at most
+
+        bound = min(n * X_a + m * X_b, n * D_a + m * D_b - m * n),
+
+    where X is the largest kept-variable degree of a row and D the total
+    degree of the table (the largest deg(row_i) + i).  The second term holds
+    because entry (r, c) of the a-block of the Sylvester matrix has degree
+    at most D_a - m + c - r (and likewise for b), and the sum over any
+    permutation is n * D_a + m * D_b - m * n; for a monic in the eliminated
+    variable (m = D_a) it is the Bezout number D_a * D_b.  The rest is
+    evaluated at bound + 1 points where neither leading coefficient
+    vanishes, so the formal degrees hold there and each value is a Euclidean
+    resultant mod p, and interpolation gives the result.  Raises
+    CurveUnsupported when p is too small to supply the points.
     """
     a_coeffs, b_coeffs = list(a_coeffs), list(b_coeffs)
     m = len(a_coeffs) - 1
@@ -350,7 +364,8 @@ def fp_resultant_keepvar(a_coeffs, b_coeffs, p):
         for _ in range(e):
             out = fp_mul(out, base, p)
         return out
-    deg_bound = n * _x_degree(a_coeffs) + m * _x_degree(b_coeffs)
+    deg_bound = min(n * _x_degree(a_coeffs) + m * _x_degree(b_coeffs),
+                    n * _total_degree(a_coeffs) + m * _total_degree(b_coeffs) - m * n)
     if p <= deg_bound:
         raise CurveUnsupported(
             f"modulus {p} is too small for {deg_bound + 1} evaluation points")

@@ -48,6 +48,15 @@ def test_decide_cusp_exit_two(tmp_path):
     assert status == 2
 
 
+def test_decide_four_lines_exit_two(tmp_path, capsys):
+    for field in ("Q", "Fp 101"):
+        path = tmp_path / "lines.curve"
+        path.write_text(f"f = x^2*y*z + x*y^2*z + x*y*z^2\nfield = {field}\n")
+        status, _ = run_cli(["decide", str(path)])
+        assert status == 2
+        assert "negative genus" in capsys.readouterr().err
+
+
 def test_decide_low_genus_exit_two(tmp_path):
     path = tmp_path / "cubic.curve"
     path.write_text("f = x^3 + y^3 + z^3\n")

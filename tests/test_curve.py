@@ -1,4 +1,6 @@
+import random
 from itertools import islice
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -12,9 +14,9 @@ from trigonal.errors import (CurveUnsupported, GenerationFailed, GenusTooSmall,
                              InvalidInput, IrrationalSingularLocus,
                              NonOrdinarySingularity, ParseError, PointNotOnCurve,
                              ReducibleSuspected)
-from trigonal.modular import PRIME_WALK_START, fp_reduce, primes_below
+from trigonal.modular import PRIME_WALK_START, fp_reduce, fp_resultant, primes_below
 from trigonal.poly import MPoly, parse_poly
-from trigonal.scalars import PrimeField, QuadraticField, rat
+from trigonal.scalars import QQ, PrimeField, QuadraticField, rat
 
 P0, P1 = islice(primes_below(PRIME_WALK_START), 2)
 
@@ -112,6 +114,74 @@ def test_validate_rejects_reducible_suspects():
         validate_curve(P("x^4 + x^2*y^2"))      # x^2 (x^2 + y^2)
     with pytest.raises(ReducibleSuspected):
         validate_curve(P("x^4 + 2*x^2*y^2 + y^4"))   # (x^2+y^2)^2, z-free
+
+
+@pytest.mark.parametrize("fld", [QQ, PrimeField(101)])
+def test_too_many_nodes_for_an_irreducible_curve_are_reducible(fld):
+    # the four lines xyz(x+y+z) meet in six nodes, three more than a quartic
+    # of genus >= 0 can have; the negative genus comes from discovered
+    # points, so it is a suspected reducible curve, not bad declared data
+    with pytest.raises(ReducibleSuspected, match="negative genus"):
+        validate_curve(P("x^2*y*z + x*y^2*z + x*y*z^2"), fld=fld)
+
+
+@st.composite
+def rational_forms(draw):
+    """Ternary forms of degree 3-6 over Q, with denominators (P0 among them,
+    which moves the probe to the next prime); half of them have a squared
+    factor, so their resultant with a partial vanishes identically."""
+    coeff = st.builds(rat, st.integers(-5, 5), st.sampled_from([1, 2, 3, 7, P0]))
+
+    def form(d):
+        return MPoly(3, {(i, j, d - i - j): draw(coeff)
+                         for i in range(d + 1) for j in range(d + 1 - i)})
+
+    d = draw(st.integers(3, 6))
+    if draw(st.booleans()):
+        return form(d)
+    k = draw(st.integers(1, (d - 1) // 2))
+    h = form(k)
+    return h * h * form(d - 2 * k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rational_forms(), st.integers(0, 2))
+def test_square_free_probe_matches_exact_evaluation(f, var):
+    # the probe evaluates reductions mod p; evaluating over Q at the points
+    # it drew and reducing mod p must give the same values and verdict
+    g = f.derivative(var)
+    assume(f and g)
+    drawn, probed = [], []
+
+    class Recording(random.Random):
+        def randrange(self, *args):
+            drawn.append(super().randrange(*args))
+            return drawn[-1]
+
+    def spy(a, b, p):
+        probed.append((a, b))
+        return fp_resultant(a, b, p)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(curve_mod, "random", SimpleNamespace(Random=Recording))
+        mp.setattr(curve_mod, "fp_resultant", spy)
+        verdict = curve_mod._resultant_probe_nonzero(f, g, var)
+
+    others = [i for i in range(3) if i != var]
+    fc, gc = f.coeffs_by_power(var), g.coeffs_by_power(var)
+    p = curve_mod._ground(QQ, (*f.terms.values(), *g.terms.values()))[0]
+    exact, expected = False, []
+    for u, v in zip(drawn[::2], drawn[1::2]):
+        point = [rat(0)] * 3
+        point[others[0]], point[others[1]] = rat(u), rat(v)
+        av = [fp_reduce(c.evaluate(point), p) for c in fc]
+        bv = [fp_reduce(c.evaluate(point), p) for c in gc]
+        if av[-1] and bv[-1]:
+            expected.append((av, bv))
+            if fp_resultant(av, bv, p):
+                exact = True
+                break
+    assert (verdict, probed) == (exact, expected)
 
 
 def test_validate_cross_checks_declared_sings(proj5):

@@ -1,6 +1,7 @@
 """Every module-level function, class, method and constant of the package is
 named somewhere besides its own definition, in the sources, the tests or the
-benchmark."""
+benchmark; and every name a module of the package imports is used there or
+exported through its ``__all__``."""
 
 import ast
 import re
@@ -44,3 +45,28 @@ def test_every_definition_is_used():
                    if not (p == path and i == lineno)):
             unused.append(f"{path.name}:{lineno} {name}")
     assert not unused, "defined but never used: " + ", ".join(unused)
+
+
+def _exported(tree):
+    """The names listed in a module's ``__all__``."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            return {elt.value for elt in node.value.elts}
+    return set()
+
+
+def test_every_import_is_used():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        used |= _exported(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        unused.append(f"{path.name}:{node.lineno} {name}")
+    assert not unused, "imported but never used: " + ", ".join(unused)

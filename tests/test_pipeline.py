@@ -67,15 +67,29 @@ def test_map_degree_over_small_prime_field():
     assert all(d["prime"] == 101 for d in draws)
 
 
-def test_map_degree_modulus_too_small_is_typed():
-    # the resultants of the pencil (x^12 : y^12) have degree up to 84, so
-    # they need more evaluation points than F_67 has
-    fld = PrimeField(67)
+def _klein_power_pencil(e, fld):
     klein = validate_curve(parse_poly("x^3*y + y^3*z + z^3*x"), fld=fld)
-    pm = PencilMap(p=parse_poly("x^12").map_coeffs(fld.coerce),
-                   q=parse_poly("y^12").map_coeffs(fld.coerce), field=fld)
+    pm = PencilMap(p=parse_poly(f"x^{e}").map_coeffs(fld.coerce),
+                   q=parse_poly(f"y^{e}").map_coeffs(fld.coerce), field=fld)
+    return klein, pm
+
+
+def test_map_degree_modulus_too_small_is_typed():
+    # the resultants of the pencil (x^17 : y^17) with the quartic have
+    # Bezout degree 4 * 17 = 68, so they need 69 evaluation points, more
+    # than F_67 has
+    klein, pm = _klein_power_pencil(17, PrimeField(67))
     with pytest.raises(CurveUnsupported):
         map_degree(klein, pm)
+
+
+def test_map_degree_of_a_power_pencil_over_a_small_field():
+    # (x^12 : y^12) needs 4 * 12 + 1 = 49 of the 67 points of F_67; it is
+    # the 3:1 projection from (0:0:1) followed by t -> t^12
+    klein, pm = _klein_power_pencil(12, PrimeField(67))
+    deg, draws = map_degree(klein, pm)
+    assert deg == 36
+    assert {d["prime"] for d in draws} == {67}
 
 
 def test_map_degree_rejects_degenerate_pencils(klein):

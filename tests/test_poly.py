@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from trigonal import modular
 from trigonal.errors import CurveUnsupported, InvalidInput
 from trigonal.modular import (PRIME_WALK_START, fp_bivariate_table, fp_reduce,
                               fp_resultant, fp_resultant_keepvar, primes_below)
@@ -158,6 +159,50 @@ def test_fp_resultant_keepvar_matches_bareiss(data, p, scales):
     tf = fp_bivariate_table(f, f.degree_in(1), p)
     tg = fp_bivariate_table(g, g.degree_in(1), p)
     assert fp_resultant_keepvar(tf, tg, p) == _mod_p_coeffs(resultant(f, g, 1), p)
+
+
+@st.composite
+def dense_forms(draw, top):
+    """Dense f(x, y) of total degree 2-6: every monomial x^i y^j with
+    i + j <= d, and y^d with coefficient ``top`` times a nonzero integer."""
+    d = draw(st.integers(2, 6))
+    coeff = st.integers(-4, 4)
+    terms = {(i, j): rat(draw(coeff)) for i in range(d + 1) for j in range(d - i)}
+    terms[(0, d)] = rat(top * draw(st.sampled_from([1, -1, 2, -3])))
+    return MPoly(2, {e: c for e, c in terms.items() if c})
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.sampled_from([WALK_PRIME, 101]),
+       st.sampled_from([(1, 1), (101, 1), (1, 101)]))
+def test_fp_resultant_keepvar_matches_bareiss_at_full_total_degree(data, p, tops):
+    # differential at full total degree, where the Bezout bound D_a * D_b is
+    # half the per-variable bound 2 * D_a * D_b; a top of 101 makes the
+    # leading row vanish mod 101, so it is peeled before the bound is taken
+    f = data.draw(dense_forms(tops[0]))
+    g = data.draw(dense_forms(tops[1]))
+    tf = fp_bivariate_table(f, f.degree_in(1), p)
+    tg = fp_bivariate_table(g, g.degree_in(1), p)
+    assert fp_resultant_keepvar(tf, tg, p) == _mod_p_coeffs(resultant(f, g, 1), p)
+
+
+@pytest.mark.parametrize("da, db", [(2, 3), (4, 3), (6, 5)])
+def test_fp_resultant_keepvar_evaluates_monic_pairs_at_the_bezout_number(
+        monkeypatch, da, db):
+    # dense pairs monic in y: D_a * D_b + 1 points, each one Euclidean
+    # resultant, since no leading coefficient vanishes anywhere
+    calls = []
+
+    def spy(a, b, p):
+        calls.append(p)
+        return fp_resultant(a, b, p)
+
+    monkeypatch.setattr(modular, "fp_resultant", spy)
+    rng = random.Random(da * 10 + db)
+    tables = [[[rng.randrange(1, 101) for _ in range(d + 1 - j)] for j in range(d)] + [[1]]
+              for d in (da, db)]
+    assert fp_resultant_keepvar(*tables, 101)
+    assert len(calls) == da * db + 1
 
 
 def test_fp_resultant_keepvar_small_modulus_is_typed():
