@@ -234,8 +234,8 @@ def petri_test(qspace, g, counters=None):
     The cubic dimension is the count fixed by ``cubic_count``, which
     ``forms_through_image(..., 3)`` enforces on the computed space.  The
     span rank is exact over the field of the quadrics: the products go into
-    a sparse ``FpEchelon`` with no modulus, so the oracle takes no mod-p
-    step and needs no certificate.  ``counters``, when given, receives
+    a sparse ``FpEchelon`` with no modulus (on integer rows over Q), so the
+    oracle takes no mod-p step and needs no certificate.  ``counters``, when given, receives
     "rows" (products inserted), "rank" and "expected" (the cubic count).
     """
     if g < 4:

@@ -227,8 +227,8 @@ def _derivation_system(qspace, g, p):
     monos = qspace.monomials
     ech = FpEchelon(len(monos), p)
     for q in qspace.basis:
-        row = [fp_reduce(c, p) for c in q]
-        if None in row or not ech.add(row):
+        row = {j: fp_reduce(c, p) for j, c in enumerate(q) if c}
+        if None in row.values() or not ech.add(row):
             return None
     basis = ech.reduced()
     # modulo the span, x^t with t a pivot column is minus the rest of its row

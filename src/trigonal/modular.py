@@ -9,8 +9,9 @@ the fiber check reduce exact bivariate polynomials with
 with ``FpEchelon`` and lifts the kernel with ``rational_reconstruct`` and
 CRT.  ``FpEchelon`` stores sparse ``{column: value}`` rows, since the
 systems here have a handful of nonzeros per row; with no modulus it
-eliminates exactly over the field of its entries (inverses by ``sinv``),
-which is how the quadric-generation test takes its span rank.  The primes
+eliminates exactly, on primitive integer rows over Q and over the field of
+its entries otherwise, which is how the quadric-generation test takes its
+span rank.  The primes
 come from a fixed deterministic walk down from 2^61, so runs are
 reproducible.  The scan only discovers candidates mod p; every point it
 reports is verified exactly over the ground field by the caller.  The
@@ -21,9 +22,10 @@ ground field, and the nullity mod p bounds the true nullity from above.
 
 from bisect import insort
 from itertools import islice
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
-from .errors import CurveUnsupported, InvalidInput, LiftingFailed
+from .errors import (CurveUnsupported, InternalInvariantError, InvalidInput,
+                     LiftingFailed)
 from .intutil import is_prime
 from .scalars import QQ, FpElt, PrimeField, QuadExt, is_rational, rat, sinv
 
@@ -221,8 +223,7 @@ def fp_reduce(c, p, root=None):
         return None if b is None else (a + b * root) % p
     if not is_rational(c):
         raise InvalidInput(f"cannot reduce {c!r} mod p")
-    c = rat(c)
-    num, den = int(c.numerator), int(c.denominator)
+    num, den = c.numerator, c.denominator
     if den % p == 0:
         return None
     return num * pow(den, -1, p) % p
@@ -387,24 +388,76 @@ def fp_resultant_keepvar(a_coeffs, b_coeffs, p):
 
 # --- linear algebra mod p ----------------------------------------------------
 
+def _divide_content(row):
+    """Divide an integer row by the gcd of its entries, in place; returns
+    that gcd (1 for an empty row)."""
+    c = gcd(*row.values())
+    if c > 1:
+        for j in row:
+            row[j] //= c
+        return c
+    return 1
+
+
+def _cross_sub(row, other, lead):
+    """row <- a*row - b*other in place, with other[lead] and row[lead] over
+    their gcd as a and b, which clears column ``lead`` on integers; returns
+    a."""
+    a, b = other[lead], row[lead]
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    if a != 1:
+        for j in row:
+            row[j] *= a
+    get = row.get
+    for j, y in other.items():
+        v = get(j, 0) - b * y
+        if v:
+            row[j] = v
+        else:
+            del row[j]
+    return a
+
+
 class FpEchelon:
-    """Row echelon form, grown one row at a time: mod ``p``, or exactly over
-    the field of the entries when ``p`` is None.
+    """Row echelon form, grown one row at a time: mod ``p``, or exactly when
+    ``p`` is None.
 
     Rows are sparse ``{column: value}`` dicts that hold their nonzero entries
-    only; ``add`` and ``contains`` also take dense lists.  Each stored row
-    is normalized: its lowest column is its pivot, with value 1.  A new row
-    is reduced only until its lowest column is not a pivot, so a stored row
-    may keep entries at later pivot columns; ``reduced`` clears them.  The
-    pivot columns of an echelon basis depend only on the row space, so they
-    are the same whatever order the rows come in.
+    only; ``add``, ``contains`` and ``residue`` also take dense lists.  The
+    lowest column of a stored row is its pivot.  A new row is reduced only
+    until its lowest column is not a pivot, so a stored row may keep entries
+    at later pivot columns; ``reduced`` clears them.  The pivot columns of
+    an echelon basis depend only on the row space, so they are the same
+    whatever order the rows come in.
+
+    Rows are stored in one of three ways:
+
+    * mod p, as ints in [0, p) with pivot 1;
+    * exactly, when the first nonzero row the echelon sees has every entry
+      in Q (an int or a ``rat``), as integer rows: the denominators of a
+      row are cleared once and it is kept primitive (its entries have gcd
+      1) with a positive pivot, not normalized to 1.  A row with lead b at
+      a stored row's pivot a is reduced as row <- (a/g)*row - (b/g)*other,
+      g = gcd(a, b), and divided by its content: fraction-free elimination
+      (Bareiss, Math. Comp. 22, 1968), with primitive rows in place of his
+      exact division by the previous pivot.
+      ``add``, ``contains`` and ``rank`` make no rational; ``residue``
+      carries one rational scale and multiplies it out on return, and
+      ``reduced`` and ``kernel`` divide only at the end, so every value a
+      caller reads equals that of the elimination with pivots 1.  A row
+      with an entry outside Q raises ``InternalInvariantError`` here;
+    * exactly otherwise (an entry in Q(sqrt delta) or F_q), with the pivot
+      normalized to 1 by ``sinv``; rational entries are elements of that
+      field.
     """
 
     def __init__(self, ncols, p=None):
         self.ncols = ncols
         self.p = p
-        self.pivots = []     # increasing
-        self.rows = {}       # pivot column -> row
+        self.pivots = []        # increasing
+        self.rows = {}          # pivot column -> row
+        self.integral = None    # exactly: integer rows?  None until a row comes
 
     @property
     def rank(self):
@@ -415,9 +468,10 @@ class FpEchelon:
         return sum(map(len, self.rows.values()))
 
     def _sub(self, row, f, other):
-        """row -= f * other, in place.  Exactly, the entries that vanish are
-        dropped; mod p the entries are left unreduced, and ``_clean`` or the
-        lead test of ``residue`` reduces them."""
+        """row -= f * other, in place, for pivot-1 rows.  Exactly, the
+        entries that vanish are dropped; mod p the entries are left
+        unreduced, and ``_clean`` or the lead test of ``_reduce`` reduces
+        them."""
         get = row.get
         if self.p:
             for j, y in other.items():
@@ -435,13 +489,19 @@ class FpEchelon:
         p = self.p
         return {j: x % p for j, x in row.items() if x % p} if p else row
 
-    def residue(self, row):
-        """``row`` as a sparse row, reduced against the stored rows until it
-        is empty or its lowest column is not a pivot; mod p only that lowest
-        entry is reduced."""
-        p = self.p
+    def _reduce(self, row):
+        """``row`` reduced against the stored rows until it is empty or its
+        lowest column is not a pivot, as (rest, num, den): the residue is
+        rest * num / den, and num = den = 1 unless the rows are integral.
+        Mod p only the lowest entry of rest is reduced."""
         row = {j: x for j, x in (row.items() if isinstance(row, dict)
                                  else enumerate(row)) if x}
+        p = self.p
+        if not p and row:
+            if self.integral is None:
+                self.integral = all(map(is_rational, row.values()))
+            if self.integral:
+                return self._reduce_integral(row)
         while row:
             lead = min(row)
             f = row[lead] % p if p else row[lead]
@@ -453,56 +513,102 @@ class FpEchelon:
                 break
             self._sub(row, f, other)
             row.pop(lead, None)
-        return row
+        return row, 1, 1
+
+    def _reduce_integral(self, row):
+        """``_reduce`` on integer rows: the denominators of ``row`` are
+        cleared, and the rest is primitive."""
+        den, plain = 1, True
+        for x in row.values():
+            if type(x) is not int:
+                if not is_rational(x):
+                    raise InternalInvariantError(
+                        f"entry {x!r} outside Q in an echelon of rational rows")
+                plain = False
+                den = lcm(den, x.denominator)
+        if not plain:
+            row = {j: x.numerator * (den // x.denominator) for j, x in row.items()}
+        num = _divide_content(row)
+        rows = self.rows
+        while row:
+            lead = min(row)
+            other = rows.get(lead)
+            if other is None:
+                break
+            den *= _cross_sub(row, other, lead)
+            num *= _divide_content(row)
+        return row, num, den
+
+    def residue(self, row):
+        """``row`` as a sparse row, reduced against the stored rows until it
+        is empty or its lowest column is not a pivot; mod p only that lowest
+        entry is reduced."""
+        rest, num, den = self._reduce(row)
+        if num == den == 1:
+            return rest
+        return {j: rat(x * num, den) for j, x in rest.items()}
 
     def contains(self, row):
-        return not self.residue(row)
+        return not self._reduce(row)[0]
 
     def add(self, row):
         """Reduce ``row`` against the stored rows and keep what is left when
         it is nonzero; returns True when the rank grew."""
-        row = self.residue(row)
+        row = self._reduce(row)[0]
         if not row:
             return False
         lead = min(row)
         p = self.p
-        inv = pow(row[lead], -1, p) if p else sinv(row[lead])
-        self.rows[lead] = self._clean({j: x * inv for j, x in row.items()})
+        if p:
+            inv = pow(row[lead], -1, p)
+            row = self._clean({j: x * inv for j, x in row.items()})
+        elif self.integral:
+            if row[lead] < 0:
+                row = {j: -x for j, x in row.items()}
+        else:
+            inv = sinv(row[lead])
+            row = {j: x * inv for j, x in row.items()}
+        self.rows[lead] = row
         insort(self.pivots, lead)
         return True
 
     def reduced(self):
-        """The stored rows in reduced echelon form, in pivot order."""
+        """The stored rows in reduced echelon form with pivot 1, in pivot
+        order."""
+        integral = self.integral
         done = {}
         for c in reversed(self.pivots):
             row = dict(self.rows[c])
             # the rows in done are 0 at every pivot but their own
             for c2 in [j for j in row if j != c and j in done]:
-                self._sub(row, row[c2], done[c2])
+                if integral:
+                    _cross_sub(row, done[c2], c2)
+                else:
+                    self._sub(row, row[c2], done[c2])
+            if integral:
+                _divide_content(row)
             done[c] = self._clean(row)
+        if integral:
+            return [{j: rat(x, done[c][c]) for j, x in done[c].items()}
+                    for c in self.pivots]
         return [done[c] for c in self.pivots]
 
     def kernel(self):
-        """Kernel basis as dense lists, by back substitution: one vector per
-        free column, 1 there and 0 at the other free columns."""
+        """Kernel basis as dense lists, read off the reduced rows: one vector
+        per free column, 1 there and 0 at the other free columns."""
         p = self.p
+        reduced = list(zip(self.pivots, self.reduced()))
         basis = []
         for f in range(self.ncols):
             if f in self.rows:
                 continue
-            v = {f: 1}
-            for c in reversed(self.pivots):
-                # row c is 0 before c and v[c] is still unset, so the dot
-                # product sums over the columns after c
-                s = -sum(x * v[j] for j, x in self.rows[c].items() if j in v)
-                if p:
-                    s %= p
-                if s:
-                    v[c] = s
-            dense = [0] * self.ncols
-            for j, x in v.items():
-                dense[j] = x
-            basis.append(dense)
+            v = [0] * self.ncols
+            v[f] = 1
+            for c, row in reduced:
+                x = row.get(f)
+                if x:
+                    v[c] = (-x) % p if p else -x
+            basis.append(v)
         return basis
 
 

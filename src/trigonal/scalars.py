@@ -23,7 +23,8 @@ try:
 except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
     rat = Fraction
 
-_RAT_TYPES = (int, type(rat(0)), Fraction)
+_RAT = type(rat(0))
+_RAT_TYPES = (int, _RAT, Fraction)
 
 
 def is_rational(x):
@@ -297,6 +298,8 @@ class RationalField:
         return rat(1)
 
     def coerce(self, x):
+        if type(x) is _RAT:
+            return x
         if is_rational(x):
             return rat(x)
         if isinstance(x, QuadExt) and not x.b:

@@ -71,8 +71,9 @@ def weight_chains(triple, g):
     total = 0
     for lam in range(g, -g - 1, -1):
         lam_c = fld.coerce(lam)
-        rows = [[h[i, j] - (lam_c if i == j else fld.zero()) for j in range(g)]
-                for i in range(g)]
+        rows = h.to_rows()
+        for i in range(g):
+            rows[i][i] = rows[i][i] - lam_c
         vecs = kernel_basis(rows)
         if vecs:
             eig[lam] = vecs

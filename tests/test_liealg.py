@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trigonal import liealg, linalg, modular
-from trigonal.canonical import FormSpace, adjoint_basis, forms_through_image, monomials
+from trigonal.canonical import (FormSpace, adjoint_basis, forms_through_image,
+                                monomials, petri_test)
 from trigonal.errors import InternalInvariantError, InvalidInput, NotSl2
 from trigonal.liealg import (Case, LieAlg, classify, killing_form, levi,
                              radical, split_sl2, split_two_ideals,
@@ -283,6 +284,34 @@ def test_structure_theory_forms_no_matrix_product(proj5, monkeypatch):
     assert triple.check()
     assert alg.dim > sem.dim == 3
     assert calls == []
+
+
+def test_exact_echelons_over_q_invert_no_pivot(proj5, monkeypatch):
+    """Over Q the span rank of petri_test, the stabilizes certificate, the
+    solution echelons and the Lie coordinates run on integer rows: the
+    echelon never inverts a pivot.  A row over Q(sqrt 2) still does."""
+    q = forms_through_image(proj5, adjoint_basis(proj5), 2)
+    calls, certified = [], []
+    real_sinv, real_kernel = modular.sinv, liealg.certified_kernel
+
+    def sinv(b):
+        calls.append(b)
+        return real_sinv(b)
+
+    def kernel(ncols, system, certify, *args, **kwargs):
+        def spied(vecs):
+            certified.append(certify(vecs))
+            return certified[-1]
+        return real_kernel(ncols, system, spied, *args, **kwargs)
+
+    monkeypatch.setattr(modular, "sinv", sinv)
+    monkeypatch.setattr(liealg, "certified_kernel", kernel)
+    petri_test(q, proj5.genus)
+    alg = stabilizer_algebra(q, proj5.genus)
+    assert alg.dim > 0 and certified == [True]
+    assert calls == []
+    modular.FpEchelon(2).add([QuadraticField(2).coerce(3), 1])
+    assert len(calls) == 1
 
 
 def _unit(n, i, j):

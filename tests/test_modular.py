@@ -2,18 +2,22 @@
 Fraction kernel, and the reconstruction bound it lifts with."""
 
 from itertools import islice
+from math import gcd
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from trigonal.linalg import RowSpace, kernel_basis, rank
 from trigonal.modular import (PRIME_WALK_START, FpEchelon, certified_kernel,
                               fp_reduce, primes_below, rational_reconstruct,
                               recon_bound)
-from trigonal.scalars import QQ, FpElt, PrimeField, rat
+from trigonal.errors import InternalInvariantError
+from trigonal.scalars import QQ, FpElt, PrimeField, QuadExt, QuadraticField, rat
 
 WALK = list(islice(primes_below(PRIME_WALK_START), 4))
 P0 = WALK[0]
 FQ = PrimeField(101)
+QQ2 = QuadraticField(2)
 SETTINGS = settings(max_examples=60)
 
 
@@ -126,15 +130,43 @@ def _sparse_rows(entry):
                  min_size=1, max_size=8)))
 
 
+class _PivotOneEchelon:
+    """Reference: the exact elimination with pivots 1, one row at a time, on
+    the values ``lift`` gives (``rat``, ``QuadExt`` or ``FpElt``)."""
+
+    def __init__(self, lift):
+        self.lift = lift
+        self.rows = {}
+
+    def residue(self, row):
+        row = {j: self.lift(x) for j, x in row.items() if self.lift(x)}
+        while row and min(row) in self.rows:
+            f = row[min(row)]
+            for j, y in self.rows[min(row)].items():
+                row[j] = row.get(j, 0) - f * y
+            row = {j: x for j, x in row.items() if x}
+        return row
+
+    def add(self, row):
+        row = self.residue(row)
+        if row:
+            lead = row[min(row)]
+            self.rows[min(row)] = {j: x / lead for j, x in row.items()}
+
+
 def _check_echelon(ncols, rows, p, lift, order):
     """FpEchelon mod p (exactly when p is None) against rank and
     kernel_basis of the dense rows over the field that ``lift`` maps into;
-    a second insertion order gives the same pivots, reduced rows and
-    kernel."""
+    each row's residue before it goes in has the values of the elimination
+    with pivots 1; a second insertion order gives the same pivots, reduced
+    rows and kernel."""
     dense = [[lift(r.get(j, 0)) for j in range(ncols)] for r in rows]
-    ech = FpEchelon(ncols, p)
+    ech, ref = FpEchelon(ncols, p), _PivotOneEchelon(lift)
     for r in rows:
+        res = ech.residue(r)
+        assert {j: lift(x) for j, x in res.items() if lift(x)} == ref.residue(r)
         ech.add(r)
+        ref.add(r)
     assert ech.rank == rank(dense)
     kern = [[lift(x) for x in v] for v in ech.kernel()]
     assert len(kern) == ncols - ech.rank
@@ -152,13 +184,67 @@ def _check_echelon(ncols, rows, p, lift, order):
     assert again.kernel() == ech.kernel()
     for r in rows:
         assert again.contains(r)
+    return ech
+
+
+def _assert_integer_rows(ech):
+    """Exactly over Q the stored rows are primitive integer rows with a
+    positive pivot."""
+    assert ech.integral is not False
+    for c, row in ech.rows.items():
+        assert all(type(x) is int for x in row.values())
+        assert gcd(*row.values()) == 1 and row[c] > 0
 
 
 @SETTINGS
 @given(_sparse_rows(RATIONALS), st.data())
 def test_sparse_echelon_matches_dense_elimination_exactly(m, data):
     ncols, rows = m
-    _check_echelon(ncols, rows, None, rat, data.draw(st.permutations(rows)))
+    ech = _check_echelon(ncols, rows, None, rat, data.draw(st.permutations(rows)))
+    _assert_integer_rows(ech)
+
+
+# large coprime denominators (primes near 2^61 and 10^9), mixed with ints
+LARGE_RATIONALS = st.one_of(
+    st.integers(-9, 9),
+    st.builds(rat, st.integers(-10 ** 20, 10 ** 20),
+              st.sampled_from([P0, WALK[1], 10 ** 9 + 7, 10 ** 9 + 9, 3 ** 40])))
+
+
+@SETTINGS
+@given(_sparse_rows(LARGE_RATIONALS), st.data())
+def test_sparse_echelon_with_large_denominators_and_ints(m, data):
+    ncols, rows = m
+    ech = _check_echelon(ncols, rows, None, rat, data.draw(st.permutations(rows)))
+    _assert_integer_rows(ech)
+
+
+SQRT2 = st.builds(lambda a, b: QuadExt(a, b, 2), st.integers(-5, 5), st.integers(-3, 3))
+
+
+@SETTINGS
+@given(_sparse_rows(SQRT2), st.data())
+def test_sparse_echelon_over_q_sqrt2_takes_the_field_path(m, data):
+    ncols, rows = m
+    ech = _check_echelon(ncols, rows, None, lambda x: QQ2.coerce(x),
+                         data.draw(st.permutations(rows)))
+    assert ech.integral is not True
+    for row in ech.rows.values():
+        assert row[min(row)] == 1
+
+
+def test_echelon_of_rational_rows_refuses_a_row_outside_q():
+    ech = FpEchelon(3)
+    ech.add({0: rat(1, 2), 2: 3})
+    with pytest.raises(InternalInvariantError):
+        ech.add({1: QuadExt(1, 1, 2)})
+    with pytest.raises(InternalInvariantError):
+        ech.contains([0, FpElt(1, FQ.p), 0])
+    # a field echelon takes rationals as elements of its field
+    field = FpEchelon(3)
+    field.add({0: QuadExt(0, 1, 2)})
+    assert field.contains([3, 0, 0])
+    assert field.residue({0: 2, 1: rat(1, 3)}) == {1: rat(1, 3)}
 
 
 @SETTINGS

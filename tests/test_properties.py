@@ -65,6 +65,17 @@ def two_node_report(two_node_quintic):
     return decide(two_node_quintic, seed=23)
 
 
+@settings(max_examples=4)
+@given(STEPS, SCALES)
+def test_petri_counters_are_invariant(five_nodal_sextic, steps, scale):
+    """The exact span rank of the Petri products, and the counts around it,
+    do not move under a unimodular change of coordinates and a scaling."""
+    base = decide(five_nodal_sextic, seed=23)
+    moved = validate_curve(_transform(five_nodal_sextic.f, _unimodular(steps))
+                           .map_coeffs(lambda c: scale * c))
+    assert decide(moved, seed=23).counters["petri"] == base.counters["petri"]
+
+
 @settings(max_examples=8)
 @given(STEPS, SCALES)
 def test_scroll_decision_is_invariant(proj5, proj5_report, steps, scale):
