@@ -5,10 +5,10 @@ The adjoint space (degree d-3 forms vanishing to order m-1 at each
 multiplicity-m point) realizes the canonical map into P^{g-1}.  Quadrics
 (and, for tests, cubics) through the image are computed as kernel relations
 among products of the adjoint forms modulo multiples of the curve -- pure
-linear algebra, no point sampling and no elimination.  The decision path
-never builds the cubic space: for a non-hyperelliptic canonical curve Max
-Noether's theorem fixes its dimension, and the quadric-generation test
-compares against that count.
+linear algebra on the exact ``FpEchelon``, with no point sampling and no
+variable elimination.  The decision path never builds the cubic space: for
+a non-hyperelliptic canonical curve Max Noether's theorem fixes its
+dimension, and the quadric-generation test compares against that count.
 """
 
 import enum
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import (AdjointDimensionMismatch, InvalidInput,
                      UnexpectedDimension)
-from .linalg import RowSpace, kernel_basis
+from .linalg import kernel_basis
 from .modular import FpEchelon
 from .poly import MPoly, local_expansion
 from .scalars import rat
@@ -74,10 +74,10 @@ class FormSpace:
         return len(self.basis)
 
     def row_space(self):
-        rs = RowSpace(len(self.monomials))
+        span = FpEchelon(len(self.monomials))
         for vec in self.basis:
-            rs.add(list(vec))
-        return rs
+            span.add(vec)
+        return span
 
 
 def adjoint_basis(curve):
@@ -146,7 +146,11 @@ def expand_in_adjoints(vec, monos, cm):
 
 def forms_through_image(curve, cm, k):
     """Space of degree-k forms in g variables vanishing on the canonical
-    image: kernel relations among adjoint products modulo multiples of f."""
+    image: kernel relations among adjoint products modulo multiples of f.
+
+    The relations are the kernel of one exact ``FpEchelon`` over the
+    products and the multiples of f; the span of their parts on the
+    products, in reduced echelon form, is the basis."""
     if k not in (2, 3):
         raise InvalidInput("only quadrics and cubics are supported")
     g = cm.genus
@@ -155,38 +159,31 @@ def forms_through_image(curve, cm, k):
     amb = monomials(g, k)
     target = monomials(3, big)
     tindex = {m: i for i, m in enumerate(target)}
-    nrows = len(target)
 
     power = _power_cache(cm.forms)
-    cols = []
+    rows = [{} for _ in target]
+    products = []
     for mono in amb:
         prod = MPoly.const(3, 1)
         for i, e in enumerate(mono):
             if e:
                 prod = prod * power(i, e)
-        col = [0] * nrows
-        for e, c in prod.terms.items():
-            col[tindex[e]] = c
-        cols.append(col)
-    nf = 0
+        products.append(prod)
     if big - d >= 0:
-        for beta in monomials(3, big - d):
-            prod = curve.f * MPoly.monomial(3, beta, rat(1) if curve.field.char == 0
-                                            else curve.field.one())
-            col = [0] * nrows
-            for e, c in prod.terms.items():
-                col[tindex[e]] = c
-            cols.append(col)
-            nf += 1
+        one = rat(1) if curve.field.char == 0 else curve.field.one()
+        products += [curve.f * MPoly.monomial(3, beta, one)
+                     for beta in monomials(3, big - d)]
+    for col, prod in enumerate(products):
+        for e, c in prod.terms.items():
+            rows[tindex[e]][col] = c
 
-    matrix_rows = [[col[r] for col in cols] for r in range(nrows)]
-    kern = kernel_basis(matrix_rows, reduced=False)
-    proj = RowSpace(len(amb))
-    for vec in kern:
-        proj.add(vec[:len(amb)])
+    ech = FpEchelon(len(products))
+    for row in rows:
+        ech.add(row)
     fld = curve.field
-    basis = [[fld.coerce(x) if isinstance(x, int) and x else x for x in vec]
-             for vec in proj.basis()]
+    basis = [[fld.coerce(x) if isinstance(x, int) and x else x
+              for x in (row.get(j, 0) for j in range(len(amb)))]
+             for row in ech.reduced_kernel(len(amb))]
 
     dim = len(basis)
     if k == 2:

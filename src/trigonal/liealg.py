@@ -8,7 +8,9 @@ are solved mod p by ``modular.certified_kernel`` and lifted to a basis that
 is verified exactly.  ``LieAlg`` keeps its basis matrices by their nonzero
 entries: brackets are sparse products, coordinates come from one exact
 echelon over the basis, and every bracket must reduce to zero there.  The
-structure theory is exact linear algebra on the structure constants.
+structure theory is exact linear algebra on the structure constants, on
+``FpEchelon`` with no modulus: spans and memberships on its rows, residuals
+and solutions read off its reduced rows.
 """
 
 import enum
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 from .errors import (InternalInvariantError, InvalidInput, LiftingFailed,
                      NotSl2, SplitFailedOverExtension, UnexpectedDimension)
-from .linalg import Mat, RowSpace, kernel_basis, solve
+from .linalg import Mat, kernel_basis
 from .modular import FpEchelon, certified_kernel, fp_reduce
 from .scalars import (QQ, QuadExt, QuadraticField, rat, rational_square_split,
                       sqrt_rational)
@@ -222,7 +224,7 @@ def _derivation_system(qspace, g, p):
     it keeps the stored rows sparse.  On the smooth sextics (g = 10) the
     natural order leaves 34.7 of 100 nonzeros per stored row and the
     reversed one 11.4; the elimination takes 0.082 s and 0.007 s (Python
-    3.11, 2-CPU host), where the dense elimination took 0.086 s.
+    3.11, 2-CPU host).
     """
     monos = qspace.monomials
     ech = FpEchelon(len(monos), p)
@@ -328,12 +330,46 @@ def killing_form(alg):
     return Mat(dim, dim, ent, fld)
 
 
+def _dense(rows, ncols):
+    """Sparse rows as dense lists, 0 where a row has no entry."""
+    return [[r.get(j, 0) for j in range(ncols)] for r in rows]
+
+
+def _residual(reduced, vec):
+    """vec - sum of vec[c] * row over the (pivot c, row) pairs of a reduced
+    echelon form: the canonical residual, 0 at every pivot."""
+    out = list(vec)
+    for c, row in reduced:
+        x = vec[c]
+        if x:
+            for j, y in row.items():
+                out[j] = out[j] - x * y
+    return out
+
+
+def _solve(rows, rhs):
+    """One solution x of rows . x = rhs, read off the reduced echelon form of
+    the augmented rows with the free unknowns 0, or None when the system is
+    inconsistent."""
+    n = len(rows[0])
+    aug = FpEchelon(n + 1)
+    for row, b in zip(rows, rhs):
+        aug.add(list(row) + [b])
+    if n in aug.pivots:
+        return None
+    x = [0] * n
+    for c, row in zip(aug.pivots, aug.reduced()):
+        x[c] = row.get(n, 0)
+    return x
+
+
 def derived_space(alg):
-    rs = RowSpace(alg.dim)
+    """The derived algebra [L, L] as an exact echelon over the coordinates."""
+    span = FpEchelon(alg.dim)
     for i in range(alg.dim):
         for j in range(i + 1, alg.dim):
-            rs.add(list(alg.sc[i][j]))
-    return rs
+            span.add(alg.sc[i][j])
+    return span
 
 
 def radical(alg):
@@ -346,10 +382,10 @@ def radical(alg):
         return []
     kappa = killing_form(alg)
     der = derived_space(alg)
-    if der.dim == 0:
+    if der.rank == 0:
         return [[alg.field.one() if i == j else alg.field.zero()
                  for i in range(dim)] for j in range(dim)]
-    rows = [kappa.apply(d) for d in der.basis()]
+    rows = [kappa.apply(d) for d in _dense(der.reduced(), dim)]
     return kernel_basis(rows)
 
 
@@ -363,8 +399,11 @@ def levi(alg):
     fld = alg.field
     if len(rad) == dim:
         return LieAlg(alg.n, [], fld)
-    radspace = RowSpace(dim, rows=[list(v) for v in rad])
-    comp_idx = [c for c in range(dim) if c not in set(radspace.pivots())]
+    radspace = FpEchelon(dim)
+    for v in rad:
+        radspace.add(v)
+    comp_idx = [c for c in range(dim) if c not in set(radspace.pivots)]
+    rad_rows = list(zip(radspace.pivots, radspace.reduced()))
     rc = len(comp_idx)
     cur = []
     for c in comp_idx:
@@ -376,34 +415,32 @@ def levi(alg):
     for a in range(rc):
         for b in range(rc):
             br = alg.bracket_coords(cur[a], cur[b])
-            _, res = radspace.reduce(br)
+            res = _residual(rad_rows, br)
             gamma[a][b] = [res[ci] for ci in comp_idx]
-    # derived series of the radical
-    chain = [radspace]
-    while chain[-1].dim > 0:
-        prev = chain[-1]
-        nxt = RowSpace(dim)
-        pb = prev.basis()
+    # derived series of the radical, each term by its reduced rows
+    chain = [rad_rows]
+    while chain[-1]:
+        pb = _dense((row for _, row in chain[-1]), dim)
+        nxt = FpEchelon(dim)
         for i in range(len(pb)):
             for j in range(i + 1, len(pb)):
                 nxt.add(alg.bracket_coords(pb[i], pb[j]))
-        if nxt.dim >= prev.dim:
+        if nxt.rank >= len(pb):
             raise LiftingFailed("the radical is not solvable; upstream bug")
-        chain.append(nxt)
+        chain.append(list(zip(nxt.pivots, nxt.reduced())))
         if len(chain) > dim + 2:
             raise LiftingFailed("derived series fails to terminate")
 
     for k in range(len(chain) - 1):
-        nk, nk1 = chain[k], chain[k + 1]
-        nb = nk.basis()
+        nk_rows, nk1_rows = chain[k], chain[k + 1]
+        nb = _dense((row for _, row in nk_rows), dim)
         nt = len(nb)
         if nt == 0:
             break
         nunk = rc * nt
 
         def red(vec):
-            _, res = nk1.reduce(vec)
-            return res
+            return _residual(nk1_rows, vec)
 
         rows = []
         rhs = []
@@ -414,7 +451,7 @@ def levi(alg):
                     gab = gamma[a][b][c]
                     if gab:
                         defect = [dv - gab * cv for dv, cv in zip(defect, cur[c])]
-                if not nk.contains(defect):
+                if any(_residual(nk_rows, defect)):
                     raise LiftingFailed("defect left the expected radical layer")
                 coefvecs = [[fld.zero()] * dim for _ in range(nunk)]
                 for t in range(nt):
@@ -439,7 +476,7 @@ def levi(alg):
                         rhs.append(-dred[l] if dred[l] else fld.zero())
         if not rows:
             continue
-        w = solve(rows, rhs)
+        w = _solve(rows, rhs)
         if w is None:
             raise LiftingFailed("Levi correction system is inconsistent")
         for a in range(rc):
@@ -481,20 +518,21 @@ def split_two_ideals(s):
             f"centroid has dimension {len(cent)}; expected 2")
     ident = [fld.one() if i % (dim + 1) == 0 else fld.zero()
              for i in range(dim * dim)]
-    idspace = RowSpace(dim * dim, rows=[ident])
+    idspace = FpEchelon(dim * dim)
+    idspace.add(ident)
     psi_vec = None
     for v in cent:
-        if not idspace.contains(list(v)):
-            psi_vec = list(v)
+        if not idspace.contains(v):
+            psi_vec = v
             break
     if psi_vec is None:
         raise UnexpectedDimension("centroid degenerates to scalars")
     psi = Mat(dim, dim, [fld.coerce(x) if x else fld.zero() for x in psi_vec], fld)
     psi2 = psi * psi
-    coords = solve([[i, pv] for i, pv in zip(ident, psi_vec)], list(psi2.entries))
+    coords = _solve([[i, pv] for i, pv in zip(ident, psi_vec)], psi2.entries)
     if coords is None:
         raise UnexpectedDimension("centroid is not quadratic over the base field")
-    a, b = coords
+    a, b = (fld.coerce(x) for x in coords)
     disc = b * b + 4 * a
     if not disc:
         raise UnexpectedDimension("centroid is not etale; unexpected input")
@@ -523,15 +561,15 @@ def split_two_ideals(s):
     proj = (psi - Mat.identity(dim, wfld).scale(lam2)).scale(scalefac)
     ideals = []
     for projector in (proj, Mat.identity(dim, wfld) - proj):
-        img = RowSpace(dim)
+        img = FpEchelon(dim)
         for j in range(dim):
             unit = [wfld.zero()] * dim
             unit[j] = wfld.one()
             img.add(projector.apply(unit))
-        if img.dim != 3:
+        if img.rank != 3:
             raise UnexpectedDimension(
-                f"centroid idempotent has rank {img.dim}; expected 3")
-        ideals.append(work.subalgebra(img.basis()))
+                f"centroid idempotent has rank {img.rank}; expected 3")
+        ideals.append(work.subalgebra(_dense(img.reduced(), dim)))
     ideals.sort(key=lambda alg: tuple(str(e) for b in alg.basis for e in b.entries))
     return ideals[0], ideals[1]
 

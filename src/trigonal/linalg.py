@@ -1,16 +1,18 @@
-"""Dense exact linear algebra over the scalar fields.
+"""Dense exact matrices over the scalar fields, and the dense-list entry
+point to the package's elimination engine.
 
-Everything is plain Gaussian elimination with deterministic pivoting (first
-nonzero entry in row order), so identical inputs give byte-identical bases.
-Integer 0 is used as the zero sentinel inside work rows; scalar classes all
-interoperate with it.
+``Mat`` is an immutable dense matrix.  ``kernel_basis`` takes dense rows,
+hands them to ``modular.FpEchelon`` with no modulus and returns the kernel
+as dense lists in reduced echelon form, which depends only on the kernel, so
+identical inputs give byte-identical bases.  Integer 0 stands for the zero
+of any field; scalar classes all interoperate with it.
 """
 
 from .errors import InvalidInput
-from .scalars import QQ, common_field, sinv
+from .modular import FpEchelon
+from .scalars import QQ, common_field
 
-__all__ = ["Mat", "rref", "rank", "kernel_basis", "solve", "inverse",
-           "mat_det", "RowSpace"]
+__all__ = ["Mat", "kernel_basis"]
 
 
 class Mat:
@@ -145,214 +147,15 @@ class Mat:
         return f"Mat({self.rows}x{self.cols}: {body})"
 
 
-def _as_work_rows(m):
-    if isinstance(m, Mat):
-        return [list(r) for r in m.to_rows()], m.cols
-    rows = [list(r) for r in m]
-    cols = len(rows[0]) if rows else 0
-    if any(len(r) != cols for r in rows):
+def kernel_basis(m):
+    """Basis of the right null space of a ``Mat`` or a list of dense rows,
+    in reduced echelon form: rank + len(result) == cols.  The rows go into
+    an exact ``FpEchelon``, whose ``reduced_kernel`` is the basis."""
+    rows = m.to_rows() if isinstance(m, Mat) else m
+    ncols = len(rows[0]) if rows else 0
+    if any(len(r) != ncols for r in rows):
         raise InvalidInput("ragged rows")
-    return rows, cols
-
-
-def _rref_rows(rows, cols):
-    """In-place reduced row echelon form; returns pivot column list."""
-    pivots = []
-    r = 0
-    nrows = len(rows)
-    for c in range(cols):
-        pr = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = sinv(rows[r][c])
-        row_r = rows[r]
-        if inv != 1:
-            for j in range(c, cols):
-                if row_r[j]:
-                    row_r[j] = row_r[j] * inv
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                ri = rows[i]
-                for j in range(c, cols):
-                    if row_r[j]:
-                        ri[j] = ri[j] - f * row_r[j]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return pivots
-
-
-def rref(m):
-    """Reduced row echelon form: returns (rows, pivot_columns)."""
-    rows, cols = _as_work_rows(m)
-    pivots = _rref_rows(rows, cols)
-    return rows[:len(pivots)], pivots
-
-
-def rank(m):
-    """Exact rank over the entries' field."""
-    _, pivots = rref(m)
-    return len(pivots)
-
-
-def kernel_basis(m, reduced=True):
-    """Basis of the right null space.
-
-    rank + len(result) == cols.  With reduced=True (the default) the result
-    is additionally brought to reduced echelon form, making it canonical.
-    """
-    rows, cols = _as_work_rows(m)
-    pivots = _rref_rows(rows, cols)
-    pivset = set(pivots)
-    free = [c for c in range(cols) if c not in pivset]
-    vecs = []
-    for fc in free:
-        v = [0] * cols
-        v[fc] = 1
-        for i, pc in enumerate(pivots):
-            if rows[i][fc]:
-                v[pc] = -rows[i][fc]
-        vecs.append(v)
-    if vecs and reduced:
-        _rref_rows(vecs, cols)
-    return vecs
-
-
-def solve(m, b):
-    """One exact solution x of m x = b, or None if inconsistent."""
-    rows, cols = _as_work_rows(m)
-    aug = [r + [bv] for r, bv in zip(rows, b)]
-    pivots = _rref_rows(aug, cols + 1)
-    if cols in pivots:
-        return None
-    x = [0] * cols
-    for i, pc in enumerate(pivots):
-        x[pc] = aug[i][cols]
-    return x
-
-
-def inverse(m):
-    if m.rows != m.cols:
-        raise InvalidInput("inverse of a non-square matrix")
-    n = m.rows
-    rows = m.to_rows()
-    ident = Mat.identity(n, m.field).to_rows()
-    aug = [r + e for r, e in zip(rows, ident)]
-    pivots = _rref_rows(aug, 2 * n)
-    if pivots[:n] != list(range(n)):
-        raise InvalidInput("matrix is singular")
-    inv_rows = [r[n:] for r in aug[:n]]
-    return Mat.from_rows(inv_rows, m.field)
-
-
-def mat_det(m):
-    """Exact determinant via elimination (deterministic pivoting)."""
-    if m.rows != m.cols:
-        raise InvalidInput("determinant of a non-square matrix")
-    rows = m.to_rows()
-    n = m.rows
-    det = m.field.one()
-    for c in range(n):
-        pr = None
-        for i in range(c, n):
-            if rows[i][c]:
-                pr = i
-                break
-        if pr is None:
-            return m.field.zero()
-        if pr != c:
-            rows[c], rows[pr] = rows[pr], rows[c]
-            det = -det
-        det = det * rows[c][c]
-        inv = sinv(rows[c][c])
-        for i in range(c + 1, n):
-            if rows[i][c]:
-                f = rows[i][c] * inv
-                for j in range(c, n):
-                    if rows[c][j]:
-                        rows[i][j] = rows[i][j] - f * rows[c][j]
-    return det
-
-
-class RowSpace:
-    """Incrementally built row space with exact membership/reduction.
-
-    Rows are kept fully reduced against each other (RREF order by pivot
-    column), so reduce() returns a canonical residual.
-    """
-
-    def __init__(self, ncols, rows=None):
-        self.ncols = ncols
-        self._rows = []       # (pivot_col, row)
-        if rows is not None:
-            for r in rows:
-                self.add(list(r))
-
-    @property
-    def dim(self):
-        return len(self._rows)
-
-    def reduce(self, vec):
-        """Reduce vec against the space; returns (coords, residual).
-
-        coords[i] is the coefficient of stored row i used in the reduction.
-        """
-        vec = list(vec)
-        coords = [0] * len(self._rows)
-        for i, (pc, row) in enumerate(self._rows):
-            c = vec[pc]
-            if c:
-                coords[i] = c
-                for j in range(pc, self.ncols):
-                    if row[j]:
-                        vec[j] = vec[j] - c * row[j]
-        return coords, vec
-
-    def contains(self, vec):
-        _, res = self.reduce(vec)
-        return not any(res)
-
-    def add(self, vec):
-        """Insert vec; returns True if the dimension grew."""
-        _, res = self.reduce(vec)
-        pc = None
-        for j, x in enumerate(res):
-            if x:
-                pc = j
-                break
-        if pc is None:
-            return False
-        inv = sinv(res[pc])
-        if inv != 1:
-            res = [x * inv if x else x for x in res]
-        # keep previously stored rows reduced against the new pivot
-        for _, row in self._rows:
-            c = row[pc]
-            if c:
-                for j in range(pc, self.ncols):
-                    if res[j]:
-                        row[j] = row[j] - c * res[j]
-        self._rows.append((pc, res))
-        self._rows.sort(key=lambda t: t[0])
-        return True
-
-    def basis(self):
-        return [list(r) for _, r in self._rows]
-
-    def pivots(self):
-        return [pc for pc, _ in self._rows]
-
-    def equals(self, other):
-        if not isinstance(other, RowSpace) or other.ncols != self.ncols:
-            return False
-        if other.dim != self.dim or other.pivots() != self.pivots():
-            return False
-        return all(all(x == y for x, y in zip(a, b))
-                   for a, b in zip(self.basis(), other.basis()))
+    ech = FpEchelon(ncols)
+    for r in rows:
+        ech.add(r)
+    return [[r.get(j, 0) for j in range(ncols)] for r in ech.reduced_kernel(ncols)]

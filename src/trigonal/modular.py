@@ -1,6 +1,6 @@
-"""Modular helpers: the singular-locus scan, the fiber-degree check, the
-certified kernels of the stabilizer algebra and the sparse echelon form
-they run on.
+"""Modular helpers and the package's one elimination engine: the
+singular-locus scan, the fiber-degree check, the certified kernels of the
+stabilizer algebra and the sparse echelon form ``FpEchelon``.
 
 Polynomials mod p are plain int lists, lowest degree first.  The scan and
 the fiber check reduce exact bivariate polynomials with
@@ -8,16 +8,17 @@ the fiber check reduce exact bivariate polynomials with
 ``fp_resultant_keepvar``.  ``certified_kernel`` solves a linear system mod p
 with ``FpEchelon`` and lifts the kernel with ``rational_reconstruct`` and
 CRT.  ``FpEchelon`` stores sparse ``{column: value}`` rows, since the
-systems here have a handful of nonzeros per row; with no modulus it
+systems here have a handful of nonzeros per row.  With no modulus it
 eliminates exactly, on primitive integer rows over Q and over the field of
-its entries otherwise, which is how the quadric-generation test takes its
-span rank.  The primes
-come from a fixed deterministic walk down from 2^61, so runs are
-reproducible.  The scan only discovers candidates mod p; every point it
-reports is verified exactly over the ground field by the caller.  The
-fiber check is Monte Carlo in its prime and records the prime of each
-draw.  A certified kernel is exact: every lifted vector is verified over the
-ground field, and the nullity mod p bounds the true nullity from above.
+its entries otherwise.  Every exact kernel, rank, span, membership,
+solution and inverse in the package is taken on it, kernels of dense rows
+through ``linalg.kernel_basis``.  The primes come from a fixed
+deterministic walk down from 2^61, so runs are reproducible.  The scan only
+discovers candidates mod p; every point it reports is verified exactly over
+the ground field by the caller.  The fiber check is Monte Carlo in its
+prime and records the prime of each draw.  A certified kernel is exact:
+every lifted vector is verified over the ground field, and the nullity mod
+p bounds the true nullity from above.
 """
 
 from bisect import insort
@@ -610,6 +611,19 @@ class FpEchelon:
                     v[c] = (-x) % p if p else -x
             basis.append(v)
         return basis
+
+    def reduced_kernel(self, width):
+        """The span of the kernel vectors cut to their first ``width``
+        entries, as its reduced rows: the canonical basis of that span.  The
+        kernel lies over the field of the rows, so the span is taken the way
+        the rows were, on integer rows when they are and with pivot 1
+        otherwise, which is also the way for the identity kernel of an
+        echelon that has seen no row."""
+        span = FpEchelon(width, self.p)
+        span.integral = bool(self.integral)
+        for v in self.kernel():
+            span.add(v[:width])
+        return span.reduced()
 
 
 # A certified kernel that needs more primes than this has entries far larger

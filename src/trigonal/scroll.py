@@ -15,7 +15,8 @@ from math import factorial
 from .canonical import adjoint_combination
 from .errors import (AllColumnsDegenerate, ChainCountUnexpected,
                      DecompositionFailed, TrigonalError)
-from .linalg import Mat, RowSpace, inverse, kernel_basis
+from .linalg import Mat, kernel_basis
+from .modular import FpEchelon
 from .poly import MPoly
 
 __all__ = ["WeightChains", "ScrollMat", "PencilMap", "weight_chains",
@@ -57,9 +58,9 @@ class PencilMap:
 
 
 def _is_dependent(pvec, qvec, dim):
-    rs = RowSpace(dim)
-    rs.add(list(pvec))
-    return not rs.add(list(qvec))
+    span = FpEchelon(dim)
+    span.add(pvec)
+    return not span.add(qvec)
 
 
 def weight_chains(triple, g):
@@ -78,6 +79,8 @@ def weight_chains(triple, g):
         if vecs:
             eig[lam] = vecs
             total += len(vecs)
+            if total == g:
+                break       # eigenspaces are independent: no room is left
     if total != g:
         raise DecompositionFailed(
             f"h acts with non-integer or defective spectrum: {total} of {g} "
@@ -122,7 +125,14 @@ def weight_chains(triple, g):
     chains.sort(key=lambda ch: (len(ch), tuple(str(x) for x in ch[0])))
     cols = [v for ch in chains for v in ch]
     cob = Mat.from_rows(cols, fld).transpose()
-    cob_inv = inverse(cob)
+    # the inverse is the right half of the reduced form of [cob | I]
+    aug = FpEchelon(2 * g)
+    for i, row in enumerate(cob.to_rows()):
+        aug.add(row + [fld.one() if j == i else fld.zero() for j in range(g)])
+    if aug.pivots[:g] != list(range(g)):
+        raise DecompositionFailed("the chain vectors are dependent")
+    cob_inv = Mat.from_rows([[row.get(g + j, 0) for j in range(g)]
+                             for row in aug.reduced()], fld)
     return WeightChains(chains=chains, cob=cob, cob_inv=cob_inv, field=fld)
 
 

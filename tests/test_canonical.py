@@ -2,12 +2,14 @@ from math import comb
 
 import pytest
 
+from dense_reference import rank
+from trigonal import canonical
 from trigonal.canonical import (PetriResult, adjoint_basis, cubic_count,
                                 expand_in_adjoints, forms_through_image,
                                 hyperelliptic_test, monomials, petri_test)
 from trigonal.curve import validate_curve
 from trigonal.errors import UnexpectedDimension
-from trigonal.linalg import RowSpace
+from trigonal.modular import FpEchelon
 from trigonal.poly import poly_str
 from trigonal.scalars import PrimeField
 
@@ -127,13 +129,11 @@ def test_petri_results(five_nodal_sextic, proj5, two_node_quintic, fermat_quinti
         assert c3.monomials == monomials(g, 3)
         assert c3.dim == cubic_count(g) == comb(g + 2, 3) - (5 * g - 5)
         cubics = c3.row_space()
-        span = RowSpace(len(c3.monomials))
-        for vec in _quadric_multiples(q, g):
-            assert cubics.contains(vec)
-            span.add(vec)
+        products = list(_quadric_multiples(q, g))
+        assert all(cubics.contains(vec) for vec in products)
         result = petri_test(q, g)
         assert result == expect
-        assert (result == PetriResult.GeneratedByQuadrics) == (span.dim == c3.dim)
+        assert (result == PetriResult.GeneratedByQuadrics) == (rank(products) == c3.dim)
 
 
 def test_form_space_bases_are_echelon(proj5):
@@ -147,26 +147,24 @@ def test_form_space_bases_are_echelon(proj5):
     assert lead == sorted(lead)
 
 
-def test_petri_test_makes_no_rowspace_call(monkeypatch, proj5):
-    """The span rank is taken on the sparse echelon form, exactly."""
+def test_petri_test_takes_an_exact_span_rank(monkeypatch, proj5):
+    """The span rank is taken on one sparse echelon form with no modulus,
+    and it is the rank of the dense reference."""
     g = proj5.genus
     qspace = forms_through_image(proj5, adjoint_basis(proj5), 2)
-    calls = []
+    moduli = []
 
-    def spy(name):
-        orig = getattr(RowSpace, name)
+    class Spy(FpEchelon):
+        def __init__(self, ncols, p=None):
+            moduli.append(p)
+            super().__init__(ncols, p)
 
-        def wrapped(*args, **kwargs):
-            calls.append(name)
-            return orig(*args, **kwargs)
-        return wrapped
-
-    for name in ("__init__", "add", "reduce", "contains", "basis"):
-        monkeypatch.setattr(RowSpace, name, spy(name))
+    monkeypatch.setattr(canonical, "FpEchelon", Spy)
     assert petri_test(qspace, g) == PetriResult.QuadricsInsufficient
-    assert calls == []
+    assert moduli == [None]
     counters = {}
     petri_test(qspace, g, counters)
-    assert counters == {"rows": qspace.dim * g, "rank": counters["rank"],
+    assert counters == {"rows": qspace.dim * g,
+                        "rank": rank(list(_quadric_multiples(qspace, g))),
                         "expected": cubic_count(g)}
     assert counters["rank"] < cubic_count(g)

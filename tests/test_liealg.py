@@ -4,14 +4,15 @@ from itertools import islice
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trigonal import liealg, linalg, modular
+import dense_reference as ref
+from trigonal import liealg, modular
 from trigonal.canonical import (FormSpace, adjoint_basis, forms_through_image,
                                 monomials, petri_test)
 from trigonal.errors import InternalInvariantError, InvalidInput, NotSl2
 from trigonal.liealg import (Case, LieAlg, classify, killing_form, levi,
                              radical, split_sl2, split_two_ideals,
                              stabilizer_algebra)
-from trigonal.linalg import Mat, RowSpace, inverse, kernel_basis, mat_det, solve
+from trigonal.linalg import Mat, kernel_basis
 from trigonal.scalars import QQ, QuadraticField, rat
 
 WALK = list(islice(modular.primes_below(modular.PRIME_WALK_START), 2))
@@ -33,10 +34,8 @@ def quadric_space(vec_terms, nvars):
         for mono, c in terms.items():
             v[idx[mono]] = rat(c)
         basis.append(v)
-    rs = RowSpace(len(monos))
-    for v in basis:
-        rs.add(v)
-    return FormSpace(ambient_dim=nvars, degree=2, basis=rs.basis(), monomials=monos)
+    return FormSpace(ambient_dim=nvars, degree=2, basis=ref.rref(basis)[0],
+                     monomials=monos)
 
 
 CONIC = quadric_space([{(1, 0, 1): 1, (0, 2, 0): -1}], 3)
@@ -65,7 +64,7 @@ def test_killing_form_of_standard_sl2():
     # basis order (e, h, f)
     assert K[1, 1] == 8 and K[0, 2] == 4 and K[2, 0] == 4
     assert K[0, 0] == 0 and K[0, 1] == 0 and K[1, 2] == 0
-    assert mat_det(K)
+    assert ref.rank(K.to_rows()) == 3
 
 
 def test_killing_symmetry_and_invariance():
@@ -125,7 +124,7 @@ def test_split_sl2_on_conjugated_basis():
     base = _std_sl2()
     # conjugate by a random invertible matrix and re-run the splitting
     g = Mat.from_rows([[rat(2), rat(1)], [rat(1), rat(1)]])
-    gi = inverse(g)
+    gi = ref.inverse(g)
     mats = [g * b * gi for b in base.basis]
     # scramble the basis by taking combinations
     m0 = mats[0] + mats[1]
@@ -180,6 +179,31 @@ def test_two_ideal_split_bracket_orthogonal(two_node_quintic):
     s1, s2 = split_two_ideals(sem)
     assert s1.dim == s2.dim == 3
     # ideals commute: brackets across the summands vanish
+    for b1 in s1.basis:
+        for b2 in s2.basis:
+            assert (b1 * b2 - b2 * b1).is_zero()
+
+
+def test_two_ideal_split_over_a_quadratic_extension():
+    """The Weil restriction of sl2 from Q(sqrt 2) to Q, the span of X (x) M
+    in gl4 for X in {e, h, f} and M in {1, sqrt 2 as [[0, 2], [1, 0]]}, is
+    simple over Q: its two ideals are conjugate, and the split adjoins
+    sqrt 2 and runs its echelons over Q(sqrt 2)."""
+    def kron(a, b):
+        return Mat.from_rows([[a[i // 2, j // 2] * b[i % 2, j % 2] for j in range(4)]
+                              for i in range(4)])
+
+    root2 = Mat.from_rows([[rat(0), rat(2)], [rat(1), rat(0)]])
+    alg = LieAlg(4, [kron(x, m) for x in _std_sl2().basis
+                     for m in (Mat.identity(2), root2)])
+    s1, s2 = split_two_ideals(alg)
+    assert s1.field == s2.field == QuadraticField(2)
+    assert s1.dim == s2.dim == 3
+    for s in (s1, s2):
+        for a in s.basis:
+            for b in s.basis:
+                coords = s.express(a * b - b * a)
+                assert s.element(coords) == a * b - b * a
     for b1 in s1.basis:
         for b2 in s2.basis:
             assert (b1 * b2 - b2 * b1).is_zero()
@@ -262,22 +286,17 @@ def test_corrupted_lift_moves_on_to_the_next_prime(proj5, monkeypatch):
 def test_structure_theory_forms_no_matrix_product(proj5, monkeypatch):
     """Brackets are sparse products and coordinates an echelon lookup: the
     stabilizer of proj5, its Levi part and its split triple are built and
-    checked without a Mat product or a matrix inverse."""
+    checked without a Mat product."""
     cm = adjoint_basis(proj5)
     q = forms_through_image(proj5, cm, 2)
     calls = []
-    real_mul, real_inverse = Mat.__mul__, linalg.inverse
+    real_mul = Mat.__mul__
 
     def mul(a, b):
         calls.append("Mat.__mul__")
         return real_mul(a, b)
 
-    def inv(m):
-        calls.append("inverse")
-        return real_inverse(m)
-
     monkeypatch.setattr(Mat, "__mul__", mul)
-    monkeypatch.setattr(linalg, "inverse", inv)
     alg = stabilizer_algebra(q, proj5.genus)
     sem = levi(alg)
     triple = split_sl2(sem)
@@ -366,7 +385,7 @@ def _dense_structure_constants(basis, fld):
     for a in basis:
         sc.append([])
         for b in basis:
-            x = solve(cols, list((a * b - b * a).entries))
+            x = ref.solve(cols, list((a * b - b * a).entries))
             assert x is not None
             sc[-1].append([fld.coerce(v) for v in x])
     return sc
@@ -388,7 +407,7 @@ def test_structure_constants_match_the_dense_reference(family, n, conj, mix, lif
     sparse construction gives the dense structure constants, and express
     inverts element."""
     t = _elementary_product(n, conj)
-    basis = [t * b * inverse(t) for b in family(n)]
+    basis = [t * b * ref.inverse(t) for b in family(n)]
     for i, j, lam in mix:
         i, j = i % len(basis), j % len(basis)
         if i != j:

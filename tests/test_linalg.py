@@ -1,12 +1,33 @@
+"""Dense matrices and ``kernel_basis``, the dense-list entry point to the
+exact ``FpEchelon``, against the dense reference and sympy."""
+
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dense_reference as ref
 from trigonal.errors import InvalidInput
-from trigonal.linalg import (Mat, RowSpace, inverse, kernel_basis, mat_det,
-                             rank, rref, solve)
+from trigonal.linalg import Mat, kernel_basis
+from trigonal.liealg import _solve
+from trigonal.modular import FpEchelon
 from trigonal.scalars import FpElt, PrimeField, rat
+
+
+def echelon(ncols, rows):
+    ech = FpEchelon(ncols)
+    for row in rows:
+        ech.add(row)
+    return ech
+
+
+def rank(m):
+    """Rank of a ``Mat`` on the exact echelon."""
+    return echelon(m.cols, m.to_rows()).rank
+
+
+def dense(ech):
+    return [[row.get(j, 0) for j in range(ech.ncols)] for row in ech.reduced()]
 
 
 def _brute_rank(rows, p):
@@ -96,31 +117,37 @@ def test_mixed_variants_rejected():
 
 
 def test_solve_and_inverse():
+    """Solutions read off the reduced augmented rows, and the dense
+    reference's solve and inverse that the other tests lean on."""
     m = Mat.from_rows([[rat(2), rat(1)], [rat(1), rat(1)]])
-    x = solve(m.to_rows(), [rat(3), rat(2)])
-    assert x == [rat(1), rat(1)]
-    inv = inverse(m)
-    assert (m * inv) == Mat.identity(2)
-    assert mat_det(m) == rat(1)
-    assert solve([[rat(1), rat(1)], [rat(1), rat(1)]], [rat(0), rat(1)]) is None
+    assert _solve(m.to_rows(), [rat(3), rat(2)]) == [rat(1), rat(1)]
+    assert ref.solve(m.to_rows(), [rat(3), rat(2)]) == [rat(1), rat(1)]
+    assert m * ref.inverse(m) == Mat.identity(2)
+    for solver in (_solve, ref.solve):
+        assert solver([[rat(1), rat(1)], [rat(1), rat(1)]], [rat(0), rat(1)]) is None
+    # free unknowns are 0, pivot unknowns read off the augmented column
+    assert _solve([[rat(1), rat(2), rat(0)], [rat(0), rat(0), rat(3)]],
+                  [rat(5), rat(6)]) == [rat(5), 0, rat(2)]
 
 
 def test_rref_is_canonical_and_deterministic():
+    """The exact echelon's reduced rows are the reference rref, whatever
+    order the rows come in."""
     rows = [[rat(2), rat(4), rat(2)], [rat(1), rat(3), rat(1)]]
-    r1, piv1 = rref(rows)
-    r2, piv2 = rref(list(reversed(rows)))
-    assert piv1 == piv2 == [0, 1]
-    assert r1 == r2
+    r1, r2 = (echelon(3, rs) for rs in (rows, list(reversed(rows))))
+    assert r1.pivots == r2.pivots == [0, 1]
+    assert r1.reduced() == r2.reduced()
+    assert dense(r1) == ref.rref(rows)[0]
 
 
 def test_rowspace_membership_and_equality():
-    rs = RowSpace(3)
+    rs = FpEchelon(3)
     assert rs.add([rat(1), rat(1), rat(0)])
     assert rs.add([rat(0), rat(1), rat(1)])
     assert not rs.add([rat(1), rat(2), rat(1)])
     assert rs.contains([rat(2), rat(3), rat(1)])
-    other = RowSpace(3, rows=[[rat(1), rat(2), rat(1)], [rat(1), rat(1), rat(0)]])
-    assert rs.equals(other)
+    other = echelon(3, [[rat(1), rat(2), rat(1)], [rat(1), rat(1), rat(0)]])
+    assert rs.reduced() == other.reduced()
 
 
 @settings(max_examples=60)
@@ -130,5 +157,31 @@ def test_rowspace_membership_and_equality():
 def test_rowspace_basis_does_not_depend_on_insertion_order(vecs, rnd):
     shuffled = list(vecs)
     rnd.shuffle(shuffled)
-    a, b = RowSpace(4, rows=vecs), RowSpace(4, rows=shuffled)
-    assert a.basis() == b.basis() and a.pivots() == b.pivots()
+    a, b = echelon(4, vecs), echelon(4, shuffled)
+    assert a.reduced() == b.reduced() and a.pivots == b.pivots
+    assert dense(a) == ref.rref(vecs)[0]
+
+
+def test_kernel_basis_and_reduced_rows_match_sympy():
+    """sympy's rref and nullspace as an outside oracle over Q: the reduced
+    rows of the exact echelon are ``Matrix.rref``, and ``kernel_basis`` is
+    the rref of ``Matrix.nullspace``."""
+    sympy = pytest.importorskip("sympy")
+
+    def fractions(m):
+        return [[rat(int(x.p), int(x.q)) for x in m.row(i)] for i in range(m.rows)]
+
+    rng = random.Random(11)
+    for _ in range(40):
+        n, m = rng.randint(1, 5), rng.randint(1, 6)
+        rows = [[rat(rng.randint(-9, 9), rng.randint(1, 4)) if rng.random() < 0.7
+                 else rat(0) for _ in range(m)] for _ in range(n)]
+        sm = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r]
+                           for r in rows])
+        red, pivots = sm.rref()
+        ech = echelon(m, rows)
+        assert ech.pivots == list(pivots)
+        assert dense(ech) == fractions(red[:len(pivots), :])
+        null = sm.nullspace()
+        want = fractions(sympy.Matrix.hstack(*null).T.rref()[0]) if null else []
+        assert kernel_basis(rows) == want

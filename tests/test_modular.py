@@ -1,5 +1,6 @@
-"""The sparse echelon form and the certified mod-p kernel against the exact
-Fraction kernel, and the reconstruction bound it lifts with."""
+"""The sparse echelon form, ``kernel_basis`` on it and the certified mod-p
+kernel against the dense reference elimination, and the reconstruction
+bound the kernel lifts with."""
 
 from itertools import islice
 from math import gcd
@@ -7,7 +8,8 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trigonal.linalg import RowSpace, kernel_basis, rank
+import dense_reference as ref
+from trigonal.linalg import kernel_basis
 from trigonal.modular import (PRIME_WALK_START, FpEchelon, certified_kernel,
                               fp_reduce, primes_below, rational_reconstruct,
                               recon_bound)
@@ -54,8 +56,8 @@ def assert_same_kernel(rows, ncols, fld):
     ours = modular_kernel(rows, ncols, fld)
     for v in ours:
         assert all(sum(c * x for c, x in zip(r, v)) == 0 for r in rows)
-    assert len(ours) + rank(rows) == ncols
-    assert RowSpace(ncols, rows=ours).equals(RowSpace(ncols, rows=kernel_basis(rows)))
+    assert len(ours) + ref.rank(rows) == ncols
+    assert ref.same_span(ours, ref.kernel(rows, ncols))
 
 
 def _matrices(entry):
@@ -95,7 +97,7 @@ def test_rank_drop_skips_the_first_prime():
     rows = [[1, 2, 3], [1, 2 + P0, 3]]
     counters = {}
     kern = modular_kernel(rows, 3, QQ, counters)
-    assert RowSpace(3, rows=kern).equals(RowSpace(3, rows=kernel_basis(rows)))
+    assert ref.same_span(kern, ref.kernel(rows, 3))
     assert counters["nullity"] == 1
     assert counters["primes"]["tried"][0] == P0
     assert P0 not in counters["primes"]["used"]
@@ -155,24 +157,33 @@ class _PivotOneEchelon:
 
 
 def _check_echelon(ncols, rows, p, lift, order):
-    """FpEchelon mod p (exactly when p is None) against rank and
-    kernel_basis of the dense rows over the field that ``lift`` maps into;
+    """FpEchelon mod p (exactly when p is None) against the rank and the
+    kernel of the dense reference over the field that ``lift`` maps into;
     each row's residue before it goes in has the values of the elimination
     with pivots 1; a second insertion order gives the same pivots, reduced
-    rows and kernel."""
+    rows and kernel.  ``reduced_kernel``, cut to all or half of the
+    columns, is the reduced basis of the reference kernel so cut, and
+    ``kernel_basis`` of the dense rows, exactly over that field, is the
+    reference kernel itself."""
     dense = [[lift(r.get(j, 0)) for j in range(ncols)] for r in rows]
-    ech, ref = FpEchelon(ncols, p), _PivotOneEchelon(lift)
+    ech, pivot_one = FpEchelon(ncols, p), _PivotOneEchelon(lift)
     for r in rows:
         res = ech.residue(r)
-        assert {j: lift(x) for j, x in res.items() if lift(x)} == ref.residue(r)
+        assert {j: lift(x) for j, x in res.items() if lift(x)} == pivot_one.residue(r)
         ech.add(r)
-        ref.add(r)
-    assert ech.rank == rank(dense)
+        pivot_one.add(r)
+    assert ech.rank == ref.rank(dense)
     kern = [[lift(x) for x in v] for v in ech.kernel()]
     assert len(kern) == ncols - ech.rank
     for v in kern:
         assert all(sum(a * x for a, x in zip(r, v)) == 0 for r in dense)
-    assert RowSpace(ncols, rows=kern).equals(RowSpace(ncols, rows=kernel_basis(dense)))
+    expected = ref.kernel(dense, ncols)
+    assert ref.same_span(kern, expected)
+    assert kernel_basis(dense) == expected
+    for width in (ncols, ncols // 2):
+        got = [[lift(r.get(j, 0)) for j in range(width)]
+               for r in ech.reduced_kernel(width)]
+        assert got == ref.rref([v[:width] for v in expected])[0]
     for c, r in zip(ech.pivots, ech.reduced()):
         assert min(r) == c and r[c] == 1
         assert not any(c2 in r for c2 in ech.pivots if c2 != c)

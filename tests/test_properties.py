@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from trigonal.curve import validate_curve
 from trigonal.errors import TrigonalError
-from trigonal.linalg import Mat, RowSpace
+from dense_reference import rank
+from trigonal.linalg import Mat
 from trigonal.pipeline import Report, decide
 from trigonal.poly import MPoly
 from trigonal.scalars import QQ, PrimeField, rat
@@ -49,10 +50,7 @@ def _check_invariance(curve, base, steps, scale):
         new = (rep.extras["pencil"].p, rep.extras["pencil"].q)
         rems = [(a * b).divmod_single(moved.f)[1] for a in old for b in new]
         monos = sorted(set().union(*[r.terms for r in rems]))
-        span = RowSpace(len(monos))
-        for r in rems:
-            span.add([r.terms.get(m, 0) for m in monos])
-        assert span.dim < 4
+        assert rank([[r.terms.get(m, 0) for m in monos] for r in rems]) < 4
 
 
 @pytest.fixture(scope="module")
