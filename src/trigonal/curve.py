@@ -13,7 +13,9 @@ mod q itself over F_q, and over Q mod one admissible prime of the walk in
 candidate is then verified exactly over the ground field, so a reported
 point is never wrong.  Whatever part of a candidate locus does not split
 into ground-field points counts into the residual budget and leads to a
-typed rejection.
+typed rejection.  The same scan rejects a repeated component on both fields,
+since its whole support is singular.  Each singular point's multiplicity and
+ordinarity are read off one local expansion of the curve at the point.
 """
 
 import hashlib
@@ -26,7 +28,7 @@ from .errors import (CurveUnsupported, GenerationFailed, GenusTooSmall, Unsuppor
                      NonOrdinarySingularity, ParseError, PointNotOnCurve,
                      ReducibleSuspected)
 from .modular import (PRIME_WALK_START, fp_bivariate_table, fp_eval, fp_gcd,
-                      fp_reduce, fp_resultant, fp_resultant_keepvar, fp_roots,
+                      fp_reduce, fp_resultant_keepvar, fp_roots,
                       fp_squarefree, fp_trim, primes_below, rational_reconstruct)
 from .poly import (MPoly, UPoly, binary_form_squarefree, local_expansion,
                    parse_poly, poly_str, rational_roots)
@@ -57,6 +59,7 @@ def normalize_point(coords, fld=QQ):
 class SingularPoint:
     coords: tuple
     multiplicity: int
+    ordinary: bool      # the tangent cone has no repeated factor
 
     def key(self):
         return tuple(str(c) for c in self.coords)
@@ -145,11 +148,9 @@ def _gcd_many(polys):
 
 # --- singular locus -------------------------------------------------------------
 
-# Over Q the scan and the square-free probe take the first prime of the walk
-# at which no denominator vanishes, trying at most this many.
+# Over Q the scan takes the first prime of the walk at which no denominator
+# vanishes, trying at most this many.
 SCAN_PRIMES = 2
-# Random points at which the square-free probe evaluates a resultant.
-PROBE_SAMPLES = 12
 
 
 def _ground(fld, coeffs):
@@ -256,8 +257,9 @@ def singular_locus(f, fld=QQ):
     """All singular points with coordinates in the ground field (Q or F_q),
     plus the residual budget: the degree of the candidate loci that are not
     ground-field points.  The same two scans run over both fields; only
-    ``_ground`` tells them apart.  Multiplicities come from exact local
-    expansions."""
+    ``_ground`` tells them apart.  One exact local expansion at each point
+    gives its multiplicity m and, from the degree-m piece (the tangent
+    cone), whether the point is ordinary."""
     if not f or not f.is_homogeneous():
         raise InvalidInput("expected a nonzero homogeneous form")
     d = f.total_degree()
@@ -269,63 +271,12 @@ def singular_locus(f, fld=QQ):
     out = []
     for c in inf_pts + [(x0, y0, fld.one()) for x0, y0 in aff_pts]:
         pt = normalize_point(c, fld)
-        m = local_expansion(f, list(pt), d).multiplicity()
-        if m is None or m < 1:
-            continue
-        if m >= 1 and not f.evaluate(list(pt)):
-            out.append(SingularPoint(pt, m))
+        exp = local_expansion(f, list(pt), d)
+        m = exp.multiplicity()
+        if m:       # m = 0 off the curve: the degree-0 piece is f at the point
+            out.append(SingularPoint(pt, m, binary_form_squarefree(exp.pieces[m])))
     out.sort(key=lambda s: s.key())
     return out, res_inf + res_aff
-
-
-def _check_ordinary(f, point, mult):
-    exp = local_expansion(f, list(point), mult)
-    if exp.multiplicity() != mult:
-        raise InvalidInput("multiplicity mismatch at a singular point")
-    if not binary_form_squarefree(exp.pieces[mult]):
-        raise NonOrdinarySingularity(
-            f"tangent cone at ({':'.join(str(c) for c in point)}) has a repeated factor")
-
-
-def _resultant_probe_nonzero(f, g, var):
-    """True when Res_var(f, g) is certainly not identically zero; checked by
-    evaluating the resultant at random points mod the first prime of the
-    walk where no coefficient of f or g has a vanishing denominator, skipping
-    points where a leading coefficient vanishes.  The coefficients are
-    reduced mod p once and every probe evaluates mod p; reduction is a ring
-    homomorphism, so the values are those of exact evaluation reduced mod p.
-    All-zero probes => treat as identically zero."""
-    m, n = f.degree_in(var), g.degree_in(var)
-    if m == 0 and n == 0:
-        raise InvalidInput("probe needs positive degree in the variable")
-    p = _ground(QQ, (*f.terms.values(), *g.terms.values()))[0]
-    if p is None:
-        return False
-    others = [i for i in range(3) if i != var]
-    rng = random.Random(0xC0FFEE + var)
-    # (power of var, exponents of the other two variables, coefficient mod p)
-    reduced = [[(e[var], [e[i] for i in others], fp_reduce(c, p))
-                for e, c in h.terms.items()] for h in (f, g)]
-    for _ in range(PROBE_SAMPLES):
-        u, v = (rng.randrange(p) for _ in others)
-        av, bv = [0] * (m + 1), [0] * (n + 1)
-        for out, terms in zip((av, bv), reduced):
-            for k, (i, j), c in terms:
-                out[k] = (out[k] + c * pow(u, i, p) * pow(v, j, p)) % p
-        if av[-1] and bv[-1] and fp_resultant(av, bv, p):
-            return True
-    return False
-
-
-def _squarefree_suspicion(f):
-    """Reject forms whose resultant with a partial vanishes identically."""
-    for var in range(3):
-        fv = f.derivative(var)
-        if not fv or f.degree_in(var) == 0:
-            continue
-        if not _resultant_probe_nonzero(f, fv, var):
-            raise ReducibleSuspected(
-                "a partial derivative shares a common factor with the curve")
 
 
 def validate_curve(f, declared_sings=None, base_point=None, fld=QQ):
@@ -337,6 +288,14 @@ def validate_curve(f, declared_sings=None, base_point=None, fld=QQ):
     when given, must be a smooth point on the curve.  Over F_q the prime
     must exceed 4 d^2, so that square-free parts taken by derivatives are
     correct in characteristic q.
+
+    A repeated component is singular along its whole support, and the one
+    singular-locus scan rejects it on both fields: the affine resultant
+    nets all vanish identically, a fibre holds a vertical line, the
+    gradient vanishes on z=0, or the residual is nonzero.  The last is how
+    a doubled component made of vertical lines x = a z with a outside the
+    ground field (x^2 + z^2, say) is caught: its lines do not lift, so it
+    is rejected as IrrationalSingularLocus, not ReducibleSuspected.
     """
     if not isinstance(fld, (RationalField, PrimeField)):
         raise InvalidInput(f"curves are supported over Q or F_p, not {fld}")
@@ -357,9 +316,6 @@ def validate_curve(f, declared_sings=None, base_point=None, fld=QQ):
     if isinstance(fld, PrimeField) and fld.p <= 4 * d * d:
         raise CurveUnsupported("prime field too small for this degree")
 
-    if isinstance(fld, RationalField):
-        _squarefree_suspicion(f)
-
     sings, residual = singular_locus(f, fld)
     if residual > 0:
         raise IrrationalSingularLocus(
@@ -367,7 +323,9 @@ def validate_curve(f, declared_sings=None, base_point=None, fld=QQ):
     for s in sings:
         if s.multiplicity < 2:
             raise InvalidInput("a smooth point was reported singular")
-        _check_ordinary(f, s.coords, s.multiplicity)
+        if not s.ordinary:
+            raise NonOrdinarySingularity(
+                f"tangent cone at ({':'.join(str(c) for c in s.coords)}) has a repeated factor")
 
     if declared_sings is not None:
         declared = {(normalize_point(c, fld), int(m)) for c, m in declared_sings}

@@ -1,6 +1,4 @@
-import random
 from itertools import islice
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -13,8 +11,8 @@ from trigonal.curve import (gen_method1, gen_method2, gen_singular_model,
 from trigonal.errors import (CurveUnsupported, GenerationFailed, GenusTooSmall,
                              InvalidInput, IrrationalSingularLocus,
                              NonOrdinarySingularity, ParseError, PointNotOnCurve,
-                             ReducibleSuspected)
-from trigonal.modular import PRIME_WALK_START, fp_reduce, fp_resultant, primes_below
+                             ReducibleSuspected, UnsupportedInput)
+from trigonal.modular import PRIME_WALK_START, fp_reduce, primes_below
 from trigonal.poly import MPoly, parse_poly
 from trigonal.scalars import QQ, PrimeField, QuadraticField, rat
 
@@ -127,9 +125,9 @@ def test_too_many_nodes_for_an_irreducible_curve_are_reducible(fld):
 
 @st.composite
 def rational_forms(draw):
-    """Ternary forms of degree 3-6 over Q, with denominators (P0 among them,
-    which moves the probe to the next prime); half of them have a squared
-    factor, so their resultant with a partial vanishes identically."""
+    """Ternary forms h^2 g of degree 3-6 over Q with a form h of degree >= 1,
+    so the curve has a repeated component; the coefficients have
+    denominators, P0 among them, which moves the scan to the next prime."""
     coeff = st.builds(rat, st.integers(-5, 5), st.sampled_from([1, 2, 3, 7, P0]))
 
     def form(d):
@@ -137,51 +135,89 @@ def rational_forms(draw):
                          for i in range(d + 1) for j in range(d + 1 - i)})
 
     d = draw(st.integers(3, 6))
-    if draw(st.booleans()):
-        return form(d)
     k = draw(st.integers(1, (d - 1) // 2))
     h = form(k)
     return h * h * form(d - 2 * k)
 
 
-@settings(max_examples=40, deadline=None)
-@given(rational_forms(), st.integers(0, 2))
-def test_square_free_probe_matches_exact_evaluation(f, var):
-    # the probe evaluates reductions mod p; evaluating over Q at the points
-    # it drew and reducing mod p must give the same values and verdict
-    g = f.derivative(var)
-    assume(f and g)
-    drawn, probed = [], []
+@settings(max_examples=40)
+@given(rational_forms())
+def test_a_repeated_component_is_rejected_over_q_and_fq(f):
+    # the singular-locus scan is the one check for repeated components, on
+    # both fields; mod 10007 the form keeps its squared factor
+    assume(f)
+    for fld in (QQ, PrimeField(10007)):
+        with pytest.raises(UnsupportedInput):
+            validate_curve(f, fld=fld)
 
-    class Recording(random.Random):
-        def randrange(self, *args):
-            drawn.append(super().randrange(*args))
-            return drawn[-1]
 
-    def spy(a, b, p):
-        probed.append((a, b))
-        return fp_resultant(a, b, p)
+H = P("x^3 + 2*y^3 - z^3 + x*y*z")
+NON_ORDINARY = (NonOrdinarySingularity, "tangent cone at (0:0:1) has a repeated factor")
+VERTICAL = (ReducibleSuspected, "a vertical line lies on the curve")
+ON_Z0 = (ReducibleSuspected, "the gradient vanishes on the whole line z=0")
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(curve_mod, "random", SimpleNamespace(Random=Recording))
-        mp.setattr(curve_mod, "fp_resultant", spy)
-        verdict = curve_mod._resultant_probe_nonzero(f, g, var)
 
-    others = [i for i in range(3) if i != var]
-    fc, gc = f.coeffs_by_power(var), g.coeffs_by_power(var)
-    p = curve_mod._ground(QQ, (*f.terms.values(), *g.terms.values()))[0]
-    exact, expected = False, []
-    for u, v in zip(drawn[::2], drawn[1::2]):
-        point = [rat(0)] * 3
-        point[others[0]], point[others[1]] = rat(u), rat(v)
-        av = [fp_reduce(c.evaluate(point), p) for c in fc]
-        bv = [fp_reduce(c.evaluate(point), p) for c in gc]
-        if av[-1] and bv[-1]:
-            expected.append((av, bv))
-            if fp_resultant(av, bv, p):
-                exact = True
-                break
-    assert (verdict, probed) == (exact, expected)
+def _residual(degree):
+    return (IrrationalSingularLocus,
+            f"singular locus has a non-rational residual of degree {degree}")
+
+
+# (name, form, outcome over Q, outcome over F_10007); an outcome is the
+# class and message of the rejection, or the genus of an accepted curve
+REJECT_TABLE = [
+    ("cusp", P("y^2*z^3 - x^3*z^2 - x^5 - y^5"), NON_ORDINARY, NON_ORDINARY),
+    ("tacnode", P("y^2*z^3 - x^4*z + x^5 + y^5"), NON_ORDINARY, NON_ORDINARY),
+    ("triple point, cone x^2 y", P("x^2*y*z^2 + x^5 + y^5"), NON_ORDINARY, NON_ORDINARY),
+    # nine nodes, one of them rational mod 10007
+    ("two cubics", P("x^3 + y^3 + z^3") * H, _residual(9), _residual(8)),
+    ("three-nodal quartic", P("x^2*y^2 + y^2*z^2 + z^2*x^2 + x^2*y*z + x*y^2*z + x*y*z^2"),
+     (GenusTooSmall, "genus 0 < 3"), (GenusTooSmall, "genus 0 < 3")),
+    ("(x - z)^2 h", P("x - z") ** 2 * H, VERTICAL, VERTICAL),
+    ("z^2 h", P("z") ** 2 * H, ON_Z0, ON_Z0),
+    # the lines x = +-i z are not defined over Q, nor over F_10007 (10007 = 3
+    # mod 4), so the doubled pair is a residual on both fields
+    ("(x^2 + z^2)^2 h", P("x^2 + z^2") ** 2 * H, _residual(2), _residual(2)),
+]
+
+
+def _outcome(f, fld):
+    try:
+        return validate_curve(f, fld=fld).genus
+    except UnsupportedInput as e:
+        return type(e), str(e)
+
+
+def test_reject_table_is_pinned(sqrt2_sextic):
+    # 2 is a square mod 10007, so the nodes (+-sqrt 2 : 0 : 1) are rational
+    # there and the sextic is accepted with genus 10 - 2 = 8
+    table = REJECT_TABLE + [("nodes over Q(sqrt 2)", sqrt2_sextic, _residual(2), 8)]
+    F = PrimeField(10007)
+    assert {name: (_outcome(f, QQ), _outcome(f, F)) for name, f, _, _ in table} == \
+        {name: (q, fq) for name, _, q, fq in table}
+
+
+@pytest.mark.parametrize("fld", [QQ, PrimeField(10007)])
+def test_validation_grounds_once_and_expands_once_per_point(five_nodal_sextic, fld,
+                                                            monkeypatch):
+    # one modulus for the scan, and one local expansion per singular point
+    # gives both its multiplicity and its ordinarity
+    grounds, expansions = [], []
+    ground, expand = curve_mod._ground, curve_mod.local_expansion
+
+    def spy_ground(*args):
+        grounds.append(args)
+        return ground(*args)
+
+    def spy_expand(f, point, *args):
+        expansions.append(tuple(point))
+        return expand(f, point, *args)
+
+    monkeypatch.setattr(curve_mod, "_ground", spy_ground)
+    monkeypatch.setattr(curve_mod, "local_expansion", spy_expand)
+    curve = validate_curve(five_nodal_sextic.f.map_coeffs(fld.coerce), fld=fld)
+    assert len(curve.sings) == 5 and all(s.ordinary for s in curve.sings)
+    assert len(grounds) == 1
+    assert sorted(expansions, key=str) == sorted((s.coords for s in curve.sings), key=str)
 
 
 def test_validate_cross_checks_declared_sings(proj5):

@@ -205,6 +205,49 @@ def test_fp_resultant_keepvar_evaluates_monic_pairs_at_the_bezout_number(
     assert len(calls) == da * db + 1
 
 
+def test_fp_resultant_keepvar_matches_sympy():
+    """sympy's resultant over Z, reduced mod p, as an outside oracle on
+    seeded dense pairs in (x, y); every third pair shares a factor that
+    involves y, so its resultant vanishes identically.  The singular-locus
+    scan rejects repeated components by exactly such vanishing nets."""
+    sympy = pytest.importorskip("sympy")
+    x, y = sympy.symbols("x y")
+    rng = random.Random(7)
+
+    def dense(d):
+        """Every monomial of total degree <= d, with y^d among them."""
+        terms = [rng.randint(-9, 9) * x ** i * y ** j
+                 for i in range(d + 1) for j in range(d + 1 - i) if j < d]
+        return sum(terms) + rng.choice([1, -2, 3]) * y ** d
+
+    def table(e, p):
+        F = MPoly(2, {m: rat(int(c)) for m, c in sympy.Poly(e, x, y).terms()})
+        return fp_bivariate_table(F, F.degree_in(1), p)
+
+    def sympy_resultant(a, b):
+        # sympy 1.14 returns Res(b, a) when deg a < deg b, which is off by
+        # (-1)^(deg a * deg b); ask it with the larger degree first
+        m, n = sympy.degree(a, y), sympy.degree(b, y)
+        if m >= n:
+            return sympy.resultant(a, b, y)
+        return (-1) ** (m * n) * sympy.resultant(b, a, y)
+
+    shared = 0
+    for k in range(45):
+        a, b = dense(rng.randint(1, 3)), dense(rng.randint(1, 3))
+        if k % 3 == 0:
+            c = dense(rng.randint(1, 2))
+            a, b = sympy.expand(a * c), sympy.expand(b * c)
+        p = rng.choice([101, 10007, WALK_PRIME])
+        want = [int(c) % p for c in reversed(sympy.Poly(sympy_resultant(a, b), x).all_coeffs())]
+        while want and not want[-1]:
+            want.pop()
+        got = fp_resultant_keepvar(table(a, p), table(b, p), p)
+        assert got == want
+        shared += k % 3 == 0 and got == []
+    assert shared == 15
+
+
 def test_fp_resultant_keepvar_small_modulus_is_typed():
     # a = x(x-1) y + 1, b = y + x^2: Res_y = x^4 - x^3 - 1 has degree bound
     # 4, so five points with x(x-1) != 0 are needed

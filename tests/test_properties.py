@@ -90,10 +90,10 @@ def test_p1xp1_decision_is_invariant(two_node_quintic, two_node_report, steps, s
 
 @st.composite
 def plane_forms(draw):
-    """Forms of degree 4 or 5 with coefficients in [-3, 3]: either on every
+    """Forms of degree 4-7 with coefficients in [-3, 3]: either on every
     monomial or on a drawn support, which reaches the singular and reducible
     inputs that dense forms almost never are."""
-    d = draw(st.sampled_from([4, 5]))
+    d = draw(st.integers(4, 7))
     monos = [(a, b, d - a - b) for a in range(d + 1) for b in range(d + 1 - a)]
     support = draw(st.one_of(st.just(monos), st.lists(st.sampled_from(monos),
                                                         min_size=1, unique=True)))
@@ -106,7 +106,8 @@ def plane_forms(draw):
 @given(plane_forms(), st.sampled_from([None, 67, 101, 103, 149, 163]))
 def test_random_forms_give_a_report_or_a_typed_error(f, q):
     # over Q, or reduced mod a small prime (67 is below the 4 d^2 bound that
-    # validation sets for quintics)
+    # validation sets for quintics, and every prime here is below it for
+    # septics)
     try:
         rep = decide(validate_curve(f, fld=QQ if q is None else PrimeField(q)), seed=1)
     except TrigonalError:
