@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .errors import (InternalInvariantError, InvalidInput, LiftingFailed,
                      NotSl2, SplitFailedOverExtension, UnexpectedDimension)
 from .linalg import Mat, kernel_basis
-from .modular import FpEchelon, certified_kernel, fp_reduce
+from .modular import FpEchelon, certified_kernel, clear_denominators, fp_reduce
 from .scalars import (QQ, QuadExt, QuadraticField, rat, rational_square_split,
                       sqrt_rational)
 
@@ -263,25 +263,28 @@ def stabilizer_algebra(qspace, g, fld=QQ, counters=None):
 
     The solutions come from ``modular.certified_kernel`` (over F_q, exactly
     mod q); over Q every lifted solution is checked to map each quadric of
-    ``qspace`` into its span.  ``counters`` receives the kernel's counters.
+    ``qspace`` into its span, on integer rows (clearing denominators leaves
+    span membership unchanged).  ``counters`` receives the kernel's counters.
     """
     if qspace.dim < 1:
         raise InvalidInput("stabilizer needs at least one quadric")
     nn = g * g
     ident = [fld.one() if i % (g + 1) == 0 else fld.zero() for i in range(nn)]
 
+    def integral(vec):
+        return clear_denominators({j: x for j, x in enumerate(vec) if x})[0]
+
     def stabilizes(vecs):
         monos = qspace.monomials
         index = {m: i for i, m in enumerate(monos)}
-        span = FpEchelon(len(monos))
-        for q in qspace.basis:
-            span.add(q)
+        basis = [integral(q) for q in qspace.basis]
+        span = qspace.row_space()
         for v in vecs:
-            m = v[::-1]
-            targets = [[j for j in range(g) if m[i * g + j]] for i in range(g)]
-            for q in qspace.basis:
+            m = integral(v[::-1])
+            targets = [[j for j in range(g) if i * g + j in m] for i in range(g)]
+            for q in basis:
                 image = {}
-                for col, t, coef in _derivation_terms(enumerate(q), monos, index,
+                for col, t, coef in _derivation_terms(q.items(), monos, index,
                                                       targets):
                     image[t] = image.get(t, 0) + coef * m[col]
                 if not span.contains(image):

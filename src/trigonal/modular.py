@@ -12,8 +12,9 @@ systems here have a handful of nonzeros per row.  With no modulus it
 eliminates exactly, on primitive integer rows over Q and over the field of
 its entries otherwise.  Every exact kernel, rank, span, membership,
 solution and inverse in the package is taken on it, kernels of dense rows
-through ``linalg.kernel_basis``.  The primes come from a fixed
-deterministic walk down from 2^61, so runs are reproducible.  The scan only
+through ``linalg.kernel_basis``.  The primes come from fixed
+deterministic walks, so runs are reproducible: the scan and the certified
+kernels walk down from 2^61, the fiber check from 2^30.  The scan only
 discovers candidates mod p; every point it reports is verified exactly over
 the ground field by the caller.  The fiber check is Monte Carlo in its
 prime and records the prime of each draw.  A certified kernel is exact:
@@ -24,11 +25,14 @@ p bounds the true nullity from above.
 from bisect import insort
 from itertools import islice
 from math import gcd, isqrt, lcm
+from operator import attrgetter
 
 from .errors import (CurveUnsupported, InternalInvariantError, InvalidInput,
                      LiftingFailed)
 from .intutil import is_prime
 from .scalars import QQ, FpElt, PrimeField, QuadExt, is_rational, rat, sinv
+
+_DENOMINATOR = attrgetter("denominator")
 
 
 def primes_below(bound):
@@ -41,9 +45,10 @@ def primes_below(bound):
 
 
 # Start of the prime walk: just below 2^61 (the Mersenne prime 2^61 - 1
-# itself is left out).  The singular scan, the fiber check and the certified
-# kernels each take primes from its head; rational reconstruction mod a walk
-# prime p lifts numerators and denominators up to recon_bound(p) ~ 2^30.
+# itself is left out).  The singular scan and the certified kernels each take
+# primes from its head; rational reconstruction mod a walk prime p lifts
+# numerators and denominators up to recon_bound(p) ~ 2^30.  The fiber check,
+# which reconstructs nothing, walks down from 2^30 instead.
 PRIME_WALK_START = (1 << 61) - 2
 
 
@@ -389,6 +394,13 @@ def fp_resultant_keepvar(a_coeffs, b_coeffs, p):
 
 # --- linear algebra mod p ----------------------------------------------------
 
+def clear_denominators(row):
+    """The rational sparse row ``row`` times the lcm of its denominators, as
+    Python ints (with gmpy2 an ``mpq`` has ``mpz`` parts), and that lcm."""
+    den = lcm(*map(_DENOMINATOR, row.values()))
+    return {j: int(x.numerator * (den // x.denominator)) for j, x in row.items()}, den
+
+
 def _divide_content(row):
     """Divide an integer row by the gcd of its entries, in place; returns
     that gcd (1 for an empty row)."""
@@ -519,16 +531,14 @@ class FpEchelon:
     def _reduce_integral(self, row):
         """``_reduce`` on integer rows: the denominators of ``row`` are
         cleared, and the rest is primitive."""
-        den, plain = 1, True
+        den = 1
         for x in row.values():
             if type(x) is not int:
-                if not is_rational(x):
-                    raise InternalInvariantError(
-                        f"entry {x!r} outside Q in an echelon of rational rows")
-                plain = False
-                den = lcm(den, x.denominator)
-        if not plain:
-            row = {j: x.numerator * (den // x.denominator) for j, x in row.items()}
+                try:
+                    row, den = clear_denominators(row)
+                except AttributeError:
+                    raise InternalInvariantError(f"row {row!r} outside Q") from None
+                break
         num = _divide_content(row)
         rows = self.rows
         while row:

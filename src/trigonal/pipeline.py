@@ -25,8 +25,8 @@ from .errors import (CurveUnsupported, DegenerateFiber, HyperellipticInput,
                      InvalidInput, PointNotOnCurve, TrigonalError, stage)
 from .liealg import Case, classify, levi, split_sl2, stabilizer_algebra
 from .linalg import kernel_basis
-from .modular import (PRIME_WALK_START, fp_bivariate_table, fp_divmod, fp_gcd,
-                      fp_resultant_keepvar, fp_roots, fp_squarefree, primes_below)
+from .modular import (fp_bivariate_table, fp_divmod, fp_gcd, fp_resultant_keepvar,
+                      fp_roots, fp_squarefree, primes_below)
 from .poly import MPoly, poly_str
 from .scalars import PrimeField, QuadraticField
 from .scroll import PencilMap, p1xp1_rulings, ruling_map, scroll_matrix, weight_chains
@@ -101,9 +101,13 @@ class Report:
 
 # --- fiber counting -----------------------------------------------------------
 
-# Rounds of three draws the fiber check makes before it gives up on a
-# majority.
-FIBER_ROUNDS = 2
+# Draws the fiber check makes at most.  It returns the first degree that a
+# second draw repeats, so two agreeing draws end it.
+FIBER_DRAWS = 6
+
+# Over Q and Q(sqrt delta) the draw moduli walk down from 2^30: each residue
+# is then one 30-bit digit of a CPython int, and each product two.
+FIBER_PRIME_START = 1 << 30
 
 
 def _shear(poly, lam):
@@ -141,11 +145,11 @@ def _dehom_xy(poly):
 def _fiber_primes(fld):
     """Moduli of successive fiber draws, each with the image of sqrt(delta)
     (None outside Q(sqrt delta)).  Over F_q the modulus is q itself; over Q
-    and Q(sqrt delta) the primes walk down from 2^61, keeping only primes
-    where delta is a nonzero square."""
+    and Q(sqrt delta) the primes walk down from ``FIBER_PRIME_START``,
+    keeping only primes where delta is a nonzero square."""
     if isinstance(fld, PrimeField):
         return repeat((fld.p, None))
-    walk = primes_below(PRIME_WALK_START)
+    walk = primes_below(FIBER_PRIME_START)
     if isinstance(fld, QuadraticField):
         return ((p, fp_roots([(-fld.delta) % p, 0, 1], p)[0]) for p in walk
                 if pow(fld.delta % p, (p - 1) // 2, p) == 1)
@@ -169,10 +173,12 @@ def map_degree(curve, pencil, seed=0):
     For random parameters t1, t2: R_t(x) = Res_y(F, p - t*q) in a sheared
     chart where the curve is monic in y; gcd(R_t1, R_t2) captures the base
     locus, and the degree of the square-free part of R_t1 / gcd counts the
-    fiber.  Each draw works modulo its own prime (recorded as "prime"), so a
-    draw is Monte Carlo in its shear, its t-values and its prime; over F_q
-    it works mod q, exactly.  Three draws with distinct shears must agree
-    by majority.
+    fiber.  Each draw works modulo its own prime (recorded as "prime"),
+    below 2^30 over Q and Q(sqrt delta), so a draw is Monte Carlo in its
+    shear, its t-values and its prime; over F_q it works mod q, exactly.
+    Draws with distinct shears go on, at most ``FIBER_DRAWS`` of them, until
+    one degree has come out twice; that degree, the first value seen twice,
+    is returned.
     """
     f = curve.f
     p0, q0 = pencil.p, pencil.q
@@ -187,7 +193,7 @@ def map_degree(curve, pencil, seed=0):
     rng = derived_rng(seed, f"map_degree:{poly_str(p0)}:{poly_str(q0)}")
     primes = _fiber_primes(fld)
     draws = []
-    values = []
+    seen = set()
     lam_iter = iter([0, 1, -1, 2, -2, 3, -3, 4, -4, 5, -5, 6, -6, 7, -7, 8, -8, 9, -9, 10])
 
     def next_lambda():
@@ -201,45 +207,40 @@ def map_degree(curve, pencil, seed=0):
                 return lam
         raise DegenerateFiber("no shear makes the curve monic in y")
 
-    for _ in range(FIBER_ROUNDS):
-        for _ in range(3):
-            lam = next_lambda()
-            F = _dehom_xy(_shear(f, lam))
-            P = _dehom_xy(_shear(p0, lam))
-            Qm = _dehom_xy(_shear(q0, lam))
-            ts = []
-            hs = []
-            guard = 0
-            while len(ts) < 2 and guard < 40:
-                guard += 1
-                t = fld.coerce(rng.randint(-10000, 10000))
-                if any(t == s for s in ts):
-                    continue
-                h = P - Qm.map_coeffs(lambda c: t * c)
-                if h.degree_in(1) < 1:
-                    continue
-                ts.append(t)
-                hs.append(h)
-            if len(ts) < 2:
+    for _ in range(FIBER_DRAWS):
+        lam = next_lambda()
+        F = _dehom_xy(_shear(f, lam))
+        P = _dehom_xy(_shear(p0, lam))
+        Qm = _dehom_xy(_shear(q0, lam))
+        ts = []
+        hs = []
+        guard = 0
+        while len(ts) < 2 and guard < 40:
+            guard += 1
+            t = fld.coerce(rng.randint(-10000, 10000))
+            if any(t == s for s in ts):
                 continue
-            p, ft, hts = _reduce_draw(primes, F, hs)
-            rs = [fp_resultant_keepvar(ft, ht, p) for ht in hts]
-            if not all(rs):
+            h = P - Qm.map_coeffs(lambda c: t * c)
+            if h.degree_in(1) < 1:
                 continue
-            base = fp_gcd(rs[0], rs[1], p)
-            moving = fp_squarefree(fp_divmod(rs[0], base, p)[0], p)
-            deg = len(moving) - 1
-            draws.append({"shear": lam, "t": [str(t) for t in ts], "degree": deg,
-                          "prime": p})
-            values.append(deg)
-        counts = {}
-        for v in values:
-            counts[v] = counts.get(v, 0) + 1
-        if counts:
-            best, n = max(counts.items(), key=lambda kv: (kv[1], -kv[0]))
-            if n >= 2:
-                return best, draws
-    raise DegenerateFiber(f"fiber-degree draws never agreed: {values}")
+            ts.append(t)
+            hs.append(h)
+        if len(ts) < 2:
+            continue
+        p, ft, hts = _reduce_draw(primes, F, hs)
+        rs = [fp_resultant_keepvar(ft, ht, p) for ht in hts]
+        if not all(rs):
+            continue
+        base = fp_gcd(rs[0], rs[1], p)
+        moving = fp_squarefree(fp_divmod(rs[0], base, p)[0], p)
+        deg = len(moving) - 1
+        draws.append({"shear": lam, "t": [str(t) for t in ts], "degree": deg,
+                      "prime": p})
+        if deg in seen:
+            return deg, draws
+        seen.add(deg)
+    raise DegenerateFiber("fiber-degree draws never agreed: "
+                          f"{[d['degree'] for d in draws]}")
 
 
 def g3_map(curve, base_point, cm=None):

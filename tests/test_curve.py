@@ -68,6 +68,75 @@ def test_singular_locus_cusp_found():
         [((rat(0), rat(0), rat(1)), 2)]
 
 
+def _sympy_singular_points(f):
+    """Singular points of the form f with their multiplicities, found by
+    sympy alone: the solutions of a lex Groebner basis of (F, F_x, F_y) in
+    the chart z = 1, and of (F, F_x, F_y, F_z) on the line z = 0 (charts
+    y = 1 and x = 1), each normalized by its last nonzero coordinate; the
+    multiplicity is the lowest total degree of F moved to the point in that
+    chart.  Every form given to it has rational singular points only."""
+    sympy = pytest.importorskip("sympy")
+    xyz = sympy.symbols("x y z")
+    F = sum(sympy.Rational(int(c.numerator), int(c.denominator))
+            * xyz[0] ** i * xyz[1] ** j * xyz[2] ** k
+            for (i, j, k), c in f.terms.items())
+    grad = [F] + [sympy.diff(F, v) for v in xyz]
+    charts = [(2, grad[:3], {}), (1, grad, {xyz[2]: 0}),
+              (0, grad, {xyz[1]: 0, xyz[2]: 0})]
+    out = []
+    for piv, eqs, fixed in charts:
+        fixed = {**fixed, xyz[piv]: 1}
+        free = [v for v in xyz if v not in fixed]
+        eqs = [e.subs(fixed) for e in eqs]
+        if not free:
+            sols = [] if any(eqs) else [{}]
+        else:
+            basis = sympy.groebner(eqs, *free, order="lex").exprs
+            sols = [] if basis == [1] else sympy.solve(basis, free, dict=True)
+        local = [v for v in xyz if v != xyz[piv]]
+        for sol in sols:
+            point = [sympy.Rational(fixed.get(v, sol.get(v))) for v in xyz]
+            moved = sympy.expand(F.subs({v: (v + c if v in local else 1)
+                                         for v, c in zip(xyz, point)},
+                                        simultaneous=True))
+            m = min(map(sum, sympy.Poly(moved, *local).monoms()))
+            out.append((tuple(rat(int(c.p), int(c.q)) for c in point), m))
+    return sorted(out, key=str)
+
+
+@pytest.mark.parametrize("form", [
+    "y^2*z - x^3 - x^2*z",                  # nodal cubic, node at (0:0:1)
+    "x^3 + y^3 - x*y*z",                    # folium, node at (0:0:1)
+    # (y - 2z)^2 z - (x - z)^3 - (x - z)^2 z, node at (1:2:1)
+    "-x^3 + 2*x^2*z - x*z^2 + y^2*z - 4*y*z^2 + 4*z^3",
+    "y*z^2 - x^3 - x^2*y",                  # nodal cubic, node at (0:1:0)
+    "x^4 + y^4 - x*y*z^2",                  # quartic, one node
+    # three nodes, at the coordinate points
+    "x^2*y^2 + y^2*z^2 + z^2*x^2 + x^2*y*z + x*y^2*z + x*y*z^2",
+    "y^2*z - x^3",                          # cuspidal cubic
+])
+def test_singular_points_match_a_groebner_basis(form):
+    f = P(form)
+    pts, residual = singular_locus(f)
+    assert residual == 0
+    assert sorted(((s.coords, s.multiplicity) for s in pts), key=str) == \
+        _sympy_singular_points(f)
+
+
+@pytest.mark.parametrize("assigned", [
+    [((1, 2, 3), 2), ((2, -1, 1), 2)],
+    [((1, 0, 0), 2), ((0, 1, 0), 2), ((1, 1, 1), 2)],
+    [((1, 1, 0), 2), ((3, 0, 1), 2), ((0, 0, 1), 2)],
+])
+def test_generated_nodes_match_a_groebner_basis(assigned):
+    # quintics: a quartic with two nodes is below genus 3
+    f = gen_singular_model(5, assigned, seed=1).f
+    pts, _ = singular_locus(f)
+    want = _sympy_singular_points(f)
+    assert sorted(((s.coords, s.multiplicity) for s in pts), key=str) == want
+    assert len(want) == len(assigned)
+
+
 def test_singular_points_at_infinity_found():
     # method-1 style curve: multiplicity 3 at (1:0:0) and (0:1:0)
     c = gen_method1(3, seed=1)
@@ -98,11 +167,27 @@ def test_validate_rejects_low_genus():
         validate_curve(P("x^2 + y^2 - z^2"))
 
 
-def test_validate_rejects_irrational_sings():
-    # nodes at (+-sqrt(2) : 0 : 1)
+def test_validate_rejects_irrational_cusps():
+    # cusps at (+-sqrt(2) : 0 : 1): the local equation is 8u^2 + sqrt(2) y^3
+    # + ...  Over Q they are irrational; 2 is a square mod 10007, where they
+    # are rational and the repeated tangent shows
     f = P("x^4 - 4*x^2*z^2 + 4*z^4 + x*y^3 + y^4")
     with pytest.raises(IrrationalSingularLocus):
         validate_curve(f)
+    F = PrimeField(10007)
+    with pytest.raises(NonOrdinarySingularity):
+        validate_curve(f.map_coeffs(F.coerce), fld=F)
+
+
+def test_validate_rejects_irrational_nodes():
+    # nodes at (+-sqrt(2) : 0 : 1), with tangent cone 8u^2 - y^2; mod 10007
+    # they are rational and ordinary, and the two nodes leave genus 1
+    f = P("x^4 - 4*x^2*z^2 + 4*z^4 - y^2*z^2 + x*y^3 + y^4")
+    with pytest.raises(IrrationalSingularLocus):
+        validate_curve(f)
+    F = PrimeField(10007)
+    with pytest.raises(GenusTooSmall, match="genus 1"):
+        validate_curve(f.map_coeffs(F.coerce), fld=F)
 
 
 def test_validate_rejects_reducible_suspects():

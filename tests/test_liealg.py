@@ -283,6 +283,27 @@ def test_corrupted_lift_moves_on_to_the_next_prime(proj5, monkeypatch):
     assert counters["nullity"] == alg.dim + 1
 
 
+def test_stabilizer_certificate_refuses_a_perturbed_lift(proj5, monkeypatch):
+    """The stabilizes certificate can say no: with one entry of one lifted
+    vector moved by 1, the vectors no longer map every quadric of proj5
+    into the span, and the certificate returns False."""
+    q = forms_through_image(proj5, adjoint_basis(proj5), 2)
+    answers = []
+    real_kernel = liealg.certified_kernel
+
+    def kernel(ncols, system, certify, *args, **kwargs):
+        def spied(vecs):
+            bad = [list(v) for v in vecs]
+            bad[0][0] += 1
+            answers.append((certify(vecs), certify(bad)))
+            return answers[-1][0]
+        return real_kernel(ncols, system, spied, *args, **kwargs)
+
+    monkeypatch.setattr(liealg, "certified_kernel", kernel)
+    assert stabilizer_algebra(q, proj5.genus).dim > 0
+    assert answers == [(True, False)]
+
+
 def test_structure_theory_forms_no_matrix_product(proj5, monkeypatch):
     """Brackets are sparse products and coordinates an echelon lookup: the
     stabilizer of proj5, its Levi part and its split triple are built and

@@ -4,6 +4,7 @@ bound the kernel lifts with."""
 
 from itertools import islice
 from math import gcd
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 import dense_reference as ref
 from trigonal.linalg import kernel_basis
 from trigonal.modular import (PRIME_WALK_START, FpEchelon, certified_kernel,
-                              fp_reduce, primes_below, rational_reconstruct,
-                              recon_bound)
+                              clear_denominators, fp_reduce, primes_below,
+                              rational_reconstruct, recon_bound)
 from trigonal.errors import InternalInvariantError
 from trigonal.scalars import QQ, FpElt, PrimeField, QuadExt, QuadraticField, rat
 
@@ -242,6 +243,32 @@ def test_sparse_echelon_over_q_sqrt2_takes_the_field_path(m, data):
     assert ech.integral is not True
     for row in ech.rows.values():
         assert row[min(row)] == 1
+
+
+class _Mpz(int):
+    """Stands in for gmpy2's ``mpz``, the type of the parts of an ``mpq``:
+    an integer that is not an ``int`` and keeps its type under * and //."""
+
+    def __mul__(self, other):
+        return _Mpz(int(self) * int(other))
+
+    __rmul__ = __mul__
+
+    def __floordiv__(self, other):
+        return _Mpz(int(self) // int(other))
+
+    def __rfloordiv__(self, other):
+        return _Mpz(int(other) // int(self))
+
+
+def test_cleared_denominators_are_python_ints():
+    """``is_rational`` takes ints and rationals, not ``mpz``: rows cleared
+    from ``mpq`` entries must come out as Python ints."""
+    mpq = {j: SimpleNamespace(numerator=_Mpz(n), denominator=_Mpz(d))
+           for j, (n, d) in enumerate(((1, 2), (-5, 3), (0, 1), (7, 1)))}
+    row, den = clear_denominators(mpq)
+    assert (row, den) == ({0: 3, 1: -10, 2: 0, 3: 42}, 6)
+    assert all(type(x) is int for x in [*row.values(), den])
 
 
 def test_echelon_of_rational_rows_refuses_a_row_outside_q():

@@ -21,7 +21,10 @@ def test_projection_pencil_on_method1_curve(m1_cubic):
     # the coordinate projection (x : z) is 3:1 on a deg_y=3 curve
     deg, draws = map_degree(m1_cubic, _pencil("x", "z"))
     assert deg == 3
-    assert all(d["degree"] == 3 for d in draws)
+    # two agreeing draws end the check, each mod its own prime below 2^30
+    assert len(draws) == 2
+    assert all(d["degree"] == 3 and d["prime"] < 1 << 30 for d in draws)
+    assert draws[0]["prime"] > draws[1]["prime"]
 
 
 def test_pencil_through_point_on_klein_quartic(klein):
@@ -47,6 +50,9 @@ def test_map_degree_over_quadratic_field(m1_cubic):
     # (x + sqrt(2) z : z) is (x : z) followed by a translation of P^1
     deg, draws = map_degree(m1_cubic, PencilMap(p=x + sqrt2_z, q=z, field=fld))
     assert deg == 3
+    assert len(draws) == 2
+    assert all(d["prime"] < 1 << 30 for d in draws)
+    assert draws[0]["prime"] > draws[1]["prime"]
     # lines through (sqrt(2) : 0 : 1), a point of this smooth quartic: the
     # degree drops from 4 to 3 only if sqrt(2) is sent to a root of 2 mod p
     quartic = validate_curve(parse_poly("x^2 - 2*z^2") * parse_poly("x^2 + z^2")
@@ -65,6 +71,25 @@ def test_map_degree_over_small_prime_field():
     deg, draws = map_degree(klein, g3_map(klein, (0, 0, 1)))
     assert deg == 3
     assert all(d["prime"] == 101 for d in draws)
+
+
+@pytest.mark.parametrize("faked, expected", [([3, 4, 4], 4), ([5, 3, 4, 3], 3)])
+def test_fiber_check_returns_the_first_degree_seen_twice(m1_cubic, monkeypatch,
+                                                         faked, expected):
+    """Draws whose degrees disagree are followed by more draws until one
+    degree has come out twice, also past the third draw."""
+    queue = iter(faked)
+    monkeypatch.setattr(pipeline, "fp_squarefree", lambda a, p: [1] * (next(queue) + 1))
+    deg, draws = map_degree(m1_cubic, _pencil("x", "z"))
+    assert deg == expected
+    assert [d["degree"] for d in draws] == faked
+
+
+def test_fiber_check_gives_up_when_no_degree_repeats(m1_cubic, monkeypatch):
+    queue = iter(range(3, 3 + pipeline.FIBER_DRAWS))
+    monkeypatch.setattr(pipeline, "fp_squarefree", lambda a, p: [1] * (next(queue) + 1))
+    with pytest.raises(DegenerateFiber, match=r"never agreed: \[3, 4, 5, 6, 7, 8\]"):
+        map_degree(m1_cubic, _pencil("x", "z"))
 
 
 def _klein_power_pencil(e, fld):
