@@ -19,7 +19,7 @@ from .errors import (AdjointDimensionMismatch, InvalidInput,
                      UnexpectedDimension)
 from .linalg import kernel_basis
 from .modular import FpEchelon
-from .poly import MPoly, local_expansion
+from .poly import MPoly, taylor_rows
 from .scalars import rat
 
 
@@ -82,25 +82,15 @@ class FormSpace:
 
 def adjoint_basis(curve):
     """Basis of degree-(d-3) forms vanishing to order m-1 at each
-    multiplicity-m singular point; must have dimension exactly g."""
+    multiplicity-m singular point, the kernel of their ``taylor_rows`` of
+    degree < m-1; must have dimension exactly g."""
     if not curve.validated:
         raise InvalidInput("adjoint basis requires a validated curve")
     d = curve.degree
     k = d - 3
     monos = monomials(3, k)
-    one = curve.field.one()
-    rows = []
-    for s in curve.sings:
-        m = s.multiplicity
-        if m < 2:
-            continue
-        expansions = [local_expansion(MPoly.monomial(3, mono, one),
-                                      list(s.coords), m - 2)
-                      for mono in monos]
-        for deg in range(m - 1):
-            for a in range(deg + 1):
-                rows.append([exp.pieces[deg].terms.get((a, deg - a), 0)
-                             for exp in expansions])
+    rows = [row for s in curve.sings for deg in range(s.multiplicity - 1)
+            for row in taylor_rows(monos, s.coords, deg)]
     fld = curve.field
     if rows:
         kern = kernel_basis(rows)

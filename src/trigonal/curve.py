@@ -15,7 +15,8 @@ point is never wrong.  Whatever part of a candidate locus does not split
 into ground-field points counts into the residual budget and leads to a
 typed rejection.  The same scan rejects a repeated component on both fields,
 since its whole support is singular.  Each singular point's multiplicity and
-ordinarity are read off one local expansion of the curve at the point.
+ordinarity are read off the Taylor pieces of the curve at the point, built
+by ``poly.taylor_rows`` in increasing degree up to the first nonzero one.
 """
 
 import hashlib
@@ -30,8 +31,8 @@ from .errors import (CurveUnsupported, GenerationFailed, GenusTooSmall, Unsuppor
 from .modular import (PRIME_WALK_START, fp_bivariate_table, fp_eval, fp_gcd,
                       fp_reduce, fp_resultant_keepvar, fp_roots,
                       fp_squarefree, fp_trim, primes_below, rational_reconstruct)
-from .poly import (MPoly, UPoly, binary_form_squarefree, local_expansion,
-                   parse_poly, poly_str, rational_roots)
+from .poly import (MPoly, UPoly, binary_form_squarefree, parse_poly, poly_str,
+                   rational_roots, taylor_rows)
 from .scalars import QQ, PrimeField, RationalField, rat
 
 __all__ = ["SingularPoint", "PlaneCurve", "genus", "singular_locus",
@@ -257,9 +258,10 @@ def singular_locus(f, fld=QQ):
     """All singular points with coordinates in the ground field (Q or F_q),
     plus the residual budget: the degree of the candidate loci that are not
     ground-field points.  The same two scans run over both fields; only
-    ``_ground`` tells them apart.  One exact local expansion at each point
-    gives its multiplicity m and, from the degree-m piece (the tangent
-    cone), whether the point is ordinary."""
+    ``_ground`` tells them apart.  At each point the Taylor pieces of f of
+    degree 0, 1, ... are taken until one is nonzero: its degree is the
+    multiplicity m and, as the tangent cone, it tells whether the point is
+    ordinary.  No piece above m is built."""
     if not f or not f.is_homogeneous():
         raise InvalidInput("expected a nonzero homogeneous form")
     d = f.total_degree()
@@ -268,13 +270,18 @@ def singular_locus(f, fld=QQ):
     ground = _ground(fld, f.terms.values())
     inf_pts, res_inf = _infinity_scan(f, fld, ground[2])
     aff_pts, res_aff = _affine_scan(f, ground)
+    monos, coeffs = list(f.terms), list(f.terms.values())
     out = []
-    for c in inf_pts + [(x0, y0, fld.one()) for x0, y0 in aff_pts]:
-        pt = normalize_point(c, fld)
-        exp = local_expansion(f, list(pt), d)
-        m = exp.multiplicity()
+    for cand in inf_pts + [(x0, y0, fld.one()) for x0, y0 in aff_pts]:
+        pt = normalize_point(cand, fld)
+        for m in range(d + 1):
+            piece = [sum(c * r for c, r in zip(coeffs, row) if r)
+                     for row in taylor_rows(monos, pt, m)]
+            if any(piece):
+                break
         if m:       # m = 0 off the curve: the degree-0 piece is f at the point
-            out.append(SingularPoint(pt, m, binary_form_squarefree(exp.pieces[m])))
+            cone = MPoly(2, {(a, m - a): c for a, c in enumerate(piece) if c})
+            out.append(SingularPoint(pt, m, binary_form_squarefree(cone)))
     out.sort(key=lambda s: s.key())
     return out, res_inf + res_aff
 
@@ -539,7 +546,9 @@ def gen_method2(d, coeff_height=2, seed=0, budget=50):
 
 def gen_singular_model(d, assigned, coeff_height=3, seed=0, budget=200):
     """Random degree-d curve with exactly the assigned ordinary singular
-    points: ``assigned`` is a list of ((a, b, c), multiplicity) pairs."""
+    points: ``assigned`` is a list of ((a, b, c), multiplicity) pairs.  The
+    candidates are the kernel of the ``taylor_rows`` of degree < m at each
+    assigned m-fold point."""
     # an accepted curve has exactly the assigned points, so this is its
     # genus, and validation rejects every curve of genus < 3
     g = (d - 1) * (d - 2) // 2 - sum(m * (m - 1) // 2 for _, m in assigned)
@@ -560,16 +569,8 @@ def gen_singular_model(d, assigned, coeff_height=3, seed=0, budget=200):
                 f"{on} > {d}, so the line is a component")
     from .linalg import kernel_basis
     monos = [(i, j, d - i - j) for i in range(d + 1) for j in range(d + 1 - i)]
-    rows = []
-    for pt, m in pts:
-        # conditions: all local pieces of degree < m vanish at the point
-        expansions = [local_expansion(MPoly.monomial(3, mono, rat(1)), list(pt), m - 1)
-                      for mono in monos]
-        for deg in range(m):
-            for a in range(deg + 1):
-                row = [exp.pieces[deg].terms.get((a, deg - a), rat(0))
-                       for exp in expansions]
-                rows.append(row)
+    # conditions: all Taylor pieces of degree < m vanish at each point
+    rows = [row for pt, m in pts for k in range(m) for row in taylor_rows(monos, pt, k)]
     kern = kernel_basis(rows) if rows else [[rat(1) if i == j else rat(0)
                                              for i in range(len(monos))]
                                             for j in range(len(monos))]

@@ -6,13 +6,14 @@ scalar variants.  Canonical printing order is graded lexicographic, which
 keeps CLI output byte-stable.
 """
 
+from math import comb
+
 from .errors import InvalidInput
 from .intutil import divisors
 from .scalars import is_rational, rat, sdiv
 
 __all__ = ["MPoly", "UPoly", "resultant", "det_mpoly", "parse_poly",
-           "poly_str", "local_expansion", "LocalExpansion",
-           "binary_form_squarefree"]
+           "poly_str", "taylor_rows", "binary_form_squarefree"]
 
 
 def _grlex_key(exps):
@@ -91,12 +92,6 @@ class MPoly:
             return True
         degs = {sum(e) for e in self.terms}
         return len(degs) == 1
-
-    def homogeneous_components(self):
-        comps = {}
-        for e, c in self.terms.items():
-            comps.setdefault(sum(e), {})[e] = c
-        return {d: MPoly(self.nvars, t) for d, t in sorted(comps.items())}
 
     def terms_sorted(self):
         """Terms in graded-lex descending order."""
@@ -577,54 +572,40 @@ def resultant(f, g, var):
     return det_mpoly(sylvester_matrix(f, g, var))
 
 
-# --- local expansions -----------------------------------------------------------
+# --- Taylor rows ------------------------------------------------------------------
 
 
-class LocalExpansion:
-    """Taylor pieces of a dehomogenized form translated to a point."""
+def taylor_rows(monos, point, k):
+    """The degree-k Taylor piece at a projective point of the forms over the
+    exponent tuples ``monos``, as k+1 rows with one entry per monomial.
 
-    __slots__ = ("chart", "point", "pieces")
-
-    def __init__(self, chart, point, pieces):
-        self.chart = chart
-        self.point = point
-        self.pieces = pieces
-
-    def multiplicity(self):
-        for d, piece in enumerate(self.pieces):
-            if piece:
-                return d
-        return None
-
-
-def local_expansion(f, point, order=None):
-    """Dehomogenize f at an affine chart containing the point, translate the
-    point to the origin, and return the homogeneous pieces of degree
-    0..order in the two chart variables."""
-    if f.nvars != 3:
-        raise InvalidInput("local expansion expects a form in 3 variables")
-    if not f.is_homogeneous() or not f:
-        raise InvalidInput("local expansion expects a nonzero homogeneous form")
+    Each monomial is dehomogenized in the chart of the point's last nonzero
+    coordinate and translated to the point; u and v are the other two
+    coordinates in order, at values p_u and p_v.  Row a holds the
+    coefficients of u^a v^(k-a): the entry of x^e is
+    C(e_u, a) p_u^(e_u-a) C(e_v, k-a) p_v^(e_v-k+a).  Nonzero entries are
+    built from powers of the coordinates, so they lie in the point's field;
+    zero entries are the int 0."""
     if len(point) != 3 or not any(point):
         raise InvalidInput("(0,0,0) is not a projective point")
     point = [rat(x) if isinstance(x, int) else x for x in point]
     chart = max(i for i in range(3) if point[i])
-    s = point[chart]
-    aff = [point[i] / s for i in range(3)]
-    others = [i for i in range(3) if i != chart]
-    if order is None:
-        order = f.total_degree()
-    images = [None] * 3
-    images[chart] = MPoly.const(2, 1)
-    for slot, i in enumerate(others):
-        img = MPoly.variable(2, slot)
-        if aff[i]:
-            img = img + MPoly.const(2, aff[i])
-        images[i] = img
-    g = f.substitute(images)
-    comps = g.homogeneous_components()
-    return LocalExpansion(chart, tuple(aff),
-                          [comps.get(d, MPoly(2)) for d in range(order + 1)])
+    iu, iv = [i for i in range(3) if i != chart]
+    top = max(map(sum, monos), default=0)
+    pu, pv = ([x ** t for t in range(top + 1)]
+              for x in (point[iu] / point[chart], point[iv] / point[chart]))
+    rows = []
+    for a in range(k + 1):
+        b = k - a
+        row = []
+        for e in monos:
+            eu, ev = e[iu], e[iv]
+            if eu < a or ev < b or not (pu[eu - a] and pv[ev - b]):
+                row.append(0)
+            else:
+                row.append(comb(eu, a) * comb(ev, b) * pu[eu - a] * pv[ev - b])
+        rows.append(row)
+    return rows
 
 
 def binary_form_squarefree(piece):

@@ -24,7 +24,8 @@ except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
     rat = Fraction
 
 _RAT = type(rat(0))
-_RAT_TYPES = (int, _RAT, Fraction)
+# gmpy2's mpq has mpz numerators and denominators
+_RAT_TYPES = (int, _RAT, Fraction, type(rat(0).numerator))
 
 
 def is_rational(x):

@@ -64,56 +64,28 @@ def _is_dependent(pvec, qvec, dim):
 
 
 def weight_chains(triple, g):
-    """Decompose the ambient g-space under (e, h, f): integer h-eigenspaces,
-    highest-weight vectors in ker(e), chains by repeated f-action."""
+    """Decompose the ambient g-space under (e, h, f) into chains by repeated
+    f-action.  The highest-weight vectors of weight lam are the kernel of
+    the stacked rows [e; h - lam*I], taken for lam = g-1 down to 0 until the
+    chains fill the space; a chain from weight lam must have length lam+1."""
     fld = triple.field
     h, e, f = triple.h, triple.e, triple.f
-    eig = {}
-    total = 0
-    for lam in range(g, -g - 1, -1):
-        lam_c = fld.coerce(lam)
-        rows = h.to_rows()
-        for i in range(g):
-            rows[i][i] = rows[i][i] - lam_c
-        vecs = kernel_basis(rows)
-        if vecs:
-            eig[lam] = vecs
-            total += len(vecs)
-            if total == g:
-                break       # eigenspaces are independent: no room is left
-    if total != g:
-        raise DecompositionFailed(
-            f"h acts with non-integer or defective spectrum: {total} of {g} "
-            f"eigenvectors found")
     chains = []
-    for lam in sorted(eig, reverse=True):
-        if lam < 0:
-            continue
-        vecs = eig[lam]
-        imgs = [e.apply([fld.coerce(x) if isinstance(x, int) else x for x in v])
-                for v in vecs]
-        if any(any(img) for img in imgs):
-            rows = [[imgs[t][i] for t in range(len(vecs))] for i in range(g)]
-            combos = kernel_basis(rows)
-        else:
-            combos = [[fld.one() if i == j else fld.zero() for i in range(len(vecs))]
-                      for j in range(len(vecs))]
-        for combo in combos:
-            v0 = [fld.zero()] * g
-            for cval, vec in zip(combo, vecs):
-                if cval:
-                    v0 = [a + cval * (fld.coerce(x) if isinstance(x, int) else x)
-                          for a, x in zip(v0, vec)]
-            if not any(v0):
-                continue
-            chain = [v0]
-            cur = v0
+    for lam in range(g - 1, -1, -1):
+        if sum(map(len, chains)) >= g:
+            break
+        lam_c = fld.coerce(lam)
+        shifted = h.to_rows()
+        for i in range(g):
+            shifted[i][i] = shifted[i][i] - lam_c
+        for v in kernel_basis(e.to_rows() + shifted):
+            cur = [fld.coerce(x) if isinstance(x, int) else x for x in v]
+            chain = [cur]
             while True:
-                nxt = f.apply(cur)
-                if not any(nxt):
+                cur = f.apply(cur)
+                if not any(cur):
                     break
-                chain.append(nxt)
-                cur = nxt
+                chain.append(cur)
                 if len(chain) > g:
                     raise DecompositionFailed("chain exceeds the ambient dimension")
             if len(chain) != lam + 1:

@@ -6,9 +6,13 @@ Rows are plain lists of ``rat``, ``QuadExt`` or ``FpElt`` values (ints
 allowed); every result is exact.  The reduced row echelon form of a row
 space is unique, so ``rref`` gives the canonical basis that ``kernel`` and
 ``same_span`` compare.
+
+``taylor_pieces`` is the same kind of reference for ``poly.taylor_rows``:
+it substitutes and splits where the package reads a closed formula.
 """
 
 from trigonal.linalg import Mat
+from trigonal.poly import MPoly
 from trigonal.scalars import sinv
 
 
@@ -78,3 +82,19 @@ def inverse(m):
                         for i, row in enumerate(m.to_rows())])
     assert pivots[:n] == list(range(n)), "singular matrix"
     return Mat.from_rows([row[n:] for row in red], m.field)
+
+
+def taylor_pieces(f, point):
+    """Substitute-and-split reference for ``poly.taylor_rows``: the form f
+    dehomogenized in the chart of the point's last nonzero coordinate,
+    translated to the point, and split into its homogeneous pieces of degree
+    0..deg f, each a {(a, k-a): coefficient} dict over the other two
+    coordinates in order."""
+    chart = max(i for i in range(3) if point[i])
+    images = [MPoly.const(2, 1)] * 3
+    for slot, i in enumerate(i for i in range(3) if i != chart):
+        images[i] = MPoly.variable(2, slot) + MPoly.const(2, point[i] / point[chart])
+    pieces = [{} for _ in range(f.total_degree() + 1)]
+    for e, c in f.substitute(images).terms.items():
+        pieces[sum(e)][e] = c
+    return pieces

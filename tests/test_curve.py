@@ -284,25 +284,25 @@ def test_reject_table_is_pinned(sqrt2_sextic):
 @pytest.mark.parametrize("fld", [QQ, PrimeField(10007)])
 def test_validation_grounds_once_and_expands_once_per_point(five_nodal_sextic, fld,
                                                             monkeypatch):
-    # one modulus for the scan, and one local expansion per singular point
-    # gives both its multiplicity and its ordinarity
-    grounds, expansions = [], []
-    ground, expand = curve_mod._ground, curve_mod.local_expansion
+    # one modulus for the scan; at each singular point of multiplicity m the
+    # Taylor pieces of degree 0..m are built once each, and none above m
+    grounds, pieces = [], {}
+    ground, rows = curve_mod._ground, curve_mod.taylor_rows
 
     def spy_ground(*args):
         grounds.append(args)
         return ground(*args)
 
-    def spy_expand(f, point, *args):
-        expansions.append(tuple(point))
-        return expand(f, point, *args)
+    def spy_rows(monos, point, k):
+        pieces.setdefault(tuple(point), []).append(k)
+        return rows(monos, point, k)
 
     monkeypatch.setattr(curve_mod, "_ground", spy_ground)
-    monkeypatch.setattr(curve_mod, "local_expansion", spy_expand)
+    monkeypatch.setattr(curve_mod, "taylor_rows", spy_rows)
     curve = validate_curve(five_nodal_sextic.f.map_coeffs(fld.coerce), fld=fld)
     assert len(curve.sings) == 5 and all(s.ordinary for s in curve.sings)
     assert len(grounds) == 1
-    assert sorted(expansions, key=str) == sorted((s.coords for s in curve.sings), key=str)
+    assert pieces == {s.coords: list(range(s.multiplicity + 1)) for s in curve.sings}
 
 
 def test_validate_cross_checks_declared_sings(proj5):

@@ -6,14 +6,19 @@ that moves any emitted value shows here.
 ``EXACT_DIGESTS`` pins the same JSON with ``fiber_draws`` left out: the
 verdict, the certificates and the map, which no change to how the fiber
 check draws its primes, shears or t-values may move.  ``DIGESTS`` pins the
-whole report, draws included."""
+whole report, draws included.
+
+``SINGULAR_F10007_DIGESTS`` pins the JSON and the counters of singular
+models reduced to F_10007, whose adjoint conditions are read at points with
+prime-field coordinates."""
 
 import hashlib
 import json
 
 import pytest
 
-from trigonal.curve import validate_curve
+from trigonal.curve import gen_singular_model, validate_curve
+from trigonal.errors import CurveUnsupported
 from trigonal.pipeline import decide
 from trigonal.scalars import PrimeField
 
@@ -34,10 +39,32 @@ EXACT_DIGESTS = {
 }
 
 
+F10007 = PrimeField(10007)
+
+# name -> (degree, assigned ordinary points, generator seed) of a model
+# generated over Q and reduced to F_10007
+SINGULAR_F10007 = {
+    "five_nodal_sextic": (6, [((1, 0, 0), 2), ((0, 1, 0), 2), ((0, 0, 1), 2),
+                              ((1, 1, 1), 2), ((1, 2, 3), 2)], 5),
+    "one_node_sextic": (6, [((0, 0, 1), 2)], 1),
+    "two_node_sextic": (6, [((1, 2, 3), 2), ((0, 0, 1), 2)], 1),
+}
+
+SINGULAR_F10007_DIGESTS = {
+    "five_nodal_sextic": "487c56a5d4840b5e73b11b58f395134a1989d1d7eee931e99f41eca418361808",
+    "one_node_sextic": "7c6e3201c68a067c5dc1ecaa45c1173b22a27d5d1a83bfd69fd4933025589876",
+    "two_node_sextic": "9424cddfa6c3c0aa8838808c9fa7390b26f13fb878dd831d7d17e708a457bb3b",
+}
+
+
+def _over_f10007(f):
+    return validate_curve(f.map_coeffs(F10007.coerce), fld=F10007)
+
+
 @pytest.fixture(scope="module")
 def klein_f10007(klein):
-    F = PrimeField(10007)
-    return validate_curve(klein.f.map_coeffs(F.coerce), base_point=(0, 0, 1), fld=F)
+    return validate_curve(klein.f.map_coeffs(F10007.coerce), base_point=(0, 0, 1),
+                          fld=F10007)
 
 
 @pytest.fixture(scope="module")
@@ -58,3 +85,17 @@ def test_exact_report_digest_is_pinned(name, reports):
     del exact["fiber_draws"]
     text = json.dumps(exact, indent=2)
     assert hashlib.sha256(text.encode()).hexdigest() == EXACT_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(SINGULAR_F10007))
+def test_singular_report_over_f10007_is_pinned(name):
+    d, assigned, seed = SINGULAR_F10007[name]
+    rep = decide(_over_f10007(gen_singular_model(d, assigned, seed=seed).f), seed=1)
+    text = rep.to_json(with_timings=False) + json.dumps(rep.counters, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == SINGULAR_F10007_DIGESTS[name]
+
+
+def test_two_node_quintic_over_f10007_stops_at_liealg(two_node_quintic):
+    with pytest.raises(CurveUnsupported, match=r"^\[liealg\] prime-field mode stops "
+                       r"at the stabilizer \(dim 6 > 0\)"):
+        decide(_over_f10007(two_node_quintic.f), seed=1)

@@ -7,10 +7,11 @@ from trigonal import modular
 from trigonal.errors import CurveUnsupported, InvalidInput
 from trigonal.modular import (PRIME_WALK_START, fp_bivariate_table, fp_reduce,
                               fp_resultant, fp_resultant_keepvar, primes_below)
-from trigonal.poly import (MPoly, UPoly, binary_form_squarefree,
-                           local_expansion, parse_poly, poly_str,
-                           rational_roots, resultant)
-from trigonal.scalars import rat
+from trigonal.poly import (MPoly, UPoly, binary_form_squarefree, parse_poly,
+                           poly_str, rational_roots, resultant, taylor_rows)
+from trigonal.scalars import QQ, PrimeField, rat
+
+from dense_reference import taylor_pieces
 
 
 WALK_PRIME = next(primes_below(PRIME_WALK_START))
@@ -62,8 +63,7 @@ def test_division_round_trip():
 
 def test_homogeneous_components_and_degrees():
     p = P("x^2*y + z^2 + x")
-    comps = p.homogeneous_components()
-    assert sorted(comps) == [1, 2, 3]
+    assert sorted({sum(e) for e in p.terms}) == [1, 2, 3]
     assert not p.is_homogeneous()
     assert P("x^3 + y^2*z").is_homogeneous()
 
@@ -306,39 +306,69 @@ def test_rational_roots_multiplicity():
     assert roots == [rat(-1, 3), rat(2, 3), rat(2, 3)]
 
 
-# --- local expansions ------------------------------------------------------------
+# --- local expansions, read from Taylor rows ------------------------------------
+
+def _piece(f, point, k):
+    """The degree-k piece of the local expansion of f at the point, read
+    from ``taylor_rows``, as a binary form."""
+    coeffs = list(f.terms.values())
+    row_vals = [sum(c * r for c, r in zip(coeffs, row) if r)
+                for row in taylor_rows(list(f.terms), point, k)]
+    return MPoly(2, {(a, k - a): c for a, c in enumerate(row_vals) if c})
+
+
+def _multiplicity(f, point):
+    return next(k for k in range(f.total_degree() + 1) if _piece(f, point, k))
+
 
 def test_local_expansion_smooth_conic_point():
-    le = local_expansion(P("x*z - y^2"), (0, 0, 1))
-    assert le.multiplicity() == 1
+    assert _multiplicity(P("x*z - y^2"), (0, 0, 1)) == 1
 
 
 def test_local_expansion_cusp_vs_node():
-    cusp = local_expansion(P("y^2*z - x^3"), (0, 0, 1))
-    assert cusp.multiplicity() == 2
-    assert [poly_str(p, ("x", "y")) for p in cusp.pieces[:4]] == \
+    cusp = P("y^2*z - x^3")
+    assert _multiplicity(cusp, (0, 0, 1)) == 2
+    assert [poly_str(_piece(cusp, (0, 0, 1), k), ("x", "y")) for k in range(4)] == \
         ["0", "0", "y^2", "-x^3"]
-    assert not binary_form_squarefree(cusp.pieces[2])
-    node = local_expansion(P("z*x^2 - z*y^2 + x^3"), (0, 0, 1))
-    assert node.multiplicity() == 2
-    assert binary_form_squarefree(node.pieces[2])
+    assert not binary_form_squarefree(_piece(cusp, (0, 0, 1), 2))
+    node = P("z*x^2 - z*y^2 + x^3")
+    assert _multiplicity(node, (0, 0, 1)) == 2
+    assert binary_form_squarefree(_piece(node, (0, 0, 1), 2))
 
 
 def test_local_expansion_chart_invariance():
-    # multiplicity at a point with every coordinate nonzero is chart-free
-    f = P("x^3*y + y^3*z + z^3*x")   # passes through (1:-1:1)? check below
-    pt = (0, 0, 1)
-    m0 = local_expansion(f, pt).multiplicity()
-    # permute coordinates: same curve in another chart
+    # the same point of the same curve, read in another chart
+    f = P("x^3*y + y^3*z + z^3*x")
+    m0 = _multiplicity(f, (0, 0, 1))
     g = f.substitute([MPoly.variable(3, 2), MPoly.variable(3, 0),
                       MPoly.variable(3, 1)])
-    m1 = local_expansion(g, (0, 1, 0)).multiplicity()
+    m1 = _multiplicity(g, (0, 1, 0))
     assert m0 == m1 == 1
 
 
 def test_local_expansion_rejects_zero_point():
     with pytest.raises(InvalidInput):
-        local_expansion(P("x^3 + y^3 + z^3"), (0, 0, 0))
+        taylor_rows([(3, 0, 0), (0, 3, 0), (0, 0, 3)], (0, 0, 0), 0)
+
+
+@pytest.mark.parametrize("fld", [QQ, PrimeField(10007)])
+def test_taylor_rows_match_substitute_and_split(fld):
+    # every piece up to d of random forms of degree 3-7, at points in each
+    # of the three charts; nonzero entries lie in the field, never bare ints
+    rng = random.Random(14)
+    for d in range(3, 8):
+        monos = [(i, j, d - i - j) for i in range(d + 1) for j in range(d + 1 - i)]
+        f = MPoly(3, {e: fld.coerce(rng.randint(-9, 9)) for e in monos})
+        for chart in range(3):
+            point = [fld.coerce(rng.randint(-5, 5)) for _ in range(chart)]
+            point += [fld.one()] + [fld.zero()] * (2 - chart)
+            ref = taylor_pieces(f, point)
+            for k in range(d + 1):
+                rows = taylor_rows(list(f.terms), point, k)
+                assert all(not isinstance(r, int) for row in rows for r in row if r)
+                got = {(a, k - a): v for a, row in enumerate(rows)
+                       if (v := sum(c * r for c, r in zip(f.terms.values(), row) if r))}
+                assert got == ref[k], (d, point, k)
 
 
 def test_binary_form_repeated_factor_at_infinity_detected():

@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from trigonal.errors import InvalidInput
 from trigonal.scalars import (QQ, FpElt, PrimeField, QuadExt, QuadraticField,
-                              common_field, rat, rational_square_split, sdiv,
-                              sinv, sqrt_rational)
+                              common_field, is_rational, rat, rational_square_split,
+                              sdiv, sinv, sqrt_rational)
 
 
 def test_rational_lowest_terms():
@@ -61,6 +61,13 @@ def test_prime_field_coercion():
         F.coerce(rat(1, 101))
     with pytest.raises(InvalidInput):
         PrimeField(2)
+
+
+def test_numerators_are_rational():
+    # under gmpy2 a numerator is an mpz, not an int
+    n = rat(7, 3).numerator
+    assert is_rational(n)
+    assert QQ.coerce(n) == rat(7) and QQ.is_element(QQ.coerce(n))
 
 
 def test_common_field_mixing_rules():

@@ -2,7 +2,7 @@ import pytest
 
 from trigonal.canonical import (adjoint_basis, adjoint_combination,
                                 forms_through_image)
-from trigonal.errors import ChainCountUnexpected
+from trigonal.errors import ChainCountUnexpected, DecompositionFailed
 from trigonal.liealg import (Sl2Triple, levi, split_sl2,
                              split_two_ideals, stabilizer_algebra)
 from trigonal.linalg import Mat
@@ -10,7 +10,7 @@ from trigonal.scalars import rat
 from trigonal.scroll import (minor_vectors, p1xp1_rulings, ruling_map,
                              scroll_matrix, weight_chains)
 
-from dense_reference import same_span
+from dense_reference import inverse, same_span
 from test_liealg import CONE
 
 
@@ -79,6 +79,49 @@ def test_weight_chain_block_sum():
     assert w.lengths == [2, 4]
     a = scroll_matrix(w)
     assert a.ncols == (2 - 1) + (4 - 1)
+
+
+def _chain_strs(w):
+    return [[[str(x) for x in v] for v in ch] for ch in w.chains]
+
+
+def _unit(n, *hot):
+    return [["1" if i == j else "0" for i in range(n)] for j in hot]
+
+
+def test_weight_chains_are_pinned():
+    # the full chains, not only their lengths; [e2, e2, e2] has a
+    # 2-dimensional highest-weight space
+    e2, h2, f2 = _sym_action(2)
+    e4, h4, f4 = _sym_action(4)
+    t = _triple_from_mats(_block([e2, e4]), _block([h2, h4]), _block([f2, f4]))
+    assert _chain_strs(weight_chains(t, 6)) == [_unit(6, 0, 1), _unit(6, 2, 3, 4, 5)]
+    t = _triple_from_mats(_block([e2] * 3), _block([h2] * 3), _block([f2] * 3))
+    assert _chain_strs(weight_chains(t, 6)) == \
+        [_unit(6, 4, 5), _unit(6, 2, 3), _unit(6, 0, 1)]
+
+
+def test_weight_chains_pinned_after_a_change_of_basis():
+    # P^-1 X P for the three-chain triple: the highest-weight vectors are the
+    # reduced echelon basis of a 3-dimensional kernel with dense entries
+    e2, h2, f2 = _sym_action(2)
+    P = Mat.from_rows([[rat(x) for x in row] for row in
+                       [[1, 1, 0, -1, 1, 0], [0, 1, 1, 0, -1, 1], [0, 0, 1, 1, 0, -1],
+                        [0, 0, 0, 1, 1, 0], [0, 0, 0, 0, 1, 1], [0, 0, 0, 0, 0, 1]]])
+    t = _triple_from_mats(*(inverse(P) * _block([m] * 3) * P for m in (e2, h2, f2)))
+    assert _chain_strs(weight_chains(t, 6)) == [
+        [["0", "0", "1", "-1", "1", "0"], ["2", "0", "0", "1", "-1", "1"]],
+        [["0", "1", "0", "-1", "1", "0"], ["1", "0", "1", "0", "-1", "1"]],
+        [["1", "0", "0", "0", "0", "0"], ["-1", "1", "0", "0", "0", "0"]]]
+
+
+def test_weight_chains_reject_f_chains_that_disagree_with_h():
+    # h = diag(1, -1) puts a highest weight 1 on the first axis, but f = 0
+    # ends its chain at length 1, not 2
+    zero = Mat.from_rows([[rat(0), rat(0)], [rat(0), rat(0)]])
+    h = Mat.from_rows([[rat(1), rat(0)], [rat(0), rat(-1)]])
+    with pytest.raises(DecompositionFailed, match="weight 1 has length 1"):
+        weight_chains(_triple_from_mats(zero, h, zero), 2)
 
 
 def test_scroll_matrix_rejects_three_chains():
