@@ -9,11 +9,12 @@ Curves are taken over Q or a prime field F_q, and one scan serves both.
 Singular points on the line z=0 and at (1:0:0) are found by exact
 univariate gcds.  The affine chart is scanned with resultant nets reduced
 mod q itself over F_q, and over Q mod one admissible prime of the walk in
-``modular`` (the first whose reduction keeps every denominator); each
-candidate is then verified exactly over the ground field, so a reported
-point is never wrong.  Whatever part of a candidate locus does not split
-into ground-field points counts into the residual budget and leads to a
-typed rejection.  The same scan rejects a repeated component on both fields,
+``modular`` (the first whose reduction keeps every denominator).  The third
+net is computed only when the first two leave a candidate x-value outside
+F_p.  Each candidate is then verified exactly over the ground field, so a
+reported point is never wrong.  Whatever part of a candidate locus does not
+split into ground-field points counts into the residual budget and leads to
+a typed rejection.  The same scan rejects a repeated component on both fields,
 since its whole support is singular.  Each singular point's multiplicity and
 ordinarity are read off the Taylor pieces of the curve at the point, built
 by ``poly.taylor_rows`` in increasing degree up to the first nonzero one.
@@ -174,7 +175,17 @@ def _ground(fld, coeffs):
 
 def _affine_scan(f, ground):
     """Ground-field singular points in the chart z=1, plus a residual budget
-    for candidates that are not ground-field points."""
+    for candidates that are not ground-field points.
+
+    The candidate x-values mod p are the roots of the gcd of the resultant
+    nets Res_y(F_x, F_y), Res_y(F, F_x) and Res_y(F, F_y), taken in that
+    order.  The square-free gcd of the first two is split into its F_p
+    roots once.  When every one of its roots lies in F_p the last net is
+    not computed: each root is checked below against all of F, F_x and F_y,
+    exactly after the lift or by the mod-p gcd, and a root the last net
+    would have dropped has Res_y(F, F_y) != 0 there, so that check drops it
+    too.  Otherwise the last net cuts the gcd, and the F_p roots are the old
+    roots at which the new gcd vanishes."""
     p, lift, ground_roots = ground
     if p is None:
         raise CurveUnsupported("modular reduction degenerated at every prime")
@@ -187,18 +198,28 @@ def _affine_scan(f, ground):
     pairs = [(i, j) for i, j in ((1, 2), (0, 1), (0, 2)) if polys[i] and polys[j]
              and (polys[i].degree_in(1) or polys[j].degree_in(1))]
     tabs = [fp_bivariate_table(P, P.degree_in(1), p) for P in polys]
-    g = None
+    g = roots = None
     for i, j in pairs:
+        if roots is not None and len(roots) == len(g) - 1:
+            break       # every candidate is in F_p
         r = fp_resultant_keepvar(tabs[i], tabs[j], p)
-        if r:
-            g = r if g is None else fp_gcd(g, r, p)
-            if len(g) == 1:
-                return [], 0
+        if not r:
+            continue
+        if g is None:
+            g = r
+        elif roots is None:
+            g = fp_squarefree(fp_gcd(g, r, p), p)
+            roots = fp_roots(g, p)
+        else:
+            g = fp_gcd(g, r, p)
+            roots = [x for x in roots if not fp_eval(g, x, p)]
+        if len(g) == 1:
+            return [], 0
     if g is None:
         raise ReducibleSuspected("all affine resultant nets vanish identically")
-
-    g = fp_squarefree(g, p)
-    roots = fp_roots(g, p)
+    if roots is None:       # one net did not vanish identically
+        g = fp_squarefree(g, p)
+        roots = fp_roots(g, p)
     points = []
     # distinct candidate x-values over the closure that do not even reduce
     # into F_p are not ground-field points: straight into the residual budget

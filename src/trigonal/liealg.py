@@ -15,6 +15,7 @@ and solutions read off its reduced rows.
 
 import enum
 from dataclasses import dataclass
+from functools import cache
 
 from .errors import (InternalInvariantError, InvalidInput, LiftingFailed,
                      NotSl2, SplitFailedOverExtension, UnexpectedDimension)
@@ -274,11 +275,17 @@ def stabilizer_algebra(qspace, g, fld=QQ, counters=None):
     def integral(vec):
         return clear_denominators({j: x for j, x in enumerate(vec) if x})[0]
 
+    monos = qspace.monomials
+    index = {m: i for i, m in enumerate(monos)}
+
+    @cache
+    def quadrics():
+        """The integral quadric basis and its span: built at the first lift
+        to certify, and kept for the next one."""
+        return [integral(q) for q in qspace.basis], qspace.row_space()
+
     def stabilizes(vecs):
-        monos = qspace.monomials
-        index = {m: i for i, m in enumerate(monos)}
-        basis = [integral(q) for q in qspace.basis]
-        span = qspace.row_space()
+        basis, span = quadrics()
         for v in vecs:
             m = integral(v[::-1])
             targets = [[j for j in range(g) if i * g + j in m] for i in range(g)]

@@ -19,7 +19,10 @@ discovers candidates mod p; every point it reports is verified exactly over
 the ground field by the caller.  The fiber check is Monte Carlo in its
 prime and records the prime of each draw.  A certified kernel is exact:
 every lifted vector is verified over the ground field, and the nullity mod
-p bounds the true nullity from above.
+p bounds the true nullity from above.  The nullity of the rows reduced so
+far bounds it too, so over Q the lift is tried whenever the rank mod p has
+not grown for as many rows as there are unknowns, and an accepted try ends
+the elimination before the rows run out.
 """
 
 from bisect import insort
@@ -655,20 +658,29 @@ def certified_kernel(ncols, system, certify, fld=QQ, known=(), counters=None):
 
     The kernel mod p then has at least the true nullity.  Once the rank mod
     p leaves no room beyond ``known``, those vectors are the kernel and the
-    rest of the rows is skipped.  Over F_q the kernel mod q is the answer.
-    Over Q the kernel mod p, taken on the prime walk, is lifted entry by
-    entry with ``rational_reconstruct``, combining by CRT the primes that
-    share its pivot columns; a prime with a smaller nullity (or, at equal
-    nullity, earlier pivots) starts the lift afresh, one with a larger one
-    is skipped.  The lift is returned once ``certify`` accepts it: it is as
-    many independent solutions (1 at its own free column, 0 at the others)
-    as the nullity mod p, so it spans the kernel.
+    rest of the rows is skipped.  Over F_q every row is reduced and the
+    kernel mod q is the answer.  Over Q the kernel mod p, taken on the prime
+    walk, is lifted entry by entry with ``rational_reconstruct``, combining
+    by CRT the primes that share its pivot columns; a prime with a smaller
+    nullity (or, at equal nullity, earlier pivots) starts the lift afresh,
+    one with a larger one is skipped.  The lift is returned once ``certify``
+    accepts it: it is as many independent solutions (1 at its own free
+    column, 0 at the others) as the nullity mod p, so it spans the kernel.
+
+    Over Q the lift is also tried before the rows run out, each time
+    ``ncols`` rows in a row leave the rank mod p where it was: the kernel of
+    the rows reduced so far is lifted mod p alone and given to ``certify``.
+    That kernel has at least the nullity of the whole system mod p, which
+    has at least the true nullity, so an accepted try is the kernel, and it
+    is the one the whole system mod p would lift to.  A refused try costs
+    one lift and elimination goes on.
 
     ``counters``, when given, receives "eq_rows" (rows reduced mod the last
-    prime), "nullity" (of the kernel returned), "primes" ({"tried": ...,
-    "used": ...}: every prime taken from the walk, and those whose residues
-    make the result) and "stored_nnz" (the nonzeros the echelon mod the
-    last prime holds when elimination stops).
+    prime before its kernel was taken, so fewer than the system has when a
+    try is accepted early), "nullity" (of the kernel returned), "primes"
+    ({"tried": ..., "used": ...}: every prime taken from the walk, and those
+    whose residues make the result) and "stored_nnz" (the nonzeros the
+    echelon mod the last prime holds when elimination stops).
     """
     known = list(known)
     if isinstance(fld, PrimeField):
@@ -680,17 +692,31 @@ def certified_kernel(ncols, system, certify, fld=QQ, known=(), counters=None):
     full_rank = ncols - len(known)
     tried, used = [], []
     best = modulus = residues = None     # the lift under way
+
+    def done(result, used, ech, eq_rows):
+        if counters is not None:
+            counters.update(eq_rows=eq_rows, nullity=len(result),
+                            primes={"tried": tried, "used": used},
+                            stored_nnz=ech.nnz())
+        return result
+
     for p in primes:
         tried.append(p)
         rows = system(p)
         if rows is None:
             continue
-        ech, eq_rows = FpEchelon(ncols, p), 0
+        ech, eq_rows, stall = FpEchelon(ncols, p), 0, 0
         for row in rows:
             eq_rows += 1
-            ech.add(row)
-            if ech.rank == full_rank:
-                break
+            if ech.add(row):
+                if ech.rank == full_rank:
+                    break
+                stall = 0
+            elif fld == QQ and (stall := stall + 1) == ncols:
+                stall = 0
+                early = _reconstruct(ech.kernel(), p)
+                if early is not None and certify(early):
+                    return done(early, [p], ech, eq_rows)
         if ech.rank == full_rank:
             result, used = known, [p]
         elif fld != QQ:
@@ -704,17 +730,28 @@ def certified_kernel(ncols, system, certify, fld=QQ, known=(), counters=None):
                 used = used + [p]
             else:
                 continue
-            result = [[rational_reconstruct(x, modulus) for x in v] for v in residues]
-            if any(None in v for v in result) or not certify(result):
+            result = _reconstruct(residues, modulus)
+            if result is None or not certify(result):
                 continue
-        if counters is not None:
-            counters.update(eq_rows=eq_rows, nullity=len(result),
-                            primes={"tried": tried, "used": used},
-                            stored_nnz=ech.nnz())
-        return result
+        return done(result, used, ech, eq_rows)
     if fld != QQ:
         raise InvalidInput(f"the system does not reduce mod {fld.p}")
     raise LiftingFailed(f"no certified kernel after {len(tried)} primes")
+
+
+def _reconstruct(residues, m):
+    """The residue vectors mod m lifted entry by entry with
+    ``rational_reconstruct``, or None at the first entry that fails."""
+    out = []
+    for v in residues:
+        w = []
+        for x in v:
+            r = rational_reconstruct(x, m)
+            if r is None:
+                return None
+            w.append(r)
+        out.append(w)
+    return out
 
 
 def _crt_vectors(m, vecs, p, more):

@@ -367,6 +367,24 @@ def test_scan_moves_on_only_when_a_denominator_vanishes(proj5, monkeypatch):
         curve_mod.singular_locus(proj5.f.map_coeffs(lambda c: c / (P0 * P1)))
 
 
+@pytest.mark.parametrize("fld", [QQ, PrimeField(10007)])
+def test_the_last_net_runs_only_for_candidates_outside_fp(five_nodal_sextic, fld,
+                                                           monkeypatch):
+    """Res_y(F_x, F_y) and Res_y(F, F_x) leave x-values that all lie in F_p
+    for the five-nodal sextic and for the Fermat quartic, so Res_y(F, F_y)
+    is not computed.  The quartic's two-net gcd is x, and x = 0 carries no
+    singular point: the check mod p drops it, as the last net used to.  The
+    nodes of two cubics do not all lie over F_p, so the last net runs."""
+    primes, _ = _spy_scan(monkeypatch)
+    rational = 0 if fld == QQ else 1      # of the nine nodes, as in REJECT_TABLE
+    cases = [(five_nodal_sextic.f, 5, 0, 2), (P("x^4 + y^4 + z^4"), 0, 0, 2),
+             (P("x^3 + y^3 + z^3") * H, rational, 9 - rational, 3)]
+    for f, npoints, residual, nets in cases:
+        primes.clear()
+        points, res = singular_locus(f.map_coeffs(fld.coerce), fld)
+        assert (len(points), res, len(primes)) == (npoints, residual, nets)
+
+
 # --- the same scan over F_q ----------------------------------------------------------
 
 X, Y, Z = (MPoly.variable(3, i) for i in range(3))

@@ -261,6 +261,31 @@ def test_stabilizer_makes_no_fraction_kernel_call(five_nodal_sextic, monkeypatch
     assert counters["primes"]["used"] == [WALK[0]]
 
 
+def test_stabilizer_kernel_lifts_once_the_rank_settles(proj6):
+    """proj6 has 49 unknowns and 134 stabilizer equations, and the rank mod
+    the first prime last grows at row 49.  After 49 more rows the kernel of
+    the rows so far is lifted and certified, so fewer rows are reduced than
+    the system has; the algebra is the one the whole system gives."""
+    g = proj6.genus
+    q = forms_through_image(proj6, adjoint_basis(proj6), 2)
+    counters = {}
+    alg = stabilizer_algebra(q, g, counters=counters)
+    p = WALK[0]
+    rows = list(liealg._derivation_system(q, g, p))
+    full = modular.FpEchelon(g * g, p)
+    for row in rows:
+        full.add(row)
+    assert counters["primes"]["used"] == [p]
+    assert counters["eq_rows"] < len(rows)
+    # the kernel of every row mod p, lifted, against the algebra plus the
+    # identity; the unknowns of the system are numbered from the far end
+    lifted = [[modular.rational_reconstruct(x, p) for x in v][::-1]
+              for v in full.kernel()]
+    ident = [rat(1) if i % (g + 1) == 0 else rat(0) for i in range(g * g)]
+    assert len(lifted) == counters["nullity"] == alg.dim + 1
+    assert ref.same_span(lifted, [b.entries for b in alg.basis] + [ident])
+
+
 def test_corrupted_lift_moves_on_to_the_next_prime(proj5, monkeypatch):
     """A lift mod the first prime that does not stabilize the quadrics is
     refused; the next prime's lift is certified and gives the same algebra."""

@@ -40,15 +40,19 @@ def test_recon_rejects_values_beyond_the_bound():
     assert rational_reconstruct(b + 1, p) is None
 
 
-def modular_kernel(rows, ncols, fld, counters=None):
+def modular_kernel(rows, ncols, fld, counters=None, answers=None):
     """certified_kernel of a plain matrix: rows reduced entry by entry,
-    certified by M.v == 0 exactly."""
+    certified by M.v == 0 exactly; ``answers``, when given, receives each
+    answer of the certificate."""
     def system(p):
         out = [[fp_reduce(c, p) for c in r] for r in rows]
         return None if any(None in r for r in out) else out
 
     def certify(vecs):
-        return all(sum(c * x for c, x in zip(r, v)) == 0 for r in rows for v in vecs)
+        ok = all(sum(c * x for c, x in zip(r, v)) == 0 for r in rows for v in vecs)
+        if answers is not None:
+            answers.append(ok)
+        return ok
 
     return certified_kernel(ncols, system, certify, fld, counters=counters)
 
@@ -121,6 +125,37 @@ def test_restart_keeps_a_kernel_that_changes_at_the_second_prime():
     assert modular_kernel(rows, 3, QQ, counters) == [[0, -P0, 1]]
     assert counters["nullity"] == 1
     assert counters["primes"]["used"] == WALK[:3]
+
+
+def test_kernel_lifts_early_once_ncols_rows_add_no_rank():
+    # the rank stops at 1 with the first row; the third row is the second
+    # in a row that adds nothing, so the lift is tried and accepted there
+    rows = [[1, 2]] + [[k, 2 * k] for k in range(2, 7)]
+    counters, answers = {}, []
+    kern = modular_kernel(rows, 2, QQ, counters, answers)
+    assert kern == [[-2, 1]] and answers == [True]
+    assert counters["eq_rows"] == 3 and counters["nullity"] == 1
+
+
+def test_an_early_lift_that_fails_its_certificate_is_refused():
+    """Three rows that add no rank come before the last row that does: the
+    lift tried after them still has (0, 1, 0) in its kernel, the certificate
+    refuses it, and elimination goes on to the end."""
+    rows = [[1, 0, 0]] * 4 + [[0, 1, 0]]
+    counters, answers = {}, []
+    kern = modular_kernel(rows, 3, QQ, counters, answers)
+    assert answers == [False, True]
+    assert counters["eq_rows"] == len(rows)
+    assert ref.same_span(kern, ref.kernel(rows, 3))
+
+
+def test_kernel_over_fq_reduces_every_row():
+    # over F_q the kernel mod q is the answer: no lift, so no early exit
+    rows = [[FpElt(k, FQ.p), FpElt(2 * k, FQ.p)] for k in range(1, 7)]
+    counters, answers = {}, []
+    kern = modular_kernel(rows, 2, FQ, counters, answers)
+    assert answers == [] and counters["eq_rows"] == len(rows)
+    assert ref.same_span(kern, ref.kernel(rows, 2))
 
 
 # --- the sparse echelon form against the dense Fraction elimination ---------
