@@ -1,0 +1,216 @@
+"""Pinned outcomes of the benchmark corpus: the 99 inputs that
+``perfbench/corpus.py`` builds for its three workloads at seeds 1-3.
+
+Per input the test pins the SHA-256 (first 16 hex digits) of
+``Report.to_json(with_timings=False)`` without ``fiber_draws``, and that of
+``Report.counters``, kept apart so that a stated counter change re-pins only
+its own digest; or, for a rejected input, the error class and message.  A
+change that moves an output re-pins it and says why.  Each outcome is also
+checked against the known answer ``corpus.Expect`` gives, as
+``perfbench/run.py`` checks it: genus, case and verdict, a map verified at
+degree 3, and agreement of the Lie and quadric-generation verdicts.  So the
+two verdicts agree on the whole corpus, checked here, not only in the
+benchmark.  The corpus module is imported by path and not changed."""
+
+import hashlib
+import importlib.util
+import json
+from functools import cache
+from pathlib import Path
+
+import pytest
+
+from trigonal.curve import validate_curve
+from trigonal.errors import HyperellipticInput, UnsupportedInput
+from trigonal.pipeline import decide
+
+_SPEC = importlib.util.spec_from_file_location(
+    "perfbench_corpus", Path(__file__).resolve().parent.parent / "perfbench" / "corpus.py")
+corpus = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(corpus)
+
+CONE = "NonOrdinarySingularity: tangent cone at (0:0:1) has a repeated factor"
+
+
+def _residual(degree):
+    return ("IrrationalSingularLocus: singular locus has a non-rational residual "
+            f"of degree {degree}")
+
+
+def _hyperelliptic(qdim, genus):
+    return (f"HyperellipticInput: [quadrics] quadric dimension {qdim} shows a 2:1 "
+            f"canonical image (genus {genus}); trigonality is undefined here")
+
+
+# (workload, seed) -> per input, in run order: (name, report digest, counters
+# digest) for a verdict, (name, "ErrorClass: message") for a rejection
+PINNED = {
+    ("trigonal_hi", 1): [
+        ("projection d=8", "aa31da4a57199297", "e0705a8332e25289"),
+        ("non-ordinary 5-fold point d=8", CONE),
+        ("projection d=10", "ebb984ad16d6e760", "4f529a9d986882a1"),
+        ("method-1 deg_x=7", "d0bf31b2f1b34410", "79ed45a2a8621b2a"),
+        ("hyperelliptic d=8", _hyperelliptic(10, 6)),
+        ("method-1 deg_x=8", "3643d8c1465b03d7", "a406c2f864da3d8d"),
+    ],
+    ("trigonal_hi", 2): [
+        ("projection d=8", "4aa1d0096d51bfcb", "e0705a8332e25289"),
+        ("non-ordinary 5-fold point d=8", CONE),
+        ("projection d=10", "c21769b34015a9ce", "4f529a9d986882a1"),
+        ("method-1 deg_x=7", "1bb5d6ca35712817", "79ed45a2a8621b2a"),
+        ("hyperelliptic d=8", _hyperelliptic(10, 6)),
+        ("method-1 deg_x=8", "0cf2320fb2bea65f", "a406c2f864da3d8d"),
+    ],
+    ("trigonal_hi", 3): [
+        ("projection d=8", "c1a3eb0a1798554a", "e0705a8332e25289"),
+        ("non-ordinary 5-fold point d=8", CONE),
+        ("projection d=10", "9e8f8fe319efffe1", "4f529a9d986882a1"),
+        ("method-1 deg_x=7", "d6fabfee12a7c7df", "79ed45a2a8621b2a"),
+        ("hyperelliptic d=8", _hyperelliptic(10, 6)),
+        ("method-1 deg_x=8", "02d7e3f2a0c15f08", "a406c2f864da3d8d"),
+    ],
+    ("dense_nontrigonal", 1): [
+        ("smooth d=6, 5-bit, #1", "813956592866f784", "025ebf0992ed3746"),
+        ("cusp d=6", CONE),
+        ("smooth d=6, 5-bit, #2", "2299b280c4d4c80b", "fa7f4b1f8c331007"),
+        ("tacnode d=6", CONE),
+        ("one-node sextic, 5-bit", "d13689ab422c11b3", "8501b5e3fcc12f66"),
+        ("product of two cubics", _residual(9)),
+        ("Fermat septic", "50e85cf6f6dfceff", "bcdc6dde5bd3ded6"),
+        ("nodes over Q(sqrt 2) d=6", _residual(2)),
+        ("smooth d=5, 5-bit, #1", "fc1aa731cecb4324", "573d4bc280d0e66d"),
+    ],
+    ("dense_nontrigonal", 2): [
+        ("smooth d=6, 5-bit, #1", "fe653cc2a266cc78", "dc141c8d62fcdec9"),
+        ("cusp d=6", CONE),
+        ("smooth d=6, 5-bit, #2", "ed1313768422f613", "025ebf0992ed3746"),
+        ("tacnode d=6", CONE),
+        ("one-node sextic, 5-bit", "cf16eff69156b6eb", "8501b5e3fcc12f66"),
+        ("product of two cubics", _residual(9)),
+        ("Fermat septic", "1bb7c585e586d64a", "bcdc6dde5bd3ded6"),
+        ("nodes over Q(sqrt 2) d=6", _residual(2)),
+        ("smooth d=5, 5-bit, #1", "6fea31a936589f3b", "573d4bc280d0e66d"),
+    ],
+    ("dense_nontrigonal", 3): [
+        ("smooth d=6, 5-bit, #1", "8f9ead6e9c75eddb", "62175f9a2fd1db22"),
+        ("cusp d=6", CONE),
+        ("smooth d=6, 5-bit, #2", "ffb8757c61e20744", "025ebf0992ed3746"),
+        ("tacnode d=6", CONE),
+        ("one-node sextic, 5-bit", "f22d7e7014ff3d61", "8501b5e3fcc12f66"),
+        ("product of two cubics", _residual(9)),
+        ("Fermat septic", "f435e45c8783d99e", "bcdc6dde5bd3ded6"),
+        ("nodes over Q(sqrt 2) d=6", _residual(2)),
+        ("smooth d=5, 5-bit, #1", "8fccda0a8d0c32c7", "573d4bc280d0e66d"),
+    ],
+    ("small_mixed", 1): [
+        ("Klein quartic", "df1dbc69472a2546", "44136fa355b3678a"),
+        ("cusp d=5", CONE),
+        ("Fermat quartic", "507650d945f24c98", "44136fa355b3678a"),
+        ("tacnode d=6", CONE),
+        ("two-node quintic", "224792d21198dbbd", "f00e0f8dc77506f8"),
+        ("product of two cubics", _residual(9)),
+        ("five-nodal sextic", "c4084863584dd7e4", "80e15abd31b254e1"),
+        ("nodes over Q(sqrt 2) d=5", _residual(2)),
+        ("Fermat quintic", "58b2976b58bdea95", "573d4bc280d0e66d"),
+        ("three-nodal quartic (genus 0)", "GenusTooSmall: genus 0 < 3"),
+        ("projection d=5", "478fb6006e5d5551", "abc9ff75c65d82be"),
+        ("hyperelliptic d=5", _hyperelliptic(1, 3)),
+        ("projection d=6", "9caefe1dafc095ae", "f2c0d9f2f35dd4cf"),
+        ("hyperelliptic d=6", _hyperelliptic(3, 4)),
+        ("method-1 deg_x=3", "a8c005a0bd287517", "f00e0f8dc77506f8"),
+        ("hyperelliptic d=7", _hyperelliptic(6, 5)),
+        ("method-1 deg_x=4", "eeec450feb8e51b2", "635f80f43e09446f"),
+        ("method-1 deg_x=5", "ad85208dd8817945", "0306d24b84b4323f"),
+    ],
+    ("small_mixed", 2): [
+        ("Klein quartic", "5055b709621ed35e", "44136fa355b3678a"),
+        ("cusp d=5", CONE),
+        ("Fermat quartic", "624314927a0c6074", "44136fa355b3678a"),
+        ("tacnode d=6", CONE),
+        ("two-node quintic", "459937bd45bdb236", "f00e0f8dc77506f8"),
+        ("product of two cubics", _residual(9)),
+        ("five-nodal sextic", "794e5b31409cfa63", "49fa356649ae0e2a"),
+        ("nodes over Q(sqrt 2) d=5", _residual(2)),
+        ("Fermat quintic", "a247de2a26763a9e", "573d4bc280d0e66d"),
+        ("three-nodal quartic (genus 0)", "GenusTooSmall: genus 0 < 3"),
+        ("projection d=5", "0709398a4712c16e", "abc9ff75c65d82be"),
+        ("hyperelliptic d=5", _hyperelliptic(1, 3)),
+        ("projection d=6", "01746fb8e6fb0962", "f2c0d9f2f35dd4cf"),
+        ("hyperelliptic d=6", _hyperelliptic(3, 4)),
+        ("method-1 deg_x=3", "550d2c0835b4c9b8", "f00e0f8dc77506f8"),
+        ("hyperelliptic d=7", _hyperelliptic(6, 5)),
+        ("method-1 deg_x=4", "019a96da5a90a1f6", "635f80f43e09446f"),
+        ("method-1 deg_x=5", "2f2868f1adfe380e", "0306d24b84b4323f"),
+    ],
+    ("small_mixed", 3): [
+        ("Klein quartic", "4b8a415b83d0bc18", "44136fa355b3678a"),
+        ("cusp d=5", CONE),
+        ("Fermat quartic", "09617457a4efa341", "44136fa355b3678a"),
+        ("tacnode d=6", CONE),
+        ("two-node quintic", "17c93e18cdf50a90", "f00e0f8dc77506f8"),
+        ("product of two cubics", _residual(9)),
+        ("five-nodal sextic", "70c64423d2e24a83", "80e15abd31b254e1"),
+        ("nodes over Q(sqrt 2) d=5", _residual(2)),
+        ("Fermat quintic", "c0ffaac286c8c230", "573d4bc280d0e66d"),
+        ("three-nodal quartic (genus 0)", "GenusTooSmall: genus 0 < 3"),
+        ("projection d=5", "01e7f684e6673cd8", "abc9ff75c65d82be"),
+        ("hyperelliptic d=5", _hyperelliptic(1, 3)),
+        ("projection d=6", "37c32cdab9458975", "f2c0d9f2f35dd4cf"),
+        ("hyperelliptic d=6", _hyperelliptic(3, 4)),
+        ("method-1 deg_x=3", "d5a05cf25d6f9115", "f00e0f8dc77506f8"),
+        ("hyperelliptic d=7", _hyperelliptic(6, 5)),
+        ("method-1 deg_x=4", "f964f1a3e32468be", "635f80f43e09446f"),
+        ("method-1 deg_x=5", "4bb4b6d5ac8373c3", "0306d24b84b4323f"),
+    ],
+}
+
+
+def _digest(obj):
+    text = obj if isinstance(obj, str) else json.dumps(obj, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@cache
+def _outcomes(workload, seed):
+    """(item, report or None, error or None) for each input of the workload,
+    decided with the workload's seed as ``perfbench/run.py`` decides it."""
+    out = []
+    for item in corpus.build(workload, seed):
+        try:
+            out.append((item, decide(validate_curve(item.f), seed=seed), None))
+        except UnsupportedInput as err:
+            out.append((item, None, err))
+    return out
+
+
+def _pinned_form(item, rep, err):
+    if err is not None:
+        return item.name, f"{type(err).__name__}: {err}"
+    exact = rep.to_dict(with_timings=False)
+    del exact["fiber_draws"]
+    return item.name, _digest(json.dumps(exact, indent=2)), _digest(rep.counters)
+
+
+@pytest.mark.parametrize("workload,seed", sorted(PINNED))
+def test_corpus_outcomes_are_pinned(workload, seed):
+    got = [_pinned_form(*o) for o in _outcomes(workload, seed)]
+    assert got == PINNED[workload, seed]
+
+
+@pytest.mark.parametrize("workload,seed", sorted(PINNED))
+def test_corpus_answers_match_the_known_ones(workload, seed):
+    for item, rep, err in _outcomes(workload, seed):
+        want = item.expect
+        if want.kind == "hyperelliptic":
+            assert isinstance(err, HyperellipticInput), item.name
+            continue
+        if want.kind == "reject":
+            assert err is not None, item.name
+            continue
+        assert err is None, (item.name, err)
+        assert (rep.genus, rep.case, rep.trigonal) == (want.genus, want.case,
+                                                       want.trigonal), item.name
+        if rep.map_available:
+            assert rep.verified_degree == 3, item.name
+        if rep.genus >= 4:
+            assert rep.agreement is True, item.name
