@@ -8,14 +8,17 @@ are solved mod p by ``modular.certified_kernel`` and lifted to a basis that
 is verified exactly.  ``LieAlg`` keeps its basis matrices by their nonzero
 entries: brackets are sparse products, coordinates come from one exact
 echelon over the basis, and every bracket must reduce to zero there.  The
-structure theory is exact linear algebra on the structure constants, on
-``FpEchelon`` with no modulus: spans and memberships on its rows, residuals
-and solutions read off its reduced rows.
+structure theory (radical, Levi part, centroid, ideals, split triples) is
+exact linear algebra on the structure constants, on ``FpEchelon`` with no
+modulus: spans and memberships on its rows, residuals and solutions read
+off its reduced rows.  Its sub-algebras live in their parent's coordinates,
+and ambient matrices are formed only where a map leaves the algebra: the
+split triple, the order of the two ideals and the ruling maps.
 """
 
 import enum
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 
 from .errors import (InternalInvariantError, InvalidInput, LiftingFailed,
                      NotSl2, SplitFailedOverExtension, UnexpectedDimension)
@@ -69,54 +72,80 @@ def _bracket(a, b, n):
 
 
 class LieAlg:
-    """Matrix Lie algebra given by a basis of n x n matrices (``basis``, a
-    list of ``Mat``), each also kept by its nonzero entries grouped by row.
+    """Lie algebra given by its structure constants, ``sc[i][j]`` the
+    coordinates of [b_i, b_j], and a faithful map to n x n matrices.
 
-    Coordinates come from one exact ``FpEchelon`` over the basis whose rows
-    carry their combination of the basis in ``dim`` extra columns, where a
-    matrix reduces to minus its coordinates.  Each bracket of two basis
-    matrices is a sparse product, reduced at construction: a residual among
-    the n*n entries raises, so closure is verified exactly.  ``sc[i][j]``
-    holds the coordinates of [b_i, b_j].
+    This class spans the algebra by matrices (``basis``, a list of ``Mat``),
+    each also kept by its nonzero entries grouped by row, so that a bracket
+    is a sparse product.  A sub-algebra (``subalgebra``) is spanned by
+    coordinate vectors of its parent instead.
+
+    Coordinates come from one exact ``FpEchelon`` over the spanning vectors,
+    matrix entries here, whose rows carry their combination of the basis in
+    ``dim`` extra columns, where a vector reduces to minus its coordinates.
+    Each bracket of two basis vectors is reduced at construction: a residual
+    among the spanning columns raises, so closure is verified exactly.
     """
 
     def __init__(self, n, basis, fld=QQ):
+        self._embed(n, basis, fld)
+        self.sc = self._structure_constants(
+            lambda i, j: _bracket(self._rows[i], self._rows[j], n))
+
+    def _embed(self, n, basis, fld):
+        """Take the n x n matrices ``basis`` over ``fld`` as the basis."""
         self.n = n
         self.field = fld
         self.basis = list(basis)
-        self._rows = []
-        self._echelon = FpEchelon(n * n + len(self.basis))
-        for k, b in enumerate(self.basis):
-            if b.rows != n or b.cols != n:
-                raise InvalidInput("basis matrix has the wrong shape")
-            ent = _entries(b)
-            self._rows.append(_by_row(ent, n))
-            ent[n * n + k] = fld.one()
-            self._echelon.add(ent)
-            if self._echelon.pivots[-1] >= n * n:
-                raise InvalidInput("basis matrices are dependent")
-        dim = len(self.basis)
-        self.sc = [[None] * dim for _ in range(dim)]
-        for i in range(dim):
-            self.sc[i][i] = [fld.zero()] * dim
-            for j in range(i + 1, dim):
-                c = self.express(_bracket(self._rows[i], self._rows[j], n))
-                self.sc[i][j] = c
-                self.sc[j][i] = [-x for x in c]
+        if any(b.rows != n or b.cols != n for b in self.basis):
+            raise InvalidInput("basis matrix has the wrong shape")
+        self._rows = [_by_row(_entries(b), n) for b in self.basis]
+        self.dim = len(self.basis)
+        self._width = n * n
 
-    @property
-    def dim(self):
-        return len(self.basis)
+    def _spanning_vectors(self):
+        return [_entries(b) for b in self.basis]
+
+    @cached_property
+    def _echelon(self):
+        """The exact echelon over the spanning vectors, the k-th with 1 in
+        extra column k; raises when they are dependent."""
+        w = self._width
+        ech = FpEchelon(w + self.dim)
+        for k, v in enumerate(self._spanning_vectors()):
+            v[w + k] = self.field.one()
+            ech.add(v)
+            if ech.pivots[-1] >= w:
+                raise InvalidInput("basis vectors are dependent")
+        return ech
+
+    def _coordinates(self, vec):
+        """Coordinates of a vector over the spanning columns (sparse or
+        dense); raises when it lies outside the span."""
+        w = self._width
+        res = self._echelon.residue(vec)
+        if res and min(res) < w:
+            raise InternalInvariantError(
+                "element outside the algebra span (bracket closure violated)")
+        return [self.field.coerce(-res.get(w + j, 0)) for j in range(self.dim)]
+
+    def _structure_constants(self, bracket):
+        """``sc`` from ``bracket(i, j)``, [b_i, b_j] over the spanning
+        columns, for i < j."""
+        dim = self.dim
+        sc = [[None] * dim for _ in range(dim)]
+        for i in range(dim):
+            sc[i][i] = [self.field.zero()] * dim
+            for j in range(i + 1, dim):
+                c = self._coordinates(bracket(i, j))
+                sc[i][j] = c
+                sc[j][i] = [-x for x in c]
+        return sc
 
     def express(self, m):
         """Coordinates of a matrix (a ``Mat`` or an {i*n + j: x} map) in the
         basis; raises when it lies outside the span."""
-        nn = self.n * self.n
-        res = self._echelon.residue(_entries(m) if isinstance(m, Mat) else m)
-        if res and min(res) < nn:
-            raise InternalInvariantError(
-                "matrix outside the algebra span (bracket closure violated)")
-        return [self.field.coerce(-res.get(nn + j, 0)) for j in range(self.dim)]
+        return self._coordinates(_entries(m) if isinstance(m, Mat) else m)
 
     def bracket_coords(self, u, v):
         """Bracket of two coordinate vectors, in coordinates."""
@@ -137,17 +166,6 @@ class LieAlg:
                         out[k] = out[k] + f * cij[k]
         return out
 
-    def ad_matrix(self, coords):
-        """Matrix of ad(x) on the algebra for x given in coordinates."""
-        dim = self.dim
-        cols = []
-        for j in range(dim):
-            unit = [self.field.zero()] * dim
-            unit[j] = self.field.one()
-            cols.append(self.bracket_coords(coords, unit))
-        ent = [cols[j][i] for i in range(dim) for j in range(dim)]
-        return Mat(dim, dim, ent, self.field)
-
     def element(self, coords):
         """Ambient matrix for a coordinate vector."""
         n = self.n
@@ -159,13 +177,60 @@ class LieAlg:
                         ent[i * n + j] = ent[i * n + j] + c * x
         return Mat(n, n, ent, self.field)
 
-    def subalgebra(self, coord_vectors):
-        return LieAlg(self.n, [self.element(v) for v in coord_vectors], self.field)
+    def subalgebra(self, vecs):
+        """The sub-algebra spanned by the coordinate vectors ``vecs``, kept
+        as its basis in this algebra's coordinates, in their order.  Its
+        structure constants are ``bracket_coords`` of the vectors, expressed
+        on one echelon over ``dim`` + len(vecs) columns; a bracket outside
+        their span raises ``InternalInvariantError``.  Its ambient matrices
+        are formed from this algebra's only when ``basis`` or ``element``
+        asks for them."""
+        return _SubAlgebra(self, vecs)
 
     def lift(self, fld):
-        """The same algebra over an extension field."""
-        mats = [Mat(self.n, self.n, b.entries, fld) for b in self.basis]
-        return LieAlg(self.n, mats, fld)
+        """The same algebra over an extension field: the ambient basis and
+        ``sc`` coerced into ``fld``, with no bracket formed again.  The
+        echelon that ``express`` needs is built at its first call."""
+        alg = LieAlg.__new__(LieAlg)
+        alg._embed(self.n, [Mat(self.n, self.n, b.entries, fld) for b in self.basis],
+                   fld)
+        alg.sc = [[[fld.coerce(x) for x in c] for c in row] for row in self.sc]
+        return alg
+
+
+class _SubAlgebra(LieAlg):
+    """A sub-algebra in its parent's coordinates; see ``LieAlg.subalgebra``.
+    The spanning columns are the parent's coordinates."""
+
+    def __init__(self, parent, vecs):
+        self.n = parent.n
+        self.field = parent.field
+        self._parent = parent
+        self._vecs = [list(v) for v in vecs]
+        self.dim = len(self._vecs)
+        self._width = parent.dim
+        self.sc = self._structure_constants(
+            lambda i, j: parent.bracket_coords(self._vecs[i], self._vecs[j]))
+
+    def _spanning_vectors(self):
+        return [{i: x for i, x in enumerate(v) if x} for v in self._vecs]
+
+    @cached_property
+    def basis(self):
+        return [self._parent.element(v) for v in self._vecs]
+
+    def express(self, m):
+        return self._coordinates(self._parent.express(m))
+
+    def element(self, coords):
+        parent = self._parent
+        combo = [parent.field.zero()] * parent.dim
+        for c, v in zip(coords, self._vecs):
+            if c:
+                for i, x in enumerate(v):
+                    if x:
+                        combo[i] = combo[i] + c * x
+        return parent.element(combo)
 
 
 @dataclass
@@ -504,42 +569,50 @@ def levi(alg):
 def split_two_ideals(s):
     """Decompose a 6-dimensional semisimple algebra into two 3-dimensional
     ideals via the centroid; adjoins one square root when the two factors
-    are conjugate over the base field.  Returns (s1, s2)."""
+    are conjugate over the base field.  Returns (s1, s2).
+
+    Everything runs on the structure constants: the centroid is the kernel
+    of psi.ad(b_j) = ad(b_j).psi over psi in gl(6), with ad(b_j)[v][c] =
+    sc[j][c][v]; a non-scalar psi satisfies psi^2 = a + b psi, and the
+    images of its two idempotents are the ideals, sub-algebras in the
+    coordinates of ``s``.  Only the sort key, which orders the ideals by
+    their ambient matrices, leaves the algebra."""
     if s.dim != 6:
         raise InvalidInput("ideal split expects a 6-dimensional algebra")
     dim = s.dim
+    nn = dim * dim
     fld = s.field
-    ads = [s.ad_matrix([fld.one() if i == j else fld.zero() for i in range(dim)])
-           for j in range(dim)]
-    rows = []
-    for A in ads:
+    cent = FpEchelon(nn)
+    for ad in s.sc:
         for r in range(dim):
             for c in range(dim):
-                row = [0] * (dim * dim)
-                for v in range(dim):
-                    row[r * dim + v] = row[r * dim + v] + A[v, c]
+                # (psi.ad - ad.psi)[r][c], psi[u][v] the unknown u*dim + v
+                row = {r * dim + v: x for v, x in enumerate(ad[c]) if x}
                 for u in range(dim):
-                    row[u * dim + c] = row[u * dim + c] - A[r, u]
-                if any(row):
-                    rows.append(row)
-    cent = kernel_basis(rows)
+                    x = ad[u][r]
+                    if x:
+                        k = u * dim + c
+                        row[k] = row[k] - x if k in row else -x
+                cent.add(row)
+    cent = cent.reduced_kernel(nn)
     if len(cent) != 2:
         raise UnexpectedDimension(
             f"centroid has dimension {len(cent)}; expected 2")
-    ident = [fld.one() if i % (dim + 1) == 0 else fld.zero()
-             for i in range(dim * dim)]
-    idspace = FpEchelon(dim * dim)
+    ident = [fld.one() if i % (dim + 1) == 0 else fld.zero() for i in range(nn)]
+    idspace = FpEchelon(nn)
     idspace.add(ident)
-    psi_vec = None
-    for v in cent:
-        if not idspace.contains(v):
-            psi_vec = v
-            break
+    psi_vec = next((v for v in cent if not idspace.contains(v)), None)
     if psi_vec is None:
         raise UnexpectedDimension("centroid degenerates to scalars")
-    psi = Mat(dim, dim, [fld.coerce(x) if x else fld.zero() for x in psi_vec], fld)
-    psi2 = psi * psi
-    coords = _solve([[i, pv] for i, pv in zip(ident, psi_vec)], psi2.entries)
+    psi = _by_row({k: fld.coerce(x) for k, x in psi_vec.items()}, dim)
+    psi2 = {}
+    for r, row in psi.items():
+        for u, x in row.items():
+            for c, y in psi.get(u, {}).items():
+                k = r * dim + c
+                psi2[k] = psi2[k] + x * y if k in psi2 else x * y
+    coords = _solve([[i, psi_vec.get(k, 0)] for k, i in enumerate(ident)],
+                    [psi2.get(k, 0) for k in range(nn)])
     if coords is None:
         raise UnexpectedDimension("centroid is not quadratic over the base field")
     a, b = (fld.coerce(x) for x in coords)
@@ -562,20 +635,22 @@ def split_two_ideals(s):
         sfac, delta = rational_square_split(disc)
         wfld = QuadraticField(delta)
         work = s.lift(wfld)
-        psi = Mat(dim, dim, psi.entries, wfld)
         root = QuadExt(0, sfac, delta)
         a, b = wfld.coerce(a), wfld.coerce(b)
     lam1 = (b + root) / 2
     lam2 = (b - root) / 2
     scalefac = 1 / (lam1 - lam2)
-    proj = (psi - Mat.identity(dim, wfld).scale(lam2)).scale(scalefac)
+    zero, one = wfld.zero(), wfld.one()
+    # column j of the idempotent (psi - lam2) / (lam1 - lam2) and of 1 minus it
+    proj = [[scalefac * (wfld.coerce(psi_vec.get(i * dim + j, 0))
+                         - (lam2 if i == j else zero)) for i in range(dim)]
+            for j in range(dim)]
     ideals = []
-    for projector in (proj, Mat.identity(dim, wfld) - proj):
+    for cols in (proj, [[(one if i == j else zero) - x for i, x in enumerate(col)]
+                        for j, col in enumerate(proj)]):
         img = FpEchelon(dim)
-        for j in range(dim):
-            unit = [wfld.zero()] * dim
-            unit[j] = wfld.one()
-            img.add(projector.apply(unit))
+        for col in cols:
+            img.add(col)
         if img.rank != 3:
             raise UnexpectedDimension(
                 f"centroid idempotent has rank {img.rank}; expected 3")
@@ -614,11 +689,24 @@ _SPLIT_SAMPLES = [
 ]
 
 
+def _ad(alg, x):
+    """ad(x) as rows, for x in coordinates, read off the structure
+    constants: ad(x)[k][j] = sum_i x_i sc[i][j][k]."""
+    zero = alg.field.zero()
+    out = [[zero] * alg.dim for _ in range(alg.dim)]
+    for xi, sci in zip(x, alg.sc):
+        if xi:
+            for j, col in enumerate(sci):
+                for k, c in enumerate(col):
+                    if c:
+                        out[k][j] = out[k][j] + xi * c
+    return out
+
+
 def _charpoly3(m):
-    """Coefficients (c2, c1, c0) of t^3 - c2 t^2 + c1 t - c0 for a 3x3."""
-    a, b, c = m[0, 0], m[0, 1], m[0, 2]
-    d, e, f = m[1, 0], m[1, 1], m[1, 2]
-    g_, h, i = m[2, 0], m[2, 1], m[2, 2]
+    """Coefficients (c2, c1, c0) of t^3 - c2 t^2 + c1 t - c0 for a 3x3
+    given by its rows."""
+    (a, b, c), (d, e, f), (g_, h, i) = m
     c2 = a + e + i
     c1 = (a * e - b * d) + (a * i - c * g_) + (e * i - f * h)
     c0 = (a * (e * i - f * h) - b * (d * i - f * g_) + c * (d * h - e * g_))
@@ -641,8 +729,7 @@ def split_sl2(s):
     wfld = fld
     for sample in _SPLIT_SAMPLES:
         coords = [fld.coerce(c) for c in sample]
-        adx = s.ad_matrix(coords)
-        c2, c1, c0 = _charpoly3(adx)
+        c2, c1, c0 = _charpoly3(_ad(s, coords))
         if c2 or c0:
             raise NotSl2("ad(x) has nonzero trace or determinant")
         alpha_sq = -c1
@@ -678,11 +765,11 @@ def split_sl2(s):
         scale = QuadExt(0, rat(2) / (sfac * delta), delta)
         h_coords = [scale * wfld.coerce(c) for c in coords]
 
-    adh = work.ad_matrix(h_coords)
+    adh = _ad(work, h_coords)
     two = wfld.coerce(rat(2))
-    eig_e = kernel_basis([[adh[i, j] - (two if i == j else wfld.zero())
+    eig_e = kernel_basis([[adh[i][j] - (two if i == j else wfld.zero())
                            for j in range(3)] for i in range(3)])
-    eig_f = kernel_basis([[adh[i, j] + (two if i == j else wfld.zero())
+    eig_f = kernel_basis([[adh[i][j] + (two if i == j else wfld.zero())
                            for j in range(3)] for i in range(3)])
     if len(eig_e) != 1 or len(eig_f) != 1:
         raise NotSl2("ad(h) eigenspaces for +-2 are not one-dimensional")

@@ -741,12 +741,15 @@ def certified_kernel(ncols, system, certify, fld=QQ, known=(), counters=None):
 
 def _reconstruct(residues, m):
     """The residue vectors mod m lifted entry by entry with
-    ``rational_reconstruct``, or None at the first entry that fails."""
+    ``rational_reconstruct``, or None at the first entry that fails.  A
+    zero residue lifts to 0 without the call: most entries of a kernel
+    vector are zero."""
+    zero = rat(0)
     out = []
     for v in residues:
         w = []
         for x in v:
-            r = rational_reconstruct(x, m)
+            r = rational_reconstruct(x, m) if x else zero
             if r is None:
                 return None
             w.append(r)

@@ -6,7 +6,7 @@ scalar variants.  Canonical printing order is graded lexicographic, which
 keeps CLI output byte-stable.
 """
 
-from math import comb
+from math import comb, gcd
 
 from .errors import InvalidInput
 from .intutil import divisors
@@ -457,7 +457,7 @@ def rational_roots(u):
     denlcm = 1
     for c in u.coeffs:
         d = int(rat(c).denominator)
-        denlcm = denlcm * d // _gcd_int(denlcm, d)
+        denlcm = denlcm * d // gcd(denlcm, d)
     ints = [int(rat(c) * denlcm) for c in u.coeffs]
     roots = []
     # factor out x^k
@@ -470,14 +470,14 @@ def rational_roots(u):
         return roots
     g = 0
     for c in ints:
-        g = _gcd_int(g, abs(c))
+        g = gcd(g, abs(c))
     ints = [c // g for c in ints]
     cur = UPoly([rat(c) for c in ints])
     a0, an = abs(ints[0]), abs(ints[-1])
     found = []
     for p in divisors(a0):
         for q in divisors(an):
-            if _gcd_int(p, q) != 1:
+            if gcd(p, q) != 1:
                 continue
             for cand in (rat(p, q), rat(-p, q)):
                 if cur.degree() < 1:
@@ -493,12 +493,6 @@ def rational_roots(u):
                     found.extend([cand] * mult)
     roots.extend(found)
     return sorted(roots)
-
-
-def _gcd_int(a, b):
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 # --- resultants ----------------------------------------------------------------

@@ -329,26 +329,63 @@ def test_stabilizer_certificate_refuses_a_perturbed_lift(proj5, monkeypatch):
     assert answers == [(True, False)]
 
 
-def test_structure_theory_forms_no_matrix_product(proj5, monkeypatch):
+def test_structure_theory_forms_no_matrix_product(proj5, two_node_quintic,
+                                                  monkeypatch):
     """Brackets are sparse products and coordinates an echelon lookup: the
-    stabilizer of proj5, its Levi part and its split triple are built and
-    checked without a Mat product."""
-    cm = adjoint_basis(proj5)
-    q = forms_through_image(proj5, cm, 2)
+    stabilizers of proj5 (Scroll) and of the two-node quintic (P1xP1), their
+    Levi parts, ideals and split triples are built and checked without a Mat
+    product.  ``levi`` and ``classify`` run on the structure constants
+    alone: they form no bracket in gl_g either, and there is no ad matrix
+    method to call."""
     calls = []
-    real_mul = Mat.__mul__
+    real_mul, real_bracket = Mat.__mul__, liealg._bracket
 
     def mul(a, b):
         calls.append("Mat.__mul__")
         return real_mul(a, b)
 
+    def bracket(*args):
+        calls.append("_bracket")
+        return real_bracket(*args)
+
     monkeypatch.setattr(Mat, "__mul__", mul)
-    alg = stabilizer_algebra(q, proj5.genus)
+    monkeypatch.setattr(liealg, "_bracket", bracket)
+    assert not hasattr(LieAlg, "ad_matrix")
+    for curve, sdim, case in ((proj5, 3, Case.Scroll), (two_node_quintic, 6, Case.P1xP1)):
+        q = forms_through_image(curve, adjoint_basis(curve), 2)
+        alg = stabilizer_algebra(q, curve.genus)
+        assert set(calls) == {"_bracket"}
+        calls.clear()
+        sem = levi(alg)
+        found, ideals = classify(alg, sem, curve.genus)
+        assert calls == []
+        assert found == case and alg.dim >= sem.dim == sdim
+        for s in ideals or [sem]:
+            assert split_sl2(s).check()
+        assert "Mat.__mul__" not in calls
+        calls.clear()
+
+
+def test_levi_reduces_modulo_the_next_derived_term():
+    """gl2 acting on k^2 inside 3 x 3 matrices, with a basis that mixes sl2
+    with the radical.  The radical, the scalars t of the gl2 block and the
+    translations v, is not abelian: its derived algebra is the translations,
+    as [t, v] = v.  The first correction solves for the complement modulo
+    that derived algebra; its equations along the translations are left to
+    the next step, and taken exactly they have no solution."""
+    def unit(i, j, c=1):
+        ent = [rat(0)] * 9
+        ent[i * 3 + j] = rat(c)
+        return Mat(3, 3, ent)
+
+    e, h, f = unit(0, 1), unit(0, 0) + unit(1, 1, -1), unit(1, 0)
+    t, v1, v2 = unit(0, 0) + unit(1, 1), unit(0, 2), unit(1, 2)
+    alg = LieAlg(3, [e + t, h, f + v1, t, v1, v2])
+    assert len(radical(alg)) == 3
+    assert liealg.derived_space(LieAlg(3, [t, v1, v2])).rank == 2
     sem = levi(alg)
-    triple = split_sl2(sem)
-    assert triple.check()
-    assert alg.dim > sem.dim == 3
-    assert calls == []
+    assert sem.dim == 3 and not radical(sem)
+    assert split_sl2(sem).check()
 
 
 def test_exact_echelons_over_q_invert_no_pivot(proj5, monkeypatch):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dense_reference as ref
+from trigonal import modular
 from trigonal.linalg import kernel_basis
 from trigonal.modular import (PRIME_WALK_START, FpEchelon, certified_kernel,
                               clear_denominators, fp_reduce, primes_below,
@@ -157,6 +158,23 @@ def test_kernel_over_fq_reduces_every_row():
     assert answers == [] and counters["eq_rows"] == len(rows)
     assert ref.same_span(kern, ref.kernel(rows, 2))
 
+
+def test_zero_residues_lift_without_a_reconstruction(monkeypatch):
+    """The kernel (1/2, 0, 0, 1) mod P0 has two zero entries: only the two
+    nonzero ones go through rational_reconstruct, and the zeros lift to 0."""
+    seen = []
+    real = modular.rational_reconstruct
+
+    def spy(r, m):
+        seen.append(r)
+        return real(r, m)
+
+    monkeypatch.setattr(modular, "rational_reconstruct", spy)
+    rows = [[2, 0, 0, -1], [0, 1, 0, 0], [0, 0, 1, 0]]
+    kern = modular_kernel(rows, 4, QQ)
+    assert kern == [[rat(1, 2), 0, 0, 1]]
+    assert all(type(x) is type(rat(0)) for x in kern[0])
+    assert sorted(seen) == sorted([pow(2, -1, P0), 1]) and all(seen)
 
 # --- the sparse echelon form against the dense Fraction elimination ---------
 
