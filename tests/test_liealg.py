@@ -209,6 +209,41 @@ def test_two_ideal_split_over_a_quadratic_extension():
             assert (b1 * b2 - b2 * b1).is_zero()
 
 
+def test_ideals_of_a_levi_part_reach_the_ambient_through_both_parents():
+    """gl2 + gl2 in block-diagonal 4 x 4 matrices, with a mixed basis: the
+    Levi part is a sub-algebra of it, and the two ideals are sub-algebras of
+    that one, so their matrices go through two parents.  Each ideal is one
+    sl2 block, the two commute, and express inverts element on them."""
+    def unit(i, j, c=1):
+        ent = [rat(0)] * 16
+        ent[i * 4 + j] = rat(c)
+        return Mat(4, 4, ent)
+
+    def sl2(o):
+        return unit(o, o + 1), unit(o, o) + unit(o + 1, o + 1, -1), unit(o + 1, o)
+
+    (e1, h1, f1), (e2, h2, f2) = sl2(0), sl2(2)
+    z1, z2 = unit(0, 0) + unit(1, 1), unit(2, 2) + unit(3, 3)
+    alg = LieAlg(4, [e1 + e2 + z1, h1 + z2, f1 - f2, e2 + z1 + z2, h2, f2, z1, z2])
+    sem = levi(alg)
+    assert len(radical(alg)) == 2 and sem.dim == 6
+    ideals = split_two_ideals(sem)
+    blocks = []
+    for s in ideals:
+        rows = {k // 4 for b in s.basis for k, x in enumerate(b.entries) if x}
+        cols = {k % 4 for b in s.basis for k, x in enumerate(b.entries) if x}
+        assert rows == cols and rows in ({0, 1}, {2, 3})
+        blocks.append(rows)
+        assert split_sl2(s).check()
+        for a in s.basis:
+            for b in s.basis:
+                assert s.element(s.express(a * b - b * a)) == a * b - b * a
+    assert blocks[0] != blocks[1]
+    for b1 in ideals[0].basis:
+        for b2 in ideals[1].basis:
+            assert (b1 * b2 - b2 * b1).is_zero()
+
+
 def test_cone_stabilizer_has_sl2_levi():
     """Cone over the twisted cubic: large solvable radical (vertex
     translations plus a torus), Levi still sl2."""
