@@ -11,9 +11,11 @@ echelon over the basis, and every bracket must reduce to zero there.  The
 structure theory (radical, Levi part, centroid, ideals, split triples) is
 exact linear algebra on the structure constants, on ``FpEchelon`` with no
 modulus: spans and memberships on its rows, residuals and solutions read
-off its reduced rows.  Its sub-algebras live in their parent's coordinates,
-and ambient matrices are formed only where a map leaves the algebra: the
-split triple, the order of the two ideals and the ruling maps.
+off its reduced rows.  Its sub-algebras take their structure constants
+from the parent's, in the parent's coordinates, and a lift coerces them, so
+no matrix bracket is formed there.  A sub-algebra's basis matrices are
+sums of its parent's; matrix products come back only where a map leaves
+the algebra: the check of a split triple and the ruling maps.
 """
 
 import enum
@@ -71,26 +73,63 @@ def _bracket(a, b, n):
     return {idx: v for idx, v in out.items() if v}
 
 
+def _coordinate_map(vecs, width, fld):
+    """Coordinates over the sparse vectors ``vecs``, each with ``width``
+    columns.  One exact ``FpEchelon`` over them, the k-th carrying 1 in extra
+    column width + k, where a vector reduces to minus its coordinates.
+    Raises ``InvalidInput`` when the vectors are dependent; the returned map
+    raises ``InternalInvariantError`` for a vector outside their span."""
+    dim = len(vecs)
+    ech = FpEchelon(width + dim)
+    for k, v in enumerate(vecs):
+        v[width + k] = fld.one()
+        ech.add(v)
+        if ech.pivots[-1] >= width:
+            raise InvalidInput("basis vectors are dependent")
+
+    def coords(vec):
+        res = ech.residue(vec)
+        if res and min(res) < width:
+            raise InternalInvariantError(
+                "element outside the algebra span (bracket closure violated)")
+        return [fld.coerce(-res.get(width + j, 0)) for j in range(dim)]
+
+    return coords
+
+
+def _structure_constants(dim, fld, coords):
+    """``sc`` from ``coords(i, j)``, the coordinates of [b_i, b_j], i < j."""
+    sc = [[None] * dim for _ in range(dim)]
+    for i in range(dim):
+        sc[i][i] = [fld.zero()] * dim
+        for j in range(i + 1, dim):
+            c = coords(i, j)
+            sc[i][j] = c
+            sc[j][i] = [-x for x in c]
+    return sc
+
+
 class LieAlg:
-    """Lie algebra given by its structure constants, ``sc[i][j]`` the
-    coordinates of [b_i, b_j], and a faithful map to n x n matrices.
+    """Matrix Lie algebra given by a basis of n x n matrices (``basis``, a
+    list of ``Mat``), each also kept by its nonzero entries grouped by row,
+    and by its structure constants, ``sc[i][j]`` the coordinates of
+    [b_i, b_j].
 
-    This class spans the algebra by matrices (``basis``, a list of ``Mat``),
-    each also kept by its nonzero entries grouped by row, so that a bracket
-    is a sparse product.  A sub-algebra (``subalgebra``) is spanned by
-    coordinate vectors of its parent instead.
-
-    Coordinates come from one exact ``FpEchelon`` over the spanning vectors,
-    matrix entries here, whose rows carry their combination of the basis in
-    ``dim`` extra columns, where a vector reduces to minus its coordinates.
-    Each bracket of two basis vectors is reduced at construction: a residual
-    among the spanning columns raises, so closure is verified exactly.
+    Built from matrices, each bracket of two basis matrices is a sparse
+    product, and its coordinates come from one exact echelon over the
+    matrix entries (``_coordinate_map``): a residual among the n*n entries
+    raises, so closure is verified exactly.  A sub-algebra (``subalgebra``)
+    and a lift (``lift``) take their structure constants from this
+    algebra's instead; their matrix echelon is built at the first
+    ``express``.
     """
 
     def __init__(self, n, basis, fld=QQ):
         self._embed(n, basis, fld)
-        self.sc = self._structure_constants(
-            lambda i, j: _bracket(self._rows[i], self._rows[j], n))
+        coords = self._coords      # dependent basis matrices raise here
+        self.sc = _structure_constants(
+            self.dim, fld,
+            lambda i, j: coords(_bracket(self._rows[i], self._rows[j], n)))
 
     def _embed(self, n, basis, fld):
         """Take the n x n matrices ``basis`` over ``fld`` as the basis."""
@@ -101,51 +140,25 @@ class LieAlg:
             raise InvalidInput("basis matrix has the wrong shape")
         self._rows = [_by_row(_entries(b), n) for b in self.basis]
         self.dim = len(self.basis)
-        self._width = n * n
 
-    def _spanning_vectors(self):
-        return [_entries(b) for b in self.basis]
+    @classmethod
+    def _with_sc(cls, n, basis, fld, sc):
+        """The algebra on ``basis`` whose structure constants ``sc`` are
+        already known and verified."""
+        alg = cls.__new__(cls)
+        alg._embed(n, basis, fld)
+        alg.sc = sc
+        return alg
 
     @cached_property
-    def _echelon(self):
-        """The exact echelon over the spanning vectors, the k-th with 1 in
-        extra column k; raises when they are dependent."""
-        w = self._width
-        ech = FpEchelon(w + self.dim)
-        for k, v in enumerate(self._spanning_vectors()):
-            v[w + k] = self.field.one()
-            ech.add(v)
-            if ech.pivots[-1] >= w:
-                raise InvalidInput("basis vectors are dependent")
-        return ech
-
-    def _coordinates(self, vec):
-        """Coordinates of a vector over the spanning columns (sparse or
-        dense); raises when it lies outside the span."""
-        w = self._width
-        res = self._echelon.residue(vec)
-        if res and min(res) < w:
-            raise InternalInvariantError(
-                "element outside the algebra span (bracket closure violated)")
-        return [self.field.coerce(-res.get(w + j, 0)) for j in range(self.dim)]
-
-    def _structure_constants(self, bracket):
-        """``sc`` from ``bracket(i, j)``, [b_i, b_j] over the spanning
-        columns, for i < j."""
-        dim = self.dim
-        sc = [[None] * dim for _ in range(dim)]
-        for i in range(dim):
-            sc[i][i] = [self.field.zero()] * dim
-            for j in range(i + 1, dim):
-                c = self._coordinates(bracket(i, j))
-                sc[i][j] = c
-                sc[j][i] = [-x for x in c]
-        return sc
+    def _coords(self):
+        return _coordinate_map([_entries(b) for b in self.basis], self.n * self.n,
+                               self.field)
 
     def express(self, m):
         """Coordinates of a matrix (a ``Mat`` or an {i*n + j: x} map) in the
         basis; raises when it lies outside the span."""
-        return self._coordinates(_entries(m) if isinstance(m, Mat) else m)
+        return self._coords(_entries(m) if isinstance(m, Mat) else m)
 
     def bracket_coords(self, u, v):
         """Bracket of two coordinate vectors, in coordinates."""
@@ -178,59 +191,27 @@ class LieAlg:
         return Mat(n, n, ent, self.field)
 
     def subalgebra(self, vecs):
-        """The sub-algebra spanned by the coordinate vectors ``vecs``, kept
-        as its basis in this algebra's coordinates, in their order.  Its
-        structure constants are ``bracket_coords`` of the vectors, expressed
-        on one echelon over ``dim`` + len(vecs) columns; a bracket outside
-        their span raises ``InternalInvariantError``.  Its ambient matrices
-        are formed from this algebra's only when ``basis`` or ``element``
-        asks for them."""
-        return _SubAlgebra(self, vecs)
+        """The sub-algebra spanned by the coordinate vectors ``vecs``, whose
+        k-th basis matrix is ``element(vecs[k])``.  Its structure constants
+        are ``bracket_coords`` of the vectors, expressed on one echelon over
+        ``dim`` + len(vecs) columns, in this algebra's coordinates: no
+        matrix bracket is formed, and a bracket outside the span of
+        ``vecs`` raises ``InternalInvariantError``."""
+        vecs = [list(v) for v in vecs]
+        coords = _coordinate_map([{i: x for i, x in enumerate(v) if x} for v in vecs],
+                                 self.dim, self.field)
+        sc = _structure_constants(
+            len(vecs), self.field,
+            lambda i, j: coords(self.bracket_coords(vecs[i], vecs[j])))
+        return LieAlg._with_sc(self.n, [self.element(v) for v in vecs],
+                               self.field, sc)
 
     def lift(self, fld):
-        """The same algebra over an extension field: the ambient basis and
-        ``sc`` coerced into ``fld``, with no bracket formed again.  The
-        echelon that ``express`` needs is built at its first call."""
-        alg = LieAlg.__new__(LieAlg)
-        alg._embed(self.n, [Mat(self.n, self.n, b.entries, fld) for b in self.basis],
-                   fld)
-        alg.sc = [[[fld.coerce(x) for x in c] for c in row] for row in self.sc]
-        return alg
-
-
-class _SubAlgebra(LieAlg):
-    """A sub-algebra in its parent's coordinates; see ``LieAlg.subalgebra``.
-    The spanning columns are the parent's coordinates."""
-
-    def __init__(self, parent, vecs):
-        self.n = parent.n
-        self.field = parent.field
-        self._parent = parent
-        self._vecs = [list(v) for v in vecs]
-        self.dim = len(self._vecs)
-        self._width = parent.dim
-        self.sc = self._structure_constants(
-            lambda i, j: parent.bracket_coords(self._vecs[i], self._vecs[j]))
-
-    def _spanning_vectors(self):
-        return [{i: x for i, x in enumerate(v) if x} for v in self._vecs]
-
-    @cached_property
-    def basis(self):
-        return [self._parent.element(v) for v in self._vecs]
-
-    def express(self, m):
-        return self._coordinates(self._parent.express(m))
-
-    def element(self, coords):
-        parent = self._parent
-        combo = [parent.field.zero()] * parent.dim
-        for c, v in zip(coords, self._vecs):
-            if c:
-                for i, x in enumerate(v):
-                    if x:
-                        combo[i] = combo[i] + c * x
-        return parent.element(combo)
+        """The same algebra over an extension field: the basis and ``sc``
+        coerced into ``fld``, with no bracket formed again."""
+        sc = [[[fld.coerce(x) for x in c] for c in row] for row in self.sc]
+        return LieAlg._with_sc(
+            self.n, [Mat(self.n, self.n, b.entries, fld) for b in self.basis], fld, sc)
 
 
 @dataclass
@@ -574,9 +555,9 @@ def split_two_ideals(s):
     Everything runs on the structure constants: the centroid is the kernel
     of psi.ad(b_j) = ad(b_j).psi over psi in gl(6), with ad(b_j)[v][c] =
     sc[j][c][v]; a non-scalar psi satisfies psi^2 = a + b psi, and the
-    images of its two idempotents are the ideals, sub-algebras in the
-    coordinates of ``s``.  Only the sort key, which orders the ideals by
-    their ambient matrices, leaves the algebra."""
+    images of its two idempotents are the ideals, sub-algebras whose
+    structure constants come from those of ``s``.  Only the sort key, which
+    orders the ideals by their basis matrices, reads ambient entries."""
     if s.dim != 6:
         raise InvalidInput("ideal split expects a 6-dimensional algebra")
     dim = s.dim
