@@ -4,6 +4,9 @@ Covers the input model (curve files), singular-locus discovery and
 validation, the genus formula, and the trigonal-curve generators: the two
 resultant/projection constructions plus a generator that guarantees an
 ordinary multiplicity-(d-3) point, so every degree has usable test curves.
+The method-2 generator eliminates its parameter on the modular resultant
+kernel the scan uses, at as many walk primes as a bound on the Sylvester
+determinant's coefficients needs, so its integer resultant is exact.
 
 Curves are taken over Q or a prime field F_q, and one scan serves both.
 Singular points on the line z=0 and at (1:0:0) are found by exact
@@ -29,9 +32,10 @@ from .errors import (CurveUnsupported, GenerationFailed, GenusTooSmall, Unsuppor
                      InvalidInput, IrrationalSingularLocus,
                      NonOrdinarySingularity, ParseError, PointNotOnCurve,
                      ReducibleSuspected)
-from .modular import (PRIME_WALK_START, fp_bivariate_table, fp_eval, fp_gcd,
-                      fp_reduce, fp_resultant_keepvar, fp_roots,
-                      fp_squarefree, fp_trim, primes_below, rational_reconstruct)
+from .modular import (PRIME_WALK_START, _crt_vectors, fp_bivariate_table,
+                      fp_eval, fp_gcd, fp_interpolate, fp_reduce,
+                      fp_resultant_keepvar, fp_roots, fp_squarefree, fp_trim,
+                      primes_below, rational_reconstruct)
 from .poly import (MPoly, UPoly, binary_form_squarefree, parse_poly, poly_str,
                    rational_roots, taylor_rows)
 from .scalars import QQ, PrimeField, RationalField, rat
@@ -481,39 +485,57 @@ def gen_method1(deg_x, coeff_height=5, seed=0, budget=50):
     raise GenerationFailed(f"no valid method-1 curve with deg_x={deg_x} within {budget} tries")
 
 
-def _upoly_to_uvar(a, nvars, var):
-    terms = {}
-    for k, c in enumerate(a.coeffs):
-        if c:
-            e = [0] * nvars
-            e[var] = k
-            terms[tuple(e)] = c
-    return MPoly(nvars, terms)
-
-
 def gen_method2_candidate(d, coeff_height, rng):
-    """Eliminate the parameter from a random cubic extension model:
-    0 = x^3 - a1(u) x - a2(u), 0 = y - a3(u) - a4(u) x - a5(u) x^2."""
-    from .poly import resultant
-    coeff_lists = []
+    """Eliminate the parameter u from a random cubic extension model:
+    0 = F = x^3 - a1(u) x - a2(u) and 0 = G = y - a3(u) - a4(u) x - a5(u) x^2,
+    each a_i an integer polynomial of degree exactly d.
+
+    R(x, y) = Res_u(F, G) is the determinant of the 2d x 2d Sylvester matrix
+    in u, whose d rows of F entries have x-degree at most 3 and whose d rows
+    of G entries have x-degree at most 2 and y-degree at most 1; so R has
+    x-degree at most 5d and y-degree at most d.  At each walk prime p and
+    each x0 in 0..5d, ``fp_resultant_keepvar`` eliminates u from F(x0, u)
+    and G(x0, y, u) and gives R(x0, y) mod p; interpolation in x gives R mod
+    p, and CRT combines the primes.  The 1-norm of the determinant is at
+    most the permanent of the matrix of entry 1-norms, hence at most the
+    product of its row sums, B = (sum_k |F_k|_1)^d (sum_k |G_k|_1)^d with
+    F_k, G_k the coefficients of u^k.  Once the modulus exceeds 2B the
+    symmetric residues are the integer coefficients of R, exactly."""
+    a = []
     for _ in range(5):
-        cs = [rat(_rand_coeff(rng, coeff_height)) for _ in range(d + 1)]
+        cs = [_rand_coeff(rng, coeff_height) for _ in range(d + 1)]
         while not cs[-1]:
-            cs[-1] = rat(_rand_coeff(rng, coeff_height))
-        coeff_lists.append(UPoly(cs))
-    a1, a2, a3, a4, a5 = [_upoly_to_uvar(a, 3, 2) for a in coeff_lists]
-    x = MPoly.variable(3, 0)
-    y = MPoly.variable(3, 1)
-    F = x ** 3 - a1 * x - a2
-    G = y - a3 - a4 * x - a5 * (x ** 2)
-    R = resultant(F, G, 2)
-    return R
+            cs[-1] = _rand_coeff(rng, coeff_height)
+        a.append(cs)
+    a1, a2, a3, a4, a5 = a
+    # coefficients of u^k in x, lowest power first; G_k also has y when k = 0
+    f_rows = [[-a2[k], -a1[k], 0, int(k == 0)] for k in range(d + 1)]
+    g_rows = [[-a3[k], -a4[k], -a5[k]] for k in range(d + 1)]
+    bound = 2 * (sum(abs(c) for r in f_rows for c in r)
+                 * (sum(abs(c) for r in g_rows for c in r) + 1)) ** d
+    xs = range(5 * d + 1)
+    modulus, residues = 1, [[0] * len(xs)] * (d + 1)
+    for p in primes_below(PRIME_WALK_START):
+        values = []
+        for x0 in xs:
+            g_table = [[fp_eval(r, x0, p)] for r in g_rows]
+            g_table[0].append(1)
+            values.append(fp_resultant_keepvar(
+                [[fp_eval(r, x0, p)] for r in f_rows], g_table, p))
+        more = []
+        for j in range(d + 1):
+            c = fp_interpolate(xs, [v[j] if j < len(v) else 0 for v in values], p)
+            more.append(c + [0] * (len(xs) - len(c)))
+        modulus, residues = _crt_vectors(modulus, residues, p, more)
+        if modulus > bound:
+            break
+    half = modulus // 2
+    return MPoly(3, {(i, j, 0): rat(c - modulus if c > half else c)
+                     for j, col in enumerate(residues) for i, c in enumerate(col)})
 
 
 def _homogenize_xy(R):
     """Embed a polynomial in x, y (u-free) as a degree-d form in x, y, z."""
-    if R.degree_in(2) != 0:
-        raise InvalidInput("resultant still involves the eliminated variable")
     d = R.total_degree()
     terms = {}
     for (i, j, _k), c in R.terms.items():

@@ -1,11 +1,15 @@
-"""Modular helpers and the package's one elimination engine: the
-singular-locus scan, the fiber-degree check, the certified kernels of the
-stabilizer algebra and the sparse echelon form ``FpEchelon``.
+"""Modular helpers, the package's one resultant engine and its one
+elimination engine: the singular-locus scan, the fiber-degree check, the
+method-2 generator, the certified kernels of the stabilizer algebra and the
+sparse echelon form ``FpEchelon``.
 
 Polynomials mod p are plain int lists, lowest degree first.  The scan and
 the fiber check reduce exact bivariate polynomials with
 ``fp_bivariate_table`` and eliminate a variable with
-``fp_resultant_keepvar``.  ``certified_kernel`` solves a linear system mod p
+``fp_resultant_keepvar``.  ``curve.gen_method2_candidate`` calls the same
+kernel on integer tables at several walk primes and combines them with
+``_crt_vectors`` up to a coefficient bound, so its resultant is exact.
+``certified_kernel`` solves a linear system mod p
 with ``FpEchelon`` and lifts the kernel with ``rational_reconstruct`` and
 CRT.  ``FpEchelon`` stores sparse ``{column: value}`` rows, since the
 systems here have a handful of nonzeros per row.  With no modulus it
@@ -349,7 +353,8 @@ def fp_resultant_keepvar(a_coeffs, b_coeffs, p):
     resultant mod p, and interpolation gives the result.  Raises
     CurveUnsupported when p is too small to supply the points.
     """
-    a_coeffs, b_coeffs = list(a_coeffs), list(b_coeffs)
+    a_coeffs = [fp_trim(list(row)) for row in a_coeffs]
+    b_coeffs = [fp_trim(list(row)) for row in b_coeffs]
     m = len(a_coeffs) - 1
     n = len(b_coeffs) - 1
     if m <= 0 and n <= 0:
@@ -399,7 +404,8 @@ def fp_resultant_keepvar(a_coeffs, b_coeffs, p):
 
 def clear_denominators(row):
     """The rational sparse row ``row`` times the lcm of its denominators, as
-    Python ints (with gmpy2 an ``mpq`` has ``mpz`` parts), and that lcm."""
+    Python ints (``int`` of each product, whatever integer type the parts
+    of a rational have), and that lcm."""
     den = lcm(*map(_DENOMINATOR, row.values()))
     return {j: int(x.numerator * (den // x.denominator)) for j, x in row.items()}, den
 

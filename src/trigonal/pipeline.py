@@ -199,11 +199,7 @@ def map_degree(curve, pencil, seed=0):
     def next_lambda():
         for lam in lam_iter:
             # monic-in-y requirement: leading y-coefficient after the shear
-            lead = f.substitute([MPoly.const(1, fld.coerce(lam)),
-                                 MPoly.const(1, fld.one()),
-                                 MPoly.const(1, fld.zero())])
-            val = lead.terms.get((0,), 0)
-            if val:
+            if f.evaluate([fld.coerce(lam), fld.one(), fld.zero()]):
                 return lam
         raise DegenerateFiber("no shear makes the curve monic in y")
 

@@ -12,8 +12,8 @@ from .errors import InvalidInput
 from .intutil import divisors
 from .scalars import is_rational, rat, sdiv
 
-__all__ = ["MPoly", "UPoly", "resultant", "det_mpoly", "parse_poly",
-           "poly_str", "taylor_rows", "binary_form_squarefree"]
+__all__ = ["MPoly", "UPoly", "parse_poly", "poly_str", "taylor_rows",
+           "binary_form_squarefree"]
 
 
 def _grlex_key(exps):
@@ -194,18 +194,6 @@ class MPoly:
         p = MPoly(self.nvars)
         p.terms = {e: c for e, c in out.items() if c}
         return p
-
-    def coeffs_by_power(self, var):
-        """Coefficients of var^k as polynomials with var zeroed out;
-        returns a list indexed by k up to degree_in(var)."""
-        d = self.degree_in(var)
-        out = [MPoly(self.nvars) for _ in range(d + 1)]
-        for e, c in self.terms.items():
-            k = e[var]
-            ne = list(e)
-            ne[var] = 0
-            out[k].terms[tuple(ne)] = c
-        return out
 
     def substitute(self, images):
         """Substitute images[i] (MPoly or scalar) for variable i."""
@@ -493,77 +481,6 @@ def rational_roots(u):
                     found.extend([cand] * mult)
     roots.extend(found)
     return sorted(roots)
-
-
-# --- resultants ----------------------------------------------------------------
-
-
-def det_mpoly(rows):
-    """Fraction-free (Bareiss) determinant of a square MPoly matrix."""
-    n = len(rows)
-    if n == 0:
-        raise InvalidInput("empty matrix")
-    nvars = rows[0][0].nvars
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = MPoly.const(nvars, 1)
-    for k in range(n - 1):
-        piv = None
-        for i in range(k, n):
-            if m[i][k]:
-                piv = i
-                break
-        if piv is None:
-            return MPoly(nvars)
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        pk = m[k][k]
-        for i in range(k + 1, n):
-            mik = m[i][k]
-            for j in range(k + 1, n):
-                num = pk * m[i][j] - mik * m[k][j]
-                m[i][j] = num.exact_div(prev) if num else num
-            m[i][k] = MPoly(nvars)
-        prev = pk
-    out = m[n - 1][n - 1]
-    return out if sign == 1 else -out
-
-
-def sylvester_matrix(f, g, var):
-    """Sylvester matrix of f, g seen as univariate in ``var``; entries are
-    polynomials in the remaining variables (the chosen variable zeroed)."""
-    fm = f.degree_in(var)
-    gn = g.degree_in(var)
-    fc = f.coeffs_by_power(var)
-    gc = g.coeffs_by_power(var)
-    size = fm + gn
-    zero = MPoly(f.nvars)
-    rows = [[zero] * size for _ in range(size)]
-    for i in range(gn):
-        for k in range(fm + 1):
-            rows[i][i + k] = fc[fm - k]
-    for i in range(fm):
-        for k in range(gn + 1):
-            rows[gn + i][i + k] = gc[gn - k]
-    return rows
-
-
-def resultant(f, g, var):
-    """Sylvester resultant of f and g with respect to variable ``var``."""
-    if not f or not g:
-        raise InvalidInput("resultant of a zero polynomial")
-    if f.nvars != g.nvars:
-        raise InvalidInput("variable count mismatch")
-    m = f.degree_in(var)
-    n = g.degree_in(var)
-    if m == 0 and n == 0:
-        raise InvalidInput("both polynomials are constant in the chosen variable")
-    if m == 0:
-        return f ** n
-    if n == 0:
-        return g ** m
-    return det_mpoly(sylvester_matrix(f, g, var))
 
 
 # --- Taylor rows ------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 Three variants are supported:
 
-* rationals, represented by ``gmpy2.mpq`` (``fractions.Fraction`` fallback) —
-  always in lowest terms with positive denominator;
+* rationals, represented by ``fractions.Fraction`` (``rat``) — always in
+  lowest terms with positive denominator;
 * quadratic-extension elements ``a + b*sqrt(delta)`` with ``delta`` a fixed
   square-free integer that is not a perfect square;
 * prime-field elements modulo an odd prime ``p``, stored in ``[0, p)``.
@@ -18,14 +18,8 @@ from math import isqrt
 from .errors import InvalidInput
 from .intutil import squarefree_split
 
-try:
-    from gmpy2 import mpq as rat
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    rat = Fraction
-
-_RAT = type(rat(0))
-# gmpy2's mpq has mpz numerators and denominators
-_RAT_TYPES = (int, _RAT, Fraction, type(rat(0).numerator))
+rat = Fraction
+_RAT_TYPES = (int, Fraction)
 
 
 def is_rational(x):
@@ -299,7 +293,7 @@ class RationalField:
         return rat(1)
 
     def coerce(self, x):
-        if type(x) is _RAT:
+        if type(x) is Fraction:
             return x
         if is_rational(x):
             return rat(x)

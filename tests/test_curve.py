@@ -1,10 +1,12 @@
+import hashlib
+import random
 from itertools import islice
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from trigonal import curve as curve_mod
-from trigonal.curve import (gen_method1, gen_method2, gen_singular_model,
+from trigonal.curve import (derived_rng, gen_method1, gen_method2, gen_singular_model,
                             gen_trigonal_projection, genus, normalize_point,
                             parse_curve_file, singular_locus, validate_curve,
                             write_curve_file)
@@ -12,9 +14,12 @@ from trigonal.errors import (CurveUnsupported, GenerationFailed, GenusTooSmall,
                              InvalidInput, IrrationalSingularLocus,
                              NonOrdinarySingularity, ParseError, PointNotOnCurve,
                              ReducibleSuspected, UnsupportedInput)
-from trigonal.modular import PRIME_WALK_START, fp_reduce, primes_below
-from trigonal.poly import MPoly, parse_poly
+from trigonal.modular import (PRIME_WALK_START, fp_reduce, fp_resultant_keepvar,
+                              primes_below)
+from trigonal.poly import MPoly, parse_poly, poly_str
 from trigonal.scalars import QQ, PrimeField, QuadraticField, rat
+
+import dense_reference
 
 P0, P1 = islice(primes_below(PRIME_WALK_START), 2)
 
@@ -494,6 +499,68 @@ def test_generators_deterministic():
 
 def test_generator_distinct_seeds_differ():
     assert gen_trigonal_projection(5, seed=1).f != gen_trigonal_projection(5, seed=2).f
+
+
+# sha256 prefixes of poly_str(gen_method2_candidate(d, h, rng)), pinned from
+# the exact Sylvester/Bareiss elimination the generator used to run on
+METHOD2_DIGESTS = {
+    (1, 2, 0): "4a5ad7856889810b", (1, 2, 1): "8714ec63c71f558b",
+    (1, 2, 2): "f36451ab66aea429", (2, 2, 0): "625899842ee2d606",
+    (2, 2, 1): "85a7a2e169bd8bea", (2, 2, 2): "e25f7d1a24aa7265",
+    (3, 2, 0): "3896691d358cd6bf", (3, 2, 1): "4c49cf9e048eba94",
+    (3, 2, 2): "89c824798e51c8ae", (4, 2, 0): "a61e36e542568bad",
+    (4, 2, 1): "9e513d5f2a02f9f9", (4, 2, 2): "5859947ca3dbff04",
+    (3, 20, 0): "497b16a375695a48", (4, 12, 1): "62257d8167cb87d7",
+}
+
+
+def _method2_digest(d, h, seed):
+    rng = derived_rng(seed, f"m2-pin:{d}:{h}")
+    text = poly_str(curve_mod.gen_method2_candidate(d, h, rng))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("d, h, seed", sorted(METHOD2_DIGESTS))
+def test_method2_candidates_are_pinned(d, h, seed):
+    assert _method2_digest(d, h, seed) == METHOD2_DIGESTS[d, h, seed]
+
+
+def test_method2_large_coefficients_combine_several_primes(monkeypatch):
+    # at height 20 the coefficients of R reach 122 bits, so its bound needs
+    # more than one walk prime and the residues are combined by CRT
+    primes = []
+
+    def spy(a, b, p):
+        primes.append(p)
+        return fp_resultant_keepvar(a, b, p)
+
+    monkeypatch.setattr(curve_mod, "fp_resultant_keepvar", spy)
+    assert _method2_digest(3, 20, 0) == METHOD2_DIGESTS[3, 20, 0]
+    assert len(set(primes)) >= 2
+    assert len(primes) == len(set(primes)) * (5 * 3 + 1)
+
+
+def _method2_reference(d, h, rng):
+    """Res_u(F, G) of the method-2 model by the dense Sylvester/Bareiss
+    resultant, from the same draws as ``gen_method2_candidate``."""
+    a = []
+    for _ in range(5):
+        cs = [curve_mod._rand_coeff(rng, h) for _ in range(d + 1)]
+        while not cs[-1]:
+            cs[-1] = curve_mod._rand_coeff(rng, h)
+        a.append(MPoly(3, {(0, 0, k): rat(c) for k, c in enumerate(cs)}))
+    a1, a2, a3, a4, a5 = a
+    x, y = MPoly.variable(3, 0), MPoly.variable(3, 1)
+    return dense_reference.resultant(x ** 3 - a1 * x - a2,
+                                     y - a3 - a4 * x - a5 * x ** 2, 2)
+
+
+@settings(max_examples=30)
+@given(st.integers(1, 3), st.sampled_from([1, 2, 8, 20]), st.integers(0, 10 ** 6))
+def test_method2_elimination_matches_the_dense_resultant(d, h, seed):
+    got = curve_mod.gen_method2_candidate(d, h, random.Random(seed))
+    want = _method2_reference(d, h, random.Random(seed))
+    assert got == want and poly_str(got) == poly_str(want)
 
 
 def test_method2_rejects_or_returns_valid():

@@ -5,13 +5,14 @@ from hypothesis import given, settings, strategies as st
 
 from trigonal import modular
 from trigonal.errors import CurveUnsupported, InvalidInput
-from trigonal.modular import (PRIME_WALK_START, fp_bivariate_table, fp_reduce,
-                              fp_resultant, fp_resultant_keepvar, primes_below)
+from trigonal.modular import (PRIME_WALK_START, fp_bivariate_table, fp_eval,
+                              fp_reduce, fp_resultant, fp_resultant_keepvar,
+                              primes_below)
 from trigonal.poly import (MPoly, UPoly, binary_form_squarefree, parse_poly,
-                           poly_str, rational_roots, resultant, taylor_rows)
+                           poly_str, rational_roots, taylor_rows)
 from trigonal.scalars import QQ, PrimeField, rat
 
-from dense_reference import taylor_pieces
+from dense_reference import resultant, taylor_pieces
 
 
 WALK_PRIME = next(primes_below(PRIME_WALK_START))
@@ -259,6 +260,28 @@ def test_fp_resultant_keepvar_small_modulus_is_typed():
         fp_resultant_keepvar(*tables(5), 5)   # only x = 2, 3, 4 qualify
     with pytest.raises(CurveUnsupported):
         fp_resultant_keepvar(*tables(3), 3)   # fewer residues than points
+
+
+def test_fp_resultant_keepvar_trims_a_zero_leading_row(monkeypatch):
+    # the row [0] is the zero polynomial, so a = 3 + y has formal degree 2
+    # and is peeled like [[3], [1], []]: Res = -(x - 3).  Taken as a nonzero
+    # leading coefficient it vanishes at every x, and the search for usable
+    # points would scan all of F_p
+    a, b = [[3], [1], [0]], [[0, 1], [1]]
+    want = fp_resultant_keepvar([[3], [1], []], b, WALK_PRIME)
+    assert want == [3, WALK_PRIME - 1]
+    evals = []
+
+    def counted(c, x, p):
+        evals.append(x)
+        assert len(evals) < 1000, "scanning F_p for usable points"
+        return fp_eval(c, x, p)
+
+    monkeypatch.setattr(modular, "fp_eval", counted)
+    assert fp_resultant_keepvar(a, b, WALK_PRIME) == want
+    assert fp_resultant_keepvar(b, [[1], [0, 1], [0, 0]], WALK_PRIME) == \
+        fp_resultant_keepvar(b, [[1], [0, 1], []], WALK_PRIME)
+    assert a == [[3], [1], [0]]   # the caller's rows are left as they were
 
 
 def test_resultant_rejects_bad_input():
