@@ -524,7 +524,7 @@ def gen_method2_candidate(d, coeff_height, rng):
                 [[fp_eval(r, x0, p)] for r in f_rows], g_table, p))
         more = []
         for j in range(d + 1):
-            c = fp_interpolate(xs, [v[j] if j < len(v) else 0 for v in values], p)
+            c = fp_interpolate([v[j] if j < len(v) else 0 for v in values], p)
             more.append(c + [0] * (len(xs) - len(c)))
         modulus, residues = _crt_vectors(modulus, residues, p, more)
         if modulus > bound:

@@ -6,27 +6,31 @@ sparse echelon form ``FpEchelon``.
 Polynomials mod p are plain int lists, lowest degree first.  The scan and
 the fiber check reduce exact bivariate polynomials with
 ``fp_bivariate_table`` and eliminate a variable with
-``fp_resultant_keepvar``.  ``curve.gen_method2_candidate`` calls the same
-kernel on integer tables at several walk primes and combines them with
-``_crt_vectors`` up to a coefficient bound, so its resultant is exact.
-``certified_kernel`` solves a linear system mod p
-with ``FpEchelon`` and lifts the kernel with ``rational_reconstruct`` and
-CRT.  ``FpEchelon`` stores sparse ``{column: value}`` rows, since the
-systems here have a handful of nonzeros per row.  With no modulus it
-eliminates exactly, on primitive integer rows over Q and over the field of
-its entries otherwise.  Every exact kernel, rank, span, membership,
-solution and inverse in the package is taken on it, kernels of dense rows
-through ``linalg.kernel_basis``.  The primes come from fixed
-deterministic walks, so runs are reproducible: the scan and the certified
-kernels walk down from 2^61, the fiber check from 2^30.  The scan only
-discovers candidates mod p; every point it reports is verified exactly over
-the ground field by the caller.  The fiber check is Monte Carlo in its
-prime and records the prime of each draw.  A certified kernel is exact:
-every lifted vector is verified over the ground field, and the nullity mod
-p bounds the true nullity from above.  The nullity of the rows reduced so
-far bounds it too, so over Q the lift is tried whenever the rank mod p has
-not grown for as many rows as there are unknowns, and an accepted try ends
-the elimination before the rows run out.
+``fp_resultant_keepvar``.  It evaluates at the consecutive nodes 0, 1, ...,
+runs the Euclidean resultants of all nodes in lockstep with one batched
+inverse per remainder step, and interpolates by forward differences.
+``fp_roots`` splits by Cantor-Zassenhaus, raising a linear base to its
+powers from the top bit down.  ``curve.gen_method2_candidate`` calls the
+same kernel on integer tables at several walk primes, interpolates at the
+same nodes and combines the primes with ``_crt_vectors`` up to a
+coefficient bound, so its resultant is exact.  ``certified_kernel`` solves
+a linear system mod p with ``FpEchelon`` and lifts the kernel with
+``rational_reconstruct`` and CRT.  ``FpEchelon`` stores sparse
+``{column: value}`` rows, since the systems here have a handful of nonzeros
+per row.  With no modulus it eliminates exactly, on primitive integer rows
+over Q and over the field of its entries otherwise.  Every exact kernel,
+rank, span, membership, solution and inverse in the package is taken on it,
+kernels of dense rows through ``linalg.kernel_basis``.  The primes come from
+fixed deterministic walks, so runs are reproducible: the scan and the
+certified kernels walk down from 2^61, the fiber check from 2^30, and each
+walk is kept as it grows.  The scan only discovers candidates mod p; every
+point it reports is verified exactly over the ground field by the caller.
+The fiber check is Monte Carlo in its prime and records the prime of each
+draw.  A certified kernel is exact: every lifted vector is verified over
+the ground field, and the nullity mod p bounds the true nullity from above.
+The nullity of the rows reduced so far bounds it too, so over Q the lift is
+tried whenever the rank mod p has not grown for as many rows as there are
+unknowns, and an accepted try ends the elimination before the rows run out.
 """
 
 from bisect import insort
@@ -42,13 +46,26 @@ from .scalars import QQ, FpElt, PrimeField, QuadExt, is_rational, rat, sinv
 _DENOMINATOR = attrgetter("denominator")
 
 
+# The primes walked so far from each bound, largest first.
+_PRIME_WALKS = {}
+
+
 def primes_below(bound):
-    """Odd primes below ``bound``, largest first."""
-    n = bound - 1 if bound % 2 == 0 else bound - 2
-    while n > 2:
-        if is_prime(n):
-            yield n
-        n -= 2
+    """Odd primes below ``bound``, largest first.  Each bound's walk is kept
+    as it grows, so a later walk from the same bound reads its head instead
+    of testing it again."""
+    walk = _PRIME_WALKS.setdefault(bound, [])
+    i = 0
+    while True:
+        if i == len(walk):
+            n = walk[-1] - 2 if walk else (bound - 1 if bound % 2 == 0 else bound - 2)
+            while n > 2 and not is_prime(n):
+                n -= 2
+            if n <= 2:
+                return
+            walk.append(n)
+        yield walk[i]
+        i += 1
 
 
 # Start of the prime walk: just below 2^61 (the Mersenne prime 2^61 - 1
@@ -78,12 +95,11 @@ def fp_mul(a, b, p):
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
+    nb = len(b)
     for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] = (out[i + j] + x * y) % p
-    return fp_trim(out)
+            out[i:i + nb] = [c + x * y for c, y in zip(out[i:i + nb], b)]
+    return fp_trim([c % p for c in out])
 
 
 def fp_divmod(a, b, p):
@@ -93,17 +109,11 @@ def fp_divmod(a, b, p):
     d = len(b) - 1
     inv = pow(b[-1], -1, p)
     q = [0] * max(0, len(r) - d)
-    while len(r) - 1 >= d and r:
-        if r[-1] == 0:
-            r.pop()
-            continue
-        f = r[-1] * inv % p
-        pos = len(r) - 1 - d
-        q[pos] = f
-        for i, c in enumerate(b):
-            r[pos + i] = (r[pos + i] - f * c) % p
-        r.pop()
-    return fp_trim(q), fp_trim(r)
+    for pos in range(len(q) - 1, -1, -1):
+        f = q[pos] = r[pos + d] % p * inv % p
+        if f:
+            r[pos:pos + d] = [c - f * y for c, y in zip(r[pos:pos + d], b)]
+    return fp_trim(q), fp_trim([c % p for c in r[:d]])
 
 
 def fp_monic(a, p):
@@ -144,16 +154,21 @@ def fp_eval(a, x, p):
     return total
 
 
-def fp_powmod(base, e, mod, p):
-    """base^e modulo the polynomial mod, coefficients mod p."""
-    result = [1]
-    base = fp_divmod(base, mod, p)[1]
-    while e:
-        if e & 1:
-            result = fp_divmod(fp_mul(result, base, p), mod, p)[1]
-        base = fp_divmod(fp_mul(base, base, p), mod, p)[1]
-        e >>= 1
-    return result
+def fp_powmod_linear(s, e, g, p):
+    """(x + s)^e modulo the monic polynomial g, coefficients mod p.  The
+    exponent is read from its top bit down, so each multiplication is by
+    the linear base: a shift, a scaled add and one reduction step, O(deg g)."""
+    d = len(g) - 1
+    r = [1]
+    for bit in bin(e)[2:]:
+        r = fp_divmod(fp_mul(r, r, p), g, p)[1]
+        if bit == "1":
+            r = [(u + s * v) % p for u, v in zip([0] + r, r + [0])]
+            if len(r) > d:
+                top = r[d]
+                r = [(u - top * v) % p for u, v in zip(r[:d], g)]
+            fp_trim(r)
+    return r
 
 
 # Shifts tried by the root splitting before it gives up.
@@ -167,25 +182,25 @@ def fp_roots(a, p):
         raise InvalidInput("roots of the zero polynomial")
     if len(a) == 1:
         return []
-    xp = fp_powmod([0, 1], p, a, p)
-    lin = fp_gcd(fp_sub(xp, [0, 1], p), a, p)
+    if len(a) == 2:
+        return [(-a[0]) % p]
+    lin = fp_gcd(fp_sub(fp_powmod_linear(0, p, a, p), [0, 1], p), a, p)
     roots = []
-    stack = [lin]
+    stack = [lin]       # monic, as are the gcds and quotients split off it
     shift = 0
     while stack:
         g = stack.pop()
         if len(g) <= 1:
             continue
         if len(g) == 2:
-            roots.append((-g[0]) * pow(g[1], -1, p) % p)
+            roots.append((-g[0]) % p)
             continue
         done = False
         while not done:
             shift += 1
             if shift > ROOT_SPLIT_TRIES:
                 raise InvalidInput("root splitting did not converge")
-            h = fp_powmod([shift, 1], (p - 1) // 2, g, p)
-            h = fp_sub(h, [1], p)
+            h = fp_sub(fp_powmod_linear(shift, (p - 1) // 2, g, p), [1], p)
             d = fp_gcd(h, g, p)
             if 0 < len(d) - 1 < len(g) - 1:
                 stack.append(d)
@@ -260,9 +275,12 @@ def fp_bivariate_table(F, y_deg, p, root=None):
 # --- resultants and interpolation -------------------------------------------
 
 def fp_resultant(a, b, p):
-    """Res(a, b) mod p for int lists with nonzero leading coefficients, by
-    the Euclidean remainder sequence in O(deg a * deg b):
-    Res(a, b) = (-1)^(mn) lc(b)^(m - deg r) Res(b, r) with r = a mod b."""
+    """Res(a, b) mod p for int lists, b with a nonzero leading coefficient,
+    by the Euclidean remainder sequence in O(deg a * deg b):
+    Res(a, b) = (-1)^(mn) lc(b)^(m - deg r) Res(b, r) with r = a mod b.
+    The degree m of a is its formal one, len(a) - 1, whose leading
+    coefficient may vanish: Res(b, a) = lc(b)^m times the product of a over
+    the roots of b holds for a of degree below m too."""
     m, n = len(a) - 1, len(b) - 1
     if m < 0 or n < 0:
         raise InvalidInput("resultant of a zero polynomial")
@@ -288,34 +306,112 @@ def fp_resultant(a, b, p):
     return res * pow(b[0], m, p) % p
 
 
-def _newton_coeffs(xs, ys, p):
-    n = len(xs)
+def fp_interpolate(ys, p):
+    """The polynomial of degree below len(ys) that takes the value ys[x] at
+    x = 0, 1, ...: Newton's forward form, sum_k D^k y_0 / k! * x(x-1)...(x-k+1).
+    The differences D^k y_0 take subtractions only, and 1/k! one inverse for
+    all k; p must exceed len(ys) - 1.  Values are reduced mod p only where
+    they would otherwise keep growing."""
     c = list(ys)
-    invs = {}
-    for i in range(1, n):
-        for j in range(n - 1, i - 1, -1):
-            d = (xs[j] - xs[j - i]) % p
-            inv = invs.get(d)
-            if inv is None:
-                inv = invs[d] = pow(d, -1, p)
-            c[j] = (c[j] - c[j - 1]) * inv % p
-    return c
-
-
-def fp_interpolate(xs, ys, p):
-    """Interpolating polynomial through the given points, Newton form."""
-    c = _newton_coeffs(xs, ys, p)
-    poly = [c[-1]]
-    for i in range(len(xs) - 2, -1, -1):
-        # poly <- poly * (x - xs[i]) + c[i], in place
-        xi = xs[i]
-        prev = 0
-        for k, v in enumerate(poly):
-            poly[k] = (prev - xi * v) % p
-            prev = v
-        poly.append(prev)
-        poly[0] = (poly[0] + c[i]) % p
+    n = len(c)
+    for k in range(1, n):
+        c[k:] = [u - v for u, v in zip(c[k:], c[k - 1:])]
+    fact = 1
+    for k in range(2, n):
+        fact = fact * k % p
+    inv = pow(fact, -1, p)
+    for k in range(n - 1, 1, -1):
+        c[k] = c[k] * inv % p
+        inv = inv * k % p
+    poly = c[-1:]
+    for i in range(n - 2, -1, -1):
+        # poly <- poly * (x - i) + c[i], reduced every eighth step
+        poly = [u - i * v for u, v in zip([c[i]] + poly, poly + [0])]
+        if i % 8 == 0:
+            poly = [u % p for u in poly]
     return fp_trim(poly)
+
+
+def _batch_inverse(xs, p):
+    """Inverses mod p of the nonzero xs with one ``pow``: Montgomery's
+    simultaneous inversion (Math. Comp. 48, 1987)."""
+    prefix = [1]
+    for x in xs:
+        prefix.append(prefix[-1] * x % p)
+    inv = pow(prefix[-1], -1, p)
+    out = [0] * len(xs)
+    for i in range(len(xs) - 1, -1, -1):
+        out[i] = prefix[i] * inv % p
+        inv = inv * xs[i] % p
+    return out
+
+
+def _lockstep_resultants(a, b, p):
+    """Res(a, b) mod p under the formal degrees m = len(a) - 1 and
+    n = len(b) - 1 at every point, for coefficient columns: a[k][x] is the
+    coefficient of degree k at point x, and likewise b.
+
+    The Euclidean formula of ``fp_resultant`` needs only the divisor's
+    leading coefficient to survive.  At a point where b_n vanishes,
+    Res(a, b) = (-1)^(mn) Res(b, a) and a is the divisor, and where a_m
+    vanishes too the value is 0.  The other points run the remainder
+    sequence together, one step at a time, with their divisors' leading
+    coefficients inverted in one batch.  After each step the remainders
+    share the largest degree any of them has; a point whose remainder falls
+    below it leaves the sequence and is finished by ``fp_resultant``."""
+    m, n = len(a) - 1, len(b) - 1
+    out = [0] * len(a[0])
+    live = []
+    for x, (u, v) in enumerate(zip(a[m], b[n])):
+        if v:
+            live.append(x)
+        elif u:
+            swapped = fp_resultant([c[x] for c in b], [c[x] for c in a], p)
+            out[x] = -swapped % p if m & n & 1 else swapped
+    if len(live) < len(out):
+        a = [[c[x] for x in live] for c in a]
+        b = [[c[x] for x in live] for c in b]
+    res = [1] * len(live)
+    while n > 0 and live:
+        inv = _batch_inverse(b[n], p)
+        for top in range(m, n - 1, -1):
+            f = [u % p * v % p for u, v in zip(a[top], inv)]
+            s = top - n
+            for i in range(n):
+                a[s + i] = [u - v * w for u, v, w in zip(a[s + i], f, b[i])]
+        a = [[u % p for u in c] for c in a[:n]]
+        k = len(a) - 1
+        while k >= 0 and not any(a[k]):
+            k -= 1
+        sign = -1 if m & n & 1 else 1
+        if k < 0 or not all(a[k]):
+            keep = []
+            for j, x in enumerate(live):
+                if k >= 0 and a[k][j]:
+                    keep.append(j)
+                    continue
+                r = fp_trim([c[j] for c in a])
+                if r:
+                    lead = pow(b[n][j], m - len(r) + 1, p)
+                    out[x] = sign * res[j] * lead * fp_resultant([c[j] for c in b], r, p) % p
+            live = [live[j] for j in keep]
+            res = [res[j] for j in keep]
+            a = [[c[j] for j in keep] for c in a[:k + 1]]
+            b = [[c[j] for j in keep] for c in b]
+        res = [sign * u * pow(v, m - k, p) % p for u, v in zip(res, b[n])]
+        a, b, m, n = b, a[:k + 1], n, k
+    if live:
+        for x, u, v in zip(live, res, b[0]):
+            out[x] = u * pow(v, m, p) % p
+    return out
+
+
+def _eval_nodes(c, npts, p):
+    """Values of the int list c at x = 0, 1, ..., npts - 1, by Horner."""
+    vals = [0] * npts
+    for coef in reversed(c):
+        vals = [v * x + coef for x, v in enumerate(vals)]
+    return [v % p for v in vals]
 
 
 def _x_degree(table):
@@ -348,10 +444,13 @@ def fp_resultant_keepvar(a_coeffs, b_coeffs, p):
     at most D_a - m + c - r (and likewise for b), and the sum over any
     permutation is n * D_a + m * D_b - m * n; for a monic in the eliminated
     variable (m = D_a) it is the Bezout number D_a * D_b.  The rest is
-    evaluated at bound + 1 points where neither leading coefficient
-    vanishes, so the formal degrees hold there and each value is a Euclidean
-    resultant mod p, and interpolation gives the result.  Raises
-    CurveUnsupported when p is too small to supply the points.
+    evaluated under its formal degrees at the consecutive nodes
+    x = 0, 1, ..., bound, where the specialized Sylvester determinant is its
+    value.  The nodes run their Euclidean remainder sequences in lockstep,
+    with one inverse per step for all of them (``_lockstep_resultants``),
+    and ``fp_interpolate`` reads the result off the values by forward
+    differences.  Raises CurveUnsupported when p is too small to supply the
+    nodes.
     """
     a_coeffs = [fp_trim(list(row)) for row in a_coeffs]
     b_coeffs = [fp_trim(list(row)) for row in b_coeffs]
@@ -384,20 +483,9 @@ def fp_resultant_keepvar(a_coeffs, b_coeffs, p):
     if p <= deg_bound:
         raise CurveUnsupported(
             f"modulus {p} is too small for {deg_bound + 1} evaluation points")
-    xs, ys = [], []
-    for x in range(p):
-        if len(xs) > deg_bound:
-            break
-        av = [fp_eval(c, x, p) for c in a_coeffs]
-        bv = [fp_eval(c, x, p) for c in b_coeffs]
-        if av[-1] and bv[-1]:
-            xs.append(x)
-            ys.append(fp_resultant(av, bv, p))
-    if len(xs) <= deg_bound:
-        raise CurveUnsupported(
-            f"modulus {p} leaves fewer than {deg_bound + 1} evaluation points "
-            f"where the leading coefficients survive")
-    return fp_mul(scale, fp_interpolate(xs, ys, p), p)
+    ys = _lockstep_resultants([_eval_nodes(c, deg_bound + 1, p) for c in a_coeffs],
+                              [_eval_nodes(c, deg_bound + 1, p) for c in b_coeffs], p)
+    return fp_mul(scale, fp_interpolate(ys, p), p)
 
 
 # --- linear algebra mod p ----------------------------------------------------

@@ -1,7 +1,9 @@
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 from trigonal import cli
 from trigonal.cli import BENCH_HEADER, main
@@ -181,8 +183,13 @@ def test_cli_subprocess_entry_point(tmp_path, proj5):
     """The installed console script behaves like main()."""
     path = tmp_path / "c.curve"
     path.write_text(write_curve_file(proj5))
+    # the child finds the package in src, as this process does through
+    # conftest.py, whether or not the caller set PYTHONPATH
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "trigonal.cli", "decide",
                            str(path), "--seed", "3"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["trigonal"] is True

@@ -1,7 +1,9 @@
 """The sparse echelon form, ``kernel_basis`` on it and the certified mod-p
-kernel against the dense reference elimination, and the reconstruction
-bound the kernel lifts with."""
+kernel against the dense reference elimination, the reconstruction bound
+the kernel lifts with, the prime walks, and root finding mod p against
+brute force."""
 
+import random
 from itertools import islice
 from math import gcd
 from types import SimpleNamespace
@@ -12,8 +14,10 @@ from hypothesis import given, settings, strategies as st
 import dense_reference as ref
 from trigonal import modular
 from trigonal.linalg import kernel_basis
+from trigonal.intutil import is_prime
 from trigonal.modular import (PRIME_WALK_START, FpEchelon, certified_kernel,
-                              clear_denominators, fp_reduce, primes_below,
+                              clear_denominators, fp_divmod, fp_eval, fp_mul,
+                              fp_powmod_linear, fp_reduce, fp_roots, primes_below,
                               rational_reconstruct, recon_bound)
 from trigonal.errors import InternalInvariantError
 from trigonal.scalars import QQ, FpElt, PrimeField, QuadExt, QuadraticField, rat
@@ -353,3 +357,78 @@ def test_sparse_echelon_matches_dense_elimination_mod_a_walk_prime(m, data):
     ncols, rows = m
     _check_echelon(ncols, rows, P0, lambda x: FpElt(x, P0),
                    data.draw(st.permutations(rows)))
+
+
+# --- prime walks ----------------------------------------------------------------
+
+def test_prime_walks_repeat_and_interleave():
+    bound = 1 << 40
+    naive = [n for n in range(bound - 1, bound - 4000, -2) if is_prime(n)]
+    assert list(islice(primes_below(bound), 6)) == naive[:6]
+    # two later walks read the six primes kept so far and grow the walk in
+    # turns, with the same sequence
+    second, third = primes_below(bound), primes_below(bound)
+    pairs = [(next(second), next(third)) for _ in range(9)]
+    assert [u for u, _ in pairs] == [v for _, v in pairs] == naive[:9]
+    assert list(primes_below(20)) == list(primes_below(20)) == [19, 17, 13, 11, 7, 5, 3]
+    assert list(primes_below(3)) == []
+
+
+# --- roots mod p ------------------------------------------------------------------
+
+def test_fp_roots_match_a_scan_of_f101():
+    rng = random.Random(11)
+    p = 101
+    for deg in range(13):
+        for _ in range(6):
+            # a product of random linear factors, some repeated, and a
+            # random cofactor, so every degree sees 0..deg roots
+            k = rng.randint(0, deg)
+            a = [rng.randrange(1, p)]
+            for _ in range(k):
+                a = fp_mul(a, [rng.randrange(p), 1], p)
+            cof = [rng.randrange(p) for _ in range(deg - k)] + [rng.randrange(1, p)]
+            a = fp_mul(a, cof, p)
+            assert len(a) == deg + 1
+            assert fp_roots(a, p) == [x for x in range(p) if not fp_eval(a, x, p)]
+
+
+def test_fp_roots_at_the_walk_prime_skip_an_irreducible_quadratic():
+    rng = random.Random(12)
+    nonresidue = next(n for n in range(2, 100) if pow(n, (P0 - 1) // 2, P0) == P0 - 1)
+    for k in range(6):
+        roots = [rng.randrange(P0) for _ in range(k)] + [rng.randrange(P0)] * (k % 2)
+        a = [(-nonresidue) % P0, 0, 1]
+        for r in roots:
+            a = fp_mul(a, [(-r) % P0, 1], P0)
+        assert fp_roots(a, P0) == sorted(set(roots))
+
+
+def test_fp_roots_paths(monkeypatch):
+    # the degree-1 path takes no power, an irreducible quadratic takes x^p
+    # only, and three roots take x^p and then the splitting powers
+    def naive(s, e, g, p):
+        out = [1]
+        for _ in range(e):
+            out = fp_divmod(fp_mul(out, [s, 1], p), g, p)[1]
+        return out
+
+    g = [3, 0, 5, 0, 1]
+    for s in (0, 1, 100):
+        for e in range(12):
+            assert fp_powmod_linear(s, e, g, 101) == naive(s, e, g, 101)
+    calls = []
+
+    def spy(s, e, g, p):
+        calls.append(s)
+        return fp_powmod_linear(s, e, g, p)
+
+    monkeypatch.setattr(modular, "fp_powmod_linear", spy)
+    assert fp_roots([P0 - 7, 3], P0) == [7 * pow(3, -1, P0) % P0]
+    assert calls == []
+    nonresidue = next(n for n in range(2, 100) if pow(n, (P0 - 1) // 2, P0) == P0 - 1)
+    assert fp_roots([P0 - nonresidue, 0, 1], P0) == []
+    assert calls == [0]
+    cubic = fp_mul(fp_mul([P0 - 2, 1], [P0 - 5, 1], P0), [P0 - 11, 1], P0)
+    assert fp_roots(cubic, P0) == [2, 5, 11]
+    assert calls[1] == 0 and len(calls) > 2 and all(calls[2:])

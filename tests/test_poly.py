@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 from trigonal import modular
 from trigonal.errors import CurveUnsupported, InvalidInput
 from trigonal.modular import (PRIME_WALK_START, fp_bivariate_table, fp_eval,
-                              fp_reduce, fp_resultant, fp_resultant_keepvar,
-                              primes_below)
+                              fp_interpolate, fp_reduce, fp_resultant,
+                              fp_resultant_keepvar, primes_below)
 from trigonal.poly import (MPoly, UPoly, binary_form_squarefree, parse_poly,
                            poly_str, rational_roots, taylor_rows)
 from trigonal.scalars import QQ, PrimeField, rat
@@ -187,23 +187,98 @@ def test_fp_resultant_keepvar_matches_bareiss_at_full_total_degree(data, p, tops
     assert fp_resultant_keepvar(tf, tg, p) == _mod_p_coeffs(resultant(f, g, 1), p)
 
 
+@pytest.mark.parametrize("p", [101, WALK_PRIME])
+def test_fp_interpolate_takes_the_values_at_consecutive_nodes(p):
+    rng = random.Random(p % 1000)
+    for n in range(1, 25):
+        ys = [rng.randrange(p) for _ in range(n)]
+        poly = fp_interpolate(ys, p)
+        assert len(poly) <= n and all(0 <= c < p for c in poly)
+        assert [fp_eval(poly, x, p) for x in range(n)] == ys
+
+
+@st.composite
+def remainder_drops(draw):
+    """(a, b) with b of y-degree n >= 2 and a constant leading coefficient
+    other than 1, and a = b*q + rem, q monic, rem = (x - r) y^(n-1) + ... +
+    1: a mod b at x = r has a lower degree than at the other points, and is
+    not zero there."""
+    n = draw(st.integers(2, 3))
+    coeff = st.integers(-4, 4)
+    x, y = MPoly.variable(2, 0), MPoly.variable(2, 1)
+
+    def in_y(deg, lead):
+        terms = {(i, j): rat(draw(coeff)) for i in range(3) for j in range(deg)}
+        return MPoly(2, terms) + MPoly.const(2, rat(lead)) * y ** deg
+
+    b = in_y(n, draw(st.sampled_from([2, -3, 5])))
+    q = in_y(draw(st.integers(0, 2)), 1)
+    terms = {(i, j): rat(draw(coeff)) for i in range(3) for j in range(1, n - 1)}
+    terms[(0, 0)] = rat(1)
+    r = draw(st.integers(0, 3))
+    rem = MPoly(2, terms) + (x - MPoly.const(2, rat(r))) * y ** (n - 1)
+    return b * q + rem, b
+
+
+def _check_against_points_and_bareiss(f, g, p):
+    """fp_resultant_keepvar on f, g against the exact Bareiss resultant mod
+    p, and at every x in 0..30 where both leading coefficients survive
+    against one ``fp_resultant`` of the specialized pair; returns the
+    number of ``fp_resultant`` calls the kernel made."""
+    tf = fp_bivariate_table(f, f.degree_in(1), p)
+    tg = fp_bivariate_table(g, g.degree_in(1), p)
+    calls = []
+
+    def spy(a, b, q):
+        calls.append(q)
+        return fp_resultant(a, b, q)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(modular, "fp_resultant", spy)
+        got = fp_resultant_keepvar(tf, tg, p)
+    assert got == _mod_p_coeffs(resultant(f, g, 1), p)
+    for x in range(31):
+        av = [fp_eval(row, x, p) for row in tf]
+        bv = [fp_eval(row, x, p) for row in tg]
+        if av[-1] and bv[-1]:
+            assert fp_eval(got, x, p) == fp_resultant(av, bv, p)
+    return len(calls)
+
+
+@settings(max_examples=60)
+@given(st.data(), st.sampled_from([WALK_PRIME, 101]), st.sampled_from(["lead", "drop", "row"]))
+def test_lockstep_resultants_match_pointwise_euclid_and_bareiss(data, p, case):
+    # the lockstep remainder sequence against one Euclidean resultant per
+    # point and against the exact oracle: a leading coefficient that
+    # vanishes at one point, a remainder whose degree drops at one point
+    # only (that point leaves the lockstep and is finished alone), and a
+    # leading row that is 101 times an integer row, so it vanishes mod 101
+    if case == "drop":
+        f, g = data.draw(remainder_drops())
+        assert _check_against_points_and_bareiss(f, g, p) >= 1
+    else:
+        scale = 1 if case == "lead" else 101
+        f, g = data.draw(bivariates(scale)), data.draw(bivariates(1))
+        _check_against_points_and_bareiss(f, g, p)
+
+
 @pytest.mark.parametrize("da, db", [(2, 3), (4, 3), (6, 5)])
 def test_fp_resultant_keepvar_evaluates_monic_pairs_at_the_bezout_number(
         monkeypatch, da, db):
-    # dense pairs monic in y: D_a * D_b + 1 points, each one Euclidean
-    # resultant, since no leading coefficient vanishes anywhere
-    calls = []
+    # dense pairs monic in y: D_a * D_b + 1 evaluation points, the nodes
+    # 0, 1, ... that the interpolation reads
+    nodes = []
 
-    def spy(a, b, p):
-        calls.append(p)
-        return fp_resultant(a, b, p)
+    def spy(ys, p):
+        nodes.append(len(ys))
+        return fp_interpolate(ys, p)
 
-    monkeypatch.setattr(modular, "fp_resultant", spy)
+    monkeypatch.setattr(modular, "fp_interpolate", spy)
     rng = random.Random(da * 10 + db)
     tables = [[[rng.randrange(1, 101) for _ in range(d + 1 - j)] for j in range(d)] + [[1]]
               for d in (da, db)]
     assert fp_resultant_keepvar(*tables, 101)
-    assert len(calls) == da * db + 1
+    assert nodes == [da * db + 1]
 
 
 def test_fp_resultant_keepvar_matches_sympy():
@@ -251,34 +326,33 @@ def test_fp_resultant_keepvar_matches_sympy():
 
 def test_fp_resultant_keepvar_small_modulus_is_typed():
     # a = x(x-1) y + 1, b = y + x^2: Res_y = x^4 - x^3 - 1 has degree bound
-    # 4, so five points with x(x-1) != 0 are needed
+    # 4, so the five nodes x = 0..4 are needed, x = 0 and 1 among them, where
+    # the leading coefficient x(x-1) of a vanishes
     def tables(p):
         return [[1], [0, p - 1, 1]], [[0, 0, 1], [1]]
 
     assert fp_resultant_keepvar(*tables(7), 7) == [6, 0, 0, 6, 1]
-    with pytest.raises(CurveUnsupported):
-        fp_resultant_keepvar(*tables(5), 5)   # only x = 2, 3, 4 qualify
+    assert fp_resultant_keepvar(*tables(5), 5) == [4, 0, 0, 4, 1]
     with pytest.raises(CurveUnsupported):
         fp_resultant_keepvar(*tables(3), 3)   # fewer residues than points
 
 
 def test_fp_resultant_keepvar_trims_a_zero_leading_row(monkeypatch):
     # the row [0] is the zero polynomial, so a = 3 + y has formal degree 2
-    # and is peeled like [[3], [1], []]: Res = -(x - 3).  Taken as a nonzero
-    # leading coefficient it vanishes at every x, and the search for usable
-    # points would scan all of F_p
+    # and is peeled like [[3], [1], []]: Res = -(x - 3), interpolated from
+    # the two nodes of the peeled degree bound 1
     a, b = [[3], [1], [0]], [[0, 1], [1]]
     want = fp_resultant_keepvar([[3], [1], []], b, WALK_PRIME)
     assert want == [3, WALK_PRIME - 1]
-    evals = []
+    nodes = []
 
-    def counted(c, x, p):
-        evals.append(x)
-        assert len(evals) < 1000, "scanning F_p for usable points"
-        return fp_eval(c, x, p)
+    def spy(ys, p):
+        nodes.append(len(ys))
+        return fp_interpolate(ys, p)
 
-    monkeypatch.setattr(modular, "fp_eval", counted)
+    monkeypatch.setattr(modular, "fp_interpolate", spy)
     assert fp_resultant_keepvar(a, b, WALK_PRIME) == want
+    assert nodes == [2]
     assert fp_resultant_keepvar(b, [[1], [0, 1], [0, 0]], WALK_PRIME) == \
         fp_resultant_keepvar(b, [[1], [0, 1], []], WALK_PRIME)
     assert a == [[3], [1], [0]]   # the caller's rows are left as they were
