@@ -14,7 +14,7 @@ from .curve import (derived_rng, gen_method1, gen_method1_candidate,
                     gen_method2, gen_method2_candidate,
                     gen_trigonal_projection, gen_trigonal_projection_candidate,
                     parse_curve_file, validate_curve, write_curve_file,
-                    _homogenize_xy, _integer_content_normalize)
+                    _homogenize_xy, _integer_content_normalize, _parse_point)
 from .errors import (InternalInvariantError, ParseError, TrigonalError,
                      UnsupportedInput)
 from .pipeline import decide
@@ -26,24 +26,6 @@ EXIT_INTERNAL = 3
 
 BENCH_HEADER = ["generator", "params", "bit_height", "genus", "deg",
                 "seconds", "accepted", "trigonal", "agreement"]
-
-
-def _parse_cli_point(text):
-    text = text.strip()
-    if text.startswith("(") and text.endswith(")"):
-        text = text[1:-1]
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ParseError(f"--point needs three coordinates, got {text!r}")
-    vals = []
-    for part in parts:
-        part = part.strip()
-        if "/" in part:
-            num, den = part.split("/")
-            vals.append(rat(int(num), int(den)))
-        else:
-            vals.append(rat(int(part)))
-    return tuple(vals)
 
 
 def bit_height(f):
@@ -59,7 +41,7 @@ def bit_height(f):
 def cmd_decide(args):
     with open(args.path, encoding="utf-8") as fh:
         data = parse_curve_file(fh.read())
-    point = _parse_cli_point(args.point) if args.point else data["point"]
+    point = _parse_point(args.point) if args.point else data["point"]
     curve = validate_curve(data["f"], declared_sings=data["sings"] or None,
                            base_point=point, fld=data["field"])
     rep = decide(curve, base_point=point, seed=args.seed)
@@ -88,6 +70,8 @@ def cmd_generate(args):
 
 
 def _parse_bench_spec(text):
+    """Bench jobs, one a line: ``method=... n=... [height=...]
+    [params=key=int,...]``; every field but the method is an integer."""
     jobs = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -105,25 +89,33 @@ def _parse_bench_spec(text):
         method = fields["method"]
         if method not in ("projection", "m1", "m2"):
             raise ParseError(f"unknown method {method!r}", lineno)
+        params = (p.partition("=") for p in fields.get("params", "").split(","))
         jobs.append({
             "method": method,
-            "params": fields.get("params", ""),
-            "n": int(fields["n"]),
-            "height": int(fields.get("height", "5")),
+            "params": {k: _spec_int(k, v, lineno) for k, eq, v in params if eq},
+            "n": _spec_int("n", fields["n"], lineno),
+            "height": _spec_int("height", fields.get("height", "5"), lineno),
         })
     return jobs
 
 
+def _spec_int(key, value, lineno):
+    try:
+        return int(value)
+    except ValueError:
+        raise ParseError(f"{key}={value!r} is not an integer", lineno) from None
+
+
 def _bench_candidate(job, rng):
     method = job["method"]
-    params = dict(p.split("=") for p in job["params"].split(",") if "=" in p)
+    params = job["params"]
     if method == "projection":
-        d = int(params.get("d", "5"))
+        d = params.get("d", 5)
         return gen_trigonal_projection_candidate(d, job["height"], rng), f"d={d}"
     if method == "m1":
-        deg_x = int(params.get("deg_x", "3"))
+        deg_x = params.get("deg_x", 3)
         return gen_method1_candidate(deg_x, job["height"], rng), f"deg_x={deg_x}"
-    d = int(params.get("d", "4"))
+    d = params.get("d", 4)
     cand = gen_method2_candidate(d, job["height"], rng)
     if cand and cand.degree_in(0) >= 1 and cand.degree_in(1) >= 1:
         cand = _integer_content_normalize(_homogenize_xy(cand))
@@ -146,9 +138,8 @@ def cmd_bench(args):
             trig = ""
             agree = ""
             height = ""
-            params = job["params"]
+            cand, params = _bench_candidate(job, rng)
             try:
-                cand, params = _bench_candidate(job, rng)
                 if cand is not None:
                     deg = cand.total_degree()
                     height = bit_height(cand)

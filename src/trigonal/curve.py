@@ -201,7 +201,7 @@ def _affine_scan(f, ground):
     polys = (F, Fx, Fy)
     pairs = [(i, j) for i, j in ((1, 2), (0, 1), (0, 2)) if polys[i] and polys[j]
              and (polys[i].degree_in(1) or polys[j].degree_in(1))]
-    tabs = [fp_bivariate_table(P, P.degree_in(1), p) for P in polys]
+    tabs = [fp_bivariate_table(P, p) for P in polys]
     g = roots = None
     for i, j in pairs:
         if roots is not None and len(roots) == len(g) - 1:
@@ -395,6 +395,10 @@ def validate_curve(f, declared_sings=None, base_point=None, fld=QQ):
 
 
 def _rand_coeff(rng, height):
+    """A uniform integer of at most ``height`` bits; every generator draws
+    its coefficients here."""
+    if height < 1:
+        raise InvalidInput(f"coefficient height must be at least 1, got {height}")
     bound = (1 << height) - 1
     return rng.randint(-bound, bound)
 
@@ -647,24 +651,23 @@ def gen_singular_model(d, assigned, coeff_height=3, seed=0, budget=200):
 # --- curve file format ------------------------------------------------------------
 
 
-def _parse_point(text, lineno):
+def _parse_point(text, lineno=None):
+    """A point a:b:c, parentheses optional; each coordinate an integer or a
+    fraction n/d with d nonzero."""
     text = text.strip()
-    if not (text.startswith("(") and text.endswith(")")):
-        raise ParseError("expected a point like (a:b:c)", lineno)
-    parts = text[1:-1].split(":")
+    if text.startswith("(") and text.endswith(")"):
+        text = text[1:-1]
+    parts = text.split(":")
     if len(parts) != 3:
-        raise ParseError("a point needs three coordinates", lineno)
+        raise ParseError(f"a point needs three coordinates, got {text!r}", lineno)
     vals = []
     for part in parts:
         part = part.strip()
+        num, slash, den = part.partition("/")
         try:
-            if "/" in part:
-                num, den = part.split("/")
-                vals.append(rat(int(num), int(den)))
-            else:
-                vals.append(rat(int(part)))
-        except ValueError:
-            raise ParseError(f"bad coordinate {part!r}", lineno)
+            vals.append(rat(int(num), int(den) if slash else 1))
+        except (ValueError, ZeroDivisionError):
+            raise ParseError(f"bad coordinate {part!r}", lineno) from None
     return tuple(vals)
 
 

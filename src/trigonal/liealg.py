@@ -5,17 +5,18 @@ algebraic invariant that separates the cases: zero for curves cut out by
 quadrics, and a positive-dimensional algebra whose Levi type (sl2, sl2+sl2,
 sl3) identifies a ruled surface or the Veronese.  The stabilizer equations
 are solved mod p by ``modular.certified_kernel`` and lifted to a basis that
-is verified exactly.  ``LieAlg`` keeps its basis matrices by their nonzero
-entries: brackets are sparse products, coordinates come from one exact
-echelon over the basis, and every bracket must reduce to zero there.  The
-structure theory (radical, Levi part, centroid, ideals, split triples) is
-exact linear algebra on the structure constants, on ``FpEchelon`` with no
-modulus: spans and memberships on its rows, residuals and solutions read
-off its reduced rows.  Its sub-algebras take their structure constants
-from the parent's, in the parent's coordinates, and a lift coerces them, so
-no matrix bracket is formed there.  A sub-algebra's basis matrices are
-sums of its parent's; matrix products come back only where a map leaves
-the algebra: the check of a split triple and the ruling maps.
+is verified exactly.  ``LieAlg`` keeps each basis matrix as an {i*n + j: x}
+map of its nonzero entries, the package's one matrix form: brackets are
+sparse products, coordinates come from one exact echelon over the basis,
+and every bracket must reduce to zero there.  The structure theory
+(radical, Levi part, centroid, ideals, split triples) is exact linear
+algebra on the structure constants, on ``FpEchelon`` with no modulus: spans
+and memberships on its rows, residuals and solutions read off its reduced
+rows.  Its sub-algebras take their structure constants from the parent's,
+in the parent's coordinates, and a lift coerces them, so no matrix bracket
+is formed there.  A sub-algebra's basis matrices are sums of its parent's;
+matrix products come back only where a map leaves the algebra: the check
+of a split triple and the ruling maps.
 """
 
 import enum
@@ -24,7 +25,7 @@ from functools import cache, cached_property
 
 from .errors import (InternalInvariantError, InvalidInput, LiftingFailed,
                      NotSl2, SplitFailedOverExtension, UnexpectedDimension)
-from .linalg import Mat, kernel_basis
+from .linalg import kernel_basis
 from .modular import FpEchelon, certified_kernel, clear_denominators, fp_reduce
 from .scalars import (QQ, QuadExt, QuadraticField, rat, rational_square_split,
                       sqrt_rational)
@@ -41,11 +42,6 @@ class Case(enum.Enum):
     Veronese = "Veronese"
     Genus3 = "Genus3"
     Unexpected = "Unexpected"
-
-
-def _entries(m):
-    """The nonzero entries of a matrix as an {i*cols + j: x} map."""
-    return {idx: x for idx, x in enumerate(m.entries) if x}
 
 
 def _by_row(entries, n):
@@ -110,9 +106,9 @@ def _structure_constants(dim, fld, coords):
 
 
 class LieAlg:
-    """Matrix Lie algebra given by a basis of n x n matrices (``basis``, a
-    list of ``Mat``), each also kept by its nonzero entries grouped by row,
-    and by its structure constants, ``sc[i][j]`` the coordinates of
+    """Matrix Lie algebra given by a basis of n x n matrices (``basis``, each
+    an {i*n + j: x} map of its nonzero entries), each also kept grouped by
+    row, and by its structure constants, ``sc[i][j]`` the coordinates of
     [b_i, b_j].
 
     Built from matrices, each bracket of two basis matrices is a sparse
@@ -136,9 +132,9 @@ class LieAlg:
         self.n = n
         self.field = fld
         self.basis = list(basis)
-        if any(b.rows != n or b.cols != n for b in self.basis):
+        if any(not 0 <= k < n * n for b in self.basis for k in b):
             raise InvalidInput("basis matrix has the wrong shape")
-        self._rows = [_by_row(_entries(b), n) for b in self.basis]
+        self._rows = [_by_row(b, n) for b in self.basis]
         self.dim = len(self.basis)
 
     @classmethod
@@ -152,13 +148,13 @@ class LieAlg:
 
     @cached_property
     def _coords(self):
-        return _coordinate_map([_entries(b) for b in self.basis], self.n * self.n,
+        return _coordinate_map([dict(b) for b in self.basis], self.n * self.n,
                                self.field)
 
     def express(self, m):
-        """Coordinates of a matrix (a ``Mat`` or an {i*n + j: x} map) in the
-        basis; raises when it lies outside the span."""
-        return self._coords(_entries(m) if isinstance(m, Mat) else m)
+        """Coordinates of a matrix, an {i*n + j: x} map, in the basis; raises
+        when it lies outside the span."""
+        return self._coords(m)
 
     def bracket_coords(self, u, v):
         """Bracket of two coordinate vectors, in coordinates."""
@@ -180,15 +176,14 @@ class LieAlg:
         return out
 
     def element(self, coords):
-        """Ambient matrix for a coordinate vector."""
-        n = self.n
-        ent = [self.field.zero()] * (n * n)
-        for c, rows in zip(coords, self._rows):
+        """Ambient matrix for a coordinate vector, as an {i*n + j: x} map of
+        its nonzero entries."""
+        ent = {}
+        for c, b in zip(coords, self.basis):
             if c:
-                for i, row in rows.items():
-                    for j, x in row.items():
-                        ent[i * n + j] = ent[i * n + j] + c * x
-        return Mat(n, n, ent, self.field)
+                for idx, x in b.items():
+                    ent[idx] = ent.get(idx, 0) + c * x
+        return {idx: x for idx, x in ent.items() if x}
 
     def subalgebra(self, vecs):
         """The sub-algebra spanned by the coordinate vectors ``vecs``, whose
@@ -211,19 +206,22 @@ class LieAlg:
         coerced into ``fld``, with no bracket formed again."""
         sc = [[[fld.coerce(x) for x in c] for c in row] for row in self.sc]
         return LieAlg._with_sc(
-            self.n, [Mat(self.n, self.n, b.entries, fld) for b in self.basis], fld, sc)
+            self.n, [{k: fld.coerce(x) for k, x in b.items()} for b in self.basis],
+            fld, sc)
 
 
 @dataclass
 class Sl2Triple:
-    e: Mat
-    h: Mat
-    f: Mat
+    """A split triple of n x n matrices, each an {i*n + j: x} map."""
+    e: dict
+    h: dict
+    f: dict
+    n: int
     field: object
 
     def check(self):
-        n = self.h.rows
-        e, h, f = (_entries(m) for m in (self.e, self.h, self.f))
+        n = self.n
+        e, h, f = self.e, self.h, self.f
         rows_e, rows_h, rows_f = (_by_row(m, n) for m in (e, h, f))
         ok = (_bracket(rows_h, rows_e, n) == {i: 2 * x for i, x in e.items()}
               and _bracket(rows_h, rows_f, n) == {i: -2 * x for i, x in f.items()}
@@ -363,17 +361,17 @@ def stabilizer_algebra(qspace, g, fld=QQ, counters=None):
         traceless.add(w)
     if traceless.rank != len(kern) - 1:
         raise InternalInvariantError("identity direction did not split off cleanly")
-    mats = [Mat(g, g, [row.get(i, 0) for i in range(nn)], fld)
-            for row in traceless.reduced()]
-    return LieAlg(g, mats, fld)
+    return LieAlg(g, traceless.reduced(), fld)
 
 
 def killing_form(alg):
-    """kappa(b_i, b_j) = trace(ad b_i . ad b_j), from structure constants."""
+    """kappa(b_i, b_j) = trace(ad b_i . ad b_j), from structure constants,
+    as rows."""
     dim = alg.dim
     fld = alg.field
-    ent = []
+    rows = []
     for i in range(dim):
+        rows.append([])
         for j in range(dim):
             s = fld.zero()
             for k in range(dim):
@@ -382,8 +380,8 @@ def killing_form(alg):
                 for l in range(dim):
                     if cik[l] and cjk[l][k]:
                         s = s + cik[l] * cjk[l][k]
-            ent.append(s)
-    return Mat(dim, dim, ent, fld)
+            rows[-1].append(s)
+    return rows
 
 
 def _dense(rows, ncols):
@@ -441,7 +439,8 @@ def radical(alg):
     if der.rank == 0:
         return [[alg.field.one() if i == j else alg.field.zero()
                  for i in range(dim)] for j in range(dim)]
-    rows = [kappa.apply(d) for d in _dense(der.reduced(), dim)]
+    rows = [[sum((x * v for x, v in zip(krow, d) if x and v), alg.field.zero())
+             for krow in kappa] for d in _dense(der.reduced(), dim)]
     return kernel_basis(rows)
 
 
@@ -547,6 +546,35 @@ def levi(alg):
     return sub
 
 
+def _field_sqrt(x, fld):
+    """A square root of x in fld, Q or Q(sqrt delta), or None; over
+    Q(sqrt delta) only the root of a rational square is found."""
+    if fld == QQ:
+        return sqrt_rational(x)
+    if isinstance(x, QuadExt) and not x.b:
+        r = sqrt_rational(x.a)
+        if r is not None:
+            return fld.coerce(r)
+    return None
+
+
+def _square_root(alg, x):
+    """(algebra, field, root) for a square root of x over alg's field: the
+    root of ``_field_sqrt`` when there is one; otherwise, over Q, with x =
+    sfac^2 delta and delta square-free, alg lifted to Q(sqrt delta) and the
+    root sfac*sqrt(delta).  A second extension is not supported."""
+    fld = alg.field
+    root = _field_sqrt(x, fld)
+    if root is not None:
+        return alg, fld, root
+    if fld != QQ:
+        raise SplitFailedOverExtension(
+            "splitting needs a second square root; unsupported")
+    sfac, delta = rational_square_split(x)
+    wfld = QuadraticField(delta)
+    return alg.lift(wfld), wfld, QuadExt(0, sfac, delta)
+
+
 def split_two_ideals(s):
     """Decompose a 6-dimensional semisimple algebra into two 3-dimensional
     ideals via the centroid; adjoins one square root when the two factors
@@ -600,24 +628,8 @@ def split_two_ideals(s):
     disc = b * b + 4 * a
     if not disc:
         raise UnexpectedDimension("centroid is not etale; unexpected input")
-    if fld == QQ:
-        root = sqrt_rational(disc)
-    elif isinstance(disc, QuadExt) and not disc.b:
-        r = sqrt_rational(disc.a)
-        root = fld.coerce(r) if r is not None else None
-    else:
-        root = None
-    work = s
-    wfld = fld
-    if root is None:
-        if fld != QQ:
-            raise SplitFailedOverExtension(
-                "ideal split needs a second field extension; unsupported")
-        sfac, delta = rational_square_split(disc)
-        wfld = QuadraticField(delta)
-        work = s.lift(wfld)
-        root = QuadExt(0, sfac, delta)
-        a, b = wfld.coerce(a), wfld.coerce(b)
+    work, wfld, root = _square_root(s, disc)
+    a, b = wfld.coerce(a), wfld.coerce(b)
     lam1 = (b + root) / 2
     lam2 = (b - root) / 2
     scalefac = 1 / (lam1 - lam2)
@@ -636,7 +648,8 @@ def split_two_ideals(s):
             raise UnexpectedDimension(
                 f"centroid idempotent has rank {img.rank}; expected 3")
         ideals.append(work.subalgebra(_dense(img.reduced(), dim)))
-    ideals.sort(key=lambda alg: tuple(str(e) for b in alg.basis for e in b.entries))
+    ideals.sort(key=lambda alg: tuple(str(b.get(k, 0)) for b in alg.basis
+                                      for k in range(s.n * s.n)))
     return ideals[0], ideals[1]
 
 
@@ -704,47 +717,25 @@ def split_sl2(s):
     if s.dim != 3:
         raise NotSl2(f"expected a 3-dimensional algebra, got dim {s.dim}")
     fld = s.field
-    fallback = None
-    h_coords = None
-    work = s
-    wfld = fld
+    chosen = None
     for sample in _SPLIT_SAMPLES:
         coords = [fld.coerce(c) for c in sample]
         c2, c1, c0 = _charpoly3(_ad(s, coords))
         if c2 or c0:
             raise NotSl2("ad(x) has nonzero trace or determinant")
-        alpha_sq = -c1
-        if not alpha_sq:
+        if not c1:
             continue
-        if fld == QQ:
-            r = sqrt_rational(alpha_sq)
-            if r is not None:
-                h_coords = [2 * c / r for c in coords]
-                break
-            if fallback is None:
-                fallback = (coords, alpha_sq)
-        else:
-            # already over an extension: only a rational square splits
-            if isinstance(alpha_sq, QuadExt) and not alpha_sq.b:
-                r = sqrt_rational(alpha_sq.a)
-                if r is not None:
-                    h_coords = [2 * c / wfld.coerce(r) for c in coords]
-                    break
-            if fallback is None:
-                fallback = (coords, alpha_sq)
-    if h_coords is None:
-        if fallback is None:
-            raise NotSl2("every sampled element was nilpotent")
-        if fld != QQ:
-            raise SplitFailedOverExtension(
-                "splitting needs a second square root; unsupported")
-        coords, alpha_sq = fallback
-        sfac, delta = rational_square_split(alpha_sq)
-        wfld = QuadraticField(delta)
-        work = s.lift(wfld)
-        # alpha = sfac*sqrt(delta); h = 2x/alpha = (2/(sfac*delta)) sqrt(delta) x
-        scale = QuadExt(0, rat(2) / (sfac * delta), delta)
-        h_coords = [scale * wfld.coerce(c) for c in coords]
+        if _field_sqrt(-c1, fld) is not None:
+            chosen = coords, -c1
+            break
+        if chosen is None:
+            chosen = coords, -c1
+    if chosen is None:
+        raise NotSl2("every sampled element was nilpotent")
+    coords, alpha_sq = chosen
+    # ad(x) has eigenvalues 0 and +-alpha, so ad(2x/alpha) has 0 and +-2
+    work, wfld, alpha = _square_root(s, alpha_sq)
+    h_coords = [2 * wfld.coerce(c) / alpha for c in coords]
 
     adh = _ad(work, h_coords)
     two = wfld.coerce(rat(2))
@@ -766,6 +757,6 @@ def split_sl2(s):
             raise NotSl2("[e, f] is not parallel to h")
     f_coords = [x / c for x in f0_coords]
     triple = Sl2Triple(e=work.element(e_coords), h=work.element(h_coords),
-                       f=work.element(f_coords), field=wfld)
+                       f=work.element(f_coords), n=work.n, field=wfld)
     triple.check()
     return triple

@@ -257,13 +257,13 @@ def fp_reduce(c, p, root=None):
     return num * pow(den, -1, p) % p
 
 
-def fp_bivariate_table(F, y_deg, p, root=None):
-    """Coefficient lists of a bivariate F over the y-power, laid out for
-    y-degree ``y_deg``; each entry is an int list in x mod p.  Q(sqrt delta)
+def fp_bivariate_table(F, p, root=None):
+    """Coefficient lists of a bivariate F over the y-power, one per power up
+    to its y-degree; each entry is an int list in x mod p.  Q(sqrt delta)
     coefficients need ``root``, a square root of delta mod p.  None when a
     denominator vanishes mod p."""
     x_deg = F.degree_in(0)
-    table = [[0] * (x_deg + 1) for _ in range(y_deg + 1)]
+    table = [[0] * (x_deg + 1) for _ in range(F.degree_in(1) + 1)]
     for (i, j), c in F.terms.items():
         v = fp_reduce(c, p, root)
         if v is None:

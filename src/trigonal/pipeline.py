@@ -20,7 +20,7 @@ from itertools import repeat
 
 from .canonical import (PetriResult, adjoint_basis, adjoint_combination,
                         forms_through_image, hyperelliptic_test, petri_test)
-from .curve import derived_rng, normalize_point
+from .curve import _dehomogenize_z, derived_rng, normalize_point
 from .errors import (CurveUnsupported, DegenerateFiber, HyperellipticInput,
                      InvalidInput, PointNotOnCurve, TrigonalError, stage)
 from .liealg import Case, classify, levi, split_sl2, stabilizer_algebra
@@ -130,18 +130,6 @@ def _shear(poly, lam):
     return MPoly(3, out)
 
 
-def _dehom_xy(poly):
-    out = MPoly(2)
-    for (i, j, k), c in poly.terms.items():
-        e = (i, j)
-        cur = out.terms.get(e, 0) + c
-        if cur:
-            out.terms[e] = cur
-        else:
-            out.terms.pop(e, None)
-    return out
-
-
 def _fiber_primes(fld):
     """Moduli of successive fiber draws, each with the image of sqrt(delta)
     (None outside Q(sqrt delta)).  Over F_q the modulus is q itself; over Q
@@ -160,8 +148,8 @@ def _reduce_draw(primes, F, hs):
     """The next admissible modulus from ``primes`` with the tables of F and
     of each h over it: no denominator vanishes and F stays monic in y."""
     for p, root in primes:
-        ft = fp_bivariate_table(F, F.degree_in(1), p, root)
-        hts = [fp_bivariate_table(h, h.degree_in(1), p, root) for h in hs]
+        ft = fp_bivariate_table(F, p, root)
+        hts = [fp_bivariate_table(h, p, root) for h in hs]
         if ft is not None and ft[-1] and None not in hts:
             return p, ft, hts
     raise DegenerateFiber("no admissible prime for the fiber check")
@@ -205,9 +193,9 @@ def map_degree(curve, pencil, seed=0):
 
     for _ in range(FIBER_DRAWS):
         lam = next_lambda()
-        F = _dehom_xy(_shear(f, lam))
-        P = _dehom_xy(_shear(p0, lam))
-        Qm = _dehom_xy(_shear(q0, lam))
+        F = _dehomogenize_z(_shear(f, lam))
+        P = _dehomogenize_z(_shear(p0, lam))
+        Qm = _dehomogenize_z(_shear(q0, lam))
         ts = []
         hs = []
         guard = 0

@@ -434,8 +434,10 @@ UPoly.squarefree_part = squarefree_part
 def rational_roots(u):
     """All rational roots of u with multiplicity (repeats), ascending.
 
-    Divisor candidates of the extreme coefficients after clearing
-    denominators; every candidate is verified and deflated exactly.
+    After the factor x^k, a polynomial of degree 1 gives its root directly.
+    Otherwise the candidates are the divisor quotients of the extreme
+    coefficients after clearing denominators; every candidate is verified
+    and deflated exactly.
     """
     if not u:
         raise InvalidInput("rational roots of the zero polynomial")
@@ -460,11 +462,13 @@ def rational_roots(u):
     for c in ints:
         g = gcd(g, abs(c))
     ints = [c // g for c in ints]
+    if len(ints) == 2:
+        return sorted(roots + [rat(-ints[0], ints[1])])
     cur = UPoly([rat(c) for c in ints])
-    a0, an = abs(ints[0]), abs(ints[-1])
+    an_divisors = divisors(abs(ints[-1]))
     found = []
-    for p in divisors(a0):
-        for q in divisors(an):
+    for p in divisors(abs(ints[0])):
+        for q in an_divisors:
             if gcd(p, q) != 1:
                 continue
             for cand in (rat(p, q), rat(-p, q)):

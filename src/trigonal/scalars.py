@@ -8,8 +8,8 @@ Three variants are supported:
   square-free integer that is not a perfect square;
 * prime-field elements modulo an odd prime ``p``, stored in ``[0, p)``.
 
-A small field-descriptor object per variant centralizes coercion so matrices
-and the CLI can validate that entries share one variant.
+A small field-descriptor object per variant centralizes coercion into its
+field.
 """
 
 from fractions import Fraction
@@ -301,9 +301,6 @@ class RationalField:
             return rat(x.a)
         raise InvalidInput(f"cannot coerce {x!r} into Q")
 
-    def is_element(self, x):
-        return is_rational(x)
-
     def __eq__(self, other):
         return isinstance(other, RationalField)
 
@@ -340,9 +337,6 @@ class QuadraticField:
             if x.delta == self.delta or not x.b:
                 return QuadExt(x.a, x.b, self.delta)
         raise InvalidInput(f"cannot coerce {x!r} into {self.name}")
-
-    def is_element(self, x):
-        return isinstance(x, QuadExt) and (x.delta == self.delta or not x.b)
 
     def __eq__(self, other):
         return isinstance(other, QuadraticField) and other.delta == self.delta
@@ -383,9 +377,6 @@ class PrimeField:
             return FpElt(num, self.p) / FpElt(den, self.p)
         raise InvalidInput(f"cannot coerce {x!r} into F{self.p}")
 
-    def is_element(self, x):
-        return isinstance(x, FpElt) and x.p == self.p
-
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
 
@@ -397,33 +388,3 @@ class PrimeField:
 
 
 QQ = RationalField()
-
-
-def field_of(x):
-    if is_rational(x):
-        return QQ
-    if isinstance(x, QuadExt):
-        return QuadraticField(x.delta)
-    if isinstance(x, FpElt):
-        return PrimeField(x.p)
-    raise InvalidInput(f"not a scalar: {x!r}")
-
-
-def common_field(values):
-    """Field descriptor shared by all values; raises InvalidInput on a mix.
-
-    Rationals absorb into a quadratic extension when one is present.
-    """
-    field = None
-    for v in values:
-        f = field_of(v)
-        if field is None or field == f:
-            field = f
-            continue
-        if isinstance(field, RationalField) and isinstance(f, QuadraticField):
-            field = f
-        elif isinstance(field, QuadraticField) and isinstance(f, RationalField):
-            continue
-        else:
-            raise InvalidInput(f"mixed field variants: {field} vs {f}")
-    return field if field is not None else QQ

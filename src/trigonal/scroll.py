@@ -15,7 +15,7 @@ from math import factorial
 from .canonical import adjoint_combination
 from .errors import (AllColumnsDegenerate, ChainCountUnexpected,
                      DecompositionFailed, TrigonalError)
-from .linalg import Mat, kernel_basis
+from .linalg import kernel_basis
 from .modular import FpEchelon
 from .poly import MPoly
 
@@ -26,8 +26,8 @@ __all__ = ["WeightChains", "ScrollMat", "PencilMap", "weight_chains",
 @dataclass
 class WeightChains:
     chains: list        # list of chains; chain = list of ambient vectors
-    cob: Mat            # columns are the chain vectors, in order
-    cob_inv: Mat        # rows are the chain-coordinate functionals
+    cob: list           # rows; its columns are the chain vectors, in order
+    cob_inv: list       # rows are the chain-coordinate functionals
     field: object
 
     @property
@@ -69,20 +69,23 @@ def weight_chains(triple, g):
     the stacked rows [e; h - lam*I], taken for lam = g-1 down to 0 until the
     chains fill the space; a chain from weight lam must have length lam+1."""
     fld = triple.field
-    h, e, f = triple.h, triple.e, triple.f
+    zero = fld.zero()
+    e, h, f = ([[m.get(i * g + j, 0) for j in range(g)] for i in range(g)]
+               for m in (triple.e, triple.h, triple.f))
     chains = []
     for lam in range(g - 1, -1, -1):
         if sum(map(len, chains)) >= g:
             break
         lam_c = fld.coerce(lam)
-        shifted = h.to_rows()
+        shifted = [list(row) for row in h]
         for i in range(g):
             shifted[i][i] = shifted[i][i] - lam_c
-        for v in kernel_basis(e.to_rows() + shifted):
+        for v in kernel_basis(e + shifted):
             cur = [fld.coerce(x) if isinstance(x, int) else x for x in v]
             chain = [cur]
             while True:
-                cur = f.apply(cur)
+                cur = [sum((x * y for x, y in zip(row, cur) if x and y), zero)
+                       for row in f]
                 if not any(cur):
                     break
                 chain.append(cur)
@@ -95,16 +98,15 @@ def weight_chains(triple, g):
     if sum(len(c) for c in chains) != g:
         raise DecompositionFailed("chains do not span the ambient space")
     chains.sort(key=lambda ch: (len(ch), tuple(str(x) for x in ch[0])))
-    cols = [v for ch in chains for v in ch]
-    cob = Mat.from_rows(cols, fld).transpose()
+    cob = [list(row) for row in zip(*(v for ch in chains for v in ch))]
     # the inverse is the right half of the reduced form of [cob | I]
     aug = FpEchelon(2 * g)
-    for i, row in enumerate(cob.to_rows()):
-        aug.add(row + [fld.one() if j == i else fld.zero() for j in range(g)])
+    for i, row in enumerate(cob):
+        aug.add(row + [fld.one() if j == i else zero for j in range(g)])
     if aug.pivots[:g] != list(range(g)):
         raise DecompositionFailed("the chain vectors are dependent")
-    cob_inv = Mat.from_rows([[row.get(g + j, 0) for j in range(g)]
-                             for row in aug.reduced()], fld)
+    cob_inv = [[fld.coerce(row.get(g + j, 0)) for j in range(g)]
+               for row in aug.reduced()]
     return WeightChains(chains=chains, cob=cob, cob_inv=cob_inv, field=fld)
 
 
@@ -125,8 +127,8 @@ def scroll_matrix(chains):
     for chain in w.chains:
         ell = len(chain)
         for k in range(ell - 1):
-            func_k = w.cob_inv.row(offset + k)
-            func_k1 = w.cob_inv.row(offset + k + 1)
+            func_k = w.cob_inv[offset + k]
+            func_k1 = w.cob_inv[offset + k + 1]
             row1.append([factorial(k) * x for x in func_k])
             row2.append([factorial(k + 1) * x for x in func_k1])
         offset += ell

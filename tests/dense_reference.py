@@ -7,6 +7,11 @@ allowed); every result is exact.  The reduced row echelon form of a row
 space is unique, so ``rref`` gives the canonical basis that ``kernel`` and
 ``same_span`` compare.
 
+``identity``, ``mat_mul``, ``bracket``, ``mat_vec`` and ``trace`` are dense
+matrix arithmetic on such rows, and ``dense`` and ``sparse`` convert between rows
+and the package's {i*n + j: x} matrix maps: the reference for the sparse
+products of ``liealg`` and ``scroll``.
+
 ``taylor_pieces`` is the same kind of reference for ``poly.taylor_rows``:
 it substitutes and splits where the package reads a closed formula.
 
@@ -17,9 +22,8 @@ the method-2 elimination built on it.
 """
 
 from trigonal.errors import InvalidInput
-from trigonal.linalg import Mat
 from trigonal.poly import MPoly
-from trigonal.scalars import sinv
+from trigonal.scalars import rat, sinv
 
 
 def rref(rows):
@@ -80,14 +84,48 @@ def solve(rows, rhs):
     return x
 
 
-def inverse(m):
-    """The inverse of an invertible square ``Mat``."""
-    n = m.rows
-    one, zero = m.field.one(), m.field.zero()
-    red, pivots = rref([row + [one if j == i else zero for j in range(n)]
-                        for i, row in enumerate(m.to_rows())])
+def inverse(rows):
+    """The inverse of an invertible square matrix, as rows."""
+    n = len(rows)
+    red, pivots = rref([list(row) + ident for row, ident in zip(rows, identity(n))])
     assert pivots[:n] == list(range(n)), "singular matrix"
-    return Mat.from_rows([row[n:] for row in red], m.field)
+    return [row[n:] for row in red]
+
+
+def identity(n):
+    """The n x n identity over Q, as rows."""
+    return [[rat(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def mat_mul(a, b):
+    """The product of two matrices given by their rows."""
+    cols = list(zip(*b))
+    return [[sum((x * y for x, y in zip(row, col)), 0) for col in cols] for row in a]
+
+
+def bracket(a, b):
+    """ab - ba for two square matrices given by their rows."""
+    return [[x - y for x, y in zip(r, s)] for r, s in zip(mat_mul(a, b), mat_mul(b, a))]
+
+
+def mat_vec(rows, vec):
+    """A matrix given by its rows times a column vector."""
+    return [sum((x * v for x, v in zip(row, vec)), 0) for row in rows]
+
+
+def trace(rows):
+    return sum((row[i] for i, row in enumerate(rows)), 0)
+
+
+def dense(m, n):
+    """The rows of the n x n matrix with {i*n + j: x} map ``m``."""
+    return [[m.get(i * n + j, 0) for j in range(n)] for i in range(n)]
+
+
+def sparse(rows):
+    """The {i*n + j: x} map of the nonzero entries of a square matrix."""
+    n = len(rows)
+    return {i * n + j: x for i, row in enumerate(rows) for j, x in enumerate(row) if x}
 
 
 def taylor_pieces(f, point):

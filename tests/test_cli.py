@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from trigonal import cli
 from trigonal.cli import BENCH_HEADER, main
 from trigonal.errors import LiftingFailed
@@ -20,6 +22,24 @@ def run_cli(args):
     with redirect_stdout(buf):
         status = main(args)
     return status, buf.getvalue()
+
+
+def run_subprocess(args, timeout=60):
+    """Run ``python -m trigonal.cli`` with ``args`` in a child process that
+    finds the package in src, as this process does through conftest.py,
+    whether or not the caller set PYTHONPATH.  A child that outlives
+    ``timeout`` seconds fails the test instead of hanging the suite."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "trigonal.cli", *args],
+                          capture_output=True, text=True, env=env, timeout=timeout)
+
+
+def assert_typed_rejection(proc, message):
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr and message in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_decide_veronese_exit_zero(tmp_path, fermat_quintic):
@@ -183,13 +203,54 @@ def test_cli_subprocess_entry_point(tmp_path, proj5):
     """The installed console script behaves like main()."""
     path = tmp_path / "c.curve"
     path.write_text(write_curve_file(proj5))
-    # the child finds the package in src, as this process does through
-    # conftest.py, whether or not the caller set PYTHONPATH
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "trigonal.cli", "decide",
-                           str(path), "--seed", "3"],
-                          capture_output=True, text=True, env=env)
+    proc = run_subprocess(["decide", str(path), "--seed", "3"])
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["trigonal"] is True
+
+
+KLEIN = "f = x^3*y + y^3*z + z^3*x\n"
+
+
+@pytest.mark.parametrize("text, flags", [
+    (KLEIN, ["--point", "1:a:1"]),
+    (KLEIN, ["--point", "1/0:0:1"]),
+    (KLEIN, ["--point", "1/2/3:0:1"]),
+    (KLEIN + "point = (1/0:0:1)\n", []),
+    (KLEIN + "sing = (1/0:0:1) mult 2\n", []),
+], ids=["flag-letter", "flag-zero-denominator", "flag-two-slashes",
+        "file-point", "file-sing"])
+def test_bad_point_coordinates_are_parse_errors(tmp_path, text, flags):
+    """--point, point = and sing = share one parser: a coordinate that is
+    not an integer or a fraction with a nonzero denominator exits 2."""
+    path = tmp_path / "c.curve"
+    path.write_text(text)
+    assert_typed_rejection(run_subprocess(["decide", str(path), *flags]),
+                           "bad coordinate")
+
+
+@pytest.mark.parametrize("args, spec, message", [
+    (["generate", "m1", "--deg-x", "3", "--height", "0"], None,
+     "height must be at least 1"),
+    (["generate", "m2", "--deg", "2", "--height", "0"], None,
+     "height must be at least 1"),
+    (["generate", "projection", "--degree", "5", "--height", "-3"], None,
+     "height must be at least 1"),
+    (["generate", "m1", "--deg-x", "3", "--height", "-1"], None,
+     "height must be at least 1"),
+    (["bench"], "method=m1 params=deg_x=3 n=1 height=0\n",
+     "height must be at least 1"),
+    (["bench"], "# jobs\nmethod=m1 n=x\n", "n='x' is not an integer (line 2)"),
+    (["bench"], "method=m1 n=1 height=x\n", "height='x' is not an integer (line 1)"),
+    (["bench"], "method=m1 params=deg_x=abc n=1\n",
+     "deg_x='abc' is not an integer (line 1)"),
+], ids=["m1-zero", "m2-zero", "projection-negative", "m1-negative", "bench-zero",
+        "bench-n", "bench-height", "bench-params"])
+def test_bad_heights_and_bench_fields_are_typed_errors(tmp_path, args, spec, message):
+    """Every generator draws its coefficients through one height check, and
+    every bench field but the method must be an integer.  A height of 0 once
+    looped forever drawing a nonzero leading coefficient."""
+    if spec is not None:
+        path = tmp_path / "bench.spec"
+        path.write_text(spec)
+        args = args + [str(path), "--out", str(tmp_path / "b.csv")]
+    assert_typed_rejection(run_subprocess(args, timeout=20), message)

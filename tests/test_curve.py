@@ -1,5 +1,6 @@
 import hashlib
 import random
+import time
 from itertools import islice
 
 import pytest
@@ -603,6 +604,22 @@ def test_singular_model_hits_assignment(two_node_quintic, five_nodal_sextic):
     assert len(five_nodal_sextic.sings) == 5
 
 
+def test_a_node_with_a_64_bit_coordinate_validates_quickly():
+    """The quintic y^2 z^3 - x^2 z^3 + x^5 + y^5 + x y^4 has a node at
+    (0 : 0 : 1); under y -> y - N z it moves to (0 : N : 1), N a product of
+    two 32-bit primes.  Its x- and y-coordinates come from linear factors,
+    whose roots are read off without factoring N."""
+    n = 4294967291 * 4294967279
+    x, y, z = (MPoly.variable(3, i) for i in range(3))
+    f = P("y^2*z^3 - x^2*z^3 + x^5 + y^5 + x*y^4").substitute([x, y - z * rat(n), z])
+    t0 = time.perf_counter()
+    curve = validate_curve(f)
+    assert time.perf_counter() - t0 < 2
+    assert [(s.coords, s.multiplicity) for s in curve.sings] == \
+        [((rat(0), rat(n), rat(1)), 2)]
+    assert curve.genus == 5
+
+
 # --- curve file format ---------------------------------------------------------------
 
 def test_curve_file_round_trip(proj5):
@@ -629,5 +646,7 @@ def test_curve_file_point_and_field():
     data = parse_curve_file(
         "# comment\nf = x^3*y + y^3*z + z^3*x\npoint = (0:0:1)\nfield = Q\n")
     assert data["point"] == (rat(0), rat(0), rat(1))
+    data = parse_curve_file("f = x^3*y + y^3*z + z^3*x\npoint = 1/2 : 0 : 1\n")
+    assert data["point"] == (rat(1, 2), rat(0), rat(1))
     data = parse_curve_file("f = x^4 + y^4 + z^4\nfield = Fp 10007\n")
     assert data["field"].p == 10007

@@ -12,16 +12,31 @@ from trigonal.errors import InternalInvariantError, InvalidInput, NotSl2
 from trigonal.liealg import (Case, LieAlg, classify, killing_form, levi,
                              radical, split_sl2, split_two_ideals,
                              stabilizer_algebra)
-from trigonal.linalg import Mat, kernel_basis
+from trigonal.linalg import kernel_basis
 from trigonal.scalars import QQ, QuadraticField, rat
 
 WALK = list(islice(modular.primes_below(modular.PRIME_WALK_START), 2))
 
 
+def _sum(*mats, scale=1):
+    """The sum of {i*n + j: x} matrix maps, the last times ``scale``."""
+    out = {}
+    for k, m in enumerate(mats):
+        c = scale if k == len(mats) - 1 else 1
+        for idx, x in m.items():
+            out[idx] = out.get(idx, 0) + c * x
+    return {idx: x for idx, x in out.items() if x}
+
+
+def _br(a, b, n):
+    """[a, b] of two {i*n + j: x} maps, by the dense reference."""
+    return ref.sparse(ref.bracket(ref.dense(a, n), ref.dense(b, n)))
+
+
 def _std_sl2():
-    e = Mat.from_rows([[rat(0), rat(1)], [rat(0), rat(0)]])
-    h = Mat.from_rows([[rat(1), rat(0)], [rat(0), rat(-1)]])
-    f = Mat.from_rows([[rat(0), rat(0)], [rat(1), rat(0)]])
+    e = ref.sparse([[rat(0), rat(1)], [rat(0), rat(0)]])
+    h = ref.sparse([[rat(1), rat(0)], [rat(0), rat(-1)]])
+    f = ref.sparse([[rat(0), rat(0)], [rat(1), rat(0)]])
     return LieAlg(2, [e, h, f])
 
 
@@ -52,7 +67,7 @@ CONE = quadric_space([
 def test_stabilizer_of_conic_is_three_dimensional():
     alg = stabilizer_algebra(CONIC, 3)
     assert alg.dim == 3
-    assert all(not b.trace() for b in alg.basis)
+    assert all(not ref.trace(ref.dense(b, 3)) for b in alg.basis)
     assert not radical(alg)
     t = split_sl2(levi(alg))
     assert t.check() and t.field == QQ
@@ -62,9 +77,9 @@ def test_killing_form_of_standard_sl2():
     alg = _std_sl2()
     K = killing_form(alg)
     # basis order (e, h, f)
-    assert K[1, 1] == 8 and K[0, 2] == 4 and K[2, 0] == 4
-    assert K[0, 0] == 0 and K[0, 1] == 0 and K[1, 2] == 0
-    assert ref.rank(K.to_rows()) == 3
+    assert K[1][1] == 8 and K[0][2] == 4 and K[2][0] == 4
+    assert K[0][0] == 0 and K[0][1] == 0 and K[1][2] == 0
+    assert ref.rank(K) == 3
 
 
 def test_killing_symmetry_and_invariance():
@@ -77,7 +92,7 @@ def test_killing_symmetry_and_invariance():
         z = [rat(rng.randint(-3, 3)) for _ in range(3)]
 
         def kap(u, v):
-            return sum(u[i] * K[i, j] * v[j] for i in range(3) for j in range(3))
+            return sum(u[i] * K[i][j] * v[j] for i in range(3) for j in range(3))
         assert kap(x, y) == kap(y, x)
         assert kap(alg.bracket_coords(x, y), z) == kap(x, alg.bracket_coords(y, z))
 
@@ -86,10 +101,10 @@ def test_radical_cases():
     alg = _std_sl2()
     assert radical(alg) == []
     # abelian: two commuting diagonal matrices
-    a = Mat.from_rows([[rat(1), rat(0), rat(0)], [rat(0), rat(-1), rat(0)],
-                       [rat(0), rat(0), rat(0)]])
-    b = Mat.from_rows([[rat(0), rat(0), rat(0)], [rat(0), rat(1), rat(0)],
-                       [rat(0), rat(0), rat(-1)]])
+    a = ref.sparse([[rat(1), rat(0), rat(0)], [rat(0), rat(-1), rat(0)],
+                    [rat(0), rat(0), rat(0)]])
+    b = ref.sparse([[rat(0), rat(0), rat(0)], [rat(0), rat(1), rat(0)],
+                    [rat(0), rat(0), rat(-1)]])
     ab = LieAlg(3, [a, b])
     assert len(radical(ab)) == 2
     assert levi(ab).dim == 0
@@ -103,14 +118,14 @@ def test_levi_of_semidirect_product():
         for i in range(2):
             for j in range(2):
                 out[i][j] = rows[i][j]
-        return Mat.from_rows(out)
+        return ref.sparse(out)
     e = emb([[rat(0), rat(1)], [rat(0), rat(0)]])
     h = emb([[rat(1), rat(0)], [rat(0), rat(-1)]])
     f = emb([[rat(0), rat(0)], [rat(1), rat(0)]])
-    v1 = Mat.from_rows([[rat(0), rat(0), rat(1)], [rat(0)] * 3, [rat(0)] * 3])
-    v2 = Mat.from_rows([[rat(0)] * 3, [rat(0), rat(0), rat(1)], [rat(0)] * 3])
+    v1 = ref.sparse([[rat(0), rat(0), rat(1)], [rat(0)] * 3, [rat(0)] * 3])
+    v2 = ref.sparse([[rat(0)] * 3, [rat(0), rat(0), rat(1)], [rat(0)] * 3])
     # mix the basis so the complement is not already closed
-    alg = LieAlg(3, [e + v2, h + v1, f, v1, v2])
+    alg = LieAlg(3, [_sum(e, v2), _sum(h, v1), f, v1, v2])
     rad = radical(alg)
     assert len(rad) == 2
     sem = levi(alg)
@@ -123,13 +138,14 @@ def test_levi_of_semidirect_product():
 def test_split_sl2_on_conjugated_basis():
     base = _std_sl2()
     # conjugate by a random invertible matrix and re-run the splitting
-    g = Mat.from_rows([[rat(2), rat(1)], [rat(1), rat(1)]])
+    g = [[rat(2), rat(1)], [rat(1), rat(1)]]
     gi = ref.inverse(g)
-    mats = [g * b * gi for b in base.basis]
+    mats = [ref.sparse(ref.mat_mul(ref.mat_mul(g, ref.dense(b, 2)), gi))
+            for b in base.basis]
     # scramble the basis by taking combinations
-    m0 = mats[0] + mats[1]
-    m1 = mats[1] + mats[2].scale(rat(2))
-    m2 = mats[0] + mats[2]
+    m0 = _sum(mats[0], mats[1])
+    m1 = _sum(mats[1], mats[2], scale=rat(2))
+    m2 = _sum(mats[0], mats[2])
     alg = LieAlg(2, [m0, m1, m2])
     t = split_sl2(alg)
     assert t.check() and t.field == QQ
@@ -137,17 +153,19 @@ def test_split_sl2_on_conjugated_basis():
 
 def test_split_sl2_non_split_form_goes_to_extension():
     # so(3): rotations; compact form, no rational split
-    a = Mat.from_rows([[rat(0), rat(1), rat(0)], [rat(-1), rat(0), rat(0)],
-                       [rat(0), rat(0), rat(0)]])
-    b = Mat.from_rows([[rat(0), rat(0), rat(1)], [rat(0), rat(0), rat(0)],
-                       [rat(-1), rat(0), rat(0)]])
-    c = Mat.from_rows([[rat(0), rat(0), rat(0)], [rat(0), rat(0), rat(1)],
-                       [rat(0), rat(-1), rat(0)]])
+    a = ref.sparse([[rat(0), rat(1), rat(0)], [rat(-1), rat(0), rat(0)],
+                    [rat(0), rat(0), rat(0)]])
+    b = ref.sparse([[rat(0), rat(0), rat(1)], [rat(0), rat(0), rat(0)],
+                    [rat(-1), rat(0), rat(0)]])
+    c = ref.sparse([[rat(0), rat(0), rat(0)], [rat(0), rat(0), rat(1)],
+                    [rat(0), rat(-1), rat(0)]])
     alg = LieAlg(3, [a, b, c])
     t = split_sl2(alg)
     assert t.check()
     assert isinstance(t.field, QuadraticField)
     assert t.field.delta < 0   # compact form needs an imaginary root
+    # h = 2x/alpha for the first sample x = a, alpha^2 = -1
+    assert {k: str(x) for k, x in t.h.items()} == {1: "-2*sqrt(-1)", 3: "2*sqrt(-1)"}
 
 
 def test_classify_cases(five_nodal_sextic, fermat_quintic, two_node_quintic, proj5):
@@ -181,7 +199,7 @@ def test_two_ideal_split_bracket_orthogonal(two_node_quintic):
     # ideals commute: brackets across the summands vanish
     for b1 in s1.basis:
         for b2 in s2.basis:
-            assert (b1 * b2 - b2 * b1).is_zero()
+            assert _br(b1, b2, 4) == {}
 
 
 def test_two_ideal_split_over_a_quadratic_extension():
@@ -190,23 +208,23 @@ def test_two_ideal_split_over_a_quadratic_extension():
     simple over Q: its two ideals are conjugate, and the split adjoins
     sqrt 2 and runs its echelons over Q(sqrt 2)."""
     def kron(a, b):
-        return Mat.from_rows([[a[i // 2, j // 2] * b[i % 2, j % 2] for j in range(4)]
-                              for i in range(4)])
+        return ref.sparse([[a[i // 2][j // 2] * b[i % 2][j % 2] for j in range(4)]
+                           for i in range(4)])
 
-    root2 = Mat.from_rows([[rat(0), rat(2)], [rat(1), rat(0)]])
-    alg = LieAlg(4, [kron(x, m) for x in _std_sl2().basis
-                     for m in (Mat.identity(2), root2)])
+    root2 = [[rat(0), rat(2)], [rat(1), rat(0)]]
+    alg = LieAlg(4, [kron(ref.dense(x, 2), m) for x in _std_sl2().basis
+                     for m in (ref.identity(2), root2)])
     s1, s2 = split_two_ideals(alg)
     assert s1.field == s2.field == QuadraticField(2)
     assert s1.dim == s2.dim == 3
     for s in (s1, s2):
         for a in s.basis:
             for b in s.basis:
-                coords = s.express(a * b - b * a)
-                assert s.element(coords) == a * b - b * a
+                coords = s.express(_br(a, b, 4))
+                assert s.element(coords) == _br(a, b, 4)
     for b1 in s1.basis:
         for b2 in s2.basis:
-            assert (b1 * b2 - b2 * b1).is_zero()
+            assert _br(b1, b2, 4) == {}
 
 
 def test_ideals_of_a_levi_part_reach_the_ambient_through_both_parents():
@@ -215,33 +233,32 @@ def test_ideals_of_a_levi_part_reach_the_ambient_through_both_parents():
     that one, so their matrices go through two parents.  Each ideal is one
     sl2 block, the two commute, and express inverts element on them."""
     def unit(i, j, c=1):
-        ent = [rat(0)] * 16
-        ent[i * 4 + j] = rat(c)
-        return Mat(4, 4, ent)
+        return {i * 4 + j: rat(c)}
 
     def sl2(o):
-        return unit(o, o + 1), unit(o, o) + unit(o + 1, o + 1, -1), unit(o + 1, o)
+        return unit(o, o + 1), _sum(unit(o, o), unit(o + 1, o + 1, -1)), unit(o + 1, o)
 
     (e1, h1, f1), (e2, h2, f2) = sl2(0), sl2(2)
-    z1, z2 = unit(0, 0) + unit(1, 1), unit(2, 2) + unit(3, 3)
-    alg = LieAlg(4, [e1 + e2 + z1, h1 + z2, f1 - f2, e2 + z1 + z2, h2, f2, z1, z2])
+    z1, z2 = _sum(unit(0, 0), unit(1, 1)), _sum(unit(2, 2), unit(3, 3))
+    alg = LieAlg(4, [_sum(e1, e2, z1), _sum(h1, z2), _sum(f1, f2, scale=-1),
+                     _sum(e2, z1, z2), h2, f2, z1, z2])
     sem = levi(alg)
     assert len(radical(alg)) == 2 and sem.dim == 6
     ideals = split_two_ideals(sem)
     blocks = []
     for s in ideals:
-        rows = {k // 4 for b in s.basis for k, x in enumerate(b.entries) if x}
-        cols = {k % 4 for b in s.basis for k, x in enumerate(b.entries) if x}
+        rows = {k // 4 for b in s.basis for k, x in b.items() if x}
+        cols = {k % 4 for b in s.basis for k, x in b.items() if x}
         assert rows == cols and rows in ({0, 1}, {2, 3})
         blocks.append(rows)
         assert split_sl2(s).check()
         for a in s.basis:
             for b in s.basis:
-                assert s.element(s.express(a * b - b * a)) == a * b - b * a
+                assert s.element(s.express(_br(a, b, 4))) == _br(a, b, 4)
     assert blocks[0] != blocks[1]
     for b1 in ideals[0].basis:
         for b2 in ideals[1].basis:
-            assert (b1 * b2 - b2 * b1).is_zero()
+            assert _br(b1, b2, 4) == {}
 
 
 def test_cone_stabilizer_has_sl2_levi():
@@ -264,14 +281,14 @@ def test_bracket_closure_of_stabilizers(proj5):
     # LieAlg construction already verifies closure; re-check explicitly
     for i in range(alg.dim):
         for j in range(alg.dim):
-            br = alg.basis[i] * alg.basis[j] - alg.basis[j] * alg.basis[i]
+            br = _br(alg.basis[i], alg.basis[j], alg.n)
             coords = alg.express(br)
             rebuilt = alg.element(coords)
             assert rebuilt == br
 
 
 def test_split_sl2_rejects_wrong_dimension():
-    a = Mat.from_rows([[rat(1), rat(0)], [rat(0), rat(-1)]])
+    a = ref.sparse([[rat(1), rat(0)], [rat(0), rat(-1)]])
     alg = LieAlg(2, [a])
     with pytest.raises(NotSl2):
         split_sl2(alg)
@@ -318,7 +335,8 @@ def test_stabilizer_kernel_lifts_once_the_rank_settles(proj6):
               for v in full.kernel()]
     ident = [rat(1) if i % (g + 1) == 0 else rat(0) for i in range(g * g)]
     assert len(lifted) == counters["nullity"] == alg.dim + 1
-    assert ref.same_span(lifted, [b.entries for b in alg.basis] + [ident])
+    assert ref.same_span(lifted, [[b.get(k, 0) for k in range(g * g)]
+                                  for b in alg.basis] + [ident])
 
 
 def test_corrupted_lift_moves_on_to_the_next_prime(proj5, monkeypatch):
@@ -337,7 +355,7 @@ def test_corrupted_lift_moves_on_to_the_next_prime(proj5, monkeypatch):
     monkeypatch.setattr(modular, "rational_reconstruct", corrupted)
     counters = {}
     alg = stabilizer_algebra(q, 5, counters=counters)
-    assert [b.entries for b in alg.basis] == [b.entries for b in expected.basis]
+    assert alg.basis == expected.basis
     assert counters["primes"]["tried"] == WALK
     assert counters["primes"]["used"] == WALK
     assert counters["nullity"] == alg.dim + 1
@@ -368,22 +386,18 @@ def test_structure_theory_forms_no_matrix_product(proj5, two_node_quintic,
                                                   monkeypatch):
     """Brackets are sparse products and coordinates an echelon lookup: the
     stabilizers of proj5 (Scroll) and of the two-node quintic (P1xP1), their
-    Levi parts, ideals and split triples are built and checked without a Mat
-    product.  ``levi`` and ``classify`` run on the structure constants
-    alone: they form no bracket in gl_g either, and there is no ad matrix
-    method to call."""
+    Levi parts, ideals and split triples are built and checked with no
+    dense matrix product.  ``levi`` and ``classify`` run on the structure
+    constants alone: they form no bracket in gl_g either, and there is no ad
+    matrix method to call.  A split triple forms gl_g brackets only in its
+    check, three each time."""
     calls = []
-    real_mul, real_bracket = Mat.__mul__, liealg._bracket
-
-    def mul(a, b):
-        calls.append("Mat.__mul__")
-        return real_mul(a, b)
+    real_bracket = liealg._bracket
 
     def bracket(*args):
         calls.append("_bracket")
         return real_bracket(*args)
 
-    monkeypatch.setattr(Mat, "__mul__", mul)
     monkeypatch.setattr(liealg, "_bracket", bracket)
     assert not hasattr(LieAlg, "ad_matrix")
     for curve, sdim, case in ((proj5, 3, Case.Scroll), (two_node_quintic, 6, Case.P1xP1)):
@@ -400,7 +414,8 @@ def test_structure_theory_forms_no_matrix_product(proj5, two_node_quintic,
         assert (alg.dim > sem.dim) == (case is Case.Scroll)
         for s in ideals or [sem]:
             assert split_sl2(s).check()
-        assert "Mat.__mul__" not in calls
+        # the check inside split_sl2 and the one above
+        assert calls == ["_bracket"] * 6 * len(ideals or [sem])
         calls.clear()
 
 
@@ -412,13 +427,11 @@ def test_levi_reduces_modulo_the_next_derived_term():
     that derived algebra; its equations along the translations are left to
     the next step, and taken exactly they have no solution."""
     def unit(i, j, c=1):
-        ent = [rat(0)] * 9
-        ent[i * 3 + j] = rat(c)
-        return Mat(3, 3, ent)
+        return {i * 3 + j: rat(c)}
 
-    e, h, f = unit(0, 1), unit(0, 0) + unit(1, 1, -1), unit(1, 0)
-    t, v1, v2 = unit(0, 0) + unit(1, 1), unit(0, 2), unit(1, 2)
-    alg = LieAlg(3, [e + t, h, f + v1, t, v1, v2])
+    e, h, f = unit(0, 1), _sum(unit(0, 0), unit(1, 1, -1)), unit(1, 0)
+    t, v1, v2 = _sum(unit(0, 0), unit(1, 1)), unit(0, 2), unit(1, 2)
+    alg = LieAlg(3, [_sum(e, t), h, _sum(f, v1), t, v1, v2])
     assert len(radical(alg)) == 3
     assert liealg.derived_space(LieAlg(3, [t, v1, v2])).rank == 2
     sem = levi(alg)
@@ -455,9 +468,7 @@ def test_exact_echelons_over_q_invert_no_pivot(proj5, monkeypatch):
 
 
 def _unit(n, i, j):
-    ent = [rat(0)] * (n * n)
-    ent[i * n + j] = rat(1)
-    return Mat(n, n, ent)
+    return {i * n + j: rat(1)}
 
 
 def test_basis_that_is_not_closed_is_refused():
@@ -469,11 +480,11 @@ def test_basis_that_is_not_closed_is_refused():
 def test_dependent_basis_is_refused():
     e, h, f = _std_sl2().basis
     with pytest.raises(InvalidInput):
-        LieAlg(2, [e, h, f, e + f.scale(rat(3))])
+        LieAlg(2, [e, h, f, _sum(e, f, scale=rat(3))])
     with pytest.raises(InvalidInput):
         LieAlg(2, [h, h])
     with pytest.raises(InvalidInput):
-        LieAlg(2, [h.scale(rat(0))])
+        LieAlg(2, [_sum(h, scale=rat(0))])
     with pytest.raises(InvalidInput):
         _std_sl2().subalgebra([[rat(1), rat(0), rat(0)], [rat(2), rat(0), rat(0)]])
 
@@ -484,7 +495,7 @@ def _sl2_irreducible(n):
     e = [[rat(k) if k == i + 1 else rat(0) for k in range(n)] for i in range(n)]
     f = [[rat(m - k) if i == k + 1 else rat(0) for k in range(n)] for i in range(n)]
     h = [[rat(m - 2 * i) if i == k else rat(0) for k in range(n)] for i in range(n)]
-    return [Mat.from_rows(x) for x in (e, h, f)]
+    return [ref.sparse(x) for x in (e, h, f)]
 
 
 def _upper_triangular(n):
@@ -492,25 +503,27 @@ def _upper_triangular(n):
 
 
 def _elementary_product(n, ops):
-    """A unimodular n x n matrix: the product of I + lam*E_ij over ops."""
-    t = Mat.identity(n)
+    """A unimodular n x n matrix, as rows: the product of I + lam*E_ij over
+    ops."""
+    t = ref.identity(n)
     for i, j, lam in ops:
         if i % n != j % n:
-            rows = Mat.identity(n).to_rows()
+            rows = ref.identity(n)
             rows[i % n][j % n] = rat(lam)
-            t = t * Mat.from_rows(rows)
+            t = ref.mat_mul(t, rows)
     return t
 
 
-def _dense_structure_constants(basis, fld):
-    """Reference: each bracket by two dense Mat products, its coordinates by
+def _dense_structure_constants(basis, n, fld):
+    """Reference: each bracket by two dense products, its coordinates by
     solving against the basis entries."""
-    cols = [[b.entries[k] for b in basis] for k in range(len(basis[0].entries))]
+    cols = [[b.get(k, 0) for b in basis] for k in range(n * n)]
     sc = []
     for a in basis:
         sc.append([])
         for b in basis:
-            x = ref.solve(cols, list((a * b - b * a).entries))
+            br = ref.bracket(ref.dense(a, n), ref.dense(b, n))
+            x = ref.solve(cols, [y for row in br for y in row])
             assert x is not None
             sc[-1].append([fld.coerce(v) for v in x])
     return sc
@@ -532,16 +545,17 @@ def test_structure_constants_match_the_dense_reference(family, n, conj, mix, lif
     sparse construction gives the dense structure constants, and express
     inverts element."""
     t = _elementary_product(n, conj)
-    basis = [t * b * ref.inverse(t) for b in family(n)]
+    basis = [ref.sparse(ref.mat_mul(ref.mat_mul(t, ref.dense(b, n)), ref.inverse(t)))
+             for b in family(n)]
     for i, j, lam in mix:
         i, j = i % len(basis), j % len(basis)
         if i != j:
-            basis[i] = basis[i] + basis[j].scale(rat(lam))
+            basis[i] = _sum(basis[i], basis[j], scale=rat(lam))
     alg = LieAlg(n, basis)
     if lift:
         alg = alg.lift(QuadraticField(2))
     fld = alg.field
-    assert alg.sc == _dense_structure_constants(alg.basis, fld)
+    assert alg.sc == _dense_structure_constants(alg.basis, n, fld)
     coords = [fld.coerce(c) for c in coeffs[:alg.dim]]
     m = alg.element(coords)
     assert alg.express(m) == coords

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trigonal import modular
+from trigonal import modular, poly as poly_mod
 from trigonal.errors import CurveUnsupported, InvalidInput
 from trigonal.modular import (PRIME_WALK_START, fp_bivariate_table, fp_eval,
                               fp_interpolate, fp_reduce, fp_resultant,
@@ -157,8 +157,8 @@ def test_fp_resultant_keepvar_matches_bareiss(data, p, scales):
     # integer x; a scale of 101 makes that leading row vanish outright mod 101
     f = data.draw(bivariates(scales[0]))
     g = data.draw(bivariates(scales[1]))
-    tf = fp_bivariate_table(f, f.degree_in(1), p)
-    tg = fp_bivariate_table(g, g.degree_in(1), p)
+    tf = fp_bivariate_table(f, p)
+    tg = fp_bivariate_table(g, p)
     assert fp_resultant_keepvar(tf, tg, p) == _mod_p_coeffs(resultant(f, g, 1), p)
 
 
@@ -182,8 +182,8 @@ def test_fp_resultant_keepvar_matches_bareiss_at_full_total_degree(data, p, tops
     # leading row vanish mod 101, so it is peeled before the bound is taken
     f = data.draw(dense_forms(tops[0]))
     g = data.draw(dense_forms(tops[1]))
-    tf = fp_bivariate_table(f, f.degree_in(1), p)
-    tg = fp_bivariate_table(g, g.degree_in(1), p)
+    tf = fp_bivariate_table(f, p)
+    tg = fp_bivariate_table(g, p)
     assert fp_resultant_keepvar(tf, tg, p) == _mod_p_coeffs(resultant(f, g, 1), p)
 
 
@@ -225,8 +225,8 @@ def _check_against_points_and_bareiss(f, g, p):
     p, and at every x in 0..30 where both leading coefficients survive
     against one ``fp_resultant`` of the specialized pair; returns the
     number of ``fp_resultant`` calls the kernel made."""
-    tf = fp_bivariate_table(f, f.degree_in(1), p)
-    tg = fp_bivariate_table(g, g.degree_in(1), p)
+    tf = fp_bivariate_table(f, p)
+    tg = fp_bivariate_table(g, p)
     calls = []
 
     def spy(a, b, q):
@@ -298,7 +298,7 @@ def test_fp_resultant_keepvar_matches_sympy():
 
     def table(e, p):
         F = MPoly(2, {m: rat(int(c)) for m, c in sympy.Poly(e, x, y).terms()})
-        return fp_bivariate_table(F, F.degree_in(1), p)
+        return fp_bivariate_table(F, p)
 
     def sympy_resultant(a, b):
         # sympy 1.14 returns Res(b, a) when deg a < deg b, which is off by
@@ -401,6 +401,23 @@ def test_rational_roots_multiplicity():
     u = UPoly([rat(4), rat(-12), rat(9)]) * UPoly([rat(1), rat(3)])
     roots = rational_roots(u)
     assert roots == [rat(-1, 3), rat(2, 3), rat(2, 3)]
+
+
+def test_rational_roots_factor_each_extreme_coefficient_once(monkeypatch):
+    """A linear factor, after the powers of x, is solved without factoring;
+    a higher degree factors its constant and leading coefficients once
+    each."""
+    calls = []
+    real = poly_mod.divisors
+    monkeypatch.setattr(poly_mod, "divisors", lambda n: calls.append(n) or real(n))
+    big = 1000003 * 999983
+    assert rational_roots(UPoly([rat(0), rat(0), rat(-big), rat(6)])) == \
+        [rat(0), rat(0), rat(big, 6)]
+    assert calls == []
+    # 9x^3 - 9x^2 - 4x + 4 = (3x-2)(3x+2)(x-1)
+    assert rational_roots(UPoly([rat(4), rat(-4), rat(-9), rat(9)])) == \
+        [rat(-2, 3), rat(2, 3), rat(1)]
+    assert sorted(calls) == [4, 9]
 
 
 # --- local expansions, read from Taylor rows ------------------------------------

@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from trigonal.curve import validate_curve
 from trigonal.errors import TrigonalError
-from dense_reference import rank
-from trigonal.linalg import Mat
+from dense_reference import identity, mat_mul, rank
 from trigonal.pipeline import Report, decide
 from trigonal.poly import MPoly
 from trigonal.scalars import QQ, PrimeField, rat
@@ -23,16 +22,16 @@ SCALES = st.builds(rat, st.integers(-7, 7).filter(bool), st.integers(1, 5))
 
 
 def _unimodular(steps):
-    t = Mat.identity(3)
+    t = identity(3)
     for (i, j), lam in steps:
-        rows = Mat.identity(3).to_rows()
+        rows = identity(3)
         rows[i][j] = rat(lam)
-        t = t * Mat.from_rows(rows)
+        t = mat_mul(t, rows)
     return t
 
 
 def _transform(f, t):
-    images = [sum((MPoly.variable(3, j) * t[i, j] for j in range(3)), MPoly(3))
+    images = [sum((MPoly.variable(3, j) * t[i][j] for j in range(3)), MPoly(3))
               for i in range(3)]
     return f.substitute(images)
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from trigonal.errors import InvalidInput
 from trigonal.scalars import (QQ, FpElt, PrimeField, QuadExt, QuadraticField,
-                              common_field, is_rational, rat, rational_square_split,
+                              is_rational, rat, rational_square_split,
                               sdiv, sinv, sqrt_rational)
 
 
@@ -67,15 +67,7 @@ def test_numerators_are_rational():
     # under gmpy2 a numerator is an mpz, not an int
     n = rat(7, 3).numerator
     assert is_rational(n)
-    assert QQ.coerce(n) == rat(7) and QQ.is_element(QQ.coerce(n))
-
-
-def test_common_field_mixing_rules():
-    assert common_field([rat(1), 2, rat(1, 3)]) == QQ
-    f = common_field([rat(1), QuadExt(1, 1, 5)])
-    assert isinstance(f, QuadraticField) and f.delta == 5
-    with pytest.raises(InvalidInput):
-        common_field([FpElt(1, 101), rat(1, 2)])
+    assert QQ.coerce(n) == rat(7) and is_rational(QQ.coerce(n))
 
 
 def test_sqrt_and_square_split():

@@ -5,26 +5,24 @@ from trigonal.canonical import (adjoint_basis, adjoint_combination,
 from trigonal.errors import ChainCountUnexpected, DecompositionFailed
 from trigonal.liealg import (Sl2Triple, levi, split_sl2,
                              split_two_ideals, stabilizer_algebra)
-from trigonal.linalg import Mat
-from trigonal.scalars import rat
+from trigonal.scalars import QQ, rat
 from trigonal.scroll import (minor_vectors, p1xp1_rulings, ruling_map,
                              scroll_matrix, weight_chains)
 
-from dense_reference import inverse, same_span
+from dense_reference import inverse, mat_mul, mat_vec, same_span, sparse
 from test_liealg import CONE
 
 
 def _triple_from_mats(e, h, f):
-    return Sl2Triple(e=e, h=h, f=f, field=__import__("trigonal.scalars",
-                                                     fromlist=["QQ"]).QQ)
+    return Sl2Triple(e=sparse(e), h=sparse(h), f=sparse(f), n=len(h), field=QQ)
 
 
 def _sym_action(n):
     """Standard sl2 acting on Sym^(n-1) of the defining representation:
-    n-dimensional irreducible with integer weights."""
+    n-dimensional irreducible with integer weights, as rows."""
     # basis v_k = f^k v_0; h v_k = (n-1-2k) v_k; e v_k = k(n-k) v_{k-1}
-    h = Mat.from_rows([[rat(n - 1 - 2 * k) if k == j else rat(0)
-                        for j in range(n)] for k in range(n)]).transpose()
+    h = [[rat(n - 1 - 2 * k) if k == j else rat(0) for k in range(n)]
+         for j in range(n)]
     e_rows = [[rat(0)] * n for _ in range(n)]
     f_rows = [[rat(0)] * n for _ in range(n)]
     for k in range(n):
@@ -32,19 +30,19 @@ def _sym_action(n):
             e_rows[k - 1][k] = rat(k * (n - k))
         if k < n - 1:
             f_rows[k + 1][k] = rat(1)
-    return (Mat.from_rows(e_rows), h, Mat.from_rows(f_rows))
+    return e_rows, h, f_rows
 
 
 def _block(mats_list):
-    n = sum(m.rows for m in mats_list)
+    n = sum(len(m) for m in mats_list)
     rows = [[rat(0)] * n for _ in range(n)]
     off = 0
     for m in mats_list:
-        for i in range(m.rows):
-            for j in range(m.cols):
-                rows[off + i][off + j] = m[i, j]
-        off += m.rows
-    return Mat.from_rows(rows)
+        for i, row in enumerate(m):
+            for j, x in enumerate(row):
+                rows[off + i][off + j] = x
+        off += len(m)
+    return rows
 
 
 def test_weight_chain_of_standard_two_space():
@@ -64,9 +62,9 @@ def test_weight_chain_of_sym3():
     # chain relations: v_{k+1} = f v_k, e v_{k+1} = (k+1)(len-1-k) v_k
     chain = w.chains[0]
     for k in range(3):
-        assert f.apply(chain[k]) == chain[k + 1]
+        assert mat_vec(f, chain[k]) == chain[k + 1]
     for k in range(3):
-        img = e.apply(chain[k + 1])
+        img = mat_vec(e, chain[k + 1])
         coeff = rat((k + 1) * (4 - 1 - k))
         assert img == [coeff * x for x in chain[k]]
 
@@ -105,10 +103,11 @@ def test_weight_chains_pinned_after_a_change_of_basis():
     # P^-1 X P for the three-chain triple: the highest-weight vectors are the
     # reduced echelon basis of a 3-dimensional kernel with dense entries
     e2, h2, f2 = _sym_action(2)
-    P = Mat.from_rows([[rat(x) for x in row] for row in
-                       [[1, 1, 0, -1, 1, 0], [0, 1, 1, 0, -1, 1], [0, 0, 1, 1, 0, -1],
-                        [0, 0, 0, 1, 1, 0], [0, 0, 0, 0, 1, 1], [0, 0, 0, 0, 0, 1]]])
-    t = _triple_from_mats(*(inverse(P) * _block([m] * 3) * P for m in (e2, h2, f2)))
+    P = [[rat(x) for x in row] for row in
+         [[1, 1, 0, -1, 1, 0], [0, 1, 1, 0, -1, 1], [0, 0, 1, 1, 0, -1],
+          [0, 0, 0, 1, 1, 0], [0, 0, 0, 0, 1, 1], [0, 0, 0, 0, 0, 1]]]
+    t = _triple_from_mats(*(mat_mul(mat_mul(inverse(P), _block([m] * 3)), P)
+                            for m in (e2, h2, f2)))
     assert _chain_strs(weight_chains(t, 6)) == [
         [["0", "0", "1", "-1", "1", "0"], ["2", "0", "0", "1", "-1", "1"]],
         [["0", "1", "0", "-1", "1", "0"], ["1", "0", "1", "0", "-1", "1"]],
@@ -118,8 +117,8 @@ def test_weight_chains_pinned_after_a_change_of_basis():
 def test_weight_chains_reject_f_chains_that_disagree_with_h():
     # h = diag(1, -1) puts a highest weight 1 on the first axis, but f = 0
     # ends its chain at length 1, not 2
-    zero = Mat.from_rows([[rat(0), rat(0)], [rat(0), rat(0)]])
-    h = Mat.from_rows([[rat(1), rat(0)], [rat(0), rat(-1)]])
+    zero = [[rat(0), rat(0)], [rat(0), rat(0)]]
+    h = [[rat(1), rat(0)], [rat(0), rat(-1)]]
     with pytest.raises(DecompositionFailed, match="weight 1 has length 1"):
         weight_chains(_triple_from_mats(zero, h, zero), 2)
 
