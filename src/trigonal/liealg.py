@@ -273,8 +273,8 @@ def _derivation_system(qspace, g, p):
     """
     monos = qspace.monomials
     ech = FpEchelon(len(monos), p)
-    for q in qspace.basis:
-        row = {j: fp_reduce(c, p) for j, c in enumerate(q) if c}
+    for q in qspace.int_rows:
+        row = {j: fp_reduce(c, p) for j, c in q.items()}
         if None in row.values() or not ech.add(row):
             return None
     basis = ech.reduced()
@@ -324,16 +324,16 @@ def stabilizer_algebra(qspace, g, fld=QQ, counters=None):
 
     @cache
     def quadrics():
-        """The integral quadric basis and its span: built at the first lift
-        to certify, and kept for the next one."""
-        return [integral(q) for q in qspace.basis], qspace.row_space()
+        """The quadric span: built at the first lift to certify, and kept
+        for the next one."""
+        return qspace.row_space()
 
     def stabilizes(vecs):
-        basis, span = quadrics()
+        span = quadrics()
         for v in vecs:
             m = integral(v[::-1])
             targets = [[j for j in range(g) if i * g + j in m] for i in range(g)]
-            for q in basis:
+            for q in qspace.int_rows:
                 image = {}
                 for col, t, coef in _derivation_terms(q.items(), monos, index,
                                                       targets):

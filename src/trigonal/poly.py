@@ -6,7 +6,7 @@ scalar variants.  Canonical printing order is graded lexicographic, which
 keeps CLI output byte-stable.
 """
 
-from math import comb, gcd
+from math import comb, gcd, isqrt
 
 from .errors import InvalidInput
 from .intutil import divisors
@@ -434,10 +434,11 @@ UPoly.squarefree_part = squarefree_part
 def rational_roots(u):
     """All rational roots of u with multiplicity (repeats), ascending.
 
-    After the factor x^k, a polynomial of degree 1 gives its root directly.
-    Otherwise the candidates are the divisor quotients of the extreme
-    coefficients after clearing denominators; every candidate is verified
-    and deflated exactly.
+    After the factor x^k, a polynomial of degree 1 gives its root directly,
+    and one of degree 2 gives its roots through ``isqrt`` of the
+    discriminant, with no factoring.  Otherwise the candidates are the
+    divisor quotients of the extreme coefficients after clearing
+    denominators; every candidate is verified and deflated exactly.
     """
     if not u:
         raise InvalidInput("rational roots of the zero polynomial")
@@ -464,6 +465,13 @@ def rational_roots(u):
     ints = [c // g for c in ints]
     if len(ints) == 2:
         return sorted(roots + [rat(-ints[0], ints[1])])
+    if len(ints) == 3:
+        c, b, a = ints
+        disc = b * b - 4 * a * c
+        s = isqrt(disc) if disc >= 0 else -1
+        if s * s == disc:
+            roots += [rat(-b - s, 2 * a), rat(-b + s, 2 * a)]
+        return sorted(roots)
     cur = UPoly([rat(c) for c in ints])
     an_divisors = divisors(abs(ints[-1]))
     found = []

@@ -19,9 +19,18 @@ it substitutes and splits where the package reads a closed formula.
 fraction-free (Bareiss) determinant over ``MPoly``: the reference for the
 package's one resultant engine, ``modular.fp_resultant_keepvar``, and for
 the method-2 elimination built on it.
+
+``forms_through_image`` builds the quadrics (k = 2) or cubics (k = 3)
+through a canonical image from ``MPoly`` products of the adjoint forms and
+multiples of f: the reference for the term-map construction of
+``canonical.forms_through_image``, and the cubic space that the Noether count
+of ``canonical.cubic_count`` stands for.  ``expand_in_adjoints`` pulls an
+ambient form back to the plane.
 """
 
+from trigonal.canonical import FormSpace, monomials
 from trigonal.errors import InvalidInput
+from trigonal.modular import FpEchelon
 from trigonal.poly import MPoly
 from trigonal.scalars import rat, sinv
 
@@ -223,3 +232,69 @@ def resultant(f, g, var):
     if n == 0:
         return g ** m
     return det_mpoly(sylvester_matrix(f, g, var))
+
+
+def _power_cache(forms):
+    caches = [{0: MPoly.const(3, 1), 1: f} for f in forms]
+
+    def power(i, e):
+        cache = caches[i]
+        if e not in cache:
+            cache[e] = power(i, e - 1) * cache[1]
+        return cache[e]
+
+    return power
+
+
+def expand_in_adjoints(vec, monos, cm):
+    """Pull a degree-k ambient form back to the curve plane: substitute the
+    adjoint forms for the ambient variables."""
+    power = _power_cache(cm.forms)
+    total = MPoly(3)
+    for mono, c in zip(monos, vec):
+        if not c:
+            continue
+        prod = MPoly.const(3, c)
+        for i, e in enumerate(mono):
+            if e:
+                prod = prod * power(i, e)
+        total = total + prod
+    return total
+
+
+def forms_through_image(curve, cm, k):
+    """Space of degree-k forms in g variables vanishing on the canonical
+    image, k in {2, 3}: the kernel of one ``FpEchelon`` over the ``MPoly``
+    products of the adjoint forms and the multiples of f, cut to its parts
+    on the products and taken in reduced echelon form by a second one."""
+    g = cm.genus
+    d = curve.degree
+    big = k * cm.degree
+    amb = monomials(g, k)
+    tindex = {m: i for i, m in enumerate(monomials(3, big))}
+
+    power = _power_cache(cm.forms)
+    rows = [{} for _ in tindex]
+    products = []
+    for mono in amb:
+        prod = MPoly.const(3, 1)
+        for i, e in enumerate(mono):
+            if e:
+                prod = prod * power(i, e)
+        products.append(prod)
+    if big - d >= 0:
+        one = rat(1) if curve.field.char == 0 else curve.field.one()
+        products += [curve.f * MPoly.monomial(3, beta, one)
+                     for beta in monomials(3, big - d)]
+    for col, prod in enumerate(products):
+        for e, c in prod.terms.items():
+            rows[tindex[e]][col] = c
+
+    ech = FpEchelon(len(products))
+    for row in rows:
+        ech.add(row)
+    fld = curve.field
+    basis = [[fld.coerce(x) if isinstance(x, int) and x else x
+              for x in (row.get(j, 0) for j in range(len(amb)))]
+             for row in ech.reduced_kernel(len(amb))]
+    return FormSpace(ambient_dim=g, basis=basis, monomials=amb)

@@ -99,7 +99,7 @@ def test_criterion_1_dimension_laws(corpus):
         assert 3 <= g <= 8, tag
         t0 = time.perf_counter()
         cm = adjoint_basis(curve)
-        qs = forms_through_image(curve, cm, 2)
+        qs = forms_through_image(curve, cm)
         elapsed = time.perf_counter() - t0
         assert cm.genus == g, tag
         assert qs.dim == (g - 2) * (g - 3) // 2, tag
@@ -112,7 +112,7 @@ def test_criterion_1_dimension_laws(corpus):
         g = curve.genus
         cm = adjoint_basis(curve)
         assert cm.genus == g
-        qs = forms_through_image(curve, cm, 2)
+        qs = forms_through_image(curve, cm)
         assert qs.dim == (g - 1) * (g - 2) // 2
         with pytest.raises(HyperellipticInput):
             decide(curve, seed=11)

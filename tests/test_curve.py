@@ -143,6 +143,18 @@ def test_generated_nodes_match_a_groebner_basis(assigned):
     assert len(want) == len(assigned)
 
 
+def test_nodes_on_a_common_vertical_line_with_large_coordinates_validate_fast():
+    # the y-gcd at x = 0 is y^2 - N^2 with N a product of two 46-bit primes:
+    # its roots come off the discriminant, with no factoring of N^2
+    n = 35184372101267 * 35184373076497
+    t0 = time.perf_counter()
+    curve = gen_singular_model(5, [((0, n, 1), 2), ((0, -n, 1), 2)], seed=1)
+    assert time.perf_counter() - t0 < 2
+    assert sorted(s.key() for s in curve.sings) == [
+        ("0", str(-n), "1"), ("0", str(n), "1")]
+    assert all(s.multiplicity == 2 and s.ordinary for s in curve.sings)
+
+
 def test_singular_points_at_infinity_found():
     # method-1 style curve: multiplicity 3 at (1:0:0) and (0:1:0)
     c = gen_method1(3, seed=1)

@@ -49,7 +49,7 @@ def quadric_space(vec_terms, nvars):
         for mono, c in terms.items():
             v[idx[mono]] = rat(c)
         basis.append(v)
-    return FormSpace(ambient_dim=nvars, degree=2, basis=ref.rref(basis)[0],
+    return FormSpace(ambient_dim=nvars, basis=ref.rref(basis)[0],
                      monomials=monos)
 
 
@@ -171,7 +171,7 @@ def test_split_sl2_non_split_form_goes_to_extension():
 def test_classify_cases(five_nodal_sextic, fermat_quintic, two_node_quintic, proj5):
     def run(curve):
         cm = adjoint_basis(curve)
-        q = forms_through_image(curve, cm, 2)
+        q = forms_through_image(curve, cm)
         alg = stabilizer_algebra(q, curve.genus)
         if alg.dim == 0:
             return classify(alg, None, curve.genus), alg, None
@@ -191,7 +191,7 @@ def test_classify_cases(five_nodal_sextic, fermat_quintic, two_node_quintic, pro
 
 def test_two_ideal_split_bracket_orthogonal(two_node_quintic):
     cm = adjoint_basis(two_node_quintic)
-    q = forms_through_image(two_node_quintic, cm, 2)
+    q = forms_through_image(two_node_quintic, cm)
     alg = stabilizer_algebra(q, 4)
     sem = levi(alg)
     s1, s2 = split_two_ideals(sem)
@@ -276,7 +276,7 @@ def test_cone_stabilizer_has_sl2_levi():
 
 def test_bracket_closure_of_stabilizers(proj5):
     cm = adjoint_basis(proj5)
-    q = forms_through_image(proj5, cm, 2)
+    q = forms_through_image(proj5, cm)
     alg = stabilizer_algebra(q, 5)
     # LieAlg construction already verifies closure; re-check explicitly
     for i in range(alg.dim):
@@ -305,7 +305,7 @@ def test_stabilizer_makes_no_fraction_kernel_call(five_nodal_sextic, monkeypatch
 
     monkeypatch.setattr(liealg, "kernel_basis", recorded)
     cm = adjoint_basis(five_nodal_sextic)
-    q = forms_through_image(five_nodal_sextic, cm, 2)
+    q = forms_through_image(five_nodal_sextic, cm)
     counters = {}
     alg = stabilizer_algebra(q, five_nodal_sextic.genus, counters=counters)
     assert alg.dim == 0 and calls == []
@@ -319,7 +319,7 @@ def test_stabilizer_kernel_lifts_once_the_rank_settles(proj6):
     the rows so far is lifted and certified, so fewer rows are reduced than
     the system has; the algebra is the one the whole system gives."""
     g = proj6.genus
-    q = forms_through_image(proj6, adjoint_basis(proj6), 2)
+    q = forms_through_image(proj6, adjoint_basis(proj6))
     counters = {}
     alg = stabilizer_algebra(q, g, counters=counters)
     p = WALK[0]
@@ -343,7 +343,7 @@ def test_corrupted_lift_moves_on_to_the_next_prime(proj5, monkeypatch):
     """A lift mod the first prime that does not stabilize the quadrics is
     refused; the next prime's lift is certified and gives the same algebra."""
     cm = adjoint_basis(proj5)
-    q = forms_through_image(proj5, cm, 2)
+    q = forms_through_image(proj5, cm)
     expected = stabilizer_algebra(q, 5)
     real = modular.rational_reconstruct
     first = WALK[0]
@@ -365,7 +365,7 @@ def test_stabilizer_certificate_refuses_a_perturbed_lift(proj5, monkeypatch):
     """The stabilizes certificate can say no: with one entry of one lifted
     vector moved by 1, the vectors no longer map every quadric of proj5
     into the span, and the certificate returns False."""
-    q = forms_through_image(proj5, adjoint_basis(proj5), 2)
+    q = forms_through_image(proj5, adjoint_basis(proj5))
     answers = []
     real_kernel = liealg.certified_kernel
 
@@ -401,7 +401,7 @@ def test_structure_theory_forms_no_matrix_product(proj5, two_node_quintic,
     monkeypatch.setattr(liealg, "_bracket", bracket)
     assert not hasattr(LieAlg, "ad_matrix")
     for curve, sdim, case in ((proj5, 3, Case.Scroll), (two_node_quintic, 6, Case.P1xP1)):
-        q = forms_through_image(curve, adjoint_basis(curve), 2)
+        q = forms_through_image(curve, adjoint_basis(curve))
         alg = stabilizer_algebra(q, curve.genus)
         assert set(calls) == {"_bracket"}
         calls.clear()
@@ -443,7 +443,7 @@ def test_exact_echelons_over_q_invert_no_pivot(proj5, monkeypatch):
     """Over Q the span rank of petri_test, the stabilizes certificate, the
     solution echelons and the Lie coordinates run on integer rows: the
     echelon never inverts a pivot.  A row over Q(sqrt 2) still does."""
-    q = forms_through_image(proj5, adjoint_basis(proj5), 2)
+    q = forms_through_image(proj5, adjoint_basis(proj5))
     calls, certified = [], []
     real_sinv, real_kernel = modular.sinv, liealg.certified_kernel
 

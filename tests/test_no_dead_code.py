@@ -1,7 +1,9 @@
 """Every module-level function, class, method and constant of the package is
 named somewhere besides its own definition, in the sources, the tests or the
-benchmark; and every name a module of the package imports is used there or
-exported through its ``__all__``."""
+benchmark; every name a module of the package imports is used there or
+exported through its ``__all__``; and every function of the tests' oracle
+module, ``tests/dense_reference.py``, is used by a test or by another
+oracle there."""
 
 import ast
 import re
@@ -10,6 +12,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "trigonal"
 SEARCHED = [ROOT / "src", ROOT / "tests", ROOT / "perfbench"]
+REFERENCE = ROOT / "tests" / "dense_reference.py"
 
 
 def _definitions():
@@ -70,3 +73,33 @@ def test_every_import_is_used():
                     if name not in used:
                         unused.append(f"{path.name}:{node.lineno} {name}")
     assert not unused, "imported but never used: " + ", ".join(unused)
+
+
+def _reference_uses():
+    """The names of ``dense_reference`` that the tests use: imported from it
+    or read as an attribute of it in a test module, or read inside it."""
+    used = set()
+    for path in (ROOT / "tests").glob("*.py"):
+        tree = ast.parse(path.read_text())
+        if path == REFERENCE:
+            used |= {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+            continue
+        aliases = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "dense_reference":
+                used |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.Import):
+                aliases |= {alias.asname or alias.name for alias in node.names
+                            if alias.name == "dense_reference"}
+        used |= {n.attr for n in ast.walk(tree)
+                 if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+                 and n.value.id in aliases}
+    return used
+
+
+def test_every_reference_function_is_used():
+    used = _reference_uses()
+    unused = [f"{node.lineno} {node.name}"
+              for node in ast.parse(REFERENCE.read_text()).body
+              if isinstance(node, ast.FunctionDef) and node.name not in used]
+    assert not unused, "dense_reference defines but no test uses: " + ", ".join(unused)

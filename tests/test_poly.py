@@ -403,16 +403,35 @@ def test_rational_roots_multiplicity():
     assert roots == [rat(-1, 3), rat(2, 3), rat(2, 3)]
 
 
+@pytest.mark.parametrize("a,b,c", [(1, 0, -1), (4, -4, 1), (9, 12, 4), (1, 0, 1),
+                                   (1, 0, -2), (-6, 1, 1), (6, 5, -4), (3, 0, 0),
+                                   (-2, 7, -3), (5, 1, 1), (25, 0, -4)])
+def test_rational_roots_of_quadratics_match_sympy(a, b, c):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    want = sorted(rat(int(r.p), int(r.q)) for r, m in
+                  sympy.roots(sympy.Poly(a * x**2 + b * x + c, x)).items()
+                  if r.is_rational for _ in range(m))
+    assert rational_roots(UPoly([rat(c), rat(b), rat(a)])) == want
+    half = rat(1, 2)
+    assert rational_roots(UPoly([rat(c) * half, rat(b) * half, rat(a) * half])) == want
+
+
 def test_rational_roots_factor_each_extreme_coefficient_once(monkeypatch):
-    """A linear factor, after the powers of x, is solved without factoring;
-    a higher degree factors its constant and leading coefficients once
-    each."""
+    """A linear or quadratic factor, after the powers of x, is solved
+    without factoring; a higher degree factors its constant and leading
+    coefficients once each."""
     calls = []
     real = poly_mod.divisors
     monkeypatch.setattr(poly_mod, "divisors", lambda n: calls.append(n) or real(n))
     big = 1000003 * 999983
     assert rational_roots(UPoly([rat(0), rat(0), rat(-big), rat(6)])) == \
         [rat(0), rat(0), rat(big, 6)]
+    # x (x - big)(6x + big) and x^2 (x - big)^2
+    assert rational_roots(UPoly([rat(0), rat(-big * big), rat(-5 * big), rat(6)])) == \
+        [rat(-big, 6), rat(0), rat(big)]
+    assert rational_roots(UPoly([rat(0), rat(0), rat(big * big), rat(-2 * big), rat(1)])) == \
+        [rat(0), rat(0), rat(big), rat(big)]
     assert calls == []
     # 9x^3 - 9x^2 - 4x + 4 = (3x-2)(3x+2)(x-1)
     assert rational_roots(UPoly([rat(4), rat(-4), rat(-9), rat(9)])) == \

@@ -135,7 +135,7 @@ def test_scroll_matrix_rejects_three_chains():
 
 def test_minors_span_the_quadrics_of_proj5(proj5):
     cm = adjoint_basis(proj5)
-    q = forms_through_image(proj5, cm, 2)
+    q = forms_through_image(proj5, cm)
     alg = stabilizer_algebra(q, 5)
     sem = levi(alg)
     t = split_sl2(sem)
@@ -162,7 +162,7 @@ def test_cone_chain_lengths_and_minor_containment():
 
 def test_ruling_map_columns_agree_on_curve(proj5):
     cm = adjoint_basis(proj5)
-    q = forms_through_image(proj5, cm, 2)
+    q = forms_through_image(proj5, cm)
     alg = stabilizer_algebra(q, 5)
     t = split_sl2(levi(alg))
     w = weight_chains(t, 5)
@@ -184,7 +184,7 @@ def test_ruling_map_columns_agree_on_curve(proj5):
 
 def test_p1xp1_rulings_on_genus4(two_node_quintic):
     cm = adjoint_basis(two_node_quintic)
-    q = forms_through_image(two_node_quintic, cm, 2)
+    q = forms_through_image(two_node_quintic, cm)
     alg = stabilizer_algebra(q, 4)
     sem = levi(alg)
     s1, s2 = split_two_ideals(sem)
@@ -196,7 +196,7 @@ def test_p1xp1_one_summand_fails_on_reembedded_scroll(m1_quartic):
     # genus 6 trigonal: the balanced surface re-embedded; one summand
     # decomposes into three 2-chains and is rejected
     cm = adjoint_basis(m1_quartic)
-    q = forms_through_image(m1_quartic, cm, 2)
+    q = forms_through_image(m1_quartic, cm)
     alg = stabilizer_algebra(q, 6)
     sem = levi(alg)
     s1, s2 = split_two_ideals(sem)
