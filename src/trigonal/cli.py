@@ -11,10 +11,9 @@ import sys
 import time
 
 from .curve import (derived_rng, gen_method1, gen_method1_candidate,
-                    gen_method2, gen_method2_candidate,
                     gen_trigonal_projection, gen_trigonal_projection_candidate,
                     parse_curve_file, validate_curve, write_curve_file,
-                    _homogenize_xy, _integer_content_normalize, _parse_point)
+                    _parse_point)
 from .errors import (InternalInvariantError, ParseError, TrigonalError,
                      UnsupportedInput)
 from .pipeline import decide
@@ -56,10 +55,8 @@ def cmd_decide(args):
 def cmd_generate(args):
     if args.method == "projection":
         curve = gen_trigonal_projection(args.degree, args.height, args.seed)
-    elif args.method == "m1":
-        curve = gen_method1(args.deg_x, args.height, args.seed)
     else:
-        curve = gen_method2(args.degree_coeff, args.height, args.seed)
+        curve = gen_method1(args.deg_x, args.height, args.seed)
     text = write_curve_file(curve)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -87,7 +84,7 @@ def _parse_bench_spec(text):
             if req not in fields:
                 raise ParseError(f"missing {req}= in bench job", lineno)
         method = fields["method"]
-        if method not in ("projection", "m1", "m2"):
+        if method not in ("projection", "m1"):
             raise ParseError(f"unknown method {method!r}", lineno)
         params = (p.partition("=") for p in fields.get("params", "").split(","))
         jobs.append({
@@ -112,16 +109,8 @@ def _bench_candidate(job, rng):
     if method == "projection":
         d = params.get("d", 5)
         return gen_trigonal_projection_candidate(d, job["height"], rng), f"d={d}"
-    if method == "m1":
-        deg_x = params.get("deg_x", 3)
-        return gen_method1_candidate(deg_x, job["height"], rng), f"deg_x={deg_x}"
-    d = params.get("d", 4)
-    cand = gen_method2_candidate(d, job["height"], rng)
-    if cand and cand.degree_in(0) >= 1 and cand.degree_in(1) >= 1:
-        cand = _integer_content_normalize(_homogenize_xy(cand))
-    else:
-        cand = None
-    return cand, f"d={d}"
+    deg_x = params.get("deg_x", 3)
+    return gen_method1_candidate(deg_x, job["height"], rng), f"deg_x={deg_x}"
 
 
 def cmd_bench(args):
@@ -134,22 +123,19 @@ def cmd_bench(args):
             t0 = time.perf_counter()
             accepted = False
             genus = ""
-            deg = ""
             trig = ""
             agree = ""
-            height = ""
             cand, params = _bench_candidate(job, rng)
+            deg = cand.total_degree()
+            height = bit_height(cand)
             try:
-                if cand is not None:
-                    deg = cand.total_degree()
-                    height = bit_height(cand)
-                    curve = validate_curve(cand)
-                    accepted = True
-                    genus = curve.genus
-                    rep = decide(curve, seed=args.seed)
-                    trig = rep.trigonal
-                    if rep.agreement is not None:
-                        agree = rep.agreement
+                curve = validate_curve(cand)
+                accepted = True
+                genus = curve.genus
+                rep = decide(curve, seed=args.seed)
+                trig = rep.trigonal
+                if rep.agreement is not None:
+                    agree = rep.agreement
             except UnsupportedInput:
                 pass
             seconds = time.perf_counter() - t0
@@ -187,9 +173,7 @@ def build_parser():
     gp.add_argument("--degree", type=int, required=True)
     gm1 = gsub.add_parser("m1")
     gm1.add_argument("--deg-x", dest="deg_x", type=int, required=True)
-    gm2 = gsub.add_parser("m2")
-    gm2.add_argument("--deg", dest="degree_coeff", type=int, required=True)
-    for q in (gp, gm1, gm2):
+    for q in (gp, gm1):
         q.add_argument("--height", type=int, default=5)
         q.add_argument("--seed", type=int, default=0)
         q.add_argument("--out")

@@ -1,12 +1,10 @@
 """Plane projective curves with ordinary rational singularities.
 
 Covers the input model (curve files), singular-locus discovery and
-validation, the genus formula, and the trigonal-curve generators: the two
-resultant/projection constructions plus a generator that guarantees an
-ordinary multiplicity-(d-3) point, so every degree has usable test curves.
-The method-2 generator eliminates its parameter on the modular resultant
-kernel the scan uses, at as many walk primes as a bound on the Sylvester
-determinant's coefficients needs, so its integer resultant is exact.
+validation, the genus formula, and the test-curve generators: a cubic
+cover of the x-line (y-degree 3), a projection from an ordinary
+multiplicity-(d-3) point, so every degree has trigonal test curves, and a
+curve with assigned ordinary singular points.
 
 Curves are taken over Q or a prime field F_q, and one scan serves both.
 Singular points on the line z=0 and at (1:0:0) are found by exact
@@ -32,17 +30,16 @@ from .errors import (CurveUnsupported, GenerationFailed, GenusTooSmall, Unsuppor
                      InvalidInput, IrrationalSingularLocus,
                      NonOrdinarySingularity, ParseError, PointNotOnCurve,
                      ReducibleSuspected)
-from .modular import (PRIME_WALK_START, _crt_vectors, fp_bivariate_table,
-                      fp_eval, fp_gcd, fp_interpolate, fp_reduce,
-                      fp_resultant_keepvar, fp_roots, fp_squarefree, fp_trim,
-                      primes_below, rational_reconstruct)
+from .modular import (PRIME_WALK_START, fp_bivariate_table, fp_eval, fp_gcd,
+                      fp_reduce, fp_resultant_keepvar, fp_roots, fp_squarefree,
+                      fp_trim, primes_below, rational_reconstruct)
 from .poly import (MPoly, UPoly, binary_form_squarefree, parse_poly, poly_str,
                    rational_roots, taylor_rows)
 from .scalars import QQ, PrimeField, RationalField, rat
 
 __all__ = ["SingularPoint", "PlaneCurve", "genus", "singular_locus",
            "validate_curve", "gen_trigonal_projection", "gen_method1",
-           "gen_method2", "gen_singular_model", "parse_curve_file",
+           "gen_singular_model", "parse_curve_file",
            "write_curve_file", "derived_rng", "normalize_point"]
 
 
@@ -489,126 +486,28 @@ def gen_method1(deg_x, coeff_height=5, seed=0, budget=50):
     raise GenerationFailed(f"no valid method-1 curve with deg_x={deg_x} within {budget} tries")
 
 
-def gen_method2_candidate(d, coeff_height, rng):
-    """Eliminate the parameter u from a random cubic extension model:
-    0 = F = x^3 - a1(u) x - a2(u) and 0 = G = y - a3(u) - a4(u) x - a5(u) x^2,
-    each a_i an integer polynomial of degree exactly d.
-
-    R(x, y) = Res_u(F, G) is the determinant of the 2d x 2d Sylvester matrix
-    in u, whose d rows of F entries have x-degree at most 3 and whose d rows
-    of G entries have x-degree at most 2 and y-degree at most 1; so R has
-    x-degree at most 5d and y-degree at most d.  At each walk prime p and
-    each x0 in 0..5d, ``fp_resultant_keepvar`` eliminates u from F(x0, u)
-    and G(x0, y, u) and gives R(x0, y) mod p; interpolation in x gives R mod
-    p, and CRT combines the primes.  The 1-norm of the determinant is at
-    most the permanent of the matrix of entry 1-norms, hence at most the
-    product of its row sums, B = (sum_k |F_k|_1)^d (sum_k |G_k|_1)^d with
-    F_k, G_k the coefficients of u^k.  Once the modulus exceeds 2B the
-    symmetric residues are the integer coefficients of R, exactly."""
-    a = []
-    for _ in range(5):
-        cs = [_rand_coeff(rng, coeff_height) for _ in range(d + 1)]
-        while not cs[-1]:
-            cs[-1] = _rand_coeff(rng, coeff_height)
-        a.append(cs)
-    a1, a2, a3, a4, a5 = a
-    # coefficients of u^k in x, lowest power first; G_k also has y when k = 0
-    f_rows = [[-a2[k], -a1[k], 0, int(k == 0)] for k in range(d + 1)]
-    g_rows = [[-a3[k], -a4[k], -a5[k]] for k in range(d + 1)]
-    bound = 2 * (sum(abs(c) for r in f_rows for c in r)
-                 * (sum(abs(c) for r in g_rows for c in r) + 1)) ** d
-    xs = range(5 * d + 1)
-    modulus, residues = 1, [[0] * len(xs)] * (d + 1)
-    for p in primes_below(PRIME_WALK_START):
-        values = []
-        for x0 in xs:
-            g_table = [[fp_eval(r, x0, p)] for r in g_rows]
-            g_table[0].append(1)
-            values.append(fp_resultant_keepvar(
-                [[fp_eval(r, x0, p)] for r in f_rows], g_table, p))
-        more = []
-        for j in range(d + 1):
-            c = fp_interpolate([v[j] if j < len(v) else 0 for v in values], p)
-            more.append(c + [0] * (len(xs) - len(c)))
-        modulus, residues = _crt_vectors(modulus, residues, p, more)
-        if modulus > bound:
-            break
-    half = modulus // 2
-    return MPoly(3, {(i, j, 0): rat(c - modulus if c > half else c)
-                     for j, col in enumerate(residues) for i, c in enumerate(col)})
-
-
-def _homogenize_xy(R):
-    """Embed a polynomial in x, y (u-free) as a degree-d form in x, y, z."""
-    d = R.total_degree()
-    terms = {}
-    for (i, j, _k), c in R.terms.items():
-        terms[(i, j, d - i - j)] = c
-    return MPoly(3, terms)
-
-
-def _integer_content_normalize(f):
-    from math import gcd
-    denlcm = 1
-    for c in f.terms.values():
-        den = int(rat(c).denominator)
-        denlcm = denlcm * den // gcd(denlcm, den)
-    g = 0
-    for c in f.terms.values():
-        g = gcd(g, abs(int(rat(c) * denlcm)))
-    if g == 0:
-        return f
-    return f.map_coeffs(lambda c: rat(c) * denlcm / g)
-
-
-def gen_method2(d, coeff_height=2, seed=0, budget=50):
-    """Validated curve from the parameter-elimination construction; most
-    candidates have non-rational or non-ordinary singularities and are
-    rejected, which the provenance records."""
-    if d < 1:
-        raise InvalidInput("method-2 generator needs degree >= 1")
-    rng = derived_rng(seed, f"m2:{d}:{coeff_height}")
-    rejected = 0
-    for attempt in range(budget):
-        R = gen_method2_candidate(d, coeff_height, rng)
-        if not R or R.degree_in(0) < 1 or R.degree_in(1) < 1:
-            rejected += 1
-            continue
-        f = _integer_content_normalize(_homogenize_xy(R))
-        if f.total_degree() < 4:
-            rejected += 1
-            continue
-        try:
-            curve = validate_curve(f, fld=QQ)
-        except UnsupportedInput:
-            rejected += 1
-            continue
-        curve.provenance = {"generator": "m2", "d": d, "height": coeff_height,
-                            "seed": seed, "attempts": attempt + 1}
-        return curve
-    raise GenerationFailed(
-        f"no valid method-2 curve with d={d} within {budget} tries "
-        f"({rejected} candidates rejected by validation)")
-
-
 def gen_singular_model(d, assigned, coeff_height=3, seed=0, budget=200):
     """Random degree-d curve with exactly the assigned ordinary singular
     points: ``assigned`` is a list of ((a, b, c), multiplicity) pairs.  The
     candidates are the kernel of the ``taylor_rows`` of degree < m at each
     assigned m-fold point."""
+    pts = [(normalize_point(coords, QQ), m) for coords, m in assigned]
+    for pt, m in pts:
+        if m < 2:
+            raise InvalidInput(f"an assigned singular point needs multiplicity "
+                               f"at least 2, got {m}")
+    if len({pt for pt, _ in pts}) < len(pts):
+        raise InvalidInput("a point is assigned twice")
     # an accepted curve has exactly the assigned points, so this is its
     # genus, and validation rejects every curve of genus < 3
-    g = (d - 1) * (d - 2) // 2 - sum(m * (m - 1) // 2 for _, m in assigned)
+    g = (d - 1) * (d - 2) // 2 - sum(m * (m - 1) // 2 for _, m in pts)
     if g < 3:
         raise GenerationFailed(f"the assigned singularities give genus {g} < 3")
-    pts = [(normalize_point(coords, QQ), m) for coords, m in assigned]
     # Bezout: a line through points whose multiplicities sum past d is a
     # component of every curve with them, and validation rejects those
     for (a, _), (b, _) in combinations(pts, 2):
         line = (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
                 a[0] * b[1] - a[1] * b[0])
-        if not any(line):
-            continue        # the same point twice
         on = sum(m for pt, m in pts if not sum(l * x for l, x in zip(line, pt)))
         if on > d:
             raise GenerationFailed(
@@ -624,7 +523,6 @@ def gen_singular_model(d, assigned, coeff_height=3, seed=0, budget=200):
     if not kern:
         raise GenerationFailed("no curve satisfies the assigned singularities")
     rng = derived_rng(seed, f"singmodel:{d}:{assigned!r}:{coeff_height}")
-    want = {(tuple(str(x) for x in normalize_point(c, QQ)), m) for c, m in assigned}
     for attempt in range(budget):
         combo = [_rand_coeff(rng, coeff_height) for _ in kern]
         if not any(combo):
@@ -638,8 +536,7 @@ def gen_singular_model(d, assigned, coeff_height=3, seed=0, budget=200):
             curve = validate_curve(f, fld=QQ)
         except UnsupportedInput:
             continue
-        got = {(tuple(str(x) for x in s.coords), s.multiplicity) for s in curve.sings}
-        if got != want:
+        if {(s.coords, s.multiplicity) for s in curve.sings} != set(pts):
             continue
         curve.provenance = {"generator": "singular_model", "d": d,
                             "assigned": assigned, "height": coeff_height,
@@ -673,11 +570,12 @@ def _parse_point(text, lineno=None):
 
 def parse_curve_file(text):
     """Parse the line-oriented curve format; returns a dict with keys
-    f, sings, point, field."""
+    f, sings, point, field.  Only ``sing`` lines may repeat."""
     f = None
     sings = []
     point = None
     fld = QQ
+    seen = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -687,6 +585,10 @@ def parse_curve_file(text):
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
+        if key in seen:
+            raise ParseError(f"a second {key!r} line", lineno)
+        if key != "sing":
+            seen.add(key)
         if key == "f":
             try:
                 f = parse_poly(value)

@@ -1,7 +1,7 @@
 """Modular helpers, the package's one resultant engine and its one
 elimination engine: the singular-locus scan, the fiber-degree check, the
-method-2 generator, the certified kernels of the stabilizer algebra and the
-sparse echelon form ``FpEchelon``.
+certified kernels of the stabilizer algebra and the sparse echelon form
+``FpEchelon``.
 
 Polynomials mod p are plain int lists, lowest degree first.  The scan and
 the fiber check reduce exact bivariate polynomials with
@@ -10,12 +10,9 @@ the fiber check reduce exact bivariate polynomials with
 runs the Euclidean resultants of all nodes in lockstep with one batched
 inverse per remainder step, and interpolates by forward differences.
 ``fp_roots`` splits by Cantor-Zassenhaus, raising a linear base to its
-powers from the top bit down.  ``curve.gen_method2_candidate`` calls the
-same kernel on integer tables at several walk primes, interpolates at the
-same nodes and combines the primes with ``_crt_vectors`` up to a
-coefficient bound, so its resultant is exact.  ``certified_kernel`` solves
-a linear system mod p with ``FpEchelon`` and lifts the kernel with
-``rational_reconstruct`` and CRT.  ``FpEchelon`` stores sparse
+powers from the top bit down.  ``certified_kernel`` solves a linear system
+mod p with ``FpEchelon`` and lifts the kernel with ``rational_reconstruct``
+and CRT (``_crt_vectors``).  ``FpEchelon`` stores sparse
 ``{column: value}`` rows, since the systems here have a handful of nonzeros
 per row.  With no modulus it eliminates exactly, on primitive integer rows
 over Q and over the field of its entries otherwise.  Every exact kernel,

@@ -17,8 +17,7 @@ it substitutes and splits where the package reads a closed formula.
 
 ``resultant`` is the dense Sylvester resultant of two ``MPoly``, taken by a
 fraction-free (Bareiss) determinant over ``MPoly``: the reference for the
-package's one resultant engine, ``modular.fp_resultant_keepvar``, and for
-the method-2 elimination built on it.
+package's one resultant engine, ``modular.fp_resultant_keepvar``.
 
 ``forms_through_image`` builds the quadrics (k = 2) or cubics (k = 3)
 through a canonical image from ``MPoly`` products of the adjoint forms and

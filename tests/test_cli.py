@@ -142,15 +142,6 @@ def test_generate_m1_genus_line(tmp_path):
     assert "# genus = 4" in out.read_text()
 
 
-def test_generate_m2_failure_is_exit_two(tmp_path):
-    # the parameter-elimination construction rarely validates; either a
-    # validated file or a typed failure mapping to exit status 2 is fine
-    out = tmp_path / "m2.curve"
-    status = main(["generate", "m2", "--deg", "2", "--seed", "11",
-                   "--out", str(out)])
-    assert status in (0, 2)
-
-
 def test_bench_csv_shape_and_determinism(tmp_path):
     spec = tmp_path / "bench.spec"
     spec.write_text("method=m1 params=deg_x=3 n=3 height=5\n"
@@ -231,8 +222,6 @@ def test_bad_point_coordinates_are_parse_errors(tmp_path, text, flags):
 @pytest.mark.parametrize("args, spec, message", [
     (["generate", "m1", "--deg-x", "3", "--height", "0"], None,
      "height must be at least 1"),
-    (["generate", "m2", "--deg", "2", "--height", "0"], None,
-     "height must be at least 1"),
     (["generate", "projection", "--degree", "5", "--height", "-3"], None,
      "height must be at least 1"),
     (["generate", "m1", "--deg-x", "3", "--height", "-1"], None,
@@ -243,14 +232,30 @@ def test_bad_point_coordinates_are_parse_errors(tmp_path, text, flags):
     (["bench"], "method=m1 n=1 height=x\n", "height='x' is not an integer (line 1)"),
     (["bench"], "method=m1 params=deg_x=abc n=1\n",
      "deg_x='abc' is not an integer (line 1)"),
-], ids=["m1-zero", "m2-zero", "projection-negative", "m1-negative", "bench-zero",
-        "bench-n", "bench-height", "bench-params"])
+    (["generate", "m2", "--deg", "2"], None, "invalid choice: 'm2'"),
+    (["bench"], "method=m2 n=1\n", "unknown method 'm2' (line 1)"),
+], ids=["m1-zero", "projection-negative", "m1-negative", "bench-zero",
+        "bench-n", "bench-height", "bench-params", "generate-m2", "bench-m2"])
 def test_bad_heights_and_bench_fields_are_typed_errors(tmp_path, args, spec, message):
     """Every generator draws its coefficients through one height check, and
     every bench field but the method must be an integer.  A height of 0 once
-    looped forever drawing a nonzero leading coefficient."""
+    looped forever drawing a nonzero leading coefficient.  ``m2`` is neither
+    a generator nor a bench method."""
     if spec is not None:
         path = tmp_path / "bench.spec"
         path.write_text(spec)
         args = args + [str(path), "--out", str(tmp_path / "b.csv")]
     assert_typed_rejection(run_subprocess(args, timeout=20), message)
+
+
+@pytest.mark.parametrize("line, message", [
+    ("f = x^5", "a second 'f' line (line 2)"),
+    ("point = (1:0:0)", "a second 'point' line (line 3)"),
+    ("field = Fp 101", "a second 'field' line (line 3)"),
+], ids=["f", "point", "field"])
+def test_a_repeated_curve_file_key_is_a_parse_error(tmp_path, line, message):
+    """A second f, point or field line is refused with its line number
+    rather than silently overriding the first.  Only sing lines may repeat."""
+    path = tmp_path / "c.curve"
+    path.write_text(f"f = x^4+y^4+z^4\n{line}\n{line}\n")
+    assert_typed_rejection(run_subprocess(["decide", str(path)]), message)

@@ -1,5 +1,3 @@
-import hashlib
-import random
 import time
 from itertools import islice
 
@@ -7,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from trigonal import curve as curve_mod
-from trigonal.curve import (derived_rng, gen_method1, gen_method2, gen_singular_model,
+from trigonal.curve import (gen_method1, gen_singular_model,
                             gen_trigonal_projection, genus, normalize_point,
                             parse_curve_file, singular_locus, validate_curve,
                             write_curve_file)
@@ -15,12 +13,9 @@ from trigonal.errors import (CurveUnsupported, GenerationFailed, GenusTooSmall,
                              InvalidInput, IrrationalSingularLocus,
                              NonOrdinarySingularity, ParseError, PointNotOnCurve,
                              ReducibleSuspected, UnsupportedInput)
-from trigonal.modular import (PRIME_WALK_START, fp_reduce, fp_resultant_keepvar,
-                              primes_below)
-from trigonal.poly import MPoly, parse_poly, poly_str
+from trigonal.modular import PRIME_WALK_START, fp_reduce, primes_below
+from trigonal.poly import MPoly, parse_poly
 from trigonal.scalars import QQ, PrimeField, QuadraticField, rat
-
-import dense_reference
 
 P0, P1 = islice(primes_below(PRIME_WALK_START), 2)
 
@@ -514,78 +509,6 @@ def test_generator_distinct_seeds_differ():
     assert gen_trigonal_projection(5, seed=1).f != gen_trigonal_projection(5, seed=2).f
 
 
-# sha256 prefixes of poly_str(gen_method2_candidate(d, h, rng)), pinned from
-# the exact Sylvester/Bareiss elimination the generator used to run on
-METHOD2_DIGESTS = {
-    (1, 2, 0): "4a5ad7856889810b", (1, 2, 1): "8714ec63c71f558b",
-    (1, 2, 2): "f36451ab66aea429", (2, 2, 0): "625899842ee2d606",
-    (2, 2, 1): "85a7a2e169bd8bea", (2, 2, 2): "e25f7d1a24aa7265",
-    (3, 2, 0): "3896691d358cd6bf", (3, 2, 1): "4c49cf9e048eba94",
-    (3, 2, 2): "89c824798e51c8ae", (4, 2, 0): "a61e36e542568bad",
-    (4, 2, 1): "9e513d5f2a02f9f9", (4, 2, 2): "5859947ca3dbff04",
-    (3, 20, 0): "497b16a375695a48", (4, 12, 1): "62257d8167cb87d7",
-}
-
-
-def _method2_digest(d, h, seed):
-    rng = derived_rng(seed, f"m2-pin:{d}:{h}")
-    text = poly_str(curve_mod.gen_method2_candidate(d, h, rng))
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
-
-
-@pytest.mark.parametrize("d, h, seed", sorted(METHOD2_DIGESTS))
-def test_method2_candidates_are_pinned(d, h, seed):
-    assert _method2_digest(d, h, seed) == METHOD2_DIGESTS[d, h, seed]
-
-
-def test_method2_large_coefficients_combine_several_primes(monkeypatch):
-    # at height 20 the coefficients of R reach 122 bits, so its bound needs
-    # more than one walk prime and the residues are combined by CRT
-    primes = []
-
-    def spy(a, b, p):
-        primes.append(p)
-        return fp_resultant_keepvar(a, b, p)
-
-    monkeypatch.setattr(curve_mod, "fp_resultant_keepvar", spy)
-    assert _method2_digest(3, 20, 0) == METHOD2_DIGESTS[3, 20, 0]
-    assert len(set(primes)) >= 2
-    assert len(primes) == len(set(primes)) * (5 * 3 + 1)
-
-
-def _method2_reference(d, h, rng):
-    """Res_u(F, G) of the method-2 model by the dense Sylvester/Bareiss
-    resultant, from the same draws as ``gen_method2_candidate``."""
-    a = []
-    for _ in range(5):
-        cs = [curve_mod._rand_coeff(rng, h) for _ in range(d + 1)]
-        while not cs[-1]:
-            cs[-1] = curve_mod._rand_coeff(rng, h)
-        a.append(MPoly(3, {(0, 0, k): rat(c) for k, c in enumerate(cs)}))
-    a1, a2, a3, a4, a5 = a
-    x, y = MPoly.variable(3, 0), MPoly.variable(3, 1)
-    return dense_reference.resultant(x ** 3 - a1 * x - a2,
-                                     y - a3 - a4 * x - a5 * x ** 2, 2)
-
-
-@settings(max_examples=30)
-@given(st.integers(1, 3), st.sampled_from([1, 2, 8, 20]), st.integers(0, 10 ** 6))
-def test_method2_elimination_matches_the_dense_resultant(d, h, seed):
-    got = curve_mod.gen_method2_candidate(d, h, random.Random(seed))
-    want = _method2_reference(d, h, random.Random(seed))
-    assert got == want and poly_str(got) == poly_str(want)
-
-
-def test_method2_rejects_or_returns_valid():
-    # most candidates have unsupported singularities; either outcome is
-    # acceptable but must be typed and deterministic
-    try:
-        c = gen_method2(2, seed=11, budget=6)
-        assert c.validated and c.genus >= 3
-    except GenerationFailed as e:
-        assert "rejected by validation" in str(e)
-
-
 def test_singular_model_low_genus_fails_before_any_attempt(monkeypatch):
     # a quintic with a triple point and three nodes has genus 6 - 3 - 3 = 0
     calls = []
@@ -606,6 +529,22 @@ def test_singular_model_collinear_excess_fails_before_any_attempt(monkeypatch):
     assigned = [((1, 0, 0), 2), ((0, 1, 0), 2), ((1, 1, 0), 2), ((1, 2, 0), 2)]
     with pytest.raises(GenerationFailed, match="summing to 8 > 6"):
         gen_singular_model(6, assigned, seed=1)
+    assert calls == []
+
+
+@pytest.mark.parametrize("assigned, message", [
+    ([((0, 0, 1), 2), ((0, 0, 2), 2)], "a point is assigned twice"),
+    ([((0, 0, 1), 1)], "multiplicity at least 2, got 1"),
+], ids=["repeated-point", "multiplicity-one"])
+def test_singular_model_bad_assignment_fails_before_any_attempt(monkeypatch, assigned,
+                                                               message):
+    # (0:0:1) and (0:0:2) are one point, which the genus formula would count
+    # twice, and no curve has a simple point as a singular point
+    calls = []
+    monkeypatch.setattr(curve_mod, "validate_curve",
+                        lambda *a, **k: calls.append(a))
+    with pytest.raises(InvalidInput, match=message):
+        gen_singular_model(5, assigned, seed=1)
     assert calls == []
 
 
@@ -634,13 +573,15 @@ def test_a_node_with_a_64_bit_coordinate_validates_quickly():
 
 # --- curve file format ---------------------------------------------------------------
 
-def test_curve_file_round_trip(proj5):
+def test_curve_file_round_trip(proj5, five_nodal_sextic):
     text = write_curve_file(proj5, comments=("example",))
     data = parse_curve_file(text)
     assert data["f"] == proj5.f
     assert len(data["sings"]) == 1
     c2 = validate_curve(data["f"], declared_sings=data["sings"])
     assert c2.genus == proj5.genus
+    # sing is the one key that may repeat
+    assert len(parse_curve_file(write_curve_file(five_nodal_sextic))["sings"]) == 5
 
 
 def test_curve_file_parse_errors():

@@ -1,11 +1,12 @@
 """Every module-level function, class, method and constant of the package is
 named somewhere besides its own definition, in the sources, the tests or the
 benchmark; every name a module of the package imports is used there or
-exported through its ``__all__``; and every function of the tests' oracle
-module, ``tests/dense_reference.py``, is used by a test or by another
-oracle there."""
+exported through its ``__all__``; every name in an ``__all__`` is bound in
+its module; and every function of the tests' oracle module,
+``tests/dense_reference.py``, is used by a test or by another oracle there."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -73,6 +74,17 @@ def test_every_import_is_used():
                     if name not in used:
                         unused.append(f"{path.name}:{node.lineno} {name}")
     assert not unused, "imported but never used: " + ", ".join(unused)
+
+
+def test_every_exported_name_resolves():
+    """A stale ``__all__`` entry breaks ``from trigonal.<module> import *``."""
+    missing = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        name = "trigonal" if path.stem == "__init__" else f"trigonal.{path.stem}"
+        module = importlib.import_module(name)
+        missing += [f"{path.name} {n}" for n in getattr(module, "__all__", ())
+                    if not hasattr(module, n)]
+    assert not missing, "exported but not defined: " + ", ".join(missing)
 
 
 def _reference_uses():
