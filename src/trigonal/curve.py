@@ -13,12 +13,16 @@ mod q itself over F_q, and over Q mod one admissible prime of the walk in
 ``modular`` (the first whose reduction keeps every denominator).  The third
 net is computed only when the first two leave a candidate x-value outside
 F_p.  Each candidate is then verified exactly over the ground field, so a
-reported point is never wrong.  Whatever part of a candidate locus does not
-split into ground-field points counts into the residual budget and leads to
-a typed rejection.  The same scan rejects a repeated component on both fields,
-since its whole support is singular.  Each singular point's multiplicity and
-ordinarity are read off the Taylor pieces of the curve at the point, built
-by ``poly.taylor_rows`` in increasing degree up to the first nonzero one.
+reported point is never wrong: the fiber above it is cut out by an exact
+univariate gcd, as the line z=0 is.  The roots of these gcds are taken mod
+q over F_q, and over Q by ``modular.rational_roots``, which lifts roots mod
+a prime p-adically; no step factors an integer.  Whatever part of a
+candidate locus does not split into ground-field points counts into the
+residual budget and leads to a typed rejection.  The same scan rejects a
+repeated component on both fields, since its whole support is singular.
+Each singular point's multiplicity and ordinarity are read off the Taylor
+pieces of the curve at the point, built by ``poly.taylor_rows`` in
+increasing degree up to the first nonzero one.
 """
 
 import hashlib
@@ -32,9 +36,9 @@ from .errors import (CurveUnsupported, GenerationFailed, GenusTooSmall, Unsuppor
                      ReducibleSuspected)
 from .modular import (PRIME_WALK_START, fp_bivariate_table, fp_eval, fp_gcd,
                       fp_reduce, fp_resultant_keepvar, fp_roots, fp_squarefree,
-                      fp_trim, primes_below, rational_reconstruct)
+                      fp_trim, primes_below, rational_reconstruct, rational_roots)
 from .poly import (MPoly, UPoly, binary_form_squarefree, parse_poly, poly_str,
-                   rational_roots, taylor_rows)
+                   taylor_rows)
 from .scalars import QQ, PrimeField, RationalField, rat
 
 __all__ = ["SingularPoint", "PlaneCurve", "genus", "singular_locus",
@@ -140,13 +144,17 @@ def _specialize_x(F, x0):
     return UPoly(coeffs)
 
 
-def _gcd_many(polys):
-    acc = UPoly()
-    for p in polys:
-        acc = acc.gcd(p)
-        if acc.degree() == 0:
-            break
-    return acc
+def _fiber(polys, ground_roots):
+    """The fiber step of both scans: the ground-field roots of the gcd of
+    the nonzero ``polys`` (identically-zero ones impose no condition), and
+    the degree of the rest of its square-free part."""
+    g = UPoly()
+    for u in polys:
+        if u and g.degree():        # a constant gcd stays constant
+            g = g.gcd(u)
+    sf = g.squarefree_part()
+    roots = ground_roots(sf)
+    return roots, sf.degree() - len(roots)
 
 
 # --- singular locus -------------------------------------------------------------
@@ -160,18 +168,19 @@ def _ground(fld, coeffs):
     """What the scan needs of its ground field: the modulus p its resultant
     nets are reduced at, the lift of a root mod p to a ground-field
     candidate (None when there is none), and the distinct ground-field roots
-    of a UPoly.  Over F_q, p = q and every root is a candidate.  Over Q, p is
-    the first prime of the walk at which none of ``coeffs`` has a vanishing
-    denominator (None if there is none), and roots lift by rational
-    reconstruction."""
+    of a square-free UPoly.  Over F_q, p = q, every root is a candidate and
+    the roots are ``fp_roots``.  Over Q, p is the first prime of the walk at
+    which none of ``coeffs`` has a vanishing denominator (None if there is
+    none), a root lifts by rational reconstruction mod p, and the roots are
+    ``rational_roots``: roots mod a prime of their own, lifted p-adically and
+    checked exactly, with no integer factoring."""
     if isinstance(fld, PrimeField):
         q = fld.p
         return q, fld.coerce, lambda u: [
             fld.coerce(r) for r in fp_roots([fp_reduce(c, q) for c in u.coeffs], q)]
     p = next((p for p in islice(primes_below(PRIME_WALK_START), SCAN_PRIMES)
               if None not in (fp_reduce(c, p) for c in coeffs)), None)
-    return (p, lambda r: rational_reconstruct(r, p),
-            lambda u: sorted(set(rational_roots(u)), key=str))
+    return p, lambda r: rational_reconstruct(r, p), lambda u: rational_roots(u.coeffs)
 
 
 def _affine_scan(f, ground):
@@ -231,15 +240,11 @@ def _affine_scan(f, ground):
             sy = [_specialize_x(P, cand) for P in (F, Fx, Fy)]
             if all(not s for s in sy):
                 raise ReducibleSuspected("a vertical line lies on the curve")
-            # identically-zero specializations impose no condition, so the
-            # gcd of the rest is exactly the singular fiber above cand
-            gy = _gcd_many([s for s in sy if s])
-            if gy.degree() >= 1:
-                sf = gy.squarefree_part()
-                yroots = ground_roots(sf)
-                for y0 in yroots:
-                    points.append((cand, y0))
-                residual += sf.degree() - len(yroots)
+            # the gcd of the nonzero ones is exactly the singular fiber above cand
+            yroots, rest = _fiber(sy, ground_roots)
+            if yroots or rest:
+                points += [(cand, y0) for y0 in yroots]
+                residual += rest
                 continue
         # unverified root: count it unless it is a phantom even mod p
         gp = []
@@ -258,17 +263,10 @@ def _infinity_scan(f, fld, ground_roots):
     restr = [_restrict_line_z0(g) for g in parts]
     if all(not r for r in restr):
         raise ReducibleSuspected("the gradient vanishes on the whole line z=0")
-    # identically-zero restrictions impose no condition; the gcd of the rest
-    # cuts out exactly the singular points with y != 0 on the line
-    g = _gcd_many([r for r in restr if r])
-    points = []
-    residual = 0
-    if g.degree() >= 1:
-        sf = g.squarefree_part()
-        roots = ground_roots(sf)
-        for t0 in roots:
-            points.append((t0, fld.one(), fld.zero()))
-        residual += sf.degree() - len(roots)
+    # the gcd of the nonzero ones cuts out exactly the singular points with
+    # y != 0 on the line
+    roots, residual = _fiber(restr, ground_roots)
+    points = [(t0, fld.one(), fld.zero()) for t0 in roots]
     # the remaining point of the line
     pt = (fld.one(), fld.zero(), fld.zero())
     if all(not g.evaluate(pt) for g in parts):

@@ -1,4 +1,7 @@
-"""Integer helpers: primality, factorization, divisors, square-free split.
+"""Integer helpers: primality, factorization, square-free split.
+
+``factorize`` serves only ``squarefree_split``, which names Q(sqrt delta)
+canonically; no step of curve validation factors an integer.
 
 Deterministic: Miller-Rabin uses a fixed witness set (sound for < 3.3e24,
 falls back to many fixed witnesses above), Brent-Pollard rho uses a fixed
@@ -93,22 +96,6 @@ def factorize(n):
         stack.append(d)
         stack.append(m // d)
     return out
-
-
-# Divisor count beyond which ``divisors`` refuses to enumerate.
-DIVISOR_LIMIT = 200000
-
-
-def divisors(n):
-    """All positive divisors of |n| (n != 0), ascending."""
-    fac = factorize(n)
-    divs = [1]
-    for p, e in fac.items():
-        powers = [p ** i for i in range(e + 1)]
-        divs = [d * q for d in divs for q in powers]
-        if len(divs) > DIVISOR_LIMIT:
-            raise InvalidInput("divisor enumeration limit exceeded")
-    return sorted(divs)
 
 
 def squarefree_split(n):

@@ -10,15 +10,17 @@ the fiber check reduce exact bivariate polynomials with
 runs the Euclidean resultants of all nodes in lockstep with one batched
 inverse per remainder step, and interpolates by forward differences.
 ``fp_roots`` splits by Cantor-Zassenhaus, raising a linear base to its
-powers from the top bit down.  ``certified_kernel`` solves a linear system
-mod p with ``FpEchelon`` and lifts the kernel with ``rational_reconstruct``
-and CRT (``_crt_vectors``).  ``FpEchelon`` stores sparse
-``{column: value}`` rows, since the systems here have a handful of nonzeros
-per row.  With no modulus it eliminates exactly, on primitive integer rows
-over Q and over the field of its entries otherwise.  Every exact kernel,
-rank, span, membership, solution and inverse in the package is taken on it,
-kernels of dense rows through ``linalg.kernel_basis``.  The primes come from
-fixed deterministic walks, so runs are reproducible: the scan and the
+powers from the top bit down.  ``rational_roots``, the scan's one root
+finder over Q, lifts the roots mod a walk prime p-adically and checks each
+exactly.  ``certified_kernel`` solves a linear system mod p with
+``FpEchelon`` and lifts the kernel with ``rational_reconstruct`` and CRT
+(``_crt_vectors``).  ``FpEchelon`` stores sparse ``{column: value}`` rows,
+since the systems here have a handful of nonzeros per row.  With no modulus
+it eliminates exactly, on primitive integer rows over Q and over the field
+of its entries otherwise.  Every exact kernel, rank, span, membership,
+solution and inverse in the package is taken on it, kernels of dense rows
+through ``linalg.kernel_basis``.  The primes come from fixed deterministic
+walks, so runs are reproducible: the scan, its root finder and the
 certified kernels walk down from 2^61, the fiber check from 2^30, and each
 walk is kept as it grows.  The scan only discovers candidates mod p; every
 point it reports is verified exactly over the ground field by the caller.
@@ -66,10 +68,10 @@ def primes_below(bound):
 
 
 # Start of the prime walk: just below 2^61 (the Mersenne prime 2^61 - 1
-# itself is left out).  The singular scan and the certified kernels each take
-# primes from its head; rational reconstruction mod a walk prime p lifts
-# numerators and denominators up to recon_bound(p) ~ 2^30.  The fiber check,
-# which reconstructs nothing, walks down from 2^30 instead.
+# itself is left out).  The singular scan, its root finder and the certified
+# kernels each take primes from its head; rational reconstruction mod a walk
+# prime p lifts numerators and denominators up to recon_bound(p) ~ 2^30.  The
+# fiber check, which reconstructs nothing, walks down from 2^30 instead.
 PRIME_WALK_START = (1 << 61) - 2
 
 
@@ -227,6 +229,56 @@ def rational_reconstruct(r, m):
     if gcd(num, den) != 1:
         return None
     return rat(num, den)
+
+
+# Walk primes tried for one that keeps a polynomial square-free before
+# ``rational_roots`` gives up.
+ROOT_PRIMES = 16
+
+
+def rational_roots(coeffs):
+    """Distinct rational roots, ascending, of the square-free polynomial
+    over Q with these coefficients (lowest degree first), by p-adic lifting
+    (Loos, SIAM J. Comput. 12, 1983).  Denominators and content are cleared
+    and the factor x split off.  The roots of the rest mod the first walk
+    prime p that divides neither its leading coefficient nor its
+    discriminant are lifted by Newton's iteration mod p^(2^k), until
+    ``rational_reconstruct`` recovers every a/b with |a| <= |c_0| and
+    b <= |c_n|, the extreme coefficients of the rest: every rational root
+    is such an a/b.  A lift is kept only if it is an exact root.  CurveUnsupported when none of the first ROOT_PRIMES
+    primes is admissible, as for a repeated root, where every prime divides
+    the discriminant."""
+    if not any(coeffs):
+        raise InvalidInput("rational roots of the zero polynomial")
+    k = next(i for i, c in enumerate(coeffs) if c)
+    den = lcm(*map(_DENOMINATOR, coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in coeffs[k:]]
+    content = gcd(*ints)
+    ints = [c // content for c in ints]
+    roots = [rat(0)] if k else []
+    n = len(ints) - 1
+    if not n:
+        return roots
+    for p in islice(primes_below(PRIME_WALK_START), ROOT_PRIMES):
+        a = [c % p for c in ints]
+        if a[-1] and len(fp_gcd(a, fp_derivative(a, p), p)) == 1:
+            break
+    else:
+        raise CurveUnsupported(
+            f"no prime among the first {ROOT_PRIMES} keeps the polynomial square-free")
+    deriv = [i * c for i, c in enumerate(ints)][1:]
+    bound = max(abs(ints[0]), abs(ints[-1]))
+    lifts, m = fp_roots(a, p), p
+    while recon_bound(m) < bound:
+        m *= m
+        lifts = [(r - fp_eval(ints, r, m) * pow(fp_eval(deriv, r, m), -1, m)) % m
+                 for r in lifts]
+    for r in lifts:
+        q = rational_reconstruct(r, m)
+        if q is not None and not sum(c * q.numerator ** i * q.denominator ** (n - i)
+                                     for i, c in enumerate(ints)):
+            roots.append(q)
+    return sorted(roots)
 
 
 # --- reductions of exact polynomials ----------------------------------------

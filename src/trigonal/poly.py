@@ -3,14 +3,14 @@
 MPoly is a dict from exponent tuples to nonzero coefficients; UPoly is a
 dense coefficient list, lowest degree first.  Both work over any of the
 scalar variants.  Canonical printing order is graded lexicographic, which
-keeps CLI output byte-stable.
+keeps CLI output byte-stable.  No root finding is done here: roots mod p
+and over Q are taken in ``modular``.
 """
 
-from math import comb, gcd, isqrt
+from math import comb
 
 from .errors import InvalidInput
-from .intutil import divisors
-from .scalars import is_rational, rat, sdiv
+from .scalars import rat, sdiv
 
 __all__ = ["MPoly", "UPoly", "parse_poly", "poly_str", "taylor_rows",
            "binary_form_squarefree"]
@@ -413,86 +413,14 @@ class UPoly:
                 b = b.monic()
         return a.monic()
 
+    def squarefree_part(self):
+        """self / gcd(self, self'), normalized monic."""
+        if not self.coeffs:
+            raise InvalidInput("square-free part of the zero polynomial")
+        return (self // self.gcd(self.derivative())).monic()
+
     def __repr__(self):
         return f"UPoly({self.coeffs})"
-
-
-
-def squarefree_part(u):
-    """u / gcd(u, u'), normalized monic.  Exposed on UPoly callers."""
-    if not u:
-        raise InvalidInput("square-free part of the zero polynomial")
-    g = u.gcd(u.derivative())
-    if g.degree() <= 0:
-        return u.monic()
-    return (u // g).monic()
-
-
-UPoly.squarefree_part = squarefree_part
-
-
-def rational_roots(u):
-    """All rational roots of u with multiplicity (repeats), ascending.
-
-    After the factor x^k, a polynomial of degree 1 gives its root directly,
-    and one of degree 2 gives its roots through ``isqrt`` of the
-    discriminant, with no factoring.  Otherwise the candidates are the
-    divisor quotients of the extreme coefficients after clearing
-    denominators; every candidate is verified and deflated exactly.
-    """
-    if not u:
-        raise InvalidInput("rational roots of the zero polynomial")
-    for c in u.coeffs:
-        if not is_rational(c):
-            raise InvalidInput("rational_roots requires rational coefficients")
-    denlcm = 1
-    for c in u.coeffs:
-        d = int(rat(c).denominator)
-        denlcm = denlcm * d // gcd(denlcm, d)
-    ints = [int(rat(c) * denlcm) for c in u.coeffs]
-    roots = []
-    # factor out x^k
-    k = 0
-    while k < len(ints) and ints[k] == 0:
-        k += 1
-    roots.extend([rat(0)] * k)
-    ints = ints[k:]
-    if len(ints) <= 1:
-        return roots
-    g = 0
-    for c in ints:
-        g = gcd(g, abs(c))
-    ints = [c // g for c in ints]
-    if len(ints) == 2:
-        return sorted(roots + [rat(-ints[0], ints[1])])
-    if len(ints) == 3:
-        c, b, a = ints
-        disc = b * b - 4 * a * c
-        s = isqrt(disc) if disc >= 0 else -1
-        if s * s == disc:
-            roots += [rat(-b - s, 2 * a), rat(-b + s, 2 * a)]
-        return sorted(roots)
-    cur = UPoly([rat(c) for c in ints])
-    an_divisors = divisors(abs(ints[-1]))
-    found = []
-    for p in divisors(abs(ints[0])):
-        for q in an_divisors:
-            if gcd(p, q) != 1:
-                continue
-            for cand in (rat(p, q), rat(-p, q)):
-                if cur.degree() < 1:
-                    break
-                mult = 0
-                while True:
-                    quo, rem = cur.divmod(UPoly([-cand, rat(1)]))
-                    if rem:
-                        break
-                    cur = quo
-                    mult += 1
-                if mult:
-                    found.extend([cand] * mult)
-    roots.extend(found)
-    return sorted(roots)
 
 
 # --- Taylor rows ------------------------------------------------------------------

@@ -1,10 +1,12 @@
+import importlib.util
 import time
 from itertools import islice
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from trigonal import curve as curve_mod
+from trigonal import curve as curve_mod, intutil
 from trigonal.curve import (gen_method1, gen_singular_model,
                             gen_trigonal_projection, genus, normalize_point,
                             parse_curve_file, singular_locus, validate_curve,
@@ -18,6 +20,11 @@ from trigonal.poly import MPoly, parse_poly
 from trigonal.scalars import QQ, PrimeField, QuadraticField, rat
 
 P0, P1 = islice(primes_below(PRIME_WALK_START), 2)
+
+_SPEC = importlib.util.spec_from_file_location(
+    "perfbench_corpus", Path(__file__).resolve().parent.parent / "perfbench" / "corpus.py")
+corpus = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(corpus)
 
 
 def P(text):
@@ -140,7 +147,7 @@ def test_generated_nodes_match_a_groebner_basis(assigned):
 
 def test_nodes_on_a_common_vertical_line_with_large_coordinates_validate_fast():
     # the y-gcd at x = 0 is y^2 - N^2 with N a product of two 46-bit primes:
-    # its roots come off the discriminant, with no factoring of N^2
+    # its roots are lifted from roots mod a prime, with no factoring of N^2
     n = 35184372101267 * 35184373076497
     t0 = time.perf_counter()
     curve = gen_singular_model(5, [((0, n, 1), 2), ((0, -n, 1), 2)], seed=1)
@@ -148,6 +155,44 @@ def test_nodes_on_a_common_vertical_line_with_large_coordinates_validate_fast():
     assert sorted(s.key() for s in curve.sings) == [
         ("0", str(-n), "1"), ("0", str(n), "1")]
     assert all(s.multiplicity == 2 and s.ordinary for s in curve.sings)
+
+
+# three nodes on x = 0 whose y-gcd is a cubic: at y = N, -N, 2N with N a
+# product of two 40-bit primes, and at y = a/b, -a/b, 2a/b with a of 60 bits
+# (a 40-bit prime times a 21-bit one) and b a 40-bit prime
+LARGE_Y = [549755826233 * 549755912663, rat(549755815003 * 1048583, 549755818237)]
+
+
+def _three_nodes(y):
+    return [((0, y, 1), 2), ((0, -y, 1), 2), ((0, 2 * y, 1), 2)]
+
+
+@pytest.mark.parametrize("y", LARGE_Y, ids=["N", "a/b"])
+def test_three_nodes_with_large_coordinates_validate_fast(y):
+    t0 = time.perf_counter()
+    curve = gen_singular_model(6, _three_nodes(y), seed=1)
+    assert time.perf_counter() - t0 < 1
+    assert sorted(s.coords for s in curve.sings) == [
+        (rat(0), c, rat(1)) for c in sorted((rat(y), -rat(y), 2 * rat(y)))]
+    assert all(s.multiplicity == 2 and s.ordinary for s in curve.sings)
+
+
+def test_validation_never_factors_an_integer(monkeypatch):
+    """Every root the scan takes over Q is lifted from a root mod a prime:
+    neither the seed-1 inputs of the three benchmark workloads nor the
+    large-coordinate nodes above reach integer factoring."""
+    forms = [item.f for workload in corpus.WORKLOADS for item in corpus.build(workload, 1)]
+    forms += [gen_singular_model(6, _three_nodes(y), seed=1).f for y in LARGE_Y]
+
+    def refuse(n):
+        raise AssertionError(f"validation factored {n}")
+
+    monkeypatch.setattr(intutil, "factorize", refuse)
+    for f in forms:
+        try:
+            validate_curve(f)
+        except UnsupportedInput:
+            pass
 
 
 def test_singular_points_at_infinity_found():

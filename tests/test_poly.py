@@ -1,15 +1,16 @@
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trigonal import modular, poly as poly_mod
+from trigonal import intutil, modular
 from trigonal.errors import CurveUnsupported, InvalidInput
 from trigonal.modular import (PRIME_WALK_START, fp_bivariate_table, fp_eval,
                               fp_interpolate, fp_reduce, fp_resultant,
-                              fp_resultant_keepvar, primes_below)
+                              fp_resultant_keepvar, primes_below, rational_roots)
 from trigonal.poly import (MPoly, UPoly, binary_form_squarefree, parse_poly,
-                           poly_str, rational_roots, taylor_rows)
+                           poly_str, taylor_rows)
 from trigonal.scalars import QQ, PrimeField, rat
 
 from dense_reference import resultant, taylor_pieces
@@ -389,54 +390,107 @@ def test_squarefree_part_randomized_property():
 
 
 def test_rational_roots_examples():
-    assert rational_roots(UPoly([rat(-1), rat(0), rat(1)])) == [rat(-1), rat(1)]
-    assert rational_roots(UPoly([rat(1), rat(0), rat(1)])) == []
+    assert rational_roots([rat(-1), rat(0), rat(1)]) == [rat(-1), rat(1)]
+    assert rational_roots([rat(1), rat(0), rat(1)]) == []
     # x(2x-1)(x-1) = 2x^3 - 3x^2 + x
-    assert rational_roots(UPoly([rat(0), rat(1), rat(-3), rat(2)])) == \
+    assert rational_roots([rat(0), rat(1), rat(-3), rat(2)]) == \
         [rat(0), rat(1, 2), rat(1)]
+    assert rational_roots([rat(0), rat(0), rat(5)]) == [rat(0)]
+    assert rational_roots([rat(3, 2)]) == []
+    with pytest.raises(InvalidInput):
+        rational_roots([rat(0), rat(0)])
 
 
-def test_rational_roots_multiplicity():
-    # (3x-2)^2 (3x+1)
+def test_rational_roots_refuse_a_repeated_root():
+    # (3x-2)^2 (3x+1): every prime divides the discriminant
     u = UPoly([rat(4), rat(-12), rat(9)]) * UPoly([rat(1), rat(3)])
-    roots = rational_roots(u)
-    assert roots == [rat(-1, 3), rat(2, 3), rat(2, 3)]
+    with pytest.raises(CurveUnsupported):
+        rational_roots(u.coeffs)
+    assert rational_roots(u.squarefree_part().coeffs) == [rat(-1, 3), rat(2, 3)]
 
 
 @pytest.mark.parametrize("a,b,c", [(1, 0, -1), (4, -4, 1), (9, 12, 4), (1, 0, 1),
                                    (1, 0, -2), (-6, 1, 1), (6, 5, -4), (3, 0, 0),
                                    (-2, 7, -3), (5, 1, 1), (25, 0, -4)])
 def test_rational_roots_of_quadratics_match_sympy(a, b, c):
+    """The distinct rational roots of a quadratic, read off its square-free
+    part, as the singular scan reads them."""
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("x")
-    want = sorted(rat(int(r.p), int(r.q)) for r, m in
-                  sympy.roots(sympy.Poly(a * x**2 + b * x + c, x)).items()
-                  if r.is_rational for _ in range(m))
-    assert rational_roots(UPoly([rat(c), rat(b), rat(a)])) == want
+    want = sorted(rat(int(r.p), int(r.q)) for r in
+                  sympy.roots(sympy.Poly(a * x**2 + b * x + c, x)) if r.is_rational)
+    sf = UPoly([rat(c), rat(b), rat(a)]).squarefree_part()
+    assert rational_roots(sf.coeffs) == want
     half = rat(1, 2)
-    assert rational_roots(UPoly([rat(c) * half, rat(b) * half, rat(a) * half])) == want
+    assert rational_roots([c * half for c in sf.coeffs]) == want
 
 
-def test_rational_roots_factor_each_extreme_coefficient_once(monkeypatch):
-    """A linear or quadratic factor, after the powers of x, is solved
-    without factoring; a higher degree factors its constant and leading
-    coefficients once each."""
-    calls = []
-    real = poly_mod.divisors
-    monkeypatch.setattr(poly_mod, "divisors", lambda n: calls.append(n) or real(n))
+def _sympy_rational_roots(expr, x):
+    import sympy
+    return sorted(rat(int(-f.coeff(x, 0)), int(f.coeff(x, 1)))
+                  for f, _ in sympy.factor_list(expr, x)[1] if sympy.degree(f, x) == 1)
+
+
+def test_rational_roots_match_sympy_on_random_square_free_polynomials():
+    """Degrees 1-6: rational roots at 0, small ones and a/b with 60-bit a
+    and b, times a factor with no rational root."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(22)
+    for trial in range(60):
+        expr = sympy.Integer(rng.randint(1, 9))
+        for _ in range(rng.randint(0, 3)):
+            bits = rng.choice([3, 60])
+            num, den = rng.randint(-2**bits, 2**bits), rng.randint(1, 2**bits)
+            expr *= den * x - num
+        if trial % 3 == 0:
+            expr *= x**2 + rng.randint(-5, 5) * x + rng.randint(7, 2**60)
+        if trial % 4 == 1 or sympy.degree(expr, x) < 1:
+            expr *= x
+        sf = sympy.Poly(expr, x).sqf_part()
+        coeffs = [rat(int(c)) for c in reversed(sf.all_coeffs())]
+        assert 1 <= len(coeffs) - 1 <= 6
+        assert rational_roots(coeffs) == _sympy_rational_roots(sf.as_expr(), x)
+    assert rational_roots([rat(1), rat(1), rat(0), rat(0), rat(1)]) == []   # x^4 + x + 1
+
+
+def test_rational_roots_skip_a_prime_dividing_the_discriminant(monkeypatch):
+    p0, p1 = islice(primes_below(PRIME_WALK_START), 2)
+    used = []
+    real = modular.fp_roots
+    monkeypatch.setattr(modular, "fp_roots", lambda a, p: used.append(p) or real(a, p))
+    # (x - 1)(x - 1 - p0) has discriminant p0^2: a double root mod p0
+    u = UPoly([rat(-1), rat(1)]) * UPoly([rat(-1 - p0), rat(1)])
+    assert rational_roots(u.coeffs) == [rat(1), rat(1 + p0)]
+    # p0 divides the leading coefficient of p0 x - 1
+    assert rational_roots([rat(-1), rat(p0)]) == [rat(1, p0)]
+    assert used == [p1, p1]
+
+
+def test_rational_roots_give_up_typed_when_no_prime_is_admissible():
+    lead = 1
+    for p in islice(primes_below(PRIME_WALK_START), modular.ROOT_PRIMES):
+        lead *= p
+    with pytest.raises(CurveUnsupported):
+        rational_roots([rat(-1), rat(lead)])
+    # with the first walk prime taken out of it, that prime is admissible
+    rest = lead // next(primes_below(PRIME_WALK_START))
+    assert rational_roots([rat(-1), rat(rest)]) == [rat(1, rest)]
+
+
+def test_rational_roots_never_factor_an_integer(monkeypatch):
+    """Large extreme coefficients are no cost: nothing is factored."""
+    def refuse(n):
+        raise AssertionError(f"factored {n}")
+
+    monkeypatch.setattr(intutil, "factorize", refuse)
     big = 1000003 * 999983
-    assert rational_roots(UPoly([rat(0), rat(0), rat(-big), rat(6)])) == \
-        [rat(0), rat(0), rat(big, 6)]
-    # x (x - big)(6x + big) and x^2 (x - big)^2
-    assert rational_roots(UPoly([rat(0), rat(-big * big), rat(-5 * big), rat(6)])) == \
+    # x (x - big)(6x + big)
+    assert rational_roots([rat(0), rat(-big * big), rat(-5 * big), rat(6)]) == \
         [rat(-big, 6), rat(0), rat(big)]
-    assert rational_roots(UPoly([rat(0), rat(0), rat(big * big), rat(-2 * big), rat(1)])) == \
-        [rat(0), rat(0), rat(big), rat(big)]
-    assert calls == []
     # 9x^3 - 9x^2 - 4x + 4 = (3x-2)(3x+2)(x-1)
-    assert rational_roots(UPoly([rat(4), rat(-4), rat(-9), rat(9)])) == \
+    assert rational_roots([rat(4), rat(-4), rat(-9), rat(9)]) == \
         [rat(-2, 3), rat(2, 3), rat(1)]
-    assert sorted(calls) == [4, 9]
 
 
 # --- local expansions, read from Taylor rows ------------------------------------
