@@ -37,9 +37,19 @@ def bit_height(f):
     return h
 
 
+def _read_text(path):
+    """The contents of a UTF-8 input file; ParseError if it is not UTF-8."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"not UTF-8: {e.reason}",
+                         raw.count(b"\n", 0, e.start) + 1) from None
+
+
 def cmd_decide(args):
-    with open(args.path, encoding="utf-8") as fh:
-        data = parse_curve_file(fh.read())
+    data = parse_curve_file(_read_text(args.path))
     point = _parse_point(args.point) if args.point else data["point"]
     curve = validate_curve(data["f"], declared_sings=data["sings"] or None,
                            base_point=point, fld=data["field"])
@@ -114,8 +124,7 @@ def _bench_candidate(job, rng):
 
 
 def cmd_bench(args):
-    with open(args.spec, encoding="utf-8") as fh:
-        jobs = _parse_bench_spec(fh.read())
+    jobs = _parse_bench_spec(_read_text(args.spec))
     rows = []
     for jidx, job in enumerate(jobs):
         for i in range(job["n"]):

@@ -9,17 +9,20 @@ curve with assigned ordinary singular points.
 Curves are taken over Q or a prime field F_q, and one scan serves both.
 Singular points on the line z=0 and at (1:0:0) are found by exact
 univariate gcds.  The affine chart is scanned with resultant nets reduced
-mod q itself over F_q, and over Q mod one admissible prime of the walk in
-``modular`` (the first whose reduction keeps every denominator).  The third
-net is computed only when the first two leave a candidate x-value outside
-F_p.  Each candidate is then verified exactly over the ground field, so a
+mod q itself over F_q, and over Q mod the head p of the prime walk in
+``modular``, on the primitive integer multiple of f.  The third net is
+computed only when the first two leave a candidate x-value outside F_p.
+Each candidate is then verified exactly over the ground field, so a
 reported point is never wrong: the fiber above it is cut out by an exact
 univariate gcd, as the line z=0 is.  The roots of these gcds are taken mod
 q over F_q, and over Q by ``modular.rational_roots``, which lifts roots mod
 a prime p-adically; no step factors an integer.  Whatever part of a
 candidate locus does not split into ground-field points counts into the
-residual budget and leads to a typed rejection.  The same scan rejects a
-repeated component on both fields, since its whole support is singular.
+residual budget and leads to a typed rejection.  So, over Q, does every
+singular point of f mod p on z=0 that is not the reduction of a point
+found: the affine scan mod p cannot see a point whose z reduces to 0.  The
+same scan rejects a repeated component on both fields, since its whole
+support is singular.
 Each singular point's multiplicity and ordinarity are read off the Taylor
 pieces of the curve at the point, built by ``poly.taylor_rows`` in
 increasing degree up to the first nonzero one.
@@ -27,15 +30,16 @@ increasing degree up to the first nonzero one.
 
 import hashlib
 import random
-from itertools import combinations, islice
+from itertools import combinations
+from math import gcd
 from dataclasses import dataclass, field as dc_field
 
 from .errors import (CurveUnsupported, GenerationFailed, GenusTooSmall, UnsupportedInput,
                      InvalidInput, IrrationalSingularLocus,
                      NonOrdinarySingularity, ParseError, PointNotOnCurve,
                      ReducibleSuspected)
-from .modular import (PRIME_WALK_START, fp_bivariate_table, fp_eval, fp_gcd,
-                      fp_reduce, fp_resultant_keepvar, fp_roots, fp_squarefree,
+from .modular import (PRIME_WALK_START, clear_denominators, fp_bivariate_table, fp_eval,
+                      fp_gcd, fp_reduce, fp_resultant_keepvar, fp_roots, fp_squarefree,
                       fp_trim, primes_below, rational_reconstruct, rational_roots)
 from .poly import (MPoly, UPoly, binary_form_squarefree, parse_poly, poly_str,
                    taylor_rows)
@@ -159,27 +163,21 @@ def _fiber(polys, ground_roots):
 
 # --- singular locus -------------------------------------------------------------
 
-# Over Q the scan takes the first prime of the walk at which no denominator
-# vanishes, trying at most this many.
-SCAN_PRIMES = 2
-
-
-def _ground(fld, coeffs):
+def _ground(fld):
     """What the scan needs of its ground field: the modulus p its resultant
     nets are reduced at, the lift of a root mod p to a ground-field
     candidate (None when there is none), and the distinct ground-field roots
     of a square-free UPoly.  Over F_q, p = q, every root is a candidate and
-    the roots are ``fp_roots``.  Over Q, p is the first prime of the walk at
-    which none of ``coeffs`` has a vanishing denominator (None if there is
-    none), a root lifts by rational reconstruction mod p, and the roots are
-    ``rational_roots``: roots mod a prime of their own, lifted p-adically and
-    checked exactly, with no integer factoring."""
+    the roots are ``fp_roots``.  Over Q, p is the head of the prime walk
+    (the scan reduces the primitive integer multiple of f, so no
+    denominator vanishes), a root lifts by rational reconstruction mod p,
+    and the roots are ``rational_roots``: roots mod a prime of their own,
+    lifted p-adically and checked exactly, with no integer factoring."""
     if isinstance(fld, PrimeField):
         q = fld.p
         return q, fld.coerce, lambda u: [
             fld.coerce(r) for r in fp_roots([fp_reduce(c, q) for c in u.coeffs], q)]
-    p = next((p for p in islice(primes_below(PRIME_WALK_START), SCAN_PRIMES)
-              if None not in (fp_reduce(c, p) for c in coeffs)), None)
+    p = next(primes_below(PRIME_WALK_START))
     return p, lambda r: rational_reconstruct(r, p), lambda u: rational_roots(u.coeffs)
 
 
@@ -197,8 +195,6 @@ def _affine_scan(f, ground):
     too.  Otherwise the last net cuts the gcd, and the F_p roots are the old
     roots at which the new gcd vanishes."""
     p, lift, ground_roots = ground
-    if p is None:
-        raise CurveUnsupported("modular reduction degenerated at every prime")
     F = _dehomogenize_z(f)
     Fx = F.derivative(0)
     Fy = F.derivative(1)
@@ -258,7 +254,8 @@ def _affine_scan(f, ground):
 
 
 def _infinity_scan(f, fld, ground_roots):
-    """Ground-field singular points on the line z=0, exactly."""
+    """Ground-field singular points on the line z=0, exactly, and the
+    restrictions (t, 1, 0) of the partials that cut them out."""
     parts = [f.derivative(i) for i in range(3)]
     restr = [_restrict_line_z0(g) for g in parts]
     if all(not r for r in restr):
@@ -271,13 +268,35 @@ def _infinity_scan(f, fld, ground_roots):
     pt = (fld.one(), fld.zero(), fld.zero())
     if all(not g.evaluate(pt) for g in parts):
         points.append(pt)
-    return points, residual
+    return points, residual, restr
+
+
+def _missed_on_z0(restr, d, p, coords):
+    """The count of singular points of f mod p on z=0 that reduce from no
+    point in ``coords``; f has degree d, integer coefficients and partials
+    that restrict to ``restr`` on z=0.  The affine scan mod p misses them.
+    Mod p they are (t:1:0) for the roots t of the gcd of the reduced
+    ``restr``, and (1:0:0) when each of those lacks its t^(d-1) term."""
+    rs = [fp_trim([fp_reduce(c, p) for c in r.coeffs]) for r in restr]
+    g = []
+    for r in filter(None, rs):
+        g = fp_gcd(g, r, p)
+    if not g:
+        raise CurveUnsupported(f"the gradient mod {p} vanishes on the whole line z=0")
+    reduced = set()
+    for pt in coords:
+        # the last nonzero coordinate is 1, so these are coprime integers
+        a, b, c = clear_denominators(dict(enumerate(pt)))[0].values()
+        if not c % p:
+            reduced.add(a * pow(b, -1, p) % p if b % p else None)
+    return len(fp_squarefree(g, p)) - 1 + all(len(r) < d for r in rs) - len(reduced)
 
 
 def singular_locus(f, fld=QQ):
     """All singular points with coordinates in the ground field (Q or F_q),
     plus the residual budget: the degree of the candidate loci that are not
-    ground-field points.  The same two scans run over both fields; only
+    ground-field points, and over Q, when that is 0, the count of
+    ``_missed_on_z0``.  The same two scans run over both fields; only
     ``_ground`` tells them apart.  At each point the Taylor pieces of f of
     degree 0, 1, ... are taken until one is nonzero: its degree is the
     multiplicity m and, as the tangent cone, it tells whether the point is
@@ -287,8 +306,12 @@ def singular_locus(f, fld=QQ):
     d = f.total_degree()
     if d < 3:
         raise InvalidInput("degree must be at least 3")
-    ground = _ground(fld, f.terms.values())
-    inf_pts, res_inf = _infinity_scan(f, fld, ground[2])
+    if not isinstance(fld, PrimeField):
+        row, _ = clear_denominators(f.terms)      # the primitive integer multiple
+        content = gcd(*row.values())
+        f = MPoly(3, {m: rat(c // content) for m, c in row.items()})
+    ground = _ground(fld)
+    inf_pts, res_inf, restr = _infinity_scan(f, fld, ground[2])
     aff_pts, res_aff = _affine_scan(f, ground)
     monos, coeffs = list(f.terms), list(f.terms.values())
     out = []
@@ -303,7 +326,10 @@ def singular_locus(f, fld=QQ):
             cone = MPoly(2, {(a, m - a): c for a, c in enumerate(piece) if c})
             out.append(SingularPoint(pt, m, binary_form_squarefree(cone)))
     out.sort(key=lambda s: s.key())
-    return out, res_inf + res_aff
+    residual = res_inf + res_aff
+    if not residual and not isinstance(fld, PrimeField):
+        residual = _missed_on_z0(restr, d, ground[0], [s.coords for s in out])
+    return out, residual
 
 
 def validate_curve(f, declared_sings=None, base_point=None, fld=QQ):

@@ -2,8 +2,10 @@
 
 decide() runs one ordered table of stages: adjoints, quadrics (with the
 hyperellipticity gate), the stabilizer algebra with its Levi classification,
-the map (the genus-3 pencil or the ruling pencil, with a mandatory
-fiber-degree check of any emitted map), and the quadric-generation test,
+the map, and the quadric-generation test.  The map stage runs one candidate
+loop for every trigonal case: the genus-3 pencil through the marked point,
+or ``scroll.rulings`` on the sl2 summands (one for a scroll, two for
+P1xP1), each candidate checked by its fiber degree.  The last stage is
 an independent oracle whose agreement is recorded.  It compares the span of
 the products x_i * q against the cubic count that Max Noether's theorem
 fixes, so no cubic space is built.  Each stage's wall time lands in the
@@ -23,13 +25,13 @@ from .canonical import (PetriResult, adjoint_basis, adjoint_combination,
 from .curve import _dehomogenize_z, derived_rng, normalize_point
 from .errors import (CurveUnsupported, DegenerateFiber, HyperellipticInput,
                      InvalidInput, PointNotOnCurve, TrigonalError, stage)
-from .liealg import Case, classify, levi, split_sl2, stabilizer_algebra
+from .liealg import Case, classify, levi, stabilizer_algebra
 from .linalg import kernel_basis
 from .modular import (fp_bivariate_table, fp_divmod, fp_gcd, fp_resultant_keepvar,
                       fp_roots, fp_squarefree, primes_below)
 from .poly import MPoly, poly_str
 from .scalars import PrimeField, QuadraticField
-from .scroll import PencilMap, p1xp1_rulings, ruling_map, scroll_matrix, weight_chains
+from .scroll import PencilMap, rulings
 
 __all__ = ["Report", "decide", "map_degree", "g3_map"]
 
@@ -249,7 +251,7 @@ def g3_map(curve, base_point, cm=None):
         raise CurveUnsupported("hyperplanes through the point do not form a pencil")
     return PencilMap(p=adjoint_combination(combos[0], cm),
                      q=adjoint_combination(combos[1], cm),
-                     field=curve.field, column=-1)
+                     field=curve.field)
 
 
 # --- decide ---------------------------------------------------------------------
@@ -266,21 +268,11 @@ def _field_name(fld):
     return "Q"
 
 
-def _emit_map(rep, pm, deg, draws, field):
-    """Record the pencil ``pm``, verified at degree ``deg``, as the map."""
-    rep.trigonal = True
-    rep.map_available = True
-    rep.map_p = poly_str(pm.p)
-    rep.map_q = poly_str(pm.q)
-    rep.map_field = _field_name(field)
-    rep.verified_degree = deg
-    rep.fiber_draws = draws
-    rep.extras["pencil"] = pm
-
-
 # Each stage is fn(curve, rep, base_point).  It reads what earlier stages
 # left in rep.extras ("cm", "qspace", "lie", "levi", "ideals") and fills in
-# its report fields.
+# its report fields.  The map stage leaves the verified candidates (summand
+# index, sl2 triple, scroll matrix, pencil; the first three None in genus
+# 3), the failures (summand index, error) and the emitted "pencil".
 
 
 def _adjoints(curve, rep, bp):
@@ -320,53 +312,54 @@ def _liealg(curve, rep, bp):
 
 
 def _map(curve, rep, bp):
-    """The trigonal pencil of the case, verified by its fiber degree."""
+    """The trigonal pencil of the case.  Each candidate (the genus-3 pencil,
+    the scroll ruling, or one ruling of the quadric per sl2 ideal) goes
+    through the fiber check; the first verified at degree 3 is the map, and
+    every draw is recorded.  With none verified, the first failure is
+    raised."""
     x = rep.extras
     case = Case(rep.case)
+    if case in (Case.CurveCutByQuadrics, Case.Veronese):
+        rep.trigonal = False
+        return
     if case == Case.Genus3:
         if bp is None:
             rep.notes.append("no base point provided; the pencil of lines "
                              "through a point needs one (trigonal verdict "
                              "stands, map omitted)")
             return
-        pm = g3_map(curve, bp, x["cm"])
-        deg, draws = map_degree(curve, pm, seed=rep.seed)
-        if deg != 3:
-            raise CurveUnsupported(f"marked-point pencil verified at degree {deg}, not 3")
-        _emit_map(rep, pm, deg, draws, curve.field)
-    elif case in (Case.CurveCutByQuadrics, Case.Veronese):
-        rep.trigonal = False
+        what, cands, failures = ("marked-point pencil",
+                                 [(None, None, None, g3_map(curve, bp, x["cm"]))], [])
     elif case == Case.Scroll:
-        triple = split_sl2(x["levi"])
-        chains = weight_chains(triple, rep.genus)
-        smat = scroll_matrix(chains)
-        pm = ruling_map(smat, x["cm"], curve)
-        deg, draws = map_degree(curve, pm, seed=rep.seed)
-        if deg != 3:
-            raise CurveUnsupported(f"scroll ruling verified at degree {deg}, not 3")
-        _emit_map(rep, pm, deg, draws, triple.field)
-        x.update({"triple": triple, "chains": chains, "smat": smat})
+        what, (cands, failures) = "scroll ruling", rulings([x["levi"]], x["cm"], curve)
     elif case == Case.P1xP1:
-        cands, x["p1xp1_failures"] = p1xp1_rulings(x["ideals"], x["cm"], curve)
-        verified = []
-        all_draws = []
-        for idx, triple, pm in cands:
-            try:
-                deg, draws = map_degree(curve, pm, seed=rep.seed)
-            except DegenerateFiber:
-                continue
-            all_draws.extend(draws)
-            if deg == 3:
-                verified.append((idx, triple, pm, deg))
-        if not verified:
-            raise CurveUnsupported("no ruling of the quadric verified at degree 3")
-        _, triple, pm, deg = verified[0]
-        _emit_map(rep, pm, deg, all_draws, triple.field)
-        x["p1xp1_verified"] = verified
-        rep.notes.append(f"{len(verified)} of {len(cands)} candidate rulings "
-                         f"verified at degree 3")
+        what, (cands, failures) = "ruling of the quadric", rulings(x["ideals"], x["cm"], curve)
     else:
         raise CurveUnsupported(f"unexpected Levi structure: {rep.levi_type}")
+    verified, all_draws = [], []
+    for cand in cands:
+        try:
+            deg, draws = map_degree(curve, cand[-1], seed=rep.seed)
+        except DegenerateFiber as err:
+            failures.append((cand[0], err))
+            continue
+        all_draws.extend(draws)
+        if deg == 3:
+            verified.append(cand)
+        else:
+            failures.append((cand[0], CurveUnsupported(
+                f"{what} verified at degree {deg}, not 3")))
+    x["verified"], x["failures"] = verified, failures
+    if not verified:
+        raise failures[0][1]
+    pm = x["pencil"] = verified[0][-1]
+    rep.trigonal = rep.map_available = True
+    rep.map_p, rep.map_q = poly_str(pm.p), poly_str(pm.q)
+    rep.map_field = _field_name(pm.field)
+    rep.verified_degree, rep.fiber_draws = 3, all_draws
+    if case == Case.P1xP1:
+        rep.notes.append(f"{len(verified)} of {len(cands)} candidate rulings "
+                         f"verified at degree 3")
 
 
 def _petri(curve, rep, bp):

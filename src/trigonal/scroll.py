@@ -6,7 +6,8 @@ factors, assemble into a two-row matrix of linear forms: consecutive-ratio
 functionals are constant along the rulings of the surface, so the 2x2 minors
 cut out the surface and any nondegenerate column is the ruling map.
 Substituting the adjoint forms for the ambient coordinates pulls that map
-back to the plane curve.
+back to the plane curve.  ``rulings`` runs this chain once per sl2 summand:
+the Levi part of a scroll, or each of the two ideals of P1xP1.
 """
 
 from dataclasses import dataclass
@@ -20,13 +21,12 @@ from .modular import FpEchelon
 from .poly import MPoly
 
 __all__ = ["WeightChains", "ScrollMat", "PencilMap", "weight_chains",
-           "scroll_matrix", "ruling_map", "p1xp1_rulings", "minor_vectors"]
+           "scroll_matrix", "ruling_map", "rulings", "minor_vectors"]
 
 
 @dataclass
 class WeightChains:
     chains: list        # list of chains; chain = list of ambient vectors
-    cob: list           # rows; its columns are the chain vectors, in order
     cob_inv: list       # rows are the chain-coordinate functionals
     field: object
 
@@ -54,7 +54,6 @@ class PencilMap:
     p: MPoly
     q: MPoly
     field: object
-    column: int = 0
 
 
 def _is_dependent(pvec, qvec, dim):
@@ -107,7 +106,7 @@ def weight_chains(triple, g):
         raise DecompositionFailed("the chain vectors are dependent")
     cob_inv = [[fld.coerce(row.get(g + j, 0)) for j in range(g)]
                for row in aug.reduced()]
-    return WeightChains(chains=chains, cob=cob, cob_inv=cob_inv, field=fld)
+    return WeightChains(chains=chains, cob_inv=cob_inv, field=fld)
 
 
 def scroll_matrix(chains):
@@ -180,31 +179,23 @@ def ruling_map(a, cm, curve):
         qvec = [q.terms.get(m, 0) for m in monos]
         if _is_dependent(pvec, qvec, tot):
             continue
-        return PencilMap(p=p, q=q, field=a.field, column=col)
+        return PencilMap(p=p, q=q, field=a.field)
     raise AllColumnsDegenerate("every scroll column pulls back degenerately")
 
 
-def p1xp1_rulings(summands, cm, curve):
-    """Run the chain/matrix/ruling pipeline on both 3-dimensional summands.
-
-    Returns the list of candidate pencils (one per summand that decomposes
-    into two chains) and the per-summand errors; raises only when both
-    summands fail.
-    """
+def rulings(summands, cm, curve):
+    """Run split_sl2, weight_chains, scroll_matrix and ruling_map on each
+    sl2 summand.  Returns the candidates, (summand index, triple, scroll
+    matrix, pencil), and the failures, (summand index, error), both in
+    summand order."""
     from .liealg import split_sl2
-    g = cm.genus
     candidates = []
     failures = []
     for idx, s in enumerate(summands):
         try:
             triple = split_sl2(s)
-            chains = weight_chains(triple, g)
-            mat = scroll_matrix(chains)
-            pm = ruling_map(mat, cm, curve)
-            pm.column = idx
-            candidates.append((idx, triple, pm))
+            smat = scroll_matrix(weight_chains(triple, cm.genus))
+            candidates.append((idx, triple, smat, ruling_map(smat, cm, curve)))
         except TrigonalError as err:
             failures.append((idx, err))
-    if not candidates:
-        raise failures[0][1]
     return candidates, failures

@@ -171,7 +171,7 @@ def test_criterion_5_genus4_branch():
     rep = decide(curve, seed=11)
     assert rep.case in ("P1xP1", "Scroll")
     assert rep.verified_degree == 3
-    verified = rep.extras.get("p1xp1_verified", [])
+    verified = rep.extras["verified"]
     if rep.case == "P1xP1":
         fields = {str(t.field) for _, t, _, _ in verified}
         if fields == {"Q"}:
@@ -236,12 +236,9 @@ def test_criterion_7_lie_structure_suite(corpus_reports, trigonal_positive_repor
             assert kap(alg.bracket_coords(x, y), z) == kap(x, alg.bracket_coords(y, z))
         sem = levi(alg)
         assert radical(sem) == []
-        triple = rep.extras.get("triple")
-        if triple is not None:
+        for _, triple, _, _ in rep.extras.get("verified", []):
             assert triple.check()
             assert not trace(dense(triple.h, triple.n))
-        for entry in rep.extras.get("p1xp1_verified", []):
-            assert entry[1].check()
     assert checked >= 10
     print(f"\nACCEPTANCE 7 PASS: bracket closure, Killing symmetry/invariance, "
           f"semisimple Levi and exact sl2 relations on {checked} curves "
@@ -257,7 +254,7 @@ def test_criterion_8_scroll_ideal_equality(corpus_reports, trigonal_positive_rep
             continue
         count += 1
         qspace = rep.extras["qspace"]
-        smat = rep.extras["smat"]
+        [(_, _, smat, _)] = rep.extras["verified"]
         vecs = minor_vectors(smat, qspace.monomials)
         assert same_span(vecs, qspace.basis), "minor span != quadric span"
     assert count >= 10

@@ -259,3 +259,13 @@ def test_a_repeated_curve_file_key_is_a_parse_error(tmp_path, line, message):
     path = tmp_path / "c.curve"
     path.write_text(f"f = x^4+y^4+z^4\n{line}\n{line}\n")
     assert_typed_rejection(run_subprocess(["decide", str(path)]), message)
+
+
+@pytest.mark.parametrize("command", ["decide", "bench"])
+def test_a_file_that_is_not_utf8_is_a_parse_error(tmp_path, command):
+    """A stray non-UTF-8 byte in a curve file or a bench spec is refused
+    with its line number, not a UnicodeDecodeError traceback."""
+    path = tmp_path / "input.txt"
+    path.write_bytes(b"# comment\nf = x^4 + y^4 + z^4 \xff\n")
+    assert_typed_rejection(run_subprocess([command, str(path)]),
+                           "not UTF-8: invalid start byte (line 2)")

@@ -1,4 +1,5 @@
 import importlib.util
+import random
 import time
 from itertools import islice
 from pathlib import Path
@@ -15,8 +16,9 @@ from trigonal.errors import (CurveUnsupported, GenerationFailed, GenusTooSmall,
                              InvalidInput, IrrationalSingularLocus,
                              NonOrdinarySingularity, ParseError, PointNotOnCurve,
                              ReducibleSuspected, UnsupportedInput)
+from trigonal.linalg import kernel_basis
 from trigonal.modular import PRIME_WALK_START, fp_reduce, primes_below
-from trigonal.poly import MPoly, parse_poly
+from trigonal.poly import MPoly, parse_poly, taylor_rows
 from trigonal.scalars import QQ, PrimeField, QuadraticField, rat
 
 P0, P1 = islice(primes_below(PRIME_WALK_START), 2)
@@ -416,13 +418,54 @@ def test_validation_scans_the_affine_chart_at_one_prime(proj5, monkeypatch):
     assert len(scans) == 1
 
 
-def test_scan_moves_on_only_when_a_denominator_vanishes(proj5, monkeypatch):
+def test_scaling_f_changes_neither_the_points_nor_the_scan_prime(proj5, monkeypatch):
+    """The scan reduces the primitive integer multiple of f, so it is the
+    same for every rational multiple, P0 * f included, and always runs at
+    the head of the walk."""
     primes, _ = _spy_scan(monkeypatch)
-    curve = validate_curve(proj5.f.map_coeffs(lambda c: c / P0))
-    assert [(s.coords, s.multiplicity) for s in curve.sings] == [((0, 0, 1), 2)]
-    assert primes and set(primes) == {P1}
-    with pytest.raises(CurveUnsupported, match="every prime"):
-        curve_mod.singular_locus(proj5.f.map_coeffs(lambda c: c / (P0 * P1)))
+    for scale in (P0, rat(1, P0), rat(1, P0 * P1)):
+        primes.clear()
+        curve = validate_curve(proj5.f.map_coeffs(lambda c: c * scale))
+        assert [(s.coords, s.multiplicity) for s in curve.sings] == [((0, 0, 1), 2)]
+        assert primes and set(primes) == {P0}
+    quartic = P("x^4 + y^4 + z^4 + x*y*z^2")
+    for scale in (1, 3, P0, rat(1, P0)):
+        curve = validate_curve(quartic.map_coeffs(lambda c: c * scale))
+        assert (curve.genus, curve.sings) == (3, ())
+
+
+def _two_node_quintic(node, seed):
+    """A quintic with nodes at ``node`` and (0:1:0): a combination of the
+    kernel of their Taylor conditions, one coefficient in [-7, 7] each."""
+    monos = [(i, j, 5 - i - j) for i in range(6) for j in range(6 - i)]
+    rows = [row for pt in (node, (0, 1, 0)) for k in range(2)
+            for row in taylor_rows(monos, normalize_point(pt), k)]
+    kern = kernel_basis(rows)
+    rng = random.Random(seed)
+    combo = [rng.randint(-7, 7) for _ in kern]
+    return MPoly(3, {m: c for m, c in zip(monos, (sum(a * v[i] for a, v in zip(combo, kern))
+                                                   for i in range(len(monos)))) if c})
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_node_whose_z_reduces_to_zero_is_not_missed(seed):
+    """The node at (1:0:P0) reduces onto z=0 mod the scan prime, where the
+    affine scan cannot see it.  It counts into the residual instead of
+    leaving genus 5; 1/P0 is too large to lift.  At (1:0:7) both nodes are
+    found."""
+    with pytest.raises(IrrationalSingularLocus, match="residual of degree 1"):
+        validate_curve(_two_node_quintic((1, 0, P0), seed))
+    curve = validate_curve(_two_node_quintic((1, 0, 7), seed))
+    assert curve.genus == 4
+    assert [s.coords for s in curve.sings] == [(0, 1, 0), (rat(1, 7), 0, 1)]
+
+
+def test_a_gradient_vanishing_on_z0_mod_the_scan_prime_is_rejected():
+    """f = z^2 h mod P0: every point of z=0 is singular mod P0, so the points
+    that reduce onto it cannot be counted."""
+    f = P("z^2") * P("x^3 + y^3 + z^3") + P("x^5 + y^5").map_coeffs(lambda c: c * P0)
+    with pytest.raises(CurveUnsupported, match="vanishes on the whole line z=0"):
+        validate_curve(f)
 
 
 @pytest.mark.parametrize("fld", [QQ, PrimeField(10007)])

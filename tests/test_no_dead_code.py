@@ -1,9 +1,10 @@
 """Every module-level function, class, method and constant of the package is
 named somewhere besides its own definition, in the sources, the tests or the
-benchmark; every name a module of the package imports is used there or
-exported through its ``__all__``; every name in an ``__all__`` is bound in
-its module; and every function of the tests' oracle module,
-``tests/dense_reference.py``, is used by a test or by another oracle there."""
+benchmark; every field of a package dataclass is read there; every name a
+module of the package imports is used there or exported through its
+``__all__``; every name in an ``__all__`` is bound in its module; and every
+function of the tests' oracle module, ``tests/dense_reference.py``, is used
+by a test or by another oracle there."""
 
 import ast
 import importlib
@@ -49,6 +50,27 @@ def test_every_definition_is_used():
                    if not (p == path and i == lineno)):
             unused.append(f"{path.name}:{lineno} {name}")
     assert not unused, "defined but never used: " + ", ".join(unused)
+
+
+def _is_dataclass(node):
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               for d in (dec.func if isinstance(dec, ast.Call) else dec
+                         for dec in node.decorator_list))
+
+
+def test_every_dataclass_field_is_read():
+    """A field no code reads as an attribute is stored for nothing."""
+    read = {n.attr for root in SEARCHED for path in root.rglob("*.py")
+            for n in ast.walk(ast.parse(path.read_text()))
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    unread = [f"{path.name}:{field.lineno} {node.name}.{field.target.id}"
+              for path in sorted(PACKAGE.glob("*.py"))
+              for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, ast.ClassDef) and _is_dataclass(node)
+              for field in node.body
+              if isinstance(field, ast.AnnAssign) and isinstance(field.target, ast.Name)
+              and field.target.id not in read]
+    assert not unread, "dataclass fields never read: " + ", ".join(unread)
 
 
 def _exported(tree):

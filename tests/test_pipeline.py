@@ -3,7 +3,7 @@ import pytest
 from trigonal import liealg, pipeline
 from trigonal.canonical import cubic_count
 from trigonal.curve import gen_trigonal_projection, validate_curve
-from trigonal.errors import (CurveUnsupported, DegenerateFiber,
+from trigonal.errors import (ChainCountUnexpected, CurveUnsupported, DegenerateFiber,
                              HyperellipticInput, InvalidInput, PointNotOnCurve)
 from trigonal.pipeline import decide, g3_map, map_degree
 from trigonal.poly import MPoly, parse_poly, poly_str
@@ -171,6 +171,8 @@ def test_decide_p1xp1_both_rulings(two_node_quintic):
     assert rep.case == "P1xP1" and rep.trigonal is True
     assert rep.verified_degree == 3
     assert "2 of 2" in rep.notes[0]
+    assert [c[0] for c in rep.extras["verified"]] == [0, 1]
+    assert rep.extras["failures"] == []
 
 
 def test_decide_veronese(fermat_quintic):
@@ -204,6 +206,9 @@ def test_decide_reembedded_balanced_scroll(m1_quartic):
     rep = decide(m1_quartic, seed=3)
     assert rep.case == "P1xP1" and rep.trigonal and rep.verified_degree == 3
     assert "1 of 1" in rep.notes[0]
+    # the other summand decomposes into three 2-chains
+    [(_, err)] = rep.extras["failures"]
+    assert isinstance(err, ChainCountUnexpected)
 
 
 def _record_calls(monkeypatch, name):
@@ -232,16 +237,27 @@ def test_p1xp1_lie_work_runs_once(m1_quartic, monkeypatch):
     assert sum(a is rep.extras["lie"] for a in radicals) == 1
 
 
-def test_map_stage_errors_carry_the_stage_label(proj5, monkeypatch):
+@pytest.mark.parametrize("fixture, what", [
+    ("proj5", "scroll ruling"),
+    ("two_node_quintic", "ruling of the quadric"),
+    ("proj4", "marked-point pencil"),
+], ids=["scroll", "p1xp1", "genus3"])
+def test_map_stage_errors_carry_the_stage_label(fixture, what, request, monkeypatch):
+    """Every case raises its first failure: the DegenerateFiber of the fiber
+    check, or the degree it verified instead of 3."""
+    curve = (gen_trigonal_projection(4, seed=1) if fixture == "proj4"
+             else request.getfixturevalue(fixture))
+
     def degenerate(curve, pencil, seed=0):
         raise DegenerateFiber("no agreement")
 
     monkeypatch.setattr(pipeline, "map_degree", degenerate)
     with pytest.raises(DegenerateFiber, match=r"^\[map\] no agreement"):
-        decide(proj5, seed=3)
+        decide(curve, seed=3)
     monkeypatch.setattr(pipeline, "map_degree", lambda curve, pencil, seed=0: (4, []))
-    with pytest.raises(CurveUnsupported, match=r"^\[map\] scroll ruling verified at degree 4"):
-        decide(proj5, seed=3)
+    with pytest.raises(CurveUnsupported,
+                       match=rf"^\[map\] {what} verified at degree 4, not 3$"):
+        decide(curve, seed=3)
 
 
 def test_report_determinism(proj5):

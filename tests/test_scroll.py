@@ -6,8 +6,8 @@ from trigonal.errors import ChainCountUnexpected, DecompositionFailed
 from trigonal.liealg import (Sl2Triple, levi, split_sl2,
                              split_two_ideals, stabilizer_algebra)
 from trigonal.scalars import QQ, rat
-from trigonal.scroll import (minor_vectors, p1xp1_rulings, ruling_map,
-                             scroll_matrix, weight_chains)
+from trigonal.scroll import (minor_vectors, ruling_map, rulings, scroll_matrix,
+                             weight_chains)
 
 from dense_reference import inverse, mat_mul, mat_vec, same_span, sparse
 from test_liealg import CONE
@@ -188,8 +188,10 @@ def test_p1xp1_rulings_on_genus4(two_node_quintic):
     alg = stabilizer_algebra(q, 4)
     sem = levi(alg)
     s1, s2 = split_two_ideals(sem)
-    cands, fails = p1xp1_rulings((s1, s2), cm, two_node_quintic)
-    assert len(cands) == 2 and not fails
+    cands, fails = rulings((s1, s2), cm, two_node_quintic)
+    assert [c[0] for c in cands] == [0, 1] and not fails
+    for _, triple, smat, pm in cands:
+        assert triple.check() and pm.field == smat.field == triple.field
 
 
 def test_p1xp1_one_summand_fails_on_reembedded_scroll(m1_quartic):
@@ -200,6 +202,6 @@ def test_p1xp1_one_summand_fails_on_reembedded_scroll(m1_quartic):
     alg = stabilizer_algebra(q, 6)
     sem = levi(alg)
     s1, s2 = split_two_ideals(sem)
-    cands, fails = p1xp1_rulings((s1, s2), cm, m1_quartic)
+    cands, fails = rulings((s1, s2), cm, m1_quartic)
     assert len(cands) == 1 and len(fails) == 1
     assert isinstance(fails[0][1], ChainCountUnexpected)
