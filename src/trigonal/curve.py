@@ -10,7 +10,9 @@ Curves are taken over Q or a prime field F_q, and one scan serves both.
 Singular points on the line z=0 and at (1:0:0) are found by exact
 univariate gcds.  The affine chart is scanned with resultant nets reduced
 mod q itself over F_q, and over Q mod the head p of the prime walk in
-``modular``, on the primitive integer multiple of f.  The third net is
+``modular``, on the primitive integer multiple of f kept with int
+coefficients; a reduction that is degenerate there moves the scan to the
+next walk prime.  The third net is
 computed only when the first two leave a candidate x-value outside F_p.
 Each candidate is then verified exactly over the ground field, so a
 reported point is never wrong: the fiber above it is cut out by an exact
@@ -30,7 +32,7 @@ increasing degree up to the first nonzero one.
 
 import hashlib
 import random
-from itertools import combinations
+from itertools import combinations, islice
 from math import gcd
 from dataclasses import dataclass, field as dc_field
 
@@ -163,27 +165,35 @@ def _fiber(polys, ground_roots):
 
 # --- singular locus -------------------------------------------------------------
 
+# Walk primes the scan over Q tries before a reduction that is degenerate at
+# each of them is reported as the error it raises at the last.
+SCAN_PRIMES = 3
+
+
 def _ground(fld):
-    """What the scan needs of its ground field: the modulus p its resultant
-    nets are reduced at, the lift of a root mod p to a ground-field
-    candidate (None when there is none), and the distinct ground-field roots
-    of a square-free UPoly.  Over F_q, p = q, every root is a candidate and
-    the roots are ``fp_roots``.  Over Q, p is the head of the prime walk
-    (the scan reduces the primitive integer multiple of f, so no
-    denominator vanishes), a root lifts by rational reconstruction mod p,
+    """What the scan needs of its ground field: the moduli p its resultant
+    nets may be reduced at, in the order they are tried, the lift
+    ``lift(r, p)`` of a root mod p to a ground-field candidate (None when
+    there is none), and the distinct ground-field roots of a square-free
+    UPoly.  Over F_q, p = q only, every root is a candidate and the roots are
+    ``fp_roots``.  Over Q, p runs over the head of the prime walk, the next
+    prime taken only when the reduction mod the last one is degenerate (the
+    scan reduces f with int coefficients, its primitive integer multiple, so
+    no denominator vanishes); a root lifts by rational reconstruction mod p,
     and the roots are ``rational_roots``: roots mod a prime of their own,
     lifted p-adically and checked exactly, with no integer factoring."""
     if isinstance(fld, PrimeField):
         q = fld.p
-        return q, fld.coerce, lambda u: [
+        return (q,), lambda r, p: fld.coerce(r), lambda u: [
             fld.coerce(r) for r in fp_roots([fp_reduce(c, q) for c in u.coeffs], q)]
-    p = next(primes_below(PRIME_WALK_START))
-    return p, lambda r: rational_reconstruct(r, p), lambda u: rational_roots(u.coeffs)
+    return (islice(primes_below(PRIME_WALK_START), SCAN_PRIMES), rational_reconstruct,
+            lambda u: rational_roots(u.coeffs))
 
 
-def _affine_scan(f, ground):
+def _affine_scan(f, p, lift, ground_roots):
     """Ground-field singular points in the chart z=1, plus a residual budget
-    for candidates that are not ground-field points.
+    for candidates that are not ground-field points; None when every
+    resultant net vanishes identically mod p.
 
     The candidate x-values mod p are the roots of the gcd of the resultant
     nets Res_y(F_x, F_y), Res_y(F, F_x) and Res_y(F, F_y), taken in that
@@ -194,7 +204,6 @@ def _affine_scan(f, ground):
     would have dropped has Res_y(F, F_y) != 0 there, so that check drops it
     too.  Otherwise the last net cuts the gcd, and the F_p roots are the old
     roots at which the new gcd vanishes."""
-    p, lift, ground_roots = ground
     F = _dehomogenize_z(f)
     Fx = F.derivative(0)
     Fy = F.derivative(1)
@@ -222,7 +231,7 @@ def _affine_scan(f, ground):
         if len(g) == 1:
             return [], 0
     if g is None:
-        raise ReducibleSuspected("all affine resultant nets vanish identically")
+        return None
     if roots is None:       # one net did not vanish identically
         g = fp_squarefree(g, p)
         roots = fp_roots(g, p)
@@ -231,7 +240,7 @@ def _affine_scan(f, ground):
     # into F_p are not ground-field points: straight into the residual budget
     residual = (len(g) - 1) - len(roots)
     for r in roots:
-        cand = lift(r)
+        cand = lift(r, p)
         if cand is not None:
             sy = [_specialize_x(P, cand) for P in (F, Fx, Fy)]
             if all(not s for s in sy):
@@ -255,7 +264,9 @@ def _affine_scan(f, ground):
 
 def _infinity_scan(f, fld, ground_roots):
     """Ground-field singular points on the line z=0, exactly, and the
-    restrictions (t, 1, 0) of the partials that cut them out."""
+    restrictions (t, 1, 0) of the partials that cut them out.  The point
+    (1:0:0) is singular when no partial has an x^(d-1) term, d = deg f: that
+    term is its value there."""
     parts = [f.derivative(i) for i in range(3)]
     restr = [_restrict_line_z0(g) for g in parts]
     if all(not r for r in restr):
@@ -264,10 +275,9 @@ def _infinity_scan(f, fld, ground_roots):
     # y != 0 on the line
     roots, residual = _fiber(restr, ground_roots)
     points = [(t0, fld.one(), fld.zero()) for t0 in roots]
-    # the remaining point of the line
-    pt = (fld.one(), fld.zero(), fld.zero())
-    if all(not g.evaluate(pt) for g in parts):
-        points.append(pt)
+    top = (f.total_degree() - 1, 0, 0)
+    if not any(g.terms.get(top) for g in parts):
+        points.append((fld.one(), fld.zero(), fld.zero()))
     return points, residual, restr
 
 
@@ -276,13 +286,15 @@ def _missed_on_z0(restr, d, p, coords):
     point in ``coords``; f has degree d, integer coefficients and partials
     that restrict to ``restr`` on z=0.  The affine scan mod p misses them.
     Mod p they are (t:1:0) for the roots t of the gcd of the reduced
-    ``restr``, and (1:0:0) when each of those lacks its t^(d-1) term."""
-    rs = [fp_trim([fp_reduce(c, p) for c in r.coeffs]) for r in restr]
+    ``restr``, and (1:0:0) when each of those lacks its t^(d-1) term.  None
+    when the gradient mod p vanishes on the whole line, so that there is no
+    count."""
+    rs = [fp_trim([c % p for c in r.coeffs]) for r in restr]
     g = []
     for r in filter(None, rs):
         g = fp_gcd(g, r, p)
     if not g:
-        raise CurveUnsupported(f"the gradient mod {p} vanishes on the whole line z=0")
+        return None
     reduced = set()
     for pt in coords:
         # the last nonzero coordinate is 1, so these are coprime integers
@@ -297,26 +309,49 @@ def singular_locus(f, fld=QQ):
     plus the residual budget: the degree of the candidate loci that are not
     ground-field points, and over Q, when that is 0, the count of
     ``_missed_on_z0``.  The same two scans run over both fields; only
-    ``_ground`` tells them apart.  At each point the Taylor pieces of f of
-    degree 0, 1, ... are taken until one is nonzero: its degree is the
-    multiplicity m and, as the tangent cone, it tells whether the point is
-    ordinary.  No piece above m is built."""
+    ``_ground`` tells them apart.  Over Q they run on the primitive integer
+    multiple of f with int coefficients, so its partials, restrictions and
+    reductions mod p make no Fraction.  When its reduction mod p is
+    degenerate (every affine net vanishes identically, or the gradient
+    vanishes on z=0) the affine scan and the count run again at the next
+    walk prime, up to ``SCAN_PRIMES`` of them.  At each point the Taylor
+    pieces of f of degree 0, 1, ... are taken until one is nonzero: its
+    degree is the multiplicity m and, as the tangent cone, it tells whether
+    the point is ordinary.  No piece above m is built."""
     if not f or not f.is_homogeneous():
         raise InvalidInput("expected a nonzero homogeneous form")
     d = f.total_degree()
     if d < 3:
         raise InvalidInput("degree must be at least 3")
-    if not isinstance(fld, PrimeField):
+    over_q = not isinstance(fld, PrimeField)
+    if over_q:
         row, _ = clear_denominators(f.terms)      # the primitive integer multiple
         content = gcd(*row.values())
-        f = MPoly(3, {m: rat(c // content) for m, c in row.items()})
-    ground = _ground(fld)
-    inf_pts, res_inf, restr = _infinity_scan(f, fld, ground[2])
-    aff_pts, res_aff = _affine_scan(f, ground)
+        f = MPoly(3, {m: c // content for m, c in row.items()})
+    primes, lift, ground_roots = _ground(fld)
+    inf_pts, res_inf, restr = _infinity_scan(f, fld, ground_roots)
+    for p in primes:
+        scan = _affine_scan(f, p, lift, ground_roots)
+        if scan is None:
+            error = ReducibleSuspected("all affine resultant nets vanish identically")
+            continue
+        aff_pts, res_aff = scan
+        pts = [normalize_point(c, fld)
+               for c in inf_pts + [(x0, y0, fld.one()) for x0, y0 in aff_pts]]
+        residual = res_inf + res_aff
+        if residual or not over_q:
+            break
+        # over Q every candidate lies on the curve, one on z=0 by Euler's
+        # formula, so these are the coordinates of the points returned
+        residual = _missed_on_z0(restr, d, p, pts)
+        if residual is not None:
+            break
+        error = CurveUnsupported(f"the gradient mod {p} vanishes on the whole line z=0")
+    else:
+        raise error
     monos, coeffs = list(f.terms), list(f.terms.values())
     out = []
-    for cand in inf_pts + [(x0, y0, fld.one()) for x0, y0 in aff_pts]:
-        pt = normalize_point(cand, fld)
+    for pt in pts:
         for m in range(d + 1):
             piece = [sum(c * r for c, r in zip(coeffs, row) if r)
                      for row in taylor_rows(monos, pt, m)]
@@ -326,9 +361,6 @@ def singular_locus(f, fld=QQ):
             cone = MPoly(2, {(a, m - a): c for a, c in enumerate(piece) if c})
             out.append(SingularPoint(pt, m, binary_form_squarefree(cone)))
     out.sort(key=lambda s: s.key())
-    residual = res_inf + res_aff
-    if not residual and not isinstance(fld, PrimeField):
-        residual = _missed_on_z0(restr, d, ground[0], [s.coords for s in out])
     return out, residual
 
 

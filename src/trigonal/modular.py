@@ -9,8 +9,11 @@ the fiber check reduce exact bivariate polynomials with
 ``fp_resultant_keepvar``.  It evaluates at the consecutive nodes 0, 1, ...,
 runs the Euclidean resultants of all nodes in lockstep with one batched
 inverse per remainder step, and interpolates by forward differences.
-``fp_roots`` splits by Cantor-Zassenhaus, raising a linear base to its
-powers from the top bit down.  ``rational_roots``, the scan's one root
+``fp_roots`` solves a quadratic by ``fp_sqrt`` (Tonelli-Shanks) and splits a
+larger polynomial by Cantor-Zassenhaus: the power x^((p-1)/2) parts its
+linear factors by quadratic character, and the powers at shifts far apart
+split what is left down to quadratics.  ``fp_powmod_linear`` squares by one
+product of packed big integers.  ``rational_roots``, the scan's one root
 finder over Q, lifts the roots mod a walk prime p-adically and checks each
 exactly.  ``certified_kernel`` solves a linear system mod p with
 ``FpEchelon`` and lifts the kernel with ``rational_reconstruct`` and CRT
@@ -153,58 +156,118 @@ def fp_eval(a, x, p):
     return total
 
 
+def _pack(r, w):
+    """The integer r(2^w) of the coefficient list r."""
+    x = 0
+    for c in reversed(r):
+        x = x << w | c
+    return x
+
+
+def _unpack(x, n, w):
+    """The n coefficients of x in base 2^w, lowest first."""
+    mask = (1 << w) - 1
+    return [x >> w * i & mask for i in range(n)]
+
+
 def fp_powmod_linear(s, e, g, p):
     """(x + s)^e modulo the monic polynomial g, coefficients mod p.  The
-    exponent is read from its top bit down, so each multiplication is by
-    the linear base: a shift, a scaled add and one reduction step, O(deg g)."""
+    exponent is read from its top bit down.  Each squaring is one product of
+    big integers: the remainder r, of degree below d = deg g, is packed into
+    r(2^w), with w bits per coefficient enough for the square's digits
+    (Kronecker substitution; Harvey, J. Symb. Comput. 44, 2009), and the
+    digits of degree d + j in the square are folded back with the packed
+    x^(d+j) mod g, computed beforehand.  A one bit multiplies by the linear
+    base: a shift, a scaled add and one reduction step."""
     d = len(g) - 1
-    r = [1]
+    w = ((2 * d - 1) * (p - 1) ** 2).bit_length()
+    table, t = [], [(-c) % p for c in g[:d]]       # x^d mod g, then x^(d+1), ...
+    for _ in range(d - 1):
+        table.append(_pack(t, w))
+        t = [(u - t[-1] * c) % p for u, c in zip([0] + t[:-1], g)]
+    low = (1 << w * d) - 1
+    r = [1] + [0] * (d - 1)
     for bit in bin(e)[2:]:
-        r = fp_divmod(fp_mul(r, r, p), g, p)[1]
+        sq = _pack(r, w) ** 2
+        acc = sq & low
+        for h, x in zip(_unpack(sq >> w * d, d - 1, w), table):
+            acc += h % p * x
+        r = [c % p for c in _unpack(acc, d, w)]
         if bit == "1":
-            r = [(u + s * v) % p for u, v in zip([0] + r, r + [0])]
-            if len(r) > d:
-                top = r[d]
-                r = [(u - top * v) % p for u, v in zip(r[:d], g)]
-            fp_trim(r)
-    return r
+            top = r[-1]
+            r = [(u + s * v - top * c) % p for u, v, c in zip([0] + r[:-1], r, g)]
+    return fp_trim(r)
+
+
+def fp_sqrt(a, p):
+    """The smaller square root of a mod the prime p, or None when a is not a
+    square: Tonelli-Shanks, with the nonresidue taken by trial from 2 up."""
+    a %= p
+    if pow(a, (p - 1) // 2, p) > 1:
+        return None
+    q, e = p - 1, 0
+    while not q & 1:
+        q, e = q >> 1, e + 1
+    r, t = pow(a, (q + 1) // 2, p), pow(a, q, p)
+    if t > 1:
+        z = 2
+        while pow(z, (p - 1) // 2, p) == 1:
+            z += 1
+        c = pow(z, q, p)
+        while t != 1:
+            i, u = 0, t
+            while u != 1:
+                u, i = u * u % p, i + 1
+            b = pow(c, 1 << (e - i - 1), p)
+            e, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return min(r, p - r)
 
 
 # Shifts tried by the root splitting before it gives up.
 ROOT_SPLIT_TRIES = 64
 
+# Step of the splitting shifts s_k = k * ROOT_SHIFT_STEP mod p: a prime just
+# below 2^64 / phi, so that the shifts lie far apart (Knuth's multiplicative
+# hashing), unlike s = 1, 2, 3, ..., which on small consecutive roots r give
+# each try nearly the values r + s of the last.
+ROOT_SHIFT_STEP = 0x9E3779B97F4A7BB9
+
 
 def fp_roots(a, p):
-    """Distinct roots of a in F_p, via x^p - x and deterministic splitting."""
+    """Distinct roots of a in F_p, p odd, ascending.  A quadratic is solved
+    by the formula with ``fp_sqrt``, and a linear piece read off.  Above
+    degree 2, h = x^((p-1)/2) mod a parts the distinct linear factors of a
+    into gcd(a, x), gcd(a, h - 1) and gcd(a, h + 1): the root 0, the nonzero
+    squares and the non-squares.  A part of degree 3 or more is split by
+    gcd(g, (x + s)^((p-1)/2) - 1) at the shifts s_k of ``ROOT_SHIFT_STEP``
+    (Cantor-Zassenhaus, Math. Comp. 36, 1981) until no piece is larger than
+    a quadratic."""
     a = fp_monic(list(a), p)
     if not a:
         raise InvalidInput("roots of the zero polynomial")
-    if len(a) == 1:
-        return []
-    if len(a) == 2:
-        return [(-a[0]) % p]
-    lin = fp_gcd(fp_sub(fp_powmod_linear(0, p, a, p), [0, 1], p), a, p)
-    roots = []
-    stack = [lin]       # monic, as are the gcds and quotients split off it
-    shift = 0
+    half = (p - 1) // 2
+    stack = [a]
+    if len(a) > 3:
+        h = fp_powmod_linear(0, half, a, p)
+        stack = [fp_gcd(a, fp_sub(h, [1], p), p), fp_gcd(a, fp_sub(h, [p - 1], p), p)]
+        if not a[0]:
+            stack.append([0, 1])
+    roots, tries = [], 0
     while stack:
         g = stack.pop()
-        if len(g) <= 1:
-            continue
         if len(g) == 2:
             roots.append((-g[0]) % p)
-            continue
-        done = False
-        while not done:
-            shift += 1
-            if shift > ROOT_SPLIT_TRIES:
+        elif len(g) == 3:       # (-b +- sqrt(b^2 - 4c)) / 2, with 1/2 = half + 1
+            r = fp_sqrt(g[1] * g[1] - 4 * g[0], p)
+            if r is not None:
+                roots += {(r - g[1]) * (half + 1) % p, (-r - g[1]) * (half + 1) % p}
+        elif len(g) > 3:
+            tries += 1
+            if tries > ROOT_SPLIT_TRIES:
                 raise InvalidInput("root splitting did not converge")
-            h = fp_sub(fp_powmod_linear(shift, (p - 1) // 2, g, p), [1], p)
-            d = fp_gcd(h, g, p)
-            if 0 < len(d) - 1 < len(g) - 1:
-                stack.append(d)
-                stack.append(fp_divmod(g, d, p)[0])
-                done = True
+            h = fp_powmod_linear(tries * ROOT_SHIFT_STEP % p, half, g, p)
+            d = fp_gcd(g, fp_sub(h, [1], p), p)
+            stack += [d, fp_divmod(g, d, p)[0]] if 0 < len(d) - 1 < len(g) - 1 else [g]
     return sorted(roots)
 
 
@@ -286,6 +349,8 @@ def rational_roots(coeffs):
 def fp_reduce(c, p, root=None):
     """A scalar of Q, Q(sqrt delta) or F_p reduced mod p; sqrt(delta) maps
     to ``root``.  None when a denominator vanishes mod p."""
+    if type(c) is int:
+        return c % p
     if isinstance(c, FpElt):
         if c.p != p:
             raise InvalidInput(f"an F{c.p} coefficient does not reduce mod {p}")

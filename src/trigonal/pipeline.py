@@ -28,7 +28,7 @@ from .errors import (CurveUnsupported, DegenerateFiber, HyperellipticInput,
 from .liealg import Case, classify, levi, stabilizer_algebra
 from .linalg import kernel_basis
 from .modular import (fp_bivariate_table, fp_divmod, fp_gcd, fp_resultant_keepvar,
-                      fp_roots, fp_squarefree, primes_below)
+                      fp_sqrt, fp_squarefree, primes_below)
 from .poly import MPoly, poly_str
 from .scalars import PrimeField, QuadraticField
 from .scroll import PencilMap, rulings
@@ -133,15 +133,16 @@ def _shear(poly, lam):
 
 
 def _fiber_primes(fld):
-    """Moduli of successive fiber draws, each with the image of sqrt(delta)
-    (None outside Q(sqrt delta)).  Over F_q the modulus is q itself; over Q
+    """Moduli of successive fiber draws, each with the image of sqrt(delta),
+    the smaller square root of delta mod p (None outside Q(sqrt delta)).
+    Over F_q the modulus is q itself; over Q
     and Q(sqrt delta) the primes walk down from ``FIBER_PRIME_START``,
     keeping only primes where delta is a nonzero square."""
     if isinstance(fld, PrimeField):
         return repeat((fld.p, None))
     walk = primes_below(FIBER_PRIME_START)
     if isinstance(fld, QuadraticField):
-        return ((p, fp_roots([(-fld.delta) % p, 0, 1], p)[0]) for p in walk
+        return ((p, fp_sqrt(fld.delta, p)) for p in walk
                 if pow(fld.delta % p, (p - 1) // 2, p) == 1)
     return ((p, None) for p in walk)
 

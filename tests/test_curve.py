@@ -2,12 +2,13 @@ import importlib.util
 import random
 import time
 from itertools import islice
+from math import prod
 from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from trigonal import curve as curve_mod, intutil
+from trigonal import curve as curve_mod, intutil, modular
 from trigonal.curve import (gen_method1, gen_singular_model,
                             gen_trigonal_projection, genus, normalize_point,
                             parse_curve_file, singular_locus, validate_curve,
@@ -460,12 +461,112 @@ def test_a_node_whose_z_reduces_to_zero_is_not_missed(seed):
     assert [s.coords for s in curve.sings] == [(0, 1, 0), (rat(1, 7), 0, 1)]
 
 
-def test_a_gradient_vanishing_on_z0_mod_the_scan_prime_is_rejected():
-    """f = z^2 h mod P0: every point of z=0 is singular mod P0, so the points
-    that reduce onto it cannot be counted."""
-    f = P("z^2") * P("x^3 + y^3 + z^3") + P("x^5 + y^5").map_coeffs(lambda c: c * P0)
-    with pytest.raises(CurveUnsupported, match="vanishes on the whole line z=0"):
+@pytest.mark.parametrize("h, k", [
+    ("x^3 + 2*y^3 + 3*z^3 + x*y*z", "x^5 + x*y^4 + 3*y^5"),
+    ("x^3 + y^3 + z^3", "x^5 + y^5"),
+], ids=["nets-vanish-mod-P0", "gradient-on-z0-mod-P0"])
+def test_a_degenerate_reduction_moves_the_scan_to_the_next_prime(h, k, monkeypatch):
+    """f = z^2 h + P0 k is z^2 h mod P0.  The affine nets of the first form
+    vanish identically mod P0, and the gradient of the second vanishes on
+    the whole line z=0, where the points the affine scan misses cannot be
+    counted.  Both curves are smooth, and the scan at P1 says so."""
+    primes, scans = _spy_scan(monkeypatch)
+    f = P("z^2") * P(h) + P(k).map_coeffs(lambda c: c * P0)
+    curve = validate_curve(f)
+    assert (curve.genus, curve.sings) == (6, ())
+    assert primes[0] == P0 and primes[-1] == P1 and set(primes) == {P0, P1}
+    assert len(scans) == 1       # the exact scan of z=0 runs once
+
+
+def test_a_gradient_vanishing_on_z0_mod_every_scan_prime_is_rejected():
+    """f = z^2 h mod each of the first SCAN_PRIMES walk primes: every point
+    of z=0 is singular mod each, so the points that reduce onto it cannot be
+    counted at any of them."""
+    scan_primes = list(islice(primes_below(PRIME_WALK_START), curve_mod.SCAN_PRIMES))
+    m = prod(scan_primes)
+    f = P("z^2") * P("x^3 + y^3 + z^3") + P("x^5 + y^5").map_coeffs(lambda c: c * m)
+    last = scan_primes[-1]
+    with pytest.raises(CurveUnsupported,
+                       match=f"^the gradient mod {last} vanishes on the whole line z=0$"):
         validate_curve(f)
+
+
+def test_a_doubled_component_is_refused_at_every_scan_prime(monkeypatch):
+    """(x + y + z)^2 h: the affine nets vanish identically over Q, so mod
+    every prime, and the form is refused as before once the scan primes run
+    out."""
+    primes, _ = _spy_scan(monkeypatch)
+    with pytest.raises(ReducibleSuspected,
+                       match="^all affine resultant nets vanish identically$"):
+        validate_curve(P("x + y + z") ** 2 * H)
+    assert set(primes) == set(islice(primes_below(PRIME_WALK_START), curve_mod.SCAN_PRIMES))
+    with pytest.raises(ReducibleSuspected,
+                       match="^all affine resultant nets vanish identically$"):
+        validate_curve((P("x + y + z") ** 2 * H).map_coeffs(PrimeField(10007).coerce),
+                       fld=PrimeField(10007))
+
+
+def _locus(f, fld=QQ):
+    points, residual = singular_locus(f, fld)
+    return {(s.coords, s.multiplicity, s.ordinary) for s in points}, residual
+
+
+def test_the_scan_over_q_runs_on_int_coefficients(five_nodal_sextic, sqrt2_sextic,
+                                                   monkeypatch):
+    """The scan takes the primitive integer multiple of f with int
+    coefficients: f, 7 f and f / 6 give the same points, multiplicities,
+    ordinary flags and residual, and so does a form with rational
+    coefficients, whose node (1/3 : 2/5 : 1) lifts from the scan prime.  No
+    Fraction reaches a table mod p over Q.  Over F_10007 the points are the
+    reductions of those over Q."""
+    types = []
+    table = curve_mod.fp_bivariate_table
+
+    def spy(F, p, root=None):
+        types.extend(type(c) for c in F.terms.values())
+        return table(F, p, root)
+
+    monkeypatch.setattr(curve_mod, "fp_bivariate_table", spy)
+    x, y, z = (MPoly.variable(3, i) for i in range(3))
+    shifted = P("y^2*z^3 - x^2*z^3 + x^5 + y^5 + x*y^4").substitute(
+        [x - z * rat(1, 3), y - z * rat(2, 5), z])
+    nodes = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 3)]
+    cases = [(five_nodal_sextic.f, {(normalize_point(c), 2, True) for c in nodes}, 0),
+             (P("y^2*z^3 - x^3*z^2 - x^5 - y^5"), {(normalize_point((0, 0, 1)), 2, False)}, 0),
+             (sqrt2_sextic, set(), 2),
+             (shifted, {(normalize_point((rat(1, 3), rat(2, 5), 1)), 2, True)}, 0)]
+    assert any(c.denominator > 1 for c in shifted.terms.values())
+    F = PrimeField(10007)
+    for f, points, residual in cases:
+        for scale in (1, 7, rat(1, 6)):
+            types.clear()
+            assert _locus(f.map_coeffs(lambda c: c * scale)) == (points, residual)
+            assert types and set(types) == {int}
+        if residual == 0:       # the nodes over Q(sqrt 2) are rational mod 10007
+            reduced = {(normalize_point(c, F), m, o) for c, m, o in points}
+            assert _locus(f.map_coeffs(F.coerce), F) == (reduced, 0)
+
+
+def test_root_finding_powers_on_corpus_inputs_are_pinned(monkeypatch):
+    """The polynomial powers ``fp_roots`` takes while seed-1 corpus inputs
+    are validated, a count and not a time: the five-nodal sextic's cubic gcd
+    of candidate x-values parts by quadratic character in one power, the
+    quadratics of the Q(sqrt 2) quintic take none, and the nine nodes of the
+    two cubics one."""
+    items = {item.name: item.f for item in corpus.build("small_mixed", 1)}
+    powers = []
+    real = modular.fp_powmod_linear
+    monkeypatch.setattr(modular, "fp_powmod_linear",
+                        lambda s, e, g, p: powers.append(s) or real(s, e, g, p))
+    counts = []
+    for name in ("five-nodal sextic", "nodes over Q(sqrt 2) d=5", "product of two cubics"):
+        powers.clear()
+        try:
+            validate_curve(items[name])
+        except UnsupportedInput:
+            pass
+        counts.append(len(powers))
+    assert counts == [1, 0, 1]
 
 
 @pytest.mark.parametrize("fld", [QQ, PrimeField(10007)])

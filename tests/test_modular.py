@@ -17,7 +17,7 @@ from trigonal.linalg import kernel_basis
 from trigonal.intutil import is_prime
 from trigonal.modular import (PRIME_WALK_START, FpEchelon, certified_kernel,
                               clear_denominators, fp_divmod, fp_eval, fp_mul,
-                              fp_powmod_linear, fp_reduce, fp_roots, primes_below,
+                              fp_powmod_linear, fp_reduce, fp_roots, fp_sqrt, primes_below,
                               rational_reconstruct, recon_bound)
 from trigonal.errors import InternalInvariantError
 from trigonal.scalars import QQ, FpElt, PrimeField, QuadExt, QuadraticField, rat
@@ -404,31 +404,116 @@ def test_fp_roots_at_the_walk_prime_skip_an_irreducible_quadratic():
         assert fp_roots(a, P0) == sorted(set(roots))
 
 
-def test_fp_roots_paths(monkeypatch):
-    # the degree-1 path takes no power, an irreducible quadratic takes x^p
-    # only, and three roots take x^p and then the splitting powers
-    def naive(s, e, g, p):
-        out = [1]
-        for _ in range(e):
-            out = fp_divmod(fp_mul(out, [s, 1], p), g, p)[1]
-        return out
+P30 = next(primes_below(1 << 30))          # the head of the fiber-check walk
 
-    g = [3, 0, 5, 0, 1]
-    for s in (0, 1, 100):
-        for e in range(12):
-            assert fp_powmod_linear(s, e, g, 101) == naive(s, e, g, 101)
-    calls = []
+
+def _nonresidue(p):
+    return next(n for n in range(2, p) if pow(n, (p - 1) // 2, p) == p - 1)
+
+
+@st.composite
+def planted_roots(draw):
+    """(p, a, roots): a polynomial mod p with its distinct roots planted: a
+    run of consecutive small integers, 0, random roots, double roots, and
+    irreducible quadratics x^2 + b x + (b^2 - n t^2)/4, n a non-square, as
+    cofactors with no root."""
+    p = draw(st.sampled_from([P0, P30, 101]))
+    start = draw(st.integers(0, 20))
+    roots = list(range(start, start + draw(st.integers(0, 5))))
+    roots += draw(st.lists(st.integers(0, p - 1), max_size=3))
+    if draw(st.booleans()):
+        roots.append(0)
+    doubles = draw(st.lists(st.sampled_from(roots), max_size=2)) if roots else []
+    a = [draw(st.integers(1, p - 1))]
+    for r in roots + doubles:
+        a = fp_mul(a, [(-r) % p, 1], p)
+    n, inv4 = _nonresidue(p), pow(4, -1, p)
+    for _ in range(draw(st.integers(0, 2))):
+        b, t = draw(st.integers(0, p - 1)), draw(st.integers(1, p - 1))
+        a = fp_mul(a, [(b * b - n * t * t) * inv4 % p, b, 1], p)
+    return p, a, sorted({r % p for r in roots})
+
+
+@settings(max_examples=150)
+@given(planted_roots())
+def test_fp_roots_find_the_planted_roots(case):
+    p, a, roots = case
+    assert fp_roots(a, p) == roots
+    if p == 101:
+        assert roots == [x for x in range(p) if not fp_eval(a, x, p)]
+
+
+@pytest.mark.parametrize("p", [103, 10007, 97, 101, 10009, 7681])
+def test_fp_sqrt_matches_a_scan(p):
+    # p = 3 mod 4 (103, 10007) takes no Tonelli-Shanks loop; 97 and 7681 have
+    # 2^5 and 2^9 in p - 1, so the loop runs several rounds
+    smaller = {}
+    for r in range(p - 1, -1, -1):
+        smaller[r * r % p] = r
+    assert [fp_sqrt(a, p) for a in range(p)] == [smaller.get(a) for a in range(p)]
+
+
+@pytest.mark.parametrize("p", [P0, P30, (1 << 61) - 1])
+def test_fp_sqrt_at_large_primes(p):
+    # P0 = 1 mod 32, P30 = 5 mod 8, 2^61 - 1 = 3 mod 4
+    rng = random.Random(p)
+    n = _nonresidue(p)
+    for _ in range(50):
+        x = rng.randrange(p)
+        assert fp_sqrt(x * x % p, p) == min(x, p - x)
+        assert fp_sqrt(x * x * n % p, p) is None or x == 0
+        assert fp_sqrt(x * x + p * rng.randrange(1, 99), p) == min(x, p - x)
+
+
+def _naive_powmod(s, e, g, p):
+    """(x + s)^e mod g by squaring and multiplying lists, one fp_mul and one
+    fp_divmod a step."""
+    out = [1]
+    for bit in bin(e)[2:]:
+        out = fp_divmod(fp_mul(out, out, p), g, p)[1]
+        if bit == "1":
+            out = fp_divmod(fp_mul(out, [s, 1], p), g, p)[1]
+    return out
+
+
+@settings(max_examples=60)
+@given(st.sampled_from([P0, P30, 101]), st.integers(1, 9), st.data())
+def test_packed_power_matches_the_naive_power(p, d, data):
+    g = data.draw(st.lists(st.integers(0, p - 1), min_size=d, max_size=d)) + [1]
+    s = data.draw(st.integers(0, p - 1))
+    e = data.draw(st.one_of(st.integers(0, 40), st.integers(0, 1 << 64),
+                            st.sampled_from([p, (p - 1) // 2])))
+    assert fp_powmod_linear(s, e, g, p) == _naive_powmod(s, e, g, p)
+    if e < 12:
+        by_one = [1]
+        for _ in range(e):
+            by_one = fp_divmod(fp_mul(by_one, [s, 1], p), g, p)[1]
+        assert fp_powmod_linear(s, e, g, p) == by_one
+
+
+def _spy_powers(monkeypatch):
+    shifts = []
+    real = modular.fp_powmod_linear
 
     def spy(s, e, g, p):
-        calls.append(s)
-        return fp_powmod_linear(s, e, g, p)
+        shifts.append(s)
+        return real(s, e, g, p)
 
     monkeypatch.setattr(modular, "fp_powmod_linear", spy)
+    return shifts
+
+
+def test_fp_roots_paths(monkeypatch):
+    # a linear or quadratic polynomial takes no power; a cubic takes
+    # x^((p-1)/2) first, then shifted powers at multiples of ROOT_SHIFT_STEP
+    shifts = _spy_powers(monkeypatch)
+    n = _nonresidue(P0)
     assert fp_roots([P0 - 7, 3], P0) == [7 * pow(3, -1, P0) % P0]
-    assert calls == []
-    nonresidue = next(n for n in range(2, 100) if pow(n, (P0 - 1) // 2, P0) == P0 - 1)
-    assert fp_roots([P0 - nonresidue, 0, 1], P0) == []
-    assert calls == [0]
+    assert fp_roots([P0 - n, 0, 1], P0) == []
+    assert fp_roots([9, P0 - 6, 1], P0) == [3]
+    assert fp_roots(fp_mul([P0 - 2, 1], [P0 - 3, 1], P0), P0) == [2, 3]
+    assert shifts == []
     cubic = fp_mul(fp_mul([P0 - 2, 1], [P0 - 5, 1], P0), [P0 - 11, 1], P0)
     assert fp_roots(cubic, P0) == [2, 5, 11]
-    assert calls[1] == 0 and len(calls) > 2 and all(calls[2:])
+    assert shifts[0] == 0
+    assert shifts[1:] == [k * modular.ROOT_SHIFT_STEP % P0 for k in range(1, len(shifts))]

@@ -1,3 +1,5 @@
+from itertools import islice
+
 import pytest
 
 from trigonal import liealg, pipeline
@@ -62,6 +64,16 @@ def test_map_degree_over_quadratic_field(m1_cubic):
     for d in draws + draws2:
         assert d["degree"] == 3
         assert pow(2, (d["prime"] - 1) // 2, d["prime"]) == 1
+
+
+@pytest.mark.parametrize("delta", [2, -1, 7])
+def test_fiber_primes_send_sqrt_delta_to_its_smaller_root(delta):
+    # the image of sqrt(delta) is fixed, so the fiber draws repeat: the
+    # smaller of the two roots mod p, at the walk primes where delta is a
+    # nonzero square
+    primes = islice(pipeline._fiber_primes(QuadraticField(delta)), 12)
+    for p, root in primes:
+        assert root * root % p == delta % p and 0 < root < p - root
 
 
 def test_map_degree_over_small_prime_field():
