@@ -13,12 +13,12 @@ from .curve import (PlaneCurve, SingularPoint, gen_method1, gen_singular_model,
                     singular_locus, validate_curve, write_curve_file)
 from .errors import TrigonalError
 from .pipeline import Report, decide, g3_map, map_degree
-from .poly import MPoly, UPoly, parse_poly, poly_str
+from .poly import MPoly, parse_poly, poly_str
 
 __version__ = "0.1.0"
 
 __all__ = ["PlaneCurve", "SingularPoint", "Report", "TrigonalError",
-           "MPoly", "UPoly", "decide", "map_degree", "g3_map", "genus",
+           "MPoly", "decide", "map_degree", "g3_map", "genus",
            "singular_locus", "validate_curve", "gen_trigonal_projection",
            "gen_method1", "gen_singular_model",
            "parse_poly", "poly_str", "parse_curve_file", "write_curve_file",

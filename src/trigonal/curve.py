@@ -6,32 +6,34 @@ cover of the x-line (y-degree 3), a projection from an ordinary
 multiplicity-(d-3) point, so every degree has trigonal test curves, and a
 curve with assigned ordinary singular points.
 
-Curves are taken over Q or a prime field F_q, and one scan serves both.
-Singular points on the line z=0 and at (1:0:0) are found by exact
-univariate gcds.  The affine chart is scanned with resultant nets reduced
-mod q itself over F_q, and over Q mod the head p of the prime walk in
-``modular``, on the primitive integer multiple of f kept with int
-coefficients; a reduction that is degenerate there moves the scan to the
-next walk prime.  The third net is
-computed only when the first two leave a candidate x-value outside F_p.
-Each candidate is then verified exactly over the ground field, so a
-reported point is never wrong: the fiber above it is cut out by an exact
-univariate gcd, as the line z=0 is.  The roots of these gcds are taken mod
-q over F_q, and over Q by ``modular.rational_roots``, which lifts roots mod
-a prime p-adically; no step factors an integer.  Whatever part of a
-candidate locus does not split into ground-field points counts into the
-residual budget and leads to a typed rejection.  So, over Q, does every
-singular point of f mod p on z=0 that is not the reduction of a point
-found: the affine scan mod p cannot see a point whose z reduces to 0.  The
-same scan rejects a repeated component on both fields, since its whole
-support is singular.
+Curves are taken over Q or a prime field F_q, and one scan serves both.  It
+runs on an int form of f: its primitive integer multiple over Q, its
+residues in [0, q) over F_q.  Singular points on the line z=0 and at
+(1:0:0) are found by exact univariate gcds on int lists: fraction-free over
+Z (``modular.zz_gcd``) over Q, mod q over F_q.  The affine chart is scanned
+with resultant nets reduced mod q itself over F_q, and over Q mod the head p
+of the prime walk in ``modular``; a reduction that is degenerate there
+moves the scan to the next walk prime.  The third net is computed only when
+the first two leave a candidate x-value outside F_p.  Each candidate is
+then verified exactly over the ground field, so a reported point is never
+wrong: the fiber above it is cut out by an exact univariate gcd of the same
+kind, on b^D F(a/b, y) over Q.  The roots of these gcds are taken mod q over
+F_q, and over Q by ``modular.rational_roots``, which lifts roots mod a prime
+p-adically; no step factors an integer.  Whatever part of a candidate locus
+does not split into ground-field points counts into the residual budget and
+leads to a typed rejection.  So, over Q, does every singular point of f mod
+p on z=0 that is not the reduction of a point found: the affine scan mod p
+cannot see a point whose z reduces to 0.  The same scan rejects a repeated
+component on both fields, since its whole support is singular.
 Each singular point's multiplicity and ordinarity are read off the Taylor
-pieces of the curve at the point, built by ``poly.taylor_rows`` in
-increasing degree up to the first nonzero one.
+pieces of the curve at an int representative of the point, built by
+``poly.taylor_rows`` in increasing degree up to the first nonzero one; the
+tangent cone is tested by the same gcds.
 """
 
 import hashlib
 import random
+from collections import namedtuple
 from itertools import combinations, islice
 from math import gcd
 from dataclasses import dataclass, field as dc_field
@@ -42,9 +44,9 @@ from .errors import (CurveUnsupported, GenerationFailed, GenusTooSmall, Unsuppor
                      ReducibleSuspected)
 from .modular import (PRIME_WALK_START, clear_denominators, fp_bivariate_table, fp_eval,
                       fp_gcd, fp_reduce, fp_resultant_keepvar, fp_roots, fp_squarefree,
-                      fp_trim, primes_below, rational_reconstruct, rational_roots)
-from .poly import (MPoly, UPoly, binary_form_squarefree, parse_poly, poly_str,
-                   taylor_rows)
+                      fp_trim, primes_below, rational_reconstruct, rational_roots, zz_gcd,
+                      zz_squarefree)
+from .poly import MPoly, binary_form_squarefree, parse_poly, poly_str, taylor_rows
 from .scalars import QQ, PrimeField, RationalField, rat
 
 __all__ = ["SingularPoint", "PlaneCurve", "genus", "singular_locus",
@@ -125,42 +127,46 @@ def _dehomogenize_z(f):
 
 
 def _restrict_line_z0(g):
-    """g(t, 1, 0) as a univariate polynomial in t."""
-    deg = g.degree_in(0)
-    coeffs = [0] * (deg + 1)
+    """g(t, 1, 0) as an int list in t (g with int coefficients)."""
+    coeffs = [0] * (g.degree_in(0) + 1)
     for (i, _j, k), c in g.terms.items():
         if k == 0:
-            coeffs[i] = coeffs[i] + c
-    return UPoly(coeffs)
+            coeffs[i] += c
+    return fp_trim(coeffs)
 
 
 def _specialize_x(F, x0):
-    """F(x0, y) as a univariate polynomial in y (F bivariate)."""
-    deg = F.degree_in(1)
-    coeffs = [0] * (deg + 1)
-    powers = {0: 1}
-
-    def power(k):
-        if k not in powers:
-            powers[k] = power(k - 1) * x0
-        return powers[k]
-
+    """b^D F(a/b, y) as an int list in y, for F bivariate with int
+    coefficients, x0 = a/b in lowest terms (b = 1 for an int) and
+    D = deg_x F: a nonzero multiple of F(x0, y) with no denominator."""
+    a, b, top = x0.numerator, x0.denominator, F.degree_in(0)
+    pa, pb = [1], [1]
+    for _ in range(top):
+        pa.append(pa[-1] * a)
+        pb.append(pb[-1] * b)
+    coeffs = [0] * (F.degree_in(1) + 1)
     for (i, j), c in F.terms.items():
-        coeffs[j] = coeffs[j] + c * power(i)
-    return UPoly(coeffs)
+        coeffs[j] += c * pa[i] * pb[top - i]
+    return fp_trim(coeffs)
 
 
-def _fiber(polys, ground_roots):
+def _fiber(polys, ground):
     """The fiber step of both scans: the ground-field roots of the gcd of
-    the nonzero ``polys`` (identically-zero ones impose no condition), and
-    the degree of the rest of its square-free part."""
-    g = UPoly()
+    the int lists ``polys``, each taken into the ground field by
+    ``ground.mod`` (identically-zero ones impose no condition), and the
+    degree of the rest of its square-free part; None when every one
+    vanishes.  The gcd and the square-free part are the ground field's:
+    primitive over Z on Q, monic mod q over F_q."""
+    g = []
     for u in polys:
-        if u and g.degree():        # a constant gcd stays constant
-            g = g.gcd(u)
-    sf = g.squarefree_part()
-    roots = ground_roots(sf)
-    return roots, sf.degree() - len(roots)
+        u = fp_trim(ground.mod(u))
+        if u and len(g) != 1:       # a constant gcd stays constant
+            g = ground.gcd(g, u)
+    if not g:
+        return None
+    sf = ground.squarefree(g)
+    roots = ground.roots(sf)
+    return roots, len(sf) - 1 - len(roots)
 
 
 # --- singular locus -------------------------------------------------------------
@@ -169,28 +175,47 @@ def _fiber(polys, ground_roots):
 # each of them is reported as the error it raises at the last.
 SCAN_PRIMES = 3
 
+_Ground = namedtuple("_Ground", "primes lift ints mod gcd squarefree roots")
+
+
+def _primitive(values):
+    """The primitive integer multiple of rationals not all 0, as ints."""
+    row = list(clear_denominators(dict(enumerate(values)))[0].values())
+    content = gcd(*row)
+    return [c // content for c in row]
+
 
 def _ground(fld):
-    """What the scan needs of its ground field: the moduli p its resultant
-    nets may be reduced at, in the order they are tried, the lift
-    ``lift(r, p)`` of a root mod p to a ground-field candidate (None when
-    there is none), and the distinct ground-field roots of a square-free
-    UPoly.  Over F_q, p = q only, every root is a candidate and the roots are
-    ``fp_roots``.  Over Q, p runs over the head of the prime walk, the next
-    prime taken only when the reduction mod the last one is degenerate (the
-    scan reduces f with int coefficients, its primitive integer multiple, so
-    no denominator vanishes); a root lifts by rational reconstruction mod p,
-    and the roots are ``rational_roots``: roots mod a prime of their own,
-    lifted p-adically and checked exactly, with no integer factoring."""
+    """What the scan needs of its ground field, as a ``_Ground``: the moduli
+    p its resultant nets may be reduced at, in the order they are tried; the
+    lift ``lift(r, p)`` of a root mod p to a ground-field candidate (None
+    when there is none); ``ints``, an int representative of a sequence of
+    ground-field values; ``mod``, which takes an int list into the ground
+    field; and the gcd, square-free part and distinct ground-field roots of
+    such lists.  The exact half of the scan runs on these int lists.
+
+    Over F_q, p = q only, every root is a candidate, values are represented
+    by their residues in [0, q), and the gcd, square-free part and roots are
+    ``fp_gcd``, ``fp_squarefree`` and ``fp_roots`` mod q.  Over Q, p runs
+    over the head of the prime walk, the next prime taken only when the
+    reduction mod the last one is degenerate (the scan reduces f with int
+    coefficients, its primitive integer multiple, so no denominator
+    vanishes); a root lifts by rational reconstruction mod p; values are
+    represented by their primitive integer multiple and lists are left as
+    they are; the gcd and square-free part are ``zz_gcd`` and
+    ``zz_squarefree``, fraction-free over Z; and the roots are
+    ``rational_roots``: roots mod a prime of their own, lifted p-adically
+    and checked exactly, with no integer factoring."""
     if isinstance(fld, PrimeField):
         q = fld.p
-        return (q,), lambda r, p: fld.coerce(r), lambda u: [
-            fld.coerce(r) for r in fp_roots([fp_reduce(c, q) for c in u.coeffs], q)]
-    return (islice(primes_below(PRIME_WALK_START), SCAN_PRIMES), rational_reconstruct,
-            lambda u: rational_roots(u.coeffs))
+        return _Ground((q,), lambda r, p: r, lambda vals: [fp_reduce(c, q) for c in vals],
+                       lambda u: [c % q for c in u], lambda a, b: fp_gcd(a, b, q),
+                       lambda a: fp_squarefree(a, q), lambda a: fp_roots(a, q))
+    return _Ground(islice(primes_below(PRIME_WALK_START), SCAN_PRIMES), rational_reconstruct,
+                   _primitive, lambda u: u, zz_gcd, zz_squarefree, rational_roots)
 
 
-def _affine_scan(f, p, lift, ground_roots):
+def _affine_scan(f, p, ground):
     """Ground-field singular points in the chart z=1, plus a residual budget
     for candidates that are not ground-field points; None when every
     resultant net vanishes identically mod p.
@@ -240,13 +265,13 @@ def _affine_scan(f, p, lift, ground_roots):
     # into F_p are not ground-field points: straight into the residual budget
     residual = (len(g) - 1) - len(roots)
     for r in roots:
-        cand = lift(r, p)
+        cand = ground.lift(r, p)
         if cand is not None:
-            sy = [_specialize_x(P, cand) for P in (F, Fx, Fy)]
-            if all(not s for s in sy):
-                raise ReducibleSuspected("a vertical line lies on the curve")
             # the gcd of the nonzero ones is exactly the singular fiber above cand
-            yroots, rest = _fiber(sy, ground_roots)
+            fiber = _fiber([_specialize_x(P, cand) for P in (F, Fx, Fy)], ground)
+            if fiber is None:
+                raise ReducibleSuspected("a vertical line lies on the curve")
+            yroots, rest = fiber
             if yroots or rest:
                 points += [(cand, y0) for y0 in yroots]
                 residual += rest
@@ -262,43 +287,42 @@ def _affine_scan(f, p, lift, ground_roots):
     return points, residual
 
 
-def _infinity_scan(f, fld, ground_roots):
+def _infinity_scan(f, ground):
     """Ground-field singular points on the line z=0, exactly, and the
     restrictions (t, 1, 0) of the partials that cut them out.  The point
     (1:0:0) is singular when no partial has an x^(d-1) term, d = deg f: that
     term is its value there."""
     parts = [f.derivative(i) for i in range(3)]
     restr = [_restrict_line_z0(g) for g in parts]
-    if all(not r for r in restr):
-        raise ReducibleSuspected("the gradient vanishes on the whole line z=0")
     # the gcd of the nonzero ones cuts out exactly the singular points with
     # y != 0 on the line
-    roots, residual = _fiber(restr, ground_roots)
-    points = [(t0, fld.one(), fld.zero()) for t0 in roots]
+    fiber = _fiber(restr, ground)
+    if fiber is None:
+        raise ReducibleSuspected("the gradient vanishes on the whole line z=0")
+    roots, residual = fiber
+    points = [(t0, 1, 0) for t0 in roots]
     top = (f.total_degree() - 1, 0, 0)
     if not any(g.terms.get(top) for g in parts):
-        points.append((fld.one(), fld.zero(), fld.zero()))
+        points.append((1, 0, 0))
     return points, residual, restr
 
 
-def _missed_on_z0(restr, d, p, coords):
+def _missed_on_z0(restr, d, p, reps):
     """The count of singular points of f mod p on z=0 that reduce from no
-    point in ``coords``; f has degree d, integer coefficients and partials
-    that restrict to ``restr`` on z=0.  The affine scan mod p misses them.
-    Mod p they are (t:1:0) for the roots t of the gcd of the reduced
-    ``restr``, and (1:0:0) when each of those lacks its t^(d-1) term.  None
-    when the gradient mod p vanishes on the whole line, so that there is no
-    count."""
-    rs = [fp_trim([c % p for c in r.coeffs]) for r in restr]
+    point with primitive integer coordinates in ``reps``; f has degree d,
+    integer coefficients and partials that restrict to ``restr`` on z=0.
+    The affine scan mod p misses them.  Mod p they are (t:1:0) for the roots
+    t of the gcd of the reduced ``restr``, and (1:0:0) when each of those
+    lacks its t^(d-1) term.  None when the gradient mod p vanishes on the
+    whole line, so that there is no count."""
+    rs = [fp_trim([c % p for c in r]) for r in restr]
     g = []
     for r in filter(None, rs):
         g = fp_gcd(g, r, p)
     if not g:
         return None
     reduced = set()
-    for pt in coords:
-        # the last nonzero coordinate is 1, so these are coprime integers
-        a, b, c = clear_denominators(dict(enumerate(pt)))[0].values()
+    for a, b, c in reps:
         if not c % p:
             reduced.add(a * pow(b, -1, p) % p if b % p else None)
     return len(fp_squarefree(g, p)) - 1 + all(len(r) < d for r in rs) - len(reduced)
@@ -309,41 +333,40 @@ def singular_locus(f, fld=QQ):
     plus the residual budget: the degree of the candidate loci that are not
     ground-field points, and over Q, when that is 0, the count of
     ``_missed_on_z0``.  The same two scans run over both fields; only
-    ``_ground`` tells them apart.  Over Q they run on the primitive integer
-    multiple of f with int coefficients, so its partials, restrictions and
-    reductions mod p make no Fraction.  When its reduction mod p is
-    degenerate (every affine net vanishes identically, or the gradient
-    vanishes on z=0) the affine scan and the count run again at the next
-    walk prime, up to ``SCAN_PRIMES`` of them.  At each point the Taylor
-    pieces of f of degree 0, 1, ... are taken until one is nonzero: its
-    degree is the multiplicity m and, as the tangent cone, it tells whether
-    the point is ordinary.  No piece above m is built."""
+    ``_ground`` tells them apart.  They run on an int form of f, its
+    primitive integer multiple over Q and its residues over F_q, so its
+    partials, restrictions, fibers and reductions mod p make no Fraction or
+    field element.  When its reduction mod p is degenerate (every affine
+    net vanishes identically, or the gradient vanishes on z=0) the affine
+    scan and the count run again at the next walk prime, up to
+    ``SCAN_PRIMES`` of them.  At each point, taken by its int
+    representative, the Taylor pieces of f of degree 0, 1, ... are taken
+    until one is nonzero: its degree is the multiplicity m and, as the
+    tangent cone, it tells whether the point is ordinary.  No piece above m
+    is built.  The points reported are normalized ground-field elements."""
     if not f or not f.is_homogeneous():
         raise InvalidInput("expected a nonzero homogeneous form")
     d = f.total_degree()
     if d < 3:
         raise InvalidInput("degree must be at least 3")
     over_q = not isinstance(fld, PrimeField)
-    if over_q:
-        row, _ = clear_denominators(f.terms)      # the primitive integer multiple
-        content = gcd(*row.values())
-        f = MPoly(3, {m: c // content for m, c in row.items()})
-    primes, lift, ground_roots = _ground(fld)
-    inf_pts, res_inf, restr = _infinity_scan(f, fld, ground_roots)
-    for p in primes:
-        scan = _affine_scan(f, p, lift, ground_roots)
+    ground = _ground(fld)
+    f = MPoly(3, dict(zip(f.terms, ground.ints(f.terms.values()))))
+    inf_pts, res_inf, restr = _infinity_scan(f, ground)
+    for p in ground.primes:
+        scan = _affine_scan(f, p, ground)
         if scan is None:
             error = ReducibleSuspected("all affine resultant nets vanish identically")
             continue
         aff_pts, res_aff = scan
-        pts = [normalize_point(c, fld)
-               for c in inf_pts + [(x0, y0, fld.one()) for x0, y0 in aff_pts]]
+        pts = [normalize_point(c, fld) for c in inf_pts + [(x0, y0, 1) for x0, y0 in aff_pts]]
+        reps = [ground.ints(pt) for pt in pts]
         residual = res_inf + res_aff
         if residual or not over_q:
             break
         # over Q every candidate lies on the curve, one on z=0 by Euler's
         # formula, so these are the coordinates of the points returned
-        residual = _missed_on_z0(restr, d, p, pts)
+        residual = _missed_on_z0(restr, d, p, reps)
         if residual is not None:
             break
         error = CurveUnsupported(f"the gradient mod {p} vanishes on the whole line z=0")
@@ -351,15 +374,14 @@ def singular_locus(f, fld=QQ):
         raise error
     monos, coeffs = list(f.terms), list(f.terms.values())
     out = []
-    for pt in pts:
+    for pt, rep in zip(pts, reps):
         for m in range(d + 1):
-            piece = [sum(c * r for c, r in zip(coeffs, row) if r)
-                     for row in taylor_rows(monos, pt, m)]
+            piece = ground.mod([sum(c * r for c, r in zip(coeffs, row) if r)
+                                for row in taylor_rows(monos, rep, m)])
             if any(piece):
                 break
         if m:       # m = 0 off the curve: the degree-0 piece is f at the point
-            cone = MPoly(2, {(a, m - a): c for a, c in enumerate(piece) if c})
-            out.append(SingularPoint(pt, m, binary_form_squarefree(cone)))
+            out.append(SingularPoint(pt, m, binary_form_squarefree(piece, ground.gcd)))
     out.sort(key=lambda s: s.key())
     return out, residual
 
@@ -482,11 +504,8 @@ def gen_trigonal_projection(d, coeff_height=5, seed=0, budget=50):
         f = gen_trigonal_projection_candidate(d, coeff_height, rng)
         if not f:
             continue
-        cone = [c for (i, j, k), c in f.terms.items() if k == 3]
-        if not cone:
-            continue
-        cone_form = MPoly(2, {(i, j): c for (i, j, k), c in f.terms.items() if k == 3})
-        if not binary_form_squarefree(cone_form):
+        cone = [int(f.terms.get((i, m - i, 3), 0)) for i in range(m + 1)]
+        if not any(cone) or not binary_form_squarefree(cone, zz_gcd):
             continue
         try:
             curve = validate_curve(

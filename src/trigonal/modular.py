@@ -3,7 +3,10 @@ elimination engine: the singular-locus scan, the fiber-degree check, the
 certified kernels of the stabilizer algebra and the sparse echelon form
 ``FpEchelon``.
 
-Polynomials mod p are plain int lists, lowest degree first.  The scan and
+Polynomials mod p are plain int lists, lowest degree first, and so are the
+polynomials over Z of the exact half of the scan over Q: ``zz_gcd`` and
+``zz_squarefree`` take their gcd and square-free part fraction-free, by
+primitive pseudo-remainders.  The scan and
 the fiber check reduce exact bivariate polynomials with
 ``fp_bivariate_table`` and eliminate a variable with
 ``fp_resultant_keepvar``.  It evaluates at the consecutive nodes 0, 1, ...,
@@ -147,6 +150,60 @@ def fp_squarefree(a, p):
     if len(g) == 1:
         return fp_monic(a, p)
     return fp_monic(fp_divmod(a, g, p)[0], p)
+
+
+def _zz_primitive(a):
+    """a over its content, with a positive leading coefficient."""
+    c = gcd(*a)
+    if a[-1] < 0:
+        c = -c
+    return [x // c for x in a] if c != 1 else a
+
+
+def _zz_remainder(a, b):
+    """An integer multiple of the remainder of a by b over Q: each step
+    scales the rest by lc(b) over its gcd with the top coefficient, so that
+    the top cancels on integers (a pseudo-remainder)."""
+    r = list(a)
+    d = len(b) - 1
+    lead = b[-1]
+    for pos in range(len(r) - 1 - d, -1, -1):
+        top = r.pop()
+        if top:
+            g = gcd(lead, top)
+            s, t = lead // g, top // g
+            if s != 1:
+                r = [s * x for x in r]
+            r[pos:] = [x - t * y for x, y in zip(r[pos:], b)]
+    return fp_trim(r)
+
+
+def zz_gcd(a, b):
+    """The primitive gcd, with positive leading coefficient, of two int
+    lists over Z (lowest degree first, [] for zero), by primitive
+    pseudo-remainder sequences (Collins, J. ACM 14, 1967; Brown, J. ACM 18,
+    1971): [1] when they are coprime over Q."""
+    while b:
+        b = _zz_primitive(b)
+        a, b = b, _zz_remainder(a, b)
+    return _zz_primitive(a) if a else a
+
+
+def zz_squarefree(a):
+    """The primitive square-free part over Z of the int list a: a over its
+    gcd with a', divided exactly (Gauss's lemma keeps it integral)."""
+    if not a:
+        return a
+    g = zz_gcd(a, [i * c for i, c in enumerate(a)][1:])
+    a = _zz_primitive(a)
+    if len(g) == 1:
+        return a
+    d, lead = len(g) - 1, g[-1]
+    r, q = list(a), [0] * (len(a) - d)
+    for pos in range(len(q) - 1, -1, -1):
+        f = q[pos] = r.pop() // lead
+        r[pos:] = [x - f * y for x, y in zip(r[pos:], g)]
+    return q
 
 
 def fp_eval(a, x, p):

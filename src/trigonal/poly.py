@@ -1,10 +1,11 @@
-"""Sparse multivariate and dense univariate polynomial arithmetic.
+"""Sparse multivariate polynomial arithmetic, Taylor rows and the
+tangent-cone test.
 
-MPoly is a dict from exponent tuples to nonzero coefficients; UPoly is a
-dense coefficient list, lowest degree first.  Both work over any of the
-scalar variants.  Canonical printing order is graded lexicographic, which
-keeps CLI output byte-stable.  No root finding is done here: roots mod p
-and over Q are taken in ``modular``.
+MPoly is a dict from exponent tuples to nonzero coefficients, over any of
+the scalar variants.  Univariate polynomials are plain int lists, lowest
+degree first, handled in ``modular``.  Canonical printing order is graded
+lexicographic, which keeps CLI output byte-stable.  No root finding is done
+here: roots mod p and over Q are taken in ``modular``.
 """
 
 from math import comb
@@ -12,7 +13,7 @@ from math import comb
 from .errors import InvalidInput
 from .scalars import rat, sdiv
 
-__all__ = ["MPoly", "UPoly", "parse_poly", "poly_str", "taylor_rows",
+__all__ = ["MPoly", "parse_poly", "poly_str", "taylor_rows",
            "binary_form_squarefree"]
 
 
@@ -303,148 +304,32 @@ class MPoly:
         return f"MPoly({poly_str(self)})"
 
 
-# --- univariate polynomials --------------------------------------------------
-
-
-class UPoly:
-    """Dense univariate polynomial, coefficients lowest degree first."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        cs = list(coeffs)
-        while cs and not cs[-1]:
-            cs.pop()
-        self.coeffs = cs
-
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        if isinstance(other, UPoly):
-            return (len(self.coeffs) == len(other.coeffs)
-                    and all(a == b for a, b in zip(self.coeffs, other.coeffs)))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(tuple(str(c) for c in self.coeffs))
-
-    def lc(self):
-        if not self.coeffs:
-            raise InvalidInput("leading coefficient of the zero polynomial")
-        return self.coeffs[-1]
-
-    def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return UPoly(out)
-
-    def __neg__(self):
-        return UPoly([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, UPoly):
-            if not other:
-                return UPoly()
-            return UPoly([c * other for c in self.coeffs])
-        if not self.coeffs or not other.coeffs:
-            return UPoly()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] = out[i + j] + a * b
-        return UPoly(out)
-
-    __rmul__ = __mul__
-
-    def divmod(self, other):
-        if not other:
-            raise ZeroDivisionError("division by the zero polynomial")
-        r = list(self.coeffs)
-        d = other.degree()
-        lc = other.lc()
-        q = [0] * max(0, len(r) - d)
-        while len(r) - 1 >= d and r:
-            if not r[-1]:
-                r.pop()
-                continue
-            f = sdiv(r[-1], lc)
-            pos = len(r) - 1 - d
-            q[pos] = f
-            for i, c in enumerate(other.coeffs):
-                r[pos + i] = r[pos + i] - f * c
-            r.pop()
-        return UPoly(q), UPoly(r)
-
-    def __mod__(self, other):
-        return self.divmod(other)[1]
-
-    def __floordiv__(self, other):
-        return self.divmod(other)[0]
-
-    def monic(self):
-        if not self.coeffs:
-            return self
-        lc = self.lc()
-        if lc == 1:
-            return self
-        return UPoly([sdiv(c, lc) for c in self.coeffs])
-
-    def derivative(self):
-        return UPoly([i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def gcd(self, other):
-        a, b = self, other
-        while b:
-            a, b = b, (a % b)
-            if b:
-                b = b.monic()
-        return a.monic()
-
-    def squarefree_part(self):
-        """self / gcd(self, self'), normalized monic."""
-        if not self.coeffs:
-            raise InvalidInput("square-free part of the zero polynomial")
-        return (self // self.gcd(self.derivative())).monic()
-
-    def __repr__(self):
-        return f"UPoly({self.coeffs})"
-
-
 # --- Taylor rows ------------------------------------------------------------------
 
 
 def taylor_rows(monos, point, k):
     """The degree-k Taylor piece at a projective point of the forms over the
-    exponent tuples ``monos``, as k+1 rows with one entry per monomial.
+    exponent tuples ``monos``, all of one degree D, as k+1 rows with one
+    entry per monomial.
 
-    Each monomial is dehomogenized in the chart of the point's last nonzero
-    coordinate and translated to the point; u and v are the other two
-    coordinates in order, at values p_u and p_v.  Row a holds the
-    coefficients of u^a v^(k-a): the entry of x^e is
-    C(e_u, a) p_u^(e_u-a) C(e_v, k-a) p_v^(e_v-k+a).  Nonzero entries are
-    built from powers of the coordinates, so they lie in the point's field;
-    zero entries are the int 0."""
+    The chart is the point's last nonzero coordinate c; u and v are the
+    other two coordinates in order, at values p_u, p_v and p_c.  Row a holds
+    the coefficients of u^a v^(k-a) of each monomial translated to the
+    point, scaled by p_c^(D-k): the entry of x^e is
+    C(e_u, a) p_u^(e_u-a) C(e_v, k-a) p_v^(e_v-k+a) p_c^(e_c).  Nothing is
+    divided, so nonzero entries lie in the ring of the coordinates: ints at
+    an integer point, field elements at a point over a field; zero entries
+    are the int 0.  At a point with p_c = 1 the rows are the coefficients of
+    the dehomogenized monomials; at lambda times a point they are
+    lambda^(D-k) times those at the point, so which pieces vanish, and the
+    factors of each, do not depend on the representative."""
     if len(point) != 3 or not any(point):
         raise InvalidInput("(0,0,0) is not a projective point")
-    point = [rat(x) if isinstance(x, int) else x for x in point]
     chart = max(i for i in range(3) if point[i])
     iu, iv = [i for i in range(3) if i != chart]
     top = max(map(sum, monos), default=0)
-    pu, pv = ([x ** t for t in range(top + 1)]
-              for x in (point[iu] / point[chart], point[iv] / point[chart]))
+    pu, pv, pc = ([x ** t for t in range(top + 1)]
+                  for x in (point[iu], point[iv], point[chart]))
     rows = []
     for a in range(k + 1):
         b = k - a
@@ -454,28 +339,25 @@ def taylor_rows(monos, point, k):
             if eu < a or ev < b or not (pu[eu - a] and pv[ev - b]):
                 row.append(0)
             else:
-                row.append(comb(eu, a) * comb(ev, b) * pu[eu - a] * pv[ev - b])
+                row.append(comb(eu, a) * comb(ev, b) * pu[eu - a] * pv[ev - b]
+                           * pc[e[chart]])
         rows.append(row)
     return rows
 
 
-def binary_form_squarefree(piece):
-    """Whether a nonzero homogeneous binary form has distinct linear factors
-    over the algebraic closure."""
-    if not piece:
+def binary_form_squarefree(coeffs, gcd):
+    """Whether the nonzero binary form sum_a coeffs[a] u^a v^(m-a), m =
+    len(coeffs) - 1, has distinct linear factors over the algebraic
+    closure.  ``coeffs`` are ints and ``gcd`` the gcd of int lists over the
+    ground field: ``zz_gcd`` over Q, ``fp_gcd`` mod q on residues over F_q.
+    The form is square-free when v^2 does not divide it and its
+    dehomogenization at v = 1 is coprime to its derivative."""
+    c = list(coeffs)
+    while c and not c[-1]:
+        c.pop()
+    if not c:
         raise InvalidInput("zero binary form")
-    if piece.nvars != 2 or not piece.is_homogeneous():
-        raise InvalidInput("expected a homogeneous binary form")
-    kv = min(e[1] for e in piece.terms)
-    if kv > 1:
-        return False
-    deg = piece.total_degree()
-    coeffs = [0] * (deg + 1)
-    for e, c in piece.terms.items():
-        coeffs[e[0]] = c
-    b = UPoly(coeffs)
-    g = b.gcd(b.derivative())
-    return g.degree() <= 0
+    return len(coeffs) - len(c) <= 1 and len(gcd(c, [i * x for i, x in enumerate(c)][1:])) == 1
 
 
 # --- text grammar -----------------------------------------------------------------

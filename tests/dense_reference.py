@@ -14,6 +14,14 @@ products of ``liealg`` and ``scroll``.
 
 ``taylor_pieces`` is the same kind of reference for ``poly.taylor_rows``:
 it substitutes and splits where the package reads a closed formula.
+``taylor_rows_by_division`` is that formula in the chart coordinates, the
+other two coordinates divided by the chart one: the rows ``taylor_rows``
+gives at a point normalized to chart coordinate 1.
+
+``poly_mul``, ``euclid_gcd`` and ``euclid_squarefree`` are dense univariate
+arithmetic over Q on coefficient lists, lowest degree first, with the
+Euclidean algorithm on ``rat`` values: the reference for the fraction-free
+``modular.zz_gcd`` and ``modular.zz_squarefree``.
 
 ``resultant`` is the dense Sylvester resultant of two ``MPoly``, taken by a
 fraction-free (Bareiss) determinant over ``MPoly``: the reference for the
@@ -26,6 +34,8 @@ multiples of f: the reference for the term-map construction of
 of ``canonical.cubic_count`` stands for.  ``expand_in_adjoints`` pulls an
 ambient form back to the plane.
 """
+
+from math import comb
 
 from trigonal.canonical import FormSpace, monomials
 from trigonal.errors import InvalidInput
@@ -150,6 +160,69 @@ def taylor_pieces(f, point):
     for e, c in f.substitute(images).terms.items():
         pieces[sum(e)][e] = c
     return pieces
+
+
+def taylor_rows_by_division(monos, point, k):
+    """The rows of the degree-k Taylor piece at a projective point, read in
+    the chart of its last nonzero coordinate c with u = p_u / p_c and
+    v = p_v / p_c: the entry of x^e in row a is
+    C(e_u, a) u^(e_u-a) C(e_v, k-a) v^(e_v-k+a)."""
+    chart = max(i for i in range(3) if point[i])
+    iu, iv = [i for i in range(3) if i != chart]
+    u, v = (sinv(point[chart]) * point[i] for i in (iu, iv))
+    return [[comb(e[iu], a) * comb(e[iv], k - a) * u ** (e[iu] - a) * v ** (e[iv] - k + a)
+             if e[iu] >= a and e[iv] >= k - a else 0 for e in monos]
+            for a in range(k + 1)]
+
+
+def poly_mul(a, b):
+    """The product of two coefficient lists."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _monic(a):
+    """a over its leading coefficient, as ``rat`` values, with no trailing
+    zeros; [] for zero."""
+    a = [rat(x) for x in a]
+    while a and not a[-1]:
+        a.pop()
+    return [x / a[-1] for x in a] if a else a
+
+
+def euclid_gcd(a, b):
+    """The monic gcd over Q of two coefficient lists ([] when both are 0),
+    by Euclid's algorithm on ``rat`` values."""
+    a, b = _monic(a), _monic(b)
+    while b:
+        r = list(a)
+        while len(r) >= len(b):
+            f = r[-1]
+            for i, y in enumerate(b):
+                r[len(r) - len(b) + i] -= f * y
+            while r and not r[-1]:
+                r.pop()
+        a, b = b, _monic(r)
+    return a
+
+
+def euclid_squarefree(a):
+    """The monic square-free part over Q of a coefficient list: a over its
+    gcd with a', by long division on ``rat`` values."""
+    g = euclid_gcd(a, [i * x for i, x in enumerate(a)][1:])
+    r, q = _monic(a), []
+    while len(r) >= len(g):
+        f = r[-1]
+        q.append(f)
+        for i, y in enumerate(g):
+            r[len(r) - len(g) + i] -= f * y
+        r.pop()
+    return q[::-1]
 
 
 def coeffs_by_power(f, var):

@@ -346,7 +346,9 @@ def test_reject_table_is_pinned(sqrt2_sextic):
 def test_validation_grounds_once_and_expands_once_per_point(five_nodal_sextic, fld,
                                                             monkeypatch):
     # one modulus for the scan; at each singular point of multiplicity m the
-    # Taylor pieces of degree 0..m are built once each, and none above m
+    # Taylor pieces of degree 0..m are built once each, and none above m.
+    # The rows are built at an int representative of the point, so the calls
+    # are keyed by the point it normalizes to.
     grounds, pieces = [], {}
     ground, rows = curve_mod._ground, curve_mod.taylor_rows
 
@@ -355,7 +357,7 @@ def test_validation_grounds_once_and_expands_once_per_point(five_nodal_sextic, f
         return ground(*args)
 
     def spy_rows(monos, point, k):
-        pieces.setdefault(tuple(point), []).append(k)
+        pieces.setdefault(normalize_point(point, fld), []).append(k)
         return rows(monos, point, k)
 
     monkeypatch.setattr(curve_mod, "_ground", spy_ground)
@@ -518,15 +520,28 @@ def test_the_scan_over_q_runs_on_int_coefficients(five_nodal_sextic, sqrt2_sexti
     ordinary flags and residual, and so does a form with rational
     coefficients, whose node (1/3 : 2/5 : 1) lifts from the scan prime.  No
     Fraction reaches a table mod p over Q.  Over F_10007 the points are the
-    reductions of those over Q."""
-    types = []
-    table = curve_mod.fp_bivariate_table
+    reductions of those over Q.  On both fields every coefficient that
+    reaches the exact half of the scan, the fiber gcds, their square-free
+    parts and the tangent-cone gcds, is an int."""
+    types, exact = [], []
+    table, ground = curve_mod.fp_bivariate_table, curve_mod._ground
 
     def spy(F, p, root=None):
         types.extend(type(c) for c in F.terms.values())
         return table(F, p, root)
 
+    def record(fn):
+        def spied(*polys):
+            exact.extend(type(c) for u in polys for c in u)
+            return fn(*polys)
+        return spied
+
+    def spy_ground(fld):
+        g = ground(fld)
+        return g._replace(gcd=record(g.gcd), squarefree=record(g.squarefree))
+
     monkeypatch.setattr(curve_mod, "fp_bivariate_table", spy)
+    monkeypatch.setattr(curve_mod, "_ground", spy_ground)
     x, y, z = (MPoly.variable(3, i) for i in range(3))
     shifted = P("y^2*z^3 - x^2*z^3 + x^5 + y^5 + x*y^4").substitute(
         [x - z * rat(1, 3), y - z * rat(2, 5), z])
@@ -540,11 +555,15 @@ def test_the_scan_over_q_runs_on_int_coefficients(five_nodal_sextic, sqrt2_sexti
     for f, points, residual in cases:
         for scale in (1, 7, rat(1, 6)):
             types.clear()
+            exact.clear()
             assert _locus(f.map_coeffs(lambda c: c * scale)) == (points, residual)
             assert types and set(types) == {int}
+            assert exact and set(exact) == {int}
         if residual == 0:       # the nodes over Q(sqrt 2) are rational mod 10007
+            exact.clear()
             reduced = {(normalize_point(c, F), m, o) for c, m, o in points}
             assert _locus(f.map_coeffs(F.coerce), F) == (reduced, 0)
+            assert exact and set(exact) == {int}
 
 
 def test_root_finding_powers_on_corpus_inputs_are_pinned(monkeypatch):

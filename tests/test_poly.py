@@ -1,3 +1,4 @@
+import math
 import random
 from itertools import islice
 
@@ -6,14 +7,16 @@ from hypothesis import given, settings, strategies as st
 
 from trigonal import intutil, modular
 from trigonal.errors import CurveUnsupported, InvalidInput
-from trigonal.modular import (PRIME_WALK_START, fp_bivariate_table, fp_eval,
+from trigonal.modular import (PRIME_WALK_START, fp_bivariate_table, fp_eval, fp_gcd,
                               fp_interpolate, fp_reduce, fp_resultant,
-                              fp_resultant_keepvar, primes_below, rational_roots)
-from trigonal.poly import (MPoly, UPoly, binary_form_squarefree, parse_poly,
-                           poly_str, taylor_rows)
-from trigonal.scalars import QQ, PrimeField, rat
+                              fp_resultant_keepvar, primes_below, rational_roots,
+                              zz_gcd, zz_squarefree)
+from trigonal.poly import (MPoly, binary_form_squarefree, parse_poly, poly_str,
+                           taylor_rows)
+from trigonal.scalars import QQ, PrimeField, rat, sinv
 
-from dense_reference import resultant, taylor_pieces
+from dense_reference import (euclid_gcd, euclid_squarefree, poly_mul, resultant,
+                             taylor_pieces, taylor_rows_by_division)
 
 
 WALK_PRIME = next(primes_below(PRIME_WALK_START))
@@ -112,16 +115,13 @@ def test_resultant_specialization_property():
     r = resultant(f, g, 1)
     for _ in range(5):
         a, b = rat(rng.randint(-9, 9)), rat(rng.randint(-9, 9))
-        fs = UPoly([f.substitute([MPoly.const(1, a), MPoly.variable(1, 0),
-                                  MPoly.const(1, b)]).terms.get((k,), 0)
-                    for k in range(4)])
-        gs = UPoly([g.substitute([MPoly.const(1, a), MPoly.variable(1, 0),
-                                  MPoly.const(1, b)]).terms.get((k,), 0)
-                    for k in range(3)])
+        fs = [f.substitute([MPoly.const(1, a), MPoly.variable(1, 0),
+                            MPoly.const(1, b)]).terms.get((k,), 0) for k in range(4)]
+        gs = [g.substitute([MPoly.const(1, a), MPoly.variable(1, 0),
+                            MPoly.const(1, b)]).terms.get((k,), 0) for k in range(3)]
         # univariate resultant via the Euclidean routine mod p
         p = WALK_PRIME
-        rs = fp_resultant([fp_reduce(c, p) for c in fs.coeffs],
-                          [fp_reduce(c, p) for c in gs.coeffs], p)
+        rs = fp_resultant([fp_reduce(c, p) for c in fs], [fp_reduce(c, p) for c in gs], p)
         assert rs == fp_reduce(r.evaluate([a, rat(0), b]), p)
 
 
@@ -368,25 +368,61 @@ def test_resultant_rejects_bad_input():
 
 # --- square-free parts and roots ----------------------------------------------
 
+def _is_primitive(a):
+    """An int list with content 1 and a positive leading coefficient."""
+    return all(type(c) is int for c in a) and a[-1] > 0 and math.gcd(*a) == 1
+
+
 def test_squarefree_part_examples():
-    x = UPoly([rat(0), rat(1)])
-    one = UPoly([rat(1)])
-    xm1 = UPoly([rat(-1), rat(1)])
-    assert (xm1 * xm1).squarefree_part() == xm1
-    p = UPoly([rat(1), rat(0), rat(1)])        # x^2 + 1
-    assert p.squarefree_part() == p
-    q = x * x * xm1                            # x^3 - x^2
-    assert q.squarefree_part() == x * xm1
+    x, xm1, xp1 = [0, 1], [-1, 1], [1, 1]
+    assert zz_squarefree(poly_mul(xm1, xm1)) == xm1
+    assert zz_squarefree([1, 0, 1]) == [1, 0, 1]                  # x^2 + 1
+    assert zz_squarefree(poly_mul(poly_mul(x, x), xm1)) == poly_mul(x, xm1)
+    # content 6 and a negative leading coefficient: -6 (x - 1)^2 (x + 1)
+    assert zz_squarefree([-6 * c for c in poly_mul(poly_mul(xm1, xm1), xp1)]) == [-1, 0, 1]
+    # a planted common factor 2x - 3 under contents 4 and 10
+    u, v = poly_mul([4], poly_mul([-3, 2], [5, 0, 1])), poly_mul([-10], poly_mul([-3, 2], xp1))
+    assert zz_gcd(u, v) == zz_gcd(v, u) == [-3, 2]
+    assert zz_gcd([2, 0, 2], [6, 3]) == [1]                       # coprime
+    assert zz_gcd([0, 0, 4], [0, -6]) == [0, 1]                   # zero constant terms
+    assert zz_gcd([-7], [3, 5, 1]) == zz_gcd([-7], []) == [1]      # a constant
+    assert zz_gcd([], [0, -4, 2]) == [0, -2, 1] and zz_gcd([], []) == []
+    assert zz_squarefree([-12]) == [1] and zz_squarefree([]) == []
+
+
+_small_polys = st.lists(st.integers(-9, 9), min_size=1, max_size=4).filter(any)
+
+
+@given(common=_small_polys, u=_small_polys, v=_small_polys,
+       scales=st.tuples(*[st.sampled_from([1, -1, 2, -6, 35])] * 2),
+       shifts=st.tuples(st.integers(0, 2), st.integers(0, 2)))
+@settings(max_examples=150, deadline=None)
+def test_zz_gcd_and_squarefree_match_fraction_euclid(common, u, v, scales, shifts):
+    """On products with a planted common factor, under contents, signs and
+    powers of x (zero constant terms), the primitive gcd and square-free
+    part over Z are the Fraction-Euclid ones over Q, made primitive with a
+    positive leading coefficient; constants and coprime pairs give [1]."""
+    a = poly_mul([0] * shifts[0] + [scales[0]], poly_mul(common, u))
+    b = poly_mul([0] * shifts[1] + [scales[1]], poly_mul(common, v))
+    for p, q in ((a, b), (b, a), (a, a), (u, v), (common, [scales[0]])):
+        while p and not p[-1]:
+            p = p[:-1]
+        while q and not q[-1]:
+            q = q[:-1]
+        g = zz_gcd(p, q)
+        assert _is_primitive(g) and euclid_gcd(g, []) == euclid_gcd(p, q)
+        sf = zz_squarefree(poly_mul(p, p))
+        assert _is_primitive(sf) and euclid_gcd(sf, []) == euclid_squarefree(p)
 
 
 def test_squarefree_part_randomized_property():
     rng = random.Random(9)
     for _ in range(20):
-        u = UPoly([rat(rng.randint(-4, 4)) for _ in range(rng.randint(2, 4))])
-        v = UPoly([rat(rng.randint(-4, 4)) for _ in range(rng.randint(2, 4))])
-        if not u or not v or u.degree() < 1:
+        u = [rng.randint(-4, 4) for _ in range(rng.randint(2, 4))]
+        v = [rng.randint(-4, 4) for _ in range(rng.randint(2, 4))]
+        if not u[-1] or not v[-1]:
             continue
-        assert (u * u * v).squarefree_part() == (u * v).squarefree_part()
+        assert zz_squarefree(poly_mul(poly_mul(u, u), v)) == zz_squarefree(poly_mul(u, v))
 
 
 def test_rational_roots_examples():
@@ -403,10 +439,10 @@ def test_rational_roots_examples():
 
 def test_rational_roots_refuse_a_repeated_root():
     # (3x-2)^2 (3x+1): every prime divides the discriminant
-    u = UPoly([rat(4), rat(-12), rat(9)]) * UPoly([rat(1), rat(3)])
+    u = poly_mul([4, -12, 9], [1, 3])
     with pytest.raises(CurveUnsupported):
-        rational_roots(u.coeffs)
-    assert rational_roots(u.squarefree_part().coeffs) == [rat(-1, 3), rat(2, 3)]
+        rational_roots(u)
+    assert rational_roots(zz_squarefree(u)) == [rat(-1, 3), rat(2, 3)]
 
 
 @pytest.mark.parametrize("a,b,c", [(1, 0, -1), (4, -4, 1), (9, 12, 4), (1, 0, 1),
@@ -419,10 +455,10 @@ def test_rational_roots_of_quadratics_match_sympy(a, b, c):
     x = sympy.Symbol("x")
     want = sorted(rat(int(r.p), int(r.q)) for r in
                   sympy.roots(sympy.Poly(a * x**2 + b * x + c, x)) if r.is_rational)
-    sf = UPoly([rat(c), rat(b), rat(a)]).squarefree_part()
-    assert rational_roots(sf.coeffs) == want
+    sf = zz_squarefree([c, b, a])
+    assert rational_roots(sf) == want
     half = rat(1, 2)
-    assert rational_roots([c * half for c in sf.coeffs]) == want
+    assert rational_roots([c * half for c in sf]) == want
 
 
 def _sympy_rational_roots(expr, x):
@@ -460,8 +496,8 @@ def test_rational_roots_skip_a_prime_dividing_the_discriminant(monkeypatch):
     real = modular.fp_roots
     monkeypatch.setattr(modular, "fp_roots", lambda a, p: used.append(p) or real(a, p))
     # (x - 1)(x - 1 - p0) has discriminant p0^2: a double root mod p0
-    u = UPoly([rat(-1), rat(1)]) * UPoly([rat(-1 - p0), rat(1)])
-    assert rational_roots(u.coeffs) == [rat(1), rat(1 + p0)]
+    u = poly_mul([-1, 1], [-1 - p0, 1])
+    assert rational_roots(u) == [rat(1), rat(1 + p0)]
     # p0 divides the leading coefficient of p0 x - 1
     assert rational_roots([rat(-1), rat(p0)]) == [rat(1, p0)]
     assert used == [p1, p1]
@@ -495,13 +531,27 @@ def test_rational_roots_never_factor_an_integer(monkeypatch):
 
 # --- local expansions, read from Taylor rows ------------------------------------
 
-def _piece(f, point, k):
-    """The degree-k piece of the local expansion of f at the point, read
-    from ``taylor_rows``, as a binary form."""
+def _piece_values(f, point, k):
+    """The coefficients of u^a v^(k-a), a = 0..k, in the degree-k piece of
+    the local expansion of f at the point, read from ``taylor_rows``."""
     coeffs = list(f.terms.values())
-    row_vals = [sum(c * r for c, r in zip(coeffs, row) if r)
-                for row in taylor_rows(list(f.terms), point, k)]
-    return MPoly(2, {(a, k - a): c for a, c in enumerate(row_vals) if c})
+    return [sum(c * r for c, r in zip(coeffs, row) if r)
+            for row in taylor_rows(list(f.terms), point, k)]
+
+
+def _piece(f, point, k):
+    """That piece as a binary form."""
+    return MPoly(2, {(a, k - a): c for a, c in enumerate(_piece_values(f, point, k)) if c})
+
+
+def _cone_squarefree(f, point, k):
+    """Whether the degree-k piece of f (integer coefficients) at an integer
+    point is square-free, over Q and mod 10007."""
+    piece = [int(c) for c in _piece_values(f, point, k)]
+    over_q = binary_form_squarefree(piece, zz_gcd)
+    assert binary_form_squarefree([c % 10007 for c in piece],
+                                  lambda a, b: fp_gcd(a, b, 10007)) == over_q
+    return over_q
 
 
 def _multiplicity(f, point):
@@ -517,10 +567,10 @@ def test_local_expansion_cusp_vs_node():
     assert _multiplicity(cusp, (0, 0, 1)) == 2
     assert [poly_str(_piece(cusp, (0, 0, 1), k), ("x", "y")) for k in range(4)] == \
         ["0", "0", "y^2", "-x^3"]
-    assert not binary_form_squarefree(_piece(cusp, (0, 0, 1), 2))
+    assert not _cone_squarefree(cusp, (0, 0, 1), 2)
     node = P("z*x^2 - z*y^2 + x^3")
     assert _multiplicity(node, (0, 0, 1)) == 2
-    assert binary_form_squarefree(_piece(node, (0, 0, 1), 2))
+    assert _cone_squarefree(node, (0, 0, 1), 2)
 
 
 def test_local_expansion_chart_invariance():
@@ -558,7 +608,43 @@ def test_taylor_rows_match_substitute_and_split(fld):
                 assert got == ref[k], (d, point, k)
 
 
+@pytest.mark.parametrize("fld", [QQ, PrimeField(10007)])
+def test_taylor_rows_on_any_representative(fld):
+    """At a point with chart coordinate 1 the rows are those of the
+    division formula in the chart; at lambda times a point they are
+    lambda^(D-k) times the rows at the point, for an integer lambda over Q
+    and an element of F_10007, so integer points give the pieces of their
+    normalized point up to a nonzero factor."""
+    rng = random.Random(25)
+    for d in range(3, 7):
+        monos = [(i, j, d - i - j) for i in range(d + 1) for j in range(d + 1 - i)]
+        for chart in range(3):
+            point = [rng.randint(-5, 5) for _ in range(chart)]
+            point += [rng.choice([-3, -1, 2, 7])] + [0] * (2 - chart)
+            if fld == QQ:
+                lam = rng.choice([-4, 3, 12])
+            else:
+                point = [fld.coerce(x) for x in point]
+                lam = fld.coerce(rng.randint(2, 10006))
+            normal = [x * sinv(point[chart]) for x in point]
+            scaled = [lam * x for x in point]
+            for k in range(d + 1):
+                rows = taylor_rows(monos, point, k)
+                assert taylor_rows(monos, normal, k) == taylor_rows_by_division(monos, point, k)
+                assert taylor_rows(monos, scaled, k) == \
+                    [[lam ** (d - k) * r for r in row] for row in rows]
+                factor = point[chart] ** (d - k)
+                assert rows == [[factor * r for r in row]
+                                for row in taylor_rows(monos, normal, k)]
+                if fld == QQ:
+                    assert all(type(r) is int for row in rows for r in row)
+
+
 def test_binary_form_repeated_factor_at_infinity_detected():
-    # x*y^2 has the repeated factor y^2 even though x*y^2(x,1) = x is square-free
-    b = parse_poly("x*y^2", ("x", "y"))
-    assert not binary_form_squarefree(b)
+    # u v^2 has the repeated factor v^2 even though its value u at v = 1 is
+    # square-free; u v (u - v) has none
+    assert not binary_form_squarefree([0, 1, 0, 0], zz_gcd)
+    assert binary_form_squarefree([0, -1, 1], zz_gcd)
+    assert not binary_form_squarefree([1, -2, 1], zz_gcd)        # (u - v)^2
+    with pytest.raises(InvalidInput):
+        binary_form_squarefree([0, 0], zz_gcd)
