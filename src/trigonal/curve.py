@@ -468,6 +468,11 @@ def validate_curve(f, declared_sings=None, base_point=None, fld=QQ):
 
 # --- generators -----------------------------------------------------------------
 
+# Candidates each generator draws before it raises ``GenerationFailed``.
+PROJECTION_TRIES = 50
+METHOD1_TRIES = 50
+SINGULAR_MODEL_TRIES = 200
+
 
 def _rand_coeff(rng, height):
     """A uniform integer of at most ``height`` bits; every generator draws
@@ -492,7 +497,7 @@ def gen_trigonal_projection_candidate(d, coeff_height, rng):
     return MPoly(3, terms)
 
 
-def gen_trigonal_projection(d, coeff_height=5, seed=0, budget=50):
+def gen_trigonal_projection(d, coeff_height=5, seed=0):
     """Validated trigonal curve of degree d with an ordinary multiplicity
     (d-3) point at (0:0:1); genus 2d-5.  For d=4 the point is smooth and is
     recorded as the marked base point."""
@@ -500,7 +505,7 @@ def gen_trigonal_projection(d, coeff_height=5, seed=0, budget=50):
         raise InvalidInput("projection generator needs degree >= 4")
     rng = derived_rng(seed, f"projection:{d}:{coeff_height}")
     m = d - 3
-    for attempt in range(budget):
+    for attempt in range(PROJECTION_TRIES):
         f = gen_trigonal_projection_candidate(d, coeff_height, rng)
         if not f:
             continue
@@ -520,7 +525,7 @@ def gen_trigonal_projection(d, coeff_height=5, seed=0, budget=50):
                             "height": coeff_height, "seed": seed,
                             "attempts": attempt + 1}
         return curve
-    raise GenerationFailed(f"no valid projection curve of degree {d} within {budget} tries")
+    raise GenerationFailed(f"no valid projection curve of degree {d} within {PROJECTION_TRIES} tries")
 
 
 def gen_method1_candidate(deg_x, coeff_height, rng):
@@ -540,13 +545,13 @@ def gen_method1_candidate(deg_x, coeff_height, rng):
     return MPoly(3, {(i, j, d - i - j): rat(c) for (i, j), c in terms.items()})
 
 
-def gen_method1(deg_x, coeff_height=5, seed=0, budget=50):
+def gen_method1(deg_x, coeff_height=5, seed=0):
     """Validated curve with deg_y = 3 whose projection (x:y:z) -> (x:z) is
     3:1; accepted samples have genus 2(deg_x - 1)."""
     if deg_x < 2:
         raise InvalidInput("method-1 generator needs deg_x >= 2")
     rng = derived_rng(seed, f"m1:{deg_x}:{coeff_height}")
-    for attempt in range(budget):
+    for attempt in range(METHOD1_TRIES):
         f = gen_method1_candidate(deg_x, coeff_height, rng)
         try:
             curve = validate_curve(f, fld=QQ)
@@ -558,10 +563,10 @@ def gen_method1(deg_x, coeff_height=5, seed=0, budget=50):
                             "height": coeff_height, "seed": seed,
                             "attempts": attempt + 1}
         return curve
-    raise GenerationFailed(f"no valid method-1 curve with deg_x={deg_x} within {budget} tries")
+    raise GenerationFailed(f"no valid method-1 curve with deg_x={deg_x} within {METHOD1_TRIES} tries")
 
 
-def gen_singular_model(d, assigned, coeff_height=3, seed=0, budget=200):
+def gen_singular_model(d, assigned, coeff_height=3, seed=0):
     """Random degree-d curve with exactly the assigned ordinary singular
     points: ``assigned`` is a list of ((a, b, c), multiplicity) pairs.  The
     candidates are the kernel of the ``taylor_rows`` of degree < m at each
@@ -598,7 +603,7 @@ def gen_singular_model(d, assigned, coeff_height=3, seed=0, budget=200):
     if not kern:
         raise GenerationFailed("no curve satisfies the assigned singularities")
     rng = derived_rng(seed, f"singmodel:{d}:{assigned!r}:{coeff_height}")
-    for attempt in range(budget):
+    for attempt in range(SINGULAR_MODEL_TRIES):
         combo = [_rand_coeff(rng, coeff_height) for _ in kern]
         if not any(combo):
             continue

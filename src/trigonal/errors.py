@@ -25,13 +25,8 @@ class InvalidInput(UnsupportedInput):
 
 
 class ParseError(InvalidInput):
-    def __init__(self, message, line=None, column=None):
-        loc = ""
-        if line is not None:
-            loc = f" (line {line}" + (f", col {column})" if column is not None else ")")
-        super().__init__(message + loc)
-        self.line = line
-        self.column = column
+    def __init__(self, message, line=None):
+        super().__init__(message + ("" if line is None else f" (line {line})"))
 
 
 class NonOrdinarySingularity(UnsupportedInput):

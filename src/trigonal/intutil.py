@@ -4,11 +4,13 @@
 canonically; no step of curve validation factors an integer.
 
 Deterministic: Miller-Rabin uses a fixed witness set (sound for < 3.3e24,
-falls back to many fixed witnesses above), Brent-Pollard rho uses a fixed
-parameter sequence.
+falls back to many fixed witnesses above), perfect powers are split by exact
+roots, and Brent-Pollard rho uses a fixed parameter sequence and gives up,
+with ``InvalidInput``, after ``RHO_STEPS`` steps.
 """
 
 import math
+from itertools import count
 
 from .errors import InvalidInput
 
@@ -16,6 +18,10 @@ _SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
 # Deterministic Miller-Rabin witnesses, sufficient for n < 3.3 * 10^24.
 _MR_WITNESSES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+
+# Steps of rho over all its seeds: a prime factor p takes about sqrt(p)
+# steps, so the factors rho finds are up to about 2^38.
+RHO_STEPS = 1 << 19
 
 
 def is_prime(n):
@@ -30,8 +36,6 @@ def is_prime(n):
         d //= 2
         r += 1
     for a in _MR_WITNESSES:
-        if a % n == 0:
-            continue
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -45,13 +49,17 @@ def is_prime(n):
 
 
 def _brent_rho(n):
-    # Brent's cycle variant of Pollard rho with a deterministic seed sweep.
-    if n % 2 == 0:
-        return 2
-    for c in range(1, 50):
+    """A proper factor of the odd composite n, by Brent's cycle variant of
+    Pollard rho with a deterministic seed sweep, within ``RHO_STEPS``
+    steps."""
+    steps = RHO_STEPS
+    for c in count(1):
         y, m, g, r, q = 2, 128, 1, 1, 1
         x = ys = y
         while g == 1:
+            steps -= 2 * r
+            if steps < 0:
+                raise InvalidInput(f"factorization failed for {n}")
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -71,7 +79,20 @@ def _brent_rho(n):
                 g = math.gcd(abs(x - ys), n)
         if g != n:
             return g
-    raise InvalidInput(f"factorization failed for {n}")
+
+
+def _perfect_power(n):
+    """(r, k) with n = r^k and k > 1, or None, for n with no prime factor
+    below 53 (so k < log_53 n); r is Newton's k-th root from above."""
+    k = 2
+    while 53 ** k <= n:
+        r = 1 << -(-n.bit_length() // k)
+        while (s := ((k - 1) * r + n // r ** (k - 1)) // k) < r:
+            r = s
+        if r ** k == n:
+            return r, k
+        k += 1
+    return None
 
 
 def factorize(n):
@@ -87,14 +108,15 @@ def factorize(n):
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if is_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
-        d = _brent_rho(m)
-        stack.append(d)
-        stack.append(m // d)
+        power = _perfect_power(m)
+        if power is not None:
+            stack += [power[0]] * power[1]
+        else:
+            d = _brent_rho(m)
+            stack += [d, m // d]
     return out
 
 

@@ -257,11 +257,12 @@ def _derivation_system(qspace, g, p):
     """The stabilizer equations mod p as sparse rows, or None when the
     quadric basis does not reduce to a basis mod p.
 
-    Over the reduced-echelon basis R of the quadric span mod p, with pivot
-    columns P: one equation per quadric r of R and column mu outside P,
-    the coefficient of x^mu in D_M(r) minus what the span accounts for.
-    The rows are built one quadric at a time, as the elimination asks for
-    them.
+    The first row, at every genus, is the trace of M, so the kernel is the
+    traceless stabilizer itself.  Then, over the reduced-echelon basis R of
+    the quadric span mod p, with pivot columns P: one equation per quadric
+    r of R and column mu outside P, the coefficient of x^mu in D_M(r) minus
+    what the span accounts for, built one quadric at a time, as the
+    elimination asks for them.
 
     The unknown M[i][j] is column g^2 - 1 - (i*g + j), the entries of M
     numbered from the far end; ``stabilizer_algebra`` reverses the kernel
@@ -286,6 +287,7 @@ def _derivation_system(qspace, g, p):
     last = g * g - 1
 
     def rows():
+        yield {last - i * (g + 1): 1 for i in range(g)}
         for r in basis:
             block = {}      # column outside P -> its equation
             for col, t, coef in _derivation_terms(r.items(), monos, index, targets):
@@ -303,22 +305,18 @@ def _derivation_system(qspace, g, p):
 
 def stabilizer_algebra(qspace, g, fld=QQ, counters=None):
     """Traceless matrices M whose derivation action maps every quadric of
-    the space back into the space.  The identity always stabilizes and is
-    split off, so dim = (solution dimension) - 1.
+    the space back into the space.  The trace is an equation of the system,
+    so dim = nullity.
 
     The solutions come from ``modular.certified_kernel`` (over F_q, exactly
-    mod q); over Q every lifted solution is checked to map each quadric of
-    ``qspace`` into its span, on integer rows (clearing denominators leaves
-    span membership unchanged).  ``counters`` receives the kernel's counters.
+    mod q); over Q every lifted solution is checked to be traceless and to
+    map each quadric of ``qspace`` into its span, on integer rows (clearing
+    denominators leaves span membership unchanged).  ``counters`` receives
+    the kernel's counters.
     """
     if qspace.dim < 1:
         raise InvalidInput("stabilizer needs at least one quadric")
     nn = g * g
-    ident = [fld.one() if i % (g + 1) == 0 else fld.zero() for i in range(nn)]
-
-    def integral(vec):
-        return clear_denominators({j: x for j, x in enumerate(vec) if x})[0]
-
     monos = qspace.monomials
     index = {m: i for i, m in enumerate(monos)}
 
@@ -331,7 +329,9 @@ def stabilizer_algebra(qspace, g, fld=QQ, counters=None):
     def stabilizes(vecs):
         span = quadrics()
         for v in vecs:
-            m = integral(v[::-1])
+            if sum(v[i * (g + 1)] for i in range(g)):
+                return False
+            m = clear_denominators({j: x for j, x in enumerate(v[::-1]) if x})[0]
             targets = [[j for j in range(g) if i * g + j in m] for i in range(g)]
             for q in qspace.int_rows:
                 image = {}
@@ -343,25 +343,11 @@ def stabilizer_algebra(qspace, g, fld=QQ, counters=None):
         return True
 
     kern = certified_kernel(nn, lambda p: _derivation_system(qspace, g, p),
-                            stabilizes, fld, known=[ident], counters=counters)
-    kern = [v[::-1] for v in kern]
+                            stabilizes, fld, counters=counters)
     sol = FpEchelon(nn)
     for v in kern:
-        sol.add(v)
-    if not sol.contains(ident):
-        raise InternalInvariantError("identity does not stabilize the quadrics")
-    traceless = FpEchelon(nn)
-    for v in kern:
-        tr = sum((v[i * (g + 1)] for i in range(g)), fld.zero())
-        shift = tr / g
-        w = list(v)
-        if shift:
-            for i in range(g):
-                w[i * (g + 1)] = w[i * (g + 1)] - shift
-        traceless.add(w)
-    if traceless.rank != len(kern) - 1:
-        raise InternalInvariantError("identity direction did not split off cleanly")
-    return LieAlg(g, traceless.reduced(), fld)
+        sol.add(v[::-1])
+    return LieAlg(g, sol.reduced(), fld)
 
 
 def killing_form(alg):
@@ -580,18 +566,21 @@ def split_two_ideals(s):
     ideals via the centroid; adjoins one square root when the two factors
     are conjugate over the base field.  Returns (s1, s2).
 
-    Everything runs on the structure constants: the centroid is the kernel
-    of psi.ad(b_j) = ad(b_j).psi over psi in gl(6), with ad(b_j)[v][c] =
-    sc[j][c][v]; a non-scalar psi satisfies psi^2 = a + b psi, and the
-    images of its two idempotents are the ideals, sub-algebras whose
-    structure constants come from those of ``s``.  Only the sort key, which
-    orders the ideals by their basis matrices, reads ambient entries."""
+    Everything runs on the structure constants: the traceless centroid is
+    the kernel of psi.ad(b_j) = ad(b_j).psi and trace(psi) = 0 over psi in
+    gl(6), with ad(b_j)[v][c] = sc[j][c][v].  Of two 3-dimensional simple
+    ideals it is a line, and its psi acts as +-sqrt(a) on them: psi^2 = a
+    != 0.  The images of the idempotents (psi +- sqrt a)/(2 sqrt a) are the
+    ideals, sub-algebras whose structure constants come from those of
+    ``s``.  Only the sort key, which orders the ideals by their basis
+    matrices, reads ambient entries."""
     if s.dim != 6:
         raise InvalidInput("ideal split expects a 6-dimensional algebra")
     dim = s.dim
     nn = dim * dim
     fld = s.field
     cent = FpEchelon(nn)
+    cent.add({i * (dim + 1): fld.one() for i in range(dim)})
     for ad in s.sc:
         for r in range(dim):
             for c in range(dim):
@@ -604,15 +593,10 @@ def split_two_ideals(s):
                         row[k] = row[k] - x if k in row else -x
                 cent.add(row)
     cent = cent.reduced_kernel(nn)
-    if len(cent) != 2:
+    if len(cent) != 1:
         raise UnexpectedDimension(
-            f"centroid has dimension {len(cent)}; expected 2")
-    ident = [fld.one() if i % (dim + 1) == 0 else fld.zero() for i in range(nn)]
-    idspace = FpEchelon(nn)
-    idspace.add(ident)
-    psi_vec = next((v for v in cent if not idspace.contains(v)), None)
-    if psi_vec is None:
-        raise UnexpectedDimension("centroid degenerates to scalars")
+            f"traceless centroid has dimension {len(cent)}; expected 1")
+    psi_vec = cent[0]
     psi = _by_row({k: fld.coerce(x) for k, x in psi_vec.items()}, dim)
     psi2 = {}
     for r, row in psi.items():
@@ -620,23 +604,16 @@ def split_two_ideals(s):
             for c, y in psi.get(u, {}).items():
                 k = r * dim + c
                 psi2[k] = psi2[k] + x * y if k in psi2 else x * y
-    coords = _solve([[i, psi_vec.get(k, 0)] for k, i in enumerate(ident)],
-                    [psi2.get(k, 0) for k in range(nn)])
-    if coords is None:
-        raise UnexpectedDimension("centroid is not quadratic over the base field")
-    a, b = (fld.coerce(x) for x in coords)
-    disc = b * b + 4 * a
-    if not disc:
-        raise UnexpectedDimension("centroid is not etale; unexpected input")
-    work, wfld, root = _square_root(s, disc)
-    a, b = wfld.coerce(a), wfld.coerce(b)
-    lam1 = (b + root) / 2
-    lam2 = (b - root) / 2
-    scalefac = 1 / (lam1 - lam2)
+    a = psi2.get(0)
+    if not a or {k: x for k, x in psi2.items() if x} != {
+            i * (dim + 1): a for i in range(dim)}:
+        raise UnexpectedDimension("centroid is not etale of degree 2")
+    work, wfld, root = _square_root(s, a)
+    half = 1 / (2 * root)
     zero, one = wfld.zero(), wfld.one()
-    # column j of the idempotent (psi - lam2) / (lam1 - lam2) and of 1 minus it
-    proj = [[scalefac * (wfld.coerce(psi_vec.get(i * dim + j, 0))
-                         - (lam2 if i == j else zero)) for i in range(dim)]
+    # column j of the idempotent (psi + sqrt a) / (2 sqrt a) and of 1 minus it
+    proj = [[half * (wfld.coerce(psi_vec.get(i * dim + j, 0))
+                     + (root if i == j else zero)) for i in range(dim)]
             for j in range(dim)]
     ideals = []
     for cols in (proj, [[(one if i == j else zero) - x for i, x in enumerate(col)]

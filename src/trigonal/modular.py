@@ -909,28 +909,27 @@ class FpEchelon:
 KERNEL_PRIMES = 16
 
 
-def certified_kernel(ncols, system, certify, fld=QQ, known=(), counters=None):
+def certified_kernel(ncols, system, certify, fld=QQ, counters=None):
     """Basis over ``fld`` (Q or F_q) of the kernel of a linear system that is
     given through its reductions.
 
     ``system(p)`` returns the rows of the system mod p as sparse
-    ``{column: int}`` dicts or int lists (any iterable, consumed lazily),
-    or None when p is inadmissible.  Its kernel mod p must contain the
-    reduction of every solution over ``fld`` whose denominators are prime
-    to p.  ``known`` holds independent solutions.
-    ``certify(vectors)`` checks exactly over Q that every vector solves the
-    system.
+    ``{column: int}`` dicts or int lists (any iterable, consumed lazily), or
+    None when p is inadmissible.  Its kernel mod p must contain the
+    reduction of every solution over ``fld`` whose denominators are prime to
+    p.  ``certify(vectors)`` checks exactly over Q that every vector solves
+    the system.
 
     The kernel mod p then has at least the true nullity.  Once the rank mod
-    p leaves no room beyond ``known``, those vectors are the kernel and the
-    rest of the rows is skipped.  Over F_q every row is reduced and the
-    kernel mod q is the answer.  Over Q the kernel mod p, taken on the prime
-    walk, is lifted entry by entry with ``rational_reconstruct``, combining
-    by CRT the primes that share its pivot columns; a prime with a smaller
-    nullity (or, at equal nullity, earlier pivots) starts the lift afresh,
-    one with a larger one is skipped.  The lift is returned once ``certify``
-    accepts it: it is as many independent solutions (1 at its own free
-    column, 0 at the others) as the nullity mod p, so it spans the kernel.
+    p is full the kernel is zero and the rest of the rows is skipped.  Over
+    F_q every row is reduced and the kernel mod q is the answer.  Over Q the
+    kernel mod p, taken on the prime walk, is lifted entry by entry with
+    ``rational_reconstruct``, combining by CRT the primes that share its
+    pivot columns; a prime with a smaller nullity (or, at equal nullity,
+    earlier pivots) starts the lift afresh, one with a larger one is
+    skipped.  The lift is returned once ``certify`` accepts it: it is as
+    many independent solutions (1 at its own free column, 0 at the others)
+    as the nullity mod p, so it spans the kernel.
 
     Over Q the lift is also tried before the rows run out, each time
     ``ncols`` rows in a row leave the rank mod p where it was: the kernel of
@@ -947,14 +946,12 @@ def certified_kernel(ncols, system, certify, fld=QQ, known=(), counters=None):
     whose residues make the result) and "stored_nnz" (the nonzeros the
     echelon mod the last prime holds when elimination stops).
     """
-    known = list(known)
     if isinstance(fld, PrimeField):
         primes = [fld.p]
     elif fld == QQ:
         primes = islice(primes_below(PRIME_WALK_START), KERNEL_PRIMES)
     else:
         raise InvalidInput(f"certified kernels work over Q or F_q, not {fld}")
-    full_rank = ncols - len(known)
     tried, used = [], []
     best = modulus = residues = None     # the lift under way
 
@@ -974,7 +971,7 @@ def certified_kernel(ncols, system, certify, fld=QQ, known=(), counters=None):
         for row in rows:
             eq_rows += 1
             if ech.add(row):
-                if ech.rank == full_rank:
+                if ech.rank == ncols:
                     break
                 stall = 0
             elif fld == QQ and (stall := stall + 1) == ncols:
@@ -982,8 +979,8 @@ def certified_kernel(ncols, system, certify, fld=QQ, known=(), counters=None):
                 early = _reconstruct(ech.kernel(), p)
                 if early is not None and certify(early):
                     return done(early, [p], ech, eq_rows)
-        if ech.rank == full_rank:
-            result, used = known, [p]
+        if ech.rank == ncols:
+            result, used = [], [p]
         elif fld != QQ:
             result, used = [[fld.coerce(x) for x in v] for v in ech.kernel()], [p]
         else:

@@ -10,10 +10,11 @@ an independent oracle whose agreement is recorded.  It compares the span of
 the products x_i * q against the cubic count that Max Noether's theorem
 fixes, so no cubic space is built.  Each stage's wall time lands in the
 report under the stage name, and its errors carry that name as a label.
-The liealg stage records the size counters of its certified kernel
-(equation rows, nullity, primes, nonzeros held by the echelon) under its
-name, and the petri stage its span (rows, rank, expected rank); like the
-timings, they are left out of ``to_json(with_timings=False)``.
+The liealg stage records the counters of its certified kernel (equation rows,
+the trace among them; nullity, the Lie algebra's dimension; primes; the
+echelon's nonzeros) and the petri stage its span (rows, rank, expected rank)
+under their names; like the timings, they are left out of
+``to_json(with_timings=False)``.
 """
 
 import time

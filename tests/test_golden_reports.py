@@ -51,9 +51,9 @@ SINGULAR_F10007 = {
 }
 
 SINGULAR_F10007_DIGESTS = {
-    "five_nodal_sextic": "487c56a5d4840b5e73b11b58f395134a1989d1d7eee931e99f41eca418361808",
-    "one_node_sextic": "7c6e3201c68a067c5dc1ecaa45c1173b22a27d5d1a83bfd69fd4933025589876",
-    "two_node_sextic": "9424cddfa6c3c0aa8838808c9fa7390b26f13fb878dd831d7d17e708a457bb3b",
+    "five_nodal_sextic": "4baab702e0def6852111cce80ea5a10798ac01005c80b2e8326e80aa4eb6c431",
+    "one_node_sextic": "3a4ec32cf2920869585229332acaa525ccc8c43f9e23cbcfed1627586623337c",
+    "two_node_sextic": "a2b040df54b8b332895b944594b307071c27b53355d7cb65f428b0f18db397d6",
 }
 
 

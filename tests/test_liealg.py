@@ -8,7 +8,8 @@ import dense_reference as ref
 from trigonal import liealg, modular
 from trigonal.canonical import (FormSpace, adjoint_basis, forms_through_image,
                                 monomials, petri_test)
-from trigonal.errors import InternalInvariantError, InvalidInput, NotSl2
+from trigonal.errors import (InternalInvariantError, InvalidInput, LiftingFailed,
+                             NotSl2, UnexpectedDimension)
 from trigonal.liealg import (Case, LieAlg, classify, killing_form, levi,
                              radical, split_sl2, split_two_ideals,
                              stabilizer_algebra)
@@ -296,7 +297,8 @@ def test_split_sl2_rejects_wrong_dimension():
 
 def test_stabilizer_makes_no_fraction_kernel_call(five_nodal_sextic, monkeypatch):
     """The stabilizer equations are solved mod p only; on a curve cut out by
-    quadrics the rank mod p alone certifies the identity as the kernel."""
+    quadrics the rank mod p alone certifies that the traceless stabilizer
+    is zero."""
     calls = []
 
     def recorded(*args, **kwargs):
@@ -309,15 +311,16 @@ def test_stabilizer_makes_no_fraction_kernel_call(five_nodal_sextic, monkeypatch
     counters = {}
     alg = stabilizer_algebra(q, five_nodal_sextic.genus, counters=counters)
     assert alg.dim == 0 and calls == []
-    assert counters["nullity"] == 1
+    assert counters["nullity"] == 0
     assert counters["primes"]["used"] == [WALK[0]]
 
 
 def test_stabilizer_kernel_lifts_once_the_rank_settles(proj6):
-    """proj6 has 49 unknowns and 134 stabilizer equations, and the rank mod
-    the first prime last grows at row 49.  After 49 more rows the kernel of
-    the rows so far is lifted and certified, so fewer rows are reduced than
-    the system has; the algebra is the one the whole system gives."""
+    """proj6 has 49 unknowns and 135 stabilizer equations, the trace first,
+    and the rank mod the first prime last grows at row 50.  After 49 more
+    rows the kernel of the rows so far is lifted and certified, so fewer
+    rows are reduced than the system has; the algebra is the one the whole
+    system gives."""
     g = proj6.genus
     q = forms_through_image(proj6, adjoint_basis(proj6))
     counters = {}
@@ -329,14 +332,13 @@ def test_stabilizer_kernel_lifts_once_the_rank_settles(proj6):
         full.add(row)
     assert counters["primes"]["used"] == [p]
     assert counters["eq_rows"] < len(rows)
-    # the kernel of every row mod p, lifted, against the algebra plus the
-    # identity; the unknowns of the system are numbered from the far end
+    # the kernel of every row mod p, lifted, against the algebra; the
+    # unknowns of the system are numbered from the far end
     lifted = [[modular.rational_reconstruct(x, p) for x in v][::-1]
               for v in full.kernel()]
-    ident = [rat(1) if i % (g + 1) == 0 else rat(0) for i in range(g * g)]
-    assert len(lifted) == counters["nullity"] == alg.dim + 1
+    assert len(lifted) == counters["nullity"] == alg.dim
     assert ref.same_span(lifted, [[b.get(k, 0) for k in range(g * g)]
-                                  for b in alg.basis] + [ident])
+                                  for b in alg.basis])
 
 
 def test_corrupted_lift_moves_on_to_the_next_prime(proj5, monkeypatch):
@@ -358,7 +360,41 @@ def test_corrupted_lift_moves_on_to_the_next_prime(proj5, monkeypatch):
     assert alg.basis == expected.basis
     assert counters["primes"]["tried"] == WALK
     assert counters["primes"]["used"] == WALK
-    assert counters["nullity"] == alg.dim + 1
+    assert counters["nullity"] == alg.dim
+
+
+def test_stabilizer_without_the_trace_row_fails_to_lift(proj5, monkeypatch):
+    """The trace is the first row of the stabilizer system.  Without it the
+    kernel holds the identity as well, every lift has a vector of nonzero
+    trace and the certificate refuses it: the stabilizer fails to lift and
+    is never an algebra one dimension too large."""
+    q = forms_through_image(proj5, adjoint_basis(proj5))
+    g = proj5.genus
+    real = liealg._derivation_system
+
+    def untraced(qspace, g, p):
+        rows = real(qspace, g, p)
+        if rows is not None:
+            assert next(rows) == {k: 1 for k in range(0, g * g, g + 1)}
+        return rows
+
+    monkeypatch.setattr(liealg, "_derivation_system", untraced)
+    with pytest.raises(LiftingFailed):
+        stabilizer_algebra(q, g)
+
+
+def test_ideal_split_of_a_non_semisimple_algebra_is_unexpected():
+    """sl2 + Q^3 in block matrices of gl5, sl2 on the first two coordinates
+    and the diagonal on the last three, is 6-dimensional but not
+    semisimple: its centroid holds all of gl3 on the abelian part, so the
+    split raises ``UnexpectedDimension`` and ``classify`` calls the case
+    unexpected."""
+    e, h, f = (_unit(5, 0, 1), _sum(_unit(5, 0, 0), _unit(5, 1, 1), scale=-1),
+               _unit(5, 1, 0))
+    alg = LieAlg(5, [e, h, f] + [_unit(5, i, i) for i in (2, 3, 4)])
+    with pytest.raises(UnexpectedDimension):
+        split_two_ideals(alg)
+    assert classify(alg, alg, 5) == (Case.Unexpected, None)
 
 
 def test_stabilizer_certificate_refuses_a_perturbed_lift(proj5, monkeypatch):

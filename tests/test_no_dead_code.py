@@ -137,3 +137,61 @@ def test_every_reference_function_is_used():
               for node in ast.parse(REFERENCE.read_text()).body
               if isinstance(node, ast.FunctionDef) and node.name not in used]
     assert not unused, "dense_reference defines but no test uses: " + ", ".join(unused)
+
+
+def _defaulted_parameters():
+    """(names a call goes by, parameter, position among the arguments a
+    call passes, file, def line) for every parameter with a default of a
+    function, method or ``__init__`` of the package.  A method's first
+    parameter is bound by the call, so positions count from the second;
+    ``__init__`` goes by its class name."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        methods = {id(n): cls.name for cls in ast.walk(tree)
+                   if isinstance(cls, ast.ClassDef)
+                   for n in cls.body if isinstance(n, ast.FunctionDef)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            bound = id(node) in methods and not any(
+                isinstance(d, ast.Name) and d.id == "staticmethod"
+                for d in node.decorator_list)
+            names = ({methods[id(node)]} if node.name == "__init__"
+                     else {node.name})
+            first = len(positional) - len(args.defaults)
+            for i, arg in enumerate(positional[first:], first):
+                yield names, arg.arg, i - bound, path, node.lineno
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield names, arg.arg, None, path, node.lineno
+
+
+def _called_name(call):
+    func = call.func
+    return (func.id if isinstance(func, ast.Name)
+            else func.attr if isinstance(func, ast.Attribute) else None)
+
+
+def test_every_default_is_set_by_some_caller():
+    """An option that no call sets is a constant with extra steps: some call
+    in the sources, the tests or the benchmark must set each defaulted
+    parameter, by keyword, by position, or through ``*`` or ``**``."""
+    calls = {}
+    for root in SEARCHED:
+        for path in root.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call) and _called_name(node):
+                    calls.setdefault(_called_name(node), []).append(node)
+
+    def sets(call, param, pos):
+        return (any(kw.arg in (param, None) for kw in call.keywords)
+                or any(isinstance(a, ast.Starred) for a in call.args)
+                or (pos is not None and len(call.args) > pos))
+
+    unset = [f"{path.name}:{lineno} {'/'.join(sorted(names))}({param}=)"
+             for names, param, pos, path, lineno in _defaulted_parameters()
+             if not any(sets(call, param, pos)
+                        for name in names for call in calls.get(name, ()))]
+    assert not unset, "defaults no caller sets: " + ", ".join(unset)

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from trigonal import intutil
 from trigonal.errors import InvalidInput
 from trigonal.scalars import (QQ, FpElt, PrimeField, QuadExt, QuadraticField,
                               is_rational, rat, rational_square_split,
@@ -77,6 +78,29 @@ def test_sqrt_and_square_split():
     assert d == 2 and s * s * d == rat(8, 9)
     s, d = rational_square_split(rat(-12))
     assert d == -3 and s * s * d == rat(-12)
+
+
+def test_perfect_powers_split_without_rho(monkeypatch):
+    """A square or cube of a large prime is split by an exact root; rho,
+    which would need about sqrt(p) steps per factor, is never called."""
+    def refuse(n):
+        raise AssertionError(f"rho called on {n}")
+
+    monkeypatch.setattr(intutil, "_brent_rho", refuse)
+    m61 = 2 ** 61 - 1
+    assert intutil.squarefree_split(m61 ** 2) == (m61, 1)
+    assert intutil.squarefree_split(3 * (10 ** 12 + 39) ** 2) == (10 ** 12 + 39, 3)
+    assert intutil.factorize(-m61 ** 3 * 4) == {2: 2, m61: 3}
+
+
+def test_factorization_ends_on_two_large_primes():
+    """Rho has a fixed step budget: two primes of 61 and 89 bits are past
+    it and raise ``InvalidInput`` (exit 2); three primes near 2^31 and
+    10^9 still split."""
+    with pytest.raises(InvalidInput, match="factorization failed"):
+        intutil.squarefree_split((2 ** 61 - 1) * (2 ** 89 - 1))
+    primes = [2 ** 31 - 1, 10 ** 9 + 7, 10 ** 9 + 9]
+    assert intutil.factorize(primes[0] * primes[1] * primes[2]) == dict.fromkeys(primes, 1)
 
 
 def test_sdiv_never_floats():
