@@ -12,8 +12,8 @@ import time
 
 from .curve import (derived_rng, gen_method1, gen_method1_candidate,
                     gen_trigonal_projection, gen_trigonal_projection_candidate,
-                    parse_curve_file, validate_curve, write_curve_file,
-                    _parse_point)
+                    parse_curve_file, parse_point, validate_curve,
+                    write_curve_file)
 from .errors import (InternalInvariantError, ParseError, TrigonalError,
                      UnsupportedInput)
 from .pipeline import decide
@@ -50,7 +50,7 @@ def _read_text(path):
 
 def cmd_decide(args):
     data = parse_curve_file(_read_text(args.path))
-    point = _parse_point(args.point) if args.point else data["point"]
+    point = parse_point(args.point) if args.point else data["point"]
     curve = validate_curve(data["f"], declared_sings=data["sings"] or None,
                            base_point=point, fld=data["field"])
     rep = decide(curve, base_point=point, seed=args.seed)

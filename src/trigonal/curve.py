@@ -51,7 +51,7 @@ from .scalars import QQ, PrimeField, RationalField, rat
 
 __all__ = ["SingularPoint", "PlaneCurve", "genus", "singular_locus",
            "validate_curve", "gen_trigonal_projection", "gen_method1",
-           "gen_singular_model", "parse_curve_file",
+           "gen_singular_model", "parse_curve_file", "parse_point",
            "write_curve_file", "derived_rng", "normalize_point"]
 
 
@@ -113,19 +113,6 @@ def genus(d, multiplicities):
 # --- restriction helpers -------------------------------------------------------
 
 
-def _dehomogenize_z(f):
-    """f(x, y, 1) as a bivariate polynomial."""
-    out = MPoly(2)
-    for (i, j, _k), c in f.terms.items():
-        e = (i, j)
-        nc = out.terms.get(e, 0) + c
-        if nc:
-            out.terms[e] = nc
-        else:
-            out.terms.pop(e, None)
-    return out
-
-
 def _restrict_line_z0(g):
     """g(t, 1, 0) as an int list in t (g with int coefficients)."""
     coeffs = [0] * (g.degree_in(0) + 1)
@@ -136,16 +123,16 @@ def _restrict_line_z0(g):
 
 
 def _specialize_x(F, x0):
-    """b^D F(a/b, y) as an int list in y, for F bivariate with int
+    """b^D F(a/b, y, 1) as an int list in y, for a ternary form F with int
     coefficients, x0 = a/b in lowest terms (b = 1 for an int) and
-    D = deg_x F: a nonzero multiple of F(x0, y) with no denominator."""
+    D = deg_x F: a nonzero multiple of F(x0, y, 1) with no denominator."""
     a, b, top = x0.numerator, x0.denominator, F.degree_in(0)
     pa, pb = [1], [1]
     for _ in range(top):
         pa.append(pa[-1] * a)
         pb.append(pb[-1] * b)
     coeffs = [0] * (F.degree_in(1) + 1)
-    for (i, j), c in F.terms.items():
+    for (i, j, *_), c in F.terms.items():
         coeffs[j] += c * pa[i] * pb[top - i]
     return fp_trim(coeffs)
 
@@ -215,7 +202,7 @@ def _ground(fld):
                    _primitive, lambda u: u, zz_gcd, zz_squarefree, rational_roots)
 
 
-def _affine_scan(f, p, ground):
+def _affine_scan(f, parts, p, ground):
     """Ground-field singular points in the chart z=1, plus a residual budget
     for candidates that are not ground-field points; None when every
     resultant net vanishes identically mod p.
@@ -228,13 +215,11 @@ def _affine_scan(f, p, ground):
     exactly after the lift or by the mod-p gcd, and a root the last net
     would have dropped has Res_y(F, F_y) != 0 there, so that check drops it
     too.  Otherwise the last net cuts the gcd, and the F_p roots are the old
-    roots at which the new gcd vanishes."""
-    F = _dehomogenize_z(f)
-    Fx = F.derivative(0)
-    Fy = F.derivative(1)
-    if not Fx and not Fy:
+    roots at which the new gcd vanishes.  F, F_x and F_y are f and its
+    ``parts`` (taken once, by the caller) read at z = 1."""
+    polys = (f, *parts[:2])
+    if not polys[1] and not polys[2]:
         raise ReducibleSuspected("both affine partials vanish identically")
-    polys = (F, Fx, Fy)
     pairs = [(i, j) for i, j in ((1, 2), (0, 1), (0, 2)) if polys[i] and polys[j]
              and (polys[i].degree_in(1) or polys[j].degree_in(1))]
     tabs = [fp_bivariate_table(P, p) for P in polys]
@@ -268,7 +253,7 @@ def _affine_scan(f, p, ground):
         cand = ground.lift(r, p)
         if cand is not None:
             # the gcd of the nonzero ones is exactly the singular fiber above cand
-            fiber = _fiber([_specialize_x(P, cand) for P in (F, Fx, Fy)], ground)
+            fiber = _fiber([_specialize_x(P, cand) for P in polys], ground)
             if fiber is None:
                 raise ReducibleSuspected("a vertical line lies on the curve")
             yroots, rest = fiber
@@ -287,12 +272,11 @@ def _affine_scan(f, p, ground):
     return points, residual
 
 
-def _infinity_scan(f, ground):
+def _infinity_scan(f, parts, ground):
     """Ground-field singular points on the line z=0, exactly, and the
-    restrictions (t, 1, 0) of the partials that cut them out.  The point
-    (1:0:0) is singular when no partial has an x^(d-1) term, d = deg f: that
-    term is its value there."""
-    parts = [f.derivative(i) for i in range(3)]
+    restrictions (t, 1, 0) of the partials ``parts`` that cut them out.  The
+    point (1:0:0) is singular when no partial has an x^(d-1) term, d = deg
+    f: that term is its value there."""
     restr = [_restrict_line_z0(g) for g in parts]
     # the gcd of the nonzero ones cuts out exactly the singular points with
     # y != 0 on the line
@@ -352,9 +336,10 @@ def singular_locus(f, fld=QQ):
     over_q = not isinstance(fld, PrimeField)
     ground = _ground(fld)
     f = MPoly(3, dict(zip(f.terms, ground.ints(f.terms.values()))))
-    inf_pts, res_inf, restr = _infinity_scan(f, ground)
+    parts = [f.derivative(i) for i in range(3)]
+    inf_pts, res_inf, restr = _infinity_scan(f, parts, ground)
     for p in ground.primes:
-        scan = _affine_scan(f, p, ground)
+        scan = _affine_scan(f, parts, p, ground)
         if scan is None:
             error = ReducibleSuspected("all affine resultant nets vanish identically")
             continue
@@ -628,7 +613,7 @@ def gen_singular_model(d, assigned, coeff_height=3, seed=0):
 # --- curve file format ------------------------------------------------------------
 
 
-def _parse_point(text, lineno=None):
+def parse_point(text, lineno=None):
     """A point a:b:c, parentheses optional; each coordinate an integer or a
     fraction n/d with d nonzero."""
     text = text.strip()
@@ -678,14 +663,14 @@ def parse_curve_file(text):
             if " mult " not in value:
                 raise ParseError("expected 'sing = (a:b:c) mult m'", lineno)
             ptext, _, mtext = value.partition(" mult ")
-            coords = _parse_point(ptext, lineno)
+            coords = parse_point(ptext, lineno)
             try:
                 m = int(mtext.strip())
             except ValueError:
                 raise ParseError(f"bad multiplicity {mtext!r}", lineno)
             sings.append((coords, m))
         elif key == "point":
-            point = _parse_point(value, lineno)
+            point = parse_point(value, lineno)
         elif key == "field":
             if value == "Q":
                 fld = QQ

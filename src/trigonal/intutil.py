@@ -3,10 +3,11 @@
 ``factorize`` serves only ``squarefree_split``, which names Q(sqrt delta)
 canonically; no step of curve validation factors an integer.
 
-Deterministic: Miller-Rabin uses a fixed witness set (sound for < 3.3e24,
-falls back to many fixed witnesses above), perfect powers are split by exact
-roots, and Brent-Pollard rho uses a fixed parameter sequence and gives up,
-with ``InvalidInput``, after ``RHO_STEPS`` steps.
+Deterministic: Miller-Rabin to the bases 2-41 is exact below psi_13, and a
+strong Lucas test completes Baillie-PSW (Baillie and Wagstaff, Math. Comp.
+35, 1980) above; perfect powers are split by exact roots, and Brent-Pollard
+rho uses a fixed parameter sequence and gives up, with ``InvalidInput``,
+after ``RHO_STEPS`` steps.
 """
 
 import math
@@ -16,8 +17,10 @@ from .errors import InvalidInput
 
 _SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
-# Deterministic Miller-Rabin witnesses, sufficient for n < 3.3 * 10^24.
-_MR_WITNESSES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+# Miller-Rabin witnesses, deterministic below psi_13 = _MR_BOUND, the least
+# strong pseudoprime to all of them.
+_MR_WITNESSES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41]
+_MR_BOUND = 3317044064679887385961981
 
 # Steps of rho over all its seeds: a prime factor p takes about sqrt(p)
 # steps, so the factors rho finds are up to about 2^38.
@@ -45,7 +48,43 @@ def is_prime(n):
                 break
         else:
             return False
-    return True
+    return n < _MR_BOUND or _strong_lucas(n)
+
+
+def _jacobi(a, n):
+    """The Jacobi symbol (a/n) for odd n > 0."""
+    a, out = a % n, 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            out *= -1 if n % 8 in (3, 5) else 1
+        out *= -1 if a % 4 == n % 4 == 3 else 1
+        a, n = n % a, a
+    return out if n == 1 else 0
+
+
+def _strong_lucas(n):
+    """Strong Lucas probable-prime test of an odd n with no prime factor
+    below 53, with Selfridge's parameters: D the first of 5, -7, 9, -11, ...
+    with (D/n) = -1, P = 1 and Q = (1 - D)/4."""
+    if math.isqrt(n) ** 2 == n:
+        return False        # no D has (D/n) = -1
+    D = 5
+    while (j := _jacobi(D, n)) == 1:
+        D = -D - 2 if D > 0 else 2 - D
+    # U_k, V_k and Q^k mod n along the bits of n + 1 = d * 2^s, d odd
+    s = ((n + 1) & -(n + 1)).bit_length() - 1
+    Q, half = (1 - D) // 4, (n + 1) // 2
+    U, V, Qk = 1, 1, Q
+    for bit in bin((n + 1) >> s)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = (U + V) * half % n, (D * U + V) * half % n, Qk * Q % n
+    found = U == 0
+    for _ in range(s):
+        found |= V == 0
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+    return j == -1 and found
 
 
 def _brent_rho(n):

@@ -7,7 +7,7 @@ Polynomials mod p are plain int lists, lowest degree first, and so are the
 polynomials over Z of the exact half of the scan over Q: ``zz_gcd`` and
 ``zz_squarefree`` take their gcd and square-free part fraction-free, by
 primitive pseudo-remainders.  The scan and
-the fiber check reduce exact bivariate polynomials with
+the fiber check reduce exact forms, read at z = 1, with
 ``fp_bivariate_table`` and eliminate a variable with
 ``fp_resultant_keepvar``.  It evaluates at the consecutive nodes 0, 1, ...,
 runs the Euclidean resultants of all nodes in lockstep with one batched
@@ -429,13 +429,13 @@ def fp_reduce(c, p, root=None):
 
 
 def fp_bivariate_table(F, p, root=None):
-    """Coefficient lists of a bivariate F over the y-power, one per power up
-    to its y-degree; each entry is an int list in x mod p.  Q(sqrt delta)
-    coefficients need ``root``, a square root of delta mod p.  None when a
-    denominator vanishes mod p."""
+    """Coefficient lists of a bivariate F, or of F(x, y, 1) for a ternary
+    form F, over the y-power, one per power up to its y-degree; each entry
+    is an int list in x mod p.  Q(sqrt delta) coefficients need ``root``, a
+    square root of delta mod p.  None when a denominator vanishes mod p."""
     x_deg = F.degree_in(0)
     table = [[0] * (x_deg + 1) for _ in range(F.degree_in(1) + 1)]
-    for (i, j), c in F.terms.items():
+    for (i, j, *_), c in F.terms.items():
         v = fp_reduce(c, p, root)
         if v is None:
             return None

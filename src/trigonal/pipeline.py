@@ -19,18 +19,19 @@ under their names; like the timings, they are left out of
 
 import time
 from dataclasses import dataclass, field as dc_field
-from itertools import repeat
+from itertools import repeat, zip_longest
+from math import comb
 
 from .canonical import (PetriResult, adjoint_basis, adjoint_combination,
                         forms_through_image, hyperelliptic_test, petri_test)
-from .curve import _dehomogenize_z, derived_rng, normalize_point
+from .curve import derived_rng, normalize_point
 from .errors import (CurveUnsupported, DegenerateFiber, HyperellipticInput,
                      InvalidInput, PointNotOnCurve, TrigonalError, stage)
 from .liealg import Case, classify, levi, stabilizer_algebra
 from .linalg import kernel_basis
 from .modular import (fp_bivariate_table, fp_divmod, fp_gcd, fp_resultant_keepvar,
-                      fp_sqrt, fp_squarefree, primes_below)
-from .poly import MPoly, poly_str
+                      fp_sqrt, fp_squarefree, fp_sub, fp_trim, primes_below)
+from .poly import poly_str
 from .scalars import PrimeField, QuadraticField
 from .scroll import PencilMap, rulings
 
@@ -113,34 +114,30 @@ FIBER_DRAWS = 6
 FIBER_PRIME_START = 1 << 30
 
 
-def _shear(poly, lam):
-    """Substitute x -> x + lam*y (z untouched)."""
-    if lam == 0:
-        return poly
-    out = {}
-    # binomial expansion per term, cheaper than generic substitution
-    from math import comb
-    for (i, j, k), c in poly.terms.items():
-        for r in range(i + 1):
-            e = (i - r, j + r, k)
-            add = c * (comb(i, r) * lam ** r)
-            cur = out.get(e, 0)
-            cur = cur + add
-            if cur:
-                out[e] = cur
-            else:
-                out.pop(e, None)
-    return MPoly(3, out)
+def _shear(table, lam, p):
+    """The table of u(x + lam*y, y) mod p from the table of u(x, y), an int
+    list in x per y-power as ``fp_bivariate_table`` lays it out, with no
+    trailing zero row: its length is one more than the y-degree mod p."""
+    width = max(map(len, table))
+    out = [[0] * width for _ in range(len(table) + width)]
+    for j, row in enumerate(table):
+        for i, c in enumerate(row):
+            for r in range(i + 1 if lam else 1):    # c x^i y^j -> c (x + lam y)^i y^j
+                out[j + r][i - r] += c * comb(i, r) * lam ** r
+    out = [fp_trim([c % p for c in row]) for row in out]
+    while out and not out[-1]:
+        out.pop()
+    return out
 
 
 def _fiber_primes(fld):
     """Moduli of successive fiber draws, each with the image of sqrt(delta),
     the smaller square root of delta mod p (None outside Q(sqrt delta)).
-    Over F_q the modulus is q itself; over Q
-    and Q(sqrt delta) the primes walk down from ``FIBER_PRIME_START``,
+    Over F_q the modulus is q itself, ``FIBER_DRAWS`` times, one per draw;
+    over Q and Q(sqrt delta) the primes walk down from ``FIBER_PRIME_START``,
     keeping only primes where delta is a nonzero square."""
     if isinstance(fld, PrimeField):
-        return repeat((fld.p, None))
+        return repeat((fld.p, None), FIBER_DRAWS)
     walk = primes_below(FIBER_PRIME_START)
     if isinstance(fld, QuadraticField):
         return ((p, fp_sqrt(fld.delta, p)) for p in walk
@@ -148,14 +145,17 @@ def _fiber_primes(fld):
     return ((p, None) for p in walk)
 
 
-def _reduce_draw(primes, F, hs):
-    """The next admissible modulus from ``primes`` with the tables of F and
-    of each h over it: no denominator vanishes and F stays monic in y."""
+def _reduce_draw(primes, forms, lam, d):
+    """The next admissible modulus p from ``primes`` with the tables of the
+    ternary ``forms`` (f, P, Q) at z = 1, reduced mod p and sheared by
+    x -> x + lam*y there.  p is admissible when no denominator vanishes
+    mod p and the sheared f keeps its y-degree d, so it stays monic in y."""
     for p, root in primes:
-        ft = fp_bivariate_table(F, p, root)
-        hts = [fp_bivariate_table(h, p, root) for h in hs]
-        if ft is not None and ft[-1] and None not in hts:
-            return p, ft, hts
+        tables = [fp_bivariate_table(u, p, root) for u in forms]
+        if None not in tables:
+            tables = [_shear(t, lam, p) for t in tables]
+            if len(tables[0]) == d + 1:
+                return p, tables
     raise DegenerateFiber("no admissible prime for the fiber check")
 
 
@@ -168,9 +168,12 @@ def map_degree(curve, pencil, seed=0):
     fiber.  Each draw works modulo its own prime (recorded as "prime"),
     below 2^30 over Q and Q(sqrt delta), so a draw is Monte Carlo in its
     shear, its t-values and its prime; over F_q it works mod q, exactly.
-    Draws with distinct shears go on, at most ``FIBER_DRAWS`` of them, until
-    one degree has come out twice; that degree, the first value seen twice,
-    is returned.
+    Each draw picks its prime, reduces and shears f, p and q there
+    (``_reduce_draw``) and forms h = p - t*q on those tables, drawing again
+    a t whose h has no y-term mod the prime.  A pencil coefficient outside
+    the ground field is ``InvalidInput``.  Draws with distinct shears go on,
+    at most ``FIBER_DRAWS`` of them, until one degree has come out twice;
+    that degree, the first value seen twice, is returned.
     """
     f = curve.f
     p0, q0 = pencil.p, pencil.q
@@ -182,6 +185,7 @@ def map_degree(curve, pencil, seed=0):
     fld = curve.field
     if isinstance(pencil.field, QuadraticField):
         fld = pencil.field
+    forms = (f, p0.map_coeffs(fld.coerce), q0.map_coeffs(fld.coerce))
     rng = derived_rng(seed, f"map_degree:{poly_str(p0)}:{poly_str(q0)}")
     primes = _fiber_primes(fld)
     draws = []
@@ -197,25 +201,19 @@ def map_degree(curve, pencil, seed=0):
 
     for _ in range(FIBER_DRAWS):
         lam = next_lambda()
-        F = _dehomogenize_z(_shear(f, lam))
-        P = _dehomogenize_z(_shear(p0, lam))
-        Qm = _dehomogenize_z(_shear(q0, lam))
-        ts = []
-        hs = []
-        guard = 0
-        while len(ts) < 2 and guard < 40:
-            guard += 1
-            t = fld.coerce(rng.randint(-10000, 10000))
-            if any(t == s for s in ts):
-                continue
-            h = P - Qm.map_coeffs(lambda c: t * c)
-            if h.degree_in(1) < 1:
-                continue
-            ts.append(t)
-            hs.append(h)
-        if len(ts) < 2:
+        p, (ft, pt, qt) = _reduce_draw(primes, forms, lam, f.total_degree())
+        ts, hts = [], []
+        for _ in range(40):
+            k = rng.randint(-10000, 10000)
+            t = fld.coerce(k)
+            ht = [fp_sub(a, [k * c for c in b], p) for a, b in zip_longest(pt, qt, fillvalue=[])]
+            if any(ht[1:]) and t not in ts:
+                ts.append(t)
+                hts.append(ht)
+                if len(ts) == 2:
+                    break
+        else:       # fewer than two t-values whose h involves y
             continue
-        p, ft, hts = _reduce_draw(primes, F, hs)
         rs = [fp_resultant_keepvar(ft, ht, p) for ht in hts]
         if not all(rs):
             continue
@@ -333,9 +331,9 @@ def _map(curve, rep, bp):
         what, cands, failures = ("marked-point pencil",
                                  [(None, None, None, g3_map(curve, bp, x["cm"]))], [])
     elif case == Case.Scroll:
-        what, (cands, failures) = "scroll ruling", rulings([x["levi"]], x["cm"], curve)
+        what, (cands, failures) = "scroll ruling", rulings([x["levi"]], x["cm"])
     elif case == Case.P1xP1:
-        what, (cands, failures) = "ruling of the quadric", rulings(x["ideals"], x["cm"], curve)
+        what, (cands, failures) = "ruling of the quadric", rulings(x["ideals"], x["cm"])
     else:
         raise CurveUnsupported(f"unexpected Levi structure: {rep.levi_type}")
     verified, all_draws = [], []

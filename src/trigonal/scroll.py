@@ -56,35 +56,37 @@ class PencilMap:
     field: object
 
 
-def _is_dependent(pvec, qvec, dim):
-    span = FpEchelon(dim)
-    span.add(pvec)
-    return not span.add(qvec)
-
-
 def weight_chains(triple, g):
     """Decompose the ambient g-space under (e, h, f) into chains by repeated
-    f-action.  The highest-weight vectors of weight lam are the kernel of
-    the stacked rows [e; h - lam*I], taken for lam = g-1 down to 0 until the
-    chains fill the space; a chain from weight lam must have length lam+1."""
+    f-action from the highest-weight vectors, ker e.  That kernel is taken
+    once, as its reduced echelon basis v_1..v_k; the vectors of weight lam
+    are the sums c_1 v_1 + ... + c_k v_k with c in the kernel of the g x k
+    rows (h v_i - lam v_i)_r, for lam = g-1 down to 0 until the chains fill
+    the space.  Each v_i is 1 at its lead and 0 at the others' leads, so
+    the reduced basis of c gives the reduced basis of the weight space, the
+    one a kernel of [e; h - lam*I] gives.  A chain from weight lam must
+    have length lam+1."""
     fld = triple.field
     zero = fld.zero()
     e, h, f = ([[m.get(i * g + j, 0) for j in range(g)] for i in range(g)]
                for m in (triple.e, triple.h, triple.f))
+
+    def act(mat, v):
+        return [sum((x * y for x, y in zip(row, v) if x and y), zero) for row in mat]
+
+    top = kernel_basis(e)
+    h_top = [act(h, v) for v in top]
+    # row r of the weight-lam system is (h v_i - lam v_i)_r over i
+    pairs = [[(hv[r], v[r]) for v, hv in zip(top, h_top)] for r in range(g)]
     chains = []
     for lam in range(g - 1, -1, -1):
         if sum(map(len, chains)) >= g:
             break
-        lam_c = fld.coerce(lam)
-        shifted = [list(row) for row in h]
-        for i in range(g):
-            shifted[i][i] = shifted[i][i] - lam_c
-        for v in kernel_basis(e + shifted):
-            cur = [fld.coerce(x) if isinstance(x, int) else x for x in v]
+        for c in kernel_basis([[a - lam * b if b else a for a, b in row] for row in pairs]):
+            cur = [sum((x * v[r] for x, v in zip(c, top) if x and v[r]), zero) for r in range(g)]
             chain = [cur]
             while True:
-                cur = [sum((x * y for x, y in zip(row, cur) if x and y), zero)
-                       for row in f]
+                cur = act(f, cur)
                 if not any(cur):
                     break
                 chain.append(cur)
@@ -164,7 +166,7 @@ def minor_vectors(a, monos2):
     return out
 
 
-def ruling_map(a, cm, curve):
+def ruling_map(a, cm):
     """First column of the scroll matrix whose two entries pull back to
     independent forms on the curve; their ratio is the candidate pencil."""
     for col in range(a.ncols):
@@ -172,18 +174,16 @@ def ruling_map(a, cm, curve):
         q = adjoint_combination(a.row2[col], cm)
         if not p or not q:
             continue
-        # degree d-3 < deg f, so dependence mod f is plain dependence
-        tot = len(set(p.terms) | set(q.terms))
-        monos = sorted(set(p.terms) | set(q.terms))
-        pvec = [p.terms.get(m, 0) for m in monos]
-        qvec = [q.terms.get(m, 0) for m in monos]
-        if _is_dependent(pvec, qvec, tot):
+        # degree d-3 < deg f, so dependence mod f is plain dependence: q is
+        # a multiple of p exactly when it is q[m]/p[m] times p at a term m
+        m = next(iter(p.terms))
+        if p * q.terms.get(m, 0) == q * p.terms[m]:
             continue
         return PencilMap(p=p, q=q, field=a.field)
     raise AllColumnsDegenerate("every scroll column pulls back degenerately")
 
 
-def rulings(summands, cm, curve):
+def rulings(summands, cm):
     """Run split_sl2, weight_chains, scroll_matrix and ruling_map on each
     sl2 summand.  Returns the candidates, (summand index, triple, scroll
     matrix, pencil), and the failures, (summand index, error), both in
@@ -195,7 +195,7 @@ def rulings(summands, cm, curve):
         try:
             triple = split_sl2(s)
             smat = scroll_matrix(weight_chains(triple, cm.genus))
-            candidates.append((idx, triple, smat, ruling_map(smat, cm, curve)))
+            candidates.append((idx, triple, smat, ruling_map(smat, cm)))
         except TrigonalError as err:
             failures.append((idx, err))
     return candidates, failures

@@ -106,6 +106,16 @@ def test_decide_over_prime_fields(tmp_path, sqrt2_sextic):
     assert status == 2
 
 
+def test_decide_over_a_strong_pseudoprime_exits_two(tmp_path, capsys):
+    # 3317044064679887385961981 passes Miller-Rabin to every base 2-41; the
+    # ring of integers mod it is not a field
+    path = tmp_path / "pseudo.curve"
+    path.write_text("f = x^3*y + y^3*z + z^3*x\nfield = Fp 3317044064679887385961981\n")
+    status, out = run_cli(["decide", str(path)])
+    assert status == 2 and not out
+    assert "not an odd prime" in capsys.readouterr().err
+
+
 def test_decide_parse_error_exit_two(tmp_path):
     path = tmp_path / "bad.curve"
     path.write_text("f = x^4 + w^4\n")

@@ -2,9 +2,11 @@
 named somewhere besides its own definition, in the sources, the tests or the
 benchmark; every field of a package dataclass is read there; every name a
 module of the package imports is used there or exported through its
-``__all__``; every name in an ``__all__`` is bound in its module; and every
+``__all__``; every name in an ``__all__`` is bound in its module; every
 function of the tests' oracle module, ``tests/dense_reference.py``, is used
-by a test or by another oracle there."""
+by a test or by another oracle there; every defaulted parameter is set by
+some call; no module imports a private name of another; and every parameter
+of a package function is read in its body."""
 
 import ast
 import importlib
@@ -195,3 +197,53 @@ def test_every_default_is_set_by_some_caller():
              if not any(sets(call, param, pos)
                         for name in names for call in calls.get(name, ()))]
     assert not unset, "defaults no caller sets: " + ", ".join(unset)
+
+
+def test_no_private_name_crosses_a_module():
+    """A private name (``_x``) is its module's own: another module of the
+    package that needs it should get it under a public name."""
+    crossing = [f"{path.name}:{node.lineno} {alias.name}"
+                for path in sorted(PACKAGE.glob("*.py"))
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.ImportFrom)
+                and (node.level or (node.module or "").startswith("trigonal"))
+                for alias in node.names
+                if alias.name.startswith("_") and not alias.name.startswith("__")]
+    assert not crossing, "private names imported across modules: " + ", ".join(crossing)
+
+
+def _stage_functions():
+    """The names of the functions in ``pipeline._STAGES``."""
+    for node in ast.parse((PACKAGE / "pipeline.py").read_text()).body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "_STAGES"
+                        for t in node.targets)):
+            return {n.id for n in ast.walk(node.value) if isinstance(n, ast.Name)}
+    return set()
+
+
+def test_every_parameter_is_read():
+    """A parameter that its function never reads is passed for nothing.
+    The stages of ``pipeline._STAGES`` share the signature fn(curve, rep,
+    bp) and are exempt, and so is the first parameter of a method (the
+    package has no static method), which the call binds."""
+    stages = _stage_functions()
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        methods = {id(n) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                   for n in cls.body if isinstance(n, ast.FunctionDef)}
+        for node in ast.walk(tree):
+            if (not isinstance(node, ast.FunctionDef)
+                    or path.stem == "pipeline" and node.name in stages):
+                continue
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs
+            params += [a for a in (args.vararg, args.kwarg) if a]
+            if id(node) in methods:
+                params = params[1:]
+            read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread += [f"{path.name}:{node.lineno} {node.name}({a.arg})"
+                       for a in params if a.arg not in read]
+    assert not unread, "parameters never read: " + ", ".join(unread)

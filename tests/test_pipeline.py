@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+import textwrap
 from itertools import islice
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trigonal import liealg, pipeline
 from trigonal.canonical import cubic_count
@@ -9,7 +15,8 @@ from trigonal.errors import (ChainCountUnexpected, CurveUnsupported, DegenerateF
                              HyperellipticInput, InvalidInput, PointNotOnCurve)
 from trigonal.pipeline import decide, g3_map, map_degree
 from trigonal.poly import MPoly, parse_poly, poly_str
-from trigonal.scalars import QQ, PrimeField, QuadExt, QuadraticField, rat
+from trigonal.modular import fp_bivariate_table
+from trigonal.scalars import QQ, FpElt, PrimeField, QuadExt, QuadraticField, rat
 from trigonal.scroll import PencilMap
 
 
@@ -83,6 +90,86 @@ def test_map_degree_over_small_prime_field():
     deg, draws = map_degree(klein, g3_map(klein, (0, 0, 1)))
     assert deg == 3
     assert all(d["prime"] == 101 for d in draws)
+
+
+_SHEAR_FIELDS = {
+    "Q": (QQ, lambda a, b: rat(a, b)),
+    "Q(sqrt 2)": (QuadraticField(2), lambda a, b: QuadExt(rat(a, b), rat(b - 3), 2)),
+    "F101": (PrimeField(101), lambda a, b: FpElt(a, 101)),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from(sorted(_SHEAR_FIELDS)), st.integers(-3, 3))
+def test_residue_shear_matches_the_exact_shear(data, name, lam):
+    """The shear of a form's table mod p against the table of the form
+    sheared exactly by ``MPoly.substitute``, with no trailing zero row, over
+    Q and Q(sqrt 2) at their first fiber prime and over F_101."""
+    fld, scalar = _SHEAR_FIELDS[name]
+    p, root = next(iter(pipeline._fiber_primes(fld)))
+    d = data.draw(st.integers(1, 5))
+    monos = [(i, j, d - i - j) for i in range(d + 1) for j in range(d + 1 - i)]
+    coeffs = data.draw(st.lists(st.tuples(st.integers(-9, 9), st.integers(1, 5)),
+                                min_size=len(monos), max_size=len(monos)))
+    u = MPoly(3, {m: scalar(a, b) for m, (a, b) in zip(monos, coeffs) if a})
+    if not u:
+        u = MPoly(3, {(0, d, 0): fld.one()})
+    x, y, z = (MPoly.variable(3, i) for i in range(3))
+    exact = fp_bivariate_table(u.substitute([x + y * fld.coerce(lam), y, z]), p, root)
+    while not exact[-1]:
+        exact.pop()
+    assert pipeline._shear(fp_bivariate_table(u, p, root), lam, p) == exact
+
+
+def test_only_ints_reach_the_fiber_resultants(m1_cubic, monkeypatch):
+    """The tables of f and of each h = p - t*q are int lists mod the draw
+    prime, over Q and for a pencil over Q(sqrt 2)."""
+    types = set()
+    keepvar = pipeline.fp_resultant_keepvar
+
+    def spy(a, b, p):
+        types.update(type(c) for table in (a, b) for row in table for c in row)
+        return keepvar(a, b, p)
+
+    monkeypatch.setattr(pipeline, "fp_resultant_keepvar", spy)
+    halves = MPoly(3, {(1, 0, 0): rat(1, 2), (0, 0, 1): rat(1, 3)})
+    assert map_degree(m1_cubic, PencilMap(p=halves, q=parse_poly("z"), field=QQ))[0] == 3
+    fld = QuadraticField(2)
+    x, z = (MPoly(3, {e: fld.one()}) for e in ((1, 0, 0), (0, 0, 1)))
+    sqrt2_z = MPoly(3, {(0, 0, 1): QuadExt(rat(1, 3), 1, 2)})
+    assert map_degree(m1_cubic, PencilMap(p=x + sqrt2_z, q=z, field=fld))[0] == 3
+    assert types == {int}
+
+
+def test_pencil_outside_a_prime_field_is_invalid_input():
+    """The pencil (x/101 : y) on the Klein quartic over F_101 has a
+    coefficient that F_101 does not hold: a typed error at once, not a hang
+    on the moduli of the fiber check.  The child process fails the test if
+    it outlives its timeout."""
+    code = textwrap.dedent("""
+        import time
+        from trigonal.curve import validate_curve
+        from trigonal.pipeline import map_degree
+        from trigonal.poly import MPoly, parse_poly
+        from trigonal.scalars import PrimeField, rat
+        from trigonal.scroll import PencilMap
+        fld = PrimeField(101)
+        klein = validate_curve(parse_poly("x^3*y + y^3*z + z^3*x"), fld=fld)
+        pencil = PencilMap(p=MPoly(3, {(1, 0, 0): rat(1, 101)}),
+                           q=MPoly(3, {(0, 1, 0): rat(1)}), field=fld)
+        t0 = time.perf_counter()
+        try:
+            map_degree(klein, pencil)
+        except Exception as e:
+            print(type(e).__name__, time.perf_counter() - t0)
+    """)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=20)
+    name, seconds = proc.stdout.split()
+    assert name == "InvalidInput" and float(seconds) < 1
 
 
 @pytest.mark.parametrize("faked, expected", [([3, 4, 4], 4), ([5, 3, 4, 3], 3)])

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -101,6 +102,50 @@ def test_factorization_ends_on_two_large_primes():
         intutil.squarefree_split((2 ** 61 - 1) * (2 ** 89 - 1))
     primes = [2 ** 31 - 1, 10 ** 9 + 7, 10 ** 9 + 9]
     assert intutil.factorize(primes[0] * primes[1] * primes[2]) == dict.fromkeys(primes, 1)
+
+
+# psi_12 and psi_13, the least strong pseudoprimes to all prime bases up to
+# 37 and up to 41
+PSI12 = 318665857834031151167461
+PSI13 = 3317044064679887385961981
+
+
+def _strong_probable_prime(n, a):
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any(pow(x, 2 ** i, n) == n - 1 for i in range(1, r))
+
+
+@pytest.mark.parametrize("n, bases", [(PSI12, 12), (PSI13, 13)])
+def test_strong_pseudoprimes_are_not_prime(n, bases):
+    """psi_12 passes Miller-Rabin to the bases 2-37 and fails base 41;
+    psi_13 passes all 13 bases, and the strong Lucas test refuses it.
+    Neither names a prime field."""
+    witnesses = intutil._MR_WITNESSES
+    assert all(_strong_probable_prime(n, a) for a in witnesses[:bases])
+    assert bases == len(witnesses) or not _strong_probable_prime(n, witnesses[bases])
+    assert not intutil.is_prime(n)
+    with pytest.raises(InvalidInput, match="not an odd prime"):
+        PrimeField(n)
+
+
+def test_mersenne_primes_past_the_bound_are_prime():
+    assert all(intutil.is_prime(2 ** e - 1) for e in (89, 107, 127))
+    assert not intutil.is_prime((2 ** 89 - 1) * (2 ** 107 - 1))
+
+
+def test_strong_lucas_test_matches_its_definition():
+    """Among odd n below 30000 with no prime factor below 53, the strong
+    Lucas test with Selfridge's parameters passes the primes and exactly the
+    strong Lucas pseudoprimes (OEIS A217255) among the composites."""
+    pseudoprimes = {5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199}
+    for n in range(53, 30000, 2):
+        if any(n % p == 0 for p in intutil._SMALL_PRIMES):
+            continue
+        prime = all(n % k for k in range(3, math.isqrt(n) + 1, 2))
+        assert intutil._strong_lucas(n) == (prime or n in pseudoprimes), n
 
 
 def test_sdiv_never_floats():

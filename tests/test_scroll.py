@@ -2,12 +2,14 @@ import pytest
 
 from trigonal.canonical import (adjoint_basis, adjoint_combination,
                                 forms_through_image)
-from trigonal.errors import ChainCountUnexpected, DecompositionFailed
+from trigonal import scroll
+from trigonal.errors import (AllColumnsDegenerate, ChainCountUnexpected,
+                             DecompositionFailed)
 from trigonal.liealg import (Sl2Triple, levi, split_sl2,
                              split_two_ideals, stabilizer_algebra)
 from trigonal.scalars import QQ, rat
-from trigonal.scroll import (minor_vectors, ruling_map, rulings, scroll_matrix,
-                             weight_chains)
+from trigonal.scroll import (ScrollMat, minor_vectors, ruling_map, rulings,
+                             scroll_matrix, weight_chains)
 
 from dense_reference import inverse, mat_mul, mat_vec, same_span, sparse
 from test_liealg import CONE
@@ -102,16 +104,47 @@ def test_weight_chains_are_pinned():
 def test_weight_chains_pinned_after_a_change_of_basis():
     # P^-1 X P for the three-chain triple: the highest-weight vectors are the
     # reduced echelon basis of a 3-dimensional kernel with dense entries
+    assert _chain_strs(weight_chains(_three_chain_triple(), 6)) == [
+        [["0", "0", "1", "-1", "1", "0"], ["2", "0", "0", "1", "-1", "1"]],
+        [["0", "1", "0", "-1", "1", "0"], ["1", "0", "1", "0", "-1", "1"]],
+        [["1", "0", "0", "0", "0", "0"], ["-1", "1", "0", "0", "0", "0"]]]
+
+
+def _three_chain_triple():
+    # P^-1 X P for the triple of three 2-chains
     e2, h2, f2 = _sym_action(2)
     P = [[rat(x) for x in row] for row in
          [[1, 1, 0, -1, 1, 0], [0, 1, 1, 0, -1, 1], [0, 0, 1, 1, 0, -1],
           [0, 0, 0, 1, 1, 0], [0, 0, 0, 0, 1, 1], [0, 0, 0, 0, 0, 1]]]
-    t = _triple_from_mats(*(mat_mul(mat_mul(inverse(P), _block([m] * 3)), P)
-                            for m in (e2, h2, f2)))
-    assert _chain_strs(weight_chains(t, 6)) == [
-        [["0", "0", "1", "-1", "1", "0"], ["2", "0", "0", "1", "-1", "1"]],
-        [["0", "1", "0", "-1", "1", "0"], ["1", "0", "1", "0", "-1", "1"]],
-        [["1", "0", "0", "0", "0", "0"], ["-1", "1", "0", "0", "0", "0"]]]
+    return _triple_from_mats(*(mat_mul(mat_mul(inverse(P), _block([m] * 3)), P)
+                               for m in (e2, h2, f2)))
+
+
+@pytest.mark.parametrize("case", ["block", "change_of_basis", "proj5"])
+def test_weight_chains_eliminate_e_once(monkeypatch, request, case):
+    # one g x g kernel of e, then one g x dim(ker e) kernel per weight tried,
+    # the weights g-1 down to the lowest highest weight
+    if case == "block":
+        e2, h2, f2 = _sym_action(2)
+        e4, h4, f4 = _sym_action(4)
+        t, g = _triple_from_mats(_block([e2, e4]), _block([h2, h4]), _block([f2, f4])), 6
+    elif case == "change_of_basis":
+        t, g = _three_chain_triple(), 6
+    else:
+        curve = request.getfixturevalue("proj5")
+        t, g = split_sl2(levi(stabilizer_algebra(
+            forms_through_image(curve, adjoint_basis(curve)), 5))), 5
+    shapes = []
+    kernel = scroll.kernel_basis
+
+    def spy(rows):
+        shapes.append((len(rows), len(rows[0])))
+        return kernel(rows)
+
+    monkeypatch.setattr(scroll, "kernel_basis", spy)
+    w = weight_chains(t, g)
+    k = len(w.chains)
+    assert shapes == [(g, g)] + [(g, k)] * (g - min(w.lengths) + 1)
 
 
 def test_weight_chains_reject_f_chains_that_disagree_with_h():
@@ -167,7 +200,7 @@ def test_ruling_map_columns_agree_on_curve(proj5):
     t = split_sl2(levi(alg))
     w = weight_chains(t, 5)
     a = scroll_matrix(w)
-    pm = ruling_map(a, cm, proj5)
+    pm = ruling_map(a, cm)
     # all admissible columns define the same map mod f
     maps = []
     for col in range(a.ncols):
@@ -182,13 +215,28 @@ def test_ruling_map_columns_agree_on_curve(proj5):
             assert (not cross) or cross.divisible_by(proj5.f)
 
 
+def test_ruling_map_skips_degenerate_columns(proj5):
+    # a zero entry, a zero second entry and a second entry -3/2 times the
+    # first are skipped before proj5's own columns; with only those three,
+    # every column is degenerate
+    cm = adjoint_basis(proj5)
+    a = scroll_matrix(weight_chains(split_sl2(levi(stabilizer_algebra(
+        forms_through_image(proj5, cm), 5))), 5))
+    u, zero = a.row1[0], [rat(0)] * len(a.row1[0])
+    bad = ([zero, u, u], [u, zero, [rat(-3, 2) * x for x in u]])
+    padded = ScrollMat(row1=bad[0] + a.row1, row2=bad[1] + a.row2, field=a.field)
+    assert ruling_map(padded, cm) == ruling_map(a, cm)
+    with pytest.raises(AllColumnsDegenerate):
+        ruling_map(ScrollMat(row1=bad[0], row2=bad[1], field=a.field), cm)
+
+
 def test_p1xp1_rulings_on_genus4(two_node_quintic):
     cm = adjoint_basis(two_node_quintic)
     q = forms_through_image(two_node_quintic, cm)
     alg = stabilizer_algebra(q, 4)
     sem = levi(alg)
     s1, s2 = split_two_ideals(sem)
-    cands, fails = rulings((s1, s2), cm, two_node_quintic)
+    cands, fails = rulings((s1, s2), cm)
     assert [c[0] for c in cands] == [0, 1] and not fails
     for _, triple, smat, pm in cands:
         assert triple.check() and pm.field == smat.field == triple.field
@@ -202,6 +250,6 @@ def test_p1xp1_one_summand_fails_on_reembedded_scroll(m1_quartic):
     alg = stabilizer_algebra(q, 6)
     sem = levi(alg)
     s1, s2 = split_two_ideals(sem)
-    cands, fails = rulings((s1, s2), cm, m1_quartic)
+    cands, fails = rulings((s1, s2), cm)
     assert len(cands) == 1 and len(fails) == 1
     assert isinstance(fails[0][1], ChainCountUnexpected)
