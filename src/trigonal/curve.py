@@ -12,19 +12,35 @@ residues in [0, q) over F_q.  Singular points on the line z=0 and at
 (1:0:0) are found by exact univariate gcds on int lists: fraction-free over
 Z (``modular.zz_gcd``) over Q, mod q over F_q.  The affine chart is scanned
 with resultant nets reduced mod q itself over F_q, and over Q mod the head p
-of the prime walk in ``modular``; a reduction that is degenerate there
-moves the scan to the next walk prime.  The third net is computed only when
-the first two leave a candidate x-value outside F_p.  Each candidate is
-then verified exactly over the ground field, so a reported point is never
-wrong: the fiber above it is cut out by an exact univariate gcd of the same
-kind, on b^D F(a/b, y) over Q.  The roots of these gcds are taken mod q over
-F_q, and over Q by ``modular.rational_roots``, which lifts roots mod a prime
-p-adically; no step factors an integer.  Whatever part of a candidate locus
-does not split into ground-field points counts into the residual budget and
-leads to a typed rejection.  So, over Q, does every singular point of f mod
-p on z=0 that is not the reduction of a point found: the affine scan mod p
-cannot see a point whose z reduces to 0.  The same scan rejects a repeated
-component on both fields, since its whole support is singular.
+of the prime walk in ``modular``, below 2^30, so that every residue is one
+CPython digit; a reduction that is degenerate there moves the scan to the
+next walk prime.  The third net is computed only when the first two leave a
+candidate x-value outside F_p.  Over Q a candidate root mod p is taken to
+Q by rational reconstruction, which reaches about sqrt(p/2).  Where that
+fails, or where the points mod p above the root are more than the points
+found above its reconstruction (two rational points whose x agree mod p),
+each singular point mod p left over is lifted p-adically, x and y
+together, by Newton's iteration on two partials of f, or, at a cusp or
+tacnode mod p, where no two partials have an invertible Jacobian, found
+among the rational roots of a net taken over Z by CRT; each x so proposed
+is checked.  Each candidate is verified exactly over the ground field, so a
+reported point is never wrong: the fiber above it is cut out by an exact
+univariate gcd of the same kind, on b^D F(a/b, y) over Q.  The roots of
+these gcds are taken mod q over F_q, and over Q by
+``modular.rational_roots``, which lifts roots mod a prime p-adically; no
+step factors an integer.  Whatever part of a candidate locus does not split
+into ground-field points counts into the residual budget and leads to a
+typed rejection.  Over Q a residual that rests on p alone (candidates with
+no root in F_p, points whose lift failed) is confirmed first: the first two
+nets are taken at the next walk prime, and unless their gcd still has more
+roots than the x-values found, the scan runs again there, on those nets.  Also over Q,
+every singular point of f mod p on z=0 that is not the reduction of a point
+found counts into the residual: the affine scan mod p cannot see a point
+whose z reduces to 0.  And over Q a point found that is ordinary but
+whose tangent cone vanishes or has a repeated factor mod p may be where
+another singular point meets it mod p, so the scan then runs again at the
+next walk prime.  The same scan rejects a repeated component on both
+fields, since its whole support is singular.
 Each singular point's multiplicity and ordinarity are read off the Taylor
 pieces of the curve at an int representative of the point, built by
 ``poly.taylor_rows`` in increasing degree up to the first nonzero one; the
@@ -35,7 +51,7 @@ import hashlib
 import random
 from collections import namedtuple
 from itertools import combinations, islice
-from math import gcd
+from math import gcd, isqrt, perm
 from dataclasses import dataclass, field as dc_field
 
 from .errors import (CurveUnsupported, GenerationFailed, GenusTooSmall, UnsupportedInput,
@@ -44,8 +60,8 @@ from .errors import (CurveUnsupported, GenerationFailed, GenusTooSmall, Unsuppor
                      ReducibleSuspected)
 from .modular import (PRIME_WALK_START, clear_denominators, fp_bivariate_table, fp_eval,
                       fp_gcd, fp_reduce, fp_resultant_keepvar, fp_roots, fp_squarefree,
-                      fp_trim, primes_below, rational_reconstruct, rational_roots, zz_gcd,
-                      zz_squarefree)
+                      fp_trim, primes_below, rational_reconstruct, rational_roots, recon_bound,
+                      zz_gcd, zz_squarefree)
 from .poly import MPoly, binary_form_squarefree, parse_poly, poly_str, taylor_rows
 from .scalars import QQ, PrimeField, RationalField, rat
 
@@ -159,7 +175,9 @@ def _fiber(polys, ground):
 # --- singular locus -------------------------------------------------------------
 
 # Walk primes the scan over Q tries before a reduction that is degenerate at
-# each of them is reported as the error it raises at the last.
+# each of them is reported as the error it raises at the last; a residual
+# that rests on one of them alone is confirmed at the next, and at the last
+# it stands.
 SCAN_PRIMES = 3
 
 _Ground = namedtuple("_Ground", "primes lift ints mod gcd squarefree roots")
@@ -184,12 +202,15 @@ def _ground(fld):
     Over F_q, p = q only, every root is a candidate, values are represented
     by their residues in [0, q), and the gcd, square-free part and roots are
     ``fp_gcd``, ``fp_squarefree`` and ``fp_roots`` mod q.  Over Q, p runs
-    over the head of the prime walk, the next prime taken only when the
-    reduction mod the last one is degenerate (the scan reduces f with int
-    coefficients, its primitive integer multiple, so no denominator
-    vanishes); a root lifts by rational reconstruction mod p; values are
-    represented by their primitive integer multiple and lists are left as
-    they are; the gcd and square-free part are ``zz_gcd`` and
+    over the first ``SCAN_PRIMES`` primes of the walk, below 2^30, the next
+    prime taken only when the reduction mod the last one is degenerate or a
+    residual that rests on it alone is not confirmed at the next (the scan
+    reduces f with int coefficients, its primitive integer multiple, so no
+    denominator vanishes); a root lifts by rational reconstruction mod p,
+    which reaches numerators and denominators up to about sqrt(p/2), and
+    ``_affine_scan`` lifts the points above the roots it misses p-adically;
+    values are represented by their primitive integer multiple and lists
+    are left as they are; the gcd and square-free part are ``zz_gcd`` and
     ``zz_squarefree``, fraction-free over Z; and the roots are
     ``rational_roots``: roots mod a prime of their own, lifted p-adically
     and checked exactly, with no integer factoring."""
@@ -198,78 +219,266 @@ def _ground(fld):
         return _Ground((q,), lambda r, p: r, lambda vals: [fp_reduce(c, q) for c in vals],
                        lambda u: [c % q for c in u], lambda a, b: fp_gcd(a, b, q),
                        lambda a: fp_squarefree(a, q), lambda a: fp_roots(a, q))
-    return _Ground(islice(primes_below(PRIME_WALK_START), SCAN_PRIMES), rational_reconstruct,
-                   _primitive, lambda u: u, zz_gcd, zz_squarefree, rational_roots)
+    return _Ground(tuple(islice(primes_below(PRIME_WALK_START), SCAN_PRIMES)),
+                   rational_reconstruct, _primitive, lambda u: u, zz_gcd, zz_squarefree,
+                   rational_roots)
 
 
-def _affine_scan(f, parts, p, ground):
-    """Ground-field singular points in the chart z=1, plus a residual budget
-    for candidates that are not ground-field points; None when every
-    resultant net vanishes identically mod p.
+_Nets = namedtuple("_Nets", "tabs g first rest")
 
-    The candidate x-values mod p are the roots of the gcd of the resultant
-    nets Res_y(F_x, F_y), Res_y(F, F_x) and Res_y(F, F_y), taken in that
-    order.  The square-free gcd of the first two is split into its F_p
-    roots once.  When every one of its roots lies in F_p the last net is
-    not computed: each root is checked below against all of F, F_x and F_y,
-    exactly after the lift or by the mod-p gcd, and a root the last net
-    would have dropped has Res_y(F, F_y) != 0 there, so that check drops it
-    too.  Otherwise the last net cuts the gcd, and the F_p roots are the old
-    roots at which the new gcd vanishes.  F, F_x and F_y are f and its
-    ``parts`` (taken once, by the caller) read at z = 1."""
-    polys = (f, *parts[:2])
-    if not polys[1] and not polys[2]:
-        raise ReducibleSuspected("both affine partials vanish identically")
+
+def _first_nets(polys, p):
+    """The first resultant nets of ``polys`` = (F, F_x, F_y) mod p, as a
+    ``_Nets``: the tables of ``polys`` mod p; g, the square-free gcd of the
+    first two nets that do not vanish identically (the first alone when it
+    is constant or the only one; None when every net vanishes); the pair of
+    polynomials of the first such net; and the pairs whose nets are left.
+    The nets Res_y are taken on the pairs of nonzero polynomials of which
+    one involves y, in the order (F_x, F_y), (F, F_x), (F, F_y)."""
     pairs = [(i, j) for i, j in ((1, 2), (0, 1), (0, 2)) if polys[i] and polys[j]
              and (polys[i].degree_in(1) or polys[j].degree_in(1))]
     tabs = [fp_bivariate_table(P, p) for P in polys]
-    g = roots = None
-    for i, j in pairs:
-        if roots is not None and len(roots) == len(g) - 1:
-            break       # every candidate is in F_p
+    g = first = None
+    n = len(pairs)
+    for k, (i, j) in enumerate(pairs, 1):
         r = fp_resultant_keepvar(tabs[i], tabs[j], p)
         if not r:
             continue
         if g is None:
-            g = r
-        elif roots is None:
-            g = fp_squarefree(fp_gcd(g, r, p), p)
-            roots = fp_roots(g, p)
+            g, first = r, (polys[i], polys[j])
+            if len(g) > 1:
+                continue
         else:
             g = fp_gcd(g, r, p)
-            roots = [x for x in roots if not fp_eval(g, x, p)]
-        if len(g) == 1:
-            return [], 0
+        n = k
+        break
+    if g is not None and len(g) > 1:
+        g = fp_squarefree(g, p)
+    return _Nets(tabs, g, first, pairs[n:])
+
+
+def _net_bound(a, b):
+    """A bound on the coefficients in x of Res_y(a, b) for ternary int forms
+    read at z = 1, and so on the numerator and denominator of its rational
+    roots: the Hadamard bound of its Sylvester matrix with each entry, a
+    polynomial in x, replaced by its 1-norm.  On |x| = 1 no entry exceeds
+    its 1-norm, so the resultant does not exceed the bound there, nor, by
+    Parseval, does any of its coefficients."""
+    norms = []
+    for u in (a, b):
+        row = [0] * (u.degree_in(1) + 1)
+        for (_i, j, _k), c in u.terms.items():
+            row[j] += abs(c)
+        norms.append(sum(c * c for c in row))
+    return isqrt(norms[0] ** b.degree_in(1) * norms[1] ** a.degree_in(1)) + 1
+
+
+def _net_roots(a, b, bound):
+    """The distinct rational roots of Res_y(a, b), for ternary int forms a, b
+    read at z = 1 whose net is not 0 and has coefficients of absolute value
+    at most ``bound``.  The net is taken over Z by CRT over the walk primes
+    at which neither leading row in y vanishes, until their product exceeds
+    2 * bound, and its roots by ``rational_roots`` of its square-free part."""
+    net, m = [], 1
+    for q in primes_below(PRIME_WALK_START):
+        ta, tb = fp_bivariate_table(a, q), fp_bivariate_table(b, q)
+        if not (ta[-1] and tb[-1]):
+            continue
+        r = fp_resultant_keepvar(ta, tb, q)
+        n = max(len(net), len(r))
+        net, r = net + [0] * (n - len(net)), r + [0] * (n - len(r))
+        inv = pow(m, -1, q)
+        net = [c + m * ((v - c) * inv % q) for c, v in zip(net, r)]
+        m *= q
+        if m > 2 * bound:
+            break
+    return rational_roots(zz_squarefree(fp_trim([c - m if 2 * c > m else c for c in net])))
+
+
+def _lift_point(terms, r, s, p, bound, accept, near):
+    """Whether the singular point (r, s) of F mod p, F = sum c x^i y^j over
+    ``terms``, lifts p-adically to a rational x that ``accept(x, s)`` takes.
+
+    Its multiplicity mod p is the lowest order m of a partial of F that does
+    not vanish there.  Two partials of order m - 1 with an invertible
+    Jacobian mod p are lifted together by Newton's iteration mod p^(2^k)
+    (Hensel lifting; von zur Gathen and Gerhard, Modern Computer Algebra,
+    ch. 15).  Their Jacobians are the 2 x 2 minors of the catalecticant of
+    the tangent cone, of rank 2 at an ordinary m-fold point.  x is
+    reconstructed at each precision and offered to ``accept`` when two
+    successive precisions agree, and at the last one, where recon_bound
+    passes ``bound`` and a rational x below it is sure to come out; False
+    then.  When no pair has an invertible Jacobian (a cusp or a tacnode mod
+    p, where the cone is a power of a line), the x offered are those of
+    ``near(r)``."""
+    top = max(map(sum, terms))
+
+    def partial(a, b):
+        return [(i - a, j - b, c * perm(i, a) * perm(j, b))
+                for (i, j), c in terms.items() if i >= a and j >= b]
+
+    def at(polys, x, y, m):
+        xp, yp = [1], [1]
+        for _ in range(top):
+            xp.append(xp[-1] * x % m)
+            yp.append(yp[-1] * y % m)
+        return [sum(c * xp[i] * yp[j] for i, j, c in u) % m for u in polys]
+
+    for m in range(1, top + 1):
+        cone = at([partial(a, m - a) for a in range(m + 1)], r, s, p)
+        if any(cone):
+            break
+    # G_a = d^(m-1) F / dx^a dy^(m-1-a) has the gradient (cone[a + 1], cone[a])
+    pair = next(((a, b) for a, b in combinations(range(m), 2)
+                 if (cone[a + 1] * cone[b] - cone[a] * cone[b + 1]) % p), None)
+    if pair is None:
+        return any(accept(x0, s) for x0 in near(r))
+    polys = [partial(a + da, m - 1 - a + db) for a in pair
+             for da, db in ((0, 0), (1, 0), (0, 1))]
+    x, y, mod, prev = r, s, p, None
+    while True:
+        mod *= mod
+        u, ux, uy, v, vx, vy = at(polys, x, y, mod)
+        inv = pow(ux * vy - uy * vx, -1, mod)
+        x, y = (x - (vy * u - uy * v) * inv) % mod, (y - (ux * v - vx * u) * inv) % mod
+        cand = rational_reconstruct(x, mod)
+        last = recon_bound(mod) >= bound
+        if cand is not None and (cand == prev or last) and accept(cand, s):
+            return True
+        if last:
+            return False
+        prev = cand
+
+
+def _residue(c, p):
+    """The rational c mod p, or None when p divides its denominator."""
+    den = c.denominator % p
+    return c.numerator * pow(den, -1, p) % p if den else None
+
+
+def _affine_scan(f, parts, p, ground, nets=None):
+    """Ground-field singular points in the chart z=1, a residual budget for
+    candidates that are not ground-field points, and the part of that budget
+    that rests on p alone; None when every resultant net vanishes
+    identically mod p.
+
+    The candidate x-values mod p are the roots of the gcd of the resultant
+    nets Res_y(F_x, F_y), Res_y(F, F_x) and Res_y(F, F_y), taken in that
+    order by ``_first_nets`` (or given, as ``nets``, at p).  The square-free
+    gcd of the first two is split into its F_p roots once.  When every one
+    of its roots lies in F_p the last net is not computed: each root is
+    checked below against all of F, F_x and F_y, exactly after the lift or
+    by the mod-p gcd, and a root the last net would have dropped has
+    Res_y(F, F_y) != 0 there, so that check drops it too.  Otherwise the
+    last net cuts the gcd, and the F_p roots are the old roots at which the
+    new gcd vanishes.  F, F_x and F_y are f and its ``parts`` (taken once,
+    by the caller) read at z = 1.
+
+    A root r is checked exactly at ``ground.lift(r, p)``: over F_q r
+    itself, over Q its rational reconstruction mod p, which reaches only
+    about sqrt(p/2).  Over Q the singular points of F mod p above r, the
+    roots of the fiber gcd mod p there, are then compared with the points
+    found: two rational points whose x agree mod p share r, and so do
+    phantoms, points of F mod p that lift to none of F.  Each F_p root s of
+    the fiber that no point found reduces to is lifted as a point by
+    ``_lift_point``, with ``_net_bound`` of the first net as its bound, and
+    with the rational roots of that net over Z (``_net_roots``, computed
+    once) where the Jacobian of the lift is singular; each x it proposes
+    is checked exactly, and taken when a point above it reduces to (r, s).
+    The root counts into the residual when a lift fails or its fiber has a
+    root outside F_p.  What rests on p alone is the part of the gcd without
+    F_p roots and the roots whose lift failed.  When the first part is
+    positive the verdict is already a rejection or a rescan, so no root is
+    lifted, and a root left unlifted counts as failed: the residual is then
+    an upper bound on the degree of the non-rational locus."""
+    polys = (f, *parts[:2])
+    if not polys[1] and not polys[2]:
+        raise ReducibleSuspected("both affine partials vanish identically")
+    tabs, g, first, rest = nets or _first_nets(polys, p)
     if g is None:
         return None
-    if roots is None:       # one net did not vanish identically
-        g = fp_squarefree(g, p)
-        roots = fp_roots(g, p)
-    points = []
-    # distinct candidate x-values over the closure that do not even reduce
-    # into F_p are not ground-field points: straight into the residual budget
-    residual = (len(g) - 1) - len(roots)
-    for r in roots:
-        cand = ground.lift(r, p)
-        if cand is not None:
-            # the gcd of the nonzero ones is exactly the singular fiber above cand
-            fiber = _fiber([_specialize_x(P, cand) for P in polys], ground)
+    if len(g) == 1:
+        return [], 0, 0
+    roots = fp_roots(g, p)
+    for i, j in rest:
+        if len(roots) == len(g) - 1:
+            break       # every candidate is in F_p
+        r = fp_resultant_keepvar(tabs[i], tabs[j], p)
+        if r:
+            g = fp_gcd(g, r, p)
+            roots = [x for x in roots if not fp_eval(g, x, p)]
+            if len(g) == 1:
+                return [], 0, 0
+    over_q = ground.lift is rational_reconstruct    # over F_q a root is exact
+    points, fibers, residual = [], {}, 0
+
+    def fiber_at(x0):
+        """The points above x0 as the residues mod p of their y over Q (the
+        y themselves over F_q), and the degree of the rest of the fiber;
+        each point found is recorded, and the rest counted."""
+        nonlocal residual
+        if x0 not in fibers:
+            # the gcd of the nonzero ones is exactly the singular fiber above x0
+            fiber = _fiber([_specialize_x(P, x0) for P in polys], ground)
             if fiber is None:
                 raise ReducibleSuspected("a vertical line lies on the curve")
-            yroots, rest = fiber
-            if yroots or rest:
-                points += [(cand, y0) for y0 in yroots]
-                residual += rest
-                continue
-        # unverified root: count it unless it is a phantom even mod p
+            yroots, more = fiber
+            points.extend((x0, y0) for y0 in yroots)
+            residual += more
+            if over_q:
+                yroots = {_residue(y0, p) for y0 in yroots} - {None}
+            fibers[x0] = yroots, more
+        return fibers[x0]
+
+    # distinct candidate x-values over the closure that do not even reduce
+    # into F_p are not ground-field points: straight into the residual budget
+    lost = (len(g) - 1) - len(roots)
+    failed = []     # (r, fiber gcd mod p above r, y mod p of the points found there)
+    for r in roots:
+        cand = ground.lift(r, p)
+        ys, more = fiber_at(cand) if cand is not None else ((), 0)
+        if (ys or more) and not over_q:
+            continue
         gp = []
         for t in tabs:
             s = fp_trim([fp_eval(row, r, p) for row in t])
             if s:
                 gp = fp_gcd(gp, s, p) if gp else s
-        if len(gp) != 1:
-            residual += 1
-    return points, residual
+        if ys or more:
+            # unless a point mod p above r is not the reduction of one found
+            if more or gp and len(fp_squarefree(gp, p)) - 1 == len(ys):
+                continue
+        elif len(gp) == 1:
+            continue        # a phantom even mod p
+        failed.append((r, gp, ys))
+    if failed and not lost:
+        terms, bound, xs = {}, _net_bound(*first), []
+        for (i, j, _k), c in f.terms.items():
+            terms[i, j] = terms.get((i, j), 0) + c
+
+        def near(r):
+            if not xs:
+                xs.append(_net_roots(*first, bound))
+            return [x0 for x0 in xs[0] if _residue(x0, p) == r]
+
+        def accept(x0, s):
+            """Whether a singular point above x0 has a y that is s mod p."""
+            ys, more = fiber_at(x0)
+            return s in ys or more > 0
+
+        def lifts(r, gp, ys):
+            """Whether every singular point mod p above r that is not the
+            reduction of a point found lifts to one."""
+            if not gp:
+                return False        # a vertical line mod p
+            sf = fp_squarefree(gp, p)
+            roots = fp_roots(sf, p)
+            return len(roots) == len(sf) - 1 and all(
+                _lift_point(terms, r, s, p, bound, accept, near)
+                for s in roots if s not in ys)
+
+        failed = [e for e in failed if not lifts(*e)]
+    return points, residual + lost + len(failed), lost + len(failed)
 
 
 def _infinity_scan(f, parts, ground):
@@ -321,13 +530,19 @@ def singular_locus(f, fld=QQ):
     primitive integer multiple over Q and its residues over F_q, so its
     partials, restrictions, fibers and reductions mod p make no Fraction or
     field element.  When its reduction mod p is degenerate (every affine
-    net vanishes identically, or the gradient vanishes on z=0) the affine
-    scan and the count run again at the next walk prime, up to
-    ``SCAN_PRIMES`` of them.  At each point, taken by its int
+    net vanishes identically, or the gradient vanishes on z=0), or over Q a
+    residual that rests on p alone is not confirmed by the first two nets
+    at the next walk prime, or an ordinary point found has a tangent cone
+    that vanishes or has a repeated factor mod p, the affine scan and the
+    count run again at the next prime (on those nets, after a confirm), up
+    to ``SCAN_PRIMES`` of them.  At each point, taken by its int
     representative, the Taylor pieces of f of degree 0, 1, ... are taken
     until one is nonzero: its degree is the multiplicity m and, as the
     tangent cone, it tells whether the point is ordinary.  No piece above m
-    is built.  The points reported are normalized ground-field elements."""
+    is built.  The points reported are normalized ground-field elements.
+    Over Q, when part of the residual rests on p, it may count F_p roots
+    left unlifted, rational or not: it is then an upper bound on the degree
+    of the singular points outside Q."""
     if not f or not f.is_homogeneous():
         raise InvalidInput("expected a nonzero homogeneous form")
     d = f.total_degree()
@@ -338,35 +553,63 @@ def singular_locus(f, fld=QQ):
     f = MPoly(3, dict(zip(f.terms, ground.ints(f.terms.values()))))
     parts = [f.derivative(i) for i in range(3)]
     inf_pts, res_inf, restr = _infinity_scan(f, parts, ground)
-    for p in ground.primes:
-        scan = _affine_scan(f, parts, p, ground)
-        if scan is None:
-            error = ReducibleSuspected("all affine resultant nets vanish identically")
-            continue
-        aff_pts, res_aff = scan
-        pts = [normalize_point(c, fld) for c in inf_pts + [(x0, y0, 1) for x0, y0 in aff_pts]]
-        reps = [ground.ints(pt) for pt in pts]
-        residual = res_inf + res_aff
-        if residual or not over_q:
-            break
-        # over Q every candidate lies on the curve, one on z=0 by Euler's
-        # formula, so these are the coordinates of the points returned
-        residual = _missed_on_z0(restr, d, p, reps)
-        if residual is not None:
-            break
-        error = CurveUnsupported(f"the gradient mod {p} vanishes on the whole line z=0")
-    else:
-        raise error
     monos, coeffs = list(f.terms), list(f.terms.values())
-    out = []
-    for pt, rep in zip(pts, reps):
+
+    def singular(pt, rep):
+        """The ``SingularPoint`` pt, rep its int form, with its tangent cone
+        as ints; None off the curve."""
         for m in range(d + 1):
             piece = ground.mod([sum(c * r for c, r in zip(coeffs, row) if r)
                                 for row in taylor_rows(monos, rep, m)])
             if any(piece):
                 break
         if m:       # m = 0 off the curve: the degree-0 piece is f at the point
-            out.append(SingularPoint(pt, m, binary_form_squarefree(piece, ground.gcd)))
+            return SingularPoint(pt, m, binary_form_squarefree(piece, ground.gcd)), piece
+        return None
+
+    primes, nets = ground.primes, None
+    for n, p in enumerate(primes, 1):
+        scan = _affine_scan(f, parts, p, ground, nets)
+        nets = sings = None
+        if scan is None:
+            error = ReducibleSuspected("all affine resultant nets vanish identically")
+            continue
+        aff_pts, res_aff, unsure = scan
+        residual = res_inf + res_aff
+        # a residual that rests on p alone stands only if the first two nets
+        # at the next scan prime have more roots than the x-values found;
+        # otherwise the scan runs again there, on those nets
+        if over_q and residual and residual == unsure and n < len(primes):
+            nets = _first_nets((f, *parts[:2]), primes[n])
+            if nets.g is None or len(nets.g) - 1 <= len({x0 for x0, _ in aff_pts}):
+                continue
+        pts = [normalize_point(c, fld) for c in inf_pts + [(x0, y0, 1) for x0, y0 in aff_pts]]
+        reps = [ground.ints(pt) for pt in pts]
+        if residual or not over_q:
+            break
+        # over Q every candidate lies on the curve, one on z=0 by Euler's
+        # formula, so these are the coordinates of the points returned
+        residual = _missed_on_z0(restr, d, p, reps)
+        if residual is None:
+            error = CurveUnsupported(f"the gradient mod {p} vanishes on the whole line z=0")
+            continue
+        if residual:
+            break
+        # two singular points that meet mod p are one point of f mod p, with
+        # a delta invariant above that of each; an ordinary m-fold point whose
+        # cone stays nonzero and square-free mod p keeps its delta there, so
+        # no other one meets it
+        sings = [s for s in map(singular, pts, reps) if s]
+        if not all(s.ordinary for s, _ in sings) or all(
+                any(u) and binary_form_squarefree(u, lambda a, b: fp_gcd(a, b, p))
+                for u in ([c % p for c in piece] for _, piece in sings)):
+            break
+        error = CurveUnsupported(f"singular points found may meet others mod {p}")
+    else:
+        raise error
+    if sings is None:
+        sings = [s for s in map(singular, pts, reps) if s]
+    out = [s for s, _ in sings]
     out.sort(key=lambda s: s.key())
     return out, residual
 

@@ -34,7 +34,9 @@ class NonOrdinarySingularity(UnsupportedInput):
 
 
 class IrrationalSingularLocus(UnsupportedInput):
-    pass
+    """A singular point lies outside the ground field.  The degree in the
+    message is the residual of ``curve.singular_locus``, over Q an upper
+    bound when part of it rests on the scan prime."""
 
 
 class GenusTooSmall(UnsupportedInput):

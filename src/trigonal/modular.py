@@ -25,10 +25,10 @@ since the systems here have a handful of nonzeros per row.  With no modulus
 it eliminates exactly, on primitive integer rows over Q and over the field
 of its entries otherwise.  Every exact kernel, rank, span, membership,
 solution and inverse in the package is taken on it, kernels of dense rows
-through ``linalg.kernel_basis``.  The primes come from fixed deterministic
-walks, so runs are reproducible: the scan, its root finder and the
-certified kernels walk down from 2^61, the fiber check from 2^30, and each
-walk is kept as it grows.  The scan only discovers candidates mod p; every
+through ``linalg.kernel_basis``.  The primes come from one fixed
+deterministic walk, so runs are reproducible: the scan, its root finder, the
+certified kernels and the fiber check walk down from 2^30, and the walk is
+kept as it grows.  The scan only discovers candidates mod p; every
 point it reports is verified exactly over the ground field by the caller.
 The fiber check is Monte Carlo in its prime and records the prime of each
 draw.  A certified kernel is exact: every lifted vector is verified over
@@ -73,12 +73,14 @@ def primes_below(bound):
         i += 1
 
 
-# Start of the prime walk: just below 2^61 (the Mersenne prime 2^61 - 1
-# itself is left out).  The singular scan, its root finder and the certified
-# kernels each take primes from its head; rational reconstruction mod a walk
-# prime p lifts numerators and denominators up to recon_bound(p) ~ 2^30.  The
-# fiber check, which reconstructs nothing, walks down from 2^30 instead.
-PRIME_WALK_START = (1 << 61) - 2
+# Start of the package's one prime walk: 2^30, so that every residue mod a
+# walk prime is one 30-bit digit of a CPython int and every product of two
+# is two.  The singular scan, its root finder, the certified kernels and the
+# fiber check all take primes from its head.  Rational reconstruction mod one
+# walk prime p reaches numerators and denominators up to recon_bound(p), about
+# 2^14.5; past that the scan and the root finder lift p-adically and the
+# certified kernels combine primes by CRT.
+PRIME_WALK_START = 1 << 30
 
 
 # --- F_p[x] as int lists -----------------------------------------------------
@@ -905,8 +907,10 @@ class FpEchelon:
 
 
 # A certified kernel that needs more primes than this has entries far larger
-# than any system here produces; it is reported as a failed lift.
-KERNEL_PRIMES = 16
+# than any system here produces; it is reported as a failed lift.  32 walk
+# primes of 30 bits give the CRT about 960 bits, so reconstruction reaches
+# entries of about 480 bits.
+KERNEL_PRIMES = 32
 
 
 def certified_kernel(ncols, system, certify, fld=QQ, counters=None):

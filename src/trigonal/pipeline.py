@@ -29,8 +29,9 @@ from .errors import (CurveUnsupported, DegenerateFiber, HyperellipticInput,
                      InvalidInput, PointNotOnCurve, TrigonalError, stage)
 from .liealg import Case, classify, levi, stabilizer_algebra
 from .linalg import kernel_basis
-from .modular import (fp_bivariate_table, fp_divmod, fp_gcd, fp_resultant_keepvar,
-                      fp_sqrt, fp_squarefree, fp_sub, fp_trim, primes_below)
+from .modular import (PRIME_WALK_START, clear_denominators, fp_bivariate_table, fp_divmod,
+                      fp_gcd, fp_reduce, fp_resultant_keepvar, fp_sqrt, fp_squarefree,
+                      fp_sub, fp_trim, primes_below)
 from .poly import poly_str
 from .scalars import PrimeField, QuadraticField
 from .scroll import PencilMap, rulings
@@ -109,10 +110,6 @@ class Report:
 # second draw repeats, so two agreeing draws end it.
 FIBER_DRAWS = 6
 
-# Over Q and Q(sqrt delta) the draw moduli walk down from 2^30: each residue
-# is then one 30-bit digit of a CPython int, and each product two.
-FIBER_PRIME_START = 1 << 30
-
 
 def _shear(table, lam, p):
     """The table of u(x + lam*y, y) mod p from the table of u(x, y), an int
@@ -134,11 +131,12 @@ def _fiber_primes(fld):
     """Moduli of successive fiber draws, each with the image of sqrt(delta),
     the smaller square root of delta mod p (None outside Q(sqrt delta)).
     Over F_q the modulus is q itself, ``FIBER_DRAWS`` times, one per draw;
-    over Q and Q(sqrt delta) the primes walk down from ``FIBER_PRIME_START``,
-    keeping only primes where delta is a nonzero square."""
+    over Q and Q(sqrt delta) they are the package's one prime walk, down from
+    ``PRIME_WALK_START`` = 2^30, keeping only primes where delta is a nonzero
+    square: each residue is one 30-bit digit of a CPython int."""
     if isinstance(fld, PrimeField):
         return repeat((fld.p, None), FIBER_DRAWS)
-    walk = primes_below(FIBER_PRIME_START)
+    walk = primes_below(PRIME_WALK_START)
     if isinstance(fld, QuadraticField):
         return ((p, fp_sqrt(fld.delta, p)) for p in walk
                 if pow(fld.delta % p, (p - 1) // 2, p) == 1)
@@ -191,11 +189,17 @@ def map_degree(curve, pencil, seed=0):
     draws = []
     seen = set()
     lam_iter = iter([0, 1, -1, 2, -2, 3, -3, 4, -4, 5, -5, 6, -6, 7, -7, 8, -8, 9, -9, 10])
+    # the leading y-coefficient after the shear x -> x + lam*y is f(lam, 1, 0),
+    # read off the z-free coefficients of f as ints (residues mod q over F_q)
+    q = curve.field.p if isinstance(curve.field, PrimeField) else 0
+    lead = {i: c for (i, _j, k), c in f.terms.items() if not k}
+    lead = {i: fp_reduce(c, q) for i, c in lead.items()} if q else clear_denominators(lead)[0]
 
     def next_lambda():
         for lam in lam_iter:
-            # monic-in-y requirement: leading y-coefficient after the shear
-            if f.evaluate([fld.coerce(lam), fld.one(), fld.zero()]):
+            # monic-in-y requirement
+            v = sum(c * lam ** i for i, c in lead.items())
+            if v % q if q else v:
                 return lam
         raise DegenerateFiber("no shear makes the curve monic in y")
 

@@ -77,7 +77,19 @@ def hyper5():
 def sqrt2_sextic():
     """The benchmark input "nodes over Q(sqrt 2) d=6" of seed 1, written out:
     a member of (y, x^2 - 2 z^2)^2, so it has nodes at (+-sqrt 2 : 0 : 1)."""
-    y, q = parse_poly("y"), parse_poly("x^2 - 2*z^2")
+    return _sextic_with_nodes_on(parse_poly("x^2 - 2*z^2"))
+
+
+@pytest.fixture(scope="session")
+def i_sextic():
+    """The same member of (y, x^2 + z^2)^2: nodes at (+-i : 0 : 1)."""
+    return _sextic_with_nodes_on(parse_poly("x^2 + z^2"))
+
+
+def _sextic_with_nodes_on(q):
+    """y^2 a + y q b + q^2 c for fixed forms a, b, c: a sextic in (y, q)^2,
+    with nodes at the points y = q = 0."""
+    y = parse_poly("y")
     a = parse_poly("-5*x^4 + 22*x^3*y + 30*x^3*z - 9*x^2*y^2 + 15*x^2*y*z"
                    " + 18*x^2*z^2 - 12*x*y^3 + 21*x*y^2*z + 25*x*y*z^2 - 19*x*z^3"
                    " - 30*y^4 + 20*y^3*z + 15*y^2*z^2 - 23*y*z^3 + 6*z^4")

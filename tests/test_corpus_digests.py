@@ -46,121 +46,121 @@ def _hyperelliptic(qdim, genus):
 # digest) for a verdict, (name, "ErrorClass: message") for a rejection
 PINNED = {
     ("trigonal_hi", 1): [
-        ("projection d=8", "aa31da4a57199297", "503d3e1216ec311f"),
+        ("projection d=8", "aa31da4a57199297", "a7cfb65a0cbe61f8"),
         ("non-ordinary 5-fold point d=8", CONE),
-        ("projection d=10", "ebb984ad16d6e760", "d2406bdedb7ac7c2"),
-        ("method-1 deg_x=7", "d0bf31b2f1b34410", "443eb8266299097c"),
+        ("projection d=10", "ebb984ad16d6e760", "1209e320d577be9a"),
+        ("method-1 deg_x=7", "d0bf31b2f1b34410", "b223a5aa21ec7cc1"),
         ("hyperelliptic d=8", _hyperelliptic(10, 6)),
-        ("method-1 deg_x=8", "3643d8c1465b03d7", "34fc357f8ea58a8b"),
+        ("method-1 deg_x=8", "3643d8c1465b03d7", "53f56b8105a81fd6"),
     ],
     ("trigonal_hi", 2): [
-        ("projection d=8", "4aa1d0096d51bfcb", "503d3e1216ec311f"),
+        ("projection d=8", "4aa1d0096d51bfcb", "a7cfb65a0cbe61f8"),
         ("non-ordinary 5-fold point d=8", CONE),
-        ("projection d=10", "c21769b34015a9ce", "d2406bdedb7ac7c2"),
-        ("method-1 deg_x=7", "1bb5d6ca35712817", "443eb8266299097c"),
+        ("projection d=10", "c21769b34015a9ce", "1209e320d577be9a"),
+        ("method-1 deg_x=7", "1bb5d6ca35712817", "b223a5aa21ec7cc1"),
         ("hyperelliptic d=8", _hyperelliptic(10, 6)),
-        ("method-1 deg_x=8", "0cf2320fb2bea65f", "34fc357f8ea58a8b"),
+        ("method-1 deg_x=8", "0cf2320fb2bea65f", "53f56b8105a81fd6"),
     ],
     ("trigonal_hi", 3): [
-        ("projection d=8", "c1a3eb0a1798554a", "503d3e1216ec311f"),
+        ("projection d=8", "c1a3eb0a1798554a", "a7cfb65a0cbe61f8"),
         ("non-ordinary 5-fold point d=8", CONE),
-        ("projection d=10", "9e8f8fe319efffe1", "d2406bdedb7ac7c2"),
-        ("method-1 deg_x=7", "d6fabfee12a7c7df", "443eb8266299097c"),
+        ("projection d=10", "9e8f8fe319efffe1", "1209e320d577be9a"),
+        ("method-1 deg_x=7", "d6fabfee12a7c7df", "b223a5aa21ec7cc1"),
         ("hyperelliptic d=8", _hyperelliptic(10, 6)),
-        ("method-1 deg_x=8", "02d7e3f2a0c15f08", "34fc357f8ea58a8b"),
+        ("method-1 deg_x=8", "02d7e3f2a0c15f08", "53f56b8105a81fd6"),
     ],
     ("dense_nontrigonal", 1): [
-        ("smooth d=6, 5-bit, #1", "813956592866f784", "f4ba241a429897fd"),
+        ("smooth d=6, 5-bit, #1", "813956592866f784", "8f6093c19144a7bb"),
         ("cusp d=6", CONE),
-        ("smooth d=6, 5-bit, #2", "2299b280c4d4c80b", "9be639920de96465"),
+        ("smooth d=6, 5-bit, #2", "2299b280c4d4c80b", "15dc46fa196cea79"),
         ("tacnode d=6", CONE),
-        ("one-node sextic, 5-bit", "d13689ab422c11b3", "fdd9dabe474c1979"),
+        ("one-node sextic, 5-bit", "d13689ab422c11b3", "e7b061273d7a4dea"),
         ("product of two cubics", _residual(9)),
-        ("Fermat septic", "50e85cf6f6dfceff", "747eaf1f5217d05b"),
+        ("Fermat septic", "50e85cf6f6dfceff", "bbb0437a328dbe9a"),
         ("nodes over Q(sqrt 2) d=6", _residual(2)),
-        ("smooth d=5, 5-bit, #1", "fc1aa731cecb4324", "4921a13faa1db2e3"),
+        ("smooth d=5, 5-bit, #1", "fc1aa731cecb4324", "1679ac54c34478e3"),
     ],
     ("dense_nontrigonal", 2): [
-        ("smooth d=6, 5-bit, #1", "fe653cc2a266cc78", "41e36f5664b03489"),
+        ("smooth d=6, 5-bit, #1", "fe653cc2a266cc78", "c8c7efb34521f976"),
         ("cusp d=6", CONE),
-        ("smooth d=6, 5-bit, #2", "ed1313768422f613", "f4ba241a429897fd"),
+        ("smooth d=6, 5-bit, #2", "ed1313768422f613", "8f6093c19144a7bb"),
         ("tacnode d=6", CONE),
-        ("one-node sextic, 5-bit", "cf16eff69156b6eb", "fdd9dabe474c1979"),
+        ("one-node sextic, 5-bit", "cf16eff69156b6eb", "e7b061273d7a4dea"),
         ("product of two cubics", _residual(9)),
-        ("Fermat septic", "1bb7c585e586d64a", "747eaf1f5217d05b"),
+        ("Fermat septic", "1bb7c585e586d64a", "bbb0437a328dbe9a"),
         ("nodes over Q(sqrt 2) d=6", _residual(2)),
-        ("smooth d=5, 5-bit, #1", "6fea31a936589f3b", "4921a13faa1db2e3"),
+        ("smooth d=5, 5-bit, #1", "6fea31a936589f3b", "1679ac54c34478e3"),
     ],
     ("dense_nontrigonal", 3): [
-        ("smooth d=6, 5-bit, #1", "8f9ead6e9c75eddb", "8f8e0ccaf1715b88"),
+        ("smooth d=6, 5-bit, #1", "8f9ead6e9c75eddb", "1e5d8ea60bedc973"),
         ("cusp d=6", CONE),
-        ("smooth d=6, 5-bit, #2", "ffb8757c61e20744", "f4ba241a429897fd"),
+        ("smooth d=6, 5-bit, #2", "ffb8757c61e20744", "8f6093c19144a7bb"),
         ("tacnode d=6", CONE),
-        ("one-node sextic, 5-bit", "f22d7e7014ff3d61", "fdd9dabe474c1979"),
+        ("one-node sextic, 5-bit", "f22d7e7014ff3d61", "e7b061273d7a4dea"),
         ("product of two cubics", _residual(9)),
-        ("Fermat septic", "f435e45c8783d99e", "747eaf1f5217d05b"),
+        ("Fermat septic", "f435e45c8783d99e", "bbb0437a328dbe9a"),
         ("nodes over Q(sqrt 2) d=6", _residual(2)),
-        ("smooth d=5, 5-bit, #1", "8fccda0a8d0c32c7", "4921a13faa1db2e3"),
+        ("smooth d=5, 5-bit, #1", "8fccda0a8d0c32c7", "1679ac54c34478e3"),
     ],
     ("small_mixed", 1): [
         ("Klein quartic", "df1dbc69472a2546", "44136fa355b3678a"),
         ("cusp d=5", CONE),
         ("Fermat quartic", "507650d945f24c98", "44136fa355b3678a"),
         ("tacnode d=6", CONE),
-        ("two-node quintic", "224792d21198dbbd", "0bd34c0df6154e2c"),
+        ("two-node quintic", "224792d21198dbbd", "00e475277c15f74b"),
         ("product of two cubics", _residual(9)),
-        ("five-nodal sextic", "c4084863584dd7e4", "4a0fc73721b31307"),
+        ("five-nodal sextic", "c4084863584dd7e4", "23b7f4bd80136119"),
         ("nodes over Q(sqrt 2) d=5", _residual(2)),
-        ("Fermat quintic", "58b2976b58bdea95", "4921a13faa1db2e3"),
+        ("Fermat quintic", "58b2976b58bdea95", "1679ac54c34478e3"),
         ("three-nodal quartic (genus 0)", "GenusTooSmall: genus 0 < 3"),
-        ("projection d=5", "478fb6006e5d5551", "9f4b3e3c7d11d769"),
+        ("projection d=5", "478fb6006e5d5551", "a62ba129b827a7f9"),
         ("hyperelliptic d=5", _hyperelliptic(1, 3)),
-        ("projection d=6", "9caefe1dafc095ae", "1b351acd6cc52359"),
+        ("projection d=6", "9caefe1dafc095ae", "c1476868704f9ebc"),
         ("hyperelliptic d=6", _hyperelliptic(3, 4)),
-        ("method-1 deg_x=3", "a8c005a0bd287517", "0bd34c0df6154e2c"),
+        ("method-1 deg_x=3", "a8c005a0bd287517", "00e475277c15f74b"),
         ("hyperelliptic d=7", _hyperelliptic(6, 5)),
-        ("method-1 deg_x=4", "eeec450feb8e51b2", "5e6be8e47ea9b421"),
-        ("method-1 deg_x=5", "ad85208dd8817945", "746b3ac634457a39"),
+        ("method-1 deg_x=4", "eeec450feb8e51b2", "23c2f70945e4ff30"),
+        ("method-1 deg_x=5", "ad85208dd8817945", "2ecfe896cf3f0e16"),
     ],
     ("small_mixed", 2): [
         ("Klein quartic", "5055b709621ed35e", "44136fa355b3678a"),
         ("cusp d=5", CONE),
         ("Fermat quartic", "624314927a0c6074", "44136fa355b3678a"),
         ("tacnode d=6", CONE),
-        ("two-node quintic", "459937bd45bdb236", "0bd34c0df6154e2c"),
+        ("two-node quintic", "459937bd45bdb236", "00e475277c15f74b"),
         ("product of two cubics", _residual(9)),
-        ("five-nodal sextic", "794e5b31409cfa63", "88c8927b0670600d"),
+        ("five-nodal sextic", "794e5b31409cfa63", "c4e811513ddb52a3"),
         ("nodes over Q(sqrt 2) d=5", _residual(2)),
-        ("Fermat quintic", "a247de2a26763a9e", "4921a13faa1db2e3"),
+        ("Fermat quintic", "a247de2a26763a9e", "1679ac54c34478e3"),
         ("three-nodal quartic (genus 0)", "GenusTooSmall: genus 0 < 3"),
-        ("projection d=5", "0709398a4712c16e", "9f4b3e3c7d11d769"),
+        ("projection d=5", "0709398a4712c16e", "a62ba129b827a7f9"),
         ("hyperelliptic d=5", _hyperelliptic(1, 3)),
-        ("projection d=6", "01746fb8e6fb0962", "1b351acd6cc52359"),
+        ("projection d=6", "01746fb8e6fb0962", "c1476868704f9ebc"),
         ("hyperelliptic d=6", _hyperelliptic(3, 4)),
-        ("method-1 deg_x=3", "550d2c0835b4c9b8", "0bd34c0df6154e2c"),
+        ("method-1 deg_x=3", "550d2c0835b4c9b8", "00e475277c15f74b"),
         ("hyperelliptic d=7", _hyperelliptic(6, 5)),
-        ("method-1 deg_x=4", "019a96da5a90a1f6", "5e6be8e47ea9b421"),
-        ("method-1 deg_x=5", "2f2868f1adfe380e", "746b3ac634457a39"),
+        ("method-1 deg_x=4", "019a96da5a90a1f6", "23c2f70945e4ff30"),
+        ("method-1 deg_x=5", "2f2868f1adfe380e", "2ecfe896cf3f0e16"),
     ],
     ("small_mixed", 3): [
         ("Klein quartic", "4b8a415b83d0bc18", "44136fa355b3678a"),
         ("cusp d=5", CONE),
         ("Fermat quartic", "09617457a4efa341", "44136fa355b3678a"),
         ("tacnode d=6", CONE),
-        ("two-node quintic", "17c93e18cdf50a90", "0bd34c0df6154e2c"),
+        ("two-node quintic", "17c93e18cdf50a90", "00e475277c15f74b"),
         ("product of two cubics", _residual(9)),
-        ("five-nodal sextic", "70c64423d2e24a83", "4a0fc73721b31307"),
+        ("five-nodal sextic", "70c64423d2e24a83", "23b7f4bd80136119"),
         ("nodes over Q(sqrt 2) d=5", _residual(2)),
-        ("Fermat quintic", "c0ffaac286c8c230", "4921a13faa1db2e3"),
+        ("Fermat quintic", "c0ffaac286c8c230", "1679ac54c34478e3"),
         ("three-nodal quartic (genus 0)", "GenusTooSmall: genus 0 < 3"),
-        ("projection d=5", "01e7f684e6673cd8", "9f4b3e3c7d11d769"),
+        ("projection d=5", "01e7f684e6673cd8", "a62ba129b827a7f9"),
         ("hyperelliptic d=5", _hyperelliptic(1, 3)),
-        ("projection d=6", "37c32cdab9458975", "1b351acd6cc52359"),
+        ("projection d=6", "37c32cdab9458975", "c1476868704f9ebc"),
         ("hyperelliptic d=6", _hyperelliptic(3, 4)),
-        ("method-1 deg_x=3", "d5a05cf25d6f9115", "0bd34c0df6154e2c"),
+        ("method-1 deg_x=3", "d5a05cf25d6f9115", "00e475277c15f74b"),
         ("hyperelliptic d=7", _hyperelliptic(6, 5)),
-        ("method-1 deg_x=4", "f964f1a3e32468be", "5e6be8e47ea9b421"),
-        ("method-1 deg_x=5", "4bb4b6d5ac8373c3", "746b3ac634457a39"),
+        ("method-1 deg_x=4", "f964f1a3e32468be", "23c2f70945e4ff30"),
+        ("method-1 deg_x=5", "4bb4b6d5ac8373c3", "2ecfe896cf3f0e16"),
     ],
 }
 

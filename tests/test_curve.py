@@ -595,11 +595,14 @@ def test_the_last_net_runs_only_for_candidates_outside_fp(five_nodal_sextic, fld
     for the five-nodal sextic and for the Fermat quartic, so Res_y(F, F_y)
     is not computed.  The quartic's two-net gcd is x, and x = 0 carries no
     singular point: the check mod p drops it, as the last net used to.  The
-    nodes of two cubics do not all lie over F_p, so the last net runs."""
+    nodes of two cubics do not all lie over F_p, so the last net runs.  Over
+    Q their residual rests on the scan prime alone, so the first two nets
+    are taken again at the next walk prime to confirm it; over F_q nothing
+    rests on a prime."""
     primes, _ = _spy_scan(monkeypatch)
     rational = 0 if fld == QQ else 1      # of the nine nodes, as in REJECT_TABLE
     cases = [(five_nodal_sextic.f, 5, 0, 2), (P("x^4 + y^4 + z^4"), 0, 0, 2),
-             (P("x^3 + y^3 + z^3") * H, rational, 9 - rational, 3)]
+             (P("x^3 + y^3 + z^3") * H, rational, 9 - rational, 5 if fld == QQ else 3)]
     for f, npoints, residual, nets in cases:
         primes.clear()
         points, res = singular_locus(f.map_coeffs(fld.coerce), fld)
@@ -777,6 +780,159 @@ def test_a_node_with_a_64_bit_coordinate_validates_quickly():
     assert [(s.coords, s.multiplicity) for s in curve.sings] == \
         [((rat(0), rat(n), rat(1)), 2)]
     assert curve.genus == 5
+
+
+NODAL_QUINTIC = P("y^2*z^3 - x^2*z^3 + x^5 + y^5 + x*y^4")     # a node at (0:0:1)
+
+
+def _spy_lifts(monkeypatch):
+    """Record the point (r, s) mod p of every p-adic point lift."""
+    lifts, real = [], curve_mod._lift_point
+
+    def spy(terms, r, s, *rest):
+        lifts.append((r, s))
+        return real(terms, r, s, *rest)
+
+    monkeypatch.setattr(curve_mod, "_lift_point", spy)
+    return lifts
+
+
+@settings(max_examples=24)
+@given(st.integers(15, 63).flatmap(lambda b: st.integers(1 << b, 1 << (b + 1))),
+       st.sampled_from([1, -1]), st.sampled_from([0, 1]))
+def test_a_node_moved_far_out_validates_where_it_moved(n, sign, var):
+    """The node moved by N in x or in y, 2^15 <= |N| <= 2^64, is found at
+    its new place.  A coordinate past sqrt(p/2) does not come out of one
+    reconstruction mod the scan prime p; in x it is lifted p-adically as a
+    point, in y as a root of the fiber."""
+    images = [X, Y, Z]
+    images[var] = images[var] - Z * rat(sign * n)
+    curve = validate_curve(NODAL_QUINTIC.substitute(images))
+    node = [rat(0), rat(0), rat(1)]
+    node[var] = rat(sign * n)
+    assert [(s.coords, s.multiplicity) for s in curve.sings] == [(tuple(node), 2)]
+    assert curve.genus == 5
+
+
+def test_a_five_fold_point_far_out_in_x_lifts_on_partials_of_order_four(monkeypatch):
+    """gen_trigonal_projection(8, seed=1) has an ordinary 5-fold point at
+    (0:0:1); moved to (2^40 + 1 : 0 : 1) it is lifted from its one point mod
+    p on two of the partials of order 4, and keeps its multiplicity and the
+    genus."""
+    lifts = _spy_lifts(monkeypatch)
+    n = (1 << 40) + 1
+    curve = validate_curve(gen_trigonal_projection(8, seed=1).f.substitute([X - Z * n, Y, Z]))
+    assert [(s.coords, s.multiplicity) for s in curve.sings] == [((rat(n), 0, 1), 5)]
+    assert curve.genus == 11
+    assert len(lifts) == 1
+
+
+def test_two_nodes_whose_x_agree_mod_the_scan_prime_are_both_found(monkeypatch):
+    """Nodes at (3 : 2 : 1) and (3 + 7 P0 : 9 : 1) share the root 3 of the
+    nets mod P0.  The exact fiber above 3 holds one of them; the fiber mod
+    P0 above 3 holds two points, and the one left over, (3, 9), is lifted
+    to the second node."""
+    lifts = _spy_lifts(monkeypatch)
+    far = 3 + 7 * P0
+    curve = gen_singular_model(5, [((3, 2, 1), 2), ((far, 9, 1), 2)], seed=1)
+    assert [(s.coords, s.multiplicity) for s in curve.sings] == \
+        [((3, 2, 1), 2), ((far, 9, 1), 2)]
+    assert curve.genus == 4
+    assert (3, 9) in lifts
+
+
+def test_two_nodes_that_meet_mod_the_scan_prime_are_both_found(monkeypatch):
+    """Nodes at (3 : 2 : 1) and (3 + 7 P0 : 2 + 5 P0 : 1) are one point of
+    f mod P0, with a delta invariant of at least 2, so the node found there
+    is no node mod P0 (its cone vanishes or is a square there): the scan
+    runs again at P1, where they are apart.  Where they meet mod each scan
+    prime, the curve is refused, not validated with one node."""
+    primes, _ = _spy_scan(monkeypatch)
+    far = (3 + 7 * P0, 2 + 5 * P0, 1)
+    curve = gen_singular_model(5, [((3, 2, 1), 2), (far, 2)], seed=1)
+    assert [(s.coords, s.multiplicity) for s in curve.sings] == [((3, 2, 1), 2), (far, 2)]
+    assert curve.genus == 4
+    assert primes[0] == P0 and primes[-1] == P1
+    scan_primes = list(islice(primes_below(PRIME_WALK_START), curve_mod.SCAN_PRIMES))
+    n = prod(scan_primes)
+    errors, real = [], curve_mod.validate_curve
+
+    def spy(f, **kwargs):
+        try:
+            return real(f, **kwargs)
+        except UnsupportedInput as err:
+            errors.append(str(err))
+            raise
+
+    monkeypatch.setattr(curve_mod, "validate_curve", spy)
+    monkeypatch.setattr(curve_mod, "SINGULAR_MODEL_TRIES", 3)
+    with pytest.raises(GenerationFailed):
+        gen_singular_model(5, [((3, 2, 1), 2), ((3 + 7 * n, 2 + 5 * n, 1), 2)], seed=1)
+    assert errors == [f"singular points found may meet others mod {scan_primes[-1]}"] * 3
+
+
+def test_a_cusp_whose_x_agrees_mod_the_scan_prime_with_a_node_is_found():
+    """A quintic with a node at (3 : 2 : 1) and a cusp at (3 + 7 P0 : 9 : 1),
+    cone (y - 9)^2, from the kernel of its point conditions.  Mod P0 the
+    cusp sits above the node's root 3, where no two partials of order 1
+    have an invertible Jacobian, so its x comes from the net over Z, among
+    x = 3 itself: only the x with a point whose y is 9 mod P0 is taken."""
+    monos = [(i, j, 5 - i - j) for i in range(6) for j in range(6 - i)]
+    cusp = (3 + 7 * P0, 9, 1)
+    rows = [row for pt in ((3, 2, 1), cusp) for k in range(2)
+            for row in taylor_rows(monos, pt, k)]
+    rows += taylor_rows(monos, cusp, 2)[1:]        # no u^2, no u v: the cone is v^2
+    kern = kernel_basis(rows)
+    rng = random.Random(1)
+    combo = [rng.randint(-9, 9) for _ in kern]
+    f = MPoly(3, {m: c for m, c in zip(monos, (sum(c * v[i] for c, v in zip(combo, kern))
+                                               for i in range(len(monos)))) if c})
+    with pytest.raises(NonOrdinarySingularity, match=f"at \\({cusp[0]}:9:1\\)"):
+        validate_curve(f)
+
+
+@pytest.mark.parametrize("form", ["y^2*z^3 - x^3*z^2 - x^5 - y^5",     # cusp
+                                  "y^2*z^3 - x^4*z + x^5 + y^5"])      # tacnode
+def test_a_non_ordinary_point_far_out_in_x_is_found_by_the_net_over_z(form, monkeypatch):
+    """Moved to (2^20 + 1 : 0 : 1), past reconstruction mod P0, the point
+    has a tangent cone that is a square, so no two partials of order 1 have
+    an invertible Jacobian there and Newton's lift has nothing to run on:
+    its x is a rational root of the first net, taken over Z by CRT, and the
+    curve is rejected for the cone, not for an irrational residual."""
+    calls, real = [], curve_mod._net_roots
+
+    def spy(*args):
+        calls.append(real(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(curve_mod, "_net_roots", spy)
+    n = (1 << 20) + 1
+    with pytest.raises(NonOrdinarySingularity, match=f"at \\({n}:0:1\\)"):
+        validate_curve(P(form).substitute([X - Z * n, Y, Z]))
+    assert calls and rat(n) in calls[0]
+
+
+@pytest.mark.parametrize("conic, lifted", [("sqrt2", 0), ("i", 2)])
+def test_phantom_nodes_mod_the_scan_prime_are_not_counted(sqrt2_sextic, i_sextic, conic,
+                                                          lifted, monkeypatch):
+    """h is a sextic with nodes at (+-sqrt 2 : 0 : 1) or at (+-i : 0 : 1),
+    and f = h + P0 k for a random sextic k.  Over Q f is smooth, but mod P0
+    it is h, with two phantom nodes.  P0 = 5 mod 8, so sqrt 2 is not in
+    F_P0 and the phantoms have no F_P0 root; i is in F_P0, so they have one
+    each, and their lifts fail.  Either way the residual rests on P0 alone;
+    the next walk prime does not confirm it, and the scan runs again there.
+    h itself stays rejected: the next prime confirms its two nodes."""
+    assert P0 % 8 == 5
+    h = sqrt2_sextic if conic == "sqrt2" else i_sextic
+    rng = random.Random(1)
+    k = MPoly(3, {(i, j, 6 - i - j): rat(rng.randint(-9, 9))
+                  for i in range(7) for j in range(7 - i)})
+    with pytest.raises(IrrationalSingularLocus, match="residual of degree 2$"):
+        validate_curve(h)
+    lifts = _spy_lifts(monkeypatch)
+    curve = validate_curve(h + k.map_coeffs(lambda c: c * P0))
+    assert (curve.genus, curve.sings) == (10, ())
+    assert len(lifts) == lifted
 
 
 # --- curve file format ---------------------------------------------------------------

@@ -114,7 +114,7 @@ def test_rank_drop_skips_the_first_prime():
 
 
 def test_large_kernel_entries_lift_by_crt():
-    big = 3 ** 35       # beyond the bound of one prime, within that of two
+    big = 3 ** 18       # beyond the bound of one 30-bit prime, within that of two
     rows = [[big, -1]]
     counters = {}
     assert modular_kernel(rows, 2, QQ, counters) == [[rat(1, big), 1]]
@@ -404,7 +404,8 @@ def test_fp_roots_at_the_walk_prime_skip_an_irreducible_quadratic():
         assert fp_roots(a, P0) == sorted(set(roots))
 
 
-P30 = next(primes_below(1 << 30))          # the head of the fiber-check walk
+P30 = next(primes_below(1 << 30))          # the head of the walk, 5 mod 8
+P61 = next(primes_below((1 << 61) - 2))    # a 61-bit prime, 1 mod 32
 
 
 def _nonresidue(p):
@@ -417,7 +418,7 @@ def planted_roots(draw):
     run of consecutive small integers, 0, random roots, double roots, and
     irreducible quadratics x^2 + b x + (b^2 - n t^2)/4, n a non-square, as
     cofactors with no root."""
-    p = draw(st.sampled_from([P0, P30, 101]))
+    p = draw(st.sampled_from([P61, P30, 101]))
     start = draw(st.integers(0, 20))
     roots = list(range(start, start + draw(st.integers(0, 5))))
     roots += draw(st.lists(st.integers(0, p - 1), max_size=3))
@@ -453,9 +454,9 @@ def test_fp_sqrt_matches_a_scan(p):
     assert [fp_sqrt(a, p) for a in range(p)] == [smaller.get(a) for a in range(p)]
 
 
-@pytest.mark.parametrize("p", [P0, P30, (1 << 61) - 1])
+@pytest.mark.parametrize("p", [P61, P30, (1 << 61) - 1])
 def test_fp_sqrt_at_large_primes(p):
-    # P0 = 1 mod 32, P30 = 5 mod 8, 2^61 - 1 = 3 mod 4
+    # P61 = 1 mod 32, P30 = 5 mod 8, 2^61 - 1 = 3 mod 4
     rng = random.Random(p)
     n = _nonresidue(p)
     for _ in range(50):
@@ -477,7 +478,7 @@ def _naive_powmod(s, e, g, p):
 
 
 @settings(max_examples=60)
-@given(st.sampled_from([P0, P30, 101]), st.integers(1, 9), st.data())
+@given(st.sampled_from([P61, P30, 101]), st.integers(1, 9), st.data())
 def test_packed_power_matches_the_naive_power(p, d, data):
     g = data.draw(st.lists(st.integers(0, p - 1), min_size=d, max_size=d)) + [1]
     s = data.draw(st.integers(0, p - 1))

@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import subprocess
 import sys
@@ -8,16 +9,23 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trigonal import liealg, pipeline
+from trigonal import curve as curve_mod, liealg, modular, pipeline
 from trigonal.canonical import cubic_count
 from trigonal.curve import gen_trigonal_projection, validate_curve
 from trigonal.errors import (ChainCountUnexpected, CurveUnsupported, DegenerateFiber,
-                             HyperellipticInput, InvalidInput, PointNotOnCurve)
+                             HyperellipticInput, InvalidInput, PointNotOnCurve,
+                             UnsupportedInput)
 from trigonal.pipeline import decide, g3_map, map_degree
 from trigonal.poly import MPoly, parse_poly, poly_str
 from trigonal.modular import fp_bivariate_table
 from trigonal.scalars import QQ, FpElt, PrimeField, QuadExt, QuadraticField, rat
 from trigonal.scroll import PencilMap
+
+
+_SPEC = importlib.util.spec_from_file_location(
+    "perfbench_corpus", Path(__file__).resolve().parent.parent / "perfbench" / "corpus.py")
+corpus = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(corpus)
 
 
 def _pencil(ptext, qtext, fld=QQ):
@@ -139,6 +147,69 @@ def test_only_ints_reach_the_fiber_resultants(m1_cubic, monkeypatch):
     sqrt2_z = MPoly(3, {(0, 0, 1): QuadExt(rat(1, 3), 1, 2)})
     assert map_degree(m1_cubic, PencilMap(p=x + sqrt2_z, q=z, field=fld))[0] == 3
     assert types == {int}
+
+
+def test_every_residue_of_the_scan_and_the_stabilizer_kernel_is_one_digit(monkeypatch):
+    """Over the seed-1 inputs of the three benchmark workloads, every table
+    that validation and the fiber check hand the resultant engine, and
+    every row that the certified kernel hands its echelon, holds residues
+    in [0, 2^30): one CPython digit each."""
+    digit = range(1 << 30)
+    tables, rows, wide = [0], [0], []
+
+    def spy_on(module):
+        keepvar = module.fp_resultant_keepvar
+
+        def spy(a, b, p):
+            tables[0] += 1
+            wide.extend(c for t in (a, b) for row in t for c in row if c not in digit)
+            return keepvar(a, b, p)
+        monkeypatch.setattr(module, "fp_resultant_keepvar", spy)
+
+    class SpyEchelon(modular.FpEchelon):
+        def add(self, row):
+            if self.p:
+                rows[0] += 1
+                wide.extend(c for c in (row.values() if isinstance(row, dict) else row)
+                            if c not in digit)
+            return super().add(row)
+
+    spy_on(curve_mod)
+    spy_on(pipeline)
+    monkeypatch.setattr(modular, "FpEchelon", SpyEchelon)
+    for workload in corpus.WORKLOADS:
+        for item in corpus.build(workload, 1):
+            try:
+                decide(validate_curve(item.f), seed=1)
+            except UnsupportedInput:
+                pass
+    assert tables[0] and rows[0] and not wide
+
+
+@pytest.mark.parametrize("bits", [128, 160])
+def test_a_node_far_out_in_y_decides_within_the_kernel_budget(bits):
+    """The nodal quintic with its node moved to (0 : 2^bits + 1 : 1) is a
+    Scroll.  Its stabilizer kernel has entries of several hundred bits,
+    lifted by CRT over more 30-bit walk primes than 16."""
+    x, y, z = (MPoly.variable(3, i) for i in range(3))
+    f = parse_poly("y^2*z^3 - x^2*z^3 + x^5 + y^5 + x*y^4").substitute(
+        [x, y - z * rat((1 << bits) + 1), z])
+    rep = decide(validate_curve(f))
+    assert (rep.case, rep.trigonal, rep.verified_degree) == ("Scroll", True, 3)
+    assert 16 < len(rep.counters["liealg"]["primes"]["used"]) <= modular.KERNEL_PRIMES
+
+
+def test_map_degree_evaluates_no_form(m1_cubic, klein, monkeypatch):
+    """The shears' leading y-coefficients are read off the z-free
+    coefficients of f as ints, so the fiber check evaluates no MPoly."""
+    def refuse(*args):
+        raise AssertionError("map_degree evaluated a form")
+
+    monkeypatch.setattr(MPoly, "evaluate", refuse)
+    assert map_degree(m1_cubic, _pencil("x", "z"))[0] == 3
+    fld = PrimeField(10007)
+    klein_q = validate_curve(klein.f.map_coeffs(fld.coerce), fld=fld)
+    assert map_degree(klein_q, _pencil("x", "z", fld))[0] == 3
 
 
 def test_pencil_outside_a_prime_field_is_invalid_input():

@@ -188,7 +188,7 @@ def test_fp_resultant_keepvar_matches_bareiss_at_full_total_degree(data, p, tops
     assert fp_resultant_keepvar(tf, tg, p) == _mod_p_coeffs(resultant(f, g, 1), p)
 
 
-@pytest.mark.parametrize("p", [101, WALK_PRIME])
+@pytest.mark.parametrize("p", [101, WALK_PRIME, 2305843009213693921])
 def test_fp_interpolate_takes_the_values_at_consecutive_nodes(p):
     rng = random.Random(p % 1000)
     for n in range(1, 25):
