@@ -110,11 +110,8 @@ def adjoint_basis(curve):
     rows = [row for s in curve.sings for deg in range(s.multiplicity - 1)
             for row in taylor_rows(monos, s.coords, deg)]
     fld = curve.field
-    if rows:
-        kern = kernel_basis(rows)
-    else:
-        kern = [[fld.one() if i == j else fld.zero() for i in range(len(monos))]
-                for j in range(len(monos))]
+    # a zero row, when there is no singular point, imposes no condition
+    kern = kernel_basis(rows or [[0] * len(monos)])
     if len(kern) != curve.genus:
         raise AdjointDimensionMismatch(
             f"adjoint space has dimension {len(kern)}, genus is {curve.genus}")

@@ -16,31 +16,32 @@ of the prime walk in ``modular``, below 2^30, so that every residue is one
 CPython digit; a reduction that is degenerate there moves the scan to the
 next walk prime.  The third net is computed only when the first two leave a
 candidate x-value outside F_p.  Over Q a candidate root mod p is taken to
-Q by rational reconstruction, which reaches about sqrt(p/2).  Where that
-fails, or where the points mod p above the root are more than the points
-found above its reconstruction (two rational points whose x agree mod p),
-each singular point mod p left over is lifted p-adically, x and y
-together, by Newton's iteration on two partials of f, or, at a cusp or
-tacnode mod p, where no two partials have an invertible Jacobian, found
-among the rational roots of a net taken over Z by CRT; each x so proposed
-is checked.  Each candidate is verified exactly over the ground field, so a
-reported point is never wrong: the fiber above it is cut out by an exact
-univariate gcd of the same kind, on b^D F(a/b, y) over Q.  The roots of
-these gcds are taken mod q over F_q, and over Q by
-``modular.rational_roots``, which lifts roots mod a prime p-adically; no
-step factors an integer.  Whatever part of a candidate locus does not split
-into ground-field points counts into the residual budget and leads to a
-typed rejection.  Over Q a residual that rests on p alone (candidates with
-no root in F_p, points whose lift failed) is confirmed first: the first two
-nets are taken at the next walk prime, and unless their gcd still has more
-roots than the x-values found, the scan runs again there, on those nets.  Also over Q,
-every singular point of f mod p on z=0 that is not the reduction of a point
-found counts into the residual: the affine scan mod p cannot see a point
-whose z reduces to 0.  And over Q a point found that is ordinary but
-whose tangent cone vanishes or has a repeated factor mod p may be where
-another singular point meets it mod p, so the scan then runs again at the
-next walk prime.  The same scan rejects a repeated component on both
-fields, since its whole support is singular.
+Q by rational reconstruction, which reaches about sqrt(p/2).  Each root is
+settled in one pass: where reconstruction fails, or where the points mod p
+above the root are more than the points found above its reconstruction
+(two rational points whose x agree mod p), each singular point mod p left
+over is lifted p-adically there and then, x and y together, by Newton's
+iteration on two partials of f, or, at a cusp or tacnode mod p, where no
+two partials have an invertible Jacobian, found among the rational roots
+of a net taken over Z by CRT; each x so proposed is checked.  Each
+candidate is verified exactly over the ground field, so a reported point is
+never wrong: the fiber above it is cut out by an exact univariate gcd of
+the same kind, on b^D F(a/b, y) over Q.  The roots of these gcds are taken
+mod q over F_q, and over Q by ``modular.rational_roots``, which lifts roots
+mod a prime p-adically; no step factors an integer.  Whatever part of a
+candidate locus does not split into ground-field points counts into the
+residual budget and leads to a typed rejection.  Over Q a residual that
+rests on p alone (candidates with no root in F_p, points whose lift
+failed) is confirmed first: the first two nets are taken at the next walk
+prime, and unless their gcd still has more roots than the x-values found,
+the scan runs again there, on those nets.  Also over Q, every singular
+point of f mod p on z=0 that is not the reduction of a point found counts
+into the residual: the affine scan mod p cannot see a point whose z reduces
+to 0.  And over Q a point found that is ordinary but whose tangent cone
+vanishes or has a repeated factor mod p may be where another singular
+point meets it mod p, so the scan then runs again at the next walk prime.
+The same scan rejects a repeated component on both fields, since its whole
+support is singular.
 Each singular point's multiplicity and ordinarity are read off the Taylor
 pieces of the curve at an int representative of the point, built by
 ``poly.taylor_rows`` in increasing degree up to the first nonzero one; the
@@ -53,6 +54,7 @@ from collections import namedtuple
 from itertools import combinations, islice
 from math import gcd, isqrt, perm
 from dataclasses import dataclass, field as dc_field
+from functools import cache
 
 from .errors import (CurveUnsupported, GenerationFailed, GenusTooSmall, UnsupportedInput,
                      InvalidInput, IrrationalSingularLocus,
@@ -295,9 +297,9 @@ def _net_roots(a, b, bound):
     return rational_roots(zz_squarefree(fp_trim([c - m if 2 * c > m else c for c in net])))
 
 
-def _lift_point(terms, r, s, p, bound, accept, near):
-    """Whether the singular point (r, s) of F mod p, F = sum c x^i y^j over
-    ``terms``, lifts p-adically to a rational x that ``accept(x, s)`` takes.
+def _lift_point(f, r, s, p, bound, net_roots, accept):
+    """Whether the singular point (r, s) of F mod p, F the int form f read at
+    z = 1, lifts p-adically to a rational x that ``accept(x, s)`` takes.
 
     Its multiplicity mod p is the lowest order m of a partial of F that does
     not vanish there.  Two partials of order m - 1 with an invertible
@@ -307,15 +309,16 @@ def _lift_point(terms, r, s, p, bound, accept, near):
     the tangent cone, of rank 2 at an ordinary m-fold point.  x is
     reconstructed at each precision and offered to ``accept`` when two
     successive precisions agree, and at the last one, where recon_bound
-    passes ``bound`` and a rational x below it is sure to come out; False
+    passes ``bound()`` and a rational x below it is sure to come out; False
     then.  When no pair has an invertible Jacobian (a cusp or a tacnode mod
     p, where the cone is a power of a line), the x offered are those of
-    ``near(r)``."""
-    top = max(map(sum, terms))
+    ``net_roots()`` that are r mod p."""
+    top = max(i + j for i, j, _k in f.terms)
 
     def partial(a, b):
+        # f is a form, so (i, j) fixes k and no two terms of F share (i, j)
         return [(i - a, j - b, c * perm(i, a) * perm(j, b))
-                for (i, j), c in terms.items() if i >= a and j >= b]
+                for (i, j, _k), c in f.terms.items() if i >= a and j >= b]
 
     def at(polys, x, y, m):
         xp, yp = [1], [1]
@@ -332,28 +335,22 @@ def _lift_point(terms, r, s, p, bound, accept, near):
     pair = next(((a, b) for a, b in combinations(range(m), 2)
                  if (cone[a + 1] * cone[b] - cone[a] * cone[b + 1]) % p), None)
     if pair is None:
-        return any(accept(x0, s) for x0 in near(r))
+        return any(accept(x0, s) for x0 in net_roots() if fp_reduce(x0, p) == r)
     polys = [partial(a + da, m - 1 - a + db) for a in pair
              for da, db in ((0, 0), (1, 0), (0, 1))]
-    x, y, mod, prev = r, s, p, None
+    x, y, mod, prev, limit = r, s, p, None, bound()
     while True:
         mod *= mod
         u, ux, uy, v, vx, vy = at(polys, x, y, mod)
         inv = pow(ux * vy - uy * vx, -1, mod)
         x, y = (x - (vy * u - uy * v) * inv) % mod, (y - (ux * v - vx * u) * inv) % mod
         cand = rational_reconstruct(x, mod)
-        last = recon_bound(mod) >= bound
+        last = recon_bound(mod) >= limit
         if cand is not None and (cand == prev or last) and accept(cand, s):
             return True
         if last:
             return False
         prev = cand
-
-
-def _residue(c, p):
-    """The rational c mod p, or None when p divides its denominator."""
-    den = c.denominator % p
-    return c.numerator * pow(den, -1, p) % p if den else None
 
 
 def _affine_scan(f, parts, p, ground, nets=None):
@@ -374,23 +371,25 @@ def _affine_scan(f, parts, p, ground, nets=None):
     new gcd vanishes.  F, F_x and F_y are f and its ``parts`` (taken once,
     by the caller) read at z = 1.
 
-    A root r is checked exactly at ``ground.lift(r, p)``: over F_q r
-    itself, over Q its rational reconstruction mod p, which reaches only
-    about sqrt(p/2).  Over Q the singular points of F mod p above r, the
-    roots of the fiber gcd mod p there, are then compared with the points
-    found: two rational points whose x agree mod p share r, and so do
-    phantoms, points of F mod p that lift to none of F.  Each F_p root s of
-    the fiber that no point found reduces to is lifted as a point by
-    ``_lift_point``, with ``_net_bound`` of the first net as its bound, and
-    with the rational roots of that net over Z (``_net_roots``, computed
-    once) where the Jacobian of the lift is singular; each x it proposes
-    is checked exactly, and taken when a point above it reduces to (r, s).
-    The root counts into the residual when a lift fails or its fiber has a
-    root outside F_p.  What rests on p alone is the part of the gcd without
-    F_p roots and the roots whose lift failed.  When the first part is
-    positive the verdict is already a rejection or a rescan, so no root is
-    lifted, and a root left unlifted counts as failed: the residual is then
-    an upper bound on the degree of the non-rational locus."""
+    Each root r is settled in one pass.  It is checked exactly at
+    ``ground.lift(r, p)``: over F_q r itself, over Q its rational
+    reconstruction mod p, which reaches only about sqrt(p/2).  The singular
+    points of F mod p above r, the roots of the fiber gcd mod p there, are
+    then compared with the points found: two rational points whose x agree
+    mod p share r, and so do phantoms, points of F mod p that lift to none
+    of F.  Over F_q the exact fiber is the fiber mod q, so every such point
+    is one found.  Each F_p root s of the fiber that no point found reduces
+    to is lifted as a point by ``_lift_point``, with ``_net_bound`` of the
+    first net as its bound, and with the rational roots of that net over Z
+    (``_net_roots``) where the Jacobian of the lift is singular; both are
+    built at the first lift that needs them.  Each x it proposes is checked
+    exactly, and taken when a point above it reduces to (r, s).  The root
+    counts into the residual when a lift fails or its fiber has a root
+    outside F_p.  What rests on p alone is the part of the gcd without F_p
+    roots and the roots whose lift failed.  When the first part is positive
+    the verdict is already a rejection or a rescan, so no root is lifted,
+    and a root left unlifted counts as failed: the residual is then an upper
+    bound on the degree of the non-rational locus."""
     polys = (f, *parts[:2])
     if not polys[1] and not polys[2]:
         raise ReducibleSuspected("both affine partials vanish identically")
@@ -409,13 +408,12 @@ def _affine_scan(f, parts, p, ground, nets=None):
             roots = [x for x in roots if not fp_eval(g, x, p)]
             if len(g) == 1:
                 return [], 0, 0
-    over_q = ground.lift is rational_reconstruct    # over F_q a root is exact
-    points, fibers, residual = [], {}, 0
+    points, fibers, residual, net_roots = [], {}, 0, None
 
     def fiber_at(x0):
-        """The points above x0 as the residues mod p of their y over Q (the
-        y themselves over F_q), and the degree of the rest of the fiber;
-        each point found is recorded, and the rest counted."""
+        """The residues mod p of the y of the points above x0, and the degree
+        of the rest of the fiber; each point found is recorded, and the rest
+        counted."""
         nonlocal residual
         if x0 not in fibers:
             # the gcd of the nonzero ones is exactly the singular fiber above x0
@@ -425,60 +423,42 @@ def _affine_scan(f, parts, p, ground, nets=None):
             yroots, more = fiber
             points.extend((x0, y0) for y0 in yroots)
             residual += more
-            if over_q:
-                yroots = {_residue(y0, p) for y0 in yroots} - {None}
-            fibers[x0] = yroots, more
+            fibers[x0] = {fp_reduce(y0, p) for y0 in yroots} - {None}, more
         return fibers[x0]
+
+    def accept(x0, s):
+        """Whether a singular point above x0 has a y that is s mod p."""
+        ys, more = fiber_at(x0)
+        return s in ys or more > 0
 
     # distinct candidate x-values over the closure that do not even reduce
     # into F_p are not ground-field points: straight into the residual budget
     lost = (len(g) - 1) - len(roots)
-    failed = []     # (r, fiber gcd mod p above r, y mod p of the points found there)
+    failed = 0
     for r in roots:
         cand = ground.lift(r, p)
         ys, more = fiber_at(cand) if cand is not None else ((), 0)
-        if (ys or more) and not over_q:
+        if more:
             continue
         gp = []
         for t in tabs:
             s = fp_trim([fp_eval(row, r, p) for row in t])
             if s:
                 gp = fp_gcd(gp, s, p) if gp else s
-        if ys or more:
-            # unless a point mod p above r is not the reduction of one found
-            if more or gp and len(fp_squarefree(gp, p)) - 1 == len(ys):
-                continue
-        elif len(gp) == 1:
-            continue        # a phantom even mod p
-        failed.append((r, gp, ys))
-    if failed and not lost:
-        terms, bound, xs = {}, _net_bound(*first), []
-        for (i, j, _k), c in f.terms.items():
-            terms[i, j] = terms.get((i, j), 0) + c
-
-        def near(r):
-            if not xs:
-                xs.append(_net_roots(*first, bound))
-            return [x0 for x0 in xs[0] if _residue(x0, p) == r]
-
-        def accept(x0, s):
-            """Whether a singular point above x0 has a y that is s mod p."""
-            ys, more = fiber_at(x0)
-            return s in ys or more > 0
-
-        def lifts(r, gp, ys):
-            """Whether every singular point mod p above r that is not the
-            reduction of a point found lifts to one."""
-            if not gp:
-                return False        # a vertical line mod p
-            sf = fp_squarefree(gp, p)
-            roots = fp_roots(sf, p)
-            return len(roots) == len(sf) - 1 and all(
-                _lift_point(terms, r, s, p, bound, accept, near)
-                for s in roots if s not in ys)
-
-        failed = [e for e in failed if not lifts(*e)]
-    return points, residual + lost + len(failed), lost + len(failed)
+        sf = fp_squarefree(gp, p)       # [] for a vertical line mod p
+        if len(sf) - 1 == len(ys):
+            continue        # each point mod p above r reduces from one found
+        if lost or not sf:
+            failed += 1     # left unlifted, or a vertical line mod p
+            continue
+        ss = fp_roots(sf, p)
+        if net_roots is None:       # made where a lift may first run, not per scan
+            bound = cache(lambda: _net_bound(*first))
+            net_roots = cache(lambda: _net_roots(*first, bound()))
+        if len(ss) < len(sf) - 1 or not all(
+                _lift_point(f, r, s, p, bound, net_roots, accept) for s in ss if s not in ys):
+            failed += 1
+    return points, residual + lost + failed, lost + failed
 
 
 def _infinity_scan(f, parts, ground):
@@ -579,7 +559,7 @@ def singular_locus(f, fld=QQ):
         # a residual that rests on p alone stands only if the first two nets
         # at the next scan prime have more roots than the x-values found;
         # otherwise the scan runs again there, on those nets
-        if over_q and residual and residual == unsure and n < len(primes):
+        if residual and residual == unsure and n < len(primes):
             nets = _first_nets((f, *parts[:2]), primes[n])
             if nets.g is None or len(nets.g) - 1 <= len({x0 for x0, _ in aff_pts}):
                 continue
@@ -702,6 +682,25 @@ METHOD1_TRIES = 50
 SINGULAR_MODEL_TRIES = 200
 
 
+def _first_valid(tries, draw, base_point, wanted, provenance, failure):
+    """The first of ``tries`` candidates ``draw()`` that is not None,
+    validates over Q with ``base_point`` and is a curve ``wanted`` takes,
+    with ``provenance`` and its attempt number recorded;
+    ``GenerationFailed(failure)`` when there is none."""
+    for attempt in range(1, tries + 1):
+        f = draw()
+        if f is None:
+            continue
+        try:
+            curve = validate_curve(f, base_point=base_point, fld=QQ)
+        except UnsupportedInput:
+            continue
+        if wanted(curve):
+            curve.provenance = {**provenance, "attempts": attempt}
+            return curve
+    raise GenerationFailed(failure)
+
+
 def _rand_coeff(rng, height):
     """A uniform integer of at most ``height`` bits; every generator draws
     its coefficients here."""
@@ -733,27 +732,19 @@ def gen_trigonal_projection(d, coeff_height=5, seed=0):
         raise InvalidInput("projection generator needs degree >= 4")
     rng = derived_rng(seed, f"projection:{d}:{coeff_height}")
     m = d - 3
-    for attempt in range(PROJECTION_TRIES):
+    expected = [] if d == 4 else [((rat(0), rat(0), rat(1)), m)]
+
+    def draw():
         f = gen_trigonal_projection_candidate(d, coeff_height, rng)
-        if not f:
-            continue
         cone = [int(f.terms.get((i, m - i, 3), 0)) for i in range(m + 1)]
-        if not any(cone) or not binary_form_squarefree(cone, zz_gcd):
-            continue
-        try:
-            curve = validate_curve(
-                f, base_point=(0, 0, 1) if d == 4 else None, fld=QQ)
-        except UnsupportedInput:
-            continue
-        expected = [] if d == 4 else [((rat(0), rat(0), rat(1)), m)]
-        got = [(s.coords, s.multiplicity) for s in curve.sings]
-        if got != expected or curve.genus != 2 * d - 5:
-            continue
-        curve.provenance = {"generator": "projection", "d": d,
-                            "height": coeff_height, "seed": seed,
-                            "attempts": attempt + 1}
-        return curve
-    raise GenerationFailed(f"no valid projection curve of degree {d} within {PROJECTION_TRIES} tries")
+        return f if any(cone) and binary_form_squarefree(cone, zz_gcd) else None
+
+    return _first_valid(
+        PROJECTION_TRIES, draw, (0, 0, 1) if d == 4 else None,
+        lambda c: [(s.coords, s.multiplicity) for s in c.sings] == expected
+        and c.genus == 2 * d - 5,
+        {"generator": "projection", "d": d, "height": coeff_height, "seed": seed},
+        f"no valid projection curve of degree {d} within {PROJECTION_TRIES} tries")
 
 
 def gen_method1_candidate(deg_x, coeff_height, rng):
@@ -779,19 +770,11 @@ def gen_method1(deg_x, coeff_height=5, seed=0):
     if deg_x < 2:
         raise InvalidInput("method-1 generator needs deg_x >= 2")
     rng = derived_rng(seed, f"m1:{deg_x}:{coeff_height}")
-    for attempt in range(METHOD1_TRIES):
-        f = gen_method1_candidate(deg_x, coeff_height, rng)
-        try:
-            curve = validate_curve(f, fld=QQ)
-        except UnsupportedInput:
-            continue
-        if curve.genus != 2 * (deg_x - 1):
-            continue
-        curve.provenance = {"generator": "m1", "deg_x": deg_x,
-                            "height": coeff_height, "seed": seed,
-                            "attempts": attempt + 1}
-        return curve
-    raise GenerationFailed(f"no valid method-1 curve with deg_x={deg_x} within {METHOD1_TRIES} tries")
+    return _first_valid(
+        METHOD1_TRIES, lambda: gen_method1_candidate(deg_x, coeff_height, rng), None,
+        lambda c: c.genus == 2 * (deg_x - 1),
+        {"generator": "m1", "deg_x": deg_x, "height": coeff_height, "seed": seed},
+        f"no valid method-1 curve with deg_x={deg_x} within {METHOD1_TRIES} tries")
 
 
 def gen_singular_model(d, assigned, coeff_height=3, seed=0):
@@ -824,33 +807,26 @@ def gen_singular_model(d, assigned, coeff_height=3, seed=0):
     from .linalg import kernel_basis
     monos = [(i, j, d - i - j) for i in range(d + 1) for j in range(d + 1 - i)]
     # conditions: all Taylor pieces of degree < m vanish at each point
+    # (a zero row, when no point is assigned, imposes no condition)
     rows = [row for pt, m in pts for k in range(m) for row in taylor_rows(monos, pt, k)]
-    kern = kernel_basis(rows) if rows else [[rat(1) if i == j else rat(0)
-                                             for i in range(len(monos))]
-                                            for j in range(len(monos))]
+    kern = kernel_basis(rows or [[0] * len(monos)])
     if not kern:
         raise GenerationFailed("no curve satisfies the assigned singularities")
     rng = derived_rng(seed, f"singmodel:{d}:{assigned!r}:{coeff_height}")
-    for attempt in range(SINGULAR_MODEL_TRIES):
+
+    def draw():
+        # the kernel vectors are independent, so only an all-zero draw gives 0
         combo = [_rand_coeff(rng, coeff_height) for _ in kern]
-        if not any(combo):
-            continue
-        coeffs = [sum(c * v[i] for c, v in zip(combo, kern)) for i in range(len(monos))]
-        f = MPoly(3, {mono: rat(c) if isinstance(c, int) else c
-                      for mono, c in zip(monos, coeffs) if c})
-        if not f:
-            continue
-        try:
-            curve = validate_curve(f, fld=QQ)
-        except UnsupportedInput:
-            continue
-        if {(s.coords, s.multiplicity) for s in curve.sings} != set(pts):
-            continue
-        curve.provenance = {"generator": "singular_model", "d": d,
-                            "assigned": assigned, "height": coeff_height,
-                            "seed": seed, "attempts": attempt + 1}
-        return curve
-    raise GenerationFailed("no valid curve with the assigned singularities")
+        coeffs = (sum(c * v[i] for c, v in zip(combo, kern)) for i in range(len(monos)))
+        return MPoly(3, {mono: rat(c) if isinstance(c, int) else c
+                         for mono, c in zip(monos, coeffs) if c}) or None
+
+    return _first_valid(
+        SINGULAR_MODEL_TRIES, draw, None,
+        lambda c: {(s.coords, s.multiplicity) for s in c.sings} == set(pts),
+        {"generator": "singular_model", "d": d, "assigned": assigned,
+         "height": coeff_height, "seed": seed},
+        "no valid curve with the assigned singularities")
 
 
 # --- curve file format ------------------------------------------------------------
@@ -878,7 +854,7 @@ def parse_point(text, lineno=None):
 
 def parse_curve_file(text):
     """Parse the line-oriented curve format; returns a dict with keys
-    f, sings, point, field.  Only ``sing`` lines may repeat."""
+    f, sings, point, field.  Only "sing" lines may repeat."""
     f = None
     sings = []
     point = None

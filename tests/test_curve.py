@@ -720,6 +720,38 @@ def test_generator_distinct_seeds_differ():
     assert gen_trigonal_projection(5, seed=1).f != gen_trigonal_projection(5, seed=2).f
 
 
+ASSIGNED_NODES = [((1, 0, 0), 2), ((0, 1, 0), 2), ((0, 0, 1), 2)]
+
+
+@pytest.mark.parametrize("make, provenance, message", [
+    (lambda: gen_trigonal_projection(5, coeff_height=1, seed=1),
+     {"generator": "projection", "d": 5, "height": 1, "seed": 1, "attempts": 2},
+     "no valid projection curve of degree 5 within 50 tries"),
+    (lambda: gen_method1(3, coeff_height=1, seed=2),
+     {"generator": "m1", "deg_x": 3, "height": 1, "seed": 2, "attempts": 2},
+     "no valid method-1 curve with deg_x=3 within 50 tries"),
+    (lambda: gen_singular_model(5, ASSIGNED_NODES, coeff_height=1, seed=3),
+     {"generator": "singular_model", "d": 5, "assigned": ASSIGNED_NODES, "height": 1,
+      "seed": 3, "attempts": 4},
+     "no valid curve with the assigned singularities"),
+], ids=["projection", "m1", "singular_model"])
+def test_generator_provenance_and_failure_are_pinned(make, provenance, message,
+                                                    monkeypatch):
+    """The attempt a generator accepts pins its draw order: each candidate
+    it discards, before or after validation, counts as one attempt.  When
+    validation refuses every candidate, the generator says so in its own
+    words."""
+    assert list(make().provenance.items()) == list(provenance.items())
+
+    def refuse(*args, **kwargs):
+        raise UnsupportedInput("refused")
+
+    monkeypatch.setattr(curve_mod, "validate_curve", refuse)
+    with pytest.raises(GenerationFailed) as err:
+        make()
+    assert str(err.value) == message
+
+
 def test_singular_model_low_genus_fails_before_any_attempt(monkeypatch):
     # a quintic with a triple point and three nodes has genus 6 - 3 - 3 = 0
     calls = []
@@ -910,6 +942,31 @@ def test_a_non_ordinary_point_far_out_in_x_is_found_by_the_net_over_z(form, monk
     with pytest.raises(NonOrdinarySingularity, match=f"at \\({n}:0:1\\)"):
         validate_curve(P(form).substitute([X - Z * n, Y, Z]))
     assert calls and rat(n) in calls[0]
+
+
+def test_no_corpus_input_takes_a_lift(monkeypatch):
+    """The 99 inputs of the three workloads at seeds 1-3 each have every
+    singular point in reach of one reconstruction mod the scan prime, so no
+    point is lifted, and the net bound and the net over Z, built only at
+    the first lift that needs them, are never built."""
+    calls = []
+    for name in ("_lift_point", "_net_bound", "_net_roots"):
+        real = getattr(curve_mod, name)
+
+        def spy(*args, real=real, name=name):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(curve_mod, name, spy)
+    items = [item for workload in corpus.WORKLOADS for seed in (1, 2, 3)
+             for item in corpus.build(workload, seed)]
+    assert len(items) == 99
+    for item in items:
+        try:
+            validate_curve(item.f)
+        except UnsupportedInput:
+            pass
+    assert calls == []
 
 
 @pytest.mark.parametrize("conic, lifted", [("sqrt2", 0), ("i", 2)])

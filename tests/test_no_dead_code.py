@@ -5,12 +5,15 @@ module of the package imports is used there or exported through its
 ``__all__``; every name in an ``__all__`` is bound in its module; every
 function of the tests' oracle module, ``tests/dense_reference.py``, is used
 by a test or by another oracle there; every defaulted parameter is set by
-some call; no module imports a private name of another; and every parameter
-of a package function is read in its body."""
+some call; no module imports a private name of another; every parameter
+of a package function is read in its body; and every name a docstring of
+the package quotes resolves."""
 
 import ast
+import builtins
 import importlib
 import re
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -247,3 +250,115 @@ def test_every_parameter_is_read():
             unread += [f"{path.name}:{node.lineno} {node.name}({a.arg})"
                        for a in params if a.arg not in read]
     assert not unread, "parameters never read: " + ", ".join(unread)
+
+
+# ``name`` or ``a.b``: a quoted name or dotted name, nothing else between the
+# backquotes (a call like ``f(x)`` or a format like ``key = value`` is not one)
+DOC_REFERENCE = re.compile(r"``([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)``")
+
+
+def _bound_in(node):
+    """The names a function or class binds: its parameters, the targets of
+    its assignments, loops and imports, and the functions and classes it
+    defines, nested ones included."""
+    names = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.arg):
+            names.add(n.arg)
+        elif isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store):
+            names.add(n.id)
+        elif isinstance(n, (ast.FunctionDef, ast.ClassDef)) and n is not node:
+            names.add(n.name)
+        elif isinstance(n, ast.alias):
+            names.add(n.asname or n.name.split(".")[0])
+    return names
+
+
+def _module_names(tree):
+    """The names a module binds at its top level, imports included."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        else:
+            names |= {n.id for n in ast.walk(node)
+                      if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+    return names
+
+
+def _class_attributes(tree):
+    """The attributes of a module's classes: what each class body binds,
+    every ``self.<attr>`` its methods assign, and the fields of each
+    ``namedtuple``."""
+    attrs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            attrs |= {n.name for n in node.body
+                      if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+            attrs |= {n.id for stmt in node.body
+                      if isinstance(stmt, (ast.Assign, ast.AnnAssign))
+                      for n in ast.walk(stmt) if isinstance(n, ast.Name)
+                      and isinstance(n.ctx, ast.Store)}
+            attrs |= {n.attr for n in ast.walk(node)
+                      if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+                      and isinstance(n.value, ast.Name) and n.value.id == "self"}
+        elif (isinstance(node, ast.Call) and _called_name(node) == "namedtuple"
+              and len(node.args) == 2 and isinstance(node.args[1], ast.Constant)):
+            attrs |= set(node.args[1].value.split())
+    return attrs
+
+
+def _nested(node):
+    """The functions and classes inside ``node`` that no other one holds."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            yield child
+        else:
+            yield from _nested(child)
+
+
+def _docstrings(node, scope):
+    """(owner, docstring, names in scope) for ``node`` and every function
+    and class inside it; a function or class sees what it binds and what
+    every enclosing one binds."""
+    if not isinstance(node, ast.Module):
+        scope = scope | _bound_in(node)
+    doc = ast.get_docstring(node, clean=False)
+    if doc:
+        yield getattr(node, "name", "<module>"), doc, scope
+    for child in _nested(node):
+        yield from _docstrings(child, scope)
+
+
+def test_every_docstring_reference_resolves():
+    """A name a docstring quotes, as ``name`` or ``a.b``, is one a reader
+    can find: a package module (or ``perfbench``, or a standard-library
+    module, whose attributes are not checked), a top-level name of a
+    package module, an attribute of a package class, a builtin, or a name
+    bound in the documented function or class or an enclosing one.  The
+    parts after the first of ``a.b`` are top-level names of module a when
+    it is a package module, and otherwise attributes of a package class or
+    top-level names of a package module.  A stale quote names what was
+    deleted or renamed."""
+    trees = {path: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    modules = {path.stem: _module_names(tree) for path, tree in trees.items()}
+    top = set().union(*modules.values())
+    attrs = set().union(*map(_class_attributes, trees.values()))
+    outside = {"perfbench"} | set(sys.stdlib_module_names)
+    known = top | attrs | set(dir(builtins))
+
+    def resolves(ref, scope):
+        head, *rest = ref.split(".")
+        if head in modules:
+            return not rest or rest[0] in modules[head] and all(
+                part in attrs | top for part in rest[1:])
+        return head in outside or (head in known or head in scope) and all(
+            part in attrs | top for part in rest)
+
+    stale = [f"{path.name} {owner}: ``{ref}``"
+             for path, tree in trees.items()
+             for owner, doc, scope in _docstrings(tree, set())
+             for ref in DOC_REFERENCE.findall(doc) if not resolves(ref, scope)]
+    assert not stale, "docstrings quote names that resolve to nothing: " + ", ".join(stale)
