@@ -76,34 +76,53 @@ def cmd_generate(args):
     return EXIT_OK
 
 
+# The fields of a bench job, and the one params key of each method.
+_BENCH_FIELDS = ("method", "n", "height", "params")
+_BENCH_PARAMS = {"projection": "d", "m1": "deg_x"}
+
+
 def _parse_bench_spec(text):
     """Bench jobs, one a line: ``method=... n=... [height=...]
-    [params=key=int,...]``; every field but the method is an integer."""
+    [params=key=int,...]``; every field but the method is an integer.  An
+    unknown or repeated field or params key is a ParseError, as in a
+    curve file."""
     jobs = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        fields = {}
-        for token in line.split():
-            key, eq, value = token.partition("=")
-            if not eq:
-                raise ParseError(f"bad token {token!r}", lineno)
-            fields[key] = value
+        fields = _spec_fields(line.split(), _BENCH_FIELDS, "field", lineno)
         for req in ("method", "n"):
             if req not in fields:
                 raise ParseError(f"missing {req}= in bench job", lineno)
         method = fields["method"]
-        if method not in ("projection", "m1"):
+        if method not in _BENCH_PARAMS:
             raise ParseError(f"unknown method {method!r}", lineno)
-        params = (p.partition("=") for p in fields.get("params", "").split(","))
+        params = _spec_fields(filter(None, fields.get("params", "").split(",")),
+                              (_BENCH_PARAMS[method],), "params key", lineno)
         jobs.append({
             "method": method,
-            "params": {k: _spec_int(k, v, lineno) for k, eq, v in params if eq},
+            "params": {k: _spec_int(k, v, lineno) for k, v in params.items()},
             "n": _spec_int("n", fields["n"], lineno),
             "height": _spec_int("height", fields.get("height", "5"), lineno),
         })
     return jobs
+
+
+def _spec_fields(tokens, known, what, lineno):
+    """The ``key=value`` tokens as a dict, refusing a key outside ``known``
+    or one that comes twice."""
+    fields = {}
+    for token in tokens:
+        key, eq, value = token.partition("=")
+        if not eq:
+            raise ParseError(f"bad token {token!r}", lineno)
+        if key not in known:
+            raise ParseError(f"unknown {what} {key!r}", lineno)
+        if key in fields:
+            raise ParseError(f"a second {what} {key!r}", lineno)
+        fields[key] = value
+    return fields
 
 
 def _spec_int(key, value, lineno):

@@ -5,7 +5,12 @@ hyperellipticity gate), the stabilizer algebra with its Levi classification,
 the map, and the quadric-generation test.  The map stage runs one candidate
 loop for every trigonal case: the genus-3 pencil through the marked point,
 or ``scroll.rulings`` on the sl2 summands (one for a scroll, two for
-P1xP1), each candidate checked by its fiber degree.  The last stage is
+P1xP1), each candidate checked by its fiber degree.  A ruling (p : q) is
+a reduced pencil (a : b) times a fixed part A (on every corpus curve, a
+pencil of lines times a form of degree deg p - 1), and each fiber draw
+divides A out mod its prime: Res_y(F, p - t*q) is Res_y(F, A) *
+Res_y(F, a - t*b) up to a constant, and the factor Res_y(F, A), common to
+every t, drops out of the fiber count.  The last stage is
 an independent oracle whose agreement is recorded.  It compares the span of
 the products x_i * q against the cubic count that Max Noether's theorem
 fixes, so no cubic space is built.  Each stage's wall time lands in the
@@ -29,9 +34,9 @@ from .errors import (CurveUnsupported, DegenerateFiber, HyperellipticInput,
                      InvalidInput, PointNotOnCurve, TrigonalError, stage)
 from .liealg import Case, classify, levi, stabilizer_algebra
 from .linalg import kernel_basis
-from .modular import (PRIME_WALK_START, clear_denominators, fp_bivariate_table, fp_divmod,
-                      fp_gcd, fp_reduce, fp_resultant_keepvar, fp_sqrt, fp_squarefree,
-                      fp_sub, fp_trim, primes_below)
+from .modular import (PRIME_WALK_START, FpEchelon, clear_denominators, fp_bivariate_table,
+                      fp_divmod, fp_gcd, fp_reduce, fp_resultant_keepvar, fp_sqrt,
+                      fp_squarefree, fp_sub, fp_trim, primes_below)
 from .poly import poly_str
 from .scalars import PrimeField, QuadraticField
 from .scroll import PencilMap, rulings
@@ -121,10 +126,15 @@ def _shear(table, lam, p):
         for i, c in enumerate(row):
             for r in range(i + 1 if lam else 1):    # c x^i y^j -> c (x + lam y)^i y^j
                 out[j + r][i - r] += c * comb(i, r) * lam ** r
-    out = [fp_trim([c % p for c in row]) for row in out]
-    while out and not out[-1]:
-        out.pop()
-    return out
+    return _trim_rows([[c % p for c in row] for row in out])
+
+
+def _trim_rows(table):
+    """``table`` with its rows trimmed and no trailing zero row."""
+    table = [fp_trim(row) for row in table]
+    while table and not table[-1]:
+        table.pop()
+    return table
 
 
 def _fiber_primes(fld):
@@ -157,6 +167,45 @@ def _reduce_draw(primes, forms, lam, d):
     raise DegenerateFiber("no admissible prime for the fiber check")
 
 
+def _divide_fixed_part(pt, qt, e, p):
+    """The tables of a pencil (a : b) with P = A*a and Q = A*b mod p and
+    gcd(a, b) = 1, for the tables pt, qt of forms P and Q of degree e at
+    z = 1.  deg a is the least e' >= 1 at which P*b = Q*a has a nonzero
+    solution; each e' tried is one echelon mod p whose columns are the
+    coefficients of a and b at the monomials x^i y^j, i + j <= e'.  With no
+    solution below e, (pt, qt) itself.
+
+    A divides P and Q on the line y = z as well, so deg A is at most the
+    degree of their gcd there as binary forms: the affine gcd times the
+    power of z that both share.  The search starts at e minus that degree,
+    which on a coprime pencil is generically e: no echelon at all."""
+    pl, ql = (fp_trim([sum(col) % p for col in zip_longest(*t, fillvalue=0)])
+              for t in (pt, qt))
+    on_line = len(fp_gcd(pl, ql, p)) + e - max(len(pl), len(ql))
+    terms = [[(i, j, c) for j, row in enumerate(t) for i, c in enumerate(row) if c]
+             for t in (pt, qt)]
+    for k in range(max(1, e - on_line), e):
+        monos = [(i, j) for j in range(k + 1) for i in range(k + 1 - j)]
+        n = len(monos)
+        rows = {}
+        for col, (i, j) in enumerate(monos):
+            # column col holds a's coefficient at x^i y^j, n + col b's
+            for u, v, c in terms[0]:
+                rows.setdefault((u + i, v + j), {})[n + col] = c
+            for u, v, c in terms[1]:
+                rows.setdefault((u + i, v + j), {})[col] = p - c
+        ech = FpEchelon(2 * n, p)
+        for row in rows.values():
+            ech.add(row)
+            if ech.rank == 2 * n:
+                break
+        else:
+            vec = iter(ech.kernel()[0])     # a's coefficients, then b's, as in monos
+            return [_trim_rows([[next(vec) for _ in range(k + 1 - j)] for j in range(k + 1)])
+                    for _ in range(2)]
+    return pt, qt
+
+
 def map_degree(curve, pencil, seed=0):
     """Fiber degree of the pencil (p : q) on the curve.
 
@@ -167,11 +216,17 @@ def map_degree(curve, pencil, seed=0):
     below 2^30 over Q and Q(sqrt delta), so a draw is Monte Carlo in its
     shear, its t-values and its prime; over F_q it works mod q, exactly.
     Each draw picks its prime, reduces and shears f, p and q there
-    (``_reduce_draw``) and forms h = p - t*q on those tables, drawing again
-    a t whose h has no y-term mod the prime.  A pencil coefficient outside
-    the ground field is ``InvalidInput``.  Draws with distinct shears go on,
-    at most ``FIBER_DRAWS`` of them, until one degree has come out twice;
-    that degree, the first value seen twice, is returned.
+    (``_reduce_draw``) and divides out their fixed part there: p = A*a and
+    q = A*b with gcd(a, b) = 1 (``_divide_fixed_part``).  As F is monic in
+    y, Res_y(F, p - t*q) = c * Res_y(F, A) * Res_y(F, a - t*b) for a nonzero
+    constant c; the factor Res_y(F, A) is common to both t-values, so
+    R_t1 / gcd(R_t1, R_t2) is the same polynomial with or without it, and
+    the draw forms h = a - t*b, of Bezout degree d*deg(a) instead of d*e
+    for a pencil of degree e.  It draws again a t whose h has no y-term mod
+    the prime.  The reported pencil stays (p : q).  A pencil coefficient
+    outside the ground field is ``InvalidInput``.  Draws with distinct
+    shears go on, at most ``FIBER_DRAWS`` of them, until one degree has come
+    out twice; that degree, the first value seen twice, is returned.
     """
     f = curve.f
     p0, q0 = pencil.p, pencil.q
@@ -184,6 +239,7 @@ def map_degree(curve, pencil, seed=0):
     if isinstance(pencil.field, QuadraticField):
         fld = pencil.field
     forms = (f, p0.map_coeffs(fld.coerce), q0.map_coeffs(fld.coerce))
+    e = p0.total_degree()
     rng = derived_rng(seed, f"map_degree:{poly_str(p0)}:{poly_str(q0)}")
     primes = _fiber_primes(fld)
     draws = []
@@ -206,11 +262,12 @@ def map_degree(curve, pencil, seed=0):
     for _ in range(FIBER_DRAWS):
         lam = next_lambda()
         p, (ft, pt, qt) = _reduce_draw(primes, forms, lam, f.total_degree())
+        at, bt = _divide_fixed_part(pt, qt, e, p)
         ts, hts = [], []
         for _ in range(40):
             k = rng.randint(-10000, 10000)
             t = fld.coerce(k)
-            ht = [fp_sub(a, [k * c for c in b], p) for a, b in zip_longest(pt, qt, fillvalue=[])]
+            ht = [fp_sub(a, [k * c for c in b], p) for a, b in zip_longest(at, bt, fillvalue=[])]
             if any(ht[1:]) and t not in ts:
                 ts.append(t)
                 hts.append(ht)

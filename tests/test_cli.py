@@ -244,13 +244,23 @@ def test_bad_point_coordinates_are_parse_errors(tmp_path, text, flags):
      "deg_x='abc' is not an integer (line 1)"),
     (["generate", "m2", "--deg", "2"], None, "invalid choice: 'm2'"),
     (["bench"], "method=m2 n=1\n", "unknown method 'm2' (line 1)"),
+    (["bench"], "method=projection n=1 heigth=9\n", "unknown field 'heigth' (line 1)"),
+    (["bench"], "\nmethod=m1 n=1 n=2\n", "a second field 'n' (line 2)"),
+    (["bench"], "method=projection params=deg=7 n=1\n",
+     "unknown params key 'deg' (line 1)"),
+    (["bench"], "method=m1 params=d=7 n=1\n", "unknown params key 'd' (line 1)"),
+    (["bench"], "method=projection params=d=7,d=8 n=1\n",
+     "a second params key 'd' (line 1)"),
 ], ids=["m1-zero", "projection-negative", "m1-negative", "bench-zero",
-        "bench-n", "bench-height", "bench-params", "generate-m2", "bench-m2"])
+        "bench-n", "bench-height", "bench-params", "generate-m2", "bench-m2",
+        "bench-unknown-field", "bench-repeated-field", "bench-unknown-param",
+        "bench-other-method-param", "bench-repeated-param"])
 def test_bad_heights_and_bench_fields_are_typed_errors(tmp_path, args, spec, message):
     """Every generator draws its coefficients through one height check, and
     every bench field but the method must be an integer.  A height of 0 once
     looped forever drawing a nonzero leading coefficient.  ``m2`` is neither
-    a generator nor a bench method."""
+    a generator nor a bench method.  A misspelt or repeated field or params
+    key once ran the job with the default or the last value."""
     if spec is not None:
         path = tmp_path / "bench.spec"
         path.write_text(spec)

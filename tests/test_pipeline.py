@@ -5,16 +5,17 @@ import sys
 import textwrap
 from itertools import islice
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from trigonal import curve as curve_mod, liealg, modular, pipeline
 from trigonal.canonical import cubic_count
 from trigonal.curve import gen_trigonal_projection, validate_curve
 from trigonal.errors import (ChainCountUnexpected, CurveUnsupported, DegenerateFiber,
                              HyperellipticInput, InvalidInput, PointNotOnCurve,
-                             UnsupportedInput)
+                             TrigonalError, UnsupportedInput)
 from trigonal.pipeline import decide, g3_map, map_degree
 from trigonal.poly import MPoly, parse_poly, poly_str
 from trigonal.modular import fp_bivariate_table
@@ -285,6 +286,89 @@ def test_map_degree_of_a_power_pencil_over_a_small_field():
     deg, draws = map_degree(klein, pm)
     assert deg == 36
     assert {d["prime"] for d in draws} == {67}
+
+
+def test_map_degree_divides_out_the_fixed_part_of_the_pencil():
+    # (x^9*y^8 : x^8*y^9) is (x : y) times x^8*y^8: the unreduced h would
+    # need 4 * 17 + 1 = 69 points, more than F_67 has, the reduced one 5
+    fld = PrimeField(67)
+    klein = validate_curve(parse_poly("x^3*y + y^3*z + z^3*x"), fld=fld)
+    pm = PencilMap(p=parse_poly("x^9*y^8").map_coeffs(fld.coerce),
+                   q=parse_poly("x^8*y^9").map_coeffs(fld.coerce), field=fld)
+    deg, draws = map_degree(klein, pm)
+    assert deg == 3
+    assert {d["prime"] for d in draws} == {67}
+
+
+def _fiber_check(curve, pencil):
+    try:
+        return map_degree(curve, pencil)
+    except TrigonalError as e:
+        return type(e), str(e)
+
+
+_KLEIN = parse_poly("x^3*y + y^3*z + z^3*x")
+_FIXED_PART_FIELDS = {
+    "Q": (QQ, lambda a, b: rat(a)),
+    "Q(sqrt 2)": (QuadraticField(2), lambda a, b: QuadExt(rat(a), rat(b), 2)),
+    "F101": (PrimeField(101), lambda a, b: FpElt(a, 101)),
+}
+
+
+@settings(max_examples=30)
+@given(st.data(), st.sampled_from(sorted(_FIXED_PART_FIELDS)), st.sampled_from("yz"))
+def test_dividing_out_the_fixed_part_keeps_every_draw(data, name, other):
+    """The fiber check of A*(x : y) and A*(x : z) on the Klein quartic, for a
+    random form A of degree 1 to 4, gives the same degree and draws as with
+    the division by A patched to the identity: Res_y(F, A*(a - t*b)) is
+    Res_y(F, A) * Res_y(F, a - t*b) up to a constant, and the shared factor
+    drops out of R_t1 / gcd(R_t1, R_t2).  Every shear of the quartic is
+    nonzero, so a - t*b is free of y only for (x : y) at a t equal to the
+    shear mod the prime; the reduced draw refuses that t, while the
+    unreduced h = A*x involves y, so those examples are left out."""
+    fld, scalar = _FIXED_PART_FIELDS[name]
+    k = data.draw(st.integers(1, 4))
+    monos = [(i, j, k - i - j) for i in range(k + 1) for j in range(k + 1 - i)]
+    coeffs = data.draw(st.lists(st.tuples(st.integers(-9, 9), st.integers(-3, 3)),
+                                min_size=len(monos), max_size=len(monos)))
+    a = MPoly(3, {m: scalar(u, v) for m, (u, v) in zip(monos, coeffs) if u or v})
+    if not a:
+        a = MPoly(3, {(0, 0, k): fld.one()})
+    second = (0, 1, 0) if other == "y" else (0, 0, 1)
+    u, v = (MPoly(3, {e: fld.one()}) for e in ((1, 0, 0), second))
+    pencil = PencilMap(p=a * u, q=a * v, field=fld)
+    curve = validate_curve(_KLEIN.map_coeffs(fld.coerce), fld=fld) if name == "F101" \
+        else validate_curve(_KLEIN)
+    reduced = _fiber_check(curve, pencil)
+    with mock.patch.object(pipeline, "_divide_fixed_part", lambda pt, qt, e, p: (pt, qt)):
+        plain = _fiber_check(curve, pencil)
+    if other == "y" and isinstance(plain, tuple) and isinstance(plain[1], list):
+        assume(all((int(t) - d["shear"]) % d["prime"] for d in plain[1] for t in d["t"]))
+    assert reduced == plain
+
+
+def test_the_reduced_pencil_reaches_the_resultants_as_lines(proj5, m1_quartic, monkeypatch):
+    """Every corpus pencil is a pencil of lines times a fixed part, so every
+    h that the fiber check hands the resultant engine has total degree 1:
+    on the projection and method-1 fixtures, and on a projection curve moved
+    by (x, y, z) -> (x + z, x + y - 2z, y + z), whose fixed part is a dense
+    form."""
+    degrees = []
+    keepvar = pipeline.fp_resultant_keepvar
+
+    def spy(a, b, p):
+        degrees.append(max(len(row) - 1 + j for j, row in enumerate(b) if row))
+        return keepvar(a, b, p)
+
+    monkeypatch.setattr(pipeline, "fp_resultant_keepvar", spy)
+    x, y, z = (MPoly.variable(3, i) for i in range(3))
+    f = gen_trigonal_projection(8, seed=1).f.substitute([x + z, x + y - z * 2, y + z])
+    for curve in (proj5, m1_quartic, validate_curve(f)):
+        degrees.clear()
+        rep = decide(curve, seed=1)
+        assert rep.verified_degree == 3
+        assert degrees and set(degrees) == {1}
+    assert rep.case == "Scroll"
 
 
 def test_map_degree_rejects_degenerate_pencils(klein):
