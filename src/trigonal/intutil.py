@@ -6,14 +6,14 @@ canonically; no step of curve validation factors an integer.
 Deterministic: Miller-Rabin to the bases 2-41 is exact below psi_13, and a
 strong Lucas test completes Baillie-PSW (Baillie and Wagstaff, Math. Comp.
 35, 1980) above; perfect powers are split by exact roots, and Brent-Pollard
-rho uses a fixed parameter sequence and gives up, with ``InvalidInput``,
+rho uses a fixed parameter sequence and gives up, with ``CurveUnsupported``,
 after ``RHO_STEPS`` steps.
 """
 
 import math
 from itertools import count
 
-from .errors import InvalidInput
+from .errors import CurveUnsupported, InvalidInput
 
 _SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
@@ -98,7 +98,7 @@ def _brent_rho(n):
         while g == 1:
             steps -= 2 * r
             if steps < 0:
-                raise InvalidInput(f"factorization failed for {n}")
+                raise CurveUnsupported(f"factorization failed for {n}")
             x = y
             for _ in range(r):
                 y = (y * y + c) % n

@@ -332,8 +332,8 @@ def _field_name(fld):
 # Each stage is fn(curve, rep, base_point).  It reads what earlier stages
 # left in rep.extras ("cm", "qspace", "lie", "levi", "ideals") and fills in
 # its report fields.  The map stage leaves the verified candidates (summand
-# index, sl2 triple, scroll matrix, pencil; the first three None in genus
-# 3), the failures (summand index, error) and the emitted "pencil".
+# index, sl2 triple, pencil; the first two None in genus 3), the failures
+# (summand index, error) and the emitted "pencil".
 
 
 def _adjoints(curve, rep, bp):
@@ -374,10 +374,11 @@ def _liealg(curve, rep, bp):
 
 def _map(curve, rep, bp):
     """The trigonal pencil of the case.  Each candidate (the genus-3 pencil,
-    the scroll ruling, or one ruling of the quadric per sl2 ideal) goes
-    through the fiber check; the first verified at degree 3 is the map, and
-    every draw is recorded.  With none verified, the first failure is
-    raised."""
+    the scroll ruling, or one ruling of the quadric per sl2 ideal; a ruling
+    is the first nondegenerate column of ``scroll.ruling_columns``) is a
+    (summand index, triple, pencil) tuple and goes through the fiber check;
+    the first verified at degree 3 is the map, and every draw is recorded.
+    With none verified, the first failure is raised."""
     x = rep.extras
     case = Case(rep.case)
     if case in (Case.CurveCutByQuadrics, Case.Veronese):
@@ -390,7 +391,7 @@ def _map(curve, rep, bp):
                              "stands, map omitted)")
             return
         what, cands, failures = ("marked-point pencil",
-                                 [(None, None, None, g3_map(curve, bp, x["cm"]))], [])
+                                 [(None, None, g3_map(curve, bp, x["cm"]))], [])
     elif case == Case.Scroll:
         what, (cands, failures) = "scroll ruling", rulings([x["levi"]], x["cm"])
     elif case == Case.P1xP1:

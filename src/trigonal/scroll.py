@@ -1,51 +1,32 @@
 """From an sl2 action on the ambient space to the trigonal pencil.
 
 The ambient representation decomposes into weight chains (v, f.v, f^2.v,
-...).  Coordinate functionals of the chain basis, rescaled by divided-power
-factors, assemble into a two-row matrix of linear forms: consecutive-ratio
-functionals are constant along the rulings of the surface, so the 2x2 minors
-cut out the surface and any nondegenerate column is the ruling map.
-Substituting the adjoint forms for the ambient coordinates pulls that map
-back to the plane curve.  ``rulings`` runs this chain once per sl2 summand:
-the Levi part of a scroll, or each of the two ideals of P1xP1.
+...) from its highest-weight vectors v.  Let phi_k be the coordinate
+functional of f^k.v in the chain basis.  The columns (k!.phi_k,
+(k+1)!.phi_{k+1}) form a two-row matrix of linear forms: consecutive-ratio
+functionals are constant along the rulings of the surface, so the 2x2
+minors cut out the surface and any nondegenerate column is the ruling map.
+No chain vector is built.  The chain vectors f^k.v with k >= 1 span im f,
+so the ambient space is im f plus the span of the highest-weight vectors,
+a direct sum; phi_0 of v is therefore the one functional that vanishes on
+im f and at the other highest-weight vector and is 1 at v.  For v of weight
+lam, e.f^(k+1).v = (k+1)(lam-k) f^k.v, so phi_{k+1} = phi_k.e /
+((k+1)(lam-k)), and each column's second entry is its first times e over
+lam - k.  Substituting the adjoint forms for the ambient coordinates pulls
+the ruling map back to the plane curve.  ``rulings`` runs this once per sl2
+summand: the Levi part of a scroll, or each of the two ideals of P1xP1.
 """
 
 from dataclasses import dataclass
-from math import factorial
 
 from .canonical import adjoint_combination
 from .errors import (AllColumnsDegenerate, ChainCountUnexpected,
                      DecompositionFailed, TrigonalError)
 from .linalg import kernel_basis
-from .modular import FpEchelon
 from .poly import MPoly
 
-__all__ = ["WeightChains", "ScrollMat", "PencilMap", "weight_chains",
-           "scroll_matrix", "ruling_map", "rulings", "minor_vectors"]
-
-
-@dataclass
-class WeightChains:
-    chains: list        # list of chains; chain = list of ambient vectors
-    cob_inv: list       # rows are the chain-coordinate functionals
-    field: object
-
-    @property
-    def lengths(self):
-        return [len(c) for c in self.chains]
-
-
-@dataclass
-class ScrollMat:
-    """Two rows of linear forms (coefficient vectors over the ambient
-    coordinates); column ratios are constant along rulings."""
-    row1: list
-    row2: list
-    field: object
-
-    @property
-    def ncols(self):
-        return len(self.row1)
+__all__ = ["PencilMap", "highest_weights", "ruling_columns", "ruling_map",
+           "rulings", "minor_vectors"]
 
 
 @dataclass
@@ -56,91 +37,78 @@ class PencilMap:
     field: object
 
 
-def weight_chains(triple, g):
-    """Decompose the ambient g-space under (e, h, f) into chains by repeated
-    f-action from the highest-weight vectors, ker e.  That kernel is taken
-    once, as its reduced echelon basis v_1..v_k; the vectors of weight lam
-    are the sums c_1 v_1 + ... + c_k v_k with c in the kernel of the g x k
-    rows (h v_i - lam v_i)_r, for lam = g-1 down to 0 until the chains fill
-    the space.  Each v_i is 1 at its lead and 0 at the others' leads, so
-    the reduced basis of c gives the reduced basis of the weight space, the
-    one a kernel of [e; h - lam*I] gives.  A chain from weight lam must
-    have length lam+1."""
+def _dot(u, v, zero):
+    return sum((x * y for x, y in zip(u, v) if x and y), zero)
+
+
+def highest_weights(triple, g):
+    """The highest-weight vectors of (e, h, f) on the ambient g-space, as
+    (weight, vector) pairs sorted by (weight, str).  ker e is taken once, as
+    its reduced echelon basis v_1..v_k; more than two vectors means more
+    chains than a scroll or a ruling of P1xP1 has.  h preserves ker e, and
+    a vector of ker e is zero exactly when it is zero at the leads of the
+    v_i, so the vectors of weight lam are the sums c_1 v_1 + ... + c_k v_k
+    with c in the kernel of the k x k rows (h v_i - lam v_i) read at the
+    leads, for lam = g-1 down to 0 until the weights fill the space.  Each
+    v_i is 1 at its lead and 0 at the others' leads, so the reduced basis
+    of c gives the reduced basis of the weight space, the one a kernel of
+    [e; h - lam*I] gives."""
+    zero = triple.field.zero()
+    top = kernel_basis([[triple.e.get(i * g + j, 0) for j in range(g)] for i in range(g)])
+    if len(top) > 2:
+        raise ChainCountUnexpected(f"expected at most two chains, found {len(top)}")
+    # row r holds (h v_i) at the lead of v_r, over i
+    rows = [[_dot([triple.h.get(lead * g + j, 0) for j in range(g)], v, zero) for v in top]
+            for lead in (next(j for j, x in enumerate(v) if x) for v in top)]
+    found, filled = [], 0
+    for lam in range(g - 1, -1, -1):
+        if filled >= g:
+            break
+        for c in kernel_basis([[a - lam if i == r else a for i, a in enumerate(row)]
+                               for r, row in enumerate(rows)]):
+            found.append((lam, [_dot(c, col, zero) for col in zip(*top)]))
+            filled += lam + 1
+    if filled != g:
+        raise DecompositionFailed("the weights do not fill the ambient space")
+    return sorted(found, key=lambda w: (w[0], tuple(str(x) for x in w[1])))
+
+
+def ruling_columns(triple, g):
+    """The columns (k!.phi_k, (k+1)!.phi_{k+1}) of the scroll matrix, each a
+    pair of coefficient vectors over the ambient coordinates: chain by chain
+    in the order of ``highest_weights``, k = 0..lam-1 in a chain of weight
+    lam.  phi_0 of v is one kernel of g + k - 1 rows, the columns of f and
+    the other highest-weight vector, scaled to 1 at v."""
     fld = triple.field
     zero = fld.zero()
-    e, h, f = ([[m.get(i * g + j, 0) for j in range(g)] for i in range(g)]
-               for m in (triple.e, triple.h, triple.f))
-
-    def act(mat, v):
-        return [sum((x * y for x, y in zip(row, v) if x and y), zero) for row in mat]
-
-    top = kernel_basis(e)
-    h_top = [act(h, v) for v in top]
-    # row r of the weight-lam system is (h v_i - lam v_i)_r over i
-    pairs = [[(hv[r], v[r]) for v, hv in zip(top, h_top)] for r in range(g)]
-    chains = []
-    for lam in range(g - 1, -1, -1):
-        if sum(map(len, chains)) >= g:
-            break
-        for c in kernel_basis([[a - lam * b if b else a for a, b in row] for row in pairs]):
-            cur = [sum((x * v[r] for x, v in zip(c, top) if x and v[r]), zero) for r in range(g)]
-            chain = [cur]
-            while True:
-                cur = act(f, cur)
-                if not any(cur):
-                    break
-                chain.append(cur)
-                if len(chain) > g:
-                    raise DecompositionFailed("chain exceeds the ambient dimension")
-            if len(chain) != lam + 1:
-                raise DecompositionFailed(
-                    f"chain from weight {lam} has length {len(chain)}")
-            chains.append(chain)
-    if sum(len(c) for c in chains) != g:
-        raise DecompositionFailed("chains do not span the ambient space")
-    chains.sort(key=lambda ch: (len(ch), tuple(str(x) for x in ch[0])))
-    cob = [list(row) for row in zip(*(v for ch in chains for v in ch))]
-    # the inverse is the right half of the reduced form of [cob | I]
-    aug = FpEchelon(2 * g)
-    for i, row in enumerate(cob):
-        aug.add(row + [fld.one() if j == i else zero for j in range(g)])
-    if aug.pivots[:g] != list(range(g)):
-        raise DecompositionFailed("the chain vectors are dependent")
-    cob_inv = [[fld.coerce(row.get(g + j, 0)) for j in range(g)]
-               for row in aug.reduced()]
-    return WeightChains(chains=chains, cob_inv=cob_inv, field=fld)
-
-
-def scroll_matrix(chains):
-    """Assemble the two-row matrix: each chain of length L contributes L-1
-    columns of consecutive chain functionals, rescaled by divided-power
-    factors so that all column ratios agree along the rulings."""
-    w = chains
-    if len(w.chains) > 2 or not w.chains:
-        raise ChainCountUnexpected(
-            f"expected at most two chains, found lengths {w.lengths}")
-    effective = [c for c in w.chains if len(c) >= 2]
-    if not effective:
+    tops = highest_weights(triple, g)
+    if not any(lam for lam, _ in tops):
         raise ChainCountUnexpected("no chain of length >= 2")
-    fld = w.field
-    row1, row2 = [], []
-    offset = 0
-    for chain in w.chains:
-        ell = len(chain)
-        for k in range(ell - 1):
-            func_k = w.cob_inv[offset + k]
-            func_k1 = w.cob_inv[offset + k + 1]
-            row1.append([factorial(k) * x for x in func_k])
-            row2.append([factorial(k + 1) * x for x in func_k1])
-        offset += ell
-    return ScrollMat(row1=row1, row2=row2, field=fld)
+    im_f = [[triple.f.get(i * g + j, 0) for i in range(g)] for j in range(g)]
+    e = [(divmod(ij, g), x) for ij, x in triple.e.items()]
+    for lam, v in tops:
+        if not lam:
+            continue
+        phi = kernel_basis(im_f + [w for _, w in tops if w is not v])
+        if len(phi) != 1 or not (at_v := _dot(phi[0], v, zero)):
+            raise DecompositionFailed(f"no unique phi_0 for the weight-{lam} chain")
+        cur = [fld.coerce(x / at_v) for x in phi[0]]
+        for k in range(lam):
+            nxt = [zero] * g
+            for (i, j), x in e:
+                if cur[i]:
+                    nxt[j] += cur[i] * x
+            nxt = [x / (lam - k) for x in nxt]
+            yield cur, nxt
+            cur = nxt
 
 
-def minor_vectors(a, monos2):
-    """2x2 minors of the scroll matrix as quadratic-form coefficient vectors
-    over the given degree-2 monomial order."""
+def minor_vectors(columns, monos2):
+    """2x2 minors of the scroll matrix, given as its list of columns, as
+    quadratic-form coefficient vectors over the given degree-2 monomial
+    order."""
     index = {m: i for i, m in enumerate(monos2)}
-    g = len(a.row1[0])
+    g = len(columns[0][0])
     out = []
 
     def put(vec, i, j, c):
@@ -150,12 +118,9 @@ def minor_vectors(a, monos2):
         t = index[tuple(mono)]
         vec[t] = vec[t] + c
 
-    n = a.ncols
-    for c1 in range(n):
-        for c2 in range(c1 + 1, n):
+    for c1, (u, t) in enumerate(columns):
+        for s, v in columns[c1 + 1:]:
             vec = [0] * len(monos2)
-            u, v = a.row1[c1], a.row2[c2]
-            s, t = a.row1[c2], a.row2[c1]
             for i in range(g):
                 for j in range(g):
                     cval = u[i] * v[j] - s[i] * t[j]
@@ -166,12 +131,12 @@ def minor_vectors(a, monos2):
     return out
 
 
-def ruling_map(a, cm):
-    """First column of the scroll matrix whose two entries pull back to
-    independent forms on the curve; their ratio is the candidate pencil."""
-    for col in range(a.ncols):
-        p = adjoint_combination(a.row1[col], cm)
-        q = adjoint_combination(a.row2[col], cm)
+def ruling_map(columns, cm, field):
+    """First scroll column whose two entries pull back to independent forms
+    on the curve; their ratio is the candidate pencil over ``field``."""
+    for u, v in columns:
+        p = adjoint_combination(u, cm)
+        q = adjoint_combination(v, cm)
         if not p or not q:
             continue
         # degree d-3 < deg f, so dependence mod f is plain dependence: q is
@@ -179,23 +144,25 @@ def ruling_map(a, cm):
         m = next(iter(p.terms))
         if p * q.terms.get(m, 0) == q * p.terms[m]:
             continue
-        return PencilMap(p=p, q=q, field=a.field)
+        return PencilMap(p=p, q=q, field=field)
     raise AllColumnsDegenerate("every scroll column pulls back degenerately")
 
 
 def rulings(summands, cm):
-    """Run split_sl2, weight_chains, scroll_matrix and ruling_map on each
-    sl2 summand.  Returns the candidates, (summand index, triple, scroll
-    matrix, pencil), and the failures, (summand index, error), both in
-    summand order."""
+    """Run split_sl2, then ruling_map on the ``ruling_columns`` of the
+    triple, on each sl2 summand.  The columns are drawn as ruling_map needs
+    them, so a summand is refused before any column when ker e shows three
+    or more chains.  Returns the candidates, (summand index, triple,
+    pencil), and the failures, (summand index, error), both in summand
+    order."""
     from .liealg import split_sl2
     candidates = []
     failures = []
     for idx, s in enumerate(summands):
         try:
             triple = split_sl2(s)
-            smat = scroll_matrix(weight_chains(triple, cm.genus))
-            candidates.append((idx, triple, smat, ruling_map(smat, cm)))
+            columns = ruling_columns(triple, cm.genus)
+            candidates.append((idx, triple, ruling_map(columns, cm, triple.field)))
         except TrigonalError as err:
             failures.append((idx, err))
     return candidates, failures

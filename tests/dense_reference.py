@@ -12,6 +12,13 @@ matrix arithmetic on such rows, and ``dense`` and ``sparse`` convert between row
 and the package's {i*n + j: x} matrix maps: the reference for the sparse
 products of ``liealg`` and ``scroll``.
 
+``weight_vectors`` and ``chain_columns`` are the chain construction of the
+scroll matrix: the highest-weight vectors from the kernels of
+[e; h - lam*I], their chains by repeated f, and the chain basis inverted,
+whose rows phi_k give the columns (k!.phi_k, (k+1)!.phi_{k+1}).  They are
+the reference for ``scroll.highest_weights`` and ``scroll.ruling_columns``,
+which build no chain and invert nothing.
+
 ``taylor_pieces`` is the same kind of reference for ``poly.taylor_rows``:
 it substitutes and splits where the package reads a closed formula.
 ``taylor_rows_by_division`` is that formula in the chart coordinates, the
@@ -35,7 +42,7 @@ of ``canonical.cubic_count`` stands for.  ``expand_in_adjoints`` pulls an
 ambient form back to the plane.
 """
 
-from math import comb
+from math import comb, factorial
 
 from trigonal.canonical import FormSpace, monomials
 from trigonal.errors import InvalidInput
@@ -144,6 +151,42 @@ def sparse(rows):
     """The {i*n + j: x} map of the nonzero entries of a square matrix."""
     n = len(rows)
     return {i * n + j: x for i, row in enumerate(rows) for j, x in enumerate(row) if x}
+
+
+def weight_vectors(e, h):
+    """(weight, vector) for the reduced echelon basis of each weight space
+    of ker e, from the kernels of [e; h - lam*I] for lam = g-1 down to 0
+    until the chains fill the space, sorted by (weight, str)."""
+    g = len(e)
+    out, filled = [], 0
+    for lam in range(g - 1, -1, -1):
+        if filled >= g:
+            break
+        shifted = [[x - lam if i == j else x for j, x in enumerate(row)]
+                   for i, row in enumerate(h)]
+        for v in kernel(e + shifted, g):
+            out.append((lam, v))
+            filled += lam + 1
+    return sorted(out, key=lambda w: (w[0], tuple(str(x) for x in w[1])))
+
+
+def chain_columns(e, h, f):
+    """The scroll columns (k!.phi_k, (k+1)!.phi_{k+1}), chain by chain: the
+    chains v, f.v, ..., f^lam.v of the ``weight_vectors``, and phi_k the row
+    of the inverse chain basis at f^k.v."""
+    chains = []
+    for lam, v in weight_vectors(e, h):
+        chains.append([v])
+        for _ in range(lam):
+            chains[-1].append(mat_vec(f, chains[-1][-1]))
+    inv = inverse([list(col) for col in zip(*(v for ch in chains for v in ch))])
+    out, offset = [], 0
+    for chain in chains:
+        out += [([factorial(k) * x for x in inv[offset + k]],
+                 [factorial(k + 1) * x for x in inv[offset + k + 1]])
+                for k in range(len(chain) - 1)]
+        offset += len(chain)
+    return out
 
 
 def taylor_pieces(f, point):

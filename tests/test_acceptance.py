@@ -18,7 +18,7 @@ from dense_reference import (bracket, dense, identity, inverse, mat_mul, mat_vec
 from trigonal.pipeline import decide
 from trigonal.poly import MPoly, parse_poly
 from trigonal.scalars import rat
-from trigonal.scroll import minor_vectors
+from trigonal.scroll import minor_vectors, ruling_columns
 
 FIVE_NODES_A = [((1, 0, 0), 2), ((0, 1, 0), 2), ((0, 0, 1), 2),
                 ((1, 1, 1), 2), ((1, 2, 3), 2)]
@@ -173,7 +173,7 @@ def test_criterion_5_genus4_branch():
     assert rep.verified_degree == 3
     verified = rep.extras["verified"]
     if rep.case == "P1xP1":
-        fields = {str(t.field) for _, t, _, _ in verified}
+        fields = {str(t.field) for _, t, _ in verified}
         if fields == {"Q"}:
             assert len(verified) == 2, "both rational rulings must verify"
     print(f"\nACCEPTANCE 5 PASS: two-node quintic decided as {rep.case}; "
@@ -236,7 +236,7 @@ def test_criterion_7_lie_structure_suite(corpus_reports, trigonal_positive_repor
             assert kap(alg.bracket_coords(x, y), z) == kap(x, alg.bracket_coords(y, z))
         sem = levi(alg)
         assert radical(sem) == []
-        for _, triple, _, _ in rep.extras.get("verified", []):
+        for _, triple, _ in rep.extras.get("verified", []):
             assert triple.check()
             assert not trace(dense(triple.h, triple.n))
     assert checked >= 10
@@ -254,8 +254,8 @@ def test_criterion_8_scroll_ideal_equality(corpus_reports, trigonal_positive_rep
             continue
         count += 1
         qspace = rep.extras["qspace"]
-        [(_, _, smat, _)] = rep.extras["verified"]
-        vecs = minor_vectors(smat, qspace.monomials)
+        [(_, triple, _)] = rep.extras["verified"]
+        vecs = minor_vectors(list(ruling_columns(triple, rep.genus)), qspace.monomials)
         assert same_span(vecs, qspace.basis), "minor span != quadric span"
     assert count >= 10
     print(f"\nACCEPTANCE 8 PASS: span(2x2 minors) equals the quadric space "

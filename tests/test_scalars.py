@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trigonal import intutil
-from trigonal.errors import InvalidInput
+from trigonal.errors import CurveUnsupported, InvalidInput
 from trigonal.scalars import (QQ, FpElt, PrimeField, QuadExt, QuadraticField,
                               is_rational, rat, rational_square_split,
                               sdiv, sinv, sqrt_rational)
@@ -96,9 +96,9 @@ def test_perfect_powers_split_without_rho(monkeypatch):
 
 def test_factorization_ends_on_two_large_primes():
     """Rho has a fixed step budget: two primes of 61 and 89 bits are past
-    it and raise ``InvalidInput`` (exit 2); three primes near 2^31 and
+    it and raise ``CurveUnsupported`` (exit 2); three primes near 2^31 and
     10^9 still split."""
-    with pytest.raises(InvalidInput, match="factorization failed"):
+    with pytest.raises(CurveUnsupported, match="factorization failed"):
         intutil.squarefree_split((2 ** 61 - 1) * (2 ** 89 - 1))
     primes = [2 ** 31 - 1, 10 ** 9 + 7, 10 ** 9 + 9]
     assert intutil.factorize(primes[0] * primes[1] * primes[2]) == dict.fromkeys(primes, 1)

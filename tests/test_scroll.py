@@ -5,13 +5,14 @@ from trigonal.canonical import (adjoint_basis, adjoint_combination,
 from trigonal import scroll
 from trigonal.errors import (AllColumnsDegenerate, ChainCountUnexpected,
                              DecompositionFailed)
-from trigonal.liealg import (Sl2Triple, levi, split_sl2,
+from trigonal.liealg import (LieAlg, Sl2Triple, levi, split_sl2,
                              split_two_ideals, stabilizer_algebra)
 from trigonal.scalars import QQ, rat
-from trigonal.scroll import (ScrollMat, minor_vectors, ruling_map, rulings,
-                             scroll_matrix, weight_chains)
+from trigonal.scroll import (highest_weights, minor_vectors, ruling_columns,
+                             ruling_map, rulings)
 
-from dense_reference import inverse, mat_mul, mat_vec, same_span, sparse
+from dense_reference import (chain_columns, dense, inverse, mat_mul, same_span,
+                             sparse, weight_vectors)
 from test_liealg import CONE
 
 
@@ -47,42 +48,111 @@ def _block(mats_list):
     return rows
 
 
+def _block_triple(*sizes):
+    """The triple on Sym^(n-1) + ... for the chain lengths n in sizes."""
+    actions = [_sym_action(n) for n in sizes]
+    return _triple_from_mats(*(_block([a[i] for a in actions]) for i in range(3)))
+
+
+def _conjugated(triple, P):
+    """P^-1 X P for each X of the triple: the same chains in dense
+    coordinates."""
+    n = triple.n
+    return _triple_from_mats(*(mat_mul(mat_mul(inverse(P), dense(m, n)), P)
+                               for m in (triple.e, triple.h, triple.f)))
+
+
+def _upper(n):
+    """A unimodular upper triangular matrix with dense entries above."""
+    return [[rat(0 if j < i else 1 if j == i else (-1) ** (i + j) * (j - i))
+             for j in range(n)] for i in range(n)]
+
+
+def _curve_triples(curve, g):
+    """The triples of the sl2 summands of a curve's stabilizer: the Levi
+    part of a scroll, or each ideal of P1xP1."""
+    sem = levi(stabilizer_algebra(forms_through_image(curve, adjoint_basis(curve)), g))
+    summands = split_two_ideals(sem) if sem.dim == 6 else [sem]
+    return [split_sl2(s) for s in summands]
+
+
+def _so3_triple():
+    # so(3) splits over Q(sqrt(-1)): one chain of weight 2
+    units = [[(0, 1), (1, 0)], [(0, 2), (2, 0)], [(1, 2), (2, 1)]]
+    mats = []
+    for (i, j), (k, l) in units:
+        rows = [[rat(0)] * 3 for _ in range(3)]
+        rows[i][j], rows[k][l] = rat(1), rat(-1)
+        mats.append(sparse(rows))
+    t = split_sl2(LieAlg(3, mats))
+    assert t.field.delta == -1
+    return t
+
+
+CASES = ["sym3", "block_2_4", "block_2_5", "conjugated_2_2", "cone",
+         "proj5", "two_node_quintic_0", "two_node_quintic_1", "so3"]
+
+
+def _case(name, request):
+    """(triple, g) for a named case."""
+    if name == "sym3":
+        return _block_triple(4), 4
+    if name.startswith("block"):
+        sizes = [int(x) for x in name.split("_")[1:]]
+        return _block_triple(*sizes), sum(sizes)
+    if name == "conjugated_2_2":
+        return _conjugated(_block_triple(2, 2), _upper(4)), 4
+    if name == "cone":
+        return split_sl2(levi(stabilizer_algebra(CONE, 5))), 5
+    if name == "proj5":
+        return _curve_triples(request.getfixturevalue("proj5"), 5)[0], 5
+    if name.startswith("two_node_quintic"):
+        curve = request.getfixturevalue("two_node_quintic")
+        return _curve_triples(curve, 4)[int(name[-1])], 4
+    return _so3_triple(), 3
+
+
+def _strs(vecs):
+    return [[str(x) for x in v] for v in vecs]
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_ruling_columns_match_the_chain_construction(request, case):
+    # the dual functionals read off e equal the rows of the inverted chain
+    # basis, entry by entry, and the highest-weight vectors are the same
+    t, g = _case(case, request)
+    e, h, f = (dense(m, g) for m in (t.e, t.h, t.f))
+    tops = highest_weights(t, g)
+    assert [lam for lam, _ in tops] == [lam for lam, _ in weight_vectors(e, h)]
+    assert _strs(v for _, v in tops) == _strs(v for _, v in weight_vectors(e, h))
+    cols = list(ruling_columns(t, g))
+    assert _strs(u + v for u, v in cols) == \
+        _strs(u + v for u, v in chain_columns(e, h, f))
+    assert len(cols) == sum(lam for lam, _ in tops)
+
+
 def test_weight_chain_of_standard_two_space():
-    e, h, f = _sym_action(2)
-    t = _triple_from_mats(e, h, f)
-    w = weight_chains(t, 2)
-    assert w.lengths == [2]
-    a = scroll_matrix(w)
-    assert a.ncols == 1
+    t = _block_triple(2)
+    assert _strs(v for _, v in highest_weights(t, 2)) == [["1", "0"]]
+    assert [lam for lam, _ in highest_weights(t, 2)] == [1]
+    assert len(list(ruling_columns(t, 2))) == 1
 
 
 def test_weight_chain_of_sym3():
-    e, h, f = _sym_action(4)
-    t = _triple_from_mats(e, h, f)
-    w = weight_chains(t, 4)
-    assert w.lengths == [4]
-    # chain relations: v_{k+1} = f v_k, e v_{k+1} = (k+1)(len-1-k) v_k
-    chain = w.chains[0]
-    for k in range(3):
-        assert mat_vec(f, chain[k]) == chain[k + 1]
-    for k in range(3):
-        img = mat_vec(e, chain[k + 1])
-        coeff = rat((k + 1) * (4 - 1 - k))
-        assert img == [coeff * x for x in chain[k]]
+    # phi_k is the coordinate of v_k = f^k v_0, and e v_{k+1} = (k+1)(3-k) v_k
+    # in Sym^3, so the columns are (k! e_k, (k+1)! e_{k+1}) over the axes
+    t = _block_triple(4)
+    assert [lam for lam, _ in highest_weights(t, 4)] == [3]
+    assert _strs(u + v for u, v in ruling_columns(t, 4)) == [
+        ["1", "0", "0", "0", "0", "1", "0", "0"],
+        ["0", "1", "0", "0", "0", "0", "2", "0"],
+        ["0", "0", "2", "0", "0", "0", "0", "6"]]
 
 
 def test_weight_chain_block_sum():
-    e2, h2, f2 = _sym_action(2)
-    e4, h4, f4 = _sym_action(4)
-    t = _triple_from_mats(_block([e2, e4]), _block([h2, h4]), _block([f2, f4]))
-    w = weight_chains(t, 6)
-    assert w.lengths == [2, 4]
-    a = scroll_matrix(w)
-    assert a.ncols == (2 - 1) + (4 - 1)
-
-
-def _chain_strs(w):
-    return [[[str(x) for x in v] for v in ch] for ch in w.chains]
+    t = _block_triple(2, 4)
+    assert [lam for lam, _ in highest_weights(t, 6)] == [1, 3]
+    assert len(list(ruling_columns(t, 6))) == (2 - 1) + (4 - 1)
 
 
 def _unit(n, *hot):
@@ -90,50 +160,22 @@ def _unit(n, *hot):
 
 
 def test_weight_chains_are_pinned():
-    # the full chains, not only their lengths; [e2, e2, e2] has a
-    # 2-dimensional highest-weight space
-    e2, h2, f2 = _sym_action(2)
-    e4, h4, f4 = _sym_action(4)
-    t = _triple_from_mats(_block([e2, e4]), _block([h2, h4]), _block([f2, f4]))
-    assert _chain_strs(weight_chains(t, 6)) == [_unit(6, 0, 1), _unit(6, 2, 3, 4, 5)]
-    t = _triple_from_mats(_block([e2] * 3), _block([h2] * 3), _block([f2] * 3))
-    assert _chain_strs(weight_chains(t, 6)) == \
-        [_unit(6, 4, 5), _unit(6, 2, 3), _unit(6, 0, 1)]
+    # the highest-weight vectors, not only their weights; [e2, e2] has a
+    # 2-dimensional highest-weight space, listed by str
+    assert _strs(v for _, v in highest_weights(_block_triple(2, 4), 6)) == _unit(6, 0, 2)
+    assert _strs(v for _, v in highest_weights(_block_triple(2, 2), 4)) == _unit(4, 2, 0)
 
 
 def test_weight_chains_pinned_after_a_change_of_basis():
-    # P^-1 X P for the three-chain triple: the highest-weight vectors are the
-    # reduced echelon basis of a 3-dimensional kernel with dense entries
-    assert _chain_strs(weight_chains(_three_chain_triple(), 6)) == [
-        [["0", "0", "1", "-1", "1", "0"], ["2", "0", "0", "1", "-1", "1"]],
-        [["0", "1", "0", "-1", "1", "0"], ["1", "0", "1", "0", "-1", "1"]],
-        [["1", "0", "0", "0", "0", "0"], ["-1", "1", "0", "0", "0", "0"]]]
+    # P^-1 X P: ker e is spanned by P^-1 e_0 = e_0 and P^-1 e_2 =
+    # (-1, 1, 1, 0), both of weight 1, and its reduced echelon basis is
+    # listed by str
+    t = _conjugated(_block_triple(2, 2), _upper(4))
+    assert _strs(v for _, v in highest_weights(t, 4)) == \
+        [["0", "1", "1", "0"], ["1", "0", "0", "0"]]
 
 
-def _three_chain_triple():
-    # P^-1 X P for the triple of three 2-chains
-    e2, h2, f2 = _sym_action(2)
-    P = [[rat(x) for x in row] for row in
-         [[1, 1, 0, -1, 1, 0], [0, 1, 1, 0, -1, 1], [0, 0, 1, 1, 0, -1],
-          [0, 0, 0, 1, 1, 0], [0, 0, 0, 0, 1, 1], [0, 0, 0, 0, 0, 1]]]
-    return _triple_from_mats(*(mat_mul(mat_mul(inverse(P), _block([m] * 3)), P)
-                               for m in (e2, h2, f2)))
-
-
-@pytest.mark.parametrize("case", ["block", "change_of_basis", "proj5"])
-def test_weight_chains_eliminate_e_once(monkeypatch, request, case):
-    # one g x g kernel of e, then one g x dim(ker e) kernel per weight tried,
-    # the weights g-1 down to the lowest highest weight
-    if case == "block":
-        e2, h2, f2 = _sym_action(2)
-        e4, h4, f4 = _sym_action(4)
-        t, g = _triple_from_mats(_block([e2, e4]), _block([h2, h4]), _block([f2, f4])), 6
-    elif case == "change_of_basis":
-        t, g = _three_chain_triple(), 6
-    else:
-        curve = request.getfixturevalue("proj5")
-        t, g = split_sl2(levi(stabilizer_algebra(
-            forms_through_image(curve, adjoint_basis(curve)), 5))), 5
+def _spy_kernels(monkeypatch):
     shapes = []
     kernel = scroll.kernel_basis
 
@@ -142,70 +184,103 @@ def test_weight_chains_eliminate_e_once(monkeypatch, request, case):
         return kernel(rows)
 
     monkeypatch.setattr(scroll, "kernel_basis", spy)
-    w = weight_chains(t, g)
-    k = len(w.chains)
-    assert shapes == [(g, g)] + [(g, k)] * (g - min(w.lengths) + 1)
+    return shapes
+
+
+@pytest.mark.parametrize("case", ["block_2_4", "conjugated_2_2", "proj5"],
+                         ids=["block", "change_of_basis", "proj5"])
+def test_weight_chains_eliminate_e_once(monkeypatch, request, case):
+    # one g x g kernel of e, one k x k kernel per weight tried (the weights
+    # g-1 down to the lowest highest weight), then one (g + k - 1) x g
+    # kernel for phi_0 of each chain with columns
+    t, g = _case(case, request)
+    shapes = _spy_kernels(monkeypatch)
+    tops = highest_weights(t, g)
+    k = len(tops)
+    tried = g - min(lam for lam, _ in tops)
+    assert shapes == [(g, g)] + [(k, k)] * tried
+    shapes.clear()
+    list(ruling_columns(t, g))
+    with_columns = sum(1 for lam, _ in tops if lam)
+    assert shapes == [(g, g)] + [(k, k)] * tried + [(g + k - 1, g)] * with_columns
+
+
+def test_scroll_matrix_rejects_three_chains(monkeypatch):
+    # three 2-chains, on the axes and after a change of basis, are refused
+    # once ker e is known, before any weight is tried or column drawn
+    shapes = _spy_kernels(monkeypatch)
+    for t in (_block_triple(2, 2, 2), _conjugated(_block_triple(2, 2, 2), _upper(6))):
+        shapes.clear()
+        with pytest.raises(ChainCountUnexpected, match="found 3"):
+            highest_weights(t, 6)
+        assert shapes == [(6, 6)]
+        shapes.clear()
+        with pytest.raises(ChainCountUnexpected):
+            next(ruling_columns(t, 6))
+        assert shapes == [(6, 6)]
+
+
+def _diagonal(*xs):
+    return [[rat(x) if i == j else rat(0) for j in range(len(xs))]
+            for i, x in enumerate(xs)]
 
 
 def test_weight_chains_reject_f_chains_that_disagree_with_h():
     # h = diag(1, -1) puts a highest weight 1 on the first axis, but f = 0
-    # ends its chain at length 1, not 2
-    zero = [[rat(0), rat(0)], [rat(0), rat(0)]]
-    h = [[rat(1), rat(0)], [rat(0), rat(-1)]]
-    with pytest.raises(DecompositionFailed, match="weight 1 has length 1"):
-        weight_chains(_triple_from_mats(zero, h, zero), 2)
+    # leaves the second axis outside im f and the span of that one vector,
+    # so phi_0 is not unique: a typed refusal, not a ValueError or a
+    # ZeroDivisionError
+    zero = _diagonal(0, 0)
+    t = _triple_from_mats(zero, _diagonal(1, -1), zero)
+    with pytest.raises(DecompositionFailed, match="no unique phi_0 for the weight-1 chain"):
+        list(ruling_columns(t, 2))
 
 
-def test_scroll_matrix_rejects_three_chains():
-    e2, h2, f2 = _sym_action(2)
-    t = _triple_from_mats(_block([e2, e2, e2]), _block([h2, h2, h2]),
-                          _block([f2, f2, f2]))
-    w = weight_chains(t, 6)
-    assert w.lengths == [2, 2, 2]
-    with pytest.raises(ChainCountUnexpected):
-        scroll_matrix(w)
+@pytest.mark.parametrize("h", [(2, 2), (1, 1)], ids=["no-weight", "too-many"])
+def test_weights_that_do_not_fill_the_space_are_refused(h):
+    zero = _diagonal(0, 0)
+    with pytest.raises(DecompositionFailed, match="do not fill"):
+        list(ruling_columns(_triple_from_mats(zero, _diagonal(*h), zero), 2))
+
+
+def test_only_weight_zero_is_refused():
+    zero = _diagonal(0, 0)
+    with pytest.raises(ChainCountUnexpected, match="no chain of length >= 2"):
+        next(ruling_columns(_triple_from_mats(zero, zero, zero), 2))
 
 
 def test_minors_span_the_quadrics_of_proj5(proj5):
     cm = adjoint_basis(proj5)
     q = forms_through_image(proj5, cm)
-    alg = stabilizer_algebra(q, 5)
-    sem = levi(alg)
-    t = split_sl2(sem)
-    w = weight_chains(t, 5)
-    assert sorted(w.lengths) == [2, 3]     # the scroll S(1,2) for genus 5
-    a = scroll_matrix(w)
-    vecs = minor_vectors(a, q.monomials)
+    t = split_sl2(levi(stabilizer_algebra(q, 5)))
+    # the scroll S(1,2) for genus 5: chains of lengths 2 and 3
+    assert [lam for lam, _ in highest_weights(t, 5)] == [1, 2]
+    vecs = minor_vectors(list(ruling_columns(t, 5)), q.monomials)
     assert same_span(vecs, q.basis)
 
 
 def test_cone_chain_lengths_and_minor_containment():
     """Cone over the twisted cubic: one vertex chain of length 1 plus a
     length-4 chain; the three minors recover the cone's quadrics."""
-    alg = stabilizer_algebra(CONE, 5)
-    sem = levi(alg)
-    t = split_sl2(sem)
-    w = weight_chains(t, 5)
-    assert sorted(w.lengths) == [1, 4]
-    a = scroll_matrix(w)
-    assert a.ncols == 3
-    vecs = minor_vectors(a, CONE.monomials)
-    assert same_span(vecs, CONE.basis)
+    t = split_sl2(levi(stabilizer_algebra(CONE, 5)))
+    assert [lam for lam, _ in highest_weights(t, 5)] == [0, 3]
+    cols = list(ruling_columns(t, 5))
+    assert len(cols) == 3
+    assert same_span(minor_vectors(cols, CONE.monomials), CONE.basis)
 
 
 def test_ruling_map_columns_agree_on_curve(proj5):
     cm = adjoint_basis(proj5)
-    q = forms_through_image(proj5, cm)
-    alg = stabilizer_algebra(q, 5)
-    t = split_sl2(levi(alg))
-    w = weight_chains(t, 5)
-    a = scroll_matrix(w)
-    pm = ruling_map(a, cm)
+    [t] = _curve_triples(proj5, 5)
+    cols = list(ruling_columns(t, 5))
+    pm = ruling_map(cols, cm, t.field)
+    assert (pm.p, pm.q) == (adjoint_combination(cols[0][0], cm),
+                            adjoint_combination(cols[0][1], cm))
     # all admissible columns define the same map mod f
     maps = []
-    for col in range(a.ncols):
-        p = adjoint_combination(a.row1[col], cm)
-        qq = adjoint_combination(a.row2[col], cm)
+    for u, v in cols:
+        p = adjoint_combination(u, cm)
+        qq = adjoint_combination(v, cm)
         if p and qq:
             maps.append((p, qq))
     assert len(maps) >= 2
@@ -220,14 +295,13 @@ def test_ruling_map_skips_degenerate_columns(proj5):
     # first are skipped before proj5's own columns; with only those three,
     # every column is degenerate
     cm = adjoint_basis(proj5)
-    a = scroll_matrix(weight_chains(split_sl2(levi(stabilizer_algebra(
-        forms_through_image(proj5, cm), 5))), 5))
-    u, zero = a.row1[0], [rat(0)] * len(a.row1[0])
-    bad = ([zero, u, u], [u, zero, [rat(-3, 2) * x for x in u]])
-    padded = ScrollMat(row1=bad[0] + a.row1, row2=bad[1] + a.row2, field=a.field)
-    assert ruling_map(padded, cm) == ruling_map(a, cm)
+    [t] = _curve_triples(proj5, 5)
+    cols = list(ruling_columns(t, 5))
+    u, zero = cols[0][0], [rat(0)] * len(cols[0][0])
+    bad = [(zero, u), (u, zero), (u, [rat(-3, 2) * x for x in u])]
+    assert ruling_map(bad + cols, cm, QQ) == ruling_map(cols, cm, QQ)
     with pytest.raises(AllColumnsDegenerate):
-        ruling_map(ScrollMat(row1=bad[0], row2=bad[1], field=a.field), cm)
+        ruling_map(bad, cm, QQ)
 
 
 def test_p1xp1_rulings_on_genus4(two_node_quintic):
@@ -238,8 +312,8 @@ def test_p1xp1_rulings_on_genus4(two_node_quintic):
     s1, s2 = split_two_ideals(sem)
     cands, fails = rulings((s1, s2), cm)
     assert [c[0] for c in cands] == [0, 1] and not fails
-    for _, triple, smat, pm in cands:
-        assert triple.check() and pm.field == smat.field == triple.field
+    for _, triple, pm in cands:
+        assert triple.check() and pm.field == triple.field
 
 
 def test_p1xp1_one_summand_fails_on_reembedded_scroll(m1_quartic):
