@@ -53,7 +53,7 @@ def cmd_decide(args):
     point = parse_point(args.point) if args.point else data["point"]
     curve = validate_curve(data["f"], declared_sings=data["sings"] or None,
                            base_point=point, fld=data["field"])
-    rep = decide(curve, base_point=point, seed=args.seed)
+    rep = decide(curve, seed=args.seed)
     text = rep.to_json()
     print(text)
     if args.json_out:

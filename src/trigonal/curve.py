@@ -505,24 +505,25 @@ def singular_locus(f, fld=QQ):
     """All singular points with coordinates in the ground field (Q or F_q),
     plus the residual budget: the degree of the candidate loci that are not
     ground-field points, and over Q, when that is 0, the count of
-    ``_missed_on_z0``.  The same two scans run over both fields; only
-    ``_ground`` tells them apart.  They run on an int form of f, its
-    primitive integer multiple over Q and its residues over F_q, so its
-    partials, restrictions, fibers and reductions mod p make no Fraction or
-    field element.  When its reduction mod p is degenerate (every affine
-    net vanishes identically, or the gradient vanishes on z=0), or over Q a
-    residual that rests on p alone is not confirmed by the first two nets
-    at the next walk prime, or an ordinary point found has a tangent cone
-    that vanishes or has a repeated factor mod p, the affine scan and the
-    count run again at the next prime (on those nets, after a confirm), up
-    to ``SCAN_PRIMES`` of them.  At each point, taken by its int
-    representative, the Taylor pieces of f of degree 0, 1, ... are taken
-    until one is nonzero: its degree is the multiplicity m and, as the
-    tangent cone, it tells whether the point is ordinary.  No piece above m
-    is built.  The points reported are normalized ground-field elements.
-    Over Q, when part of the residual rests on p, it may count F_p roots
-    left unlifted, rational or not: it is then an upper bound on the degree
-    of the singular points outside Q."""
+    ``_missed_on_z0`` at the last scan prime.  The same two scans run over
+    both fields; only ``_ground`` tells them apart.  They run on an int form
+    of f, its primitive integer multiple over Q and its residues over F_q,
+    so its partials, restrictions, fibers and reductions mod p make no
+    Fraction or field element.  When its reduction mod p is degenerate
+    (every affine net vanishes identically, or the gradient vanishes on
+    z=0), or over Q a residual that rests on p alone is not confirmed by the
+    first two nets at the next walk prime, or ``_missed_on_z0`` counts a
+    point on z=0 mod p that no point found reduces to, or an ordinary point
+    found has a tangent cone that vanishes or has a repeated factor mod p,
+    the affine scan and the count run again at the next prime (on those
+    nets, after a confirm), up to ``SCAN_PRIMES`` of them.  At each point,
+    taken by its int representative, the Taylor pieces of f of degree 0,
+    1, ... are taken until one is nonzero: its degree is the multiplicity m
+    and, as the tangent cone, it tells whether the point is ordinary.  No
+    piece above m is built.  The points reported are normalized ground-field
+    elements.  Over Q, when part of the residual rests on p, it may count
+    F_p roots left unlifted, rational or not: it is then an upper bound on
+    the degree of the singular points outside Q."""
     if not f or not f.is_homogeneous():
         raise InvalidInput("expected a nonzero homogeneous form")
     d = f.total_degree()
@@ -574,6 +575,8 @@ def singular_locus(f, fld=QQ):
             error = CurveUnsupported(f"the gradient mod {p} vanishes on the whole line z=0")
             continue
         if residual:
+            if n < len(primes):
+                continue        # points mod p alone may reduce onto z=0
             break
         # two singular points that meet mod p are one point of f mod p, with
         # a delta invariant above that of each; an ordinary m-fold point whose
@@ -922,8 +925,5 @@ def write_curve_file(curve, comments=()):
     if curve.base_point is not None:
         coords = ":".join(str(c) for c in curve.base_point)
         lines.append(f"point = ({coords})")
-    if isinstance(curve.field, PrimeField):
-        lines.append(f"field = Fp {curve.field.p}")
-    else:
-        lines.append("field = Q")
+    lines.append(f"field = {curve.field.name}")
     return "\n".join(lines) + "\n"

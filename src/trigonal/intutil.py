@@ -159,14 +159,16 @@ def factorize(n):
     return out
 
 
+_SPLITS = {}    # |n| -> (s, d) for every n split, and d -> (1, d)
+
+
 def squarefree_split(n):
-    """Write |n| = s^2 * d with d square-free; return (s, d)."""
-    fac = factorize(n)
-    s = 1
-    d = 1
-    for p, e in fac.items():
-        s *= p ** (e // 2)
-        if e % 2:
-            d *= p
-    return s, d
+    """Write |n| = s^2 * d with d square-free; return (s, d).  Each split is
+    kept with (1, d) for d, so Q(sqrt d), once named, is built unfactored."""
+    n = abs(n)
+    if n not in _SPLITS:
+        fac = factorize(n).items()
+        d = math.prod(p for p, e in fac if e % 2)
+        _SPLITS[n], _SPLITS[d] = (math.prod(p ** (e // 2) for p, e in fac), d), (1, d)
+    return _SPLITS[n]
 

@@ -23,8 +23,9 @@ import enum
 from dataclasses import dataclass
 from functools import cache, cached_property
 
-from .errors import (InternalInvariantError, InvalidInput, LiftingFailed,
-                     NotSl2, SplitFailedOverExtension, UnexpectedDimension)
+from .errors import (CurveUnsupported, InternalInvariantError, InvalidInput,
+                     LiftingFailed, NotSl2, SplitFailedOverExtension,
+                     UnexpectedDimension)
 from .linalg import kernel_basis
 from .modular import FpEchelon, certified_kernel, clear_denominators, fp_reduce
 from .scalars import (QQ, QuadExt, QuadraticField, rat, rational_square_split,
@@ -41,7 +42,6 @@ class Case(enum.Enum):
     P1xP1 = "P1xP1"
     Veronese = "Veronese"
     Genus3 = "Genus3"
-    Unexpected = "Unexpected"
 
 
 def _by_row(entries, n):
@@ -630,25 +630,24 @@ def split_two_ideals(s):
     return ideals[0], ideals[1]
 
 
-def classify(alg, semisimple, g):
-    """Map (stabilizer algebra, Levi part) to the surface trichotomy.
-
-    Returns (case, ideals): for P1xP1, ideals is the pair of 3-dimensional
-    ideals from ``split_two_ideals`` that tells the case apart, for the
-    rulings to reuse; otherwise it is None."""
+def classify(alg):
+    """(Levi type, case, sl2 summands) of a stabilizer in gl_g, g = ``alg.n``:
+    the Lie stage's one decision.  Zero is a curve cut out by quadrics, with
+    no summands; a Levi part sl2 is a scroll, itself the one summand;
+    sl2+sl2 is P1xP1, with the two ideals of ``split_two_ideals``, whose
+    ``UnexpectedDimension`` propagates; sl3 at g = 6 is the Veronese, with
+    none.  Any other Levi part raises ``CurveUnsupported``."""
     if alg.dim == 0:
-        return Case.CurveCutByQuadrics, None
-    sdim = semisimple.dim
-    if sdim == 3:
-        return Case.Scroll, None
-    if sdim == 6:
-        try:
-            return Case.P1xP1, split_two_ideals(semisimple)
-        except UnexpectedDimension:
-            return Case.Unexpected, None
-    if sdim == 8:
-        return (Case.Veronese if g == 6 else Case.Unexpected), None
-    return Case.Unexpected, None
+        return "zero", Case.CurveCutByQuadrics, []
+    sem = levi(alg)
+    name = {0: "zero", 3: "sl2", 6: "sl2+sl2", 8: "sl3"}.get(sem.dim, f"dim{sem.dim}")
+    if sem.dim == 3:
+        return name, Case.Scroll, [sem]
+    if sem.dim == 6:
+        return name, Case.P1xP1, list(split_two_ideals(sem))
+    if sem.dim == 8 and alg.n == 6:
+        return name, Case.Veronese, []
+    raise CurveUnsupported(f"unexpected Levi structure: {name}")
 
 
 _SPLIT_SAMPLES = [

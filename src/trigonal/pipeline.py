@@ -1,14 +1,15 @@
 """Top-level decision procedure and its certificates.
 
 decide() runs one ordered table of stages: adjoints, quadrics (with the
-hyperellipticity gate), the stabilizer algebra with its Levi classification,
-the map, and the quadric-generation test.  The map stage runs one candidate
-loop for every trigonal case: the genus-3 pencil through the marked point,
-or ``scroll.rulings`` on the sl2 summands (one for a scroll, two for
-P1xP1), each candidate checked by its fiber degree.  A ruling (p : q) is
-a reduced pencil (a : b) times a fixed part A (on every corpus curve, a
-pencil of lines times a form of degree deg p - 1), and each fiber draw
-divides A out mod its prime: Res_y(F, p - t*q) is Res_y(F, A) *
+hyperellipticity gate), the stabilizer algebra with the one call
+``liealg.classify`` that reads its Levi type, case and sl2 summands, the
+map, and the quadric-generation test.  The map stage runs one candidate
+loop for every trigonal case: the genus-3 pencil through the curve's
+validated base point, or ``scroll.rulings`` on the sl2 summands (one for a
+scroll, two for P1xP1), each candidate checked by its fiber degree.  A
+ruling (p : q) is a reduced pencil (a : b) times a fixed part A (on every
+corpus curve, a pencil of lines times a form of degree deg p - 1), and each
+fiber draw divides A out mod its prime: Res_y(F, p - t*q) is Res_y(F, A) *
 Res_y(F, a - t*b) up to a constant, and the factor Res_y(F, A), common to
 every t, drops out of the fiber count.  The last stage is
 an independent oracle whose agreement is recorded.  It compares the span of
@@ -32,7 +33,7 @@ from .canonical import (PetriResult, adjoint_basis, adjoint_combination,
 from .curve import derived_rng, normalize_point
 from .errors import (CurveUnsupported, DegenerateFiber, HyperellipticInput,
                      InvalidInput, PointNotOnCurve, TrigonalError, stage)
-from .liealg import Case, classify, levi, stabilizer_algebra
+from .liealg import Case, classify, stabilizer_algebra
 from .linalg import kernel_basis
 from .modular import (PRIME_WALK_START, FpEchelon, clear_denominators, fp_bivariate_table,
                       fp_divmod, fp_gcd, fp_reduce, fp_resultant_keepvar, fp_sqrt,
@@ -318,30 +319,19 @@ def g3_map(curve, base_point, cm=None):
 # --- decide ---------------------------------------------------------------------
 
 
-_LEVI_NAMES = {0: "zero", 3: "sl2", 6: "sl2+sl2", 8: "sl3"}
+# Each stage is fn(curve, rep).  It reads what earlier stages left in
+# rep.extras ("cm", "qspace", "lie", and "summands", the sl2 summands of
+# ``classify``) and fills in its report fields.  The map stage leaves the
+# verified candidates (summand index, sl2 triple, pencil; the first two None
+# in genus 3), the failures (summand index, error) and the emitted "pencil".
 
 
-def _field_name(fld):
-    if isinstance(fld, QuadraticField):
-        return f"Q(sqrt({fld.delta}))"
-    if isinstance(fld, PrimeField):
-        return f"Fp {fld.p}"
-    return "Q"
-
-
-# Each stage is fn(curve, rep, base_point).  It reads what earlier stages
-# left in rep.extras ("cm", "qspace", "lie", "levi", "ideals") and fills in
-# its report fields.  The map stage leaves the verified candidates (summand
-# index, sl2 triple, pencil; the first two None in genus 3), the failures
-# (summand index, error) and the emitted "pencil".
-
-
-def _adjoints(curve, rep, bp):
+def _adjoints(curve, rep):
     cm = rep.extras["cm"] = adjoint_basis(curve)
     rep.adjoint_dim = cm.genus
 
 
-def _quadrics(curve, rep, bp):
+def _quadrics(curve, rep):
     qspace = rep.extras["qspace"] = forms_through_image(curve, rep.extras["cm"], 2)
     rep.quadric_dim = qspace.dim
     if hyperelliptic_test(rep.genus, qspace.dim):
@@ -350,54 +340,46 @@ def _quadrics(curve, rep, bp):
             f"(genus {rep.genus}); trigonality is undefined here")
 
 
-def _liealg(curve, rep, bp):
-    """Stabilizer algebra, its Levi part and the case.  Over a prime field
-    only a trivial stabilizer is classified: the Levi machinery needs
-    characteristic zero."""
+def _liealg(curve, rep):
+    """The stabilizer algebra and ``classify``'s Levi type, case and sl2
+    summands.  Over a prime field only a trivial stabilizer is classified:
+    the Levi machinery needs characteristic zero."""
     x = rep.extras
     alg = x["lie"] = stabilizer_algebra(x["qspace"], rep.genus, fld=curve.field,
                                         counters=rep.counters.setdefault("liealg", {}))
     rep.lie_dim = alg.dim
-    if alg.dim == 0:
-        rep.levi_type = "zero"
-        case = Case.CurveCutByQuadrics
-    elif isinstance(curve.field, PrimeField):
+    if alg.dim and isinstance(curve.field, PrimeField):
         raise CurveUnsupported(
             f"prime-field mode stops at the stabilizer (dim {alg.dim} > 0); "
             f"classification needs characteristic zero")
-    else:
-        sem = x["levi"] = levi(alg)
-        rep.levi_type = _LEVI_NAMES.get(sem.dim, f"dim{sem.dim}")
-        case, x["ideals"] = classify(alg, sem, rep.genus)
+    rep.levi_type, case, x["summands"] = classify(alg)
     rep.case = case.value
 
 
-def _map(curve, rep, bp):
+def _map(curve, rep):
     """The trigonal pencil of the case.  Each candidate (the genus-3 pencil,
-    the scroll ruling, or one ruling of the quadric per sl2 ideal; a ruling
-    is the first nondegenerate column of ``scroll.ruling_columns``) is a
-    (summand index, triple, pencil) tuple and goes through the fiber check;
-    the first verified at degree 3 is the map, and every draw is recorded.
-    With none verified, the first failure is raised."""
+    or one ruling per sl2 summand of ``classify``: the scroll's one, the
+    quadric's two; a ruling is the first nondegenerate column of
+    ``scroll.ruling_columns``) is a (summand index, triple, pencil) tuple
+    and goes through the fiber check; the first verified at degree 3 is the
+    map, and every draw is recorded.  With none verified, the first failure
+    is raised."""
     x = rep.extras
     case = Case(rep.case)
     if case in (Case.CurveCutByQuadrics, Case.Veronese):
         rep.trigonal = False
         return
     if case == Case.Genus3:
-        if bp is None:
+        if curve.base_point is None:
             rep.notes.append("no base point provided; the pencil of lines "
                              "through a point needs one (trigonal verdict "
                              "stands, map omitted)")
             return
-        what, cands, failures = ("marked-point pencil",
-                                 [(None, None, g3_map(curve, bp, x["cm"]))], [])
-    elif case == Case.Scroll:
-        what, (cands, failures) = "scroll ruling", rulings([x["levi"]], x["cm"])
-    elif case == Case.P1xP1:
-        what, (cands, failures) = "ruling of the quadric", rulings(x["ideals"], x["cm"])
+        what, failures = "marked-point pencil", []
+        cands = [(None, None, g3_map(curve, curve.base_point, x["cm"]))]
     else:
-        raise CurveUnsupported(f"unexpected Levi structure: {rep.levi_type}")
+        what = "scroll ruling" if case == Case.Scroll else "ruling of the quadric"
+        cands, failures = rulings(x["summands"], x["cm"])
     verified, all_draws = [], []
     for cand in cands:
         try:
@@ -417,14 +399,14 @@ def _map(curve, rep, bp):
     pm = x["pencil"] = verified[0][-1]
     rep.trigonal = rep.map_available = True
     rep.map_p, rep.map_q = poly_str(pm.p), poly_str(pm.q)
-    rep.map_field = _field_name(pm.field)
+    rep.map_field = pm.field.name
     rep.verified_degree, rep.fiber_draws = 3, all_draws
     if case == Case.P1xP1:
         rep.notes.append(f"{len(verified)} of {len(cands)} candidate rulings "
                          f"verified at degree 3")
 
 
-def _petri(curve, rep, bp):
+def _petri(curve, rep):
     petri = petri_test(rep.extras["qspace"], rep.genus,
                        counters=rep.counters.setdefault("petri", {}))
     rep.petri = petri.value
@@ -444,29 +426,30 @@ _STAGES = (
 )
 
 
-def _run_stage(name, fn, curve, rep, bp):
+def _run_stage(name, fn, curve, rep):
     """Run one stage, timing it into rep.timings[name] and labelling any
     TrigonalError it raises with the stage name."""
     t0 = time.perf_counter()
     try:
-        fn(curve, rep, bp)
+        fn(curve, rep)
     except TrigonalError as e:
         raise stage(name, e)
     rep.timings[name] = time.perf_counter() - t0
 
 
-def decide(curve, base_point=None, seed=0):
-    """Full trigonality decision with certificates; see the module doc."""
+def decide(curve, seed=0):
+    """Full trigonality decision with certificates; see the module doc.  The
+    marked point, if any, is the base point that validation normalized."""
     if not curve.validated:
         raise InvalidInput("decide requires a validated curve")
     g = curve.genus
-    bp = base_point if base_point is not None else curve.base_point
     rep = Report(
         input_f=poly_str(curve.f),
         input_sings=[{"point": ":".join(str(c) for c in s.coords),
                       "mult": s.multiplicity} for s in curve.sings],
-        input_field=_field_name(curve.field),
-        input_point=":".join(str(c) for c in bp) if bp is not None else None,
+        input_field=curve.field.name,
+        input_point=(":".join(str(c) for c in curve.base_point)
+                     if curve.base_point is not None else None),
         seed=seed, genus=g, adjoint_dim=None, quadric_dim=None,
     )
     if g == 3:
@@ -474,5 +457,5 @@ def decide(curve, base_point=None, seed=0):
         rep.trigonal = True
     for name, fn, min_genus in _STAGES:
         if g >= min_genus:
-            _run_stage(name, fn, curve, rep, bp)
+            _run_stage(name, fn, curve, rep)
     return rep

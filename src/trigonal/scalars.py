@@ -9,7 +9,8 @@ Three variants are supported:
 * prime-field elements modulo an odd prime ``p``, stored in ``[0, p)``.
 
 A small field-descriptor object per variant centralizes coercion into its
-field.
+field and owns its ``name``, the one spelling that reports and curve files
+use: "Q", "Q(sqrt(delta))" and "Fp p".
 """
 
 from fractions import Fraction
@@ -79,9 +80,7 @@ class QuadExt:
 
     __slots__ = ("a", "b", "delta")
 
-    def __init__(self, a, b=0, delta=None):
-        if delta is None:
-            raise InvalidInput("QuadExt requires delta")
+    def __init__(self, a, b, delta):
         self.a = rat(a)
         self.b = rat(b)
         self.delta = int(delta)
@@ -318,8 +317,7 @@ class QuadraticField:
         delta = int(delta)
         if delta in (0, 1):
             raise InvalidInput("delta must not be 0 or 1")
-        _, sf = squarefree_split(delta)
-        if abs(sf) != abs(delta):
+        if squarefree_split(delta)[1] != abs(delta):
             raise InvalidInput(f"delta={delta} is not square-free")
         self.delta = delta
         self.name = f"Q(sqrt({delta}))"
@@ -355,7 +353,7 @@ class PrimeField:
             raise InvalidInput(f"{p} is not an odd prime")
         self.p = p
         self.char = p
-        self.name = f"F{p}"
+        self.name = f"Fp {p}"
 
     def zero(self):
         return FpElt(0, self.p)

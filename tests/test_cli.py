@@ -132,6 +132,17 @@ def test_decide_with_point_flag(tmp_path, klein):
     assert data["case"] == "Genus3" and data["verified_degree"] == 3
 
 
+def test_decide_echoes_the_validated_point(tmp_path):
+    """The report's input point is the curve's validated base point, so a
+    --point that is not normalized is echoed normalized."""
+    path = tmp_path / "klein.curve"
+    path.write_text("f = x^3*y + y^3*z + z^3*x\n")
+    status, out = run_cli(["decide", str(path), "--point", "0:0:2"])
+    assert status == 0
+    data = json.loads(out)
+    assert data["input"]["point"] == "0:0:1" and data["verified_degree"] == 3
+
+
 def test_generate_round_trip(tmp_path):
     out = tmp_path / "c.curve"
     status, _ = run_cli(["generate", "projection", "--degree", "6",

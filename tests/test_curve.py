@@ -22,7 +22,7 @@ from trigonal.modular import PRIME_WALK_START, fp_reduce, primes_below
 from trigonal.poly import MPoly, parse_poly, taylor_rows
 from trigonal.scalars import QQ, PrimeField, QuadraticField, rat
 
-P0, P1 = islice(primes_below(PRIME_WALK_START), 2)
+P0, P1, P2 = islice(primes_below(PRIME_WALK_START), 3)
 
 _SPEC = importlib.util.spec_from_file_location(
     "perfbench_corpus", Path(__file__).resolve().parent.parent / "perfbench" / "corpus.py")
@@ -451,16 +451,20 @@ def _two_node_quintic(node, seed):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_a_node_whose_z_reduces_to_zero_is_not_missed(seed):
-    """The node at (1:0:P0) reduces onto z=0 mod the scan prime, where the
-    affine scan cannot see it.  It counts into the residual instead of
-    leaving genus 5; 1/P0 is too large to lift.  At (1:0:7) both nodes are
-    found."""
-    with pytest.raises(IrrationalSingularLocus, match="residual of degree 1"):
-        validate_curve(_two_node_quintic((1, 0, P0), seed))
-    curve = validate_curve(_two_node_quintic((1, 0, 7), seed))
-    assert curve.genus == 4
-    assert [s.coords for s in curve.sings] == [(0, 1, 0), (rat(1, 7), 0, 1)]
+def test_a_node_whose_z_reduces_to_zero_is_not_missed(seed, monkeypatch):
+    """A node whose z is 0 mod the scan prime reduces onto z=0, where the
+    affine scan cannot see it; ``_missed_on_z0`` counts it, and the scan
+    moves to the next prime, as far as the first that does not divide z.
+    There both nodes are found, at genus 4.  At (1:0:7) they are found at
+    the first prime."""
+    primes, _ = _spy_scan(monkeypatch)
+    for node, accepted_at in (((1, 0, 7), P0), ((1, 0, P0), P1), ((2, 3, P0), P1),
+                              ((1, 0, P0 * P1), P2)):
+        primes.clear()
+        curve = validate_curve(_two_node_quintic(node, seed))
+        assert curve.genus == 4
+        assert [s.coords for s in curve.sings] == [(0, 1, 0), normalize_point(node)]
+        assert primes[-1] == accepted_at
 
 
 @pytest.mark.parametrize("h, k", [
@@ -1003,6 +1007,18 @@ def test_curve_file_round_trip(proj5, five_nodal_sextic):
     assert c2.genus == proj5.genus
     # sing is the one key that may repeat
     assert len(parse_curve_file(write_curve_file(five_nodal_sextic))["sings"]) == 5
+
+
+def test_a_prime_field_is_written_by_its_name():
+    """The field descriptor owns its name: ``write_curve_file`` writes it,
+    and ``parse_curve_file`` reads the same field back."""
+    F = PrimeField(101)
+    assert F.name == "Fp 101"
+    klein = P("x^3*y + y^3*z + z^3*x")
+    text = write_curve_file(validate_curve(klein.map_coeffs(F.coerce), fld=F))
+    assert text.endswith("field = Fp 101\n")
+    assert parse_curve_file(text)["field"] == F
+    assert write_curve_file(validate_curve(klein)).endswith("field = Q\n")
 
 
 def test_curve_file_parse_errors():

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dense_reference as ref
-from trigonal import liealg, modular
+from trigonal import intutil, liealg, modular
 from trigonal.canonical import (FormSpace, adjoint_basis, forms_through_image,
                                 monomials, petri_test)
-from trigonal.errors import (InternalInvariantError, InvalidInput, LiftingFailed,
-                             NotSl2, UnexpectedDimension)
+from trigonal.errors import (CurveUnsupported, InternalInvariantError, InvalidInput,
+                             LiftingFailed, NotSl2, UnexpectedDimension)
 from trigonal.liealg import (Case, LieAlg, classify, killing_form, levi,
                              radical, split_sl2, split_two_ideals,
                              stabilizer_algebra)
@@ -170,24 +170,25 @@ def test_split_sl2_non_split_form_goes_to_extension():
 
 
 def test_classify_cases(five_nodal_sextic, fermat_quintic, two_node_quintic, proj5):
+    """``classify`` reads g off the algebra and takes the Levi part itself:
+    zero, sl3 at g = 6, sl2+sl2 with its two ideals, sl2 as its own one
+    summand."""
     def run(curve):
-        cm = adjoint_basis(curve)
-        q = forms_through_image(curve, cm)
-        alg = stabilizer_algebra(q, curve.genus)
-        if alg.dim == 0:
-            return classify(alg, None, curve.genus), alg, None
-        sem = levi(alg)
-        return classify(alg, sem, curve.genus), alg, sem
+        alg = stabilizer_algebra(forms_through_image(curve, adjoint_basis(curve)),
+                                 curve.genus)
+        return classify(alg), alg
 
-    (case, ideals), alg, _ = run(five_nodal_sextic)
-    assert case == Case.CurveCutByQuadrics and alg.dim == 0 and ideals is None
-    (case, ideals), alg, sem = run(fermat_quintic)
-    assert case == Case.Veronese and alg.dim == 8 and sem.dim == 8 and ideals is None
-    (case, ideals), alg, sem = run(two_node_quintic)
-    assert case == Case.P1xP1 and sem.dim == 6
-    assert [s.dim for s in ideals] == [3, 3]
-    (case, ideals), alg, sem = run(proj5)
-    assert case == Case.Scroll and sem.dim == 3 and ideals is None
+    (name, case, summands), alg = run(five_nodal_sextic)
+    assert (name, case, summands, alg.dim) == ("zero", Case.CurveCutByQuadrics, [], 0)
+    (name, case, summands), alg = run(fermat_quintic)
+    assert (name, case, summands, alg.dim, alg.n) == ("sl3", Case.Veronese, [], 8, 6)
+    (name, case, summands), alg = run(two_node_quintic)
+    assert (name, case) == ("sl2+sl2", Case.P1xP1)
+    assert [s.dim for s in summands] == [3, 3]
+    assert [s.basis for s in summands] == [s.basis for s in split_two_ideals(levi(alg))]
+    (name, case, [sem]), alg = run(proj5)
+    assert (name, case, sem.dim) == ("sl2", Case.Scroll, 3)
+    assert sem.basis == levi(alg).basis
 
 
 def test_two_ideal_split_bracket_orthogonal(two_node_quintic):
@@ -226,6 +227,21 @@ def test_two_ideal_split_over_a_quadratic_extension():
     for b1 in s1.basis:
         for b2 in s2.basis:
             assert _br(b1, b2, 4) == {}
+
+
+def test_a_quadratic_lift_factors_each_integer_once(monkeypatch):
+    """A lift to Q(sqrt delta) names delta by one split of x = 49 * 62418;
+    building the field then checks that delta is square-free with no second
+    factorization, and a second lift of that class factors nothing."""
+    factored = []
+    factorize = intutil.factorize
+    monkeypatch.setattr(intutil, "_SPLITS", {})
+    monkeypatch.setattr(intutil, "factorize", lambda n: factored.append(n) or factorize(n))
+    for _ in range(2):
+        work, fld, root = liealg._square_root(_std_sl2(), rat(3058482))
+        assert fld == QuadraticField(62418) == work.field
+        assert root * root == 3058482
+    assert factored == [3058482]
 
 
 def test_ideals_of_a_levi_part_reach_the_ambient_through_both_parents():
@@ -387,14 +403,22 @@ def test_ideal_split_of_a_non_semisimple_algebra_is_unexpected():
     """sl2 + Q^3 in block matrices of gl5, sl2 on the first two coordinates
     and the diagonal on the last three, is 6-dimensional but not
     semisimple: its centroid holds all of gl3 on the abelian part, so the
-    split raises ``UnexpectedDimension`` and ``classify`` calls the case
-    unexpected."""
+    split raises ``UnexpectedDimension``."""
     e, h, f = (_unit(5, 0, 1), _sum(_unit(5, 0, 0), _unit(5, 1, 1), scale=-1),
                _unit(5, 1, 0))
     alg = LieAlg(5, [e, h, f] + [_unit(5, i, i) for i in (2, 3, 4)])
     with pytest.raises(UnexpectedDimension):
         split_two_ideals(alg)
-    assert classify(alg, alg, 5) == (Case.Unexpected, None)
+
+
+def test_a_levi_part_sl3_off_genus_6_is_unsupported():
+    """sl3 in 3 x 3 matrices is its own Levi part, of dimension 8, but the
+    Veronese case needs n = 6: ``classify`` refuses it by name."""
+    basis = [_unit(3, i, j) for i in range(3) for j in range(3) if i != j]
+    basis += [_sum(_unit(3, 0, 0), _unit(3, 1, 1), scale=-1),
+              _sum(_unit(3, 1, 1), _unit(3, 2, 2), scale=-1)]
+    with pytest.raises(CurveUnsupported, match="^unexpected Levi structure: sl3$"):
+        classify(LieAlg(3, basis))
 
 
 def test_stabilizer_certificate_refuses_a_perturbed_lift(proj5, monkeypatch):
@@ -423,10 +447,10 @@ def test_structure_theory_forms_no_matrix_product(proj5, two_node_quintic,
     """Brackets are sparse products and coordinates an echelon lookup: the
     stabilizers of proj5 (Scroll) and of the two-node quintic (P1xP1), their
     Levi parts, ideals and split triples are built and checked with no
-    dense matrix product.  ``levi`` and ``classify`` run on the structure
-    constants alone: they form no bracket in gl_g either, and there is no ad
-    matrix method to call.  A split triple forms gl_g brackets only in its
-    check, three each time."""
+    dense matrix product.  ``classify``, the Levi part and the ideal split
+    inside it, runs on the structure constants alone: it forms no bracket in
+    gl_g either, and there is no ad matrix method to call.  A split triple
+    forms gl_g brackets only in its check, three each time."""
     calls = []
     real_bracket = liealg._bracket
 
@@ -441,17 +465,16 @@ def test_structure_theory_forms_no_matrix_product(proj5, two_node_quintic,
         alg = stabilizer_algebra(q, curve.genus)
         assert set(calls) == {"_bracket"}
         calls.clear()
-        sem = levi(alg)
-        found, ideals = classify(alg, sem, curve.genus)
+        _, found, summands = classify(alg)
         assert calls == []
-        assert found == case and sem.dim == sdim
+        assert found == case and sum(s.dim for s in summands) == sdim
         # proj5's stabilizer has a radical, so levi's correction path and its
         # subalgebra call run; the quintic's is sl2 + sl2 itself
-        assert (alg.dim > sem.dim) == (case is Case.Scroll)
-        for s in ideals or [sem]:
+        assert (alg.dim > sdim) == (case is Case.Scroll)
+        for s in summands:
             assert split_sl2(s).check()
         # the check inside split_sl2 and the one above
-        assert calls == ["_bracket"] * 6 * len(ideals or [sem])
+        assert calls == ["_bracket"] * 6 * len(summands)
         calls.clear()
 
 

@@ -227,9 +227,9 @@ def _stage_functions():
 
 def test_every_parameter_is_read():
     """A parameter that its function never reads is passed for nothing.
-    The stages of ``pipeline._STAGES`` share the signature fn(curve, rep,
-    bp) and are exempt, and so is the first parameter of a method (the
-    package has no static method), which the call binds."""
+    The stages of ``pipeline._STAGES`` share the signature fn(curve, rep)
+    and are exempt, and so is the first parameter of a method (the package
+    has no static method), which the call binds."""
     stages = _stage_functions()
     unread = []
     for path in sorted(PACKAGE.glob("*.py")):
