@@ -7,15 +7,16 @@ through the image are computed as kernel relations among the products
 w_i * w_j of the adjoint forms modulo multiples of the curve -- pure linear
 algebra on the exact ``FpEchelon``, with no point sampling and no variable
 elimination.  The products and the multiples of f are formed on term maps,
-with no polynomial product.  The decision path never builds the cubic
-space: for a non-hyperelliptic canonical curve Max Noether's theorem fixes
-its dimension, and the quadric-generation test compares against that count.
+with no polynomial product.  Every consumer reads the one form of the span,
+``FormSpace.rows``.  The decision path never builds the cubic space: for a
+non-hyperelliptic canonical curve Max Noether's theorem fixes its
+dimension, and the quadric-generation test compares against that count.
 """
 
 import enum
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 
 from .errors import (AdjointDimensionMismatch, InvalidInput,
                      UnexpectedDimension)
@@ -69,31 +70,20 @@ def adjoint_combination(coeffs, cm):
 class FormSpace:
     """Echelonized space of quadrics through the canonical image.
 
-    ``basis`` holds the reduced echelon rows (pivot 1) as dense coefficient
-    lists over ``monomials``; ``int_rows`` is the same basis as sparse
-    ``{column: value}`` rows, each a primitive integer row over Q and the
-    field elements themselves over F_q."""
+    ``rows`` is its reduced echelon basis, sparse ``{column: value}`` rows
+    over ``monomials`` in column order: over Q the primitive integer
+    multiples of the pivot-1 rows, over F_q the pivot-1 rows themselves."""
     ambient_dim: int     # g
-    basis: list          # echelon coefficient vectors over `monomials`
+    rows: list           # echelon rows over `monomials`
     monomials: tuple     # exponent tuples, fixed order
 
     @property
     def dim(self):
-        return len(self.basis)
-
-    @cached_property
-    def int_rows(self):
-        rows = []
-        for vec in self.basis:
-            row = {j: x for j, x in enumerate(vec) if x}
-            if all(map(is_rational, row.values())):
-                row = clear_denominators(row)[0]
-            rows.append(row)
-        return rows
+        return len(self.rows)
 
     def row_space(self):
         span = FpEchelon(len(self.monomials))
-        for row in self.int_rows:
+        for row in self.rows:
             span.add(row)
         return span
 
@@ -140,7 +130,9 @@ def forms_through_image(curve, cm, k=2):
     i <= j, in ``monomials(g, 2)`` order, then the multiples x^beta * f;
     the rows are the monomials of degree 2(d-3).  The relations are the
     kernel of one exact ``FpEchelon`` over them; the span of their parts on
-    the products, in reduced echelon form, is the basis."""
+    the products, in reduced echelon form, gives the rows.  The one check of
+    the quadric count: any but (g-2)(g-3)/2, or (g-1)(g-2)/2 (hyperelliptic),
+    raises ``UnexpectedDimension``."""
     if k != 2:
         raise InvalidInput("only quadrics are supported")
     g = cm.genus
@@ -178,30 +170,14 @@ def forms_through_image(curve, cm, k=2):
     fld = curve.field
     basis = []
     for row in ech.reduced_kernel(len(amb)):
-        vec = [0] * len(amb)
-        for j, x in row.items():
-            vec[j] = fld.coerce(x) if isinstance(x, int) else x
-        basis.append(vec)
-
-    dim = len(basis)
+        row = dict(sorted(row.items()))
+        basis.append(clear_denominators(row)[0] if fld.char == 0
+                     else {j: fld.coerce(x) for j, x in row.items()})
     expected = {(g - 2) * (g - 3) // 2, (g - 1) * (g - 2) // 2}
-    if dim not in expected:
+    if len(basis) not in expected:
         raise UnexpectedDimension(
-            f"quadric space has dimension {dim}; expected one of {sorted(expected)}")
-    return FormSpace(ambient_dim=g, basis=basis, monomials=amb)
-
-
-def hyperelliptic_test(g, quadric_dim):
-    """True when the quadric count matches a 2:1 image on the rational
-    normal curve, false for the non-hyperelliptic count."""
-    if g < 3:
-        raise InvalidInput("hyperelliptic test needs genus >= 3")
-    if quadric_dim == (g - 1) * (g - 2) // 2:
-        return True
-    if quadric_dim == (g - 2) * (g - 3) // 2:
-        return False
-    raise UnexpectedDimension(
-        f"quadric dimension {quadric_dim} matches neither count for genus {g}")
+            f"quadric space has dimension {len(basis)}; expected one of {sorted(expected)}")
+    return FormSpace(ambient_dim=g, rows=basis, monomials=amb)
 
 
 class PetriResult(enum.Enum):
@@ -225,25 +201,24 @@ def _shift_table(g):
                  for mono in monomials(g, 2))
 
 
-def petri_test(qspace, g, counters=None):
+def petri_test(qspace, counters=None):
     """Compare dim span{x_i * q} against the cubics through the image.
 
     Equality means the ideal is generated in degree 2 there; a strict gap is
     the independent signal that the curve is trigonal or a plane quintic.
-    The cubic dimension is the count fixed by ``cubic_count``.  The span
-    rank is exact over the field of the quadrics: the products of
-    ``qspace.int_rows`` go into a sparse ``FpEchelon`` with no modulus (on
+    The cubic dimension is ``cubic_count`` at g = ``qspace.ambient_dim``.
+    The span rank is exact over the field of the quadrics: the products of
+    ``qspace.rows`` go into a sparse ``FpEchelon`` with no modulus (on
     integer rows over Q), so the oracle takes no mod-p step and needs no
     certificate.  ``counters``, when given, receives "rows" (products
     inserted), "rank" and "expected" (the cubic count).
     """
+    g = qspace.ambient_dim
     if g < 4:
         raise InvalidInput("the quadric-generation test is vacuous for genus 3")
-    if qspace.ambient_dim != g:
-        raise InvalidInput("the quadric space does not match the genus")
     shift = _shift_table(g)
     span = FpEchelon(len(monomials(g, 3)))
-    for q in qspace.int_rows:
+    for q in qspace.rows:
         for i in range(g):
             span.add({shift[j][i]: c for j, c in q.items()})
     expected = cubic_count(g)

@@ -57,7 +57,7 @@ from dataclasses import dataclass, field as dc_field
 from functools import cache
 
 from .errors import (CurveUnsupported, GenerationFailed, GenusTooSmall, UnsupportedInput,
-                     InvalidInput, IrrationalSingularLocus,
+                     InternalInvariantError, InvalidInput, IrrationalSingularLocus,
                      NonOrdinarySingularity, ParseError, PointNotOnCurve,
                      ReducibleSuspected)
 from .modular import (PRIME_WALK_START, clear_denominators, fp_bivariate_table, fp_eval,
@@ -640,7 +640,7 @@ def validate_curve(f, declared_sings=None, base_point=None, fld=QQ):
             f"singular locus has a non-rational residual of degree {residual}")
     for s in sings:
         if s.multiplicity < 2:
-            raise InvalidInput("a smooth point was reported singular")
+            raise InternalInvariantError("a smooth point was reported singular")
         if not s.ordinary:
             raise NonOrdinarySingularity(
                 f"tangent cone at ({':'.join(str(c) for c in s.coords)}) has a repeated factor")

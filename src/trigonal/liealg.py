@@ -253,7 +253,7 @@ def _derivation_terms(terms, monos, index, targets):
                 beta[j] -= 1
 
 
-def _derivation_system(qspace, g, p):
+def _derivation_system(qspace, p):
     """The stabilizer equations mod p as sparse rows, or None when the
     quadric basis does not reduce to a basis mod p.
 
@@ -272,9 +272,10 @@ def _derivation_system(qspace, g, p):
     reversed one 11.4; the elimination takes 0.082 s and 0.007 s (Python
     3.11, 2-CPU host).
     """
+    g = qspace.ambient_dim
     monos = qspace.monomials
     ech = FpEchelon(len(monos), p)
-    for q in qspace.int_rows:
+    for q in qspace.rows:
         row = {j: fp_reduce(c, p) for j, c in q.items()}
         if None in row.values() or not ech.add(row):
             return None
@@ -303,19 +304,20 @@ def _derivation_system(qspace, g, p):
     return rows()
 
 
-def stabilizer_algebra(qspace, g, fld=QQ, counters=None):
-    """Traceless matrices M whose derivation action maps every quadric of
-    the space back into the space.  The trace is an equation of the system,
-    so dim = nullity.
+def stabilizer_algebra(qspace, fld=QQ, counters=None):
+    """Traceless g x g matrices M, g = ``qspace.ambient_dim``, whose
+    derivation action maps every quadric of the space back into the space.
+    The trace is an equation of the system, so dim = nullity.
 
     The solutions come from ``modular.certified_kernel`` (over F_q, exactly
     mod q); over Q every lifted solution is checked to be traceless and to
-    map each quadric of ``qspace`` into its span, on integer rows (clearing
-    denominators leaves span membership unchanged).  ``counters`` receives
-    the kernel's counters.
+    map each of the ``qspace.rows`` into their span, on integer rows
+    (clearing denominators leaves span membership unchanged).  ``counters``
+    receives the kernel's counters.
     """
     if qspace.dim < 1:
         raise InvalidInput("stabilizer needs at least one quadric")
+    g = qspace.ambient_dim
     nn = g * g
     monos = qspace.monomials
     index = {m: i for i, m in enumerate(monos)}
@@ -333,7 +335,7 @@ def stabilizer_algebra(qspace, g, fld=QQ, counters=None):
                 return False
             m = clear_denominators({j: x for j, x in enumerate(v[::-1]) if x})[0]
             targets = [[j for j in range(g) if i * g + j in m] for i in range(g)]
-            for q in qspace.int_rows:
+            for q in qspace.rows:
                 image = {}
                 for col, t, coef in _derivation_terms(q.items(), monos, index,
                                                       targets):
@@ -342,7 +344,7 @@ def stabilizer_algebra(qspace, g, fld=QQ, counters=None):
                     return False
         return True
 
-    kern = certified_kernel(nn, lambda p: _derivation_system(qspace, g, p),
+    kern = certified_kernel(nn, lambda p: _derivation_system(qspace, p),
                             stabilizes, fld, counters=counters)
     sol = FpEchelon(nn)
     for v in kern:
@@ -469,15 +471,11 @@ def levi(alg):
         if nxt.rank >= len(pb):
             raise LiftingFailed("the radical is not solvable; upstream bug")
         chain.append(list(zip(nxt.pivots, nxt.reduced())))
-        if len(chain) > dim + 2:
-            raise LiftingFailed("derived series fails to terminate")
 
     for k in range(len(chain) - 1):
         nk_rows, nk1_rows = chain[k], chain[k + 1]
         nb = _dense((row for _, row in nk_rows), dim)
         nt = len(nb)
-        if nt == 0:
-            break
         nunk = rc * nt
 
         def red(vec):

@@ -1,9 +1,10 @@
 """Top-level decision procedure and its certificates.
 
-decide() runs one ordered table of stages: adjoints, quadrics (with the
-hyperellipticity gate), the stabilizer algebra with the one call
-``liealg.classify`` that reads its Levi type, case and sl2 summands, the
-map, and the quadric-generation test.  The map stage runs one candidate
+decide() runs one ordered table of stages: adjoints, quadrics (refused at
+the hyperelliptic count (g-1)(g-2)/2, the other count that
+``forms_through_image`` lets through), the stabilizer algebra with the one
+call ``liealg.classify`` that reads its Levi type, case and sl2 summands,
+the map, and the quadric-generation test.  The map stage runs one candidate
 loop for every trigonal case: the genus-3 pencil through the curve's
 validated base point, or ``scroll.rulings`` on the sl2 summands (one for a
 scroll, two for P1xP1), each candidate checked by its fiber degree.  A
@@ -29,8 +30,8 @@ from itertools import repeat, zip_longest
 from math import comb
 
 from .canonical import (PetriResult, adjoint_basis, adjoint_combination,
-                        forms_through_image, hyperelliptic_test, petri_test)
-from .curve import derived_rng, normalize_point
+                        forms_through_image, petri_test)
+from .curve import derived_rng
 from .errors import (CurveUnsupported, DegenerateFiber, HyperellipticInput,
                      InvalidInput, PointNotOnCurve, TrigonalError, stage)
 from .liealg import Case, classify, stabilizer_algebra
@@ -291,21 +292,16 @@ def map_degree(curve, pencil, seed=0):
                           f"{[d['degree'] for d in draws]}")
 
 
-def g3_map(curve, base_point, cm=None):
-    """Pencil of hyperplanes through the canonical image of a marked smooth
+def g3_map(curve, cm):
+    """Pencil of hyperplanes through the canonical image of the curve's base
     point, for genus-3 input: two independent adjoint combinations that
-    vanish at the point."""
+    vanish at the point.  ``validate_curve`` has normalized the point and
+    checked that it is a smooth point of the curve."""
     if curve.genus != 3:
         raise InvalidInput("the marked-point pencil applies to genus 3 only")
-    if base_point is None:
+    if curve.base_point is None:
         raise PointNotOnCurve("no base point provided")
-    bp = normalize_point(base_point, curve.field)
-    if curve.f.evaluate(list(bp)):
-        raise PointNotOnCurve(
-            f"({':'.join(str(c) for c in bp)}) does not lie on the curve")
-    if cm is None:
-        cm = adjoint_basis(curve)
-    vals = [w.evaluate(list(bp)) for w in cm.forms]
+    vals = [w.evaluate(list(curve.base_point)) for w in cm.forms]
     if not any(vals):
         raise CurveUnsupported("all canonical forms vanish at the base point")
     combos = kernel_basis([vals])
@@ -334,7 +330,7 @@ def _adjoints(curve, rep):
 def _quadrics(curve, rep):
     qspace = rep.extras["qspace"] = forms_through_image(curve, rep.extras["cm"], 2)
     rep.quadric_dim = qspace.dim
-    if hyperelliptic_test(rep.genus, qspace.dim):
+    if qspace.dim == (rep.genus - 1) * (rep.genus - 2) // 2:
         raise HyperellipticInput(
             f"quadric dimension {qspace.dim} shows a 2:1 canonical image "
             f"(genus {rep.genus}); trigonality is undefined here")
@@ -345,7 +341,7 @@ def _liealg(curve, rep):
     summands.  Over a prime field only a trivial stabilizer is classified:
     the Levi machinery needs characteristic zero."""
     x = rep.extras
-    alg = x["lie"] = stabilizer_algebra(x["qspace"], rep.genus, fld=curve.field,
+    alg = x["lie"] = stabilizer_algebra(x["qspace"], fld=curve.field,
                                         counters=rep.counters.setdefault("liealg", {}))
     rep.lie_dim = alg.dim
     if alg.dim and isinstance(curve.field, PrimeField):
@@ -376,7 +372,7 @@ def _map(curve, rep):
                              "stands, map omitted)")
             return
         what, failures = "marked-point pencil", []
-        cands = [(None, None, g3_map(curve, curve.base_point, x["cm"]))]
+        cands = [(None, None, g3_map(curve, x["cm"]))]
     else:
         what = "scroll ruling" if case == Case.Scroll else "ruling of the quadric"
         cands, failures = rulings(x["summands"], x["cm"])
@@ -407,7 +403,7 @@ def _map(curve, rep):
 
 
 def _petri(curve, rep):
-    petri = petri_test(rep.extras["qspace"], rep.genus,
+    petri = petri_test(rep.extras["qspace"],
                        counters=rep.counters.setdefault("petri", {}))
     rep.petri = petri.value
     rep.agreement = ((petri == PetriResult.QuadricsInsufficient)

@@ -41,7 +41,7 @@ def _dot(u, v, zero):
     return sum((x * y for x, y in zip(u, v) if x and y), zero)
 
 
-def highest_weights(triple, g):
+def highest_weights(triple):
     """The highest-weight vectors of (e, h, f) on the ambient g-space, as
     (weight, vector) pairs sorted by (weight, str).  ker e is taken once, as
     its reduced echelon basis v_1..v_k; more than two vectors means more
@@ -53,6 +53,7 @@ def highest_weights(triple, g):
     v_i is 1 at its lead and 0 at the others' leads, so the reduced basis
     of c gives the reduced basis of the weight space, the one a kernel of
     [e; h - lam*I] gives."""
+    g = triple.n
     zero = triple.field.zero()
     top = kernel_basis([[triple.e.get(i * g + j, 0) for j in range(g)] for i in range(g)])
     if len(top) > 2:
@@ -73,15 +74,16 @@ def highest_weights(triple, g):
     return sorted(found, key=lambda w: (w[0], tuple(str(x) for x in w[1])))
 
 
-def ruling_columns(triple, g):
+def ruling_columns(triple):
     """The columns (k!.phi_k, (k+1)!.phi_{k+1}) of the scroll matrix, each a
     pair of coefficient vectors over the ambient coordinates: chain by chain
     in the order of ``highest_weights``, k = 0..lam-1 in a chain of weight
     lam.  phi_0 of v is one kernel of g + k - 1 rows, the columns of f and
     the other highest-weight vector, scaled to 1 at v."""
+    g = triple.n
     fld = triple.field
     zero = fld.zero()
-    tops = highest_weights(triple, g)
+    tops = highest_weights(triple)
     if not any(lam for lam, _ in tops):
         raise ChainCountUnexpected("no chain of length >= 2")
     im_f = [[triple.f.get(i * g + j, 0) for i in range(g)] for j in range(g)]
@@ -161,7 +163,7 @@ def rulings(summands, cm):
     for idx, s in enumerate(summands):
         try:
             triple = split_sl2(s)
-            columns = ruling_columns(triple, cm.genus)
+            columns = ruling_columns(triple)
             candidates.append((idx, triple, ruling_map(columns, cm, triple.field)))
         except TrigonalError as err:
             failures.append((idx, err))

@@ -38,17 +38,18 @@ package's one resultant engine, ``modular.fp_resultant_keepvar``.
 through a canonical image from ``MPoly`` products of the adjoint forms and
 multiples of f: the reference for the term-map construction of
 ``canonical.forms_through_image``, and the cubic space that the Noether count
-of ``canonical.cubic_count`` stands for.  ``expand_in_adjoints`` pulls an
-ambient form back to the plane.
+of ``canonical.cubic_count`` stands for.  ``form_space`` builds a
+``FormSpace`` from dense rows, and ``dense_rows`` reads one back.
+``expand_in_adjoints`` pulls an ambient form back to the plane.
 """
 
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from trigonal.canonical import FormSpace, monomials
 from trigonal.errors import InvalidInput
 from trigonal.modular import FpEchelon
 from trigonal.poly import MPoly
-from trigonal.scalars import rat, sinv
+from trigonal.scalars import is_rational, rat, sinv
 
 
 def rref(rows):
@@ -412,4 +413,23 @@ def forms_through_image(curve, cm, k):
     basis = [[fld.coerce(x) if isinstance(x, int) and x else x
               for x in (row.get(j, 0) for j in range(len(amb)))]
              for row in ech.reduced_kernel(len(amb))]
-    return FormSpace(ambient_dim=g, basis=basis, monomials=amb)
+    return form_space(g, basis, amb)
+
+
+def form_space(g, vectors, monos):
+    """The ``FormSpace`` of the span of dense ``vectors`` over ``monos``:
+    the rows of their ``rref`` made sparse and, over Q, scaled by the lcm of
+    their denominators, which makes each one primitive."""
+    rows = []
+    for vec in rref(vectors)[0]:
+        row = {j: x for j, x in enumerate(vec) if x}
+        if all(is_rational(x) for x in row.values()):
+            den = lcm(*(x.denominator for x in row.values()))
+            row = {j: int(x * den) for j, x in row.items()}
+        rows.append(row)
+    return FormSpace(ambient_dim=g, rows=rows, monomials=monos)
+
+
+def dense_rows(space):
+    """The rows of a ``FormSpace`` as dense lists over its monomials."""
+    return [[row.get(j, 0) for j in range(len(space.monomials))] for row in space.rows]

@@ -7,11 +7,13 @@ import pytest
 import dense_reference as ref
 from dense_reference import rank
 from trigonal import canonical, modular
-from trigonal.canonical import (PetriResult, adjoint_basis, cubic_count,
-                                forms_through_image, hyperelliptic_test,
-                                monomials, petri_test)
+from trigonal.canonical import (CanonicalMap, PetriResult, adjoint_basis,
+                                cubic_count, forms_through_image, monomials,
+                                petri_test)
 from trigonal.curve import gen_singular_model, validate_curve
-from trigonal.errors import InvalidInput, UnexpectedDimension, UnsupportedInput
+from trigonal.errors import (HyperellipticInput, InvalidInput, UnexpectedDimension,
+                             UnsupportedInput)
+from trigonal.pipeline import decide
 from trigonal.modular import FpEchelon
 from trigonal.poly import parse_poly, poly_str
 from trigonal.scalars import FpElt, PrimeField, is_rational
@@ -87,32 +89,40 @@ def test_quadric_pullbacks_divisible_by_curve(proj5, two_node_quintic):
     for curve in (proj5, two_node_quintic):
         cm = adjoint_basis(curve)
         q = forms_through_image(curve, cm)
-        for vec in q.basis:
+        for vec in ref.dense_rows(q):
             pulled = ref.expand_in_adjoints(vec, q.monomials, cm)
             assert pulled.divisible_by(curve.f)
 
 
-def test_hyperelliptic_test_values():
-    assert hyperelliptic_test(3, 1) is True
-    assert hyperelliptic_test(3, 0) is False
-    assert hyperelliptic_test(5, 3) is False
-    assert hyperelliptic_test(5, 6) is True
-    with pytest.raises(UnexpectedDimension):
-        hyperelliptic_test(5, 4)
-
-
-def test_hyperelliptic_curve_hits_the_other_count(hyper5):
+def test_hyperelliptic_curve_hits_the_other_count(hyper5, fermat_quartic,
+                                                  five_nodal_sextic):
+    """Genus 3 with count 1 is refused as hyperelliptic; count 0 at genus 3
+    and count 3 at genus 5 go on."""
     cm = adjoint_basis(hyper5)
     q = forms_through_image(hyper5, cm)
     g = hyper5.genus
-    assert q.dim == (g - 1) * (g - 2) // 2
-    assert hyperelliptic_test(g, q.dim) is True
+    assert (g, q.dim) == (3, (g - 1) * (g - 2) // 2)
+    with pytest.raises(HyperellipticInput, match=r"quadric dimension 1 .*\(genus 3\)"):
+        decide(hyper5, seed=3)
+    assert decide(fermat_quartic, seed=3).quadric_dim == 0
+    assert (five_nodal_sextic.genus, decide(five_nodal_sextic, seed=3).quadric_dim) == (5, 3)
+
+
+def test_a_quadric_count_matching_neither_formula_is_refused(fermat_quartic):
+    """The four forms x, y, z, x + y map the curve into the plane
+    w_0 + w_1 = w_3 of P^3, so the quadrics through it are its four
+    multiples w_i (w_0 + w_1 - w_3); 4 is neither (g-2)(g-3)/2 = 1 nor
+    (g-1)(g-2)/2 = 3 at g = 4."""
+    forms = [parse_poly(w) for w in ("x", "y", "z", "x + y")]
+    with pytest.raises(UnexpectedDimension,
+                       match=r"dimension 4; expected one of \[1, 3\]"):
+        forms_through_image(fermat_quartic, CanonicalMap(forms=forms, degree=1))
 
 
 def _quadric_multiples(q, g):
     """The vectors of x_i * q over monomials(g, 3), for each basis quadric."""
     index3 = {m: i for i, m in enumerate(monomials(g, 3))}
-    for vec in q.basis:
+    for vec in ref.dense_rows(q):
         for i in range(g):
             out = [0] * len(index3)
             for mono, c in zip(q.monomials, vec):
@@ -143,20 +153,9 @@ def test_petri_results(five_nodal_sextic, proj5, two_node_quintic, fermat_quinti
         cubics = c3.row_space()
         products = list(_quadric_multiples(q, g))
         assert all(cubics.contains(vec) for vec in products)
-        result = petri_test(q, g)
+        result = petri_test(q)
         assert result == expect
         assert (result == PetriResult.GeneratedByQuadrics) == (rank(products) == c3.dim)
-
-
-def test_form_space_bases_are_echelon(proj5):
-    cm = adjoint_basis(proj5)
-    q = forms_through_image(proj5, cm)
-    lead = []
-    for vec in q.basis:
-        nz = [i for i, x in enumerate(vec) if x]
-        assert vec[nz[0]] == 1
-        lead.append(nz[0])
-    assert lead == sorted(lead)
 
 
 def test_petri_test_takes_an_exact_span_rank(monkeypatch, proj5):
@@ -172,10 +171,10 @@ def test_petri_test_takes_an_exact_span_rank(monkeypatch, proj5):
             super().__init__(ncols, p)
 
     monkeypatch.setattr(canonical, "FpEchelon", Spy)
-    assert petri_test(qspace, g) == PetriResult.QuadricsInsufficient
+    assert petri_test(qspace) == PetriResult.QuadricsInsufficient
     assert moduli == [None]
     counters = {}
-    petri_test(qspace, g, counters)
+    petri_test(qspace, counters)
     assert counters == {"rows": qspace.dim * g,
                         "rank": rank(list(_quadric_multiples(qspace, g))),
                         "expected": cubic_count(g)}
@@ -185,14 +184,14 @@ def test_petri_test_takes_an_exact_span_rank(monkeypatch, proj5):
 # --- the term-map construction against the MPoly reference ---------------------
 
 def _same_basis(curve):
-    """The library quadric basis equals the reference's entry for entry, as
-    strings; returns the library space."""
+    """The library quadric rows equal the reference's entry for entry, keys
+    in the same order and values as strings; returns the library space."""
     cm = adjoint_basis(curve)
     got = forms_through_image(curve, cm)
     want = ref.forms_through_image(curve, cm, 2)
     assert got.monomials == want.monomials
-    assert [[str(x) for x in v] for v in got.basis] == \
-        [[str(x) for x in v] for v in want.basis]
+    assert [[(j, str(x)) for j, x in row.items()] for row in got.rows] == \
+        [[(j, str(x)) for j, x in row.items()] for row in want.rows]
     return got
 
 
@@ -242,41 +241,50 @@ def test_form_space_takes_quadrics_only(proj5):
         forms_through_image(proj5, adjoint_basis(proj5), 3)
 
 
-def test_int_rows_are_primitive_and_span_the_basis(proj5, five_nodal_sextic):
+def test_form_space_bases_are_echelon(proj5, five_nodal_sextic):
+    """Over Q each row is a primitive integer row, keys in column order,
+    positive at its pivot and zero at the other rows' pivots, with the
+    pivots increasing; the rows span the reference's space."""
     for curve in (proj5, five_nodal_sextic):
-        q = forms_through_image(curve, adjoint_basis(curve))
-        assert len(q.int_rows) == q.dim
-        for row in q.int_rows:
+        cm = adjoint_basis(curve)
+        q = forms_through_image(curve, cm)
+        leads = [next(iter(row)) for row in q.rows]
+        assert leads == sorted(set(leads))
+        for row in q.rows:
+            assert list(row) == sorted(row)
             assert all(type(x) is int and x for x in row.values())
-            assert gcd(*row.values()) == 1
-        dense = [[row.get(j, 0) for j in range(len(q.monomials))] for row in q.int_rows]
-        assert ref.same_span(dense, q.basis)
-        assert q.int_rows is q.int_rows
+            assert gcd(*row.values()) == 1 and row[next(iter(row))] > 0
+            assert not any(c in row for c in leads if c != next(iter(row)))
+        assert ref.same_span(ref.dense_rows(q),
+                             ref.dense_rows(ref.forms_through_image(curve, cm, 2)))
 
 
-def test_int_rows_hold_field_elements_over_a_prime_field():
+def test_form_space_rows_hold_field_elements_over_a_prime_field():
     F = PrimeField(1009)
     curve = validate_curve(parse_poly("x^6 + y^6 + z^6 + 3*x^2*y^2*z^2").map_coeffs(F.coerce),
                            fld=F)
     q = forms_through_image(curve, adjoint_basis(curve))
     assert q.dim == 28
-    for row, vec in zip(q.int_rows, q.basis):
-        assert row == {j: x for j, x in enumerate(vec) if x}
-        assert all(isinstance(x, FpElt) and not is_rational(x) for x in row.values())
+    for row in q.rows:
+        assert list(row) == sorted(row) and row[next(iter(row))] == 1
+        assert all(isinstance(x, FpElt) and not is_rational(x) and x for x in row.values())
 
 
 def test_petri_test_clears_denominators_at_most_once_per_quadric(monkeypatch,
                                                                  five_nodal_sextic):
-    q = forms_through_image(five_nodal_sextic, adjoint_basis(five_nodal_sextic))
-    assert any(x.denominator != 1 for v in q.basis for x in v if x)
+    """``forms_through_image`` clears the denominators of each pivot-1 row,
+    some of them fractional, once; ``petri_test`` clears none."""
     calls = []
     clear = modular.clear_denominators
 
     def spy(row):
-        calls.append(len(row))
+        calls.append(any(x.denominator != 1 for x in row.values()))
         return clear(row)
 
+    cm = adjoint_basis(five_nodal_sextic)
     monkeypatch.setattr(canonical, "clear_denominators", spy)
+    q = forms_through_image(five_nodal_sextic, cm)
+    assert len(calls) == q.dim and any(calls)
     monkeypatch.setattr(modular, "clear_denominators", spy)
-    assert petri_test(q, five_nodal_sextic.genus) == PetriResult.GeneratedByQuadrics
-    assert 0 < len(calls) <= q.dim
+    assert petri_test(q) == PetriResult.GeneratedByQuadrics
+    assert len(calls) == q.dim

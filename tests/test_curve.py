@@ -14,7 +14,7 @@ from trigonal.curve import (gen_method1, gen_singular_model,
                             parse_curve_file, singular_locus, validate_curve,
                             write_curve_file)
 from trigonal.errors import (CurveUnsupported, GenerationFailed, GenusTooSmall,
-                             InvalidInput, IrrationalSingularLocus,
+                             InternalInvariantError, InvalidInput, IrrationalSingularLocus,
                              NonOrdinarySingularity, ParseError, PointNotOnCurve,
                              ReducibleSuspected, UnsupportedInput)
 from trigonal.linalg import kernel_basis
@@ -385,6 +385,22 @@ def test_validate_base_point():
         validate_curve(P("x^4 + y^4 + z^4"), base_point=(0, 0, 1))
     c = validate_curve(P("x^3*y + y^3*z + z^3*x"), base_point=(0, 0, 1))
     assert c.base_point == normalize_point((0, 0, 1))
+
+
+def test_validate_refuses_a_singular_base_point(two_node_quintic):
+    # (1:0:0) is a node of the genus-4 quintic
+    with pytest.raises(InvalidInput, match="must be a smooth point"):
+        validate_curve(two_node_quintic.f, base_point=(1, 0, 0))
+
+
+def test_a_smooth_point_reported_singular_is_an_internal_error(monkeypatch):
+    """F, F_x and F_y vanish at every point the scan reports, and F_z by
+    Euler's formula, so a multiplicity below 2 means the scan is broken:
+    an ``InternalInvariantError`` (exit status 3), not a refused input."""
+    point = curve_mod.SingularPoint(normalize_point((0, 0, 1)), 1, True)
+    monkeypatch.setattr(curve_mod, "singular_locus", lambda f, fld: ([point], 0))
+    with pytest.raises(InternalInvariantError, match="reported singular"):
+        validate_curve(P("x^3*y + y^3*z + z^3*x"))
 
 
 def test_validate_rejects_other_ground_fields(m1_cubic):
@@ -1007,6 +1023,13 @@ def test_curve_file_round_trip(proj5, five_nodal_sextic):
     assert c2.genus == proj5.genus
     # sing is the one key that may repeat
     assert len(parse_curve_file(write_curve_file(five_nodal_sextic))["sings"]) == 5
+
+
+def test_curve_file_keeps_the_base_point(klein):
+    data = parse_curve_file(write_curve_file(klein))
+    assert "point = (0:0:1)" in write_curve_file(klein)
+    again = validate_curve(data["f"], base_point=data["point"])
+    assert again.base_point == klein.base_point == normalize_point((0, 0, 1))
 
 
 def test_a_prime_field_is_written_by_its_name():

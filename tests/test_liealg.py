@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import dense_reference as ref
 from trigonal import intutil, liealg, modular
-from trigonal.canonical import (FormSpace, adjoint_basis, forms_through_image,
+from trigonal.canonical import (adjoint_basis, forms_through_image,
                                 monomials, petri_test)
 from trigonal.errors import (CurveUnsupported, InternalInvariantError, InvalidInput,
                              LiftingFailed, NotSl2, UnexpectedDimension)
@@ -50,8 +50,7 @@ def quadric_space(vec_terms, nvars):
         for mono, c in terms.items():
             v[idx[mono]] = rat(c)
         basis.append(v)
-    return FormSpace(ambient_dim=nvars, basis=ref.rref(basis)[0],
-                     monomials=monos)
+    return ref.form_space(nvars, basis, monos)
 
 
 CONIC = quadric_space([{(1, 0, 1): 1, (0, 2, 0): -1}], 3)
@@ -66,7 +65,7 @@ CONE = quadric_space([
 
 
 def test_stabilizer_of_conic_is_three_dimensional():
-    alg = stabilizer_algebra(CONIC, 3)
+    alg = stabilizer_algebra(CONIC)
     assert alg.dim == 3
     assert all(not ref.trace(ref.dense(b, 3)) for b in alg.basis)
     assert not radical(alg)
@@ -174,8 +173,7 @@ def test_classify_cases(five_nodal_sextic, fermat_quintic, two_node_quintic, pro
     zero, sl3 at g = 6, sl2+sl2 with its two ideals, sl2 as its own one
     summand."""
     def run(curve):
-        alg = stabilizer_algebra(forms_through_image(curve, adjoint_basis(curve)),
-                                 curve.genus)
+        alg = stabilizer_algebra(forms_through_image(curve, adjoint_basis(curve)))
         return classify(alg), alg
 
     (name, case, summands), alg = run(five_nodal_sextic)
@@ -194,7 +192,7 @@ def test_classify_cases(five_nodal_sextic, fermat_quintic, two_node_quintic, pro
 def test_two_ideal_split_bracket_orthogonal(two_node_quintic):
     cm = adjoint_basis(two_node_quintic)
     q = forms_through_image(two_node_quintic, cm)
-    alg = stabilizer_algebra(q, 4)
+    alg = stabilizer_algebra(q)
     sem = levi(alg)
     s1, s2 = split_two_ideals(sem)
     assert s1.dim == s2.dim == 3
@@ -281,7 +279,7 @@ def test_ideals_of_a_levi_part_reach_the_ambient_through_both_parents():
 def test_cone_stabilizer_has_sl2_levi():
     """Cone over the twisted cubic: large solvable radical (vertex
     translations plus a torus), Levi still sl2."""
-    alg = stabilizer_algebra(CONE, 5)
+    alg = stabilizer_algebra(CONE)
     assert alg.dim == 8
     rad = radical(alg)
     assert len(rad) == 5
@@ -294,7 +292,7 @@ def test_cone_stabilizer_has_sl2_levi():
 def test_bracket_closure_of_stabilizers(proj5):
     cm = adjoint_basis(proj5)
     q = forms_through_image(proj5, cm)
-    alg = stabilizer_algebra(q, 5)
+    alg = stabilizer_algebra(q)
     # LieAlg construction already verifies closure; re-check explicitly
     for i in range(alg.dim):
         for j in range(alg.dim):
@@ -325,7 +323,7 @@ def test_stabilizer_makes_no_fraction_kernel_call(five_nodal_sextic, monkeypatch
     cm = adjoint_basis(five_nodal_sextic)
     q = forms_through_image(five_nodal_sextic, cm)
     counters = {}
-    alg = stabilizer_algebra(q, five_nodal_sextic.genus, counters=counters)
+    alg = stabilizer_algebra(q, counters=counters)
     assert alg.dim == 0 and calls == []
     assert counters["nullity"] == 0
     assert counters["primes"]["used"] == [WALK[0]]
@@ -340,9 +338,9 @@ def test_stabilizer_kernel_lifts_once_the_rank_settles(proj6):
     g = proj6.genus
     q = forms_through_image(proj6, adjoint_basis(proj6))
     counters = {}
-    alg = stabilizer_algebra(q, g, counters=counters)
+    alg = stabilizer_algebra(q, counters=counters)
     p = WALK[0]
-    rows = list(liealg._derivation_system(q, g, p))
+    rows = list(liealg._derivation_system(q, p))
     full = modular.FpEchelon(g * g, p)
     for row in rows:
         full.add(row)
@@ -362,7 +360,7 @@ def test_corrupted_lift_moves_on_to_the_next_prime(proj5, monkeypatch):
     refused; the next prime's lift is certified and gives the same algebra."""
     cm = adjoint_basis(proj5)
     q = forms_through_image(proj5, cm)
-    expected = stabilizer_algebra(q, 5)
+    expected = stabilizer_algebra(q)
     real = modular.rational_reconstruct
     first = WALK[0]
 
@@ -372,7 +370,7 @@ def test_corrupted_lift_moves_on_to_the_next_prime(proj5, monkeypatch):
 
     monkeypatch.setattr(modular, "rational_reconstruct", corrupted)
     counters = {}
-    alg = stabilizer_algebra(q, 5, counters=counters)
+    alg = stabilizer_algebra(q, counters=counters)
     assert alg.basis == expected.basis
     assert counters["primes"]["tried"] == WALK
     assert counters["primes"]["used"] == WALK
@@ -388,15 +386,15 @@ def test_stabilizer_without_the_trace_row_fails_to_lift(proj5, monkeypatch):
     g = proj5.genus
     real = liealg._derivation_system
 
-    def untraced(qspace, g, p):
-        rows = real(qspace, g, p)
+    def untraced(qspace, p):
+        rows = real(qspace, p)
         if rows is not None:
             assert next(rows) == {k: 1 for k in range(0, g * g, g + 1)}
         return rows
 
     monkeypatch.setattr(liealg, "_derivation_system", untraced)
     with pytest.raises(LiftingFailed):
-        stabilizer_algebra(q, g)
+        stabilizer_algebra(q)
 
 
 def test_ideal_split_of_a_non_semisimple_algebra_is_unexpected():
@@ -438,7 +436,7 @@ def test_stabilizer_certificate_refuses_a_perturbed_lift(proj5, monkeypatch):
         return real_kernel(ncols, system, spied, *args, **kwargs)
 
     monkeypatch.setattr(liealg, "certified_kernel", kernel)
-    assert stabilizer_algebra(q, proj5.genus).dim > 0
+    assert stabilizer_algebra(q).dim > 0
     assert answers == [(True, False)]
 
 
@@ -462,7 +460,7 @@ def test_structure_theory_forms_no_matrix_product(proj5, two_node_quintic,
     assert not hasattr(LieAlg, "ad_matrix")
     for curve, sdim, case in ((proj5, 3, Case.Scroll), (two_node_quintic, 6, Case.P1xP1)):
         q = forms_through_image(curve, adjoint_basis(curve))
-        alg = stabilizer_algebra(q, curve.genus)
+        alg = stabilizer_algebra(q)
         assert set(calls) == {"_bracket"}
         calls.clear()
         _, found, summands = classify(alg)
@@ -518,8 +516,8 @@ def test_exact_echelons_over_q_invert_no_pivot(proj5, monkeypatch):
 
     monkeypatch.setattr(modular, "sinv", sinv)
     monkeypatch.setattr(liealg, "certified_kernel", kernel)
-    petri_test(q, proj5.genus)
-    alg = stabilizer_algebra(q, proj5.genus)
+    petri_test(q)
+    alg = stabilizer_algebra(q)
     assert alg.dim > 0 and certified == [True]
     assert calls == []
     modular.FpEchelon(2).add([QuadraticField(2).coerce(3), 1])

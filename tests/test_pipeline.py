@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from trigonal import curve as curve_mod, liealg, modular, pipeline
-from trigonal.canonical import cubic_count
+from trigonal.canonical import adjoint_basis, cubic_count
 from trigonal.curve import gen_trigonal_projection, validate_curve
 from trigonal.errors import (ChainCountUnexpected, CurveUnsupported, DegenerateFiber,
                              HyperellipticInput, InvalidInput, PointNotOnCurve,
@@ -96,7 +96,7 @@ def test_map_degree_over_small_prime_field():
     fld = PrimeField(101)
     klein = validate_curve(parse_poly("x^3*y + y^3*z + z^3*x"),
                            base_point=(0, 0, 1), fld=fld)
-    deg, draws = map_degree(klein, g3_map(klein, (0, 0, 1)))
+    deg, draws = map_degree(klein, g3_map(klein, adjoint_basis(klein)))
     assert deg == 3
     assert all(d["prime"] == 101 for d in draws)
 
@@ -385,15 +385,19 @@ def test_projection_generator_raw_pencil(proj5):
 # --- genus-3 branch ------------------------------------------------------------
 
 def test_g3_map_klein(klein):
-    pm = g3_map(klein, (0, 0, 1))
+    pm = g3_map(klein, adjoint_basis(klein))
     assert {poly_str(pm.p), poly_str(pm.q)} == {"x", "y"}
     deg, _ = map_degree(klein, pm)
     assert deg == 3
 
 
-def test_g3_map_rejects_point_off_curve(klein):
+def test_g3_map_needs_a_validated_point_on_the_curve(klein, fermat_quartic):
+    """The point comes from validation, which refuses one off the curve;
+    a curve validated without a point has no pencil."""
     with pytest.raises(PointNotOnCurve):
-        g3_map(klein, (1, 1, 1))
+        validate_curve(klein.f, base_point=(1, 1, 1))
+    with pytest.raises(PointNotOnCurve, match="no base point"):
+        g3_map(fermat_quartic, adjoint_basis(fermat_quartic))
 
 
 def test_g3_decide_without_point_degrades(fermat_quartic):

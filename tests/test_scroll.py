@@ -11,8 +11,8 @@ from trigonal.scalars import QQ, rat
 from trigonal.scroll import (highest_weights, minor_vectors, ruling_columns,
                              ruling_map, rulings)
 
-from dense_reference import (chain_columns, dense, inverse, mat_mul, same_span,
-                             sparse, weight_vectors)
+from dense_reference import (chain_columns, dense, dense_rows, inverse, mat_mul,
+                             same_span, sparse, weight_vectors)
 from test_liealg import CONE
 
 
@@ -68,10 +68,10 @@ def _upper(n):
              for j in range(n)] for i in range(n)]
 
 
-def _curve_triples(curve, g):
+def _curve_triples(curve):
     """The triples of the sl2 summands of a curve's stabilizer: the Levi
     part of a scroll, or each ideal of P1xP1."""
-    sem = levi(stabilizer_algebra(forms_through_image(curve, adjoint_basis(curve)), g))
+    sem = levi(stabilizer_algebra(forms_through_image(curve, adjoint_basis(curve))))
     summands = split_two_ideals(sem) if sem.dim == 6 else [sem]
     return [split_sl2(s) for s in summands]
 
@@ -103,12 +103,12 @@ def _case(name, request):
     if name == "conjugated_2_2":
         return _conjugated(_block_triple(2, 2), _upper(4)), 4
     if name == "cone":
-        return split_sl2(levi(stabilizer_algebra(CONE, 5))), 5
+        return split_sl2(levi(stabilizer_algebra(CONE))), 5
     if name == "proj5":
-        return _curve_triples(request.getfixturevalue("proj5"), 5)[0], 5
+        return _curve_triples(request.getfixturevalue("proj5"))[0], 5
     if name.startswith("two_node_quintic"):
         curve = request.getfixturevalue("two_node_quintic")
-        return _curve_triples(curve, 4)[int(name[-1])], 4
+        return _curve_triples(curve)[int(name[-1])], 4
     return _so3_triple(), 3
 
 
@@ -122,10 +122,10 @@ def test_ruling_columns_match_the_chain_construction(request, case):
     # basis, entry by entry, and the highest-weight vectors are the same
     t, g = _case(case, request)
     e, h, f = (dense(m, g) for m in (t.e, t.h, t.f))
-    tops = highest_weights(t, g)
+    tops = highest_weights(t)
     assert [lam for lam, _ in tops] == [lam for lam, _ in weight_vectors(e, h)]
     assert _strs(v for _, v in tops) == _strs(v for _, v in weight_vectors(e, h))
-    cols = list(ruling_columns(t, g))
+    cols = list(ruling_columns(t))
     assert _strs(u + v for u, v in cols) == \
         _strs(u + v for u, v in chain_columns(e, h, f))
     assert len(cols) == sum(lam for lam, _ in tops)
@@ -133,17 +133,17 @@ def test_ruling_columns_match_the_chain_construction(request, case):
 
 def test_weight_chain_of_standard_two_space():
     t = _block_triple(2)
-    assert _strs(v for _, v in highest_weights(t, 2)) == [["1", "0"]]
-    assert [lam for lam, _ in highest_weights(t, 2)] == [1]
-    assert len(list(ruling_columns(t, 2))) == 1
+    assert _strs(v for _, v in highest_weights(t)) == [["1", "0"]]
+    assert [lam for lam, _ in highest_weights(t)] == [1]
+    assert len(list(ruling_columns(t))) == 1
 
 
 def test_weight_chain_of_sym3():
     # phi_k is the coordinate of v_k = f^k v_0, and e v_{k+1} = (k+1)(3-k) v_k
     # in Sym^3, so the columns are (k! e_k, (k+1)! e_{k+1}) over the axes
     t = _block_triple(4)
-    assert [lam for lam, _ in highest_weights(t, 4)] == [3]
-    assert _strs(u + v for u, v in ruling_columns(t, 4)) == [
+    assert [lam for lam, _ in highest_weights(t)] == [3]
+    assert _strs(u + v for u, v in ruling_columns(t)) == [
         ["1", "0", "0", "0", "0", "1", "0", "0"],
         ["0", "1", "0", "0", "0", "0", "2", "0"],
         ["0", "0", "2", "0", "0", "0", "0", "6"]]
@@ -151,8 +151,8 @@ def test_weight_chain_of_sym3():
 
 def test_weight_chain_block_sum():
     t = _block_triple(2, 4)
-    assert [lam for lam, _ in highest_weights(t, 6)] == [1, 3]
-    assert len(list(ruling_columns(t, 6))) == (2 - 1) + (4 - 1)
+    assert [lam for lam, _ in highest_weights(t)] == [1, 3]
+    assert len(list(ruling_columns(t))) == (2 - 1) + (4 - 1)
 
 
 def _unit(n, *hot):
@@ -162,8 +162,8 @@ def _unit(n, *hot):
 def test_weight_chains_are_pinned():
     # the highest-weight vectors, not only their weights; [e2, e2] has a
     # 2-dimensional highest-weight space, listed by str
-    assert _strs(v for _, v in highest_weights(_block_triple(2, 4), 6)) == _unit(6, 0, 2)
-    assert _strs(v for _, v in highest_weights(_block_triple(2, 2), 4)) == _unit(4, 2, 0)
+    assert _strs(v for _, v in highest_weights(_block_triple(2, 4))) == _unit(6, 0, 2)
+    assert _strs(v for _, v in highest_weights(_block_triple(2, 2))) == _unit(4, 2, 0)
 
 
 def test_weight_chains_pinned_after_a_change_of_basis():
@@ -171,7 +171,7 @@ def test_weight_chains_pinned_after_a_change_of_basis():
     # (-1, 1, 1, 0), both of weight 1, and its reduced echelon basis is
     # listed by str
     t = _conjugated(_block_triple(2, 2), _upper(4))
-    assert _strs(v for _, v in highest_weights(t, 4)) == \
+    assert _strs(v for _, v in highest_weights(t)) == \
         [["0", "1", "1", "0"], ["1", "0", "0", "0"]]
 
 
@@ -195,12 +195,12 @@ def test_weight_chains_eliminate_e_once(monkeypatch, request, case):
     # kernel for phi_0 of each chain with columns
     t, g = _case(case, request)
     shapes = _spy_kernels(monkeypatch)
-    tops = highest_weights(t, g)
+    tops = highest_weights(t)
     k = len(tops)
     tried = g - min(lam for lam, _ in tops)
     assert shapes == [(g, g)] + [(k, k)] * tried
     shapes.clear()
-    list(ruling_columns(t, g))
+    list(ruling_columns(t))
     with_columns = sum(1 for lam, _ in tops if lam)
     assert shapes == [(g, g)] + [(k, k)] * tried + [(g + k - 1, g)] * with_columns
 
@@ -212,11 +212,11 @@ def test_scroll_matrix_rejects_three_chains(monkeypatch):
     for t in (_block_triple(2, 2, 2), _conjugated(_block_triple(2, 2, 2), _upper(6))):
         shapes.clear()
         with pytest.raises(ChainCountUnexpected, match="found 3"):
-            highest_weights(t, 6)
+            highest_weights(t)
         assert shapes == [(6, 6)]
         shapes.clear()
         with pytest.raises(ChainCountUnexpected):
-            next(ruling_columns(t, 6))
+            next(ruling_columns(t))
         assert shapes == [(6, 6)]
 
 
@@ -233,46 +233,46 @@ def test_weight_chains_reject_f_chains_that_disagree_with_h():
     zero = _diagonal(0, 0)
     t = _triple_from_mats(zero, _diagonal(1, -1), zero)
     with pytest.raises(DecompositionFailed, match="no unique phi_0 for the weight-1 chain"):
-        list(ruling_columns(t, 2))
+        list(ruling_columns(t))
 
 
 @pytest.mark.parametrize("h", [(2, 2), (1, 1)], ids=["no-weight", "too-many"])
 def test_weights_that_do_not_fill_the_space_are_refused(h):
     zero = _diagonal(0, 0)
     with pytest.raises(DecompositionFailed, match="do not fill"):
-        list(ruling_columns(_triple_from_mats(zero, _diagonal(*h), zero), 2))
+        list(ruling_columns(_triple_from_mats(zero, _diagonal(*h), zero)))
 
 
 def test_only_weight_zero_is_refused():
     zero = _diagonal(0, 0)
     with pytest.raises(ChainCountUnexpected, match="no chain of length >= 2"):
-        next(ruling_columns(_triple_from_mats(zero, zero, zero), 2))
+        next(ruling_columns(_triple_from_mats(zero, zero, zero)))
 
 
 def test_minors_span_the_quadrics_of_proj5(proj5):
     cm = adjoint_basis(proj5)
     q = forms_through_image(proj5, cm)
-    t = split_sl2(levi(stabilizer_algebra(q, 5)))
+    t = split_sl2(levi(stabilizer_algebra(q)))
     # the scroll S(1,2) for genus 5: chains of lengths 2 and 3
-    assert [lam for lam, _ in highest_weights(t, 5)] == [1, 2]
-    vecs = minor_vectors(list(ruling_columns(t, 5)), q.monomials)
-    assert same_span(vecs, q.basis)
+    assert [lam for lam, _ in highest_weights(t)] == [1, 2]
+    vecs = minor_vectors(list(ruling_columns(t)), q.monomials)
+    assert same_span(vecs, dense_rows(q))
 
 
 def test_cone_chain_lengths_and_minor_containment():
     """Cone over the twisted cubic: one vertex chain of length 1 plus a
     length-4 chain; the three minors recover the cone's quadrics."""
-    t = split_sl2(levi(stabilizer_algebra(CONE, 5)))
-    assert [lam for lam, _ in highest_weights(t, 5)] == [0, 3]
-    cols = list(ruling_columns(t, 5))
+    t = split_sl2(levi(stabilizer_algebra(CONE)))
+    assert [lam for lam, _ in highest_weights(t)] == [0, 3]
+    cols = list(ruling_columns(t))
     assert len(cols) == 3
-    assert same_span(minor_vectors(cols, CONE.monomials), CONE.basis)
+    assert same_span(minor_vectors(cols, CONE.monomials), dense_rows(CONE))
 
 
 def test_ruling_map_columns_agree_on_curve(proj5):
     cm = adjoint_basis(proj5)
-    [t] = _curve_triples(proj5, 5)
-    cols = list(ruling_columns(t, 5))
+    [t] = _curve_triples(proj5)
+    cols = list(ruling_columns(t))
     pm = ruling_map(cols, cm, t.field)
     assert (pm.p, pm.q) == (adjoint_combination(cols[0][0], cm),
                             adjoint_combination(cols[0][1], cm))
@@ -295,8 +295,8 @@ def test_ruling_map_skips_degenerate_columns(proj5):
     # first are skipped before proj5's own columns; with only those three,
     # every column is degenerate
     cm = adjoint_basis(proj5)
-    [t] = _curve_triples(proj5, 5)
-    cols = list(ruling_columns(t, 5))
+    [t] = _curve_triples(proj5)
+    cols = list(ruling_columns(t))
     u, zero = cols[0][0], [rat(0)] * len(cols[0][0])
     bad = [(zero, u), (u, zero), (u, [rat(-3, 2) * x for x in u])]
     assert ruling_map(bad + cols, cm, QQ) == ruling_map(cols, cm, QQ)
@@ -307,7 +307,7 @@ def test_ruling_map_skips_degenerate_columns(proj5):
 def test_p1xp1_rulings_on_genus4(two_node_quintic):
     cm = adjoint_basis(two_node_quintic)
     q = forms_through_image(two_node_quintic, cm)
-    alg = stabilizer_algebra(q, 4)
+    alg = stabilizer_algebra(q)
     sem = levi(alg)
     s1, s2 = split_two_ideals(sem)
     cands, fails = rulings((s1, s2), cm)
@@ -321,7 +321,7 @@ def test_p1xp1_one_summand_fails_on_reembedded_scroll(m1_quartic):
     # decomposes into three 2-chains and is rejected
     cm = adjoint_basis(m1_quartic)
     q = forms_through_image(m1_quartic, cm)
-    alg = stabilizer_algebra(q, 6)
+    alg = stabilizer_algebra(q)
     sem = levi(alg)
     s1, s2 = split_two_ideals(sem)
     cands, fails = rulings((s1, s2), cm)

@@ -35,3 +35,17 @@ def test_the_tracer_spans_each_stage_and_restores_the_library(proj5, two_node_qu
     assert all(rec[2] is not None for rec in tracer.spans)
     assert {key: getattr(importlib.import_module(key[0]), key[1])
             for key in before} == before
+
+
+def test_the_tracer_spans_the_genus_3_pencil(klein):
+    """A genus-3 ``decide`` under the tracer records the quadric span under
+    its degree and the marked-point pencil."""
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        rep = decide(klein, seed=1)
+    finally:
+        tracer.uninstall()
+    assert (rep.case, rep.verified_degree) == ("Genus3", 3)
+    names = {rec[0] for rec in tracer.spans}
+    assert {"pipeline.g3_map", "canonical.forms_through_image.k2"} <= names
