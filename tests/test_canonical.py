@@ -242,19 +242,28 @@ def test_form_space_takes_quadrics_only(proj5):
 
 
 def test_form_space_bases_are_echelon(proj5, five_nodal_sextic):
-    """Over Q each row is a primitive integer row, keys in column order,
-    positive at its pivot and zero at the other rows' pivots, with the
-    pivots increasing; the rows span the reference's space."""
+    """Each row has its keys in column order, is positive at its pivot and
+    zero at the other rows' pivots, with the pivots increasing."""
     for curve in (proj5, five_nodal_sextic):
-        cm = adjoint_basis(curve)
-        q = forms_through_image(curve, cm)
+        q = forms_through_image(curve, adjoint_basis(curve))
         leads = [next(iter(row)) for row in q.rows]
         assert leads == sorted(set(leads))
         for row in q.rows:
             assert list(row) == sorted(row)
-            assert all(type(x) is int and x for x in row.values())
-            assert gcd(*row.values()) == 1 and row[next(iter(row))] > 0
+            assert row[next(iter(row))] > 0
             assert not any(c in row for c in leads if c != next(iter(row)))
+
+
+def test_int_rows_are_primitive_and_span_the_basis(proj5, five_nodal_sextic):
+    """Over Q each row of the quadric space is a primitive integer row, and
+    the rows span the reference's space."""
+    for curve in (proj5, five_nodal_sextic):
+        cm = adjoint_basis(curve)
+        q = forms_through_image(curve, cm)
+        assert len(q.rows) == q.dim
+        for row in q.rows:
+            assert all(type(x) is int and x for x in row.values())
+            assert gcd(*row.values()) == 1
         assert ref.same_span(ref.dense_rows(q),
                              ref.dense_rows(ref.forms_through_image(curve, cm, 2)))
 
