@@ -389,22 +389,6 @@ def _residual(reduced, vec):
     return out
 
 
-def _solve(rows, rhs):
-    """One solution x of rows . x = rhs, read off the reduced echelon form of
-    the augmented rows with the free unknowns 0, or None when the system is
-    inconsistent."""
-    n = len(rows[0])
-    aug = FpEchelon(n + 1)
-    for row, b in zip(rows, rhs):
-        aug.add(list(row) + [b])
-    if n in aug.pivots:
-        return None
-    x = [0] * n
-    for c, row in zip(aug.pivots, aug.reduced()):
-        x[c] = row.get(n, 0)
-    return x
-
-
 def derived_space(alg):
     """The derived algebra [L, L] as an exact echelon over the coordinates."""
     span = FpEchelon(alg.dim)
@@ -416,25 +400,23 @@ def derived_space(alg):
 
 def radical(alg):
     """Solvable radical: kappa-orthogonal complement of the derived algebra
-    (Cartan's criterion, characteristic zero)."""
+    (Cartan's criterion, characteristic zero).  A zero row stands in for
+    none, so an abelian L is its own radical, and [] at dim 0."""
     if alg.field.char != 0:
         raise InvalidInput("the radical computation requires characteristic zero")
-    dim = alg.dim
-    if dim == 0:
-        return []
     kappa = killing_form(alg)
-    der = derived_space(alg)
-    if der.rank == 0:
-        return [[alg.field.one() if i == j else alg.field.zero()
-                 for i in range(dim)] for j in range(dim)]
     rows = [[sum((x * v for x, v in zip(krow, d) if x and v), alg.field.zero())
-             for krow in kappa] for d in _dense(der.reduced(), dim)]
-    return kernel_basis(rows)
+             for krow in kappa] for d in _dense(derived_space(alg).reduced(), alg.dim)]
+    return kernel_basis(rows or [[0] * alg.dim])
 
 
 def levi(alg):
     """A semisimple complement of the radical, by iterative correction along
-    the derived series of the radical."""
+    the derived series R_0 > R_1 > ... of the radical (de Graaf, 2000).  Each
+    layer is one augmented ``FpEchelon``, built row by row modulo R_(k+1):
+    unknown a*nt + t is the coefficient of z_a at the t-th reduced row of
+    R_k, the last column the right-hand side.  Its reduced rows give the
+    correction, the free unknowns 0."""
     rad = radical(alg)
     if not rad:
         return alg
@@ -448,17 +430,13 @@ def levi(alg):
     comp_idx = [c for c in range(dim) if c not in set(radspace.pivots)]
     rad_rows = list(zip(radspace.pivots, radspace.reduced()))
     rc = len(comp_idx)
-    cur = []
-    for c in comp_idx:
-        v = [fld.zero()] * dim
-        v[c] = fld.one()
-        cur.append(v)
+    zero = [fld.zero()] * dim
+    cur = [[fld.one() if i == c else fld.zero() for i in range(dim)] for c in comp_idx]
     # quotient structure constants in the complement coordinates
     gamma = [[None] * rc for _ in range(rc)]
     for a in range(rc):
         for b in range(rc):
-            br = alg.bracket_coords(cur[a], cur[b])
-            res = _residual(rad_rows, br)
+            res = _residual(rad_rows, alg.bracket_coords(cur[a], cur[b]))
             gamma[a][b] = [res[ci] for ci in comp_idx]
     # derived series of the radical, each term by its reduced rows
     chain = [rad_rows]
@@ -472,57 +450,38 @@ def levi(alg):
             raise LiftingFailed("the radical is not solvable; upstream bug")
         chain.append(list(zip(nxt.pivots, nxt.reduced())))
 
-    for k in range(len(chain) - 1):
-        nk_rows, nk1_rows = chain[k], chain[k + 1]
+    for nk_rows, nk1_rows in zip(chain, chain[1:]):
         nb = _dense((row for _, row in nk_rows), dim)
         nt = len(nb)
-        nunk = rc * nt
-
-        def red(vec):
-            return _residual(nk1_rows, vec)
-
-        rows = []
-        rhs = []
+        rhs = rc * nt
+        aug = FpEchelon(rhs + 1)
         for a in range(rc):
             for b in range(a + 1, rc):
+                # each unknown to its vector; minus the defect is the right-hand side
                 defect = alg.bracket_coords(cur[a], cur[b])
-                for c in range(rc):
-                    gab = gamma[a][b][c]
+                vecs = {}
+                for t, n_t in enumerate(nb):
+                    vecs[b * nt + t] = alg.bracket_coords(cur[a], n_t)
+                    vecs[a * nt + t] = alg.bracket_coords(n_t, cur[b])
+                for c, gab in enumerate(gamma[a][b]):
                     if gab:
                         defect = [dv - gab * cv for dv, cv in zip(defect, cur[c])]
+                        for t, n_t in enumerate(nb):
+                            u = c * nt + t
+                            vecs[u] = [x - gab * y for x, y in zip(vecs.get(u, zero), n_t)]
                 if any(_residual(nk_rows, defect)):
                     raise LiftingFailed("defect left the expected radical layer")
-                coefvecs = [[fld.zero()] * dim for _ in range(nunk)]
-                for t in range(nt):
-                    v1 = alg.bracket_coords(cur[a], nb[t])       # times w[b][t]
-                    v2 = alg.bracket_coords(nb[t], cur[b])       # times w[a][t]
-                    for l in range(dim):
-                        coefvecs[b * nt + t][l] = coefvecs[b * nt + t][l] + v1[l]
-                        coefvecs[a * nt + t][l] = coefvecs[a * nt + t][l] + v2[l]
-                for c in range(rc):
-                    gab = gamma[a][b][c]
-                    if gab:
-                        for t in range(nt):
-                            for l in range(dim):
-                                coefvecs[c * nt + t][l] = (coefvecs[c * nt + t][l]
-                                                           - gab * nb[t][l])
-                dred = red(defect)
-                credlist = [red(cv) for cv in coefvecs]
+                vecs[rhs] = [-x for x in defect]
+                vecs = {u: _residual(nk1_rows, v) for u, v in vecs.items()}
                 for l in range(dim):
-                    row = [cv[l] for cv in credlist]
-                    if any(row) or dred[l]:
-                        rows.append(row)
-                        rhs.append(-dred[l] if dred[l] else fld.zero())
-        if not rows:
-            continue
-        w = _solve(rows, rhs)
-        if w is None:
+                    aug.add({u: v[l] for u, v in vecs.items() if v[l]})
+        if rhs in aug.pivots:
             raise LiftingFailed("Levi correction system is inconsistent")
-        for a in range(rc):
-            for t in range(nt):
-                c = w[a * nt + t]
-                if c:
-                    cur[a] = [cv + c * nv for cv, nv in zip(cur[a], nb[t])]
+        for u, row in zip(aug.pivots, aug.reduced()):
+            x = row.get(rhs)
+            if x:
+                a, t = divmod(u, nt)
+                cur[a] = [cv + x * nv for cv, nv in zip(cur[a], nb[t])]
 
     sub = alg.subalgebra(cur)
     if radical(sub):

@@ -33,7 +33,8 @@ from .canonical import (PetriResult, adjoint_basis, adjoint_combination,
                         forms_through_image, petri_test)
 from .curve import derived_rng
 from .errors import (CurveUnsupported, DegenerateFiber, HyperellipticInput,
-                     InvalidInput, PointNotOnCurve, TrigonalError, stage)
+                     InvalidInput, PointNotOnCurve, TrigonalError, UnsupportedInput,
+                     stage)
 from .liealg import Case, classify, stabilizer_algebra
 from .linalg import kernel_basis
 from .modular import (PRIME_WALK_START, FpEchelon, clear_denominators, fp_bivariate_table,
@@ -358,8 +359,8 @@ def _map(curve, rep):
     quadric's two; a ruling is the first nondegenerate column of
     ``scroll.ruling_columns``) is a (summand index, triple, pencil) tuple
     and goes through the fiber check; the first verified at degree 3 is the
-    map, and every draw is recorded.  With none verified, the first failure
-    is raised."""
+    map, and every draw is recorded.  With none verified, the first input
+    error among the failures is raised, else the first failure."""
     x = rep.extras
     case = Case(rep.case)
     if case in (Case.CurveCutByQuadrics, Case.Veronese):
@@ -391,7 +392,8 @@ def _map(curve, rep):
                 f"{what} verified at degree {deg}, not 3")))
     x["verified"], x["failures"] = verified, failures
     if not verified:
-        raise failures[0][1]
+        raise next((err for _, err in failures if isinstance(err, UnsupportedInput)),
+                   failures[0][1])
     pm = x["pencil"] = verified[0][-1]
     rep.trigonal = rep.map_available = True
     rep.map_p, rep.map_q = poly_str(pm.p), poly_str(pm.q)

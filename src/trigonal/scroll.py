@@ -48,11 +48,11 @@ def highest_weights(triple):
     chains than a scroll or a ruling of P1xP1 has.  h preserves ker e, and
     a vector of ker e is zero exactly when it is zero at the leads of the
     v_i, so the vectors of weight lam are the sums c_1 v_1 + ... + c_k v_k
-    with c in the kernel of the k x k rows (h v_i - lam v_i) read at the
-    leads, for lam = g-1 down to 0 until the weights fill the space.  Each
-    v_i is 1 at its lead and 0 at the others' leads, so the reduced basis
-    of c gives the reduced basis of the weight space, the one a kernel of
-    [e; h - lam*I] gives."""
+    with c in the kernel of M - lam*I, M the k x k rows (h v_i) at the
+    leads, taken at each lam in [0, g-1] where det(M - lam*I) vanishes:
+    at most two kernels.  Each v_i is 1 at its lead and 0 at the others',
+    so the reduced basis of c gives the reduced basis of the weight space,
+    the one a kernel of [e; h - lam*I] gives."""
     g = triple.n
     zero = triple.field.zero()
     top = kernel_basis([[triple.e.get(i * g + j, 0) for j in range(g)] for i in range(g)])
@@ -61,10 +61,13 @@ def highest_weights(triple):
     # row r holds (h v_i) at the lead of v_r, over i
     rows = [[_dot([triple.h.get(lead * g + j, 0) for j in range(g)], v, zero) for v in top]
             for lead in (next(j for j, x in enumerate(v) if x) for v in top)]
+    k = len(top)
+    tr = sum((rows[i][i] for i in range(k)), zero)
+    det = rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0] if k == 2 else zero
     found, filled = [], 0
     for lam in range(g - 1, -1, -1):
-        if filled >= g:
-            break
+        if (lam * lam - tr * lam + det if k == 2 else lam - tr):
+            continue
         for c in kernel_basis([[a - lam if i == r else a for i, a in enumerate(row)]
                                for r, row in enumerate(rows)]):
             found.append((lam, [_dot(c, col, zero) for col in zip(*top)]))

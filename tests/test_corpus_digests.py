@@ -10,19 +10,25 @@ checked against the known answer ``corpus.Expect`` gives, as
 ``perfbench/run.py`` checks it: genus, case and verdict, a map verified at
 degree 3, and agreement of the Lie and quadric-generation verdicts.  So the
 two verdicts agree on the whole corpus, checked here, not only in the
-benchmark.  The corpus module is imported by path and not changed."""
+benchmark.  The corpus module is imported by path and not changed.
+
+``MOVED`` pins the same two digests for projection curves after elementary
+moves of the coordinates, where the Levi correction reaches more of the
+complement than on the corpus scrolls."""
 
 import hashlib
 import importlib.util
 import json
+import random
 from functools import cache
 from pathlib import Path
 
 import pytest
 
-from trigonal.curve import validate_curve
+from trigonal.curve import gen_trigonal_projection, validate_curve
 from trigonal.errors import HyperellipticInput, UnsupportedInput
 from trigonal.pipeline import decide
+from trigonal.poly import MPoly
 
 _SPEC = importlib.util.spec_from_file_location(
     "perfbench_corpus", Path(__file__).resolve().parent.parent / "perfbench" / "corpus.py")
@@ -165,6 +171,31 @@ PINNED = {
 }
 
 
+# (d, seed) -> (report digest, counters digest) of gen_trigonal_projection(d,
+# seed=seed) after 1, 2 and 3 elementary moves x_i -> x_i + lam*x_j, drawn
+# from random.Random(f"{d}:{seed}"), decided with that seed
+MOVED = {
+    (5, 1): [("0125b51e7059abb5", "a62ba129b827a7f9"),
+             ("8ac935f388ea4a8e", "a62ba129b827a7f9"),
+             ("fa04ca0b0f0ac675", "a62ba129b827a7f9")],
+    (5, 2): [("54d1a9eaec9b689f", "a62ba129b827a7f9"),
+             ("8651e6ba2a546bad", "67603a426e6b79a0"),
+             ("a75b22a8e5257ce3", "a9ab54668244986a")],
+    (6, 1): [("869da40c81649ecb", "c1476868704f9ebc"),
+             ("650d2c1ec921bdff", "743894fc47d31a32"),
+             ("22c89f0aaeba0e99", "743894fc47d31a32")],
+    (6, 2): [("18573322fc92c109", "c1476868704f9ebc"),
+             ("83556a9f0f3fcbaf", "c1476868704f9ebc"),
+             ("e992c0579a15a2da", "c1476868704f9ebc")],
+    (7, 1): [("32b361a994d9c154", "931c2d0a5871c443"),
+             ("eb136ad4cf70fdd7", "57725cd7a8a91577"),
+             ("42669ce017a25c0d", "57725cd7a8a91577")],
+    (7, 2): [("3be4020091763607", "f5b75fdd6b11f761"),
+             ("e7ab29e7ba68f44c", "b0b74dc94e506b99"),
+             ("39352fc10223f193", "b0b74dc94e506b99")],
+}
+
+
 def _digest(obj):
     text = obj if isinstance(obj, str) else json.dumps(obj, sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()[:16]
@@ -183,12 +214,30 @@ def _outcomes(workload, seed):
     return out
 
 
+def _digests(rep):
+    """The report digest, without ``fiber_draws``, and the counters digest."""
+    exact = rep.to_dict(with_timings=False)
+    del exact["fiber_draws"]
+    return _digest(json.dumps(exact, indent=2)), _digest(rep.counters)
+
+
 def _pinned_form(item, rep, err):
     if err is not None:
         return item.name, f"{type(err).__name__}: {err}"
-    exact = rep.to_dict(with_timings=False)
-    del exact["fiber_draws"]
-    return item.name, _digest(json.dumps(exact, indent=2)), _digest(rep.counters)
+    return (item.name, *_digests(rep))
+
+
+def _moved(d, seed):
+    """gen_trigonal_projection(d, seed=seed) after each of three elementary
+    moves x_i -> x_i + lam*x_j."""
+    rng = random.Random(f"{d}:{seed}")
+    f = gen_trigonal_projection(d, seed=seed).f
+    for _ in range(3):
+        i, j = rng.sample(range(3), 2)
+        images = [MPoly.variable(3, k) for k in range(3)]
+        images[i] = images[i] + images[j] * rng.choice([-2, -1, 1, 2, 3])
+        f = f.substitute(images)
+        yield f
 
 
 @pytest.mark.parametrize("workload,seed", sorted(PINNED))
@@ -214,3 +263,9 @@ def test_corpus_answers_match_the_known_ones(workload, seed):
             assert rep.verified_degree == 3, item.name
         if rep.genus >= 4:
             assert rep.agreement is True, item.name
+
+
+@pytest.mark.parametrize("d,seed", sorted(MOVED))
+def test_moved_projections_are_pinned(d, seed):
+    got = [_digests(decide(validate_curve(f), seed=seed)) for f in _moved(d, seed)]
+    assert got == MOVED[d, seed]

@@ -9,7 +9,8 @@ from trigonal import intutil, liealg, modular
 from trigonal.canonical import (adjoint_basis, forms_through_image,
                                 monomials, petri_test)
 from trigonal.errors import (CurveUnsupported, InternalInvariantError, InvalidInput,
-                             LiftingFailed, NotSl2, UnexpectedDimension)
+                             LiftingFailed, NotSl2, SplitFailedOverExtension,
+                             UnexpectedDimension)
 from trigonal.liealg import (Case, LieAlg, classify, killing_form, levi,
                              radical, split_sl2, split_two_ideals,
                              stabilizer_algebra)
@@ -166,6 +167,22 @@ def test_split_sl2_non_split_form_goes_to_extension():
     assert t.field.delta < 0   # compact form needs an imaginary root
     # h = 2x/alpha for the first sample x = a, alpha^2 = -1
     assert {k: str(x) for k, x in t.h.items()} == {1: "-2*sqrt(-1)", 3: "2*sqrt(-1)"}
+
+
+def test_split_sl2_over_a_quadratic_field():
+    """Over Q(sqrt 2) a rational square has its root in the field: the
+    standard sl2, lifted there, splits with no further extension."""
+    t = split_sl2(_std_sl2().lift(QuadraticField(2)))
+    assert t.field == QuadraticField(2) and t.check()
+
+
+def test_split_sl2_needs_no_second_extension():
+    """so(3) lifted to Q(sqrt 2) needs sqrt(-1) to split, a second square
+    root, which is refused."""
+    alg = LieAlg(3, [_unit(3, 0, 1) | {3: rat(-1)}, _unit(3, 0, 2) | {6: rat(-1)},
+                     _unit(3, 1, 2) | {7: rat(-1)}])
+    with pytest.raises(SplitFailedOverExtension, match="second square root"):
+        split_sl2(alg.lift(QuadraticField(2)))
 
 
 def test_classify_cases(five_nodal_sextic, fermat_quintic, two_node_quintic, proj5):
@@ -494,6 +511,27 @@ def test_levi_reduces_modulo_the_next_derived_term():
     sem = levi(alg)
     assert sem.dim == 3 and not radical(sem)
     assert split_sl2(sem).check()
+
+
+def test_levi_corrects_two_layers_of_the_radical():
+    """gl2 acting on k^2 inside 3 x 3 matrices, [[A, v], [0, 0]], with a
+    basis that mixes the scalars z of the A block and the translations v
+    into every sl2 vector.  The radical, z and v, has the derived series
+    R > V > 0, so the correction runs two layers.  The Levi part is
+    semisimple, complementary to the radical, and pinned."""
+    def unit(i, j, c=1):
+        return {i * 3 + j: rat(c)}
+
+    e, h, f = unit(0, 1), _sum(unit(0, 0), unit(1, 1, -1)), unit(1, 0)
+    z, v1, v2 = _sum(unit(0, 0), unit(1, 1)), unit(0, 2), unit(1, 2)
+    alg = LieAlg(3, [_sum(e, v2, z), _sum(h, v1), _sum(f, z, v1, v2), _sum(z, v2), v1, v2])
+    rad = radical(alg)
+    assert len(rad) == 3
+    sem = levi(alg)
+    assert sem.dim == 3 and not radical(sem)
+    assert ref.rank([alg.express(b) for b in sem.basis] + rad) == alg.dim
+    assert [{k: str(x) for k, x in b.items()} for b in sem.basis] == [
+        {1: "1"}, {0: "1", 4: "-1"}, {3: "1"}]
 
 
 def test_exact_echelons_over_q_invert_no_pivot(proj5, monkeypatch):

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 import dense_reference as ref
 from trigonal.linalg import kernel_basis
-from trigonal.liealg import _solve
 from trigonal.modular import FpEchelon
 from trigonal.scalars import PrimeField, rat
 
@@ -111,17 +110,15 @@ def test_kernel_vectors_in_reduced_echelon_form():
 
 
 def test_solve_and_inverse():
-    """Solutions read off the reduced augmented rows, and the dense
-    reference's solve and inverse that the other tests lean on."""
+    """The dense reference's solve and inverse that the other tests lean
+    on."""
     m = [[rat(2), rat(1)], [rat(1), rat(1)]]
-    assert _solve(m, [rat(3), rat(2)]) == [rat(1), rat(1)]
     assert ref.solve(m, [rat(3), rat(2)]) == [rat(1), rat(1)]
     assert ref.mat_mul(m, ref.inverse(m)) == ref.identity(2)
-    for solver in (_solve, ref.solve):
-        assert solver([[rat(1), rat(1)], [rat(1), rat(1)]], [rat(0), rat(1)]) is None
+    assert ref.solve([[rat(1), rat(1)], [rat(1), rat(1)]], [rat(0), rat(1)]) is None
     # free unknowns are 0, pivot unknowns read off the augmented column
-    assert _solve([[rat(1), rat(2), rat(0)], [rat(0), rat(0), rat(3)]],
-                  [rat(5), rat(6)]) == [rat(5), 0, rat(2)]
+    assert ref.solve([[rat(1), rat(2), rat(0)], [rat(0), rat(0), rat(3)]],
+                     [rat(5), rat(6)]) == [rat(5), 0, rat(2)]
 
 
 def test_rref_is_canonical_and_deterministic():

@@ -12,7 +12,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from trigonal import curve as curve_mod, liealg, modular, pipeline
 from trigonal.canonical import adjoint_basis, cubic_count
-from trigonal.curve import gen_trigonal_projection, validate_curve
+from trigonal.cli import main
+from trigonal.curve import gen_trigonal_projection, validate_curve, write_curve_file
 from trigonal.errors import (ChainCountUnexpected, CurveUnsupported, DegenerateFiber,
                              HyperellipticInput, InvalidInput, PointNotOnCurve,
                              TrigonalError, UnsupportedInput)
@@ -467,6 +468,21 @@ def test_decide_reembedded_balanced_scroll(m1_quartic):
     # the other summand decomposes into three 2-chains
     [(_, err)] = rep.extras["failures"]
     assert isinstance(err, ChainCountUnexpected)
+
+
+def test_a_refused_summand_does_not_hide_the_map_error(m1_quartic, tmp_path, monkeypatch):
+    """With the one candidate's fiber check failing, the map stage raises
+    that input-side error, not the internal refusal of the other summand,
+    and the CLI exits 2 for it."""
+    def degenerate(*args, **kwargs):
+        raise DegenerateFiber("forced degenerate fiber")
+
+    monkeypatch.setattr(pipeline, "map_degree", degenerate)
+    with pytest.raises(DegenerateFiber, match=r"\[map\] forced degenerate fiber"):
+        decide(m1_quartic)
+    path = tmp_path / "m1.curve"
+    path.write_text(write_curve_file(m1_quartic))
+    assert main(["decide", str(path)]) == 2
 
 
 def _record_calls(monkeypatch, name):

@@ -190,14 +190,14 @@ def _spy_kernels(monkeypatch):
 @pytest.mark.parametrize("case", ["block_2_4", "conjugated_2_2", "proj5"],
                          ids=["block", "change_of_basis", "proj5"])
 def test_weight_chains_eliminate_e_once(monkeypatch, request, case):
-    # one g x g kernel of e, one k x k kernel per weight tried (the weights
-    # g-1 down to the lowest highest weight), then one (g + k - 1) x g
-    # kernel for phi_0 of each chain with columns
+    # one g x g kernel of e, one k x k kernel per distinct weight (only the
+    # eigenvalues of the k x k weight system are tried), then one
+    # (g + k - 1) x g kernel for phi_0 of each chain with columns
     t, g = _case(case, request)
     shapes = _spy_kernels(monkeypatch)
     tops = highest_weights(t)
     k = len(tops)
-    tried = g - min(lam for lam, _ in tops)
+    tried = len({lam for lam, _ in tops})
     assert shapes == [(g, g)] + [(k, k)] * tried
     shapes.clear()
     list(ruling_columns(t))
