@@ -17,6 +17,15 @@ in the parent's coordinates, and a lift coerces them, so no matrix bracket
 is formed there.  A sub-algebra's basis matrices are sums of its parent's;
 matrix products come back only where a map leaves the algebra: the check
 of a split triple and the ruling maps.
+
+Over Q every scalar of the stage that is integral is a Python int, and a
+``Fraction`` appears only where a division makes one: in a lifted
+stabilizer entry, a coordinate, a reduced echelon row (psi among them), a
+square root or the scaling of a split triple.  ``int_if_integral`` turns the
+integral results of those back into ints, and the zeros and ones the stage
+starts from are the ints 0 and 1, so structure constants of a few bits are
+added and multiplied as ints.  Over Q(sqrt delta) and F_q the scalars are
+the field's own elements.
 """
 
 import enum
@@ -28,8 +37,8 @@ from .errors import (CurveUnsupported, InternalInvariantError, InvalidInput,
                      UnexpectedDimension)
 from .linalg import kernel_basis
 from .modular import FpEchelon, certified_kernel, clear_denominators, fp_reduce
-from .scalars import (QQ, QuadExt, QuadraticField, rat, rational_square_split,
-                      sqrt_rational)
+from .scalars import (QQ, QuadExt, QuadraticField, int_if_integral,
+                      rational_square_split, scalar_form, sdiv, sqrt_rational)
 
 __all__ = ["Case", "LieAlg", "Sl2Triple", "stabilizer_algebra",
            "killing_form", "radical", "levi", "classify", "split_sl2",
@@ -42,6 +51,11 @@ class Case(enum.Enum):
     P1xP1 = "P1xP1"
     Veronese = "Veronese"
     Genus3 = "Genus3"
+
+
+def _int_rows(ech):
+    """The reduced rows of an exact echelon, integral entries as ints."""
+    return [{j: int_if_integral(x) for j, x in row.items()} for row in ech.reduced()]
 
 
 def _by_row(entries, n):
@@ -76,9 +90,11 @@ def _coordinate_map(vecs, width, fld):
     Raises ``InvalidInput`` when the vectors are dependent; the returned map
     raises ``InternalInvariantError`` for a vector outside their span."""
     dim = len(vecs)
+    conv = scalar_form(fld)
+    one = conv(1)
     ech = FpEchelon(width + dim)
     for k, v in enumerate(vecs):
-        v[width + k] = fld.one()
+        v[width + k] = one
         ech.add(v)
         if ech.pivots[-1] >= width:
             raise InvalidInput("basis vectors are dependent")
@@ -88,7 +104,7 @@ def _coordinate_map(vecs, width, fld):
         if res and min(res) < width:
             raise InternalInvariantError(
                 "element outside the algebra span (bracket closure violated)")
-        return [fld.coerce(-res.get(width + j, 0)) for j in range(dim)]
+        return [conv(-res.get(width + j, 0)) for j in range(dim)]
 
     return coords
 
@@ -96,8 +112,9 @@ def _coordinate_map(vecs, width, fld):
 def _structure_constants(dim, fld, coords):
     """``sc`` from ``coords(i, j)``, the coordinates of [b_i, b_j], i < j."""
     sc = [[None] * dim for _ in range(dim)]
+    zero = scalar_form(fld)(0)
     for i in range(dim):
-        sc[i][i] = [fld.zero()] * dim
+        sc[i][i] = [zero] * dim
         for j in range(i + 1, dim):
             c = coords(i, j)
             sc[i][j] = c
@@ -118,6 +135,11 @@ class LieAlg:
     and a lift (``lift``) take their structure constants from this
     algebra's instead; their matrix echelon is built at the first
     ``express``.
+
+    Over Q the structure constants, the coordinates of ``express`` and the
+    entries of ``element`` are ints where integral; a ``Fraction`` is kept
+    only where a division made one.  The basis is taken as given:
+    ``stabilizer_algebra`` and ``subalgebra`` hand it over in that form.
     """
 
     def __init__(self, n, basis, fld=QQ):
@@ -136,6 +158,7 @@ class LieAlg:
             raise InvalidInput("basis matrix has the wrong shape")
         self._rows = [_by_row(b, n) for b in self.basis]
         self.dim = len(self.basis)
+        self._zero = scalar_form(fld)(0)
 
     @classmethod
     def _with_sc(cls, n, basis, fld, sc):
@@ -159,7 +182,7 @@ class LieAlg:
     def bracket_coords(self, u, v):
         """Bracket of two coordinate vectors, in coordinates."""
         dim = self.dim
-        out = [self.field.zero()] * dim
+        out = [self._zero] * dim
         for i in range(dim):
             ui = u[i]
             if not ui:
@@ -177,13 +200,13 @@ class LieAlg:
 
     def element(self, coords):
         """Ambient matrix for a coordinate vector, as an {i*n + j: x} map of
-        its nonzero entries."""
+        its nonzero entries, integral ``Fraction`` entries as ints."""
         ent = {}
         for c, b in zip(coords, self.basis):
             if c:
                 for idx, x in b.items():
                     ent[idx] = ent.get(idx, 0) + c * x
-        return {idx: x for idx, x in ent.items() if x}
+        return {idx: int_if_integral(x) for idx, x in ent.items() if x}
 
     def subalgebra(self, vecs):
         """The sub-algebra spanned by the coordinate vectors ``vecs``, whose
@@ -192,7 +215,7 @@ class LieAlg:
         ``dim`` + len(vecs) columns, in this algebra's coordinates: no
         matrix bracket is formed, and a bracket outside the span of
         ``vecs`` raises ``InternalInvariantError``."""
-        vecs = [list(v) for v in vecs]
+        vecs = [[int_if_integral(x) for x in v] for v in vecs]
         coords = _coordinate_map([{i: x for i, x in enumerate(v) if x} for v in vecs],
                                  self.dim, self.field)
         sc = _structure_constants(
@@ -349,26 +372,22 @@ def stabilizer_algebra(qspace, fld=QQ, counters=None):
     sol = FpEchelon(nn)
     for v in kern:
         sol.add(v[::-1])
-    return LieAlg(g, sol.reduced(), fld)
+    return LieAlg(g, _int_rows(sol), fld)
 
 
 def killing_form(alg):
-    """kappa(b_i, b_j) = trace(ad b_i . ad b_j), from structure constants,
-    as rows."""
-    dim = alg.dim
-    fld = alg.field
-    rows = []
+    """kappa(b_i, b_j) = trace(ad b_i . ad b_j), the sum of sc[i][k][l] *
+    sc[j][l][k] over k and l, from structure constants, as rows.  The sum is
+    symmetric in i and j for any sc, so each pair i <= j is summed once,
+    over the nonzero sc[i][k][l]."""
+    dim, sc = alg.dim, alg.sc
+    rows = [[alg._zero] * dim for _ in range(dim)]
     for i in range(dim):
-        rows.append([])
-        for j in range(dim):
-            s = fld.zero()
-            for k in range(dim):
-                cik = alg.sc[i][k]
-                cjk = alg.sc[j]
-                for l in range(dim):
-                    if cik[l] and cjk[l][k]:
-                        s = s + cik[l] * cjk[l][k]
-            rows[-1].append(s)
+        terms = [(k, l, x) for k, col in enumerate(sc[i]) for l, x in enumerate(col) if x]
+        for j in range(i, dim):
+            cj = sc[j]
+            rows[i][j] = rows[j][i] = sum((x * cj[l][k] for k, l, x in terms if cj[l][k]),
+                                          alg._zero)
     return rows
 
 
@@ -405,9 +424,9 @@ def radical(alg):
     if alg.field.char != 0:
         raise InvalidInput("the radical computation requires characteristic zero")
     kappa = killing_form(alg)
-    rows = [[sum((x * v for x, v in zip(krow, d) if x and v), alg.field.zero())
-             for krow in kappa] for d in _dense(derived_space(alg).reduced(), alg.dim)]
-    return kernel_basis(rows or [[0] * alg.dim])
+    rows = [[sum((x * v for x, v in zip(krow, d) if x and v), alg._zero)
+             for krow in kappa] for d in _dense(_int_rows(derived_space(alg)), alg.dim)]
+    return [list(map(int_if_integral, v)) for v in kernel_basis(rows or [[0] * alg.dim])]
 
 
 def levi(alg):
@@ -428,16 +447,18 @@ def levi(alg):
     for v in rad:
         radspace.add(v)
     comp_idx = [c for c in range(dim) if c not in set(radspace.pivots)]
-    rad_rows = list(zip(radspace.pivots, radspace.reduced()))
+    rad_rows = list(zip(radspace.pivots, _int_rows(radspace)))
     rc = len(comp_idx)
-    zero = [fld.zero()] * dim
-    cur = [[fld.one() if i == c else fld.zero() for i in range(dim)] for c in comp_idx]
-    # quotient structure constants in the complement coordinates
-    gamma = [[None] * rc for _ in range(rc)]
+    zero, one = map(scalar_form(fld), (0, 1))
+    zeros = [zero] * dim
+    cur = [[one if i == c else zero for i in range(dim)] for c in comp_idx]
+    # quotient structure constants in the complement coordinates, a < b: the
+    # complement starts at the basis vectors, whose brackets are rows of sc
+    gamma = {}
     for a in range(rc):
-        for b in range(rc):
-            res = _residual(rad_rows, alg.bracket_coords(cur[a], cur[b]))
-            gamma[a][b] = [res[ci] for ci in comp_idx]
+        for b in range(a + 1, rc):
+            res = _residual(rad_rows, alg.sc[comp_idx[a]][comp_idx[b]])
+            gamma[a, b] = [res[ci] for ci in comp_idx]
     # derived series of the radical, each term by its reduced rows
     chain = [rad_rows]
     while chain[-1]:
@@ -448,7 +469,7 @@ def levi(alg):
                 nxt.add(alg.bracket_coords(pb[i], pb[j]))
         if nxt.rank >= len(pb):
             raise LiftingFailed("the radical is not solvable; upstream bug")
-        chain.append(list(zip(nxt.pivots, nxt.reduced())))
+        chain.append(list(zip(nxt.pivots, _int_rows(nxt))))
 
     for nk_rows, nk1_rows in zip(chain, chain[1:]):
         nb = _dense((row for _, row in nk_rows), dim)
@@ -463,12 +484,12 @@ def levi(alg):
                 for t, n_t in enumerate(nb):
                     vecs[b * nt + t] = alg.bracket_coords(cur[a], n_t)
                     vecs[a * nt + t] = alg.bracket_coords(n_t, cur[b])
-                for c, gab in enumerate(gamma[a][b]):
+                for c, gab in enumerate(gamma[a, b]):
                     if gab:
                         defect = [dv - gab * cv for dv, cv in zip(defect, cur[c])]
                         for t, n_t in enumerate(nb):
                             u = c * nt + t
-                            vecs[u] = [x - gab * y for x, y in zip(vecs.get(u, zero), n_t)]
+                            vecs[u] = [x - gab * y for x, y in zip(vecs.get(u, zeros), n_t)]
                 if any(_residual(nk_rows, defect)):
                     raise LiftingFailed("defect left the expected radical layer")
                 vecs[rhs] = [-x for x in defect]
@@ -478,7 +499,7 @@ def levi(alg):
         if rhs in aug.pivots:
             raise LiftingFailed("Levi correction system is inconsistent")
         for u, row in zip(aug.pivots, aug.reduced()):
-            x = row.get(rhs)
+            x = int_if_integral(row.get(rhs, 0))
             if x:
                 a, t = divmod(u, nt)
                 cur[a] = [cv + x * nv for cv, nv in zip(cur[a], nb[t])]
@@ -518,43 +539,65 @@ def _square_root(alg, x):
     return alg.lift(wfld), wfld, QuadExt(0, sfac, delta)
 
 
-def split_two_ideals(s):
-    """Decompose a 6-dimensional semisimple algebra into two 3-dimensional
-    ideals via the centroid; adjoins one square root when the two factors
-    are conjugate over the base field.  Returns (s1, s2).
-
-    Everything runs on the structure constants: the traceless centroid is
-    the kernel of psi.ad(b_j) = ad(b_j).psi and trace(psi) = 0 over psi in
-    gl(6), with ad(b_j)[v][c] = sc[j][c][v].  Of two 3-dimensional simple
-    ideals it is a line, and its psi acts as +-sqrt(a) on them: psi^2 = a
-    != 0.  The images of the idempotents (psi +- sqrt a)/(2 sqrt a) are the
-    ideals, sub-algebras whose structure constants come from those of
-    ``s``.  Only the sort key, which orders the ideals by their basis
-    matrices, reads ambient entries."""
-    if s.dim != 6:
-        raise InvalidInput("ideal split expects a 6-dimensional algebra")
+def _centroid_rows(s):
+    """The equations psi.ad(b_j) = ad(b_j).psi over psi in gl(dim), with
+    ad(b_j)[v][c] = sc[j][c][v] and psi[u][v] the unknown u*dim + v, as
+    sparse rows: one per entry [r][c], for j, r, c in order."""
     dim = s.dim
-    nn = dim * dim
-    fld = s.field
-    cent = FpEchelon(nn)
-    cent.add({i * (dim + 1): fld.one() for i in range(dim)})
     for ad in s.sc:
         for r in range(dim):
             for c in range(dim):
-                # (psi.ad - ad.psi)[r][c], psi[u][v] the unknown u*dim + v
+                # (psi.ad - ad.psi)[r][c]
                 row = {r * dim + v: x for v, x in enumerate(ad[c]) if x}
                 for u in range(dim):
                     x = ad[u][r]
                     if x:
                         k = u * dim + c
                         row[k] = row[k] - x if k in row else -x
-                cent.add(row)
+                yield row
+
+
+def split_two_ideals(s):
+    """Decompose a 6-dimensional semisimple algebra into two 3-dimensional
+    ideals via the centroid; adjoins one square root when the two factors
+    are conjugate over the base field.  Returns (s1, s2).
+
+    Everything runs on the structure constants: the traceless centroid is
+    the kernel of trace(psi) = 0 and the ``_centroid_rows`` over psi in
+    gl(6).  Of two 3-dimensional simple ideals it is a line, and its psi
+    acts as +-sqrt(a) on them: psi^2 = a != 0.  The rows go into one exact
+    echelon after the trace until its rank is 35, one short of full: its
+    kernel is then a line, psi, which holds the centroid.  Each row left is
+    only checked at psi, exactly: if all vanish there, psi spans the
+    traceless centroid, and if one does not, that centroid is 0, and
+    ``UnexpectedDimension`` is raised as for any dimension but 1.  The
+    images of the idempotents (psi +- sqrt a)/(2 sqrt a), the column spans
+    of psi +- sqrt a, are the ideals, sub-algebras whose structure constants
+    come from those of ``s``.  Only the sort key, which orders the ideals by
+    their basis matrices, reads ambient entries."""
+    if s.dim != 6:
+        raise InvalidInput("ideal split expects a 6-dimensional algebra")
+    dim = s.dim
+    nn = dim * dim
+    fld = s.field
+    conv = scalar_form(fld)
+    rows = _centroid_rows(s)
+    cent = FpEchelon(nn)
+    cent.add({i * (dim + 1): conv(1) for i in range(dim)})
+    for row in rows:
+        if cent.add(row) and cent.rank == nn - 1:
+            break
     cent = cent.reduced_kernel(nn)
+    if len(cent) == 1:
+        # psi cleared of denominators over Q: the same zeros, on ints
+        at = clear_denominators(cent[0])[0] if fld == QQ else cent[0]
+        if any(sum(x * at[k] for k, x in row.items() if k in at) for row in rows):
+            cent = []
     if len(cent) != 1:
         raise UnexpectedDimension(
             f"traceless centroid has dimension {len(cent)}; expected 1")
     psi_vec = cent[0]
-    psi = _by_row({k: fld.coerce(x) for k, x in psi_vec.items()}, dim)
+    psi = _by_row({k: conv(x) for k, x in psi_vec.items()}, dim)
     psi2 = {}
     for r, row in psi.items():
         for u, x in row.items():
@@ -566,18 +609,14 @@ def split_two_ideals(s):
             i * (dim + 1): a for i in range(dim)}:
         raise UnexpectedDimension("centroid is not etale of degree 2")
     work, wfld, root = _square_root(s, a)
-    half = 1 / (2 * root)
-    zero, one = wfld.zero(), wfld.one()
-    # column j of the idempotent (psi + sqrt a) / (2 sqrt a) and of 1 minus it
-    proj = [[half * (wfld.coerce(psi_vec.get(i * dim + j, 0))
-                     + (root if i == j else zero)) for i in range(dim)]
-            for j in range(dim)]
+    conv = scalar_form(wfld)
     ideals = []
-    for cols in (proj, [[(one if i == j else zero) - x for i, x in enumerate(col)]
-                        for j, col in enumerate(proj)]):
+    # the image of the idempotent (psi + r) / 2r is the column span of psi + r
+    for r in (root, -root):
         img = FpEchelon(dim)
-        for col in cols:
-            img.add(col)
+        for j in range(dim):
+            img.add([conv(psi_vec.get(i * dim + j, 0)) + (r if i == j else 0)
+                     for i in range(dim)])
         if img.rank != 3:
             raise UnexpectedDimension(
                 f"centroid idempotent has rank {img.rank}; expected 3")
@@ -619,8 +658,7 @@ _SPLIT_SAMPLES = [
 def _ad(alg, x):
     """ad(x) as rows, for x in coordinates, read off the structure
     constants: ad(x)[k][j] = sum_i x_i sc[i][j][k]."""
-    zero = alg.field.zero()
-    out = [[zero] * alg.dim for _ in range(alg.dim)]
+    out = [[alg._zero] * alg.dim for _ in range(alg.dim)]
     for xi, sci in zip(x, alg.sc):
         if xi:
             for j, col in enumerate(sci):
@@ -652,7 +690,7 @@ def split_sl2(s):
     fld = s.field
     chosen = None
     for sample in _SPLIT_SAMPLES:
-        coords = [fld.coerce(c) for c in sample]
+        coords = list(map(scalar_form(fld), sample))
         c2, c1, c0 = _charpoly3(_ad(s, coords))
         if c2 or c0:
             raise NotSl2("ad(x) has nonzero trace or determinant")
@@ -668,27 +706,28 @@ def split_sl2(s):
     coords, alpha_sq = chosen
     # ad(x) has eigenvalues 0 and +-alpha, so ad(2x/alpha) has 0 and +-2
     work, wfld, alpha = _square_root(s, alpha_sq)
-    h_coords = [2 * wfld.coerce(c) / alpha for c in coords]
+    conv = scalar_form(wfld)
+    h_coords = [conv(sdiv(2 * c, alpha)) for c in coords]
 
     adh = _ad(work, h_coords)
-    two = wfld.coerce(rat(2))
-    eig_e = kernel_basis([[adh[i][j] - (two if i == j else wfld.zero())
+    zero, two = conv(0), conv(2)
+    eig_e = kernel_basis([[adh[i][j] - (two if i == j else zero)
                            for j in range(3)] for i in range(3)])
-    eig_f = kernel_basis([[adh[i][j] + (two if i == j else wfld.zero())
+    eig_f = kernel_basis([[adh[i][j] + (two if i == j else zero)
                            for j in range(3)] for i in range(3)])
     if len(eig_e) != 1 or len(eig_f) != 1:
         raise NotSl2("ad(h) eigenspaces for +-2 are not one-dimensional")
-    e_coords = [wfld.coerce(x) if isinstance(x, int) else x for x in eig_e[0]]
-    f0_coords = [wfld.coerce(x) if isinstance(x, int) else x for x in eig_f[0]]
+    e_coords = list(map(conv, eig_e[0]))
+    f0_coords = list(map(conv, eig_f[0]))
     br = work.bracket_coords(e_coords, f0_coords)
     piv = next(i for i in range(3) if h_coords[i])
-    c = br[piv] / h_coords[piv]
+    c = conv(sdiv(br[piv], h_coords[piv]))
     if not c:
         raise NotSl2("[e, f] is not a nonzero multiple of h")
     for i in range(3):
         if br[i] != c * h_coords[i]:
             raise NotSl2("[e, f] is not parallel to h")
-    f_coords = [x / c for x in f0_coords]
+    f_coords = [conv(sdiv(x, c)) for x in f0_coords]
     triple = Sl2Triple(e=work.element(e_coords), h=work.element(h_coords),
                        f=work.element(f_coords), n=work.n, field=wfld)
     triple.check()

@@ -27,6 +27,22 @@ def is_rational(x):
     return isinstance(x, _RAT_TYPES)
 
 
+def int_if_integral(x):
+    """x as an int when it is a ``Fraction`` with denominator 1, else x
+    itself.  The int has the same str, == and hash, and its arithmetic makes
+    no ``Fraction``."""
+    if type(x) is Fraction and x.denominator == 1:
+        return x.numerator
+    return x
+
+
+def scalar_form(fld):
+    """The map to the lean form of a scalar over ``fld``: over Q an int when
+    integral (``int_if_integral``), otherwise the field's own element
+    (``fld.coerce``).  Its values at 0 and 1 are that form's zero and one."""
+    return int_if_integral if fld == QQ else fld.coerce
+
+
 def sinv(b):
     """Exact scalar inverse that never produces floats: bare ints are
     interpreted as rational integers."""
@@ -42,12 +58,16 @@ def sinv(b):
 
 
 def sdiv(a, b):
-    """Exact scalar division (see sinv)."""
+    """Exact scalar division (see sinv); an int by an int is an int when it
+    divides, a ``rat`` otherwise."""
     if isinstance(b, int):
         if b == 1:
             return a
         if b == -1:
             return -a
+        if type(a) is int:
+            q, r = divmod(a, b)
+            return rat(a, b) if r else q
     return a * sinv(b)
 
 

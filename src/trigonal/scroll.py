@@ -24,6 +24,7 @@ from .errors import (AllColumnsDegenerate, ChainCountUnexpected,
                      DecompositionFailed, TrigonalError)
 from .linalg import kernel_basis
 from .poly import MPoly
+from .scalars import int_if_integral, scalar_form, sdiv
 
 __all__ = ["PencilMap", "highest_weights", "ruling_columns", "ruling_map",
            "rulings", "minor_vectors"]
@@ -54,7 +55,7 @@ def highest_weights(triple):
     so the reduced basis of c gives the reduced basis of the weight space,
     the one a kernel of [e; h - lam*I] gives."""
     g = triple.n
-    zero = triple.field.zero()
+    zero = scalar_form(triple.field)(0)
     top = kernel_basis([[triple.e.get(i * g + j, 0) for j in range(g)] for i in range(g)])
     if len(top) > 2:
         raise ChainCountUnexpected(f"expected at most two chains, found {len(top)}")
@@ -84,8 +85,7 @@ def ruling_columns(triple):
     lam.  phi_0 of v is one kernel of g + k - 1 rows, the columns of f and
     the other highest-weight vector, scaled to 1 at v."""
     g = triple.n
-    fld = triple.field
-    zero = fld.zero()
+    zero = scalar_form(triple.field)(0)
     tops = highest_weights(triple)
     if not any(lam for lam, _ in tops):
         raise ChainCountUnexpected("no chain of length >= 2")
@@ -97,13 +97,15 @@ def ruling_columns(triple):
         phi = kernel_basis(im_f + [w for _, w in tops if w is not v])
         if len(phi) != 1 or not (at_v := _dot(phi[0], v, zero)):
             raise DecompositionFailed(f"no unique phi_0 for the weight-{lam} chain")
-        cur = [fld.coerce(x / at_v) for x in phi[0]]
+        # ints where integral, so that sdiv divides them as ints
+        at_v = int_if_integral(at_v)
+        cur = [int_if_integral(sdiv(int_if_integral(x), at_v)) for x in phi[0]]
         for k in range(lam):
             nxt = [zero] * g
             for (i, j), x in e:
                 if cur[i]:
                     nxt[j] += cur[i] * x
-            nxt = [x / (lam - k) for x in nxt]
+            nxt = [int_if_integral(sdiv(x, lam - k)) for x in nxt]
             yield cur, nxt
             cur = nxt
 

@@ -1,5 +1,8 @@
+import importlib.util
 import random
+from fractions import Fraction
 from itertools import islice
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,16 +11,23 @@ import dense_reference as ref
 from trigonal import intutil, liealg, modular
 from trigonal.canonical import (adjoint_basis, forms_through_image,
                                 monomials, petri_test)
-from trigonal.errors import (CurveUnsupported, InternalInvariantError, InvalidInput,
-                             LiftingFailed, NotSl2, SplitFailedOverExtension,
-                             UnexpectedDimension)
+from trigonal.curve import validate_curve
+from trigonal.errors import (ChainCountUnexpected, CurveUnsupported,
+                             InternalInvariantError, InvalidInput, LiftingFailed,
+                             NotSl2, SplitFailedOverExtension, UnexpectedDimension)
 from trigonal.liealg import (Case, LieAlg, classify, killing_form, levi,
                              radical, split_sl2, split_two_ideals,
                              stabilizer_algebra)
 from trigonal.linalg import kernel_basis
-from trigonal.scalars import QQ, QuadraticField, rat
+from trigonal.scalars import QQ, QuadExt, QuadraticField, rat
+from trigonal.scroll import ruling_columns
 
 WALK = list(islice(modular.primes_below(modular.PRIME_WALK_START), 2))
+
+_SPEC = importlib.util.spec_from_file_location(
+    "perfbench_corpus", Path(__file__).resolve().parent.parent / "perfbench" / "corpus.py")
+corpus = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(corpus)
 
 
 def _sum(*mats, scale=1):
@@ -174,6 +184,7 @@ def test_split_sl2_over_a_quadratic_field():
     standard sl2, lifted there, splits with no further extension."""
     t = split_sl2(_std_sl2().lift(QuadraticField(2)))
     assert t.field == QuadraticField(2) and t.check()
+    assert all(type(x) is QuadExt for m in (t.e, t.h, t.f) for x in m.values())
 
 
 def test_split_sl2_needs_no_second_extension():
@@ -655,3 +666,109 @@ def test_structure_constants_match_the_dense_reference(family, n, conj, mix, lif
     m = alg.element(coords)
     assert alg.express(m) == coords
     assert alg.element(alg.express(m)) == m
+
+
+def _lean(values, fld):
+    """Every scalar an int when integral and a ``Fraction`` otherwise over
+    Q, a ``QuadExt`` over Q(sqrt delta); never a float."""
+    if fld != QQ:
+        return all(type(x) is QuadExt for x in values)
+    return all(type(x) is int or (type(x) is Fraction and x.denominator != 1)
+               for x in values)
+
+
+def _algebra_scalars(alg):
+    return ([x for b in alg.basis for x in b.values()]
+            + [x for row in alg.sc for c in row for x in c])
+
+
+@pytest.mark.parametrize("workload", ["small_mixed", "trigonal_hi"])
+def test_the_lie_stage_keeps_integral_rationals_as_ints(workload):
+    """On the accepted benchmark inputs of seed 1 from genus 4 up: the
+    stabilizer basis, its structure constants, the Levi part, the ideals,
+    each split triple and each ruling column hold ints where integral and
+    a ``Fraction`` only where a division made one.  A summand whose ker e
+    shows three chains has no columns; the other summand gives the map."""
+    seen = {"sc": 0, "triple": 0, "columns": 0}
+    for item in corpus.build(workload, 1):
+        if item.expect.kind != "accept" or item.expect.genus < 4:
+            continue
+        curve = validate_curve(item.f)
+        alg = stabilizer_algebra(forms_through_image(curve, adjoint_basis(curve)))
+        _, _, summands = classify(alg)
+        for sub in [alg, levi(alg)] + summands:
+            assert _lean(_algebra_scalars(sub), sub.field), item.name
+            seen["sc"] += sub.dim
+        for s in summands:
+            t = split_sl2(s)
+            assert _lean([x for m in (t.e, t.h, t.f) for x in m.values()], t.field)
+            seen["triple"] += 1
+            try:
+                columns = list(ruling_columns(t))
+            except ChainCountUnexpected:
+                continue
+            assert _lean([x for u, v in columns for x in u + v], t.field)
+            seen["columns"] += len(columns)
+    assert all(seen.values())
+
+
+def _sl2_plus_sl2():
+    """sl2 + sl2 in block-diagonal 4 x 4 matrices, e1, h1, f1, e2, h2, f2."""
+    def block(o):
+        return (_unit(4, o, o + 1), _sum(_unit(4, o, o), _unit(4, o + 1, o + 1), scale=-1),
+                _unit(4, o + 1, o))
+    return LieAlg(4, [*block(0), *block(2)])
+
+
+class _CentroidSpy(modular.FpEchelon):
+    """An exact echelon that records the rows fed to a 36-column one, the
+    centroid system of a 6-dimensional algebra."""
+    fed = []
+
+    def add(self, row):
+        if self.ncols == 36:
+            self.fed.append(row)
+        return super().add(row)
+
+
+def test_a_centroid_row_left_after_the_rank_is_reached_is_checked(monkeypatch):
+    """sl2 + sl2 with one structure constant changed by hand (no longer a
+    Lie algebra): ad(b_5) also maps b_3 to b_0, coupling the blocks.  The
+    trace row and the rows of ad(b_0), ..., ad(b_4), at most 181 rows, reach
+    rank 35 with kernel psi = 1 (+) -1, so the echelon takes no row of
+    ad(b_5); the row of the changed entry does not vanish at psi, and the
+    traceless centroid is 0."""
+    alg = _sl2_plus_sl2()
+    assert [s.dim for s in split_two_ideals(alg)] == [3, 3]
+    sc = [[list(c) for c in row] for row in alg.sc]
+    sc[5][3][0] = 1
+    bad = LieAlg._with_sc(4, alg.basis, QQ, sc)
+    monkeypatch.setattr(_CentroidSpy, "fed", [])
+    monkeypatch.setattr(liealg, "FpEchelon", _CentroidSpy)
+    with pytest.raises(UnexpectedDimension,
+                       match="^traceless centroid has dimension 0; expected 1$"):
+        split_two_ideals(bad)
+    assert len(_CentroidSpy.fed) <= 1 + 5 * 36
+
+
+def test_the_centroid_echelon_stops_at_rank_35(two_node_quintic, monkeypatch):
+    """On the two-node quintic (P1xP1) the centroid echelon takes fewer rows
+    than the 216 of the system.  The whole system has a one-dimensional
+    traceless centroid too, so the line is the same, and the split gives two
+    commuting ideals."""
+    alg = stabilizer_algebra(forms_through_image(two_node_quintic,
+                                                 adjoint_basis(two_node_quintic)))
+    sem = levi(alg)
+    monkeypatch.setattr(_CentroidSpy, "fed", [])
+    monkeypatch.setattr(liealg, "FpEchelon", _CentroidSpy)
+    s1, s2 = split_two_ideals(sem)
+    assert 35 <= len(_CentroidSpy.fed) < 216
+    full = modular.FpEchelon(36)
+    full.add({i * 7: 1 for i in range(6)})
+    for row in liealg._centroid_rows(sem):
+        full.add(row)
+    assert len(full.reduced_kernel(36)) == 1
+    assert s1.dim == s2.dim == 3
+    for b1 in s1.basis:
+        for b2 in s2.basis:
+            assert _br(b1, b2, 4) == {}

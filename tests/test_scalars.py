@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from trigonal import intutil
 from trigonal.errors import CurveUnsupported, InvalidInput
 from trigonal.scalars import (QQ, FpElt, PrimeField, QuadExt, QuadraticField,
-                              is_rational, rat, rational_square_split,
-                              sdiv, sinv, sqrt_rational)
+                              int_if_integral, is_rational, rat,
+                              rational_square_split, sdiv, sinv, sqrt_rational)
 
 
 def test_rational_lowest_terms():
@@ -151,6 +151,10 @@ def test_strong_lucas_test_matches_its_definition():
 def test_sdiv_never_floats():
     assert sdiv(1, 1) == 1
     assert sdiv(rat(3), 2) == rat(3, 2)
+    assert [(x, type(x)) for x in (sdiv(-6, 3), sdiv(3, -2), sdiv(0, 5))] == [
+        (-2, int), (rat(-3, 2), rat), (0, int)]
+    assert [(x, type(x)) for x in map(int_if_integral, (rat(4, 2), rat(1, 2), 3))] == [
+        (2, int), (rat(1, 2), rat), (3, int)]
     assert sinv(rat(2, 3)) == rat(3, 2)
     assert sinv(FpElt(2, 101)) == FpElt(51, 101)
     v = sinv(QuadExt(0, 1, 5))
