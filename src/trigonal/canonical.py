@@ -23,7 +23,7 @@ from .errors import (AdjointDimensionMismatch, InvalidInput,
 from .linalg import kernel_basis
 from .modular import FpEchelon, clear_denominators
 from .poly import MPoly, taylor_rows
-from .scalars import is_rational
+from .scalars import int_if_integral
 
 
 @cache
@@ -115,9 +115,7 @@ def _coded_terms(form, base):
     """The terms c * x^a y^b z^e of a ternary form as (a*base + b, c) pairs,
     with an integral rational c as an int.  While every degree stays below
     ``base``, the code of a product of monomials is the sum of theirs."""
-    return [(e[0] * base + e[1],
-             int(c) if is_rational(c) and c.denominator == 1 else c)
-            for e, c in form.terms.items()]
+    return [(e[0] * base + e[1], int_if_integral(c)) for e, c in form.terms.items()]
 
 
 def forms_through_image(curve, cm, k=2):

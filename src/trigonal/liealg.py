@@ -21,11 +21,12 @@ of a split triple and the ruling maps.
 Over Q every scalar of the stage that is integral is a Python int, and a
 ``Fraction`` appears only where a division makes one: in a lifted
 stabilizer entry, a coordinate, a reduced echelon row (psi among them), a
-square root or the scaling of a split triple.  ``int_if_integral`` turns the
-integral results of those back into ints, and the zeros and ones the stage
-starts from are the ints 0 and 1, so structure constants of a few bits are
-added and multiplied as ints.  Over Q(sqrt delta) and F_q the scalars are
-the field's own elements.
+square root or the scaling of a split triple.  The exact echelon and
+``sdiv`` give each integral quotient as an int, ``element`` turns an
+integral sum of ``Fraction`` products into one, and the zeros and ones the
+stage starts from are the ints 0 and 1, so structure constants of a few
+bits are added and multiplied as ints.  Over Q(sqrt delta) and F_q the
+scalars are the field's own elements.
 """
 
 import enum
@@ -51,11 +52,6 @@ class Case(enum.Enum):
     P1xP1 = "P1xP1"
     Veronese = "Veronese"
     Genus3 = "Genus3"
-
-
-def _int_rows(ech):
-    """The reduced rows of an exact echelon, integral entries as ints."""
-    return [{j: int_if_integral(x) for j, x in row.items()} for row in ech.reduced()]
 
 
 def _by_row(entries, n):
@@ -215,7 +211,6 @@ class LieAlg:
         ``dim`` + len(vecs) columns, in this algebra's coordinates: no
         matrix bracket is formed, and a bracket outside the span of
         ``vecs`` raises ``InternalInvariantError``."""
-        vecs = [[int_if_integral(x) for x in v] for v in vecs]
         coords = _coordinate_map([{i: x for i, x in enumerate(v) if x} for v in vecs],
                                  self.dim, self.field)
         sc = _structure_constants(
@@ -372,7 +367,7 @@ def stabilizer_algebra(qspace, fld=QQ, counters=None):
     sol = FpEchelon(nn)
     for v in kern:
         sol.add(v[::-1])
-    return LieAlg(g, _int_rows(sol), fld)
+    return LieAlg(g, sol.reduced(), fld)
 
 
 def killing_form(alg):
@@ -425,8 +420,8 @@ def radical(alg):
         raise InvalidInput("the radical computation requires characteristic zero")
     kappa = killing_form(alg)
     rows = [[sum((x * v for x, v in zip(krow, d) if x and v), alg._zero)
-             for krow in kappa] for d in _dense(_int_rows(derived_space(alg)), alg.dim)]
-    return [list(map(int_if_integral, v)) for v in kernel_basis(rows or [[0] * alg.dim])]
+             for krow in kappa] for d in _dense(derived_space(alg).reduced(), alg.dim)]
+    return kernel_basis(rows or [[0] * alg.dim])
 
 
 def levi(alg):
@@ -447,7 +442,7 @@ def levi(alg):
     for v in rad:
         radspace.add(v)
     comp_idx = [c for c in range(dim) if c not in set(radspace.pivots)]
-    rad_rows = list(zip(radspace.pivots, _int_rows(radspace)))
+    rad_rows = list(zip(radspace.pivots, radspace.reduced()))
     rc = len(comp_idx)
     zero, one = map(scalar_form(fld), (0, 1))
     zeros = [zero] * dim
@@ -469,7 +464,7 @@ def levi(alg):
                 nxt.add(alg.bracket_coords(pb[i], pb[j]))
         if nxt.rank >= len(pb):
             raise LiftingFailed("the radical is not solvable; upstream bug")
-        chain.append(list(zip(nxt.pivots, _int_rows(nxt))))
+        chain.append(list(zip(nxt.pivots, nxt.reduced())))
 
     for nk_rows, nk1_rows in zip(chain, chain[1:]):
         nb = _dense((row for _, row in nk_rows), dim)
@@ -499,7 +494,7 @@ def levi(alg):
         if rhs in aug.pivots:
             raise LiftingFailed("Levi correction system is inconsistent")
         for u, row in zip(aug.pivots, aug.reduced()):
-            x = int_if_integral(row.get(rhs, 0))
+            x = row.get(rhs, 0)
             if x:
                 a, t = divmod(u, nt)
                 cur[a] = [cv + x * nv for cv, nv in zip(cur[a], nb[t])]
@@ -707,7 +702,7 @@ def split_sl2(s):
     # ad(x) has eigenvalues 0 and +-alpha, so ad(2x/alpha) has 0 and +-2
     work, wfld, alpha = _square_root(s, alpha_sq)
     conv = scalar_form(wfld)
-    h_coords = [conv(sdiv(2 * c, alpha)) for c in coords]
+    h_coords = [sdiv(2 * c, alpha) for c in coords]
 
     adh = _ad(work, h_coords)
     zero, two = conv(0), conv(2)
@@ -721,13 +716,13 @@ def split_sl2(s):
     f0_coords = list(map(conv, eig_f[0]))
     br = work.bracket_coords(e_coords, f0_coords)
     piv = next(i for i in range(3) if h_coords[i])
-    c = conv(sdiv(br[piv], h_coords[piv]))
+    c = sdiv(br[piv], h_coords[piv])
     if not c:
         raise NotSl2("[e, f] is not a nonzero multiple of h")
     for i in range(3):
         if br[i] != c * h_coords[i]:
             raise NotSl2("[e, f] is not parallel to h")
-    f_coords = [conv(sdiv(x, c)) for x in f0_coords]
+    f_coords = [sdiv(x, c) for x in f0_coords]
     triple = Sl2Triple(e=work.element(e_coords), h=work.element(h_coords),
                        f=work.element(f_coords), n=work.n, field=wfld)
     triple.check()

@@ -4,9 +4,9 @@
 no modulus and returns the kernel as dense lists in reduced echelon form,
 which depends only on the kernel, so identical inputs give byte-identical
 bases.  Integer 0 stands for the zero of any field; scalar classes all
-interoperate with it.  Over Q a row may hold ints, ``Fraction``s or both
-(the Lie stage keeps each integral rational an int); the basis holds the
-int 0 for its zeros and a ``Fraction`` for each other entry.
+interoperate with it.  Over Q a row may hold ints, ``Fraction``s or both,
+and the basis holds an int for each integral entry and a ``Fraction`` for
+each other one.
 """
 
 from .errors import InvalidInput

@@ -46,7 +46,7 @@ from operator import attrgetter
 from .errors import (CurveUnsupported, InternalInvariantError, InvalidInput,
                      LiftingFailed)
 from .intutil import is_prime
-from .scalars import QQ, FpElt, PrimeField, QuadExt, is_rational, rat, sinv
+from .scalars import QQ, FpElt, PrimeField, QuadExt, is_rational, rat, sdiv, sinv
 
 _DENOMINATOR = attrgetter("denominator")
 
@@ -727,8 +727,9 @@ class FpEchelon:
       exact division by the previous pivot.
       ``add``, ``contains`` and ``rank`` make no rational; ``residue``
       carries one rational scale and multiplies it out on return, and
-      ``reduced`` and ``kernel`` divide only at the end, so every value a
-      caller reads equals that of the elimination with pivots 1.  A row
+      ``reduced`` and ``kernel`` divide only at the end, with ``sdiv``, so
+      every value a caller reads equals that of the elimination with pivots
+      1, an int where it is integral and a ``rat`` otherwise.  A row
       with an entry outside Q raises ``InternalInvariantError`` here;
     * exactly otherwise (an entry in Q(sqrt delta) or F_q), with the pivot
       normalized to 1 by ``sinv``; rational entries are elements of that
@@ -823,11 +824,11 @@ class FpEchelon:
     def residue(self, row):
         """``row`` as a sparse row, reduced against the stored rows until it
         is empty or its lowest column is not a pivot; mod p only that lowest
-        entry is reduced."""
+        entry is reduced.  On integer rows an integral entry is an int."""
         rest, num, den = self._reduce(row)
         if num == den == 1:
             return rest
-        return {j: rat(x * num, den) for j, x in rest.items()}
+        return {j: sdiv(x * num, den) for j, x in rest.items()}
 
     def contains(self, row):
         return not self._reduce(row)[0]
@@ -855,7 +856,8 @@ class FpEchelon:
 
     def reduced(self):
         """The stored rows in reduced echelon form with pivot 1, in pivot
-        order."""
+        order.  On integer rows each entry is the stored one over the pivot
+        by ``sdiv``: an int where the pivot divides it."""
         integral = self.integral
         done = {}
         for c in reversed(self.pivots):
@@ -870,7 +872,7 @@ class FpEchelon:
                 _divide_content(row)
             done[c] = self._clean(row)
         if integral:
-            return [{j: rat(x, done[c][c]) for j, x in done[c].items()}
+            return [{j: sdiv(x, done[c][c]) for j, x in done[c].items()}
                     for c in self.pivots]
         return [done[c] for c in self.pivots]
 

@@ -58,17 +58,12 @@ def sinv(b):
 
 
 def sdiv(a, b):
-    """Exact scalar division (see sinv); an int by an int is an int when it
-    divides, a ``rat`` otherwise."""
-    if isinstance(b, int):
-        if b == 1:
-            return a
-        if b == -1:
-            return -a
-        if type(a) is int:
-            q, r = divmod(a, b)
-            return rat(a, b) if r else q
-    return a * sinv(b)
+    """Exact scalar division (see sinv); a rational quotient is an int when
+    it is integral, a ``rat`` otherwise."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return rat(a, b) if r else q
+    return int_if_integral(a * sinv(b))
 
 
 def sqrt_rational(q):
@@ -305,12 +300,6 @@ class RationalField:
     name = "Q"
     char = 0
 
-    def zero(self):
-        return rat(0)
-
-    def one(self):
-        return rat(1)
-
     def coerce(self, x):
         if type(x) is Fraction:
             return x
@@ -342,12 +331,6 @@ class QuadraticField:
         self.delta = delta
         self.name = f"Q(sqrt({delta}))"
 
-    def zero(self):
-        return QuadExt(0, 0, self.delta)
-
-    def one(self):
-        return QuadExt(1, 0, self.delta)
-
     def coerce(self, x):
         if is_rational(x):
             return QuadExt(x, 0, self.delta)
@@ -374,12 +357,6 @@ class PrimeField:
         self.p = p
         self.char = p
         self.name = f"Fp {p}"
-
-    def zero(self):
-        return FpElt(0, self.p)
-
-    def one(self):
-        return FpElt(1, self.p)
 
     def coerce(self, x):
         if isinstance(x, int):

@@ -24,7 +24,7 @@ from .errors import (AllColumnsDegenerate, ChainCountUnexpected,
                      DecompositionFailed, TrigonalError)
 from .linalg import kernel_basis
 from .poly import MPoly
-from .scalars import int_if_integral, scalar_form, sdiv
+from .scalars import scalar_form, sdiv
 
 __all__ = ["PencilMap", "highest_weights", "ruling_columns", "ruling_map",
            "rulings", "minor_vectors"]
@@ -97,15 +97,13 @@ def ruling_columns(triple):
         phi = kernel_basis(im_f + [w for _, w in tops if w is not v])
         if len(phi) != 1 or not (at_v := _dot(phi[0], v, zero)):
             raise DecompositionFailed(f"no unique phi_0 for the weight-{lam} chain")
-        # ints where integral, so that sdiv divides them as ints
-        at_v = int_if_integral(at_v)
-        cur = [int_if_integral(sdiv(int_if_integral(x), at_v)) for x in phi[0]]
+        cur = [sdiv(x, at_v) for x in phi[0]]
         for k in range(lam):
             nxt = [zero] * g
             for (i, j), x in e:
                 if cur[i]:
                     nxt[j] += cur[i] * x
-            nxt = [int_if_integral(sdiv(x, lam - k)) for x in nxt]
+            nxt = [sdiv(x, lam - k) for x in nxt]
             yield cur, nxt
             cur = nxt
 

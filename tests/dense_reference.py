@@ -399,7 +399,7 @@ def forms_through_image(curve, cm, k):
                 prod = prod * power(i, e)
         products.append(prod)
     if big - d >= 0:
-        one = rat(1) if curve.field.char == 0 else curve.field.one()
+        one = rat(1) if curve.field.char == 0 else curve.field.coerce(1)
         products += [curve.f * MPoly.monomial(3, beta, one)
                      for beta in monomials(3, big - d)]
     for col, prod in enumerate(products):

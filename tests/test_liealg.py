@@ -772,3 +772,19 @@ def test_the_centroid_echelon_stops_at_rank_35(two_node_quintic, monkeypatch):
     for b1 in s1.basis:
         for b2 in s2.basis:
             assert _br(b1, b2, 4) == {}
+
+
+def test_the_centroid_split_runs_over_a_quadratic_field():
+    """sl2 + sl2 lifted to Q(sqrt 5): an exact echelon takes its
+    fraction-free mode from the first nonzero row it is fed, so the
+    centroid's trace row is in Q(sqrt 5) like the rows after it.  The split
+    stays in that field (psi^2 = 1) and gives two commuting 3-dimensional
+    ideals whose scalars are all ``QuadExt``."""
+    fld = QuadraticField(5)
+    s1, s2 = split_two_ideals(_sl2_plus_sl2().lift(fld))
+    assert s1.field == s2.field == fld
+    assert s1.dim == s2.dim == 3
+    assert _lean(_algebra_scalars(s1) + _algebra_scalars(s2), fld)
+    for b1 in s1.basis:
+        for b2 in s2.basis:
+            assert _br(b1, b2, 4) == {}

@@ -162,7 +162,7 @@ def test_kernel_basis_and_reduced_rows_match_sympy():
     def fractions(m):
         return [[rat(int(x.p), int(x.q)) for x in m.row(i)] for i in range(m.rows)]
 
-    rng = random.Random(11)
+    rng, rows_rng = random.Random(11), random.Random(12)
     for _ in range(40):
         n, m = rng.randint(1, 5), rng.randint(1, 6)
         rows = [[rat(rng.randint(-9, 9), rng.randint(1, 4)) if rng.random() < 0.7
@@ -176,3 +176,21 @@ def test_kernel_basis_and_reduced_rows_match_sympy():
         null = sm.nullspace()
         want = fractions(sympy.Matrix.hstack(*null).T.rref()[0]) if null else []
         assert kernel_basis(rows) == want
+        # every integral entry the exact layer returns is an int
+        row = [rat(rows_rng.randint(-9, 9), rows_rng.randint(1, 3)) for _ in range(m)]
+        res = ech.residue(row)
+        assert ech.contains([x - res.get(j, 0) for j, x in enumerate(row)])
+        assert _lean(x for r in ech.reduced() for x in r.values())
+        assert _lean(x for v in kernel_basis(rows) for x in v)
+        assert _lean(res.values())
+
+
+def _lean(xs):
+    """Each rational an int when integral and a ``Fraction`` otherwise."""
+    return all(type(x) is (int if x.denominator == 1 else rat) for x in xs)
+
+
+def test_kernel_basis_of_integer_rows_holds_ints():
+    kern = kernel_basis([[1, 2, 3], [0, 1, 1]])
+    assert kern == [[1, 1, -1]]
+    assert all(type(x) is int for x in kern[0])

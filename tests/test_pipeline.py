@@ -64,7 +64,7 @@ def test_projection_from_point_off_curve_is_degree_four(fermat_quartic):
 def test_map_degree_over_quadratic_field(m1_cubic):
     fld = QuadraticField(2)
     sqrt2 = QuadExt(0, 1, 2)
-    x, y, z = (MPoly(3, {e: fld.one()}) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    x, y, z = (MPoly(3, {e: fld.coerce(1)}) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
     sqrt2_z = MPoly(3, {(0, 0, 1): sqrt2})
     # (x + sqrt(2) z : z) is (x : z) followed by a translation of P^1
     deg, draws = map_degree(m1_cubic, PencilMap(p=x + sqrt2_z, q=z, field=fld))
@@ -123,7 +123,7 @@ def test_residue_shear_matches_the_exact_shear(data, name, lam):
                                 min_size=len(monos), max_size=len(monos)))
     u = MPoly(3, {m: scalar(a, b) for m, (a, b) in zip(monos, coeffs) if a})
     if not u:
-        u = MPoly(3, {(0, d, 0): fld.one()})
+        u = MPoly(3, {(0, d, 0): fld.coerce(1)})
     x, y, z = (MPoly.variable(3, i) for i in range(3))
     exact = fp_bivariate_table(u.substitute([x + y * fld.coerce(lam), y, z]), p, root)
     while not exact[-1]:
@@ -145,7 +145,7 @@ def test_only_ints_reach_the_fiber_resultants(m1_cubic, monkeypatch):
     halves = MPoly(3, {(1, 0, 0): rat(1, 2), (0, 0, 1): rat(1, 3)})
     assert map_degree(m1_cubic, PencilMap(p=halves, q=parse_poly("z"), field=QQ))[0] == 3
     fld = QuadraticField(2)
-    x, z = (MPoly(3, {e: fld.one()}) for e in ((1, 0, 0), (0, 0, 1)))
+    x, z = (MPoly(3, {e: fld.coerce(1)}) for e in ((1, 0, 0), (0, 0, 1)))
     sqrt2_z = MPoly(3, {(0, 0, 1): QuadExt(rat(1, 3), 1, 2)})
     assert map_degree(m1_cubic, PencilMap(p=x + sqrt2_z, q=z, field=fld))[0] == 3
     assert types == {int}
@@ -334,9 +334,9 @@ def test_dividing_out_the_fixed_part_keeps_every_draw(data, name, other):
                                 min_size=len(monos), max_size=len(monos)))
     a = MPoly(3, {m: scalar(u, v) for m, (u, v) in zip(monos, coeffs) if u or v})
     if not a:
-        a = MPoly(3, {(0, 0, k): fld.one()})
+        a = MPoly(3, {(0, 0, k): fld.coerce(1)})
     second = (0, 1, 0) if other == "y" else (0, 0, 1)
-    u, v = (MPoly(3, {e: fld.one()}) for e in ((1, 0, 0), second))
+    u, v = (MPoly(3, {e: fld.coerce(1)}) for e in ((1, 0, 0), second))
     pencil = PencilMap(p=a * u, q=a * v, field=fld)
     curve = validate_curve(_KLEIN.map_coeffs(fld.coerce), fld=fld) if name == "F101" \
         else validate_curve(_KLEIN)

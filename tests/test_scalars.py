@@ -153,6 +153,9 @@ def test_sdiv_never_floats():
     assert sdiv(rat(3), 2) == rat(3, 2)
     assert [(x, type(x)) for x in (sdiv(-6, 3), sdiv(3, -2), sdiv(0, 5))] == [
         (-2, int), (rat(-3, 2), rat), (0, int)]
+    assert [(x, type(x)) for x in (sdiv(rat(3, 2), rat(3, 4)), sdiv(rat(4), 2),
+                                   sdiv(rat(1, 2), rat(1, 3)))] == [
+        (2, int), (2, int), (rat(3, 2), rat)]
     assert [(x, type(x)) for x in map(int_if_integral, (rat(4, 2), rat(1, 2), 3))] == [
         (2, int), (rat(1, 2), rat), (3, int)]
     assert sinv(rat(2, 3)) == rat(3, 2)
