@@ -5,12 +5,13 @@ The adjoint space (degree d-3 forms vanishing to order m-1 at each
 multiplicity-m point) realizes the canonical map into P^{g-1}.  Quadrics
 through the image are computed as kernel relations among the products
 w_i * w_j of the adjoint forms modulo multiples of the curve -- pure linear
-algebra on the exact ``FpEchelon``, with no point sampling and no variable
-elimination.  The products and the multiples of f are formed on term maps,
-with no polynomial product.  Every consumer reads the one form of the span,
-``FormSpace.rows``.  The decision path never builds the cubic space: for a
-non-hyperelliptic canonical curve Max Noether's theorem fixes its
-dimension, and the quadric-generation test compares against that count.
+algebra on ``FpEchelon`` over the ground field, exact over Q and mod q over
+F_q, with no point sampling and no variable elimination.  The products and
+the multiples of f are formed on term maps, with no polynomial product.
+Every consumer reads the one form of the span, ``FormSpace.rows``.  The
+decision path never builds the cubic space: for a non-hyperelliptic
+canonical curve Max Noether's theorem fixes its dimension, and the
+quadric-generation test compares against that count.
 """
 
 import enum
@@ -23,7 +24,6 @@ from .errors import (AdjointDimensionMismatch, InvalidInput,
 from .linalg import kernel_basis
 from .modular import FpEchelon, clear_denominators
 from .poly import MPoly, taylor_rows
-from .scalars import int_if_integral
 
 
 @cache
@@ -72,17 +72,20 @@ class FormSpace:
 
     ``rows`` is its reduced echelon basis, sparse ``{column: value}`` rows
     over ``monomials`` in column order: over Q the primitive integer
-    multiples of the pivot-1 rows, over F_q the pivot-1 rows themselves."""
+    multiples of the pivot-1 rows, over F_q the pivot-1 rows themselves, in
+    residues.  ``field`` is the curve's field; its ``char`` is the modulus
+    of every echelon over the rows."""
     ambient_dim: int     # g
     rows: list           # echelon rows over `monomials`
     monomials: tuple     # exponent tuples, fixed order
+    field: object
 
     @property
     def dim(self):
         return len(self.rows)
 
     def row_space(self):
-        span = FpEchelon(len(self.monomials))
+        span = FpEchelon(len(self.monomials), self.field.char)
         for row in self.rows:
             span.add(row)
         return span
@@ -99,23 +102,21 @@ def adjoint_basis(curve):
     monos = monomials(3, k)
     rows = [row for s in curve.sings for deg in range(s.multiplicity - 1)
             for row in taylor_rows(monos, s.coords, deg)]
-    fld = curve.field
     # a zero row, when there is no singular point, imposes no condition
-    kern = kernel_basis(rows or [[0] * len(monos)])
+    kern = kernel_basis(rows or [[0] * len(monos)], curve.field.char)
     if len(kern) != curve.genus:
         raise AdjointDimensionMismatch(
             f"adjoint space has dimension {len(kern)}, genus is {curve.genus}")
-    forms = [MPoly(3, {mono: fld.coerce(c) if isinstance(c, int) else c
-                       for mono, c in zip(monos, vec) if c})
+    forms = [MPoly(3, {mono: c for mono, c in zip(monos, vec) if c})
              for vec in kern]
     return CanonicalMap(forms=forms, degree=k, curve=curve)
 
 
 def _coded_terms(form, base):
-    """The terms c * x^a y^b z^e of a ternary form as (a*base + b, c) pairs,
-    with an integral rational c as an int.  While every degree stays below
-    ``base``, the code of a product of monomials is the sum of theirs."""
-    return [(e[0] * base + e[1], int_if_integral(c)) for e, c in form.terms.items()]
+    """The terms c * x^a y^b z^e of a ternary form as (a*base + b, c) pairs.
+    While every degree stays below ``base``, the code of a product of
+    monomials is the sum of theirs."""
+    return [(e[0] * base + e[1], c) for e, c in form.terms.items()]
 
 
 def forms_through_image(curve, cm, k=2):
@@ -162,20 +163,19 @@ def forms_through_image(curve, cm, k=2):
                 rows[tindex[e + shift]][col] = c
             col += 1
 
-    ech = FpEchelon(col)
+    fld = curve.field
+    ech = FpEchelon(col, fld.char)
     for row in rows:
         ech.add(row)
-    fld = curve.field
     basis = []
     for row in ech.reduced_kernel(len(amb)):
         row = dict(sorted(row.items()))
-        basis.append(clear_denominators(row)[0] if fld.char == 0
-                     else {j: fld.coerce(x) for j, x in row.items()})
+        basis.append(row if fld.char else clear_denominators(row)[0])
     expected = {(g - 2) * (g - 3) // 2, (g - 1) * (g - 2) // 2}
     if len(basis) not in expected:
         raise UnexpectedDimension(
             f"quadric space has dimension {len(basis)}; expected one of {sorted(expected)}")
-    return FormSpace(ambient_dim=g, rows=basis, monomials=amb)
+    return FormSpace(ambient_dim=g, rows=basis, monomials=amb, field=fld)
 
 
 class PetriResult(enum.Enum):
@@ -206,16 +206,17 @@ def petri_test(qspace, counters=None):
     the independent signal that the curve is trigonal or a plane quintic.
     The cubic dimension is ``cubic_count`` at g = ``qspace.ambient_dim``.
     The span rank is exact over the field of the quadrics: the products of
-    ``qspace.rows`` go into a sparse ``FpEchelon`` with no modulus (on
-    integer rows over Q), so the oracle takes no mod-p step and needs no
-    certificate.  ``counters``, when given, receives "rows" (products
-    inserted), "rank" and "expected" (the cubic count).
+    ``qspace.rows`` go into a sparse ``FpEchelon`` over ``qspace.field``,
+    on integer rows with no modulus over Q and mod q over F_q, so the
+    oracle takes no other prime and needs no certificate.  ``counters``,
+    when given, receives "rows" (products inserted), "rank" and "expected"
+    (the cubic count).
     """
     g = qspace.ambient_dim
     if g < 4:
         raise InvalidInput("the quadric-generation test is vacuous for genus 3")
     shift = _shift_table(g)
-    span = FpEchelon(len(monomials(g, 3)))
+    span = FpEchelon(len(monomials(g, 3)), qspace.field.char)
     for q in qspace.rows:
         for i in range(g):
             span.add({shift[j][i]: c for j, c in q.items()})

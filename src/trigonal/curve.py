@@ -65,7 +65,7 @@ from .modular import (PRIME_WALK_START, clear_denominators, fp_bivariate_table, 
                       fp_trim, primes_below, rational_reconstruct, rational_roots, recon_bound,
                       zz_gcd, zz_squarefree)
 from .poly import MPoly, binary_form_squarefree, parse_poly, poly_str, taylor_rows
-from .scalars import QQ, PrimeField, RationalField, rat
+from .scalars import QQ, PrimeField, RationalField, rat, sdiv
 
 __all__ = ["SingularPoint", "PlaneCurve", "genus", "singular_locus",
            "validate_curve", "gen_trigonal_projection", "gen_method1",
@@ -85,7 +85,7 @@ def normalize_point(coords, fld=QQ):
         raise InvalidInput("a projective point needs a nonzero coordinate triple")
     piv = max(i for i in range(3) if coords[i])
     s = coords[piv]
-    return tuple(c / s for c in coords)
+    return tuple(fld.coerce(sdiv(c, s)) for c in coords)
 
 
 @dataclass(frozen=True)
@@ -668,9 +668,9 @@ def validate_curve(f, declared_sings=None, base_point=None, fld=QQ):
     bp = None
     if base_point is not None:
         bp = normalize_point(base_point, fld)
-        if f.evaluate(list(bp)):
+        if fld.coerce(f.evaluate(list(bp))):
             raise PointNotOnCurve(f"({':'.join(str(c) for c in bp)}) is not on the curve")
-        if all(not f.derivative(i).evaluate(list(bp)) for i in range(3)):
+        if all(not fld.coerce(f.derivative(i).evaluate(list(bp))) for i in range(3)):
             raise InvalidInput("the marked base point must be a smooth point")
 
     return PlaneCurve(f=f, degree=d, sings=tuple(sings), genus=g, field=fld,

@@ -4,15 +4,15 @@ The stabilizer of the span of quadrics inside the traceless matrices is the
 algebraic invariant that separates the cases: zero for curves cut out by
 quadrics, and a positive-dimensional algebra whose Levi type (sl2, sl2+sl2,
 sl3) identifies a ruled surface or the Veronese.  The stabilizer equations
-are solved mod p by ``modular.certified_kernel`` and lifted to a basis that
-is verified exactly.  ``LieAlg`` keeps each basis matrix as an {i*n + j: x}
-map of its nonzero entries, the package's one matrix form: brackets are
-sparse products, coordinates come from one exact echelon over the basis,
-and every bracket must reduce to zero there.  The structure theory
-(radical, Levi part, centroid, ideals, split triples) is exact linear
-algebra on the structure constants, on ``FpEchelon`` with no modulus: spans
-and memberships on its rows, residuals and solutions read off its reduced
-rows.  Its sub-algebras take their structure constants from the parent's,
+are solved mod p by ``modular.certified_kernel`` and, over Q, lifted to a
+basis that is verified exactly; over F_q they are solved mod q.
+``LieAlg`` keeps each basis matrix as an {i*n + j: x} map of its nonzero
+entries, the package's one matrix form: brackets are sparse products,
+coordinates come from one echelon over the basis, and every bracket must
+reduce to zero there.  The structure theory (radical, Levi part, centroid,
+ideals, split triples) is exact linear algebra on the structure constants,
+on ``FpEchelon`` with no modulus: spans and memberships on its rows,
+residuals and solutions read off its reduced rows.  Its sub-algebras take their structure constants from the parent's,
 in the parent's coordinates, and a lift coerces them, so no matrix bracket
 is formed there.  A sub-algebra's basis matrices are sums of its parent's;
 matrix products come back only where a map leaves the algebra: the check
@@ -25,8 +25,10 @@ square root or the scaling of a split triple.  The exact echelon and
 ``sdiv`` give each integral quotient as an int, ``element`` turns an
 integral sum of ``Fraction`` products into one, and the zeros and ones the
 stage starts from are the ints 0 and 1, so structure constants of a few
-bits are added and multiplied as ints.  Over Q(sqrt delta) and F_q the
-scalars are the field's own elements.
+bits are added and multiplied as ints.  Over Q(sqrt delta) the scalars
+are ``QuadExt`` elements.  Over F_q, where the scalars are residues, the
+stage builds the zero algebra only: ``stabilizer_algebra`` refuses a
+nonzero stabilizer, since the structure theory needs characteristic zero.
 """
 
 import enum
@@ -39,7 +41,7 @@ from .errors import (CurveUnsupported, InternalInvariantError, InvalidInput,
 from .linalg import kernel_basis
 from .modular import FpEchelon, certified_kernel, clear_denominators, fp_reduce
 from .scalars import (QQ, QuadExt, QuadraticField, int_if_integral,
-                      rational_square_split, scalar_form, sdiv, sqrt_rational)
+                      rational_square_split, sdiv, sqrt_rational)
 
 __all__ = ["Case", "LieAlg", "Sl2Triple", "stabilizer_algebra",
            "killing_form", "radical", "levi", "classify", "split_sl2",
@@ -86,9 +88,9 @@ def _coordinate_map(vecs, width, fld):
     Raises ``InvalidInput`` when the vectors are dependent; the returned map
     raises ``InternalInvariantError`` for a vector outside their span."""
     dim = len(vecs)
-    conv = scalar_form(fld)
+    conv = fld.coerce
     one = conv(1)
-    ech = FpEchelon(width + dim)
+    ech = FpEchelon(width + dim, fld.char)
     for k, v in enumerate(vecs):
         v[width + k] = one
         ech.add(v)
@@ -108,7 +110,7 @@ def _coordinate_map(vecs, width, fld):
 def _structure_constants(dim, fld, coords):
     """``sc`` from ``coords(i, j)``, the coordinates of [b_i, b_j], i < j."""
     sc = [[None] * dim for _ in range(dim)]
-    zero = scalar_form(fld)(0)
+    zero = fld.coerce(0)
     for i in range(dim):
         sc[i][i] = [zero] * dim
         for j in range(i + 1, dim):
@@ -154,7 +156,7 @@ class LieAlg:
             raise InvalidInput("basis matrix has the wrong shape")
         self._rows = [_by_row(b, n) for b in self.basis]
         self.dim = len(self.basis)
-        self._zero = scalar_form(fld)(0)
+        self._zero = fld.coerce(0)
 
     @classmethod
     def _with_sc(cls, n, basis, fld, sc):
@@ -322,19 +324,23 @@ def _derivation_system(qspace, p):
     return rows()
 
 
-def stabilizer_algebra(qspace, fld=QQ, counters=None):
+def stabilizer_algebra(qspace, counters=None):
     """Traceless g x g matrices M, g = ``qspace.ambient_dim``, whose
-    derivation action maps every quadric of the space back into the space.
-    The trace is an equation of the system, so dim = nullity.
+    derivation action maps every quadric of the space back into the space,
+    over ``qspace.field``.  The trace is an equation of the system, so dim
+    = nullity.
 
     The solutions come from ``modular.certified_kernel`` (over F_q, exactly
     mod q); over Q every lifted solution is checked to be traceless and to
     map each of the ``qspace.rows`` into their span, on integer rows
-    (clearing denominators leaves span membership unchanged).  ``counters``
+    (clearing denominators leaves span membership unchanged).  Over F_q a
+    nonzero stabilizer raises ``CurveUnsupported`` before any ``LieAlg`` is
+    built: its structure theory needs characteristic zero.  ``counters``
     receives the kernel's counters.
     """
     if qspace.dim < 1:
         raise InvalidInput("stabilizer needs at least one quadric")
+    fld = qspace.field
     g = qspace.ambient_dim
     nn = g * g
     monos = qspace.monomials
@@ -364,7 +370,11 @@ def stabilizer_algebra(qspace, fld=QQ, counters=None):
 
     kern = certified_kernel(nn, lambda p: _derivation_system(qspace, p),
                             stabilizes, fld, counters=counters)
-    sol = FpEchelon(nn)
+    if kern and fld.char:
+        raise CurveUnsupported(
+            f"prime-field mode stops at the stabilizer (dim {len(kern)} > 0); "
+            f"classification needs characteristic zero")
+    sol = FpEchelon(nn, fld.char)
     for v in kern:
         sol.add(v[::-1])
     return LieAlg(g, sol.reduced(), fld)
@@ -444,7 +454,7 @@ def levi(alg):
     comp_idx = [c for c in range(dim) if c not in set(radspace.pivots)]
     rad_rows = list(zip(radspace.pivots, radspace.reduced()))
     rc = len(comp_idx)
-    zero, one = map(scalar_form(fld), (0, 1))
+    zero, one = map(fld.coerce, (0, 1))
     zeros = [zero] * dim
     cur = [[one if i == c else zero for i in range(dim)] for c in comp_idx]
     # quotient structure constants in the complement coordinates, a < b: the
@@ -575,7 +585,7 @@ def split_two_ideals(s):
     dim = s.dim
     nn = dim * dim
     fld = s.field
-    conv = scalar_form(fld)
+    conv = fld.coerce
     rows = _centroid_rows(s)
     cent = FpEchelon(nn)
     cent.add({i * (dim + 1): conv(1) for i in range(dim)})
@@ -604,7 +614,7 @@ def split_two_ideals(s):
             i * (dim + 1): a for i in range(dim)}:
         raise UnexpectedDimension("centroid is not etale of degree 2")
     work, wfld, root = _square_root(s, a)
-    conv = scalar_form(wfld)
+    conv = wfld.coerce
     ideals = []
     # the image of the idempotent (psi + r) / 2r is the column span of psi + r
     for r in (root, -root):
@@ -685,7 +695,7 @@ def split_sl2(s):
     fld = s.field
     chosen = None
     for sample in _SPLIT_SAMPLES:
-        coords = list(map(scalar_form(fld), sample))
+        coords = list(map(fld.coerce, sample))
         c2, c1, c0 = _charpoly3(_ad(s, coords))
         if c2 or c0:
             raise NotSl2("ad(x) has nonzero trace or determinant")
@@ -701,7 +711,7 @@ def split_sl2(s):
     coords, alpha_sq = chosen
     # ad(x) has eigenvalues 0 and +-alpha, so ad(2x/alpha) has 0 and +-2
     work, wfld, alpha = _square_root(s, alpha_sq)
-    conv = scalar_form(wfld)
+    conv = wfld.coerce
     h_coords = [sdiv(2 * c, alpha) for c in coords]
 
     adh = _ad(work, h_coords)

@@ -21,15 +21,16 @@ finder over Q, lifts the roots mod a walk prime p-adically and checks each
 exactly.  ``certified_kernel`` solves a linear system mod p with
 ``FpEchelon`` and lifts the kernel with ``rational_reconstruct`` and CRT
 (``_crt_vectors``).  ``FpEchelon`` stores sparse ``{column: value}`` rows,
-since the systems here have a handful of nonzeros per row.  With no modulus
-it eliminates exactly, on primitive integer rows over Q and over the field
-of its entries otherwise.  Every exact kernel, rank, span, membership,
-solution and inverse in the package is taken on it, kernels of dense rows
-through ``linalg.kernel_basis``.  The primes come from one fixed
-deterministic walk, so runs are reproducible: the scan, its root finder, the
-certified kernels and the fiber check walk down from 2^30, and the walk is
-kept as it grows.  The scan only discovers candidates mod p; every
-point it reports is verified exactly over the ground field by the caller.
+since the systems here have a handful of nonzeros per row.  Its modulus is
+the characteristic of the ground field: mod q over F_q, and with modulus 0
+exactly, on primitive integer rows over Q and on ``QuadExt`` rows over
+Q(sqrt delta).  Every kernel, rank, span, membership, solution and inverse
+over the ground field is taken on it, kernels of dense rows through
+``linalg.kernel_basis``.  The primes come from one fixed deterministic
+walk, so runs are reproducible: the scan, its root finder, the certified
+kernels and the fiber check walk down from 2^30, and the walk is kept as it
+grows.  The scan only discovers candidates mod p; every point it reports is
+verified exactly over the ground field by the caller.
 The fiber check is Monte Carlo in its prime and records the prime of each
 draw.  A certified kernel is exact: every lifted vector is verified over
 the ground field, and the nullity mod p bounds the true nullity from above.
@@ -46,7 +47,7 @@ from operator import attrgetter
 from .errors import (CurveUnsupported, InternalInvariantError, InvalidInput,
                      LiftingFailed)
 from .intutil import is_prime
-from .scalars import QQ, FpElt, PrimeField, QuadExt, is_rational, rat, sdiv, sinv
+from .scalars import QQ, PrimeField, QuadExt, is_rational, rat, sdiv, sinv
 
 _DENOMINATOR = attrgetter("denominator")
 
@@ -406,14 +407,10 @@ def rational_roots(coeffs):
 # --- reductions of exact polynomials ----------------------------------------
 
 def fp_reduce(c, p, root=None):
-    """A scalar of Q, Q(sqrt delta) or F_p reduced mod p; sqrt(delta) maps
-    to ``root``.  None when a denominator vanishes mod p."""
+    """A scalar of Q or Q(sqrt delta), or a residue, reduced mod p;
+    sqrt(delta) maps to ``root``.  None when a denominator vanishes mod p."""
     if type(c) is int:
         return c % p
-    if isinstance(c, FpElt):
-        if c.p != p:
-            raise InvalidInput(f"an F{c.p} coefficient does not reduce mod {p}")
-        return c.v
     if isinstance(c, QuadExt):
         a = fp_reduce(c.a, p)
         if not c.b or a is None:
@@ -704,7 +701,9 @@ def _cross_sub(row, other, lead):
 
 class FpEchelon:
     """Row echelon form, grown one row at a time: mod ``p``, or exactly when
-    ``p`` is None.
+    ``p`` is 0.  A caller passes its field's ``char``, so an F_q
+    elimination is mod q: an exact echelon fed residues would eliminate
+    over Q, since every int is rational.
 
     Rows are sparse ``{column: value}`` dicts that hold their nonzero entries
     only; ``add``, ``contains`` and ``residue`` also take dense lists.  The
@@ -731,12 +730,12 @@ class FpEchelon:
       every value a caller reads equals that of the elimination with pivots
       1, an int where it is integral and a ``rat`` otherwise.  A row
       with an entry outside Q raises ``InternalInvariantError`` here;
-    * exactly otherwise (an entry in Q(sqrt delta) or F_q), with the pivot
-      normalized to 1 by ``sinv``; rational entries are elements of that
-      field.
+    * exactly otherwise, for Q(sqrt delta) only (a ``QuadExt`` entry), with
+      the pivot normalized to 1 by ``sinv``; rational entries are elements
+      of that field.
     """
 
-    def __init__(self, ncols, p=None):
+    def __init__(self, ncols, p=0):
         self.ncols = ncols
         self.p = p
         self.pivots = []        # increasing
@@ -928,14 +927,14 @@ def certified_kernel(ncols, system, certify, fld=QQ, counters=None):
 
     The kernel mod p then has at least the true nullity.  Once the rank mod
     p is full the kernel is zero and the rest of the rows is skipped.  Over
-    F_q every row is reduced and the kernel mod q is the answer.  Over Q the
-    kernel mod p, taken on the prime walk, is lifted entry by entry with
-    ``rational_reconstruct``, combining by CRT the primes that share its
-    pivot columns; a prime with a smaller nullity (or, at equal nullity,
-    earlier pivots) starts the lift afresh, one with a larger one is
-    skipped.  The lift is returned once ``certify`` accepts it: it is as
-    many independent solutions (1 at its own free column, 0 at the others)
-    as the nullity mod p, so it spans the kernel.
+    F_q every row is reduced and the kernel mod q, in residues, is the
+    answer.  Over Q the kernel mod p, taken on the prime walk, is lifted
+    entry by entry with ``rational_reconstruct``, combining by CRT the
+    primes that share its pivot columns; a prime with a smaller nullity
+    (or, at equal nullity, earlier pivots) starts the lift afresh, one with
+    a larger one is skipped.  The lift is returned once ``certify`` accepts
+    it: it is as many independent solutions (1 at its own free column, 0 at
+    the others) as the nullity mod p, so it spans the kernel.
 
     Over Q the lift is also tried before the rows run out, each time
     ``ncols`` rows in a row leave the rank mod p where it was: the kernel of
@@ -988,7 +987,7 @@ def certified_kernel(ncols, system, certify, fld=QQ, counters=None):
         if ech.rank == ncols:
             result, used = [], [p]
         elif fld != QQ:
-            result, used = [[fld.coerce(x) for x in v] for v in ech.kernel()], [p]
+            result, used = ech.kernel(), [p]
         else:
             key = (ncols - ech.rank, ech.pivots)
             if best is None or key < best:

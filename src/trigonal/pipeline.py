@@ -297,20 +297,21 @@ def g3_map(curve, cm):
     """Pencil of hyperplanes through the canonical image of the curve's base
     point, for genus-3 input: two independent adjoint combinations that
     vanish at the point.  ``validate_curve`` has normalized the point and
-    checked that it is a smooth point of the curve."""
+    checked that it is a smooth point of the curve.  The values and the
+    forms are taken in the field's scalar form, over F_q reduced mod q."""
     if curve.genus != 3:
         raise InvalidInput("the marked-point pencil applies to genus 3 only")
     if curve.base_point is None:
         raise PointNotOnCurve("no base point provided")
-    vals = [w.evaluate(list(curve.base_point)) for w in cm.forms]
+    fld = curve.field
+    vals = [fld.coerce(w.evaluate(list(curve.base_point))) for w in cm.forms]
     if not any(vals):
         raise CurveUnsupported("all canonical forms vanish at the base point")
-    combos = kernel_basis([vals])
+    combos = kernel_basis([vals], fld.char)
     if len(combos) != 2:
         raise CurveUnsupported("hyperplanes through the point do not form a pencil")
-    return PencilMap(p=adjoint_combination(combos[0], cm),
-                     q=adjoint_combination(combos[1], cm),
-                     field=curve.field)
+    p, q = (adjoint_combination(c, cm).map_coeffs(fld.coerce) for c in combos)
+    return PencilMap(p=p, q=q, field=fld)
 
 
 # --- decide ---------------------------------------------------------------------
@@ -339,16 +340,13 @@ def _quadrics(curve, rep):
 
 def _liealg(curve, rep):
     """The stabilizer algebra and ``classify``'s Levi type, case and sl2
-    summands.  Over a prime field only a trivial stabilizer is classified:
-    the Levi machinery needs characteristic zero."""
+    summands.  Over a prime field only a trivial stabilizer gets this far:
+    ``stabilizer_algebra`` refuses any other, since the Levi machinery
+    needs characteristic zero."""
     x = rep.extras
-    alg = x["lie"] = stabilizer_algebra(x["qspace"], fld=curve.field,
+    alg = x["lie"] = stabilizer_algebra(x["qspace"],
                                         counters=rep.counters.setdefault("liealg", {}))
     rep.lie_dim = alg.dim
-    if alg.dim and isinstance(curve.field, PrimeField):
-        raise CurveUnsupported(
-            f"prime-field mode stops at the stabilizer (dim {alg.dim} > 0); "
-            f"classification needs characteristic zero")
     rep.levi_type, case, x["summands"] = classify(alg)
     rep.case = case.value
 

@@ -1,23 +1,27 @@
 """Exact field scalars.
 
-Three variants are supported:
+Each field has one scalar form, the one its descriptor's ``coerce`` gives:
 
-* rationals, represented by ``fractions.Fraction`` (``rat``) — always in
-  lowest terms with positive denominator;
-* quadratic-extension elements ``a + b*sqrt(delta)`` with ``delta`` a fixed
+* over Q, a Python int when the value is integral, else a
+  ``fractions.Fraction`` (``rat``) in lowest terms with positive
+  denominator; ``sdiv`` keeps that form;
+* over Q(sqrt delta), a ``QuadExt`` a + b*sqrt(delta), ``delta`` a fixed
   square-free integer that is not a perfect square;
-* prime-field elements modulo an odd prime ``p``, stored in ``[0, p)``.
+* over F_p, p an odd prime, the residue, an int in [0, p).  Arithmetic on
+  residues is that of ints, so a caller reduces what it computes mod p
+  (``coerce`` again, or an ``FpEchelon`` mod p).
 
-A small field-descriptor object per variant centralizes coercion into its
-field and owns its ``name``, the one spelling that reports and curve files
-use: "Q", "Q(sqrt(delta))" and "Fp p".
+The field descriptor of each variant centralizes coercion into its field,
+gives its characteristic ``char`` (0 for Q and Q(sqrt delta)), the modulus
+of every elimination over it, and owns its ``name``, the one spelling that
+reports and curve files use: "Q", "Q(sqrt(delta))" and "Fp p".
 """
 
 from fractions import Fraction
 from math import isqrt
 
 from .errors import InvalidInput
-from .intutil import squarefree_split
+from .intutil import is_prime, squarefree_split
 
 rat = Fraction
 _RAT_TYPES = (int, Fraction)
@@ -36,13 +40,6 @@ def int_if_integral(x):
     return x
 
 
-def scalar_form(fld):
-    """The map to the lean form of a scalar over ``fld``: over Q an int when
-    integral (``int_if_integral``), otherwise the field's own element
-    (``fld.coerce``).  Its values at 0 and 1 are that form's zero and one."""
-    return int_if_integral if fld == QQ else fld.coerce
-
-
 def sinv(b):
     """Exact scalar inverse that never produces floats: bare ints are
     interpreted as rational integers."""
@@ -52,7 +49,7 @@ def sinv(b):
         if b == -1:
             return -1
         return rat(1, b)
-    if isinstance(b, (QuadExt, FpElt)):
+    if isinstance(b, QuadExt):
         return b.inverse()
     return 1 / b
 
@@ -207,93 +204,6 @@ class QuadExt:
     __repr__ = __str__
 
 
-class FpElt:
-    """Element of the prime field Z/pZ, normalized to [0, p)."""
-
-    __slots__ = ("v", "p")
-
-    def __init__(self, v, p):
-        self.p = p
-        self.v = v % p
-
-    def _lift(self, other):
-        if isinstance(other, FpElt):
-            if other.p != self.p:
-                raise InvalidInput(f"mixed prime fields F{self.p} vs F{other.p}")
-            return other
-        if isinstance(other, int):
-            return FpElt(other, self.p)
-        return None
-
-    def __add__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return FpElt(self.v + o.v, self.p)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return FpElt(-self.v, self.p)
-
-    def __sub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return FpElt(self.v - o.v, self.p)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return FpElt(self.v * o.v, self.p)
-
-    __rmul__ = __mul__
-
-    def inverse(self):
-        if not self.v:
-            raise ZeroDivisionError("FpElt division by zero")
-        return FpElt(pow(self.v, -1, self.p), self.p)
-
-    def __truediv__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise InvalidInput("FpElt power requires a non-negative int")
-        return FpElt(pow(self.v, n, self.p), self.p)
-
-    def __bool__(self):
-        return self.v != 0
-
-    def __eq__(self, other):
-        if isinstance(other, FpElt):
-            return self.p == other.p and self.v == other.v
-        if isinstance(other, int):
-            return self.v == other % self.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.v, self.p))
-
-    def __str__(self):
-        return str(self.v)
-
-    __repr__ = __str__
-
-
 # --- field descriptors -------------------------------------------------------
 
 class RationalField:
@@ -301,12 +211,13 @@ class RationalField:
     char = 0
 
     def coerce(self, x):
-        if type(x) is Fraction:
-            return x
-        if is_rational(x):
-            return rat(x)
+        """x as an int when it is integral, else as a ``rat``."""
         if isinstance(x, QuadExt) and not x.b:
-            return rat(x.a)
+            x = x.a
+        if type(x) is Fraction:
+            return int_if_integral(x)
+        if isinstance(x, int):
+            return int(x)
         raise InvalidInput(f"cannot coerce {x!r} into Q")
 
     def __eq__(self, other):
@@ -351,7 +262,6 @@ class QuadraticField:
 
 class PrimeField:
     def __init__(self, p):
-        from .intutil import is_prime
         if p == 2 or not is_prime(p):
             raise InvalidInput(f"{p} is not an odd prime")
         self.p = p
@@ -359,17 +269,13 @@ class PrimeField:
         self.name = f"Fp {p}"
 
     def coerce(self, x):
+        """x as its residue, an int in [0, p)."""
         if isinstance(x, int):
-            return FpElt(x, self.p)
-        if isinstance(x, FpElt):
-            if x.p != self.p:
-                raise InvalidInput(f"cannot move F{x.p} element into F{self.p}")
-            return x
+            return x % self.p
         if is_rational(x):
-            num, den = int(x.numerator), int(x.denominator)
-            if den % self.p == 0:
+            if x.denominator % self.p == 0:
                 raise InvalidInput(f"denominator of {x} vanishes mod {self.p}")
-            return FpElt(num, self.p) / FpElt(den, self.p)
+            return x.numerator * pow(x.denominator, -1, self.p) % self.p
         raise InvalidInput(f"cannot coerce {x!r} into F{self.p}")
 
     def __eq__(self, other):

@@ -24,7 +24,7 @@ from .errors import (AllColumnsDegenerate, ChainCountUnexpected,
                      DecompositionFailed, TrigonalError)
 from .linalg import kernel_basis
 from .poly import MPoly
-from .scalars import scalar_form, sdiv
+from .scalars import sdiv
 
 __all__ = ["PencilMap", "highest_weights", "ruling_columns", "ruling_map",
            "rulings", "minor_vectors"]
@@ -55,7 +55,7 @@ def highest_weights(triple):
     so the reduced basis of c gives the reduced basis of the weight space,
     the one a kernel of [e; h - lam*I] gives."""
     g = triple.n
-    zero = scalar_form(triple.field)(0)
+    zero = triple.field.coerce(0)
     top = kernel_basis([[triple.e.get(i * g + j, 0) for j in range(g)] for i in range(g)])
     if len(top) > 2:
         raise ChainCountUnexpected(f"expected at most two chains, found {len(top)}")
@@ -85,7 +85,7 @@ def ruling_columns(triple):
     lam.  phi_0 of v is one kernel of g + k - 1 rows, the columns of f and
     the other highest-weight vector, scaled to 1 at v."""
     g = triple.n
-    zero = scalar_form(triple.field)(0)
+    zero = triple.field.coerce(0)
     tops = highest_weights(triple)
     if not any(lam for lam, _ in tops):
         raise ChainCountUnexpected("no chain of length >= 2")

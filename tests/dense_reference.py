@@ -2,10 +2,10 @@
 independent reference for the package's one elimination engine, the sparse
 ``modular.FpEchelon``, and for everything built on it.
 
-Rows are plain lists of ``rat``, ``QuadExt`` or ``FpElt`` values (ints
-allowed); every result is exact.  The reduced row echelon form of a row
-space is unique, so ``rref`` gives the canonical basis that ``kernel`` and
-``same_span`` compare.
+Rows are plain lists of ``rat`` or ``QuadExt`` values (ints allowed), or
+over F_q of sympy ``GF(q)`` elements; every result is exact.  The reduced
+row echelon form of a row space is unique, so ``rref`` gives the canonical
+basis that ``kernel`` and ``same_span`` compare.
 
 ``identity``, ``mat_mul``, ``bracket``, ``mat_vec`` and ``trace`` are dense
 matrix arithmetic on such rows, and ``dense`` and ``sparse`` convert between rows
@@ -38,12 +38,16 @@ package's one resultant engine, ``modular.fp_resultant_keepvar``.
 through a canonical image from ``MPoly`` products of the adjoint forms and
 multiples of f: the reference for the term-map construction of
 ``canonical.forms_through_image``, and the cubic space that the Noether count
-of ``canonical.cubic_count`` stands for.  ``form_space`` builds a
-``FormSpace`` from dense rows, and ``dense_rows`` reads one back.
+of ``canonical.cubic_count`` stands for; over F_q its echelon is taken mod
+q.  ``form_space`` builds a ``FormSpace`` from dense rows, over F_q by an
+``rref`` in ``GF(q)``, and ``dense_rows`` reads one back; ``in_field`` takes
+rows of residues into ``GF(q)``.
 ``expand_in_adjoints`` pulls an ambient form back to the plane.
 """
 
 from math import comb, factorial, lcm
+
+from sympy import GF
 
 from trigonal.canonical import FormSpace, monomials
 from trigonal.errors import InvalidInput
@@ -199,7 +203,7 @@ def taylor_pieces(f, point):
     chart = max(i for i in range(3) if point[i])
     images = [MPoly.const(2, 1)] * 3
     for slot, i in enumerate(i for i in range(3) if i != chart):
-        images[i] = MPoly.variable(2, slot) + MPoly.const(2, point[i] / point[chart])
+        images[i] = MPoly.variable(2, slot) + MPoly.const(2, sinv(point[chart]) * point[i])
     pieces = [{} for _ in range(f.total_degree() + 1)]
     for e, c in f.substitute(images).terms.items():
         pieces[sum(e)][e] = c
@@ -399,35 +403,46 @@ def forms_through_image(curve, cm, k):
                 prod = prod * power(i, e)
         products.append(prod)
     if big - d >= 0:
-        one = rat(1) if curve.field.char == 0 else curve.field.coerce(1)
-        products += [curve.f * MPoly.monomial(3, beta, one)
+        products += [curve.f * MPoly.monomial(3, beta, 1)
                      for beta in monomials(3, big - d)]
     for col, prod in enumerate(products):
         for e, c in prod.terms.items():
             rows[tindex[e]][col] = c
 
-    ech = FpEchelon(len(products))
+    ech = FpEchelon(len(products), curve.field.char)
     for row in rows:
         ech.add(row)
-    fld = curve.field
-    basis = [[fld.coerce(x) if isinstance(x, int) and x else x
-              for x in (row.get(j, 0) for j in range(len(amb)))]
+    basis = [[row.get(j, 0) for j in range(len(amb))]
              for row in ech.reduced_kernel(len(amb))]
-    return form_space(g, basis, amb)
+    return form_space(g, basis, amb, curve.field)
 
 
-def form_space(g, vectors, monos):
-    """The ``FormSpace`` of the span of dense ``vectors`` over ``monos``:
-    the rows of their ``rref`` made sparse and, over Q, scaled by the lcm of
-    their denominators, which makes each one primitive."""
+def form_space(g, vectors, monos, field):
+    """The ``FormSpace`` over ``field`` of the span of dense ``vectors``
+    over ``monos``: the rows of their ``rref`` made sparse and, over Q,
+    scaled by the lcm of their denominators, which makes each one
+    primitive.  Over F_q the ``rref`` is taken in ``GF(q)`` and its rows are
+    read back as residues."""
+    q = field.char
     rows = []
-    for vec in rref(vectors)[0]:
+    for vec in rref(in_field(vectors, field))[0]:
         row = {j: x for j, x in enumerate(vec) if x}
-        if all(is_rational(x) for x in row.values()):
+        if q:
+            row = {j: int(x) % q for j, x in row.items()}
+        elif all(is_rational(x) for x in row.values()):
             den = lcm(*(x.denominator for x in row.values()))
             row = {j: int(x * den) for j, x in row.items()}
         rows.append(row)
-    return FormSpace(ambient_dim=g, rows=rows, monomials=monos)
+    return FormSpace(ambient_dim=g, rows=rows, monomials=monos, field=field)
+
+
+def in_field(rows, field):
+    """Dense rows over ``field`` as the reference computes on them: over F_q
+    as ``GF(q)`` elements, otherwise as they are."""
+    if not field.char:
+        return rows
+    gf = GF(field.char)
+    return [[gf(x) for x in row] for row in rows]
 
 
 def dense_rows(space):

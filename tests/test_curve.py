@@ -112,7 +112,13 @@ def _sympy_singular_points(f):
                                         simultaneous=True))
             m = min(map(sum, sympy.Poly(moved, *local).monoms()))
             out.append((tuple(rat(int(c.p), int(c.q)) for c in point), m))
-    return sorted(out, key=str)
+    return sorted(out, key=_by_coords)
+
+
+def _by_coords(point):
+    """Sort key of a (coords, multiplicity) pair: the coordinates as
+    strings, which an int and an integral ``rat`` share."""
+    return [str(c) for c in point[0]], point[1]
 
 
 @pytest.mark.parametrize("form", [
@@ -130,7 +136,7 @@ def test_singular_points_match_a_groebner_basis(form):
     f = P(form)
     pts, residual = singular_locus(f)
     assert residual == 0
-    assert sorted(((s.coords, s.multiplicity) for s in pts), key=str) == \
+    assert sorted(((s.coords, s.multiplicity) for s in pts), key=_by_coords) == \
         _sympy_singular_points(f)
 
 
@@ -144,7 +150,7 @@ def test_generated_nodes_match_a_groebner_basis(assigned):
     f = gen_singular_model(5, assigned, seed=1).f
     pts, _ = singular_locus(f)
     want = _sympy_singular_points(f)
-    assert sorted(((s.coords, s.multiplicity) for s in pts), key=str) == want
+    assert sorted(((s.coords, s.multiplicity) for s in pts), key=_by_coords) == want
     assert len(want) == len(assigned)
 
 
@@ -385,12 +391,20 @@ def test_validate_base_point():
         validate_curve(P("x^4 + y^4 + z^4"), base_point=(0, 0, 1))
     c = validate_curve(P("x^3*y + y^3*z + z^3*x"), base_point=(0, 0, 1))
     assert c.base_point == normalize_point((0, 0, 1))
+    # over F_q the residues of the point give a value that vanishes mod q
+    # only: 792^4 = -1 mod 10009
+    F = PrimeField(10009)
+    c = validate_curve(P("x^4 + y^4 + z^4"), base_point=(2 * (792 + F.p), 0, 2), fld=F)
+    assert c.base_point == (792, 0, 1)
 
 
-def test_validate_refuses_a_singular_base_point(two_node_quintic):
-    # (1:0:0) is a node of the genus-4 quintic
+def test_validate_refuses_a_singular_base_point(two_node_quintic, five_nodal_sextic):
+    # (1:0:0) is a node of the genus-4 quintic; (1:2:3) is a node of the
+    # sextic, whose partials there vanish mod q only
     with pytest.raises(InvalidInput, match="must be a smooth point"):
         validate_curve(two_node_quintic.f, base_point=(1, 0, 0))
+    with pytest.raises(InvalidInput, match="must be a smooth point"):
+        validate_curve(five_nodal_sextic.f, base_point=(1, 2, 3), fld=PrimeField(10007))
 
 
 def test_a_smooth_point_reported_singular_is_an_internal_error(monkeypatch):
@@ -706,7 +720,7 @@ def test_singular_locus_over_fq_matches_a_brute_force_scan(case):
         points, _ = singular_locus(f, F)
     except (CurveUnsupported, ReducibleSuspected):
         return      # too few evaluation points, or a repeated component
-    assert {tuple(c.v for c in s.coords) for s in points} == \
+    assert {s.coords for s in points} == \
         _brute_singular_points(f, F.p)
 
 

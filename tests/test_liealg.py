@@ -61,7 +61,7 @@ def quadric_space(vec_terms, nvars):
         for mono, c in terms.items():
             v[idx[mono]] = rat(c)
         basis.append(v)
-    return ref.form_space(nvars, basis, monos)
+    return ref.form_space(nvars, basis, monos, QQ)
 
 
 CONIC = quadric_space([{(1, 0, 1): 1, (0, 2, 0): -1}], 3)

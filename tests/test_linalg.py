@@ -1,4 +1,4 @@
-"""``kernel_basis``, the dense-list entry point to the exact ``FpEchelon``,
+"""``kernel_basis``, the dense-list entry point to ``FpEchelon``,
 and the echelon's ranks and reduced rows, against the dense reference and
 sympy."""
 
@@ -6,15 +6,16 @@ import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from sympy import GF
 
 import dense_reference as ref
 from trigonal.linalg import kernel_basis
 from trigonal.modular import FpEchelon
-from trigonal.scalars import PrimeField, rat
+from trigonal.scalars import rat
 
 
-def echelon(ncols, rows):
-    ech = FpEchelon(ncols)
+def echelon(ncols, rows, p=0):
+    ech = FpEchelon(ncols, p)
     for row in rows:
         ech.add(row)
     return ech
@@ -68,20 +69,24 @@ def test_rank_trivial_cases():
 
 
 def test_rank_kernel_vs_bruteforce_oracle_fp():
+    # rows of residues, the last a multiple of the first mod p only; the
+    # kernel is checked in sympy's GF(p)
     p = 10007
-    F = PrimeField(p)
+    F = GF(p)
     rng = random.Random(42)
     for _ in range(40):
         n = rng.randint(1, 6)
         m = rng.randint(1, 6)
         rows = [[rng.randrange(p) for _ in range(m)] for _ in range(n)]
-        mat = [[F.coerce(x) for x in row] for row in rows]
-        rk = rank(mat)
+        c = rng.randrange(2, p)
+        rows.append([c * x % p for x in rows[0]])
+        rk = echelon(m, rows, p).rank
         assert rk == _brute_rank(rows, p)
-        kern = kernel_basis(mat)
+        kern = kernel_basis(rows, p)
         assert rk + len(kern) == m
         for v in kern:
-            img = ref.mat_vec(mat, [F.coerce(x) if isinstance(x, int) else x for x in v])
+            assert all(type(x) is int and 0 <= x < p for x in v)
+            img = ref.mat_vec([[F(x) for x in row] for row in rows], [F(x) for x in v])
             assert not any(img)
 
 

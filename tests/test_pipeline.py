@@ -10,7 +10,7 @@ from unittest import mock
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from trigonal import curve as curve_mod, liealg, modular, pipeline
+from trigonal import canonical, curve as curve_mod, liealg, linalg, modular, pipeline
 from trigonal.canonical import adjoint_basis, cubic_count
 from trigonal.cli import main
 from trigonal.curve import gen_trigonal_projection, validate_curve, write_curve_file
@@ -20,7 +20,7 @@ from trigonal.errors import (ChainCountUnexpected, CurveUnsupported, DegenerateF
 from trigonal.pipeline import decide, g3_map, map_degree
 from trigonal.poly import MPoly, parse_poly, poly_str
 from trigonal.modular import fp_bivariate_table
-from trigonal.scalars import QQ, FpElt, PrimeField, QuadExt, QuadraticField, rat
+from trigonal.scalars import QQ, PrimeField, QuadExt, QuadraticField, rat
 from trigonal.scroll import PencilMap
 
 
@@ -94,18 +94,26 @@ def test_fiber_primes_send_sqrt_delta_to_its_smaller_root(delta):
 
 
 def test_map_degree_over_small_prime_field():
-    fld = PrimeField(101)
-    klein = validate_curve(parse_poly("x^3*y + y^3*z + z^3*x"),
-                           base_point=(0, 0, 1), fld=fld)
-    deg, draws = map_degree(klein, g3_map(klein, adjoint_basis(klein)))
-    assert deg == 3
-    assert all(d["prime"] == 101 for d in draws)
+    # the Klein quartic over F_101, and a quintic over F_1009 whose three
+    # nodes are off the coordinate points: its adjoint conics have residue
+    # coefficients, and the combinations of its pencil reach past q
+    quintic = curve_mod.gen_singular_model(
+        5, [((1, 2, 3), 2), ((2, -1, 1), 2), ((1, 1, 0), 2)], seed=1).f
+    for q, f, point in ((101, parse_poly("x^3*y + y^3*z + z^3*x"), (0, 0, 1)),
+                        (1009, quintic, (2, 535, 1))):
+        curve = validate_curve(f, base_point=point, fld=PrimeField(q))
+        pm = g3_map(curve, adjoint_basis(curve))
+        assert all(type(c) is int and 0 <= c < q
+                   for form in (pm.p, pm.q) for c in form.terms.values())
+        deg, draws = map_degree(curve, pm)
+        assert deg == 3
+        assert all(d["prime"] == q for d in draws)
 
 
 _SHEAR_FIELDS = {
     "Q": (QQ, lambda a, b: rat(a, b)),
     "Q(sqrt 2)": (QuadraticField(2), lambda a, b: QuadExt(rat(a, b), rat(b - 3), 2)),
-    "F101": (PrimeField(101), lambda a, b: FpElt(a, 101)),
+    "F101": (PrimeField(101), lambda a, b: a % 101),
 }
 
 
@@ -312,7 +320,7 @@ _KLEIN = parse_poly("x^3*y + y^3*z + z^3*x")
 _FIXED_PART_FIELDS = {
     "Q": (QQ, lambda a, b: rat(a)),
     "Q(sqrt 2)": (QuadraticField(2), lambda a, b: QuadExt(rat(a), rat(b), 2)),
-    "F101": (PrimeField(101), lambda a, b: FpElt(a, 101)),
+    "F101": (PrimeField(101), lambda a, b: a % 101),
 }
 
 
@@ -607,3 +615,38 @@ def test_prime_field_positive_dimension_unsupported(proj5):
     curve = validate_curve(f, fld=F)
     with pytest.raises(CurveUnsupported):
         decide(curve, seed=1)
+
+
+def test_every_elimination_of_a_prime_field_decide_is_mod_q(monkeypatch, klein,
+                                                            two_node_quintic):
+    """Over F_10007 the scalars are residues, and every ``FpEchelon`` that
+    ``canonical``, ``liealg``, ``linalg`` and ``pipeline`` build is mod
+    10007: an exact echelon fed residues would eliminate over Q.  The decides
+    cover the genus-3 pencil, the quadrics, Petri and the stabilizer's
+    solution echelon, and the two-node quintic, which stops at liealg."""
+    F = PrimeField(10007)
+    coerced = (PrimeField(101).coerce(rat(1, 2)), QQ.coerce(rat(4, 2)))
+    assert [(x, type(x)) for x in coerced] == [(51, int), (2, int)]
+    built = []
+
+    class Spy(modular.FpEchelon):
+        def __init__(self, ncols, p=0):
+            built.append((sys._getframe(1).f_code.co_name, p))
+            super().__init__(ncols, p)
+
+    for module in (canonical, liealg, linalg, pipeline):
+        monkeypatch.setattr(module, "FpEchelon", Spy)
+    sextic = curve_mod.gen_singular_model(6, [((0, 0, 1), 2)], seed=1)
+    for f, point, stops in ((klein.f, (0, 0, 1), False),
+                            (parse_poly("x^7 + y^7 + z^7"), None, False),
+                            (sextic.f, None, False),
+                            (two_node_quintic.f, None, True)):
+        built.clear()
+        curve = validate_curve(f.map_coeffs(F.coerce), base_point=point, fld=F)
+        if stops:
+            with pytest.raises(CurveUnsupported, match="prime-field mode stops"):
+                decide(curve, seed=1)
+        else:
+            decide(curve, seed=1)
+        assert built and all(p == F.p for _, p in built), built
+        assert ("stabilizer_algebra" in dict(built)) == (curve.genus > 3 and not stops)

@@ -4,6 +4,7 @@ from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from sympy import GF
 
 from trigonal import intutil, modular
 from trigonal.errors import CurveUnsupported, InvalidInput
@@ -13,7 +14,7 @@ from trigonal.modular import (PRIME_WALK_START, fp_bivariate_table, fp_eval, fp_
                               zz_gcd, zz_squarefree)
 from trigonal.poly import (MPoly, binary_form_squarefree, parse_poly, poly_str,
                            taylor_rows)
-from trigonal.scalars import QQ, PrimeField, rat, sinv
+from trigonal.scalars import QQ, PrimeField, rat, sdiv
 
 from dense_reference import (euclid_gcd, euclid_squarefree, poly_mul, resultant,
                              taylor_pieces, taylor_rows_by_division)
@@ -591,7 +592,9 @@ def test_local_expansion_rejects_zero_point():
 @pytest.mark.parametrize("fld", [QQ, PrimeField(10007)])
 def test_taylor_rows_match_substitute_and_split(fld):
     # every piece up to d of random forms of degree 3-7, at points in each
-    # of the three charts; nonzero entries lie in the field, never bare ints
+    # of the three charts; over F_q the rows of residues are read in sympy's
+    # GF(q), where the reference substitutes
+    lift = _lift(fld)
     rng = random.Random(14)
     for d in range(3, 8):
         monos = [(i, j, d - i - j) for i in range(d + 1) for j in range(d + 1 - i)]
@@ -599,12 +602,11 @@ def test_taylor_rows_match_substitute_and_split(fld):
         for chart in range(3):
             point = [fld.coerce(rng.randint(-5, 5)) for _ in range(chart)]
             point += [fld.coerce(1)] + [fld.coerce(0)] * (2 - chart)
-            ref = taylor_pieces(f, point)
+            ref = taylor_pieces(f.map_coeffs(lift), [lift(x) for x in point])
             for k in range(d + 1):
                 rows = taylor_rows(list(f.terms), point, k)
-                assert all(not isinstance(r, int) for row in rows for r in row if r)
                 got = {(a, k - a): v for a, row in enumerate(rows)
-                       if (v := sum(c * r for c, r in zip(f.terms.values(), row) if r))}
+                       if (v := lift(sum(c * r for c, r in zip(f.terms.values(), row) if r)))}
                 assert got == ref[k], (d, point, k)
 
 
@@ -614,7 +616,13 @@ def test_taylor_rows_on_any_representative(fld):
     division formula in the chart; at lambda times a point they are
     lambda^(D-k) times the rows at the point, for an integer lambda over Q
     and an element of F_10007, so integer points give the pieces of their
-    normalized point up to a nonzero factor."""
+    normalized point up to a nonzero factor.  Over F_10007 the points are
+    residues and every row is read in sympy's GF(10007)."""
+    lift = _lift(fld)
+
+    def read(rows):
+        return [[lift(r) for r in row] for row in rows]
+
     rng = random.Random(25)
     for d in range(3, 7):
         monos = [(i, j, d - i - j) for i in range(d + 1) for j in range(d + 1 - i)]
@@ -626,18 +634,26 @@ def test_taylor_rows_on_any_representative(fld):
             else:
                 point = [fld.coerce(x) for x in point]
                 lam = fld.coerce(rng.randint(2, 10006))
-            normal = [x * sinv(point[chart]) for x in point]
-            scaled = [lam * x for x in point]
+            normal = [fld.coerce(sdiv(x, point[chart])) for x in point]
+            scaled = [fld.coerce(lam * x) for x in point]
+            at = [lift(x) for x in point]
             for k in range(d + 1):
-                rows = taylor_rows(monos, point, k)
-                assert taylor_rows(monos, normal, k) == taylor_rows_by_division(monos, point, k)
-                assert taylor_rows(monos, scaled, k) == \
-                    [[lam ** (d - k) * r for r in row] for row in rows]
-                factor = point[chart] ** (d - k)
+                rows = read(taylor_rows(monos, point, k))
+                assert read(taylor_rows(monos, normal, k)) == \
+                    taylor_rows_by_division(monos, at, k)
+                assert read(taylor_rows(monos, scaled, k)) == \
+                    [[lift(lam) ** (d - k) * r for r in row] for row in rows]
+                factor = at[chart] ** (d - k)
                 assert rows == [[factor * r for r in row]
-                                for row in taylor_rows(monos, normal, k)]
+                                for row in read(taylor_rows(monos, normal, k))]
                 if fld == QQ:
                     assert all(type(r) is int for row in rows for r in row)
+
+
+def _lift(fld):
+    """The map of a scalar over ``fld`` into the field of the reference:
+    over F_q sympy's GF(q), over Q the scalar itself."""
+    return GF(fld.char) if fld.char else (lambda x: x)
 
 
 def test_binary_form_repeated_factor_at_infinity_detected():
